@@ -8,16 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .catalog import catalog_orlicz_functions
 from .engine import generated_norm
 from .errors import ContractError, DomainError, PreconditionError
 from .orlicz import exp_minus, flat_then_power, orlicz_from_descriptor, piecewise_linear, power
-from .planar import (build_modulus_table, l1, linf, lq, modulus_of_monotonicity,
-                     planar_from_descriptor)
+from .planar import l1, linf, lq, modulus_of_monotonicity, planar_from_descriptor
 from .spaces import simple_function, space_from_descriptor, unit_weights
 from .verify import SUITE_IDS, run_suites
 
@@ -100,11 +97,8 @@ def _load_config(args: argparse.Namespace) -> None:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     for key in ("phi", "p", "space", "values", "seed", "budget", "tol", "grid"):
-        if key in cfg and getattr(args, key, None) in (None, _UNSET):
-            setattr(args, key, cfg[key] if not isinstance(cfg[key], (int, float)) else cfg[key])
-
-
-_UNSET = object()
+        if key in cfg and getattr(args, key, None) is None:
+            setattr(args, key, cfg[key])
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:

@@ -108,8 +108,6 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         k_hi = k_next
         if math.isinf(v) or v > state["best_v"] * (1.0 + 1e-12):
             break
-    else:  # pragma: no cover - loop exits via break or condition
-        pass
     if k_hi >= k_cap and not math.isinf(g(k_cap)) and state["best_k"] is not None \
             and state["best_k"] >= k_cap * 0.999:
         hit_cap = True

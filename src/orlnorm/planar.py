@@ -250,6 +250,13 @@ def check_lattice_axioms(p: PlanarNorm, sample_budget: int = 1000, seed: int = 0
     return ValidationReport(passed=not violations, samples=n, violations=violations)
 
 
+def sandwich_violated(u, v, value):
+    """value = p((u,v)) lies outside [max(|u|,|v|), |u| + |v|] by more than
+    PLANAR_TOL; elementwise on arrays."""
+    au, av = np.abs(u), np.abs(v)
+    return (value < np.maximum(au, av) - PLANAR_TOL) | (value > au + av + PLANAR_TOL)
+
+
 def verify_sandwich(p: PlanarNorm, sample_budget: int = 10_000, seed: int = 0) -> ValidationReport:
     """Check max(|u|,|v|) - tol <= p((u,v)) <= |u| + |v| + tol on samples."""
     if sample_budget < 1:
@@ -261,21 +268,13 @@ def verify_sandwich(p: PlanarNorm, sample_budget: int = 10_000, seed: int = 0) -
     vals = p.evaluate_many(u, v)
     lo = np.maximum(np.abs(u), np.abs(v))
     hi = np.abs(u) + np.abs(v)
-    bad = (vals < lo - PLANAR_TOL) | (vals > hi + PLANAR_TOL)
+    bad = sandwich_violated(u, v, vals)
     violations = [
         {"check": "sandwich", "p": p.descriptor(), "point": [float(u[i]), float(v[i])],
          "value": float(vals[i]), "lower": float(lo[i]), "upper": float(hi[i])}
         for i in np.nonzero(bad)[0][:_MAX_RECORDS]
     ]
     return ValidationReport(passed=not violations, samples=len(u), violations=violations)
-
-
-def replay_sandwich_violation(record: dict) -> bool:
-    """Re-evaluate a sandwich violation record; True means it still violates."""
-    p = planar_from_descriptor(record["p"])
-    u, v = record["point"]
-    val = p.evaluate((u, v))
-    return val < max(abs(u), abs(v)) - PLANAR_TOL or val > abs(u) + abs(v) + PLANAR_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -21,23 +21,30 @@ stable registry key (T1..T9, L1..L2, R2..R3):
     R3  modular-to-norm convergence equivalence probe
 
 Hypothesis gates that fail mark the report "hypothesis-not-met" instead of
-failing; violation records carry full input descriptors so that
-replay_violation can re-evaluate them deterministically.
+failing.  Every violation kind has one entry in CHECKS: the measurement
+its suite takes and the predicate, tolerance included, that flags it.
+Suites record violations through that entry, and each record carries
+phi, p, space and every input of the measurement, so replay_violation
+replays any record as emitted: it decodes phi, p and space, re-takes the
+measurement from the stored inputs and applies the suite's own predicate.
+run_suites builds at most one modulus table per call, on first use by
+T7, T8 or T9 once their gates have passed.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import K_CAP, generated_norm, lemma_bounds_check, luxemburg_norm
+from .engine import K_CAP, generated_norm, lemma_bounds_check
 from .errors import DomainError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, OrliczFunction,
                      delta2_check, orlicz_from_descriptor, strict_convexity_probe)
 from .planar import (MonotonicityModulusTable, PlanarNorm, build_modulus_table,
                      is_strictly_increasing_on_ray, l1, linf, planar_from_descriptor,
-                     replay_sandwich_violation, strictly_monotone_probe, verify_sandwich)
+                     sandwich_violated, strictly_monotone_probe, verify_sandwich)
 from .spaces import (MeasureSpace, SimpleFunction, dominated_pair_sample, measure_space,
                      modular, simple_function, space_from_descriptor)
 
@@ -47,6 +54,8 @@ STATUS_HNM = "hypothesis-not-met"
 STATUS_EMPTY = "empty-feasible"
 
 SUITE_IDS = ("T1", "T2", "L1", "L2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "R2", "R3")
+
+MODULUS_RESOLUTION = 2e-3  # grid of the modulus tables T7, T8 and T9 build
 
 
 @dataclass
@@ -102,13 +111,6 @@ def suitable_delta2_regime(space: MeasureSpace) -> str:
     return REGIME_INFINITY
 
 
-def _pack(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace | None = None) -> dict:
-    out = {"phi": phi.descriptor(), "p": p.descriptor()}
-    if space is not None:
-        out["space"] = space.descriptor()
-    return out
-
-
 def _finite_phi_top(phi: OrliczFunction) -> float:
     """Largest argument at which Phi still evaluates to a finite double."""
     lo = 1.0
@@ -134,36 +136,65 @@ def _finite_phi_top(phi: OrliczFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Violation kinds: one measurement and one predicate each
+
+
+@dataclass(frozen=True)
+class Check:
+    """One violation kind.  ``measure(phi, p, space, rec)`` takes the
+    measurement from the inputs stored in ``rec`` and returns the measured
+    fields; ``violated(rec)`` decides on a record holding both."""
+    measure: Callable[[OrliczFunction, PlanarNorm, MeasureSpace, dict], dict]
+    violated: Callable[[dict], bool]
+
+
+def _pack(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace) -> dict:
+    return {"phi": phi.descriptor(), "p": p.descriptor(), "space": space.descriptor()}
+
+
+def _flag(violations: list[dict], kind: str, phi, p, space, rec: dict) -> None:
+    """Record `rec` (inputs and measured fields) when `kind`'s predicate holds."""
+    if CHECKS[kind].violated(rec):
+        violations.append({"kind": kind, **_pack(phi, p, space), **rec})
+
+
+def _check(violations: list[dict], kind: str, phi, p, space, **inputs) -> dict:
+    """Take `kind`'s measurement on `inputs` and flag it; returns the record."""
+    rec = {**inputs, **CHECKS[kind].measure(phi, p, space, inputs)}
+    _flag(violations, kind, phi, p, space, rec)
+    return rec
+
+
+def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
+    return (orlicz_from_descriptor(rec["phi"]), planar_from_descriptor(rec["p"]),
+            space_from_descriptor(rec["space"]))
+
+
+# ---------------------------------------------------------------------------
 # T1: sandwich bounds and ordering of the family
 
 
 def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200,
                             planar_samples: int = 10_000) -> TheoremReport:
-    violations = list(verify_sandwich(p, planar_samples, seed).violations)
+    violations = []
+    for rec in verify_sandwich(p, planar_samples, seed).violations:
+        _flag(violations, "sandwich", phi, p, space, rec)
     rng = _rng(seed + 1)
-    p_lo, p_hi = linf(), l1()
     for _ in range(budget):
         x = _random_function(space, rng, signed=True)
-        v_mid = _norm_value(phi, p, x)
-        v_lo = _norm_value(phi, p_lo, x)
-        v_hi = _norm_value(phi, p_hi, x)
-        if not (v_lo <= v_mid + 1e-9 and v_mid <= v_hi + 1e-9):
-            violations.append({"kind": "ordering", **_pack(phi, p, space),
-                               "values": list(x.values),
-                               "smallest": v_lo, "middle": v_mid, "biggest": v_hi})
+        _check(violations, "ordering", phi, p, space, values=list(x.values))
     return _passed("T1", planar_samples + budget, violations,
                    {"planar_samples": planar_samples, "functions": budget})
 
 
-def _recheck_ordering(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
+def _measure_sandwich(phi, p, space, rec):
+    return {"value": p.evaluate(tuple(rec["point"]))}
+
+
+def _measure_ordering(phi, p, space, rec):
     x = simple_function(space, rec["values"])
-    v_mid = _norm_value(phi, p, x)
-    v_lo = _norm_value(phi, linf(), x)
-    v_hi = _norm_value(phi, l1(), x)
-    return not (v_lo <= v_mid + 1e-9 and v_mid <= v_hi + 1e-9)
+    return {"middle": _norm_value(phi, p, x), "smallest": _norm_value(phi, linf(), x),
+            "biggest": _norm_value(phi, l1(), x)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,59 +203,36 @@ def _recheck_ordering(rec: dict) -> bool:
 
 def suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
     rng = _rng(seed)
-    violations: list[dict] = []
-    zero = SimpleFunction(space, tuple([0.0] * space.n_atoms))
-    if _norm_value(phi, p, zero) != 0.0:
-        violations.append({"kind": "norm_zero", **_pack(phi, p, space),
-                           "values": list(zero.values), "value": _norm_value(phi, p, zero)})
+    violations = []
+    _check(violations, "norm_zero", phi, p, space, values=[0.0] * space.n_atoms)
     for _ in range(budget):
         x = _random_function(space, rng, signed=True)
         y = _random_function(space, rng, signed=True)
         lam = float(rng.uniform(0.05, 4.0) * rng.choice([-1.0, 1.0]))
-        nx = _norm_value(phi, p, x)
-        ny = _norm_value(phi, p, y)
-        nxy = _norm_value(phi, p, x.plus(y))
-        if nxy > nx + ny + 1e-9:
-            violations.append({"kind": "norm_triangle", **_pack(phi, p, space),
-                               "x": list(x.values), "y": list(y.values),
-                               "value": nxy, "bound": nx + ny})
-        nlx = _norm_value(phi, p, x.scaled(lam))
-        if abs(nlx - abs(lam) * nx) > 1e-9 * max(nx, 1e-12):
-            violations.append({"kind": "norm_homogeneity", **_pack(phi, p, space),
-                               "x": list(x.values), "lam": lam,
-                               "value": nlx, "expected": abs(lam) * nx})
-        if nx <= 0.0:
-            violations.append({"kind": "norm_zero", **_pack(phi, p, space),
-                               "values": list(x.values), "value": nx})
+        rec = _check(violations, "norm_triangle", phi, p, space,
+                     x=list(x.values), y=list(y.values), lam=lam)
+        _flag(violations, "norm_homogeneity", phi, p, space, rec)
+        _flag(violations, "norm_zero", phi, p, space,
+              {"values": rec["x"], "value": rec["norm_x"]})
     return _passed("T2", budget, violations, {"triples": budget})
 
 
-def _recheck_norm_triangle(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    y = simple_function(space, rec["y"])
-    return _norm_value(phi, p, x.plus(y)) > _norm_value(phi, p, x) + _norm_value(phi, p, y) + 1e-9
+def _measure_axioms(phi, p, space, rec):
+    """||x||, ||y||, ||x + y|| and ||lam x||, in that order."""
+    x, y = simple_function(space, rec["x"]), simple_function(space, rec["y"])
+    return {"norm_x": _norm_value(phi, p, x), "norm_y": _norm_value(phi, p, y),
+            "norm_sum": _norm_value(phi, p, x.plus(y)),
+            "norm_scaled": _norm_value(phi, p, x.scaled(rec["lam"]))}
 
 
-def _recheck_norm_homogeneity(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    nx = _norm_value(phi, p, x)
-    nlx = _norm_value(phi, p, x.scaled(rec["lam"]))
-    return abs(nlx - abs(rec["lam"]) * nx) > 1e-9 * max(nx, 1e-12)
+def _measure_norm(phi, p, space, rec):
+    return {"value": _norm_value(phi, p, simple_function(space, rec["values"]))}
 
 
-def _recheck_norm_zero(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["values"])
-    v = _norm_value(phi, p, x)
-    return (v != 0.0) if x.is_zero else (v <= 0.0)
+def _norm_zero_violated(r: dict) -> bool:
+    if all(v == 0.0 for v in r["values"]):
+        return r["value"] != 0.0
+    return r["value"] <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +247,19 @@ def suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50) -> Theor
     violations = []
     for _ in range(budget):
         x = _random_function(space, rng, signed=True)
-        r = generated_norm(phi, p, x)
-        if not r.attained or r.k_star is None or (r.bracket and r.bracket[1] >= K_CAP):
-            violations.append({"kind": "attainment", **_pack(phi, p, space),
-                               "values": list(x.values), "attained": r.attained,
-                               "bracket": list(r.bracket) if r.bracket else None})
+        _check(violations, "attainment", phi, p, space, values=list(x.values))
     return _passed("L1", budget, violations, {"samples": budget})
 
 
-def _recheck_attainment(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
+def _measure_attainment(phi, p, space, rec):
     r = generated_norm(phi, p, simple_function(space, rec["values"]))
-    return not r.attained or r.k_star is None or (r.bracket and r.bracket[1] >= K_CAP)
+    return {"attained": r.attained, "k_star": r.k_star,
+            "bracket": list(r.bracket) if r.bracket else None}
+
+
+def _attainment_violated(r: dict) -> bool:
+    capped = r["bracket"] is not None and r["bracket"][1] >= K_CAP
+    return not r["attained"] or r["k_star"] is None or capped
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +277,14 @@ def suite_unit_ball_bounds(phi, p, space=None, *, seed: int = 0, budget: int = 0
     cases.append(simple_function(sp2, [a, 1.5 * a, 2.0 * a]))
     violations = []
     for x in cases:
-        lb = lemma_bounds_check(phi, p, x)
-        if not (lb.lower_ok and lb.upper_ok):
-            violations.append({"kind": "unit_ball_bounds", **_pack(phi, p, x.space),
-                               "values": list(x.values), "norm": lb.norm,
-                               "modular": lb.modular_value})
+        _check(violations, "unit_ball_bounds", phi, p, x.space, values=list(x.values))
     return _passed("L2", len(cases), violations, {"cases": len(cases)})
 
 
-def _recheck_unit_ball_bounds(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
+def _measure_unit_ball(phi, p, space, rec):
     lb = lemma_bounds_check(phi, p, simple_function(space, rec["values"]))
-    return not (lb.lower_ok and lb.upper_ok)
+    return {"norm": lb.norm, "modular": lb.modular_value,
+            "lower_ok": lb.lower_ok, "upper_ok": lb.upper_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,15 @@ def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
     raise DomainError(f"unknown witness mode {mode!r}")
 
 
+def _embedded_norm(phi, p, space, levels, z) -> tuple[float, float]:
+    """Norm of the element with values levels * z, hinted at k = 1/max|z|,
+    and max|z|."""
+    z = np.asarray(z)
+    nz = float(np.max(np.abs(z)))
+    hints = (1.0 / nz,) if nz > 0.0 else ()
+    return _norm_value(phi, p, simple_function(space, levels * z), hints=hints), nz
+
+
 def _exact_witness(phi, p, n, *, z_samples, seed):
     a = phi.zero_bound
     if a <= 0.0:
@@ -351,27 +361,13 @@ def _exact_witness(phi, p, n, *, z_samples, seed):
     violations = []
     zs = _z_batch(n, z_samples, rng)
     for z in zs:
-        pz = simple_function(space, a * z)
-        nz = float(np.max(np.abs(z)))
-        if nz == 0.0:
-            got = _norm_value(phi, p, pz)
-        else:
-            got = _norm_value(phi, p, pz, hints=(1.0 / nz,))
-        if abs(got - nz) > 1e-12:
-            violations.append({"kind": "embedding_exact", **_pack(phi, p, space),
-                               "z": [float(t) for t in z], "norm": got, "expected": nz})
+        _check(violations, "embedding_exact", phi, p, space, z=[float(t) for t in z])
     return witness, _passed("T4", len(zs), violations, {"n": n, "level": a})
 
 
-def _recheck_embedding_exact(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    z = np.array(rec["z"])
-    pz = simple_function(space, phi.zero_bound * z)
-    nz = float(np.max(np.abs(z)))
-    hints = (1.0 / nz,) if nz > 0 else ()
-    return abs(_norm_value(phi, p, pz, hints=hints) - nz) > 1e-12
+def _measure_embedding_exact(phi, p, space, rec):
+    got, nz = _embedded_norm(phi, p, space, phi.zero_bound, rec["z"])
+    return {"norm": got, "expected": nz}
 
 
 def _approximate_witness(phi, p, n, *, epsilon, eta, threshold, z_samples, seed):
@@ -432,32 +428,17 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, threshold, z_samples, seed)
     violations = []
     zs = _z_batch(n, z_samples, rng)
     for z in zs:
-        pz = simple_function(space, np.array(levels) * z)
-        nz = float(np.max(np.abs(z)))
-        hints = (1.0 / nz,) if nz > 0 else ()
-        got = _norm_value(phi, p, pz, hints=hints)
-        lo_b = nz / (1.0 + eta) - 1e-6
-        hi_b = (1.0 + epsilon) * nz + 1e-6
-        if not (lo_b <= got <= hi_b):
-            violations.append({"kind": "embedding_bounds", **_pack(phi, p, space),
-                               "levels": levels, "z": [float(t) for t in z],
-                               "norm": got, "lower": lo_b, "upper": hi_b,
-                               "epsilon": epsilon, "eta": eta})
+        _check(violations, "embedding_bounds", phi, p, space, levels=levels,
+               z=[float(t) for t in z], epsilon=epsilon, eta=eta)
     details = {"n": n, "levels": levels, "weights": weights,
                "threshold_requested": threshold, "threshold_achieved": min(achieved)}
     return witness, _passed("T3", len(zs), violations, details)
 
 
-def _recheck_embedding_bounds(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    z = np.array(rec["z"])
-    pz = simple_function(space, np.array(rec["levels"]) * z)
-    nz = float(np.max(np.abs(z)))
-    hints = (1.0 / nz,) if nz > 0 else ()
-    got = _norm_value(phi, p, pz, hints=hints)
-    return not (nz / (1.0 + rec["eta"]) - 1e-6 <= got <= (1.0 + rec["epsilon"]) * nz + 1e-6)
+def _measure_embedding_bounds(phi, p, space, rec):
+    got, nz = _embedded_norm(phi, p, space, np.asarray(rec["levels"]), rec["z"])
+    return {"norm": got, "lower": nz / (1.0 + rec["eta"]) - 1e-6,
+            "upper": (1.0 + rec["epsilon"]) * nz + 1e-6}
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +469,16 @@ def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -
         if max(abs(a - b) for a, b in zip(xh.values, yh.values)) < 0.05:
             continue
         trials += 1
-        mid = _norm_value(phi, p, xh.plus(yh).scaled(0.5))
-        min_gap = min(min_gap, 1.0 - mid)
-        if mid >= 1.0 - 1e-12:
-            violations.append({"kind": "midpoint", **_pack(phi, p, space),
-                               "x": list(xh.values), "y": list(yh.values), "midpoint_norm": mid})
+        rec = _check(violations, "midpoint", phi, p, space,
+                     x=list(xh.values), y=list(yh.values))
+        min_gap = min(min_gap, 1.0 - rec["midpoint_norm"])
     return _passed("T5", trials, violations,
                    {"pairs": trials, "min_midpoint_gap": None if trials == 0 else min_gap})
 
 
-def _recheck_midpoint(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    y = simple_function(space, rec["y"])
-    return _norm_value(phi, p, x.plus(y).scaled(0.5)) >= 1.0 - 1e-12
+def _measure_midpoint(phi, p, space, rec):
+    x, y = simple_function(space, rec["x"]), simple_function(space, rec["y"])
+    return {"midpoint_norm": _norm_value(phi, p, x.plus(y).scaled(0.5))}
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +505,9 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
             if not ry.attained:
                 skipped += 1
                 continue
-            nx = _norm_value(phi, p, x)
-            if nx >= ry.value - 1e-9:
-                violations.append({"kind": "strict_monotonicity", **_pack(phi, p, space),
-                                   "x": list(x.values), "y": list(y.values),
-                                   "norm_x": nx, "norm_y": ry.value})
+            _flag(violations, "strict_monotonicity", phi, p, space,
+                  {"x": list(x.values), "y": list(y.values),
+                   "norm_x": _norm_value(phi, p, x), "norm_y": ry.value})
         if skipped == budget:
             return _hnm("T6", "attainment unavailable for every sample")
         return _passed("T6", budget - skipped, violations,
@@ -569,47 +542,57 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
     zvals = list(y.values)
     zvals[free] = a / k
     z = SimpleFunction(space, tuple(zvals))
-    nz = _norm_value(phi, p, z, hints=(k,))
-    rec = {"kind": "flat_pair", **_pack(phi, p, space), "y": list(y.values),
-           "z": list(z.values), "k": k, "norm_y": ry.value, "norm_z": nz}
-    if abs(nz - ry.value) <= 1e-9:
-        return _passed("T6", 1, [], {"constructed_flat_pair": rec})
-    return _passed("T6", 1, [{**rec, "kind": "flat_pair_mismatch"}],
-                   {"constructed_flat_pair": rec})
+    rec = {"y": list(y.values), "z": list(z.values), "k": k, "norm_y": ry.value,
+           "norm_z": _norm_value(phi, p, z, hints=(k,))}
+    violations = []
+    _flag(violations, "flat_pair_mismatch", phi, p, space, rec)
+    return _passed("T6", 1, violations,
+                   {"constructed_flat_pair": {"kind": "flat_pair", **_pack(phi, p, space),
+                                              **rec}})
 
 
-def _recheck_strict_monotonicity(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    y = simple_function(space, rec["y"])
-    return _norm_value(phi, p, x) >= _norm_value(phi, p, y) - 1e-9
+def _measure_pair(phi, p, space, rec):
+    return {"norm_x": _norm_value(phi, p, simple_function(space, rec["x"])),
+            "norm_y": _norm_value(phi, p, simple_function(space, rec["y"]))}
 
 
-def _recheck_flat_pair_mismatch(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    y = simple_function(space, rec["y"])
+def _measure_flat_pair(phi, p, space, rec):
     z = simple_function(space, rec["z"])
-    ny = _norm_value(phi, p, y)
-    nz = _norm_value(phi, p, z, hints=(rec["k"],))
-    return abs(nz - ny) > 1e-9
+    return {"norm_y": _norm_value(phi, p, simple_function(space, rec["y"])),
+            "norm_z": _norm_value(phi, p, z, hints=(rec["k"],))}
 
 
 # ---------------------------------------------------------------------------
 # T7: the norm-difference bound through the planar modulus
 
 
+class _TableOnFirstUse:
+    """Stands in for the modulus table of p at MODULUS_RESOLUTION and builds
+    it on first use, so a run whose suites all stop at their gates builds
+    none and a run sharing one stand-in builds at most one."""
+
+    def __init__(self, p: PlanarNorm) -> None:
+        self._p = p
+        self._table: MonotonicityModulusTable | None = None
+
+    def __getattr__(self, name: str):
+        if self._table is None:
+            self._table = build_modulus_table(self._p, resolution=MODULUS_RESOLUTION)
+        return getattr(self._table, name)
+
+
+def _measure_difference(phi, p, space, rec):
+    """lhs = ||y - x|| for a dominated pair x <= y."""
+    x, y = simple_function(space, rec["x"]), simple_function(space, rec["y"])
+    return {"lhs": _norm_value(phi, p, y.minus_dominated(x))}
+
+
 def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 500,
-                                 table: MonotonicityModulusTable | None = None,
-                                 resolution: float = 2e-3) -> TheoremReport:
+                                 table: MonotonicityModulusTable | None = None) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p, 256, seed)
     if not ok:
         return _hnm("T7", "planar norm is not strictly monotone", witness=wit)
-    if table is None:
-        table = build_modulus_table(p, resolution=resolution)
+    table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
     violations = []
     checked = 0
@@ -628,27 +611,12 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 
         if eps.is_infinite or not (1e-6 < eps.value < 1.0 - 1e-6):
             continue
         checked += 1
-        dfloor = table.floor_value(eps.value)
-        rhs = 1.0 - dfloor + table.slack + 1e-6
-        lhs = _norm_value(phi, p, ys.minus_dominated(xs))
-        if lhs > rhs:
-            violations.append({"kind": "decomposition", **_pack(phi, p, space),
-                               "x": list(xs.values), "y": list(ys.values),
-                               "modular_x": eps.value, "lhs": lhs,
-                               "delta_floor": dfloor, "slack": table.slack})
+        _check(violations, "decomposition", phi, p, space, x=list(xs.values),
+               y=list(ys.values), modular_x=eps.value,
+               delta_floor=table.floor_value(eps.value), slack=table.slack)
     return _passed("T7", checked, violations,
                    {"checked": checked, "table_slack": table.slack,
                     "table_resolution": table.resolution})
-
-
-def _recheck_decomposition(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    y = simple_function(space, rec["y"])
-    lhs = _norm_value(phi, p, y.minus_dominated(x))
-    return lhs > 1.0 - rec["delta_floor"] + rec["slack"] + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +625,7 @@ def _recheck_decomposition(rec: dict) -> bool:
 
 def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                             samples: int = 200, seed: int = 0,
-                            table: MonotonicityModulusTable | None = None,
-                            resolution: float = 2e-3):
+                            table: MonotonicityModulusTable | None = None):
     """Estimate the smallest modular of dominated pieces of y with norm >=
     epsilon, and check the norm-difference bound on the same samples.
     Returns (delta_hat, report)."""
@@ -672,51 +639,42 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
         return 0.0, TheoremReport("T8", STATUS_EMPTY, True, 0, [],
                                   {"reason": "no dominated piece can reach the norm level",
                                    "epsilon": epsilon})
-    if table is None:
-        table = build_modulus_table(p, resolution=resolution)
+    table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
-    kept: list[tuple[SimpleFunction, float]] = []
+    kept: list[SimpleFunction] = []
     attempts = 0
     while len(kept) < samples and attempts < 8 * samples:
         attempts += 1
         base = float(rng.uniform(max(0.0, epsilon - 0.2), 1.0))
         frac = np.minimum(1.0, base + rng.uniform(0.0, 0.3, y.space.n_atoms))
         x = SimpleFunction(y.space, tuple(f * v for f, v in zip(frac, y.values)))
-        nx = _norm_value(phi, p, x)
-        if nx >= epsilon:
-            kept.append((x, nx))
+        if _norm_value(phi, p, x) >= epsilon:
+            kept.append(x)
     if not kept:
         return 0.0, TheoremReport("T8", STATUS_EMPTY, True, 0, [],
                                   {"reason": "no sampled dominated piece reached the level",
                                    "epsilon": epsilon})
-    delta_hat = min(modular(phi, x).value for x, _ in kept)
-    dfloor = table.floor_value(delta_hat)
-    rhs = 1.0 - dfloor + table.slack + 1e-6
+    delta_hat = min(modular(phi, x).value for x in kept)
+    dfloor, slack = table.floor_value(delta_hat), table.slack
     violations = []
-    for x, nx in kept:
-        lhs = _norm_value(phi, p, y.minus_dominated(x))
-        if lhs > rhs:
-            violations.append({"kind": "lower_local_um", **_pack(phi, p, y.space),
-                               "x": list(x.values), "y": list(y.values),
-                               "delta_floor": dfloor, "slack": table.slack, "lhs": lhs})
-    if delta_hat <= 0.0:
-        violations.append({"kind": "delta_hat_nonpositive", **_pack(phi, p, y.space),
-                           "y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat})
+    for x in kept:
+        _check(violations, "lower_local_um", phi, p, y.space, x=list(x.values),
+               y=list(y.values), delta_floor=dfloor, slack=slack)
+    _check(violations, "delta_hat_nonpositive", phi, p, y.space, y=list(y.values),
+           epsilon=epsilon, delta_hat=delta_hat)
     report = _passed("T8", len(kept), violations,
                      {"epsilon": epsilon, "delta_hat": delta_hat, "samples": len(kept)})
     return delta_hat, report
 
 
 def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
-                         table: MonotonicityModulusTable | None = None,
-                         resolution: float = 2e-3) -> TheoremReport:
+                         table: MonotonicityModulusTable | None = None) -> TheoremReport:
     if phi.zero_bound != 0.0:
         return _hnm("T8", "needs a generator vanishing only at zero")
     ok, wit = strictly_monotone_probe(p, 256, seed)
     if not ok:
         return _hnm("T8", "planar norm is not strictly monotone", witness=wit)
-    if table is None:
-        table = build_modulus_table(p, resolution=resolution)
+    table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
     violations = []
     trials = 0
@@ -731,20 +689,6 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
     return _passed("T8", trials, violations, {"delta_hat": deltas})
 
 
-def _recheck_lower_local_um(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    y = simple_function(space, rec["y"])
-    lhs = _norm_value(phi, p, y.minus_dominated(x))
-    return lhs > 1.0 - rec["delta_floor"] + rec["slack"] + 1e-6
-
-
-def _recheck_delta_hat_nonpositive(rec: dict) -> bool:
-    return rec["delta_hat"] <= 0.0
-
-
 # ---------------------------------------------------------------------------
 # T9: uniform monotonicity
 
@@ -752,7 +696,7 @@ def _recheck_delta_hat_nonpositive(rec: dict) -> bool:
 def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120,
                                epsilon_grid: tuple[float, ...] = (0.25, 0.5, 0.75),
                                table: MonotonicityModulusTable | None = None,
-                               resolution: float = 2e-3, n_max: int = 10) -> TheoremReport:
+                               n_max: int = 10) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p, 256, seed)
     if not ok:
         return _hnm("T9", "planar norm is not strictly monotone", witness=wit)
@@ -761,15 +705,13 @@ def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 12
     regime = suitable_delta2_regime(space)
     d2 = delta2_check(phi, regime)
     if d2.holds:
-        return _um_positive(phi, p, space, seed=seed, budget=budget,
-                            epsilon_grid=epsilon_grid, table=table, resolution=resolution,
+        return _um_positive(phi, p, space, seed=seed, budget=budget, epsilon_grid=epsilon_grid,
+                            table=table if table is not None else _TableOnFirstUse(p),
                             regime=regime)
     return _um_failure_construction(phi, p, seed=seed, n_max=n_max, regime=regime)
 
 
-def _um_positive(phi, p, space, *, seed, budget, epsilon_grid, table, resolution, regime):
-    if table is None:
-        table = build_modulus_table(p, resolution=resolution)
+def _um_positive(phi, p, space, *, seed, budget, epsilon_grid, table, regime):
     rng = _rng(seed)
     violations = []
     trials = 0
@@ -795,25 +737,17 @@ def _um_positive(phi, p, space, *, seed, budget, epsilon_grid, table, resolution
         if not pairs:
             continue
         delta_hat = min(modular(phi, xs).value for xs, _ in pairs)
-        dfloor = table.floor_value(delta_hat)
-        rhs = 1.0 - dfloor + table.slack + 1e-6
+        dfloor, slack = table.floor_value(delta_hat), table.slack
         worst = 0.0
         for xs, ys in pairs:
-            lhs = _norm_value(phi, p, ys.minus_dominated(xs))
-            worst = max(worst, lhs)
+            rec = _check(violations, "uniform_monotonicity", phi, p, space, x=list(xs.values),
+                         y=list(ys.values), delta_floor=dfloor, slack=slack)
+            worst = max(worst, rec["lhs"])
             trials += 1
-            if lhs > rhs:
-                violations.append({"kind": "uniform_monotonicity", **_pack(phi, p, space),
-                                   "x": list(xs.values), "y": list(ys.values),
-                                   "delta_floor": dfloor, "slack": table.slack, "lhs": lhs})
         empirical[f"{eps:g}"] = {"delta_hat_modular": delta_hat,
                                  "empirical_modulus": 1.0 - worst, "pairs": len(pairs)}
     return _passed("T9", trials, violations,
                    {"branch": "positive", "regime": regime, "per_epsilon": empirical})
-
-
-def _recheck_uniform_monotonicity(rec: dict) -> bool:
-    return _recheck_lower_local_um(rec)
 
 
 def _um_failure_construction(phi, p, *, seed, n_max, regime):
@@ -852,41 +786,28 @@ def _um_failure_construction(phi, p, *, seed, n_max, regime):
     for i, n_ in enumerate(range(1, n_max + 1)):
         yvals = np.zeros(space.n_atoms)
         yvals[block + i] = levels[i] / k
-        xn = SimpleFunction(space, tuple(yvals))
-        mn = modular(phi, xn, scale=k)
-        norm_xn = _norm_value(phi, p, xn)
-        sum_norm = _norm_value(phi, p, x.plus(xn), hints=(k,))
-        floor = 2.0 / (3.0 * k)
-        rec = {"kind": "um_failure_construction", **_pack(phi, p, space),
-               "x": list(x.values), "x_n": list(xn.values), "k": k, "n": n_,
-               "modular_at_k": mn.value, "norm_x_n": norm_xn, "norm_sum": sum_norm,
-               "floor": floor, "cap": 1.0 + 2.0 ** -n_}
-        measured.append({"n": n_, "norm_x_n": norm_xn, "norm_sum": sum_norm,
-                         "modular_at_k": mn.value})
-        ok = (mn.is_finite and mn.value <= 2.0 ** -n_ + 1e-12
-              and norm_xn >= floor - 1e-9
-              and sum_norm <= 1.0 + 2.0 ** -n_ + 1e-9)
-        if not ok:
-            violations.append(rec)
+        rec = _check(violations, "um_failure_construction", phi, p, space,
+                     x=list(x.values), x_n=list(yvals), k=k, n=n_)
+        measured.append({key: rec[key] for key in ("n", "norm_x_n", "norm_sum", "modular_at_k")})
     return _passed("T9", n_max, violations,
                    {"branch": "failure-construction", "regime": regime, "k": k,
                     "level": v_star, "measured": measured})
 
 
-def _recheck_um_failure(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
-    x = simple_function(space, rec["x"])
-    xn = simple_function(space, rec["x_n"])
+def _measure_um_failure(phi, p, space, rec):
+    x, xn = simple_function(space, rec["x"]), simple_function(space, rec["x_n"])
     k, n_ = rec["k"], rec["n"]
-    mn = modular(phi, xn, scale=k)
-    norm_xn = _norm_value(phi, p, xn)
-    sum_norm = _norm_value(phi, p, x.plus(xn), hints=(k,))
-    ok = (mn.is_finite and mn.value <= 2.0 ** -n_ + 1e-12
-          and norm_xn >= rec["floor"] - 1e-9
-          and sum_norm <= rec["cap"] + 1e-9)
-    return not ok
+    return {"modular_at_k": modular(phi, xn, scale=k).value,
+            "norm_x_n": _norm_value(phi, p, xn),
+            "norm_sum": _norm_value(phi, p, x.plus(xn), hints=(k,)),
+            "floor": 2.0 / (3.0 * k), "cap": 1.0 + 2.0 ** -n_}
+
+
+def _um_failure_violated(r: dict) -> bool:
+    return not (math.isfinite(r["modular_at_k"])
+                and r["modular_at_k"] <= 2.0 ** -r["n"] + 1e-12
+                and r["norm_x_n"] >= r["floor"] - 1e-9
+                and r["norm_sum"] <= r["cap"] + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +816,8 @@ def _recheck_um_failure(rec: dict) -> bool:
 
 def _steep_tail_element(phi, n_levels: int, v_level: float | None = None):
     """Shrinking-weight atoms with per-atom modular 2^-j; the steep level is
-    shared so tails keep a large norm exactly when doubling fails."""
+    shared so tails keep a large norm exactly when doubling fails.  Returns
+    (space, levels)."""
     if v_level is None:
         v_level = 0.98 * _finite_phi_top(phi)
         if phi.kind == "power":  # growth is tame; growing levels keep weights sane
@@ -908,58 +830,37 @@ def _steep_tail_element(phi, n_levels: int, v_level: float | None = None):
             raise DomainError("no usable level for the tail construction")
         levels.append(v)
         weights.append((2.0 ** -j) / fv * (1.0 - 1e-9))
-    space = measure_space(weights)
-    x = simple_function(space, levels)
-    return space, x, levels
+    return measure_space(weights), levels
+
+
+def _tail(levels, start: int) -> list[float]:
+    return [v if j >= start else 0.0 for j, v in enumerate(levels)]
 
 
 def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0,
                            n_max: int = 28) -> TheoremReport:
     regime = suitable_delta2_regime(space)
-    d2 = delta2_check(phi, REGIME_INFINITY)
+    continuous = delta2_check(phi, REGIME_INFINITY).holds
+    sp, levels = _steep_tail_element(phi, n_max)
     violations = []
-    if d2.holds:
-        # dominated tails on a shrinking-weight space must lose their norm
-        sp, x, levels = _steep_tail_element(phi, n_max)
-        norms = []
-        for n_ in range(1, n_max + 1):
-            vals = [levels[j] if j >= n_ - 1 else 0.0 for j in range(n_max)]
-            xn = simple_function(sp, vals)
-            norms.append(_norm_value(phi, p, xn))
-        if norms[-1] > 1e-2:
-            violations.append({"kind": "order_continuity", **_pack(phi, p, sp),
-                               "levels": levels, "tail_norms": norms})
+    # dominated tails on a shrinking-weight space must lose their norm exactly
+    # when doubling holds at infinity, and keep it otherwise
+    rec = _check(violations, "order_continuity" if continuous else "order_continuity_failure",
+                 phi, p, sp, levels=levels)
+    norms = rec["tail_norms"]
+    if continuous:
         return _passed("R2", n_max, violations,
-                       {"branch": "order-continuous", "tail_norms": norms,
-                        "regime": regime})
-    sp, x, levels = _steep_tail_element(phi, n_max)
-    norms = []
-    for n_ in range(1, n_max + 1):
-        vals = [levels[j] if j >= n_ - 1 else 0.0 for j in range(n_max)]
-        xn = simple_function(sp, vals)
-        norms.append(_norm_value(phi, p, xn))
-    mod_tail = modular(phi, simple_function(sp, [levels[j] if j >= n_max - 1 else 0.0
-                                                 for j in range(n_max)]))
-    stuck = min(norms) >= 0.9
-    if not stuck:
-        violations.append({"kind": "order_continuity_failure", **_pack(phi, p, sp),
-                           "levels": levels, "tail_norms": norms})
+                       {"branch": "order-continuous", "tail_norms": norms, "regime": regime})
+    mod_tail = modular(phi, simple_function(sp, _tail(levels, n_max - 1)))
     return _passed("R2", n_max, violations,
                    {"branch": "not-order-continuous", "tail_norms": norms,
                     "last_tail_modular": mod_tail.value, "regime": regime})
 
 
-def _recheck_order_continuity(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    sp = space_from_descriptor(rec["space"])
+def _measure_tails(phi, p, space, rec):
     levels = rec["levels"]
-    n_max = len(levels)
-    vals = [levels[j] if j >= n_max - 1 else 0.0 for j in range(n_max)]
-    last = _norm_value(phi, p, simple_function(sp, vals))
-    if rec["kind"] == "order_continuity":
-        return last > 1e-2
-    return last < 0.9
+    return {"tail_norms": [_norm_value(phi, p, simple_function(space, _tail(levels, i)))
+                           for i in range(len(levels))]}
 
 
 def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int = 0,
@@ -968,46 +869,27 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
     a = phi.zero_bound
     violations = []
     if a > 0.0:
-        sp = measure_space([math.inf])
-        x = simple_function(sp, [a])
-        m = modular(phi, x)
-        nx = _norm_value(phi, p, x, hints=(1.0,))
-        if not (m.value == 0.0 and abs(nx - 1.0) <= 1e-9):
-            violations.append({"kind": "flat_sequence", **_pack(phi, p, sp),
-                               "values": list(x.values), "modular": m.value, "norm": nx})
+        rec = _check(violations, "flat_sequence", phi, p, measure_space([math.inf]), values=[a])
         return _passed("R3", 1, violations,
-                       {"branch": "flat-witness", "modular": m.value, "norm": nx})
+                       {"branch": "flat-witness", "modular": rec["modular"], "norm": rec["norm"]})
 
     regime = suitable_delta2_regime(space)
     d2 = delta2_check(phi, regime)
     if d2.holds:
         rng = _rng(seed)
         base = _random_function(space, rng)
-        norms = []
-        for n_ in range(1, n_max + 1):
-            c = _scale_to_modular(phi, base, 2.0 ** -n_)
-            xn = base.scaled(c)
-            norms.append(_norm_value(phi, p, xn))
-        if norms[-1] > conv_tol:
-            violations.append({"kind": "modular_norm_convergence", **_pack(phi, p, space),
-                               "base": list(base.values), "norms": norms,
-                               "n_max": n_max, "conv_tol": conv_tol})
+        rec = _check(violations, "modular_norm_convergence", phi, p, space,
+                     base=list(base.values), n_max=n_max, conv_tol=conv_tol)
         return _passed("R3", n_max, violations,
-                       {"branch": "convergent", "regime": regime, "norms": norms})
+                       {"branch": "convergent", "regime": regime, "norms": rec["norms"]})
 
-    sp, x, levels = _steep_tail_element(phi, min(n_max, 20))
+    sp, levels = _steep_tail_element(phi, min(n_max, 20))
     norms, mods = [], []
-    for j in range(len(levels)):
-        vals = [levels[i] if i == j else 0.0 for i in range(len(levels))]
-        xn = simple_function(sp, vals)
-        m = modular(phi, xn)
-        nx = _norm_value(phi, p, xn)
-        mods.append(m.value)
-        norms.append(nx)
-        if not (m.value <= 2.0 ** -(j + 1) + 1e-15 and nx >= norm_floor):
-            violations.append({"kind": "steep_sequence", **_pack(phi, p, sp),
-                               "n": j + 1, "level": levels[j], "modular": m.value,
-                               "norm": nx, "norm_floor": norm_floor})
+    for j, level in enumerate(levels):
+        rec = _check(violations, "steep_sequence", phi, p, sp, n=j + 1, level=level,
+                     norm_floor=norm_floor)
+        mods.append(rec["modular"])
+        norms.append(rec["norm"])
     return _passed("R3", len(levels), violations,
                    {"branch": "counterexample", "regime": regime,
                     "modulars": mods, "norms": norms})
@@ -1029,39 +911,76 @@ def _scale_to_modular(phi, x, target: float) -> float:
     return lo
 
 
-def _recheck_modular_norm_convergence(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    space = space_from_descriptor(rec["space"])
+def _measure_convergence(phi, p, space, rec):
+    """Norms of base scaled to modular 2^-n, n = 1..n_max."""
     base = simple_function(space, rec["base"])
-    c = _scale_to_modular(phi, base, 2.0 ** -rec["n_max"])
-    return _norm_value(phi, p, base.scaled(c)) > rec["conv_tol"]
+    return {"norms": [_norm_value(phi, p, base.scaled(_scale_to_modular(phi, base, 2.0 ** -n)))
+                      for n in range(1, rec["n_max"] + 1)]}
 
 
-def _recheck_flat_sequence(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    sp = space_from_descriptor(rec["space"])
-    x = simple_function(sp, rec["values"])
-    m = modular(phi, x)
-    nx = _norm_value(phi, p, x, hints=(1.0,))
-    return not (m.value == 0.0 and abs(nx - 1.0) <= 1e-9)
+def _measure_modular_and_norm(phi, p, space, rec):
+    x = simple_function(space, rec["values"])
+    return {"modular": modular(phi, x).value, "norm": _norm_value(phi, p, x, hints=(1.0,))}
 
 
-def _recheck_steep_sequence(rec: dict) -> bool:
-    phi = orlicz_from_descriptor(rec["phi"])
-    p = planar_from_descriptor(rec["p"])
-    sp = space_from_descriptor(rec["space"])
-    j = rec["n"] - 1
-    vals = [rec["level"] if i == j else 0.0 for i in range(sp.n_atoms)]
-    xn = simple_function(sp, vals)
-    m = modular(phi, xn)
-    nx = _norm_value(phi, p, xn)
-    return not (m.value <= 2.0 ** -(j + 1) + 1e-15 and nx >= rec["norm_floor"])
+def _measure_steep(phi, p, space, rec):
+    """Modular and norm of the single steep atom n carrying its level."""
+    xn = simple_function(space, [rec["level"] if i == rec["n"] - 1 else 0.0
+                                 for i in range(space.n_atoms)])
+    return {"modular": modular(phi, xn).value, "norm": _norm_value(phi, p, xn)}
 
 
 # ---------------------------------------------------------------------------
 # Registry, runner, replay
+
+
+def _no_measurement(phi, p, space, rec):
+    return {}
+
+
+_DIFFERENCE = Check(_measure_difference,
+                    lambda r: r["lhs"] > 1.0 - r["delta_floor"] + r["slack"] + 1e-6)
+
+CHECKS: dict[str, Check] = {
+    "sandwich": Check(_measure_sandwich,
+                      lambda r: bool(sandwich_violated(*r["point"], r["value"]))),
+    "ordering": Check(_measure_ordering,
+                      lambda r: not (r["smallest"] <= r["middle"] + 1e-9
+                                     and r["middle"] <= r["biggest"] + 1e-9)),
+    "norm_triangle": Check(_measure_axioms,
+                           lambda r: r["norm_sum"] > r["norm_x"] + r["norm_y"] + 1e-9),
+    "norm_homogeneity": Check(_measure_axioms,
+                              lambda r: abs(r["norm_scaled"] - abs(r["lam"]) * r["norm_x"])
+                              > 1e-9 * max(r["norm_x"], 1e-12)),
+    "norm_zero": Check(_measure_norm, _norm_zero_violated),
+    "attainment": Check(_measure_attainment, _attainment_violated),
+    "unit_ball_bounds": Check(_measure_unit_ball,
+                              lambda r: not (r["lower_ok"] and r["upper_ok"])),
+    "embedding_exact": Check(_measure_embedding_exact,
+                             lambda r: abs(r["norm"] - r["expected"]) > 1e-12),
+    "embedding_bounds": Check(_measure_embedding_bounds,
+                              lambda r: not (r["lower"] <= r["norm"] <= r["upper"])),
+    "midpoint": Check(_measure_midpoint, lambda r: r["midpoint_norm"] >= 1.0 - 1e-12),
+    "strict_monotonicity": Check(_measure_pair,
+                                 lambda r: r["norm_x"] >= r["norm_y"] - 1e-9),
+    "flat_pair_mismatch": Check(_measure_flat_pair,
+                                lambda r: abs(r["norm_z"] - r["norm_y"]) > 1e-9),
+    "decomposition": _DIFFERENCE,
+    "lower_local_um": _DIFFERENCE,
+    "uniform_monotonicity": _DIFFERENCE,
+    "delta_hat_nonpositive": Check(_no_measurement, lambda r: r["delta_hat"] <= 0.0),
+    "um_failure_construction": Check(_measure_um_failure, _um_failure_violated),
+    "order_continuity": Check(_measure_tails, lambda r: r["tail_norms"][-1] > 1e-2),
+    "order_continuity_failure": Check(_measure_tails, lambda r: min(r["tail_norms"]) < 0.9),
+    "modular_norm_convergence": Check(_measure_convergence,
+                                      lambda r: r["norms"][-1] > r["conv_tol"]),
+    "flat_sequence": Check(_measure_modular_and_norm,
+                           lambda r: not (r["modular"] == 0.0
+                                          and abs(r["norm"] - 1.0) <= 1e-9)),
+    "steep_sequence": Check(_measure_steep,
+                            lambda r: not (r["modular"] <= 2.0 ** -r["n"] + 1e-15
+                                           and r["norm"] >= r["norm_floor"])),
+}
 
 
 _SUITES = {
@@ -1077,59 +996,36 @@ _SUITES = {
     "R2": suite_order_continuity,
     "R3": suite_modular_norm_equivalence,
 }
+_TABLE_SUITES = ("T7", "T8", "T9")
 
 
 def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[TheoremReport]:
-    """Run the selected suites in registry order with shared inputs."""
+    """Run the selected suites in registry order with shared inputs; T7, T8
+    and T9 share one modulus table, built when the first of them needs it."""
     unknown = [i for i in ids if i not in SUITE_IDS]
     if unknown:
         raise DomainError(f"unknown suite ids {unknown}")
+    table = _TableOnFirstUse(p)
     reports = []
     for tid in SUITE_IDS:
         if tid not in ids:
             continue
-        if tid == "T3":
-            _, rep = build_linf_witness(phi, p, 4, "approximate", z_samples=min(budget, 100),
-                                        seed=seed)
-        elif tid == "T4":
-            _, rep = build_linf_witness(phi, p, 4, "exact", z_samples=min(budget, 100),
-                                        seed=seed)
+        if tid in ("T3", "T4"):
+            mode = "approximate" if tid == "T3" else "exact"
+            _, rep = build_linf_witness(phi, p, 4, mode, z_samples=min(budget, 100), seed=seed)
         else:
-            rep = _SUITES[tid](phi, p, space, seed=seed, budget=budget)
+            shared = {"table": table} if tid in _TABLE_SUITES else {}
+            rep = _SUITES[tid](phi, p, space, seed=seed, budget=budget, **shared)
         reports.append(rep)
     return reports
 
 
-_REPLAYERS = {
-    "sandwich": replay_sandwich_violation,
-    "ordering": _recheck_ordering,
-    "norm_triangle": _recheck_norm_triangle,
-    "norm_homogeneity": _recheck_norm_homogeneity,
-    "norm_zero": _recheck_norm_zero,
-    "attainment": _recheck_attainment,
-    "unit_ball_bounds": _recheck_unit_ball_bounds,
-    "embedding_exact": _recheck_embedding_exact,
-    "embedding_bounds": _recheck_embedding_bounds,
-    "midpoint": _recheck_midpoint,
-    "strict_monotonicity": _recheck_strict_monotonicity,
-    "flat_pair_mismatch": _recheck_flat_pair_mismatch,
-    "decomposition": _recheck_decomposition,
-    "lower_local_um": _recheck_lower_local_um,
-    "delta_hat_nonpositive": _recheck_delta_hat_nonpositive,
-    "uniform_monotonicity": _recheck_uniform_monotonicity,
-    "um_failure_construction": _recheck_um_failure,
-    "order_continuity": _recheck_order_continuity,
-    "order_continuity_failure": _recheck_order_continuity,
-    "modular_norm_convergence": _recheck_modular_norm_convergence,
-    "flat_sequence": _recheck_flat_sequence,
-    "steep_sequence": _recheck_steep_sequence,
-}
-
-
 def replay_violation(record: dict) -> bool:
-    """Re-evaluate a violation record from its stored inputs.  Returns True
-    when the record still describes a violation."""
-    kind = record.get("kind")
-    if kind not in _REPLAYERS:
-        raise DomainError(f"no replayer for record kind {kind!r}")
-    return _REPLAYERS[kind](record)
+    """Re-take a violation record's measurement from its stored inputs and
+    apply its kind's predicate.  Returns True when the record still
+    describes a violation."""
+    check = CHECKS.get(record.get("kind"))
+    if check is None:
+        raise DomainError(f"no replayer for record kind {record.get('kind')!r}")
+    measured = check.measure(*_decode(record), record)
+    return bool(check.violated({**record, **measured}))

@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +12,7 @@ from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, DomainError,
                      linf, lower_local_um_estimate, lq, measure_space, modular, power,
                      replay_violation, run_suites, simple_function,
                      suitable_delta2_regime, unit_weights)
+from orlnorm import verify
 from orlnorm.verify import (SUITE_IDS, STATUS_EMPTY, STATUS_FAILED, STATUS_HNM,
                             STATUS_PASSED, suite_attainment, suite_decomposition_estimate,
                             suite_lower_local_um, suite_modular_norm_equivalence,
@@ -27,9 +31,9 @@ def test_t1_passes_and_catches_bad_norm():
     bad = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.8), (math.pi / 2, 1.0)])
     rep_bad = suite_sandwich_ordering(power(2), bad, SP6, budget=0)
     assert rep_bad.status == STATUS_FAILED
-    sandwich = [v for v in rep_bad.violations if v["check"] == "sandwich"]
+    sandwich = [v for v in rep_bad.violations if v["kind"] == "sandwich"]
     assert sandwich
-    assert replay_violation({**sandwich[0], "kind": "sandwich"})
+    assert replay_violation(sandwich[0])
 
 
 def test_t2_axioms_pass():
@@ -124,18 +128,6 @@ def test_norm_result_reports_its_own_evaluation():
     assert g_at_star <= r.value + 1e-9
 
 
-def test_t6_replay_detects_flat_pair():
-    # a genuinely flat dominated pair replays as a strictness violation
-    rec = {"kind": "strict_monotonicity",
-           "phi": flat_then_power(1, 2).descriptor(), "p": lq(2).descriptor(),
-           "space": SP6.descriptor(),
-           "x": [0.2, 0.1, 0.0, 0.0, 0.0, 0.0],
-           "y": [0.2, 0.1, 0.0, 0.0, 0.0, 0.0]}
-    assert replay_violation(rec)
-    rec_ok = {**rec, "x": [0.1, 0.05, 0.0, 0.0, 0.0, 0.0]}
-    assert not replay_violation(rec_ok)
-
-
 def test_t7_estimate_and_gate():
     table = build_modulus_table(l1(), resolution=5e-3)
     rep = suite_decomposition_estimate(power(2), l1(), SP6, budget=60, table=table)
@@ -153,15 +145,6 @@ def test_t7_trivial_endpoints():
     assert generated_norm(phi, p, y).value <= 1.0 + 1e-9
     # x = y: the difference vanishes and the left side is 0
     assert generated_norm(phi, p, y.minus_dominated(y)).value == 0.0
-
-
-def test_t7_replay_on_synthetic_violation():
-    rec = {"kind": "decomposition", "phi": power(2).descriptor(), "p": l1().descriptor(),
-           "space": SP6.descriptor(),
-           "x": [0.0] * 6, "y": [0.4, 0.3, 0.2, 0.1, 0.0, 0.0],
-           "delta_floor": 1.0, "slack": 0.0}
-    # delta floor of 1 forces the right side to ~0, so any nonzero y violates
-    assert replay_violation(rec)
 
 
 def test_t8_estimates_and_empty_feasible():
@@ -257,3 +240,140 @@ def test_reports_serialize_to_plain_json():
 def test_replay_rejects_unknown_kind():
     with pytest.raises(DomainError):
         replay_violation({"kind": "nonsense"})
+
+
+# ---------------------------------------------------------------------------
+# Violation registry: one measurement and one predicate per kind
+
+BAD = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.8), (math.pi / 2, 1.0)])
+SP2 = unit_weights(2)
+SP3 = unit_weights(3)
+INF1 = measure_space([math.inf])
+INF2 = measure_space([math.inf, math.inf])
+
+
+def _rec(kind, phi=None, p=None, space=SP2, **inputs):
+    return {"kind": kind, "phi": (phi or power(2)).descriptor(),
+            "p": (p or l1()).descriptor(), "space": space.descriptor(), **inputs}
+
+
+def _stand_in_engine(transform):
+    """generated_norm with its value passed through `transform`: a broken
+    engine for the axioms the working one cannot be made to violate."""
+    def engine(phi, p, x, **kwargs):
+        r = generated_norm(phi, p, x, **kwargs)
+        return dataclasses.replace(r, value=transform(r.value))
+    return engine
+
+
+_SQUARED = _stand_in_engine(lambda v: v * v)
+_ZERO = _stand_in_engine(lambda v: 0.0)
+_FLAT = flat_then_power(1, 2)
+_DIFF_TRUE = {"x": [0.0, 0.0], "y": [0.2, 0.1], "delta_floor": 1.0, "slack": 0.0}
+_DIFF_FALSE = {**_DIFF_TRUE, "delta_floor": 0.0}
+
+# kind -> (record that replays True, record that replays False[, stand-in engine
+# used for the True record])
+REPLAY_CASES = {
+    "sandwich": (_rec("sandwich", p=BAD, point=[1.0, 1.0]),
+                 _rec("sandwich", p=BAD, point=[1.0, 0.0])),
+    "ordering": (_rec("ordering", p=BAD, values=[1.0, 1.0]),
+                 _rec("ordering", p=lq(2), values=[1.0, 1.0])),
+    "norm_triangle": (_rec("norm_triangle", x=[1.0, 0.0], y=[1.0, 0.0], lam=1.0),
+                      _rec("norm_triangle", x=[1.0, 0.0], y=[0.0, 1.0], lam=1.0), _SQUARED),
+    # capped at k = 1e12, the finite-slope generator misses homogeneity by ~1e-6
+    "norm_homogeneity": (_rec("norm_homogeneity", phi=power(1), x=[0.5, 0.5], y=[0.0, 0.0],
+                              lam=1e6),
+                         _rec("norm_homogeneity", x=[0.5, 0.5], y=[0.0, 0.0], lam=2.0)),
+    "norm_zero": (_rec("norm_zero", values=[1.0, 0.0]),
+                  _rec("norm_zero", values=[1.0, 0.0]), _ZERO),
+    "attainment": (_rec("attainment", phi=power(1), values=[0.5, 0.5]),
+                   _rec("attainment", values=[0.5, 0.5])),
+    "unit_ball_bounds": (_rec("unit_ball_bounds", phi=_FLAT, p=BAD,
+                              space=measure_space([math.inf, 1.0, 1.0]), values=[1.0, 1.5, 2.0]),
+                         _rec("unit_ball_bounds", phi=_FLAT, p=lq(2),
+                              space=measure_space([math.inf, 1.0, 1.0]), values=[1.0, 1.5, 2.0])),
+    # on a finite atom the flat zone no longer pins the norm at max|z|
+    "embedding_exact": (_rec("embedding_exact", phi=_FLAT, z=[1.0, 0.0]),
+                        _rec("embedding_exact", phi=_FLAT, space=INF2, z=[1.0, -0.5])),
+    "embedding_bounds": (_rec("embedding_bounds", levels=[1.0, 1.0], z=[1.0, 0.0],
+                              epsilon=0.0, eta=0.0),
+                         _rec("embedding_bounds", levels=[1.0, 1.0], z=[1.0, 0.0],
+                              epsilon=2.0, eta=0.0)),
+    "midpoint": (_rec("midpoint", x=[0.5, 0.0], y=[0.5, 0.0]),
+                 _rec("midpoint", x=[0.5, 0.0], y=[0.0, 0.5])),
+    "strict_monotonicity": (_rec("strict_monotonicity", phi=_FLAT, p=lq(2), x=[0.2, 0.1],
+                                 y=[0.2, 0.1]),
+                            _rec("strict_monotonicity", phi=_FLAT, p=lq(2), x=[0.1, 0.05],
+                                 y=[0.2, 0.1])),
+    "flat_pair_mismatch": (_rec("flat_pair_mismatch", y=[0.5, 0.0], z=[1.0, 0.0], k=1.0),
+                           _rec("flat_pair_mismatch", y=[0.5, 0.0], z=[0.5, 0.0], k=1.0)),
+    "decomposition": (_rec("decomposition", **_DIFF_TRUE), _rec("decomposition", **_DIFF_FALSE)),
+    "lower_local_um": (_rec("lower_local_um", **_DIFF_TRUE),
+                       _rec("lower_local_um", **_DIFF_FALSE)),
+    "uniform_monotonicity": (_rec("uniform_monotonicity", **_DIFF_TRUE),
+                             _rec("uniform_monotonicity", **_DIFF_FALSE)),
+    "delta_hat_nonpositive": (_rec("delta_hat_nonpositive", y=[0.5, 0.0], epsilon=0.5,
+                                   delta_hat=0.0),
+                              _rec("delta_hat_nonpositive", y=[0.5, 0.0], epsilon=0.5,
+                                   delta_hat=0.1)),
+    "um_failure_construction": (_rec("um_failure_construction", x=[3.0, 0.0], x_n=[0.0, 0.5],
+                                     k=1.0, n=1),
+                                _rec("um_failure_construction", x=[0.0, 0.0], x_n=[0.0, 0.5],
+                                     k=1.0, n=1)),
+    "order_continuity": (_rec("order_continuity", space=SP3, levels=[1.0, 1.0, 1.0]),
+                         _rec("order_continuity", space=SP3, levels=[1.0, 1e-4, 1e-6])),
+    "order_continuity_failure": (_rec("order_continuity_failure", space=SP3,
+                                      levels=[1.0, 1e-4, 1e-6]),
+                                 _rec("order_continuity_failure", space=SP3,
+                                      levels=[1.0, 1.0, 1.0])),
+    "modular_norm_convergence": (_rec("modular_norm_convergence", base=[1.0, 1.0], n_max=2,
+                                      conv_tol=0.5),
+                                 _rec("modular_norm_convergence", base=[1.0, 1.0], n_max=2,
+                                      conv_tol=2.0)),
+    "flat_sequence": (_rec("flat_sequence", phi=_FLAT, p=lq(2), space=INF1, values=[1.5]),
+                      _rec("flat_sequence", phi=_FLAT, p=lq(2), space=INF1, values=[1.0])),
+    "steep_sequence": (_rec("steep_sequence", space=measure_space([1.0]), n=1, level=0.1,
+                            norm_floor=0.9),
+                       _rec("steep_sequence", space=measure_space([1.0]), n=1, level=0.1,
+                            norm_floor=0.1)),
+}
+
+
+def test_registry_kinds_are_the_emitted_kinds():
+    """CHECKS has an entry for exactly the kinds the suites pass to _check/_flag."""
+    emitted = set()
+    for node in ast.walk(ast.parse(inspect.getsource(verify))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_check", "_flag"):
+            emitted |= {c.value for c in ast.walk(node.args[1])
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    assert emitted == set(verify.CHECKS) == set(REPLAY_CASES)
+
+
+@pytest.mark.parametrize("kind", sorted(REPLAY_CASES))
+def test_every_kind_replays_its_predicate(kind, monkeypatch):
+    violating, clean, *engine = REPLAY_CASES[kind]
+    assert not replay_violation(clean)
+    if engine:
+        monkeypatch.setattr(verify, "generated_norm", engine[0])
+    assert replay_violation(violating)
+
+
+def test_emitted_records_replay_as_emitted():
+    reports = run_suites(["T1", "T2", "L1", "T5", "R2"], power(2), BAD, SP2, budget=4)
+    violations = [v for rep in reports for v in rep.violations]
+    assert {v["kind"] for v in violations} >= {"sandwich", "ordering"}
+    assert all(replay_violation(v) for v in violations)
+
+
+@pytest.mark.parametrize("phi, p, builds", [(exp_minus(), l1(), 1), (power(2), linf(), 0)])
+def test_run_suites_builds_at_most_one_table(monkeypatch, phi, p, builds):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_modulus_table(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_modulus_table", counting)
+    run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5)
+    assert len(calls) == builds
