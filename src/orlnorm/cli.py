@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -146,6 +147,8 @@ def cmd_norm(args: argparse.Namespace) -> int:
     x = simple_function(space, values)
     log_tol = args.tol if args.tol is not None else 1e-11
     r = generated_norm(phi, p, x, log_tol=log_tol)
+    if not math.isfinite(r.value):
+        raise DomainError("x is outside the Orlicz space (modular infinite at every k > 0)")
     seed = args.seed if args.seed is not None else 0
     payload = {"schema": SCHEMA, "command": "norm", "seed": seed,
                "value": r.value, "k_star": r.k_star, "attained": r.attained,

@@ -1,14 +1,14 @@
 """The norm engine: Luxemburg norm, the lattice-norm-generated family, a
 dual-norm lower bound, and the unit-ball bound check.
 
-The generated norm of x is  inf_{k>0} (1/k) p((1, I(k x)))  where I is the
-convex modular.  No closed form exists in general, so the engine brackets
-the infimum by doubling/halving from k = 1, scans a log grid (the map is
-continuous but not provably quasi-convex, so the scan keeps the record
-honest), polishes with golden-section search on log k, and finally refines
-any finite/+inf jump boundary by bisection on the exact finiteness
-predicate.  Every evaluation updates a best-seen record, and the reported
-value is exactly the best g(k) the engine ever computed.
+The generated norm of x is  inf_{k>0} g(k),  g(k) = (1/k) p((1, I(k x))).
+f(t) = p((1, I(t x))) is convex and nondecreasing, so g(1/u) = u f(1/u), its
+perspective, is convex in u = 1/k and g is unimodal in log k.  The engine
+caps k at the finite/+inf jump, taken in closed form from the zero bound of
+Phi, brackets the minimum by doubling/halving from k = 1 and polishes with
+Brent's method on log k.  The reported value is exactly the best g(k) the
+engine evaluated: for a planar "norm" whose ball is not convex, an upper
+bound of the infimum.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from .planar import PlanarNorm
 from .spaces import SimpleFunction, modular, modular_on_grid
 
 K_CAP = 1e12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -72,95 +73,113 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction, rel_tol: float = 1e-1
 def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
                    log_tol: float = 1e-11, k_hints: tuple[float, ...] = (),
                    k_cap: float = K_CAP) -> NormResult:
-    """Minimise g(k) = (1/k) p((1, modular(k x))) over k > 0."""
+    """Minimise g(k) = (1/k) p((1, modular(k x))) over 0 < k <= k_cap."""
+    if not log_tol > 0.0:
+        raise DomainError(f"log_tol must be positive, got {log_tol!r}")
     if x.is_zero:
         return NormResult(0.0, None, False, None, 0)
 
-    state = {"evals": 0, "best_k": None, "best_v": math.inf,
-             "first_inf": None, "max_finite": None}
+    # I(k x) = +inf exactly when Phi(k m) > 0: stop at the last k with Phi(k m) = 0
+    k_top = k_cap
+    m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
+    if m > 0.0:
+        k_top = min(k_cap, phi.zero_bound / m)
+        while k_top > 0.0 and phi.evaluate(k_top * m) != 0.0:
+            k_top = math.nextafter(k_top, 0.0)
+        if k_top == 0.0:
+            return NormResult(math.inf, None, False, None, 0)
+
+    seen: dict[float, float] = {}
+    best_k, best_v = None, math.inf
 
     def g(k: float) -> float:
-        state["evals"] += 1
-        m = modular(phi, x, scale=k)
-        if m.is_infinite:
-            fi = state["first_inf"]
-            state["first_inf"] = k if fi is None else min(fi, k)
-            return math.inf
-        val = p.evaluate((1.0, m.value)) / k
-        mf = state["max_finite"]
-        state["max_finite"] = k if mf is None else max(mf, k)
-        if val < state["best_v"]:
-            state["best_v"], state["best_k"] = val, k
+        nonlocal best_k, best_v
+        if k in seen:
+            return seen[k]
+        mod = modular(phi, x, scale=k)
+        val = math.inf if mod.is_infinite else p.evaluate((1.0, mod.value)) / k
+        seen[k] = val
+        if val < best_v:
+            best_v, best_k = val, k
         return val
 
-    # find a finite start; the modular only grows with k, so halve toward 0
-    k0 = 1.0
+    # below k_top only double overflow makes g infinite
+    k0 = min(1.0, k_top)
     while math.isinf(g(k0)):
         k0 *= 0.5
         if k0 < 1e-300:
-            return NormResult(math.inf, None, False, None, state["evals"])
+            return NormResult(math.inf, None, False, None, len(seen))
 
-    hit_cap = False
-    k_hi = k0
-    while k_hi < k_cap:
-        k_next = min(2.0 * k_hi, k_cap)
-        v = g(k_next)
-        k_hi = k_next
-        if math.isinf(v) or v > state["best_v"] * (1.0 + 1e-12):
+    k_hi, v_hi = k0, best_v
+    while k_hi < k_top:
+        k_hi = min(2.0 * k_hi, k_top)
+        v_hi = g(k_hi)
+        if math.isinf(v_hi) or v_hi > best_v * (1.0 + 1e-12):
             break
-    if k_hi >= k_cap and not math.isinf(g(k_cap)) and state["best_k"] is not None \
-            and state["best_k"] >= k_cap * 0.999:
-        hit_cap = True
+    hit_cap = k_hi >= k_cap and math.isfinite(v_hi) and best_k >= k_cap * 0.999
 
+    # convex in 1/k: once doubling improved on g(k0), the minimum lies above k0
     k_lo = k0
-    while k_lo > 1e-300:
-        k_next = 0.5 * k_lo
-        v = g(k_next)
-        k_lo = k_next
-        if v > state["best_v"] * (1.0 + 1e-12):
-            break
-    bracket = (k_lo, k_hi)
+    if best_k == k0:
+        while k_lo > 1e-300:
+            k_lo *= 0.5
+            if g(k_lo) > best_v * (1.0 + 1e-12):
+                break
+    for hint in [h for h in k_hints if 0.0 < h <= k_top]:
+        g(float(hint))
 
-    # coarse log scan; spacing kept below sqrt(2) so the golden-section
-    # bracket around the scan argmin always contains the scanned basin
-    n_scan = max(65, 2 * int(math.log2(max(k_hi / k_lo, 2.0))) + 3)
-    ks = np.geomspace(k_lo, k_hi, n_scan)
-    vals = [g(float(k)) for k in ks]
-    for hint in k_hints:
-        if 0.0 < hint <= k_cap:
-            g(float(hint))
+    ks = sorted(seen)
+    i = ks.index(best_k)
+    ka, kb = ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)]
+    _brent_log(g, *[(math.log(k), seen[k]) for k in (ka, best_k, kb)], log_tol)
+    return NormResult(value=best_v, k_star=best_k, attained=not hit_cap,
+                      bracket=(k_lo, k_hi), evaluations=len(seen))
 
-    i_best = int(np.argmin(vals))
-    a = math.log(ks[max(i_best - 1, 0)])
-    b = math.log(ks[min(i_best + 1, n_scan - 1)])
-    if b > a:
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = g(math.exp(c)), g(math.exp(d))
-        while b - a > log_tol:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = g(math.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = g(math.exp(d))
 
-    # refine a finite/inf jump: the finiteness predicate is exact, so the
-    # boundary can be located to machine precision
-    if state["first_inf"] is not None and state["max_finite"] is not None:
-        lo, hi = state["max_finite"], state["first_inf"]
-        while hi - lo > 4e-16 * hi:
-            mid = math.sqrt(lo * hi)
-            if math.isinf(g(mid)):
-                hi = mid
-            else:
-                lo = mid
-
-    attained = not hit_cap
-    return NormResult(value=state["best_v"], k_star=state["best_k"],
-                      attained=attained, bracket=bracket, evaluations=state["evals"])
+def _brent_log(g, lo: tuple[float, float], best: tuple[float, float],
+               hi: tuple[float, float], tol: float) -> None:
+    """Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5) on s -> g(e^s) from the bracket lo < best < hi of (s, g) samples,
+    until the minimiser is within tol of the best point.  tol is absolute: at
+    a kink of g (max norm) the error in the value is linear in the step."""
+    (a, fv), (x, fx), (b, fw) = lo, best, hi
+    v, w = a, b
+    d = e = b - a
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = 0.5 * tol + _EPS * abs(x)
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            return
+        parabolic = False
+        if a < x < b and abs(e) > tol1 and fw + fv < math.inf:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            pp = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            pp, q = (-pp if q > 0.0 else pp), abs(q)
+            parabolic = abs(pp) < abs(0.5 * q * e) and q * (a - x) < pp < q * (b - x)
+        if not a < x < b:
+            # the best sample ends the bracket (the cap or the jump): one
+            # tolerance inward settles a monotone bracket
+            d = math.copysign(tol1, xm - x)
+        elif parabolic:
+            e, d = d, pp / q
+            if min(x + d - a, b - x - d) < 2.0 * tol1:
+                d = math.copysign(tol1, xm - x)
+        else:
+            e = (a if x >= xm else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = g(math.exp(u))
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv:
+                v, fv = u, fu
 
 
 def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,25 +123,6 @@ class OrliczFunction:
         return {"kind": self.kind}
 
 
-def _zero_bound_by_bisection(f, tol: float = 1e-12) -> float:
-    """Largest u >= 0 with f(u) == 0, for f nondecreasing on [0, inf)."""
-    hi = 1.0
-    grow = 0
-    while f(hi) == 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise DomainError("function vanishes on every probed scale; not a valid Orlicz function")
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if f(mid) == 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _asymptotic_slope(f) -> float:
     """Estimate lim Phi(u)/u on dyadic probes; +inf past the divergence cap."""
     ratio = 0.0
@@ -156,27 +137,20 @@ def _asymptotic_slope(f) -> float:
     return ratio
 
 
-def _finish(kind: str, *, q: float = math.nan, a: float = math.nan,
-            xs: tuple[float, ...] = (), ys: tuple[float, ...] = (),
-            exact_zero_bound: float | None = None) -> OrliczFunction:
-    probe = OrliczFunction(kind, q=q, a=a, xs=xs, ys=ys)
-    if exact_zero_bound is not None:
-        zb = exact_zero_bound
-    else:
-        zb = _zero_bound_by_bisection(probe.evaluate)
-    return OrliczFunction(kind, q=q, a=a, xs=xs, ys=ys,
-                          zero_bound=zb, slope_limit=_asymptotic_slope(probe.evaluate))
+def _finish(kind: str, zero_bound: float, **params) -> OrliczFunction:
+    probe = OrliczFunction(kind, **params)
+    return replace(probe, zero_bound=zero_bound, slope_limit=_asymptotic_slope(probe.evaluate))
 
 
 def power(q: float) -> OrliczFunction:
     q = float(q)
     if not math.isfinite(q) or q < 1.0:
         raise DomainError(f"power kind needs finite q >= 1, got {q!r}")
-    return _finish("power", q=q, exact_zero_bound=0.0)
+    return _finish("power", 0.0, q=q)
 
 
 def exp_minus() -> OrliczFunction:
-    return _finish("exp_minus", exact_zero_bound=0.0)
+    return _finish("exp_minus", 0.0)
 
 
 def flat_then_power(a: float, q: float) -> OrliczFunction:
@@ -185,7 +159,7 @@ def flat_then_power(a: float, q: float) -> OrliczFunction:
         raise DomainError(f"flat_then_power needs a > 0, got {a!r}")
     if not math.isfinite(q) or q < 1.0:
         raise DomainError(f"flat_then_power needs q >= 1, got {q!r}")
-    return _finish("flat_then_power", a=a, q=q, exact_zero_bound=a)
+    return _finish("flat_then_power", a, a=a, q=q)
 
 
 def piecewise_linear(points) -> OrliczFunction:
@@ -207,7 +181,9 @@ def piecewise_linear(points) -> OrliczFunction:
         raise DomainError("an even convex function cannot decrease on [0, inf)")
     if max(ys) == 0.0 and slopes[-1] <= 0.0:
         raise DomainError("the zero function is not an Orlicz function")
-    return _finish("pwl", xs=xs, ys=ys)
+    # Phi vanishes exactly on [0, xs[i-1]] for the first i with ys[i] > 0
+    first_positive = next(i for i, y in enumerate(ys) if y > 0.0)
+    return _finish("pwl", xs[first_positive - 1], xs=xs, ys=ys)
 
 
 def orlicz_from_descriptor(d: dict) -> OrliczFunction:
@@ -224,8 +200,7 @@ def orlicz_from_descriptor(d: dict) -> OrliczFunction:
 
 
 def zero_set_bound(phi: OrliczFunction) -> float:
-    """Largest u with Phi(u) = 0: exact for closed-form kinds, bisection
-    to 1e-12 (done once, at construction) for piecewise linear ones."""
+    """Largest u with Phi(u) = 0, exact for every kind."""
     return phi.zero_bound
 
 

@@ -92,9 +92,12 @@ class SimpleFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.space.n_atoms:
+        # Python floats whatever the input: numpy scalars slow the modular down
+        values = tuple(float(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.space.n_atoms:
             raise DomainError("values must align with the space's atoms")
-        if any(not math.isfinite(v) for v in self.values):
+        if any(not math.isfinite(v) for v in values):
             raise DomainError("simple functions take finite values")
 
     @property
@@ -140,7 +143,7 @@ def _same_space(x: SimpleFunction, y: SimpleFunction) -> None:
 
 
 def simple_function(space: MeasureSpace, values) -> SimpleFunction:
-    return SimpleFunction(space, tuple(float(v) for v in values))
+    return SimpleFunction(space, values)
 
 
 def function_from_descriptor(space: MeasureSpace, d: dict) -> SimpleFunction:

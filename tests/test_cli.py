@@ -48,6 +48,14 @@ def test_input_errors_exit_2(capsys):
     assert run(capsys, "norm")[0] == 2  # missing --values
     assert run(capsys, "modulus", "--grid", "1.5")[0] == 2
     assert run(capsys, "verify", "T99")[0] == 2
+    assert run(capsys, "norm", "--values", "3,4", "--tol", "0")[0] == 2
+
+
+def test_norm_outside_space_exits_2(capsys):
+    code, out, err = run(capsys, "norm", "--phi", "power:2", "--values", "1",
+                         "--space", '{"atoms":[{"w":"inf"}]}')
+    assert code == 2 and out == ""
+    assert "error: x is outside the Orlicz space (modular infinite at every k > 0)" in err
 
 
 def test_modulus_csv_identity_column(capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from orlnorm import (K_CAP, PreconditionError, exp_minus, flat_then_power,
+from orlnorm import (K_CAP, DomainError, PreconditionError, exp_minus, flat_then_power,
                      generated_norm, generated_norm_on_grid, l1, lemma_bounds_check,
-                     linf, lq, luxemburg_norm, measure_space, modular, orlicz_dual_norm,
-                     power, simple_function, unit_weights)
+                     linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
+                     orlicz_dual_norm, piecewise_linear, power, simple_function,
+                     unit_weights)
 
 
 def _rand_function(space, rng, scale=2.0, signed=True):
@@ -152,6 +153,79 @@ def test_non_attainment_reported_at_cap():
     assert not r.attained
     assert r.value == pytest.approx(3.0, rel=1e-9)
     assert r.bracket[1] == K_CAP
+
+
+def _search_elements(orlicz_catalog, planar_catalog, per_pair=8):
+    """Seeded signed 6-atom elements over two decades either side of 1 for
+    the 20 catalog pairs.  For a flat generator every other element puts
+    its last two atoms on infinite atoms, and every fourth is supported
+    only there (the finite/+inf jump decides the norm)."""
+    rng = np.random.default_rng(2018)
+    for phi in orlicz_catalog.values():
+        for p in planar_catalog.values():
+            for j in range(per_pair):
+                weights = [1.0] * 6
+                vals = (rng.uniform(0.05, 1.0, 6) * rng.choice([-1.0, 1.0], 6)
+                        * 10.0 ** rng.uniform(-2.0, 2.0))
+                if phi.zero_bound > 0.0 and j % 2 == 1:
+                    weights[-2:] = [math.inf, math.inf]
+                    if j % 4 == 3:
+                        vals[:-2] = 0.0
+                yield phi, p, simple_function(measure_space(weights), vals)
+
+
+def test_objective_is_convex_in_reciprocal_k(orlicz_catalog, planar_catalog):
+    # with u = 1/k, g(1/u) = u p((1, I(x/u))) is the perspective of the
+    # convex nondecreasing t -> p((1, I(t x))): no chord passes below it,
+    # so g is unimodal in log k, which is all the search relies on
+    ks = np.geomspace(1e-4, 1e4, 400)
+    for phi, p, x in _search_elements(orlicz_catalog, planar_catalog):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mods = modular_on_grid(phi, x, ks)
+        fin = np.isfinite(mods)
+        u = 1.0 / ks[fin][::-1]
+        h = (p.evaluate_many(np.ones(int(fin.sum())), mods[fin]) / ks[fin])[::-1]
+        lam = (u[2:] - u[1:-1]) / (u[2:] - u[:-2])
+        chord = lam * h[:-2] + (1.0 - lam) * h[2:]
+        assert np.all(h[1:-1] <= chord + 1e-9 * (h[:-2] + h[2:])), (phi.label, p.label)
+
+
+def test_search_stays_under_grid_oracle_and_jump(orlicz_catalog, planar_catalog):
+    evaluations = []
+    for phi, p, x in _search_elements(orlicz_catalog, planar_catalog):
+        r = generated_norm(phi, p, x)
+        evaluations.append(r.evaluations)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = generated_norm_on_grid(phi, p, x)
+        assert r.value <= grid * (1.0 + 1e-9), (phi.label, p.label, x.values)
+        m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
+        if m > 0.0:
+            assert r.k_star <= phi.zero_bound / m
+            assert modular(phi, x, scale=r.k_star).is_finite
+    # a log scan before the polish cost about 119 evaluations a call
+    assert np.mean(evaluations) <= 40 and max(evaluations) <= 80
+
+
+def test_modular_infinite_at_every_k_returns_inf_without_search():
+    sp = measure_space([math.inf, 1.0])
+    for phi in (power(2), exp_minus()):
+        r = generated_norm(phi, l1(), simple_function(sp, [1.0, 2.0]))
+        assert math.isinf(r.value) and r.k_star is None and r.evaluations == 0
+
+
+def test_pwl_flat_generator_on_infinite_atoms_is_exact():
+    phi = piecewise_linear([(0, 0), (1, 0), (2, 1)])
+    x = simple_function(measure_space([math.inf] * 3), [0.3, -0.7, 0.55])
+    for p in (linf(), l1(), lq(2)):
+        assert abs(generated_norm(phi, p, x).value - 0.7) <= 1e-12
+
+
+def test_log_tol_must_be_positive():
+    x = simple_function(unit_weights(2), [3, 4])
+    assert generated_norm(power(2), l1(), x, log_tol=1e-20).value == pytest.approx(10.0, rel=1e-12)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            generated_norm(power(2), l1(), x, log_tol=bad)
 
 
 def test_homogeneity_and_triangle_quick():

@@ -47,7 +47,7 @@ def test_zero_set_bound():
     assert zero_set_bound(power(2)) == 0.0
     assert zero_set_bound(flat_then_power(1, 2)) == 1.0
     pwl = piecewise_linear([(0, 0), (1, 0), (2, 1)])
-    assert zero_set_bound(pwl) == pytest.approx(1.0, abs=1e-9)
+    assert zero_set_bound(pwl) == pwl.zero_bound == 1.0
 
 
 def test_zero_bound_consistency():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlnorm import (ContractError, DomainError, dominated_pair_sample,
+from orlnorm import (ContractError, DomainError, SimpleFunction, dominated_pair_sample,
                      flat_then_power, function_from_descriptor, measure_space, modular,
                      modular_on_grid, order_ops, power, simple_function,
                      space_from_descriptor, unit_weights)
@@ -35,6 +35,12 @@ def test_simple_function_validation():
     x = simple_function(sp, [0.0, 2.0])
     assert x.support == (1,)
     assert not x.is_zero
+
+
+def test_values_are_python_floats():
+    x = SimpleFunction(unit_weights(3), tuple(np.array([0.5, -1.0, 2.0])))
+    assert all(type(v) is float for v in x.values)
+    assert all(type(v) is float for v in x.scaled(np.float64(2.0)).values)
 
 
 def test_modular_examples():
