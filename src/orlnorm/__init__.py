@@ -13,12 +13,10 @@ from .engine import (K_CAP, LemmaBounds, NormResult, generated_norm,
                      generated_norm_on_grid, lemma_bounds_check, luxemburg_norm,
                      orlicz_dual_norm)
 from .errors import ContractError, DomainError, PreconditionError
-from .extreal import EXT_INF, EXT_ZERO, ExtendedReal
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, ConvexityProbe,
                      Delta2Report, OrliczFunction, delta2_check, exp_minus,
                      flat_then_power, orlicz_from_descriptor, piecewise_linear, power,
-                     strict_convexity_probe, young_conjugate, young_conjugate_many,
-                     zero_set_bound)
+                     strict_convexity_probe, young_conjugate, young_conjugate_many)
 from .planar import (MonotonicityModulusTable, ModulusResult, PlanarNorm,
                      ValidationReport, boundary_sampled, build_modulus_table,
                      check_lattice_axioms, is_strictly_increasing_on_ray, l1, linf, lq,

@@ -111,7 +111,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=None,
                      help="norm-search tolerance on log k (norm subcommand)")
     sub.add_argument("--json", action="store_true", dest="as_json")
-    sub.add_argument("--csv", action="store_true", dest="as_csv")
     sub.add_argument("--out", default=None, metavar="FILE")
     sub.add_argument("--config", default=None, metavar="FILE", help="JSON config; flags override it")
 

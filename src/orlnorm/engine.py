@@ -22,7 +22,13 @@ from .orlicz import OrliczFunction, young_conjugate_many
 from .planar import PlanarNorm
 from .spaces import SimpleFunction, modular, modular_on_grid
 
-K_CAP = 1e12
+K_CAP = 1e12  # the generated-norm search keeps k <= K_CAP
+LUXEMBURG_REL_TOL = 1e-10  # bisection stops at this relative width
+LUXEMBURG_LAM_CAP = 1e18  # the Luxemburg norm is +inf when no lambda below this works
+DUAL_K_POINTS = 33  # slope directions at k on a log grid over [1e-6, 1e6]
+DUAL_POLISH_ROUNDS = 2  # coordinatewise polish passes
+DUAL_TABLE_POINTS = 2048  # chord-table nodes of the Young conjugate on (0, DUAL_V_MAX]
+DUAL_V_MAX = 1e6
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = 2.0 ** -52
 
@@ -36,24 +42,22 @@ class NormResult:
     evaluations: int
 
 
-def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction, rel_tol: float = 1e-10,
-                   lam_cap: float = 1e18) -> float:
+def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     """inf { lam > 0 : modular(x / lam) <= 1 }, by predicate bisection.
 
-    Returns +inf when no lambda below the cap brings the modular under 1
-    (x falls outside the representable space).
+    Returns +inf when no lambda below LUXEMBURG_LAM_CAP brings the modular
+    under 1 (x falls outside the representable space).
     """
     if x.is_zero:
         return 0.0
 
     def under_one(lam: float) -> bool:
-        m = modular(phi, x, scale=1.0 / lam)
-        return m.is_finite and m.value <= 1.0
+        return modular(phi, x, scale=1.0 / lam) <= 1.0
 
     hi = 1.0
     while not under_one(hi):
         hi *= 2.0
-        if hi > lam_cap:
+        if hi > LUXEMBURG_LAM_CAP:
             return math.inf
     lo = hi
     while under_one(lo * 0.5):
@@ -61,7 +65,7 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction, rel_tol: float = 1e-1
         if lo < 1e-300:
             raise RuntimeError("luxemburg bracketing failed to find a lower end")
     lo *= 0.5
-    while hi - lo > rel_tol * hi:
+    while hi - lo > LUXEMBURG_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if under_one(mid):
             hi = mid
@@ -71,19 +75,18 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction, rel_tol: float = 1e-1
 
 
 def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
-                   log_tol: float = 1e-11, k_hints: tuple[float, ...] = (),
-                   k_cap: float = K_CAP) -> NormResult:
-    """Minimise g(k) = (1/k) p((1, modular(k x))) over 0 < k <= k_cap."""
+                   log_tol: float = 1e-11) -> NormResult:
+    """Minimise g(k) = (1/k) p((1, modular(k x))) over 0 < k <= K_CAP."""
     if not log_tol > 0.0:
         raise DomainError(f"log_tol must be positive, got {log_tol!r}")
     if x.is_zero:
         return NormResult(0.0, None, False, None, 0)
 
     # I(k x) = +inf exactly when Phi(k m) > 0: stop at the last k with Phi(k m) = 0
-    k_top = k_cap
+    k_top = K_CAP
     m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
     if m > 0.0:
-        k_top = min(k_cap, phi.zero_bound / m)
+        k_top = min(K_CAP, phi.zero_bound / m)
         while k_top > 0.0 and phi.evaluate(k_top * m) != 0.0:
             k_top = math.nextafter(k_top, 0.0)
         if k_top == 0.0:
@@ -97,7 +100,7 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         if k in seen:
             return seen[k]
         mod = modular(phi, x, scale=k)
-        val = math.inf if mod.is_infinite else p.evaluate((1.0, mod.value)) / k
+        val = math.inf if math.isinf(mod) else p.evaluate((1.0, mod)) / k
         seen[k] = val
         if val < best_v:
             best_v, best_k = val, k
@@ -116,7 +119,7 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         v_hi = g(k_hi)
         if math.isinf(v_hi) or v_hi > best_v * (1.0 + 1e-12):
             break
-    hit_cap = k_hi >= k_cap and math.isfinite(v_hi) and best_k >= k_cap * 0.999
+    hit_cap = k_hi >= K_CAP and math.isfinite(v_hi) and best_k >= K_CAP * 0.999
 
     # convex in 1/k: once doubling improved on g(k0), the minimum lies above k0
     k_lo = k0
@@ -125,8 +128,6 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
             k_lo *= 0.5
             if g(k_lo) > best_v * (1.0 + 1e-12):
                 break
-    for hint in [h for h in k_hints if 0.0 < h <= k_top]:
-        g(float(hint))
 
     ks = sorted(seen)
     i = ks.index(best_k)
@@ -200,9 +201,7 @@ def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction
 # Dual (Orlicz) norm: a certified lower bound
 
 
-def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction, *,
-                     k_points: int = 33, polish_rounds: int = 2,
-                     table_points: int = 2048, v_max: float = 1e6) -> float:
+def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     """sup { |integral of x*y| : conjugate modular of y <= 1 }, from below.
 
     Searches rays y = t*d over subgradient-flavoured directions d, then
@@ -221,7 +220,7 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction, *,
     w = np.array([x.space.weights[i] for i in idx])
     ax = np.array([abs(x.values[i]) for i in idx])
 
-    v_nodes = np.concatenate(([0.0], np.geomspace(1e-9, v_max, table_points)))
+    v_nodes = np.concatenate(([0.0], np.geomspace(1e-9, DUAL_V_MAX, DUAL_TABLE_POINTS)))
     conj_nodes = young_conjugate_many(phi, v_nodes)
     finite_mask = np.isfinite(conj_nodes)
     v_tab = v_nodes[finite_mask]
@@ -262,7 +261,7 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction, *,
         return np.maximum(np.nan_to_num(out, nan=0.0, posinf=0.0), 0.0)
 
     directions = [ax.copy()]
-    for k in np.geomspace(1e-6, 1e6, k_points):
+    for k in np.geomspace(1e-6, 1e6, DUAL_K_POINTS):
         d = slope(k * ax)
         top = float(np.max(d))
         if top > 0.0 and math.isfinite(top):
@@ -277,7 +276,7 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction, *,
             best_val, best_y = val, y
 
     y = best_y
-    for _ in range(polish_rounds):
+    for _ in range(DUAL_POLISH_ROUNDS):
         for i in range(len(idx)):
             if ax[i] == 0.0:
                 continue
@@ -327,12 +326,11 @@ def lemma_bounds_check(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction,
     """For x with finite modular but infinite modular at every scale > 1,
     check 1 <= generated norm <= 1 + modular(x)."""
     m = modular(phi, x)
-    if m.is_infinite:
+    if math.isinf(m):
         raise PreconditionError("modular of x must be finite")
-    m_up = modular(phi, x, scale=1.0 + 1e-6)
-    if not m_up.is_infinite:
+    if math.isfinite(modular(phi, x, scale=1.0 + 1e-6)):
         raise PreconditionError("x must have an infinite modular at every scale above 1")
-    r = generated_norm(phi, p, x, k_hints=(1.0,))
-    return LemmaBounds(norm=r.value, modular_value=m.value,
+    r = generated_norm(phi, p, x)
+    return LemmaBounds(norm=r.value, modular_value=m,
                        lower_ok=r.value >= 1.0 - tol,
-                       upper_ok=r.value <= 1.0 + m.value + tol)
+                       upper_ok=r.value <= 1.0 + m + tol)

@@ -26,10 +26,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .extreal import EXT_INF, ExtendedReal
 
 SLOPE_DIVERGENCE = 1e12
 DELTA2_FAIL_RATIO = 1e8
+DELTA2_LO_EXP = -40.0  # the doubling grid: 2^[lo, hi], DELTA2_PER_OCTAVE points per octave
+DELTA2_HI_EXP = 40.0
+DELTA2_PER_OCTAVE = 4
+CONJUGATE_U_MAX = 2.0 ** 40  # the Young conjugate's grid: 0 and a log grid up to here
+CONJUGATE_GRID_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -199,11 +203,6 @@ def orlicz_from_descriptor(d: dict) -> OrliczFunction:
     raise DomainError(f"unknown Orlicz descriptor {d!r}")
 
 
-def zero_set_bound(phi: OrliczFunction) -> float:
-    """Largest u with Phi(u) = 0, exact for every kind."""
-    return phi.zero_bound
-
-
 # ---------------------------------------------------------------------------
 # Doubling condition
 
@@ -224,9 +223,7 @@ class Delta2Report:
     sample_spec: str
 
 
-def delta2_check(phi: OrliczFunction, regime: str,
-                 lo_exp: float = -40.0, hi_exp: float = 40.0,
-                 per_octave: int = 4) -> Delta2Report:
+def delta2_check(phi: OrliczFunction, regime: str) -> Delta2Report:
     """Grid-relative doubling verdict: Phi(2u) <= K Phi(u) on the regime's
     sampled range, with failure declared when the ratio passes 1e8 or when
     Phi(u) = 0 < Phi(2u) somewhere in range.
@@ -237,13 +234,15 @@ def delta2_check(phi: OrliczFunction, regime: str,
     """
     if regime not in _REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
-    exps = np.arange(lo_exp, hi_exp + 0.5 / per_octave, 1.0 / per_octave)
+    exps = np.arange(DELTA2_LO_EXP, DELTA2_HI_EXP + 0.5 / DELTA2_PER_OCTAVE,
+                     1.0 / DELTA2_PER_OCTAVE)
     us = 2.0 ** exps
     if regime == REGIME_ZERO:
         us = us[us <= 1.0]
     elif regime == REGIME_INFINITY:
         us = us[us > 1.0]
-    spec = f"log grid 2^[{lo_exp}, {hi_exp}], {per_octave}/octave, regime {regime}"
+    spec = (f"log grid 2^[{DELTA2_LO_EXP}, {DELTA2_HI_EXP}], {DELTA2_PER_OCTAVE}/octave, "
+            f"regime {regime}")
 
     fu = phi.evaluate_array(us)
     f2u = phi.evaluate_array(2.0 * us)
@@ -292,11 +291,10 @@ def _concave_refine(phi: OrliczFunction, vs: np.ndarray, lo: np.ndarray, hi: np.
     return np.maximum(vs * mid - phi.evaluate_array(mid), 0.0)
 
 
-def young_conjugate_many(phi: OrliczFunction, vs, u_max: float = 2.0 ** 40,
-                         grid_points: int = 400) -> np.ndarray:
+def young_conjugate_many(phi: OrliczFunction, vs) -> np.ndarray:
     """sup_{u >= 0} (|v| u - Phi(u)) for an array of v, +inf where divergent."""
     av = np.abs(np.asarray(vs, dtype=float))
-    us = np.concatenate(([0.0], np.geomspace(1e-12, u_max, grid_points)))
+    us = np.concatenate(([0.0], np.geomspace(1e-12, CONJUGATE_U_MAX, CONJUGATE_GRID_POINTS)))
     fus = phi.evaluate_array(us)
     h = av[:, None] * us[None, :]
     h -= fus[None, :]  # in place: h is len(vs) x 401, ~6.6 MB for a dual-norm table
@@ -314,15 +312,11 @@ def young_conjugate_many(phi: OrliczFunction, vs, u_max: float = 2.0 ** 40,
     return np.where(divergent, math.inf, out)
 
 
-def young_conjugate(phi: OrliczFunction, v: float, u_max: float = 2.0 ** 40,
-                    grid_points: int = 400) -> ExtendedReal:
-    """Young conjugate value at v: grid supremum refined locally, with the
-    divergence flag raised when the supremum still grows at u_max and
-    |v| exceeds the asymptotic slope."""
-    out = float(young_conjugate_many(phi, [v], u_max=u_max, grid_points=grid_points)[0])
-    if math.isinf(out):
-        return EXT_INF
-    return ExtendedReal(out)
+def young_conjugate(phi: OrliczFunction, v: float) -> float:
+    """Young conjugate value at v, in [0, +inf]: grid supremum refined
+    locally, +inf when the supremum still grows at CONJUGATE_U_MAX and |v|
+    exceeds the asymptotic slope."""
+    return float(young_conjugate_many(phi, [v])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import DomainError
 
 PLANAR_TOL = 1e-12  # absolute comparison tolerance at O(1) magnitudes
+RAY_U_MAX = 4.0  # is_strictly_increasing_on_ray samples u in [0, RAY_U_MAX]
+RAY_GRID = 64
 _HALF_PI = math.pi / 2.0
 
 
@@ -39,7 +41,6 @@ class PlanarNorm:
     q: float = math.nan
     angles: tuple[float, ...] = ()
     radii: tuple[float, ...] = ()
-    normalization_checked: bool = False
 
     def evaluate(self, point: tuple[float, float]) -> float:
         u, v = point
@@ -116,18 +117,18 @@ class PlanarNorm:
 
 
 def linf() -> PlanarNorm:
-    return PlanarNorm("linf", normalization_checked=True)
+    return PlanarNorm("linf")
 
 
 def l1() -> PlanarNorm:
-    return PlanarNorm("l1", normalization_checked=True)
+    return PlanarNorm("l1")
 
 
 def lq(q: float) -> PlanarNorm:
     q = float(q)
     if not math.isfinite(q) or q < 1.0:
         raise DomainError(f"q-mean norm needs finite q >= 1, got {q!r}")
-    return PlanarNorm("lq", q=q, normalization_checked=True)
+    return PlanarNorm("lq", q=q)
 
 
 def boundary_sampled(samples) -> PlanarNorm:
@@ -155,7 +156,7 @@ def boundary_sampled(samples) -> PlanarNorm:
     if abs(1.0 / radii[0] - 1.0) > PLANAR_TOL or abs(1.0 / radii[-1] - 1.0) > PLANAR_TOL:
         raise DomainError("boundary norm must satisfy p((1,0)) = p((0,1)) = 1")
     angles = (0.0,) + angles[1:-1] + (_HALF_PI,)
-    return PlanarNorm("boundary", angles=angles, radii=radii, normalization_checked=True)
+    return PlanarNorm("boundary", angles=angles, radii=radii)
 
 
 def planar_from_descriptor(d: dict) -> PlanarNorm:
@@ -418,12 +419,10 @@ def build_modulus_table(p: PlanarNorm, epsilons=None, resolution: float = 1e-3) 
 # Strictness probes
 
 
-def is_strictly_increasing_on_ray(p: PlanarNorm, u_max: float = 4.0, grid: int = 64) -> bool:
+def is_strictly_increasing_on_ray(p: PlanarNorm) -> bool:
     """True iff u -> p((1, u)) strictly increases across the sampled grid."""
-    if u_max <= 0.0 or grid < 2:
-        raise DomainError("need u_max > 0 and grid >= 2")
-    us = np.linspace(0.0, u_max, grid)
-    vals = p.evaluate_many(np.ones(grid), us)
+    us = np.linspace(0.0, RAY_U_MAX, RAY_GRID)
+    vals = p.evaluate_many(np.ones(RAY_GRID), us)
     return bool(np.all(np.diff(vals) > PLANAR_TOL))
 
 

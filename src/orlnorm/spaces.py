@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .extreal import EXT_INF, ExtendedReal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orlicz import OrliczFunction
@@ -115,9 +114,6 @@ class SimpleFunction:
         _same_space(self, other)
         return SimpleFunction(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def abs(self) -> "SimpleFunction":
-        return SimpleFunction(self.space, tuple(abs(v) for v in self.values))
-
     def leq(self, other: "SimpleFunction") -> bool:
         _same_space(self, other)
         return all(a <= b for a, b in zip(self.values, other.values))
@@ -169,8 +165,8 @@ def order_ops(x: SimpleFunction, y: SimpleFunction) -> OrderOps:
 # The convex modular
 
 
-def modular(phi: "OrliczFunction", x: SimpleFunction, scale: float = 1.0) -> ExtendedReal:
-    """Integral of Phi(scale * x) against the space's weights.
+def modular(phi: "OrliczFunction", x: SimpleFunction, scale: float = 1.0) -> float:
+    """Integral of Phi(scale * x) against the space's weights, in [0, +inf].
 
     Finite atoms contribute weight * Phi(value); infinite atoms contribute
     0 when Phi(|value|) = 0 and +inf otherwise.
@@ -182,12 +178,12 @@ def modular(phi: "OrliczFunction", x: SimpleFunction, scale: float = 1.0) -> Ext
         fv = phi.evaluate(scale * v)
         if math.isinf(w):
             if fv != 0.0:
-                return EXT_INF
+                return math.inf
         else:
             total += w * fv
             if math.isinf(total):
-                return EXT_INF
-    return ExtendedReal(total)
+                return math.inf
+    return total
 
 
 def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) -> np.ndarray:

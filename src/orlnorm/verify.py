@@ -56,6 +56,10 @@ STATUS_EMPTY = "empty-feasible"
 SUITE_IDS = ("T1", "T2", "L1", "L2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "R2", "R3")
 
 MODULUS_RESOLUTION = 2e-3  # grid of the modulus tables T7, T8 and T9 build
+PLANAR_SAMPLES = 10_000  # T1's sandwich samples of p
+UM_EPSILONS = (0.25, 0.5, 0.75)  # T9's norm levels of the dominated piece
+CONV_TOL = 1e-3  # R3, convergent branch: the last norm must fall below this
+NORM_FLOOR = 0.9  # R3, counterexample branch: every steep norm must reach this
 
 
 @dataclass
@@ -86,8 +90,8 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _norm_value(phi, p, x, hints=()) -> float:
-    return generated_norm(phi, p, x, k_hints=tuple(hints)).value
+def _norm_value(phi, p, x) -> float:
+    return generated_norm(phi, p, x).value
 
 
 def _random_function(space: MeasureSpace, rng: np.random.Generator, scale: float = 1.0,
@@ -174,17 +178,16 @@ def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
 # T1: sandwich bounds and ordering of the family
 
 
-def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200,
-                            planar_samples: int = 10_000) -> TheoremReport:
+def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
     violations = []
-    for rec in verify_sandwich(p, planar_samples, seed).violations:
+    for rec in verify_sandwich(p, PLANAR_SAMPLES, seed).violations:
         _flag(violations, "sandwich", phi, p, space, rec)
     rng = _rng(seed + 1)
     for _ in range(budget):
         x = _random_function(space, rng, signed=True)
         _check(violations, "ordering", phi, p, space, values=list(x.values))
-    return _passed("T1", planar_samples + budget, violations,
-                   {"planar_samples": planar_samples, "functions": budget})
+    return _passed("T1", PLANAR_SAMPLES + budget, violations,
+                   {"planar_samples": PLANAR_SAMPLES, "functions": budget})
 
 
 def _measure_sandwich(phi, p, space, rec):
@@ -340,12 +343,9 @@ def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
 
 
 def _embedded_norm(phi, p, space, levels, z) -> tuple[float, float]:
-    """Norm of the element with values levels * z, hinted at k = 1/max|z|,
-    and max|z|."""
+    """Norm of the element with values levels * z, and max|z|."""
     z = np.asarray(z)
-    nz = float(np.max(np.abs(z)))
-    hints = (1.0 / nz,) if nz > 0.0 else ()
-    return _norm_value(phi, p, simple_function(space, levels * z), hints=hints), nz
+    return _norm_value(phi, p, simple_function(space, levels * z)), float(np.max(np.abs(z)))
 
 
 def _exact_witness(phi, p, n, *, z_samples, seed):
@@ -415,12 +415,12 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, threshold, z_samples, seed)
     for j, b in enumerate(basis):
         mj = modular(phi, b)
         up = modular(phi, b, scale=1.0 + eta)
-        if mj.is_infinite or mj.value > epsilon / 2.0 ** (j + 1) + 1e-15:
+        if mj > epsilon / 2.0 ** (j + 1) + 1e-15:
             return None, _hnm("T3", "constructed basis misses its modular budget",
-                              index=j, modular=mj.value)
-        if up.is_finite and up.value < 2.0:
+                              index=j, modular=mj)
+        if up < 2.0:
             return None, _hnm("T3", "constructed basis does not jump above the floor",
-                              index=j, scaled_modular=up.value)
+                              index=j, scaled_modular=up)
     witness = LinfEmbeddingWitness(n, basis, epsilon=epsilon, eta=eta, exact=False,
                                    threshold_achieved=min(achieved))
 
@@ -543,7 +543,7 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
     zvals[free] = a / k
     z = SimpleFunction(space, tuple(zvals))
     rec = {"y": list(y.values), "z": list(z.values), "k": k, "norm_y": ry.value,
-           "norm_z": _norm_value(phi, p, z, hints=(k,))}
+           "norm_z": _norm_value(phi, p, z)}
     violations = []
     _flag(violations, "flat_pair_mismatch", phi, p, space, rec)
     return _passed("T6", 1, violations,
@@ -559,7 +559,7 @@ def _measure_pair(phi, p, space, rec):
 def _measure_flat_pair(phi, p, space, rec):
     z = simple_function(space, rec["z"])
     return {"norm_y": _norm_value(phi, p, simple_function(space, rec["y"])),
-            "norm_z": _norm_value(phi, p, z, hints=(rec["k"],))}
+            "norm_z": _norm_value(phi, p, z)}
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +608,12 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 
         s = 1.0 / ry.value
         xs, ys = x.scaled(s), y.scaled(s)
         eps = modular(phi, xs)
-        if eps.is_infinite or not (1e-6 < eps.value < 1.0 - 1e-6):
+        if not (1e-6 < eps < 1.0 - 1e-6):
             continue
         checked += 1
         _check(violations, "decomposition", phi, p, space, x=list(xs.values),
-               y=list(ys.values), modular_x=eps.value,
-               delta_floor=table.floor_value(eps.value), slack=table.slack)
+               y=list(ys.values), modular_x=eps,
+               delta_floor=table.floor_value(eps), slack=table.slack)
     return _passed("T7", checked, violations,
                    {"checked": checked, "table_slack": table.slack,
                     "table_resolution": table.resolution})
@@ -654,7 +654,7 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
         return 0.0, TheoremReport("T8", STATUS_EMPTY, True, 0, [],
                                   {"reason": "no sampled dominated piece reached the level",
                                    "epsilon": epsilon})
-    delta_hat = min(modular(phi, x).value for x in kept)
+    delta_hat = min(modular(phi, x) for x in kept)
     dfloor, slack = table.floor_value(delta_hat), table.slack
     violations = []
     for x in kept:
@@ -694,7 +694,6 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
 
 
 def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120,
-                               epsilon_grid: tuple[float, ...] = (0.25, 0.5, 0.75),
                                table: MonotonicityModulusTable | None = None,
                                n_max: int = 10) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p, 256, seed)
@@ -705,18 +704,18 @@ def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 12
     regime = suitable_delta2_regime(space)
     d2 = delta2_check(phi, regime)
     if d2.holds:
-        return _um_positive(phi, p, space, seed=seed, budget=budget, epsilon_grid=epsilon_grid,
+        return _um_positive(phi, p, space, seed=seed, budget=budget,
                             table=table if table is not None else _TableOnFirstUse(p),
                             regime=regime)
     return _um_failure_construction(phi, p, seed=seed, n_max=n_max, regime=regime)
 
 
-def _um_positive(phi, p, space, *, seed, budget, epsilon_grid, table, regime):
+def _um_positive(phi, p, space, *, seed, budget, table, regime):
     rng = _rng(seed)
     violations = []
     trials = 0
     empirical = {}
-    for eps in epsilon_grid:
+    for eps in UM_EPSILONS:
         pairs = []
         attempts = 0
         while len(pairs) < budget and attempts < 8 * budget:
@@ -736,7 +735,7 @@ def _um_positive(phi, p, space, *, seed, budget, epsilon_grid, table, regime):
                     pairs.append((ys.scaled(eps), ys))
         if not pairs:
             continue
-        delta_hat = min(modular(phi, xs).value for xs, _ in pairs)
+        delta_hat = min(modular(phi, xs) for xs, _ in pairs)
         dfloor, slack = table.floor_value(delta_hat), table.slack
         worst = 0.0
         for xs, ys in pairs:
@@ -797,9 +796,9 @@ def _um_failure_construction(phi, p, *, seed, n_max, regime):
 def _measure_um_failure(phi, p, space, rec):
     x, xn = simple_function(space, rec["x"]), simple_function(space, rec["x_n"])
     k, n_ = rec["k"], rec["n"]
-    return {"modular_at_k": modular(phi, xn, scale=k).value,
+    return {"modular_at_k": modular(phi, xn, scale=k),
             "norm_x_n": _norm_value(phi, p, xn),
-            "norm_sum": _norm_value(phi, p, x.plus(xn), hints=(k,)),
+            "norm_sum": _norm_value(phi, p, x.plus(xn)),
             "floor": 2.0 / (3.0 * k), "cap": 1.0 + 2.0 ** -n_}
 
 
@@ -854,7 +853,7 @@ def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0,
     mod_tail = modular(phi, simple_function(sp, _tail(levels, n_max - 1)))
     return _passed("R2", n_max, violations,
                    {"branch": "not-order-continuous", "tail_norms": norms,
-                    "last_tail_modular": mod_tail.value, "regime": regime})
+                    "last_tail_modular": mod_tail, "regime": regime})
 
 
 def _measure_tails(phi, p, space, rec):
@@ -864,8 +863,7 @@ def _measure_tails(phi, p, space, rec):
 
 
 def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int = 0,
-                                   n_max: int = 40, conv_tol: float = 1e-3,
-                                   norm_floor: float = 0.9) -> TheoremReport:
+                                   n_max: int = 40) -> TheoremReport:
     a = phi.zero_bound
     violations = []
     if a > 0.0:
@@ -879,7 +877,7 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
         rng = _rng(seed)
         base = _random_function(space, rng)
         rec = _check(violations, "modular_norm_convergence", phi, p, space,
-                     base=list(base.values), n_max=n_max, conv_tol=conv_tol)
+                     base=list(base.values), n_max=n_max, conv_tol=CONV_TOL)
         return _passed("R3", n_max, violations,
                        {"branch": "convergent", "regime": regime, "norms": rec["norms"]})
 
@@ -887,7 +885,7 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
     norms, mods = [], []
     for j, level in enumerate(levels):
         rec = _check(violations, "steep_sequence", phi, p, sp, n=j + 1, level=level,
-                     norm_floor=norm_floor)
+                     norm_floor=NORM_FLOOR)
         mods.append(rec["modular"])
         norms.append(rec["norm"])
     return _passed("R3", len(levels), violations,
@@ -898,13 +896,13 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
 def _scale_to_modular(phi, x, target: float) -> float:
     """c with modular(c x) = target, by bisection (modulars grow with c)."""
     lo, hi = 0.0, 1.0
-    while modular(phi, x, scale=hi).value < target:
+    while modular(phi, x, scale=hi) < target:
         hi *= 2.0
         if hi > 1e18:
             raise DomainError("cannot reach the requested modular level")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if modular(phi, x, scale=mid).value < target:
+        if modular(phi, x, scale=mid) < target:
             lo = mid
         else:
             hi = mid
@@ -920,14 +918,14 @@ def _measure_convergence(phi, p, space, rec):
 
 def _measure_modular_and_norm(phi, p, space, rec):
     x = simple_function(space, rec["values"])
-    return {"modular": modular(phi, x).value, "norm": _norm_value(phi, p, x, hints=(1.0,))}
+    return {"modular": modular(phi, x), "norm": _norm_value(phi, p, x)}
 
 
 def _measure_steep(phi, p, space, rec):
     """Modular and norm of the single steep atom n carrying its level."""
     xn = simple_function(space, [rec["level"] if i == rec["n"] - 1 else 0.0
                                  for i in range(space.n_atoms)])
-    return {"modular": modular(phi, xn).value, "norm": _norm_value(phi, p, xn)}
+    return {"modular": modular(phi, xn), "norm": _norm_value(phi, p, xn)}
 
 
 # ---------------------------------------------------------------------------

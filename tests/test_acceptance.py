@@ -211,8 +211,7 @@ def test_criterion_10_doubling_classifier_matches_ground_truth():
 
 def test_criterion_11_modular_norm_convergence_split():
     spw = measure_space([0.7, 0.5, 0.3, 0.2])
-    rep = suite_modular_norm_equivalence(exp_minus(), lq(2), spw, n_max=20,
-                                         norm_floor=0.9)
+    rep = suite_modular_norm_equivalence(exp_minus(), lq(2), spw, n_max=20)
     assert rep.status == STATUS_PASSED and rep.details["branch"] == "counterexample"
     mods, norms = rep.details["modulars"], rep.details["norms"]
     assert len(norms) == 20
@@ -220,7 +219,7 @@ def test_criterion_11_modular_norm_convergence_split():
     assert all(v >= 0.9 for v in norms)
 
     rep2 = suite_modular_norm_equivalence(power(2), linf(), unit_weights(5),
-                                          n_max=20, conv_tol=1e-3, seed=11)
+                                          n_max=20, seed=11)
     assert rep2.status == STATUS_PASSED and rep2.details["branch"] == "convergent"
     final = rep2.details["norms"][-1]
     assert final <= 1e-3

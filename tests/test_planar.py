@@ -55,7 +55,7 @@ def test_boundary_constructor_validation():
     with pytest.raises(DomainError):
         boundary_sampled([(0.1, 1.0), (HALF_PI, 1.0)])  # missing angle 0
     ok = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.3), (HALF_PI, 1.0)])
-    assert ok.normalization_checked
+    assert ok((1.0, 0.0)) == ok((0.0, 1.0)) == 1.0
 
 
 def test_sandwich_exact_for_envelopes(planar_catalog):
