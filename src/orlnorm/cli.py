@@ -92,46 +92,53 @@ def _json_text(obj) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> None:
-    """Config file values fill in only where the flag was left at default."""
+    """Config file values fill in only where the flag was left at default;
+    keys the subcommand has no flag for are not read."""
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     for key in ("phi", "p", "space", "values", "seed", "budget", "tol", "grid"):
-        if key in cfg and getattr(args, key, None) is None:
+        if key in cfg and hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, cfg[key])
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--phi", default=None, help="generator, e.g. power:2, exp_minus, flat_then_power:1,2, pwl:0,0;1,0;2,1")
-    sub.add_argument("--p", default=None, help="planar norm, e.g. linf, l1, lq:2")
-    sub.add_argument("--space", default=None, help='measure space JSON or file, e.g. {"atoms":[{"w":1},{"w":"inf"}]}')
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=None,
-                     help="norm-search tolerance on log k (norm subcommand)")
-    sub.add_argument("--json", action="store_true", dest="as_json")
-    sub.add_argument("--out", default=None, metavar="FILE")
-    sub.add_argument("--config", default=None, metavar="FILE", help="JSON config; flags override it")
+_FLAGS = {
+    "phi": (("--phi",), dict(default=None, help="generator, e.g. power:2, exp_minus, flat_then_power:1,2, pwl:0,0;1,0;2,1")),
+    "p": (("--p",), dict(default=None, help="planar norm, e.g. linf, l1, lq:2")),
+    "space": (("--space",), dict(default=None, help='measure space JSON or file, e.g. {"atoms":[{"w":1},{"w":"inf"}]}')),
+    "seed": (("--seed",), dict(type=int, default=None)),
+    "budget": (("--budget",), dict(type=int, default=None)),
+    "tol": (("--tol",), dict(type=float, default=None, help="norm-search tolerance on log k")),
+    "json": (("--json",), dict(action="store_true", dest="as_json")),
+    "out": (("--out",), dict(default=None, metavar="FILE")),
+    "config": (("--config",), dict(default=None, metavar="FILE", help="JSON config; flags override it")),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, kwargs = _FLAGS[name]
+        sub.add_argument(*flags, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="orlnorm")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    norm = subs.add_parser("norm", help="compute the generated norm of a simple function")
+    norm = subs.add_parser("norm", help="compute the generated norm of a simple function (JSON)")
     norm.add_argument("--values", default=None, help="comma separated atom values, e.g. 3,4")
-    _common_flags(norm)
+    _add_flags(norm, "phi", "p", "space", "seed", "tol", "out", "config")
 
     mod = subs.add_parser("modulus", help="tabulate the planar monotonicity modulus")
     mod.add_argument("--grid", default=None, help="epsilon grid start:stop:count or comma list")
     mod.add_argument("--resolution", type=float, default=1e-3)
-    _common_flags(mod)
+    _add_flags(mod, "p", "json", "out", "config")
 
     ver = subs.add_parser("verify", help="run check suites")
     ver.add_argument("ids", nargs="*", help=f"suite ids among {','.join(SUITE_IDS)}")
     ver.add_argument("--all", action="store_true", dest="run_all")
-    _common_flags(ver)
+    _add_flags(ver, "phi", "p", "space", "seed", "budget", "json", "out", "config")
     return ap
 
 

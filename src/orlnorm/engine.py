@@ -25,10 +25,10 @@ from .spaces import SimpleFunction, modular, modular_on_grid
 K_CAP = 1e12  # the generated-norm search keeps k <= K_CAP
 LUXEMBURG_REL_TOL = 1e-10  # bisection stops at this relative width
 LUXEMBURG_LAM_CAP = 1e18  # the Luxemburg norm is +inf when no lambda below this works
-DUAL_K_POINTS = 33  # slope directions at k on a log grid over [1e-6, 1e6]
-DUAL_POLISH_ROUNDS = 2  # coordinatewise polish passes
-DUAL_TABLE_POINTS = 2048  # chord-table nodes of the Young conjugate on (0, DUAL_V_MAX]
-DUAL_V_MAX = 1e6
+GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
+GRID_K_HI = 1e8
+GRID_POINTS = 10_000
+LEMMA_TOL = 1e-9  # slack of lemma_bounds_check's two inequalities
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = 2.0 ** -52
 
@@ -183,11 +183,9 @@ def _brent_log(g, lo: tuple[float, float], best: tuple[float, float],
                 v, fv = u, fu
 
 
-def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction,
-                           k_lo: float = 1e-8, k_hi: float = 1e8,
-                           points: int = 10_000) -> float:
+def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction) -> float:
     """Dense-grid record for g(k); an independent cross-check of the engine."""
-    ks = np.geomspace(k_lo, k_hi, points)
+    ks = np.geomspace(GRID_K_LO, GRID_K_HI, GRID_POINTS)
     mods = modular_on_grid(phi, x, ks)
     finite = np.isfinite(mods)
     if not np.any(finite):
@@ -204,11 +202,13 @@ def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction
 def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     """sup { |integral of x*y| : conjugate modular of y <= 1 }, from below.
 
-    Searches rays y = t*d over subgradient-flavoured directions d, then
-    polishes coordinatewise.  Feasibility during the search uses a chord
-    table of the Young conjugate (chords of a convex function overestimate,
-    so the search never steps outside the true dual ball); the final
-    certificate is checked against the exact conjugate.
+    The supremum is attained at y = Phi'(k|x|) for the k where the conjugate
+    modular of y reaches 1.  By Young's equality Psi(Phi'(u)) = u Phi'(u) -
+    Phi(u), that modular is sum w (u Phi'(u) - Phi(u)) with u = k|x|, which
+    is nondecreasing in k; the k is found by bracketing and bisection on
+    log k, capped at K_CAP.  The certificate y is checked once against the
+    exact conjugate and scaled into the dual ball if it lies outside (Psi
+    is convex with Psi(0) = 0), so the value is the pairing with a feasible y.
     """
     for i in x.space.infinite_indices:
         if x.values[i] != 0.0:
@@ -220,92 +220,42 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     w = np.array([x.space.weights[i] for i in idx])
     ax = np.array([abs(x.values[i]) for i in idx])
 
-    v_nodes = np.concatenate(([0.0], np.geomspace(1e-9, DUAL_V_MAX, DUAL_TABLE_POINTS)))
-    conj_nodes = young_conjugate_many(phi, v_nodes)
-    finite_mask = np.isfinite(conj_nodes)
-    v_tab = v_nodes[finite_mask]
-    c_tab = conj_nodes[finite_mask]
-
-    def conj_chord(ys: np.ndarray) -> np.ndarray:
-        out = np.interp(ys, v_tab, c_tab)
-        return np.where(ys > v_tab[-1], math.inf, out)
-
-    def table_modular(ys: np.ndarray) -> float:
-        return float(np.sum(w * conj_chord(ys)))
-
-    def ray_level(d: np.ndarray) -> float:
-        """Largest t with the chord-table conjugate modular of t*d <= 1;
-        0 when no feasible scale was found."""
-        t = 1.0
-        if table_modular(t * d) <= 1.0:
-            while table_modular(2.0 * t * d) <= 1.0 and t < 1e12:
-                t *= 2.0
-        else:
-            while table_modular(t * d) > 1.0:
-                t *= 0.5
-                if t < 1e-15:
-                    return 0.0
-        lo, hi = t, 2.0 * t
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if table_modular(mid * d) <= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     def slope(us: np.ndarray) -> np.ndarray:
         h = 1e-6 * np.maximum(1.0, us)
         with np.errstate(invalid="ignore"):
             out = (phi.evaluate_array(us + h) - phi.evaluate_array(us - h)) / (2.0 * h)
         return np.maximum(np.nan_to_num(out, nan=0.0, posinf=0.0), 0.0)
 
-    directions = [ax.copy()]
-    for k in np.geomspace(1e-6, 1e6, DUAL_K_POINTS):
-        d = slope(k * ax)
-        top = float(np.max(d))
-        if top > 0.0 and math.isfinite(top):
-            directions.append(d / top)
+    def dual_point(k: float) -> tuple[np.ndarray, float]:
+        """y = Phi'(k|x|) clipped at the asymptotic slope, and its conjugate
+        modular by Young's equality (+inf when not finite: slope maps an
+        overflow to 0, which would read as feasible)."""
+        us = k * ax
+        y = np.minimum(slope(us), phi.slope_limit)
+        with np.errstate(invalid="ignore"):
+            total = float(np.sum(w * (us * y - phi.evaluate_array(us))))
+        return y, total if math.isfinite(total) else math.inf
 
-    best_val, best_y = 0.0, np.zeros_like(ax)
-    for d in directions:
-        t = ray_level(d)
-        y = t * d
-        val = float(np.sum(w * ax * y))
-        if math.isfinite(val) and val > best_val and table_modular(y) <= 1.0:
-            best_val, best_y = val, y
+    def feasible(k: float) -> bool:
+        return dual_point(k)[1] <= 1.0
 
-    y = best_y
-    for _ in range(DUAL_POLISH_ROUNDS):
-        for i in range(len(idx)):
-            if ax[i] == 0.0:
-                continue
-            others = float(np.sum(np.delete(w * conj_chord(y), i)))
-            budget = 1.0 - others
-            if budget <= 0.0:
-                continue
-            lo, hi = 0.0, max(1.0, 2.0 * y[i])
-            while w[i] * float(conj_chord(np.array([hi]))[0]) <= budget and hi < 1e12:
-                hi *= 2.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if w[i] * float(conj_chord(np.array([mid]))[0]) <= budget:
-                    lo = mid
-                else:
-                    hi = mid
-            y[i] = max(y[i], lo)
+    lo = hi = 1.0
+    while hi < K_CAP and feasible(hi):
+        lo, hi = hi, min(2.0 * hi, K_CAP)
+    while not feasible(lo):
+        lo, hi = 0.5 * lo, lo
+    s_lo, s_hi = math.log(lo), math.log(hi)
+    for _ in range(60):
+        mid = 0.5 * (s_lo + s_hi)
+        if feasible(math.exp(mid)):
+            s_lo = mid
+        else:
+            s_hi = mid
+    y = dual_point(math.exp(s_lo))[0]
 
-    # exact feasibility of the certificate
     exact = float(np.sum(w * young_conjugate_many(phi, y)))
     if exact > 1.0:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if float(np.sum(w * young_conjugate_many(phi, mid * y))) <= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        y = lo * (1.0 - 1e-9) * y
+        y = y / (exact * (1.0 + 1e-12))  # the margin absorbs rounding in Psi
     return float(np.sum(w * ax * y))
 
 
@@ -321,8 +271,7 @@ class LemmaBounds:
     upper_ok: bool
 
 
-def lemma_bounds_check(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction,
-                       tol: float = 1e-9) -> LemmaBounds:
+def lemma_bounds_check(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction) -> LemmaBounds:
     """For x with finite modular but infinite modular at every scale > 1,
     check 1 <= generated norm <= 1 + modular(x)."""
     m = modular(phi, x)
@@ -332,5 +281,5 @@ def lemma_bounds_check(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction,
         raise PreconditionError("x must have an infinite modular at every scale above 1")
     r = generated_norm(phi, p, x)
     return LemmaBounds(norm=r.value, modular_value=m,
-                       lower_ok=r.value >= 1.0 - tol,
-                       upper_ok=r.value <= 1.0 + m + tol)
+                       lower_ok=r.value >= 1.0 - LEMMA_TOL,
+                       upper_ok=r.value <= 1.0 + m + LEMMA_TOL)

@@ -34,6 +34,7 @@ DELTA2_HI_EXP = 40.0
 DELTA2_PER_OCTAVE = 4
 CONJUGATE_U_MAX = 2.0 ** 40  # the Young conjugate's grid: 0 and a log grid up to here
 CONJUGATE_GRID_POINTS = 400
+CONJUGATE_REFINE_ITERS = 90  # golden-section steps around the grid maximum
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,8 @@ def delta2_check(phi: OrliczFunction, regime: str) -> Delta2Report:
 # Young conjugate
 
 
-def _concave_refine(phi: OrliczFunction, vs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    iters: int = 90) -> np.ndarray:
+def _concave_refine(phi: OrliczFunction, vs: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
     """Golden-section maximum of u -> v*u - Phi(u) on [lo, hi], per element."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo.copy(), hi.copy()
@@ -278,7 +279,7 @@ def _concave_refine(phi: OrliczFunction, vs: np.ndarray, lo: np.ndarray, hi: np.
     d = a + inv * (b - a)
     fc = vs * c - phi.evaluate_array(c)
     fd = vs * d - phi.evaluate_array(d)
-    for _ in range(iters):
+    for _ in range(CONJUGATE_REFINE_ITERS):
         left = fc >= fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
@@ -297,7 +298,7 @@ def young_conjugate_many(phi: OrliczFunction, vs) -> np.ndarray:
     us = np.concatenate(([0.0], np.geomspace(1e-12, CONJUGATE_U_MAX, CONJUGATE_GRID_POINTS)))
     fus = phi.evaluate_array(us)
     h = av[:, None] * us[None, :]
-    h -= fus[None, :]  # in place: h is len(vs) x 401, ~6.6 MB for a dual-norm table
+    h -= fus[None, :]  # in place: h is len(vs) x 401
     h[np.isnan(h)] = -math.inf
     idx = np.argmax(h, axis=1)
 

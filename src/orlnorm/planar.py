@@ -12,10 +12,14 @@ The monotonicity modulus
 
     delta(eps) = inf { 1 - p(y - x) : 0 <= x <= y, p(x) >= eps, p(y) = 1 }
 
-is computed on the positive quadrant by a two-pass nested grid: the outer
-parameter walks y along the positive unit sphere, the inner parameter
-walks x along the level curve p(x) = eps inside the box [0, y] (larger
-p(x) only shrinks p(y - x), so the level curve is the binding set).
+is computed on the positive quadrant by two passes of a grid over y on the
+positive unit sphere, the second refining around the first's minimiser.
+For each y the inner maximum of p(y - x) needs no search.  Larger p(x)
+only shrinks p(y - x), so x runs over the level curve p(x) = eps inside the
+box [0, y].  On that curve x2 is a concave, nonincreasing function of x1,
+so y2 - x2 is convex in x1; p is convex and nondecreasing in each
+coordinate on the positive quadrant, so p(y - x) is convex along the curve
+and its maximum sits at one of the curve's two ends on the box edges.
 """
 from __future__ import annotations
 
@@ -298,43 +302,43 @@ def _positive_sphere(p: PlanarNorm, thetas: np.ndarray) -> tuple[np.ndarray, np.
     return c / norms, s / norms
 
 
-def _modulus_pass(p: PlanarNorm, eps: float, thetas: np.ndarray, fracs: np.ndarray):
-    """Minimise 1 - p(y - x) over a (theta, frac) grid.
+def _modulus_pass(p: PlanarNorm, eps: float, thetas: np.ndarray) -> tuple[float, int]:
+    """Minimise 1 - p(y - x) over y on the theta grid of the positive unit
+    sphere and x at an end of the level curve p(x) = eps inside [0, y].
 
-    theta parametrises y on the positive unit sphere; frac parametrises
-    the first coordinate of x over its feasible range [0, min(eps, y1)],
-    the second coordinate being recovered by bisection on p(x) = eps.
+    The curve leaves the box at (0, eps) when eps <= y2, else at (s, y2);
+    it ends at (eps, 0) when eps <= y1, else at (y1, t).  s and t solve
+    p = eps by one vectorised bisection.  Returns the minimum and its theta
+    index.
     """
     y1, y2 = _positive_sphere(p, thetas)
-    n_t, n_f = len(thetas), len(fracs)
-    x1 = fracs[None, :] * np.minimum(eps, y1)[:, None]
-    y1b = np.broadcast_to(y1[:, None], (n_t, n_f))
-    y2b = np.broadcast_to(y2[:, None], (n_t, n_f))
+    n = len(thetas)
 
-    # feasible when the column can reach level eps at x2 <= y2
-    top = p.evaluate_many(x1, y2b)
-    feasible = top >= eps - 1e-15
-
-    lo = np.zeros((n_t, n_f))
-    hi = y2b.copy()
+    # rows [0, n) solve p(y1, t) = eps for t in [0, y2]; rows [n, 2n)
+    # solve p(s, y2) = eps for s in [0, y1]
+    first = np.arange(2 * n) < n
+    fixed = np.concatenate([y1, y2])
+    lo = np.zeros(2 * n)
+    hi = np.concatenate([y2, y1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        val = p.evaluate_many(x1, mid)
-        go_up = val < eps
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    x2 = 0.5 * (lo + hi)
+        below = p.evaluate_many(np.where(first, fixed, mid), np.where(first, mid, fixed)) < eps
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t, s = np.split(0.5 * (lo + hi), 2)
 
-    obj = 1.0 - p.evaluate_many(y1b - x1, y2b - x2)
-    obj = np.where(feasible, obj, np.inf)
-
-    # the scaled witness x = eps * y is always feasible and pins delta <= eps
-    obj_scaled = 1.0 - p.evaluate_many((1.0 - eps) * y1, (1.0 - eps) * y2)
-    obj = np.concatenate([obj, obj_scaled[:, None]], axis=1)
-
-    flat = int(np.argmin(obj))
-    i, j = divmod(flat, obj.shape[1])
-    return float(obj[i, j]), i, min(j, n_f - 1)
+    zero = np.zeros(n)
+    reach = np.stack([
+        np.where(eps <= y2, p.evaluate_many(y1, y2 - eps), -np.inf),  # x = (0, eps)
+        np.where(eps <= y1, p.evaluate_many(y1 - eps, y2), -np.inf),  # x = (eps, 0)
+        np.where(y1 <= eps, p.evaluate_many(zero, y2 - t), -np.inf),  # x = (y1, t)
+        np.where(y2 <= eps, p.evaluate_many(y1 - s, zero), -np.inf),  # x = (s, y2)
+        # the scaled witness x = eps * y is always feasible and pins delta <= eps
+        p.evaluate_many((1.0 - eps) * y1, (1.0 - eps) * y2),
+    ])
+    obj = 1.0 - np.max(reach, axis=0)
+    i = int(np.argmin(obj))
+    return float(obj[i]), i
 
 
 def modulus_diagnostics(p: PlanarNorm, epsilon: float, resolution: float = 1e-3) -> ModulusResult:
@@ -345,17 +349,13 @@ def modulus_diagnostics(p: PlanarNorm, epsilon: float, resolution: float = 1e-3)
         raise DomainError(f"resolution must lie in (0, 0.1], got {resolution!r}")
 
     thetas1 = np.linspace(0.0, _HALF_PI, 129)
-    fracs1 = np.linspace(0.0, 1.0, 65)
-    v1, i1, _ = _modulus_pass(p, eps, thetas1, fracs1)
+    v1, i1 = _modulus_pass(p, eps, thetas1)
 
     step = thetas1[1] - thetas1[0]
     t_lo = max(0.0, thetas1[i1] - 2.0 * step)
     t_hi = min(_HALF_PI, thetas1[i1] + 2.0 * step)
     n_t = int(np.clip(math.ceil((t_hi - t_lo) / resolution) + 1, 33, 6001))
-    n_f = int(np.clip(math.ceil(1.0 / resolution) + 1, 65, 4001))
-    thetas2 = np.linspace(t_lo, t_hi, n_t)
-    fracs2 = np.linspace(0.0, 1.0, n_f)
-    v2, _, _ = _modulus_pass(p, eps, thetas2, fracs2)
+    v2, _ = _modulus_pass(p, eps, np.linspace(t_lo, t_hi, n_t))
 
     value = max(0.0, min(v1, v2))
     bound = 4.0 * (max(v1 - v2, 0.0) + resolution)
@@ -364,7 +364,7 @@ def modulus_diagnostics(p: PlanarNorm, epsilon: float, resolution: float = 1e-3)
 
 
 def modulus_of_monotonicity(p: PlanarNorm, epsilon: float, resolution: float = 1e-3) -> float:
-    """The monotonicity modulus of (R^2, p) at epsilon, by nested grid search."""
+    """The monotonicity modulus of (R^2, p) at epsilon (see modulus_diagnostics)."""
     return modulus_diagnostics(p, epsilon, resolution).value
 
 

@@ -60,6 +60,7 @@ PLANAR_SAMPLES = 10_000  # T1's sandwich samples of p
 UM_EPSILONS = (0.25, 0.5, 0.75)  # T9's norm levels of the dominated piece
 CONV_TOL = 1e-3  # R3, convergent branch: the last norm must fall below this
 NORM_FLOOR = 0.9  # R3, counterexample branch: every steep norm must reach this
+WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aims for
 
 
 @dataclass
@@ -329,8 +330,7 @@ def _z_batch(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
-                       eta: float = 0.01, threshold: float = 1e9,
-                       z_samples: int = 100, seed: int = 0):
+                       eta: float = 0.01, z_samples: int = 100, seed: int = 0):
     """Construct a positive embedding of the bounded-sequence space and
     measure its distortion.  Returns (witness, report); the witness is None
     when a hypothesis gate fails."""
@@ -338,7 +338,7 @@ def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
         return _exact_witness(phi, p, n, z_samples=z_samples, seed=seed)
     if mode == "approximate":
         return _approximate_witness(phi, p, n, epsilon=epsilon, eta=eta,
-                                    threshold=threshold, z_samples=z_samples, seed=seed)
+                                    z_samples=z_samples, seed=seed)
     raise DomainError(f"unknown witness mode {mode!r}")
 
 
@@ -370,7 +370,7 @@ def _measure_embedding_exact(phi, p, space, rec):
     return {"norm": got, "expected": nz}
 
 
-def _approximate_witness(phi, p, n, *, epsilon, eta, threshold, z_samples, seed):
+def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
     gate = delta2_check(phi, REGIME_INFINITY)
     if gate.holds:
         return None, _hnm("T3", "generator satisfies the doubling condition at infinity",
@@ -389,7 +389,7 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, threshold, z_samples, seed)
         target = epsilon / 2.0 ** j
         with np.errstate(invalid="ignore", divide="ignore"):
             ach = np.where(fv > 0.0, target * (f2v / np.where(fv > 0.0, fv, 1.0)), -math.inf)
-        ok = np.isfinite(ach) & (ach >= threshold)
+        ok = np.isfinite(ach) & (ach >= WITNESS_THRESHOLD)
         if np.any(ok):
             i = int(np.argmax(ok))
             v_j, a_j = float(grid[i]), float(ach[i])
@@ -431,7 +431,7 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, threshold, z_samples, seed)
         _check(violations, "embedding_bounds", phi, p, space, levels=levels,
                z=[float(t) for t in z], epsilon=epsilon, eta=eta)
     details = {"n": n, "levels": levels, "weights": weights,
-               "threshold_requested": threshold, "threshold_achieved": min(achieved)}
+               "threshold_requested": WITNESS_THRESHOLD, "threshold_achieved": min(achieved)}
     return witness, _passed("T3", len(zs), violations, details)
 
 

@@ -115,6 +115,15 @@ def test_verify_json_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_unread_flags_exit_2(capsys):
+    # each subcommand parses only the flags it reads
+    for argv in (("modulus", "--phi", "power:2"), ("modulus", "--space", "{}"),
+                 ("modulus", "--seed", "1"), ("modulus", "--budget", "5"),
+                 ("modulus", "--tol", "1e-9"), ("norm", "--values", "3,4", "--budget", "5"),
+                 ("norm", "--values", "3,4", "--json"), ("verify", "T1", "--tol", "1e-9")):
+        assert run(capsys, *argv)[0] == 2, argv
+
+
 def test_config_file_merges_under_flags(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"phi": "power:2", "p": "l1", "values": "3,4"}))

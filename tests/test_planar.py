@@ -9,6 +9,7 @@ from orlnorm import (DomainError, boundary_sampled, build_modulus_table,
                      check_lattice_axioms, is_strictly_increasing_on_ray, l1, linf, lq,
                      modulus_diagnostics, modulus_of_monotonicity, planar_from_descriptor,
                      strictly_monotone_probe, verify_sandwich)
+from orlnorm.planar import _modulus_pass
 
 HALF_PI = math.pi / 2.0
 
@@ -120,6 +121,34 @@ def test_modulus_lq2_closed_form_and_box_oracle():
     oracle = _modulus_box_oracle(lq(2), eps)
     assert oracle == pytest.approx(closed, abs=4e-3)
     assert got == pytest.approx(oracle, abs=4e-3)
+    for q in (1.5, 3.0):
+        got = modulus_of_monotonicity(lq(q), eps, resolution=1e-3)
+        assert got == pytest.approx(_modulus_box_oracle(lq(q), eps), abs=4e-3), q
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0, 6.0])
+def test_modulus_endpoint_maximum_matches_level_curve_walk(q):
+    """For each y, the largest p(y - x) over the level curve p(x) = eps inside
+    [0, y] sits at an end of the curve: a dense walk of the curve (closed
+    form for lq, ends included) finds nothing larger."""
+    p = lq(q)
+    c = np.linspace(0.0, 1.0, 20_001)
+    for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for theta in np.linspace(0.0, HALF_PI, 33):
+            got, _ = _modulus_pass(p, eps, np.array([theta]))
+            n = p.evaluate((math.cos(theta), math.sin(theta)))
+            y1, y2 = math.cos(theta) / n, math.sin(theta) / n
+            x1 = eps * c
+            x2 = eps * (1.0 - c ** q) ** (1.0 / q)
+            ends_1 = [0.0 if eps <= y2 else (eps ** q - y2 ** q) ** (1.0 / q),
+                      min(eps, y1)]
+            ends_2 = [min(eps, y2),
+                      0.0 if eps <= y1 else (eps ** q - y1 ** q) ** (1.0 / q)]
+            x1 = np.concatenate([x1, ends_1])
+            x2 = np.concatenate([x2, ends_2])
+            inside = (x1 <= y1) & (x2 <= y2)
+            walk = float(np.max(p.evaluate_many(y1 - x1[inside], y2 - x2[inside])))
+            assert abs(got - (1.0 - walk)) <= 1e-12, (eps, theta)
 
 
 def test_modulus_rejects_bad_epsilon():
