@@ -51,6 +51,12 @@ class OrliczFunction:
         au = abs(u)
         if not math.isfinite(au):
             raise DomainError(f"non-finite argument {u!r}")
+        return self._eval_abs(au)
+
+    __call__ = evaluate
+
+    def _eval_abs(self, au: float) -> float:
+        """Phi(au) for a finite au >= 0, unchecked."""
         k = self.kind
         if k == "power":
             try:
@@ -73,8 +79,6 @@ class OrliczFunction:
             except OverflowError:
                 return math.inf
         return self._eval_pwl(au)
-
-    __call__ = evaluate
 
     def _eval_pwl(self, au: float) -> float:
         xs, ys = self.xs, self.ys

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -169,21 +169,43 @@ def modular(phi: "OrliczFunction", x: SimpleFunction, scale: float = 1.0) -> flo
     """Integral of Phi(scale * x) against the space's weights, in [0, +inf].
 
     Finite atoms contribute weight * Phi(value); infinite atoms contribute
-    0 when Phi(|value|) = 0 and +inf otherwise.
+    0 when Phi(|value|) = 0 and +inf otherwise.  DomainError when
+    scale * value is not finite on some atom.
     """
-    total = 0.0
+    return modular_of(phi, x)(scale)
+
+
+def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], float]:
+    """scale -> modular(phi, x, scale), reading the support of x once.
+
+    Phi is even and nondecreasing on [0, inf), so the infinite atoms need
+    one evaluation at their largest |value|, and one finiteness check of
+    scale * max|x| covers every atom.  The finite atoms are summed in atom
+    order, as an atom-by-atom loop would.
+    """
+    finite: list[tuple[float, float]] = []  # (weight, |value|) of the finite support
+    top_inf = 0.0
     for w, v in zip(x.space.weights, x.values):
-        if v == 0.0:
-            continue
-        fv = phi.evaluate(scale * v)
-        if math.isinf(w):
-            if fv != 0.0:
-                return math.inf
-        else:
-            total += w * fv
-            if math.isinf(total):
-                return math.inf
-    return total
+        if v != 0.0:
+            if math.isinf(w):
+                top_inf = max(top_inf, abs(v))
+            else:
+                finite.append((w, abs(v)))
+    top = max(top_inf, max((a for _, a in finite), default=0.0))
+    ev = phi._eval_abs
+
+    def at(scale: float) -> float:
+        s = abs(scale)
+        if top > 0.0 and not math.isfinite(s * top):
+            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
+        if top_inf > 0.0 and ev(s * top_inf) != 0.0:
+            return math.inf
+        total = 0.0
+        for w, a in finite:
+            total += w * ev(s * a)
+        return total
+
+    return at
 
 
 def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import K_CAP, generated_norm, lemma_bounds_check
+from .engine import generated_norm, lemma_bounds_check
 from .errors import DomainError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, OrliczFunction,
                      delta2_check, orlicz_from_descriptor, strict_convexity_probe)
@@ -262,8 +262,7 @@ def _measure_attainment(phi, p, space, rec):
 
 
 def _attainment_violated(r: dict) -> bool:
-    capped = r["bracket"] is not None and r["bracket"][1] >= K_CAP
-    return not r["attained"] or r["k_star"] is None or capped
+    return not r["attained"] or r["k_star"] is None
 
 
 # ---------------------------------------------------------------------------

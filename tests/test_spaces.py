@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlnorm import (ContractError, DomainError, SimpleFunction, dominated_pair_sample,
-                     flat_then_power, function_from_descriptor, measure_space, modular,
-                     modular_on_grid, order_ops, power, simple_function,
-                     space_from_descriptor, unit_weights)
+from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_functions,
+                     dominated_pair_sample, flat_then_power, function_from_descriptor,
+                     measure_space, modular, modular_on_grid, order_ops, piecewise_linear,
+                     power, simple_function, space_from_descriptor, unit_weights)
 
 
 def test_space_validation():
@@ -51,6 +51,48 @@ def test_modular_examples():
     assert modular(flat_then_power(1, 2), simple_function(spi, [1.0])) == 0.0
     m = modular(power(2), simple_function(spi, [2.0]))
     assert type(m) is float and m == math.inf
+
+
+def _modular_atom_by_atom(phi, x, scale):
+    """The reference: one Phi evaluation per nonzero atom, in atom order."""
+    total = 0.0
+    for w, v in zip(x.space.weights, x.values):
+        if v == 0.0:
+            continue
+        fv = phi.evaluate(scale * v)
+        if math.isinf(w):
+            if fv != 0.0:
+                return math.inf
+        else:
+            total += w * fv
+            if math.isinf(total):
+                return math.inf
+    return total
+
+
+def test_modular_equals_atom_by_atom_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    phis = list(catalog_orlicz_functions().values())
+    phis.append(piecewise_linear([(0, 0), (0.5, 0), (1, 0.25), (2, 2)]))
+    for phi in phis:
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            weights = np.where(rng.uniform(size=n) < 0.3, math.inf,
+                               10.0 ** rng.uniform(-2, 2, n))
+            values = rng.normal(size=n) * (rng.uniform(size=n) < 0.8)
+            x = simple_function(measure_space(weights), values)
+            for scale in 10.0 ** rng.uniform(-3, 3, 6):
+                got = modular(phi, x, scale=float(scale))
+                assert got == _modular_atom_by_atom(phi, x, float(scale)), (phi.label, x, scale)
+
+
+def test_modular_rejects_non_finite_arguments():
+    x = simple_function(unit_weights(2), [1e10, 1.0])
+    with pytest.raises(DomainError):
+        modular(power(2), x, scale=1e300)
+    with pytest.raises(DomainError):
+        modular(power(2), x, scale=math.nan)
+    assert modular(power(2), simple_function(unit_weights(2), [0, 0]), scale=math.inf) == 0.0
 
 
 def test_modular_weights_scale_contributions():

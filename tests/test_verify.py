@@ -280,10 +280,11 @@ REPLAY_CASES = {
                  _rec("ordering", p=lq(2), values=[1.0, 1.0])),
     "norm_triangle": (_rec("norm_triangle", x=[1.0, 0.0], y=[1.0, 0.0], lam=1.0),
                       _rec("norm_triangle", x=[1.0, 0.0], y=[0.0, 1.0], lam=1.0), _SQUARED),
-    # capped at k = 1e12, the finite-slope generator misses homogeneity by ~1e-6
+    # the search caps k relative to max|x|, so the working engine is homogeneous
     "norm_homogeneity": (_rec("norm_homogeneity", phi=power(1), x=[0.5, 0.5], y=[0.0, 0.0],
                               lam=1e6),
-                         _rec("norm_homogeneity", x=[0.5, 0.5], y=[0.0, 0.0], lam=2.0)),
+                         _rec("norm_homogeneity", phi=power(1), x=[0.5, 0.5], y=[0.0, 0.0],
+                              lam=1e6), _SQUARED),
     "norm_zero": (_rec("norm_zero", values=[1.0, 0.0]),
                   _rec("norm_zero", values=[1.0, 0.0]), _ZERO),
     "attainment": (_rec("attainment", phi=power(1), values=[0.5, 0.5]),
