@@ -34,7 +34,6 @@ K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L 
 ROOT_LOG_TOL = 1e-2  # width in log k of the Luxemburg root that seeds Brent (p not max)
 GAP_REL_TOL = 1e-13  # Brent stops once convexity bounds the infimum this close to g
 LUXEMBURG_REL_TOL = 1e-10  # bisection stops at this relative width
-LUXEMBURG_LAM_CAP = 1e18  # the Luxemburg norm is +inf when no lambda below this works
 GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
 GRID_K_HI = 1e8
 GRID_POINTS = 10_000
@@ -56,23 +55,24 @@ class NormResult:
 
 
 def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
-    """inf { lam > 0 : modular(x / lam) <= 1 }, by predicate bisection.
+    """inf { lam > 0 : modular(x / lam) <= 1 }, by predicate bisection from
+    a bracket found by doubling and halving lam from max|x|.
 
-    Returns +inf when no lambda below LUXEMBURG_LAM_CAP brings the modular
-    under 1 (x falls outside the representable space).
+    Returns +inf exactly when x is nonzero on an infinite atom and Phi
+    vanishes only at 0: the modular of x / lam is then +inf for every lam.
     """
     if x.is_zero:
         return 0.0
+    if phi.zero_bound == 0.0 and any(x.values[i] != 0.0 for i in x.space.infinite_indices):
+        return math.inf
     modular_at = modular_of(phi, x)
 
     def under_one(lam: float) -> bool:
         return modular_at(1.0 / lam) <= 1.0
 
-    hi = 1.0
+    hi = max(abs(v) for v in x.values)
     while not under_one(hi):
         hi *= 2.0
-        if hi > LUXEMBURG_LAM_CAP:
-            return math.inf
     lo = hi
     while under_one(lo * 0.5):
         lo *= 0.5
@@ -366,14 +366,17 @@ def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction
 def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     """sup { |integral of x*y| : conjugate modular of y <= 1 }, from below.
 
-    The supremum is attained at y = Phi'(k|x|) for the k where the conjugate
-    modular of y reaches 1.  By Young's equality Psi(Phi'(u)) = u Phi'(u) -
-    Phi(u), that modular is sum w (u Phi'(u) - Phi(u)) with u = k|x|, which
-    is nondecreasing in k; the k is found by doubling from k_L / 2 and
-    bisection on log k, capped at K_CAP * k_L.  The certificate y is checked
-    once against the exact conjugate and scaled into the dual ball if it
-    lies outside (Psi is convex with Psi(0) = 0), so the value is the
-    pairing with a feasible y.
+    The supremum is attained at y = Phi'(k|x|), the right derivative, for
+    the k where the conjugate modular of y reaches 1.  By Young's equality
+    Psi(Phi'(u)) = u Phi'(u) - Phi(u), that modular is sum w (u Phi'(u) -
+    Phi(u)) with u = k|x|, which is nondecreasing in k; the k is found by
+    doubling from k_L / 2 and bisection on log k, capped at K_CAP * k_L.
+    Where a kink of Phi makes the modular jump across 1, y is taken on the
+    chord between the bisection's two ends, where their modulars average
+    to 1 (feasible, as Psi is convex).  The certificate y is checked once
+    against the exact conjugate and scaled into the dual ball if it lies
+    outside (Psi is convex with Psi(0) = 0), so the value is the pairing
+    with a feasible y.
     """
     for i in x.space.infinite_indices:
         if x.values[i] != 0.0:
@@ -385,19 +388,12 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     w = np.array([x.space.weights[i] for i in idx])
     ax = np.array([abs(x.values[i]) for i in idx])
 
-    def slope(us: np.ndarray) -> np.ndarray:
-        h = 1e-6 * np.maximum(1.0, us)
-        with np.errstate(invalid="ignore"):
-            out = (phi.evaluate_array(us + h) - phi.evaluate_array(us - h)) / (2.0 * h)
-        return np.maximum(np.nan_to_num(out, nan=0.0, posinf=0.0), 0.0)
-
     def dual_point(k: float) -> tuple[np.ndarray, float]:
-        """y = Phi'(k|x|) clipped at the asymptotic slope, and its conjugate
-        modular by Young's equality (+inf when not finite: slope maps an
-        overflow to 0, which would read as feasible)."""
+        """y = Phi'(k|x|), the right derivative, and its conjugate modular by
+        Young's equality (+inf when not finite)."""
         us = k * ax
-        y = np.minimum(slope(us), phi.slope_limit)
-        with np.errstate(invalid="ignore"):
+        y = phi.derivative_array(us)
+        with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum(w * (us * y - phi.evaluate_array(us))))
         return y, total if math.isfinite(total) else math.inf
 
@@ -423,7 +419,9 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
             s_lo = mid
         else:
             s_hi = mid
-    y = dual_point(math.exp(s_lo))[0]
+    (y_lo, m_lo), (y_hi, m_hi) = dual_point(math.exp(s_lo)), dual_point(math.exp(s_hi))
+    t = 1.0 if m_hi <= 1.0 else (1.0 - m_lo) / (m_hi - m_lo)
+    y = y_lo + t * (y_hi - y_lo)
 
     exact = float(np.sum(w * young_conjugate_many(phi, y)))
     if exact > 1.0:

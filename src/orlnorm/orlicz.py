@@ -9,32 +9,28 @@ identically zero.  The catalog kinds are
     piecewise_linear(pts)   convex polyline through pts, extended linearly
 
 Values beyond double range evaluate to +inf; the modular layer treats that
-as an honest "too large to represent" and the growth analysis below never
+as an honest "too large to represent" and the doubling check below never
 mistakes it for a finite number.
 
-Two cached analysis numbers ride on each function: ``zero_bound``, the
-largest u with Phi(u) = 0, and ``slope_limit``, the limit of Phi(u)/u
-estimated on dyadic probes u = 2^j (j <= 60) and flagged infinite once the
-ratio passes 1e12.
+Each kind carries its convex analysis in closed form (Rockafellar, Convex
+Analysis, 1970, sections 12 and 26): ``zero_bound``, the largest u with
+Phi(u) = 0; ``slope_limit``, the limit of Phi(u)/u; the right derivative;
+the Young conjugate; and the strict-convexity verdict.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-SLOPE_DIVERGENCE = 1e12
 DELTA2_FAIL_RATIO = 1e8
 DELTA2_LO_EXP = -40.0  # the doubling grid: 2^[lo, hi], DELTA2_PER_OCTAVE points per octave
 DELTA2_HI_EXP = 40.0
 DELTA2_PER_OCTAVE = 4
-CONJUGATE_U_MAX = 2.0 ** 40  # the Young conjugate's grid: 0 and a log grid up to here
-CONJUGATE_GRID_POINTS = 400
-CONJUGATE_REFINE_ITERS = 90  # golden-section steps around the grid maximum
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,14 @@ class OrliczFunction:
     xs: tuple[float, ...] = ()
     ys: tuple[float, ...] = ()
     zero_bound: float = 0.0     # largest u >= 0 with Phi(u) = 0
-    slope_limit: float = math.inf  # lim Phi(u)/u, +inf when divergent
+
+    @property
+    def slope_limit(self) -> float:
+        """lim Phi(u)/u as u -> inf: the tail slope of a polyline, 1 for the
+        power kinds with q = 1, +inf otherwise (q is nan for exp_minus)."""
+        if self.kind == "pwl":
+            return self._tail_slope()
+        return 1.0 if self.q == 1.0 else math.inf
 
     def evaluate(self, u: float) -> float:
         au = abs(u)
@@ -112,6 +115,25 @@ class OrliczFunction:
                 out = np.where(tail, self.ys[-1] + self._tail_slope() * (au - self.xs[-1]), out)
             return out
 
+    def derivative_array(self, u: np.ndarray) -> np.ndarray:
+        """The right derivative of Phi on [0, inf), taken at |u|."""
+        au = np.abs(np.asarray(u, dtype=float))
+        k = self.kind
+        with np.errstate(over="ignore"):
+            if k == "power":
+                return self.q * au ** (self.q - 1.0)
+            if k == "exp_minus":
+                return np.expm1(au)
+            if k == "flat_then_power":
+                # 0 ** 0 is 1 in numpy: the flat zone is masked, not powered
+                t = np.maximum(0.0, au - self.a)
+                return np.where(au >= self.a, self.q * t ** (self.q - 1.0), 0.0)
+        xs = np.asarray(self.xs)
+        slopes = np.diff(self.ys) / np.diff(xs)
+        # segment i holds [xs[i], xs[i+1]); past the last breakpoint the tail slope
+        i = np.searchsorted(xs, au, side="right")
+        return slopes[np.minimum(i, len(xs) - 1) - 1]
+
     @property
     def label(self) -> str:
         if self.kind == "power":
@@ -132,34 +154,15 @@ class OrliczFunction:
         return {"kind": self.kind}
 
 
-def _asymptotic_slope(f) -> float:
-    """Estimate lim Phi(u)/u on dyadic probes; +inf past the divergence cap."""
-    ratio = 0.0
-    for j in range(61):
-        u = 2.0 ** j
-        val = f(u)
-        if math.isinf(val):
-            return math.inf
-        ratio = val / u
-        if ratio > SLOPE_DIVERGENCE:
-            return math.inf
-    return ratio
-
-
-def _finish(kind: str, zero_bound: float, **params) -> OrliczFunction:
-    probe = OrliczFunction(kind, **params)
-    return replace(probe, zero_bound=zero_bound, slope_limit=_asymptotic_slope(probe.evaluate))
-
-
 def power(q: float) -> OrliczFunction:
     q = float(q)
     if not math.isfinite(q) or q < 1.0:
         raise DomainError(f"power kind needs finite q >= 1, got {q!r}")
-    return _finish("power", 0.0, q=q)
+    return OrliczFunction("power", q=q)
 
 
 def exp_minus() -> OrliczFunction:
-    return _finish("exp_minus", 0.0)
+    return OrliczFunction("exp_minus")
 
 
 def flat_then_power(a: float, q: float) -> OrliczFunction:
@@ -168,7 +171,7 @@ def flat_then_power(a: float, q: float) -> OrliczFunction:
         raise DomainError(f"flat_then_power needs a > 0, got {a!r}")
     if not math.isfinite(q) or q < 1.0:
         raise DomainError(f"flat_then_power needs q >= 1, got {q!r}")
-    return _finish("flat_then_power", a, a=a, q=q)
+    return OrliczFunction("flat_then_power", a=a, q=q, zero_bound=a)
 
 
 def piecewise_linear(points) -> OrliczFunction:
@@ -192,7 +195,7 @@ def piecewise_linear(points) -> OrliczFunction:
         raise DomainError("the zero function is not an Orlicz function")
     # Phi vanishes exactly on [0, xs[i-1]] for the first i with ys[i] > 0
     first_positive = next(i for i, y in enumerate(ys) if y > 0.0)
-    return _finish("pwl", xs[first_positive - 1], xs=xs, ys=ys)
+    return OrliczFunction("pwl", xs=xs, ys=ys, zero_bound=xs[first_positive - 1])
 
 
 def orlicz_from_descriptor(d: dict) -> OrliczFunction:
@@ -274,58 +277,33 @@ def delta2_check(phi: OrliczFunction, regime: str) -> Delta2Report:
 # Young conjugate
 
 
-def _concave_refine(phi: OrliczFunction, vs: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> np.ndarray:
-    """Golden-section maximum of u -> v*u - Phi(u) on [lo, hi], per element."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc = vs * c - phi.evaluate_array(c)
-    fd = vs * d - phi.evaluate_array(d)
-    for _ in range(CONJUGATE_REFINE_ITERS):
-        left = fc >= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c_new = b - inv * (b - a)
-        d_new = a + inv * (b - a)
-        fc = vs * c_new - phi.evaluate_array(c_new)
-        fd = vs * d_new - phi.evaluate_array(d_new)
-        c, d = c_new, d_new
-    mid = 0.5 * (a + b)
-    return np.maximum(vs * mid - phi.evaluate_array(mid), 0.0)
-
-
 def young_conjugate_many(phi: OrliczFunction, vs) -> np.ndarray:
-    """sup_{u >= 0} (|v| u - Phi(u)) for an array of v, +inf where divergent."""
+    """Psi(v) = sup_{u >= 0} (|v| u - Phi(u)) for an array of v, in closed
+    form per kind; +inf where |v| exceeds the slope limit."""
     av = np.abs(np.asarray(vs, dtype=float))
-    us = np.concatenate(([0.0], np.geomspace(1e-12, CONJUGATE_U_MAX, CONJUGATE_GRID_POINTS)))
-    fus = phi.evaluate_array(us)
-    h = av[:, None] * us[None, :]
-    h -= fus[None, :]  # in place: h is len(vs) x 401
-    h[np.isnan(h)] = -math.inf
-    idx = np.argmax(h, axis=1)
-
-    top = idx == len(us) - 1
-    divergent = top & (av > phi.slope_limit * (1.0 + 1e-9))
-
-    lo = us[np.maximum(idx - 1, 0)]
-    hi = us[np.minimum(idx + 1, len(us) - 1)]
-    refined = _concave_refine(phi, av, lo, hi)
-    coarse = np.maximum(h[np.arange(len(av)), idx], 0.0)
-    out = np.maximum(refined, coarse)
-    return np.where(divergent, math.inf, out)
+    k = phi.kind
+    with np.errstate(over="ignore"):
+        if k == "exp_minus":
+            out = (1.0 + av) * np.log1p(av) - av
+        elif k == "pwl":
+            # a convex polyline: the supremum sits at a breakpoint
+            out = np.max(np.multiply.outer(av, phi.xs) - np.asarray(phi.ys), axis=-1)
+        else:
+            q = phi.q
+            # |u|^q: the supremum is at u = (|v|/q)^(1/(q-1)); for q = 1 it is 0 up to |v| = 1
+            out = np.zeros_like(av) if q == 1.0 else (q - 1.0) * (av / q) ** (q / (q - 1.0))
+            if k == "flat_then_power":
+                out = out + phi.a * av
+    return np.where(av > phi.slope_limit, math.inf, out)
 
 
 def young_conjugate(phi: OrliczFunction, v: float) -> float:
-    """Young conjugate value at v, in [0, +inf]: grid supremum refined
-    locally, +inf when the supremum still grows at CONJUGATE_U_MAX and |v|
-    exceeds the asymptotic slope."""
+    """Young conjugate value at v, in [0, +inf]."""
     return float(young_conjugate_many(phi, [v])[0])
 
 
 # ---------------------------------------------------------------------------
-# Strict convexity probe
+# Strict convexity
 
 
 @dataclass(frozen=True)
@@ -335,30 +313,15 @@ class ConvexityProbe:
     gap: float | None = None
 
 
-def strict_convexity_probe(phi: OrliczFunction, sample_budget: int = 512,
-                           seed: int = 0) -> ConvexityProbe:
-    """Search for a midpoint equality Phi((u1+u2)/2) = (Phi(u1)+Phi(u2))/2
-    with u1 != u2; finding one disproves strict convexity."""
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    candidates: list[tuple[float, float]] = []
-    a = phi.zero_bound
-    if a > 0.0:
-        candidates += [(0.25 * a, 0.75 * a), (-0.5 * a, 0.5 * a)]
-    if phi.kind == "pwl":
-        for x0, x1 in zip(phi.xs, phi.xs[1:]):
-            candidates.append((x0 + 0.25 * (x1 - x0), x0 + 0.75 * (x1 - x0)))
-        candidates.append((phi.xs[-1] + 0.5, phi.xs[-1] + 1.5))
-    scale = max(4.0, 2.0 * a, 1.5 * (phi.xs[-1] if phi.xs else 0.0))
-    for _ in range(sample_budget):
-        u1, u2 = rng.uniform(-scale, scale, 2)
-        if abs(u1 - u2) >= 1e-3 * scale:
-            candidates.append((float(u1), float(u2)))
-    for u1, u2 in candidates:
-        mid = phi.evaluate(0.5 * (u1 + u2))
-        avg = 0.5 * (phi.evaluate(u1) + phi.evaluate(u2))
-        gap = avg - mid
-        if gap <= 1e-12 * max(1.0, avg):
-            return ConvexityProbe(False, (u1, u2), gap)
-    return ConvexityProbe(True, None, None)
+def strict_convexity_probe(phi: OrliczFunction) -> ConvexityProbe:
+    """Strict convexity by kind: exp_minus and |u|^q with q > 1 are strictly
+    convex.  Every other generator is affine on a first piece, [0,
+    zero_bound] when it has a flat zone, else the first polyline segment or
+    [0, 1] for |u|; the piece's quarter points witness a midpoint equality
+    Phi((u1+u2)/2) = (Phi(u1)+Phi(u2))/2, with gap the second minus the first."""
+    if phi.kind == "exp_minus" or (phi.kind == "power" and phi.q > 1.0):
+        return ConvexityProbe(True, None)
+    hi = phi.zero_bound or (phi.xs[1] if phi.kind == "pwl" else 1.0)
+    u1, u2 = 0.25 * hi, 0.75 * hi
+    gap = 0.5 * (phi.evaluate(u1) + phi.evaluate(u2)) - phi.evaluate(0.5 * (u1 + u2))
+    return ConvexityProbe(False, (u1, u2), gap)

@@ -445,7 +445,7 @@ def _measure_embedding_bounds(phi, p, space, rec):
 
 
 def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
-    probe = strict_convexity_probe(phi, 512, seed)
+    probe = strict_convexity_probe(phi)
     if not probe.strictly_convex:
         return _hnm("T5", "generator is not strictly convex", witness=list(probe.witness))
     if not is_strictly_increasing_on_ray(p):

@@ -107,6 +107,15 @@ def test_verify_hypothesis_gate_status(capsys):
     assert json.loads(out)["reports"][0]["status"] == "hypothesis-not-met"
 
 
+def test_verify_attainment_runs_for_slowly_growing_power(capsys):
+    # Phi(u)/u = u^0.5 diverges, so L1's hypothesis holds and its trials run
+    code, out, _ = run(capsys, "verify", "L1", "--phi", "power:1.5", "--p", "l1",
+                       "--budget", "20", "--json")
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert rep["status"] == "passed" and rep["trials"] == 20
+
+
 def test_verify_json_is_deterministic(capsys):
     args = ("verify", "T1", "T2", "--phi", "exp_minus", "--p", "lq:2",
             "--seed", "7", "--budget", "20", "--json")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,13 +58,62 @@ def test_zero_bound_consistency():
         assert phi(a * (1 + 1e-3)) > 0.0
 
 
+# generators with kinks, linear growth or slow growth, next to the catalog
+EXTRA_GENERATORS = {
+    "power:1": power(1),
+    "power:1.05": power(1.05),
+    "power:1.5": power(1.5),
+    "pwl_kinked": piecewise_linear([(0, 0), (1, 0), (2, 1), (3, 3)]),
+    "pwl_no_flat": piecewise_linear([(0, 0), (1, 0.5), (2, 2)]),
+    "flat_then_power:0.5,1": flat_then_power(0.5, 1),
+    "half_square": piecewise_linear([(0.05 * i, (0.05 * i) ** 2 / 2.0) for i in range(81)]),
+}
+
+
+@pytest.fixture
+def generators(orlicz_catalog):
+    return {**orlicz_catalog, **EXTRA_GENERATORS}
+
+
 def test_asymptotic_slope():
     assert power(2).slope_limit == math.inf
-    assert power(1).slope_limit == pytest.approx(1.0, rel=1e-12)
+    assert power(1).slope_limit == 1.0
     assert exp_minus().slope_limit == math.inf
     assert flat_then_power(1, 2).slope_limit == math.inf
     assert piecewise_linear([(0, 0), (1, 1)]).slope_limit == pytest.approx(1.0, rel=1e-12)
     assert piecewise_linear([(0, 0), (1, 0), (2, 1)]).slope_limit == pytest.approx(1.0, rel=1e-6)
+    # Phi(u)/u = u^(q-1) diverges however slowly it grows
+    for q in (1.05, 1.2, 1.5):
+        assert power(q).slope_limit == math.inf
+    assert flat_then_power(1, 1.5).slope_limit == math.inf
+
+
+def test_slope_limit_matches_ratio_on_dense_grid(generators):
+    # Phi(u)/u is nondecreasing with limit slope_limit (Phi convex, Phi(0) = 0)
+    us = np.geomspace(1e-6, 1e300, 3000)
+    for name, phi in generators.items():
+        with np.errstate(over="ignore"):
+            ratio = phi.evaluate_array(us) / us
+        ratio = ratio[np.isfinite(ratio)]
+        assert np.all(np.diff(ratio) >= -1e-12 * ratio[1:]), name
+        if math.isfinite(phi.slope_limit):
+            assert np.all(ratio <= phi.slope_limit * (1.0 + 1e-12)), name
+            assert ratio[-1] == pytest.approx(phi.slope_limit, rel=1e-12), name
+        else:
+            assert ratio[-1] > 1e12, name
+
+
+def test_derivative_is_the_right_derivative(generators):
+    # forward differences; the abscissae include every kink of the extras
+    us = np.concatenate((np.geomspace(1e-6, 50.0, 120), [0.05, 0.5, 1.0, 2.0, 3.0]))
+    for name, phi in generators.items():
+        h = 1e-8 * us
+        fd = (phi.evaluate_array(us + h) - phi.evaluate_array(us)) / h
+        d = phi.derivative_array(us)
+        assert np.all(np.abs(d - fd) <= 1e-6 * np.maximum(1.0, d)), name
+        assert np.all(phi.derivative_array(-us) == d), name
+    assert power(1).derivative_array(0.0) == 1.0  # the right derivative of |u| at 0
+    assert flat_then_power(0.5, 1).derivative_array(0.25) == 0.0  # numpy's 0 ** 0 is 1
 
 
 def test_overflow_evaluates_to_infinity():
@@ -137,12 +187,14 @@ def test_conjugate_power2():
     grid = float(np.max(2.0 * us - us ** 2))
     assert got == pytest.approx(1.0, abs=1e-9)
     assert got == pytest.approx(grid, abs=1e-8)
+    # the supremum sits at u = (5000/1.2)^5, about 1.3e18
+    assert young_conjugate(power(1.2), 5000.0) == pytest.approx(0.2 * (5000 / 1.2) ** 6,
+                                                                rel=1e-12)
 
 
 def test_conjugate_of_half_square_is_self_conjugate():
-    pts = [(0.05 * i, (0.05 * i) ** 2 / 2.0) for i in range(81)]
-    phi = piecewise_linear(pts)
-    assert young_conjugate(phi, 1.0) == pytest.approx(0.5, abs=2e-3)
+    phi = EXTRA_GENERATORS["half_square"]
+    assert young_conjugate(phi, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_conjugate_of_absolute_value():
@@ -157,14 +209,68 @@ def test_conjugate_flat_generator_linear_tail():
     # max(0,u-1): conjugate at v in [0,1] is exactly v (supremum at u = 1)
     phi = flat_then_power(1, 1)
     assert young_conjugate(phi, 0.5) == pytest.approx(0.5, abs=1e-9)
-    assert young_conjugate(phi, 1.0) == pytest.approx(1.0, abs=1e-6)
+    assert young_conjugate(phi, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(-5, 5), st.floats(-20, 20))
 @settings(max_examples=80)
 def test_fenchel_young_inequality(u, v):
-    for phi in (power(2), exp_minus(), flat_then_power(1, 2)):
-        assert u * v <= phi(u) + young_conjugate(phi, v) + 1e-9
+    for phi in (power(2), exp_minus(), flat_then_power(1, 2), *EXTRA_GENERATORS.values()):
+        assert u * v <= phi(u) + young_conjugate(phi, v) + 1e-9 * max(1.0, abs(u * v))
+
+
+def _grid_conjugate(phi, vs):
+    """Reference supremum of |v| u - Phi(u): the maximum over u = 0 and a
+    400-point log grid on [1e-12, 2^40], refined by 90 golden-section steps
+    between the grid maximiser's neighbours.  Also returns, per v, whether
+    the maximiser is the grid's last point (the supremum may lie beyond)."""
+    av = np.abs(np.asarray(vs, dtype=float))
+    us = np.concatenate(([0.0], np.geomspace(1e-12, 2.0 ** 40, 400)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = av[:, None] * us[None, :] - phi.evaluate_array(us)[None, :]
+    h[np.isnan(h)] = -math.inf
+    idx = np.argmax(h, axis=1)
+    a, b = us[np.maximum(idx - 1, 0)], us[np.minimum(idx + 1, len(us) - 1)]
+
+    def f(u):
+        return av * u - phi.evaluate_array(u)
+
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(90):
+        c, d = b - inv * (b - a), a + inv * (b - a)
+        left = f(c) >= f(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    best = np.maximum(f(0.5 * (a + b)), h[np.arange(len(av)), idx])
+    return np.maximum(best, 0.0), idx == len(us) - 1
+
+
+def test_conjugate_matches_grid_reference(generators):
+    vs = np.concatenate((np.geomspace(1e-8, 1e-2, 7), np.linspace(0.0, 3.0, 61)))
+    for name, phi in generators.items():
+        got = young_conjugate_many(phi, vs)
+        ref, at_top = _grid_conjugate(phi, vs)
+        # +inf only where the grid supremum still grows at the grid's end
+        assert np.all(at_top[np.isinf(got)]), name
+        ok = ~at_top
+        # the exp_minus form loses relative precision for v below about 1e-4
+        assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-9 * ref[ok] + 1e-18), name
+
+
+def test_young_equality_at_the_right_derivative(generators):
+    # Psi(Phi'(u)) = u Phi'(u) - Phi(u) holds exactly when Phi'(u) is a subgradient
+    us = np.concatenate(([0.0], np.geomspace(1e-6, 50.0, 200), [0.05, 0.5, 1.0, 2.0, 3.0]))
+    for name, phi in generators.items():
+        d = phi.derivative_array(us)
+        want = us * d - phi.evaluate_array(us)
+        got = young_conjugate_many(phi, d)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-18), name
+
+
+def test_conjugate_overflow_is_infinite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert young_conjugate(power(1.05), 1e20) == math.inf
+        assert exp_minus().derivative_array(1e3) == math.inf
 
 
 def test_conjugate_convex_in_v(orlicz_catalog):
@@ -193,6 +299,11 @@ def test_strict_convexity_probe_verdicts():
     flat = strict_convexity_probe(flat_then_power(1, 2))
     assert not flat.strictly_convex
     assert max(abs(flat.witness[0]), abs(flat.witness[1])) <= 1.0 + 1e-9
+    assert strict_convexity_probe(power(1.05)).strictly_convex
+    linear = strict_convexity_probe(power(1))
+    assert not linear.strictly_convex
+    u1, u2 = linear.witness
+    assert u1 != u2 and power(1)((u1 + u2) / 2) == (power(1)(u1) + power(1)(u2)) / 2
 
 
 @given(st.floats(-6, 6), st.floats(-6, 6), st.floats(0, 1))
