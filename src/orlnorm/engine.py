@@ -58,8 +58,9 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     """inf { lam > 0 : modular(x / lam) <= 1 }, by predicate bisection from
     a bracket found by doubling and halving lam from max|x|.
 
-    Returns +inf exactly when x is nonzero on an infinite atom and Phi
-    vanishes only at 0: the modular of x / lam is then +inf for every lam.
+    Returns +inf when x is nonzero on an infinite atom and Phi vanishes
+    only at 0 (the modular of x / lam is then +inf for every lam), and when
+    the norm overflows a float (doubling lam reaches +inf).
     """
     if x.is_zero:
         return 0.0
@@ -73,6 +74,8 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     hi = max(abs(v) for v in x.values)
     while not under_one(hi):
         hi *= 2.0
+        if math.isinf(hi):
+            return math.inf
     lo = hi
     while under_one(lo * 0.5):
         lo *= 0.5

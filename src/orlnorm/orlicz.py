@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,8 +93,13 @@ class OrliczFunction:
         t = (au - x0) / (x1 - x0)
         return ys[i - 1] * (1.0 - t) + ys[i] * t
 
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """A polyline's segment slopes; the last is its tail slope."""
+        return _segment_slopes(self.xs, self.ys)
+
     def _tail_slope(self) -> float:
-        return (self.ys[-1] - self.ys[-2]) / (self.xs[-1] - self.xs[-2])
+        return float(self._slopes[-1])
 
     def evaluate_array(self, u: np.ndarray) -> np.ndarray:
         au = np.abs(np.asarray(u, dtype=float))
@@ -128,11 +134,9 @@ class OrliczFunction:
                 # 0 ** 0 is 1 in numpy: the flat zone is masked, not powered
                 t = np.maximum(0.0, au - self.a)
                 return np.where(au >= self.a, self.q * t ** (self.q - 1.0), 0.0)
-        xs = np.asarray(self.xs)
-        slopes = np.diff(self.ys) / np.diff(xs)
         # segment i holds [xs[i], xs[i+1]); past the last breakpoint the tail slope
-        i = np.searchsorted(xs, au, side="right")
-        return slopes[np.minimum(i, len(xs) - 1) - 1]
+        i = np.searchsorted(self.xs, au, side="right")
+        return self._slopes[np.minimum(i, len(self.xs) - 1) - 1]
 
     @property
     def label(self) -> str:
@@ -174,6 +178,10 @@ def flat_then_power(a: float, q: float) -> OrliczFunction:
     return OrliczFunction("flat_then_power", a=a, q=q, zero_bound=a)
 
 
+def _segment_slopes(xs, ys) -> np.ndarray:
+    return np.diff(ys) / np.diff(xs)
+
+
 def piecewise_linear(points) -> OrliczFunction:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
@@ -186,8 +194,8 @@ def piecewise_linear(points) -> OrliczFunction:
         raise DomainError("breakpoint abscissae must be strictly increasing")
     if any(y < 0.0 or not math.isfinite(y) for y in ys):
         raise DomainError("breakpoint values must be finite and nonnegative")
-    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-    if any(s1 < s0 - 1e-12 for s0, s1 in zip(slopes, slopes[1:])):
+    slopes = _segment_slopes(xs, ys)
+    if np.any(slopes[1:] < slopes[:-1] - 1e-12):
         raise DomainError("breakpoints must describe a convex function")
     if slopes[0] < -1e-12:
         raise DomainError("an even convex function cannot decrease on [0, inf)")

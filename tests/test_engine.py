@@ -57,6 +57,12 @@ def test_luxemburg_outside_space_flagged_infinite():
     assert math.isinf(luxemburg_norm(power(2), x))
 
 
+def test_luxemburg_overflow_is_infinite():
+    # the norms are 2e308 and 1e310 (power:1): doubling lam overflows
+    assert luxemburg_norm(power(1), simple_function(measure_space([2.0]), [1e308])) == math.inf
+    assert luxemburg_norm(power(1), simple_function(measure_space([1e300]), [1e10])) == math.inf
+
+
 # --------------------------------------------------------------------------
 # generated norm: closed forms for the square generator
 
