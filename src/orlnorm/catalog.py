@@ -25,9 +25,5 @@ def catalog_orlicz_functions() -> dict[str, OrliczFunction]:
 
 
 def strictly_monotone_planar_norms() -> dict[str, PlanarNorm]:
-    out = {}
-    for name, p in catalog_planar_norms().items():
-        ok, _ = strictly_monotone_probe(p, budget=128, seed=7)
-        if ok:
-            out[name] = p
-    return out
+    return {name: p for name, p in catalog_planar_norms().items()
+            if strictly_monotone_probe(p)[0]}

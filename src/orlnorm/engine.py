@@ -32,6 +32,7 @@ from .spaces import SimpleFunction, modular, modular_of, modular_on_grid
 
 K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L (I(k_L x) = 1)
 ROOT_LOG_TOL = 1e-2  # width in log k of the Luxemburg root that seeds Brent (p not max)
+DUAL_LOG_TOL = 2e-4  # width in log k of the dual norm's root bracket before one secant step
 GAP_REL_TOL = 1e-13  # Brent stops once convexity bounds the infimum this close to g
 LUXEMBURG_REL_TOL = 1e-10  # bisection stops at this relative width
 GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
@@ -105,9 +106,7 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     if x.is_zero:
         return NormResult(0.0, None, False, None, 0)
 
-    # the norm is homogeneous: start at k = 1 / max|x|; k and k max|x| stay below 1e300
-    s_start = -math.log(max(abs(v) for v in x.values))
-    s_top = min(s_start, 0.0) - _LOG_TINY
+    s_start, s_top = log_k_span(x)
     k_top = math.exp(s_top)
     open_top = True  # s_top caps k; false while it is the finite/+inf jump
     # I(k x) = +inf exactly when Phi(k m) > 0: stop at the last k with Phi(k m) = 0
@@ -141,7 +140,7 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         return mod
 
     p11 = p_abs(1.0, 1.0)
-    lo, hi = _luxemburg_root(sample, phi, x, min(s_start, s_top), s_top,
+    lo, hi = luxemburg_root(sample, phi, x, min(s_start, s_top), s_top,
                              log_tol if p11 == 1.0 else ROOT_LOG_TOL)
     if hi not in seen:
         sample(hi)
@@ -163,8 +162,15 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
                       evaluations=len(seen))
 
 
-def _luxemburg_root(sample, phi: OrliczFunction, x: SimpleFunction, s: float, s_top: float,
-                    tol: float) -> tuple[float, float]:
+def log_k_span(x: SimpleFunction) -> tuple[float, float]:
+    """(s_start, s_top) in s = log k for a nonzero x: the searches are homogeneous,
+    starting at k = 1 / max|x|; up to s_top, k and k max|x| stay below 1e300."""
+    s_start = -math.log(max(abs(v) for v in x.values))
+    return s_start, min(s_start, 0.0) - _LOG_TINY
+
+
+def luxemburg_root(sample, phi: OrliczFunction, x: SimpleFunction, s: float, s_top: float,
+                   tol: float) -> tuple[float, float]:
     """Bracket (lo, hi) in s = log k, of width at most about tol, of the
     Luxemburg point I(e^s x) = 1, searched from s up to s_top; (s_top,
     s_top) when I <= 1 up to there (s_top possibly not sampled).  sample(s)
@@ -372,14 +378,15 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     The supremum is attained at y = Phi'(k|x|), the right derivative, for
     the k where the conjugate modular of y reaches 1.  By Young's equality
     Psi(Phi'(u)) = u Phi'(u) - Phi(u), that modular is sum w (u Phi'(u) -
-    Phi(u)) with u = k|x|, which is nondecreasing in k; the k is found by
-    doubling from k_L / 2 and bisection on log k, capped at K_CAP * k_L.
-    Where a kink of Phi makes the modular jump across 1, y is taken on the
-    chord between the bisection's two ends, where their modulars average
-    to 1 (feasible, as Psi is convex).  The certificate y is checked once
-    against the exact conjugate and scaled into the dual ball if it lies
-    outside (Psi is convex with Psi(0) = 0), so the value is the pairing
-    with a feasible y.
+    Phi(u)) with u = k|x|, which is nondecreasing in k.  Brent's zeroin
+    finds the k on the log of that modular in s = log k, bracketed from
+    k_L / 2 (k_L the Luxemburg point I(k_L x) = 1) by steps that double up
+    to K_CAP * k_L.  y is taken on the chord between the bracket's ends,
+    where their modulars average to 1 (feasible, as Psi is convex): exact
+    where a kink of Phi makes the modular jump across 1.  The certificate y
+    is checked once against the exact conjugate and scaled into the dual
+    ball if it lies outside (Psi is convex with Psi(0) = 0), so the value
+    is the pairing with a feasible y.
     """
     for i in x.space.infinite_indices:
         if x.values[i] != 0.0:
@@ -390,39 +397,43 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     idx = [i for i in x.support]
     w = np.array([x.space.weights[i] for i in idx])
     ax = np.array([abs(x.values[i]) for i in idx])
+    points: dict[float, tuple[np.ndarray, float]] = {}  # s -> (y, conjugate modular of y)
 
-    def dual_point(k: float) -> tuple[np.ndarray, float]:
-        """y = Phi'(k|x|), the right derivative, and its conjugate modular by
-        Young's equality (+inf when not finite)."""
-        us = k * ax
+    def log_modular(s: float) -> float:
+        """Take y = Phi'(e^s |x|), the right derivative, and the log of its
+        conjugate modular by Young's equality (+inf when not finite)."""
+        us = math.exp(s) * ax
         y = phi.derivative_array(us)
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum(w * (us * y - phi.evaluate_array(us))))
-        return y, total if math.isfinite(total) else math.inf
-
-    def feasible(k: float) -> bool:
-        return dual_point(k)[1] <= 1.0
+        if not math.isfinite(total):
+            total = math.inf
+        points[s] = y, total
+        return math.log(total) if total > 0.0 else -math.inf
 
     # u Phi'(u) - Phi(u) <= Phi(2u) - 2 Phi(u), so the modular is at most
-    # I(2kx) and k = k_L / 2 is feasible, k_L the Luxemburg point I(k_L x) = 1
+    # I(2kx) and k = k_L / 2 is feasible
     modular_at = modular_of(phi, x)
-    s_start = -math.log(float(ax.max()))
-    s_lo, s_hi = _luxemburg_root(lambda s: modular_at(math.exp(s)), phi, x, s_start,
-                                 min(s_start, 0.0) - _LOG_TINY, ROOT_LOG_TOL)
-    lo = hi = 0.5 * math.exp(s_lo)
-    k_cap = K_CAP * math.exp(s_hi)
-    while hi < k_cap and feasible(hi):
-        lo, hi = hi, min(2.0 * hi, k_cap)
-    while not feasible(lo):
-        lo, hi = 0.5 * lo, lo
-    s_lo, s_hi = math.log(lo), math.log(hi)
-    for _ in range(60):
-        mid = 0.5 * (s_lo + s_hi)
-        if feasible(math.exp(mid)):
-            s_lo = mid
-        else:
-            s_hi = mid
-    (y_lo, m_lo), (y_hi, m_hi) = dual_point(math.exp(s_lo)), dual_point(math.exp(s_hi))
+    s_start, s_top = log_k_span(x)
+    s_lo, s_hi = luxemburg_root(lambda s: modular_at(math.exp(s)), phi, x, s_start, s_top,
+                                ROOT_LOG_TOL)
+    s_cap = s_hi + _LOG_K_CAP
+    a = b = s_lo - _LN2
+    fa = fb = log_modular(a)
+    step = _LN2
+    while fb <= 0.0 and b < s_cap:
+        a, fa = b, fb
+        b = min(b + step, s_cap)
+        fb = log_modular(b)
+        step *= 2.0
+    lo, hi = (b, b) if fb <= 0.0 else _zeroin(log_modular, a, fa, b, fb, DUAL_LOG_TOL)
+    if lo < hi:  # a secant step lands O(tol^2) from a smooth root; the chord's
+        # error is the product of its ends' distances to the root
+        (_, m_lo), (_, m_hi) = points[lo], points[hi]
+        s = lo + (1.0 - m_lo) / (m_hi - m_lo) * (hi - lo)
+        if lo < s < hi:
+            lo, hi = (s, hi) if log_modular(s) <= 0.0 else (lo, s)
+    (y_lo, m_lo), (y_hi, m_hi) = points[lo], points[hi]
     t = 1.0 if m_hi <= 1.0 else (1.0 - m_lo) / (m_hi - m_lo)
     y = y_lo + t * (y_hi - y_lo)
 

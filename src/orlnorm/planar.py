@@ -5,8 +5,9 @@ monotone in them.  Every constructible kind is normalised so that
 p((1,0)) = p((0,1)) = 1.  The catalog kinds (max, sum, q-mean) evaluate
 exactly; user-defined norms are given by boundary samples of the unit
 sphere in the positive quadrant and interpolate the radius piecewise
-linearly in the angle.  Axiom checks are sampled: a "pass" means no
-violation was found at the given budget.
+linearly in the angle.  check_lattice_axioms and verify_sandwich are
+sampled: a "pass" means no violation was found at the given budget.  The
+strictness verdicts are exact per kind, from one end of each boundary piece.
 
 The monotonicity modulus
 
@@ -32,8 +33,6 @@ import numpy as np
 from .errors import DomainError
 
 PLANAR_TOL = 1e-12  # absolute comparison tolerance at O(1) magnitudes
-RAY_U_MAX = 4.0  # is_strictly_increasing_on_ray samples u in [0, RAY_U_MAX]
-RAY_GRID = 64
 _HALF_PI = math.pi / 2.0
 
 
@@ -416,35 +415,58 @@ def build_modulus_table(p: PlanarNorm, epsilons=None, resolution: float = 1e-3) 
 
 
 # ---------------------------------------------------------------------------
-# Strictness probes
+# Strictness verdicts
+
+
+def _sphere_point(p: PlanarNorm, theta: float) -> tuple[float, float]:
+    r = p._radius(theta)
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+def _failing_end(p: PlanarNorm, ray: bool) -> tuple[float, float] | None:
+    """(theta, signed width of the piece) at the first piece end where the
+    sphere curve rho(theta)(cos theta, sin theta) has x rising or (unless
+    ``ray``) y falling; None when there is none.  With rho's slope m on a
+    piece, x' = m cos - rho sin and y' = m sin + rho cos.  For m >= 0, y' > 0
+    and rho tan rises, so x' <= 0 iff at the left end; for m < 0, x' < 0 and
+    rho cot falls, so y' >= 0 iff at the right end."""
+    ang, rad = p.angles, p.radii
+    for t0, t1, r0, r1 in zip(ang, ang[1:], rad, rad[1:]):
+        m = (r1 - r0) / (t1 - t0)
+        if m >= 0.0:
+            if m * math.cos(t0) > r0 * math.sin(t0):
+                return t0, t1 - t0
+        elif not ray and -m * math.sin(t1) > r1 * math.cos(t1):
+            return t1, t0 - t1
+    return None
 
 
 def is_strictly_increasing_on_ray(p: PlanarNorm) -> bool:
-    """True iff u -> p((1, u)) strictly increases across the sampled grid."""
-    us = np.linspace(0.0, RAY_U_MAX, RAY_GRID)
-    vals = p.evaluate_many(np.ones(RAY_GRID), us)
-    return bool(np.all(np.diff(vals) > PLANAR_TOL))
+    """True iff u -> p((1, u)) strictly increases on [0, inf), exactly per
+    kind.  1/p((1, tan theta)) is the sphere's x at angle theta, and on a
+    boundary piece with x' <= 0, x' vanishes at most once."""
+    if p.kind == "boundary":
+        return _failing_end(p, ray=True) is None
+    return p.kind != "linf"
 
 
-def strictly_monotone_probe(p: PlanarNorm, budget: int = 512, seed: int = 0):
-    """Scan for a dominated pair 0 <= x <= y, x != y with p(x) = p(y).
-
-    Returns (True, None) when no flat pair was found, else (False, witness).
-    """
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for t in (0.2, 0.5, 0.8):
-        pairs.append(((1.0, t), (1.0, 1.0)))
-        pairs.append(((t, 1.0), (1.0, 1.0)))
-    for _ in range(budget):
-        u, v = rng.uniform(0.05, 2.0, 2)
-        bump = rng.uniform(0.05, 1.0)
-        if rng.random() < 0.5:
-            pairs.append(((u, v), (u + bump, v)))
-        else:
-            pairs.append(((u, v), (u, v + bump)))
-    for low, high in pairs:
-        if p.evaluate(high) - p.evaluate(low) <= PLANAR_TOL:
-            return False, {"low": list(low), "high": list(high),
-                           "low_value": p.evaluate(low), "high_value": p.evaluate(high)}
-    return True, None
+def strictly_monotone_probe(p: PlanarNorm):
+    """Strict monotonicity on the positive quadrant, exactly per kind: the
+    sum and q-mean norms are, the max norm is not.  A boundary ball is
+    monotone iff its sphere curve has x nonincreasing and y nondecreasing,
+    and then strictly monotone, as a piece linear in angle holds no segment.
+    Returns (True, None) or (False, witness), the witness a dominated pair
+    on the unit sphere: a failing piece end and a point into the piece."""
+    if p.kind == "linf":
+        return False, {"low": [1.0, 0.2], "high": [1.0, 1.0], "low_value": 1.0, "high_value": 1.0}
+    end = _failing_end(p, ray=False) if p.kind == "boundary" else None
+    if end is None:
+        return True, None
+    theta, h = end
+    low = _sphere_point(p, theta)
+    high = _sphere_point(p, theta + h)
+    while high[0] < low[0] or high[1] < low[1]:  # ends: the failing derivative is strict
+        h *= 0.5
+        high = _sphere_point(p, theta + h)
+    return False, {"low": list(low), "high": list(high),
+                   "low_value": p.evaluate(low), "high_value": p.evaluate(high)}

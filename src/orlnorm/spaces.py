@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
 @dataclass(frozen=True)
 class MeasureSpace:
     weights: tuple[float, ...]
-    ids: tuple[str, ...]
 
     @property
     def n_atoms(self) -> int:
@@ -49,22 +48,14 @@ class MeasureSpace:
         return {"atoms": [{"w": "inf" if math.isinf(w) else w} for w in self.weights]}
 
 
-def measure_space(weights, ids=None) -> MeasureSpace:
+def measure_space(weights) -> MeasureSpace:
     ws = tuple(float(w) for w in weights)
     if not ws:
         raise DomainError("a measure space needs at least one atom")
     for w in ws:
         if math.isnan(w) or w <= 0.0:
             raise DomainError(f"atom weights must be positive (or +inf), got {w!r}")
-    if ids is None:
-        ids = tuple(str(i) for i in range(len(ws)))
-    else:
-        ids = tuple(str(i) for i in ids)
-        if len(ids) != len(ws):
-            raise DomainError("ids and weights must align")
-        if len(set(ids)) != len(ids):
-            raise DomainError("atom ids must be unique")
-    return MeasureSpace(weights=ws, ids=ids)
+    return MeasureSpace(weights=ws)
 
 
 def unit_weights(n: int) -> MeasureSpace:
@@ -227,15 +218,15 @@ def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) ->
     return out
 
 
-def dominated_pair_sample(space: MeasureSpace, rng: np.random.Generator,
-                          scale: float = 1.0) -> tuple[SimpleFunction, SimpleFunction]:
+def dominated_pair_sample(space: MeasureSpace,
+                          rng: np.random.Generator) -> tuple[SimpleFunction, SimpleFunction]:
     """A random pair 0 <= x <= y supported on the finite atoms."""
     n = space.n_atoms
     y_vals = np.zeros(n)
     fi = list(space.finite_indices)
     if not fi:
         raise DomainError("space has no finite atoms to support the pair")
-    y_vals[fi] = rng.uniform(0.0, scale, len(fi))
+    y_vals[fi] = rng.uniform(0.0, 1.0, len(fi))
     frac = rng.uniform(0.0, 1.0, n)
     x_vals = frac * y_vals
     return (SimpleFunction(space, tuple(x_vals)), SimpleFunction(space, tuple(y_vals)))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import generated_norm, lemma_bounds_check
+from .engine import generated_norm, lemma_bounds_check, log_k_span, luxemburg_root
 from .errors import DomainError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, OrliczFunction,
                      delta2_check, orlicz_from_descriptor, strict_convexity_probe)
@@ -46,7 +46,7 @@ from .planar import (MonotonicityModulusTable, PlanarNorm, build_modulus_table,
                      is_strictly_increasing_on_ray, l1, linf, planar_from_descriptor,
                      sandwich_violated, strictly_monotone_probe, verify_sandwich)
 from .spaces import (MeasureSpace, SimpleFunction, dominated_pair_sample, measure_space,
-                     modular, simple_function, space_from_descriptor)
+                     modular, modular_of, simple_function, space_from_descriptor)
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"
@@ -61,6 +61,9 @@ UM_EPSILONS = (0.25, 0.5, 0.75)  # T9's norm levels of the dominated piece
 CONV_TOL = 1e-3  # R3, convergent branch: the last norm must fall below this
 NORM_FLOOR = 0.9  # R3, counterexample branch: every steep norm must reach this
 WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aims for
+PHI_TOP_CAP = 2.0 ** 140  # the steep level of generators still finite there
+SCALE_LOG_TOL = 1e-13  # R3: width in log c of the root of modular(c x) = target
+NO_FINITE_ATOM = "needs a finite atom"  # the samples live on the finite atoms
 
 
 @dataclass
@@ -95,11 +98,11 @@ def _norm_value(phi, p, x) -> float:
     return generated_norm(phi, p, x).value
 
 
-def _random_function(space: MeasureSpace, rng: np.random.Generator, scale: float = 1.0,
+def _random_function(space: MeasureSpace, rng: np.random.Generator,
                      signed: bool = False) -> SimpleFunction:
     vals = np.zeros(space.n_atoms)
     fi = list(space.finite_indices)
-    vals[fi] = rng.uniform(0.05, scale, len(fi))
+    vals[fi] = rng.uniform(0.05, 1.0, len(fi))
     if signed:
         vals[fi] *= rng.choice([-1.0, 1.0], len(fi))
     return SimpleFunction(space, tuple(vals))
@@ -117,27 +120,22 @@ def suitable_delta2_regime(space: MeasureSpace) -> str:
 
 
 def _finite_phi_top(phi: OrliczFunction) -> float:
-    """Largest argument at which Phi still evaluates to a finite double."""
-    lo = 1.0
-    hi = None
-    v = lo
-    for _ in range(140):
-        v *= 2.0
-        if math.isinf(phi.evaluate(v)):
-            hi = v
-            break
-        lo = v
-    if hi is None:
-        return lo
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if math.isinf(phi.evaluate(mid)):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * lo:
-            break
-    return lo
+    """The largest float at which Phi is finite, capped at PHI_TOP_CAP: the
+    overflow point in closed form per kind (log DBL_MAX, zero_bound +
+    DBL_MAX^(1/q), a polyline's affine tail), its rounding fixed by nextafter."""
+    big = float(np.finfo(float).max)
+    if phi.kind == "exp_minus":
+        v = math.log(big)
+    elif phi.kind == "pwl":
+        v = phi.xs[-1] + (big - phi.ys[-1]) / phi.slope_limit
+    else:
+        v = phi.zero_bound + big ** (1.0 / phi.q)
+    v = min(v, PHI_TOP_CAP)
+    while math.isinf(phi.evaluate(v)):
+        v = math.nextafter(v, 0.0)
+    while v < PHI_TOP_CAP and math.isfinite(phi.evaluate(math.nextafter(v, math.inf))):
+        v = math.nextafter(v, math.inf)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +204,8 @@ def _measure_ordering(phi, p, space, rec):
 
 
 def suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
+    if not space.finite_indices:
+        return _hnm("T2", NO_FINITE_ATOM)
     rng = _rng(seed)
     violations = []
     _check(violations, "norm_zero", phi, p, space, values=[0.0] * space.n_atoms)
@@ -247,6 +247,8 @@ def suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50) -> Theor
     if math.isfinite(phi.slope_limit):
         return _hnm("L1", "needs an asymptotic slope diverging to infinity",
                     slope_limit=phi.slope_limit)
+    if not space.finite_indices:
+        return _hnm("L1", NO_FINITE_ATOM)
     rng = _rng(seed)
     violations = []
     for _ in range(budget):
@@ -512,25 +514,13 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
         return _passed("T6", budget - skipped, violations,
                        {"pairs": budget - skipped, "skipped": skipped})
 
-    # flat generator: build the explicit norm-preserving enlargement
-    fi = list(space.finite_indices)
-    if len(fi) < 2:
-        # no atom can be left free; fall back to a random flat-pair search
-        found = None
-        for _ in range(budget):
-            x, y = dominated_pair_sample(space, rng)
-            if y.is_zero or x.values == y.values:
-                continue
-            if abs(_norm_value(phi, p, x) - _norm_value(phi, p, y)) <= 1e-9:
-                found = {"x": list(x.values), "y": list(y.values)}
-                break
-        if found is not None:
-            return _passed("T6", budget, [], {"fallback": "random-search",
-                                              "flat_pair": found})
-        return _hnm("T6", "no free finite atom and random search found no flat pair")
-    free = fi[-1]
+    # flat generator: z enlarges y by a / k* on the free last atom, where
+    # Phi(k* a / k*) = Phi(a) = 0 adds nothing to I(k* y), finite atom or not
+    if space.n_atoms < 2:
+        return _hnm("T6", "a one-atom space holds no flat pair: the norm is homogeneous")
+    free = space.n_atoms - 1
     vals = np.zeros(space.n_atoms)
-    vals[fi[:-1]] = rng.uniform(0.5, 1.5, len(fi) - 1)
+    vals[:free] = rng.uniform(0.5, 1.5, free)
     y = SimpleFunction(space, tuple(vals))
     ry = generated_norm(phi, p, y)
     y = y.scaled(1.0 / ry.value)
@@ -588,9 +578,11 @@ def _measure_difference(phi, p, space, rec):
 
 def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 500,
                                  table: MonotonicityModulusTable | None = None) -> TheoremReport:
-    ok, wit = strictly_monotone_probe(p, 256, seed)
+    ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T7", "planar norm is not strictly monotone", witness=wit)
+    if not space.finite_indices:
+        return _hnm("T7", NO_FINITE_ATOM)
     table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
     violations = []
@@ -670,9 +662,11 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
                          table: MonotonicityModulusTable | None = None) -> TheoremReport:
     if phi.zero_bound != 0.0:
         return _hnm("T8", "needs a generator vanishing only at zero")
-    ok, wit = strictly_monotone_probe(p, 256, seed)
+    ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T8", "planar norm is not strictly monotone", witness=wit)
+    if not space.finite_indices:
+        return _hnm("T8", NO_FINITE_ATOM)
     table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
     violations = []
@@ -695,7 +689,7 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
 def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120,
                                table: MonotonicityModulusTable | None = None,
                                n_max: int = 10) -> TheoremReport:
-    ok, wit = strictly_monotone_probe(p, 256, seed)
+    ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T9", "planar norm is not strictly monotone", witness=wit)
     if phi.zero_bound > 0.0:
@@ -703,6 +697,8 @@ def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 12
     regime = suitable_delta2_regime(space)
     d2 = delta2_check(phi, regime)
     if d2.holds:
+        if not space.finite_indices:
+            return _hnm("T9", NO_FINITE_ATOM)
         return _um_positive(phi, p, space, seed=seed, budget=budget,
                             table=table if table is not None else _TableOnFirstUse(p),
                             regime=regime)
@@ -752,20 +748,9 @@ def _um_failure_construction(phi, p, *, seed, n_max, regime):
     """Doubling fails: exhibit additive perturbations with norms bounded away
     from zero that barely move the unit vector they are added to."""
     rng = _rng(seed)
-    v_star = 0.98 * _finite_phi_top(phi)
     block = 3
-    weights = [1.0] * block
-    levels = []
-    for n_ in range(1, n_max + 1):
-        fv = phi.evaluate(v_star)
-        if not math.isfinite(fv) or fv <= 0.0:
-            return _hnm("T9", "no steep representable level available")
-        w = (2.0 ** -n_) / fv * (1.0 - 1e-9)
-        if w <= 0.0:
-            return _hnm("T9", "steep-atom weight underflowed")
-        weights.append(w)
-        levels.append(v_star)
-    space = measure_space(weights)
+    steep, levels = _steep_tail_element(phi, n_max)
+    space = measure_space((1.0,) * block + steep.weights)
 
     xvals = np.zeros(space.n_atoms)
     xvals[:block] = rng.uniform(0.5, 1.5, block)
@@ -789,7 +774,7 @@ def _um_failure_construction(phi, p, *, seed, n_max, regime):
         measured.append({key: rec[key] for key in ("n", "norm_x_n", "norm_sum", "modular_at_k")})
     return _passed("T9", n_max, violations,
                    {"branch": "failure-construction", "regime": regime, "k": k,
-                    "level": v_star, "measured": measured})
+                    "level": levels[0], "measured": measured})
 
 
 def _measure_um_failure(phi, p, space, rec):
@@ -812,14 +797,12 @@ def _um_failure_violated(r: dict) -> bool:
 # R2 / R3: order continuity and modular-to-norm convergence
 
 
-def _steep_tail_element(phi, n_levels: int, v_level: float | None = None):
+def _steep_tail_element(phi, n_levels: int):
     """Shrinking-weight atoms with per-atom modular 2^-j; the steep level is
     shared so tails keep a large norm exactly when doubling fails.  Returns
     (space, levels)."""
-    if v_level is None:
-        v_level = 0.98 * _finite_phi_top(phi)
-        if phi.kind == "power":  # growth is tame; growing levels keep weights sane
-            v_level = None
+    # a power's growth is tame; growing levels keep its weights sane
+    v_level = None if phi.kind == "power" else 0.98 * _finite_phi_top(phi)
     levels, weights = [], []
     for j in range(1, n_levels + 1):
         v = v_level if v_level is not None else 2.0 ** j
@@ -873,6 +856,8 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
     regime = suitable_delta2_regime(space)
     d2 = delta2_check(phi, regime)
     if d2.holds:
+        if not space.finite_indices:
+            return _hnm("R3", NO_FINITE_ATOM)
         rng = _rng(seed)
         base = _random_function(space, rng)
         rec = _check(violations, "modular_norm_convergence", phi, p, space,
@@ -893,19 +878,13 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
 
 
 def _scale_to_modular(phi, x, target: float) -> float:
-    """c with modular(c x) = target, by bisection (modulars grow with c)."""
-    lo, hi = 0.0, 1.0
-    while modular(phi, x, scale=hi) < target:
-        hi *= 2.0
-        if hi > 1e18:
-            raise DomainError("cannot reach the requested modular level")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if modular(phi, x, scale=mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """c <= the root of modular(c x) = target, within SCALE_LOG_TOL in log c:
+    the Luxemburg root of modular / target (I(cx) / (c target) rises)."""
+    modular_at = modular_of(phi, x)
+    s_start, s_top = log_k_span(x)
+    lo, _ = luxemburg_root(lambda s: modular_at(math.exp(s)) / target, phi, x, s_start, s_top,
+                           SCALE_LOG_TOL)
+    return math.exp(lo)
 
 
 def _measure_convergence(phi, p, space, rec):

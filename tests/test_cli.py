@@ -116,6 +116,18 @@ def test_verify_attainment_runs_for_slowly_growing_power(capsys):
     assert rep["status"] == "passed" and rep["trials"] == 20
 
 
+def test_verify_on_a_space_without_finite_atoms(capsys):
+    # the samples live on the finite atoms: suites that need them are gated
+    space = '{"atoms":[{"w":"inf"},{"w":"inf"}]}'
+    for phi, p in (("power:2", "l1"), ("flat_then_power:1,2", "lq:2")):
+        code, out, _ = run(capsys, "verify", "--all", "--json", "--budget", "20",
+                           "--phi", phi, "--p", p, "--space", space)
+        assert code == 0
+        reports = {r["theorem_id"]: r for r in json.loads(out)["reports"]}
+        assert all(r["status"] != "failed" for r in reports.values())
+        assert reports["T7"]["details"]["reason"] == "needs a finite atom"
+
+
 def test_verify_json_is_deterministic(capsys):
     args = ("verify", "T1", "T2", "--phi", "exp_minus", "--p", "lq:2",
             "--seed", "7", "--budget", "20", "--json")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from orlnorm import (K_CAP, DomainError, PreconditionError, exp_minus, flat_then_power,
-                     generated_norm, generated_norm_on_grid, l1, lemma_bounds_check,
+from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError, exp_minus,
+                     flat_then_power, generated_norm, generated_norm_on_grid, l1,
+                     lemma_bounds_check,
                      linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
                      orlicz_dual_norm, piecewise_linear, power, simple_function,
                      unit_weights)
@@ -356,7 +357,16 @@ def test_dual_norm_zero_and_single_atom():
         assert got == pytest.approx(2.0 * c, rel=1e-3)
 
 
-def test_dual_norm_weighted_and_steep():
+def test_dual_norm_weighted_and_steep(monkeypatch):
+    # each probe of k evaluates Phi' once: at most 20 of them per dual norm
+    calls = []
+    derivative = OrliczFunction.derivative_array
+
+    def counted(self, u):
+        calls.append(u)
+        return derivative(self, u)
+
+    monkeypatch.setattr(OrliczFunction, "derivative_array", counted)
     rng = np.random.default_rng(9)
     sp = measure_space([0.5, 1.0, 2.0])
     kinked = (piecewise_linear([(0, 0), (1, 0), (2, 1), (3, 3)]), flat_then_power(0.5, 1),
@@ -364,7 +374,9 @@ def test_dual_norm_weighted_and_steep():
     for phi in (power(2), power(3), exp_minus(), flat_then_power(1, 2)) + kinked:
         for _ in range(5):
             x = _rand_function(sp, rng)
+            calls.clear()
             dual = orlicz_dual_norm(phi, x)
+            assert len(calls) <= 20, phi.label
             amemiya = generated_norm(phi, l1(), x).value
             assert dual <= amemiya + 1e-6, phi.label
             assert dual >= amemiya - 1e-10 * max(1.0, amemiya), phi.label

@@ -184,14 +184,78 @@ def test_strictly_increasing_on_ray():
     assert is_strictly_increasing_on_ray(l1())
     assert not is_strictly_increasing_on_ray(linf())
     assert is_strictly_increasing_on_ray(lq(2))
+    # x' <= 0 up to u = 4 but p((1, u)) falls from u ~ 4.455: a grid on
+    # u in [0, 4] called this ball ray-strict
+    p = boundary_sampled([(0.0, 1.0), (1.35, 1.0), (1.45, 1.6), (HALF_PI, 1.0)])
+    assert not is_strictly_increasing_on_ray(p)
+    assert p((1.0, 5.0)) < p((1.0, 4.5))
 
 
 def test_strictly_monotone_probe():
     ok, witness = strictly_monotone_probe(linf())
-    assert not ok and witness is not None
+    assert not ok
+    assert witness == {"low": [1.0, 0.2], "high": [1.0, 1.0], "low_value": 1.0,
+                       "high_value": 1.0}
     for p in (l1(), lq(1.5), lq(2), lq(3)):
         ok, witness = strictly_monotone_probe(p)
         assert ok, witness
+    # the sphere leaves (1, 0) outward: p((1.0037, 0)) > p((1.0037, 0.0502)),
+    # which a scan of random dominated pairs missed
+    p = boundary_sampled([(0.0, 1.0), (0.5307897118093668, 1.0524571004753451), (HALF_PI, 1.0)])
+    assert p((1.0037, 0.0)) > p((1.0037, 0.0502))
+    ok, witness = strictly_monotone_probe(p)
+    assert not ok
+    _assert_dominated_sphere_pair(p, witness)
+
+
+def _assert_dominated_sphere_pair(p, witness):
+    low, high = witness["low"], witness["high"]
+    assert low != high and low[0] <= high[0] and low[1] <= high[1], witness
+    assert witness["low_value"] == pytest.approx(1.0, abs=1e-12)
+    assert witness["high_value"] == pytest.approx(1.0, abs=1e-12)
+    assert p(tuple(low)) == witness["low_value"] and p(tuple(high)) == witness["high_value"]
+
+
+def _random_ball(rng):
+    """A boundary ball: a q-mean sphere sampled at 1-5 angles, its radii
+    scaled by noise of a random size (none, small, large)."""
+    n = int(rng.integers(1, 6))
+    angles = np.sort(rng.uniform(0.0, HALF_PI, n))
+    q = rng.uniform(1.0, 4.0)
+    radii = (np.cos(angles) ** q + np.sin(angles) ** q) ** (-1.0 / q)
+    radii = radii * (1.0 + rng.choice([0.0, 0.01, 0.1]) * rng.standard_normal(n))
+    return boundary_sampled([(0.0, 1.0), *zip(angles, radii), (HALF_PI, 1.0)])
+
+
+def test_strictness_verdicts_match_dense_sphere_oracle():
+    # oracle: the sphere curve on 20,001 angles; monotone iff x never rises
+    # and y never falls, ray-strict iff x strictly falls
+    rng = np.random.default_rng(2024)
+    thetas = np.linspace(0.0, HALF_PI, 20_001)
+    counts = {True: 0, False: 0}
+    for _ in range(400):
+        p = _random_ball(rng)
+        rho = np.interp(thetas, p.angles, p.radii)
+        dx, dy = np.diff(rho * np.cos(thetas)), np.diff(rho * np.sin(thetas))
+        ok, witness = strictly_monotone_probe(p)
+        assert ok == bool(np.all(dx <= 0.0) and np.all(dy >= 0.0)), p.descriptor()
+        assert is_strictly_increasing_on_ray(p) == bool(np.all(dx < 0.0)), p.descriptor()
+        counts[ok] += 1
+        if not ok:
+            _assert_dominated_sphere_pair(p, witness)
+    assert min(counts.values()) >= 50, counts
+
+
+def test_sampled_monotonicity_violation_implies_not_strictly_monotone():
+    rng = np.random.default_rng(7)
+    flagged = 0
+    for i in range(150):
+        p = _random_ball(rng)
+        rep = check_lattice_axioms(p, 400, seed=i)
+        if any(v["check"] == "monotonicity" for v in rep.violations):
+            flagged += 1
+            assert strictly_monotone_probe(p)[0] is False, p.descriptor()
+    assert flagged >= 10
 
 
 def test_strict_monotonicity_gives_positive_modulus():

@@ -18,8 +18,6 @@ def test_space_validation():
         measure_space([0.0])
     with pytest.raises(DomainError):
         measure_space([1.0, -2.0])
-    with pytest.raises(DomainError):
-        measure_space([1.0, 1.0], ids=["a", "a"])
     sp = measure_space([1.0, math.inf, 0.25])
     assert sp.finite_indices == (0, 2)
     assert sp.infinite_indices == (1,)

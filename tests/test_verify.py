@@ -9,8 +9,8 @@ import pytest
 from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, DomainError,
                      LinfEmbeddingWitness, boundary_sampled, build_linf_witness,
                      build_modulus_table, exp_minus, flat_then_power, generated_norm, l1,
-                     linf, lower_local_um_estimate, lq, measure_space, modular, power,
-                     replay_violation, run_suites, simple_function,
+                     linf, lower_local_um_estimate, lq, measure_space, modular,
+                     piecewise_linear, power, replay_violation, run_suites, simple_function,
                      suitable_delta2_regime, unit_weights)
 from orlnorm import verify
 from orlnorm.verify import (SUITE_IDS, STATUS_EMPTY, STATUS_FAILED, STATUS_HNM,
@@ -110,11 +110,16 @@ def test_t6_both_directions():
     assert pair["z"] != pair["y"]
 
 
-def test_t6_fallback_when_no_free_atom():
-    # a single finite atom leaves nothing outside the support; the random
-    # search cannot find a flat pair in a one-dimensional slice
-    sp1 = unit_weights(1)
-    rep = suite_strict_monotonicity(flat_then_power(1, 2), lq(2), sp1, budget=40)
+def test_t6_flat_pair_on_any_space_with_two_atoms():
+    # the free last atom may be infinite; one atom holds no flat pair
+    phi = flat_then_power(1, 2)
+    for weights in ([math.inf, math.inf], [1.0, math.inf], [0.5, 2.0, math.inf]):
+        rep = suite_strict_monotonicity(phi, lq(2), measure_space(weights), budget=40)
+        assert rep.status == STATUS_PASSED, (weights, rep.details)
+        pair = rep.details["constructed_flat_pair"]
+        assert abs(pair["norm_z"] - pair["norm_y"]) <= 1e-9
+        assert pair["z"] != pair["y"]
+    rep = suite_strict_monotonicity(phi, lq(2), unit_weights(1), budget=40)
     assert rep.status == STATUS_HNM
 
 
@@ -132,6 +137,18 @@ def test_t7_estimate_and_gate():
     rep = suite_decomposition_estimate(power(2), l1(), SP6, budget=60, table=table)
     assert rep.status == STATUS_PASSED and rep.details["checked"] == 60
     assert suite_decomposition_estimate(power(2), linf(), SP6).status == STATUS_HNM
+
+
+def test_strictness_gates_reject_a_ball_that_is_not_monotone():
+    # p((1.0037, 0)) > p((1.0037, 0.0502)): outside the hypothesis of T7-T9,
+    # though a scan of random dominated pairs passed it
+    p = boundary_sampled([(0.0, 1.0), (0.5307897118093668, 1.0524571004753451),
+                          (math.pi / 2, 1.0)])
+    for suite in (suite_decomposition_estimate, suite_lower_local_um,
+                  suite_uniform_monotonicity):
+        rep = suite(power(2), p, SP6, budget=10)
+        assert rep.status == STATUS_HNM, rep.details
+        assert rep.details["reason"] == "planar norm is not strictly monotone"
 
 
 def test_t7_trivial_endpoints():
@@ -201,6 +218,14 @@ def test_r3_branches():
     assert all(v >= 0.9 for v in rep_c.details["norms"])
     rep_flat = suite_modular_norm_equivalence(flat_then_power(1, 2), lq(2), SP6)
     assert rep_flat.status == STATUS_PASSED and rep_flat.details["branch"] == "flat-witness"
+
+
+def test_steep_level_is_the_last_finite_float():
+    for phi in (power(8), exp_minus()):
+        v = verify._finite_phi_top(phi)
+        assert math.isfinite(phi(v)) and math.isinf(phi(math.nextafter(v, math.inf)))
+    for phi in (power(2), flat_then_power(1, 2), piecewise_linear([(0, 0), (1, 0.5), (2, 2)])):
+        assert verify._finite_phi_top(phi) == verify.PHI_TOP_CAP
 
 
 def test_strict_convexity_implies_strict_monotonicity():
