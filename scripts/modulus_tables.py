@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from orlnorm import catalog_planar_norms, modulus_diagnostics
+from orlnorm import build_modulus_table, catalog_planar_norms
 
 
 def main() -> int:
@@ -23,10 +23,10 @@ def main() -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     eps_grid = np.arange(args.step, 1.0 - args.step / 2, args.step)
     for name, p in catalog_planar_norms().items():
+        table = build_modulus_table(p, epsilons=eps_grid, resolution=args.resolution)
         rows = ["epsilon,delta,refinement_bound"]
-        for eps in eps_grid:
-            d = modulus_diagnostics(p, float(eps), args.resolution)
-            rows.append(f"{eps:.12g},{d.value:.12g},{d.refinement_bound:.12g}")
+        rows += [f"{e:.12g},{d:.12g},{b:.12g}"
+                 for e, d, b in zip(table.epsilons, table.deltas, table.bounds)]
         path = os.path.join(args.out_dir, f"modulus_{name.replace(':', '_')}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -34,7 +34,7 @@ K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L 
 ROOT_LOG_TOL = 1e-2  # width in log k of the Luxemburg root that seeds Brent (p not max)
 DUAL_LOG_TOL = 2e-4  # width in log k of the dual norm's root bracket before one secant step
 GAP_REL_TOL = 1e-13  # Brent stops once convexity bounds the infimum this close to g
-LUXEMBURG_REL_TOL = 1e-10  # bisection stops at this relative width
+LUXEMBURG_LOG_TOL = 1e-11  # width in log k of luxemburg_norm's root bracket
 GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
 GRID_K_HI = 1e8
 GRID_POINTS = 10_000
@@ -56,40 +56,40 @@ class NormResult:
 
 
 def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
-    """inf { lam > 0 : modular(x / lam) <= 1 }, by predicate bisection from
-    a bracket found by doubling and halving lam from max|x|.
-
-    Returns +inf when x is nonzero on an infinite atom and Phi vanishes
-    only at 0 (the modular of x / lam is then +inf for every lam), and when
-    the norm overflows a float (doubling lam reaches +inf).
-    """
+    """inf { lam > 0 : modular(x / lam) <= 1 } = 1 / k_L: one over the end of
+    luxemburg_root's bracket where I(kx) <= 1, capped at the finite/+inf
+    jump.  +inf when the modular of x / lam is +inf for every lam (x nonzero
+    on an infinite atom, Phi vanishing only at 0) or the norm overflows."""
     if x.is_zero:
         return 0.0
-    if phi.zero_bound == 0.0 and any(x.values[i] != 0.0 for i in x.space.infinite_indices):
+    s_start, s_top = log_k_span(x)
+    top = _jump_top(phi, x, s_top)
+    if top is None:
         return math.inf
+    k_top, s_top, _ = top
     modular_at = modular_of(phi, x)
+    lo, _ = luxemburg_root(lambda s: modular_at(min(math.exp(s), k_top)), phi, x,
+                           min(s_start, s_top), s_top, LUXEMBURG_LOG_TOL)
+    k = min(math.exp(lo), k_top)
+    return 1.0 / k if k > 0.0 else math.inf
 
-    def under_one(lam: float) -> bool:
-        return modular_at(1.0 / lam) <= 1.0
 
-    hi = max(abs(v) for v in x.values)
-    while not under_one(hi):
-        hi *= 2.0
-        if math.isinf(hi):
-            return math.inf
-    lo = hi
-    while under_one(lo * 0.5):
-        lo *= 0.5
-        if lo < 1e-300:
-            raise RuntimeError("luxemburg bracketing failed to find a lower end")
-    lo *= 0.5
-    while hi - lo > LUXEMBURG_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if under_one(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _jump_top(phi: OrliczFunction, x: SimpleFunction,
+              s_top: float) -> tuple[float, float, bool] | None:
+    """(k_top, s_top, open_top): the cap e^s_top on k, lowered to the finite/+inf
+    jump where lower (open_top false there), or None when I(k x) = +inf for all
+    k > 0.  I(k x) = +inf exactly when Phi(k m) > 0, m = max|x| on infinite atoms."""
+    k_top, open_top = math.exp(s_top), True
+    m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
+    if m > 0.0:
+        k_jump = phi.zero_bound / m
+        while k_jump > 0.0 and phi.evaluate(k_jump * m) != 0.0:
+            k_jump = math.nextafter(k_jump, 0.0)
+        if k_jump == 0.0:
+            return None
+        if k_jump < k_top:
+            k_top, s_top, open_top = k_jump, math.log(k_jump), False
+    return k_top, s_top, open_top
 
 
 def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
@@ -107,18 +107,10 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         return NormResult(0.0, None, False, None, 0)
 
     s_start, s_top = log_k_span(x)
-    k_top = math.exp(s_top)
-    open_top = True  # s_top caps k; false while it is the finite/+inf jump
-    # I(k x) = +inf exactly when Phi(k m) > 0: stop at the last k with Phi(k m) = 0
-    m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
-    if m > 0.0:
-        k_jump = phi.zero_bound / m
-        while k_jump > 0.0 and phi.evaluate(k_jump * m) != 0.0:
-            k_jump = math.nextafter(k_jump, 0.0)
-        if k_jump == 0.0:
-            return NormResult(math.inf, None, False, None, 0)
-        if k_jump < k_top:
-            k_top, s_top, open_top = k_jump, math.log(k_jump), False
+    top = _jump_top(phi, x, s_top)
+    if top is None:
+        return NormResult(math.inf, None, False, None, 0)
+    k_top, s_top, open_top = top  # open_top: false while s_top is the jump
 
     def k_of(s: float) -> float:
         return k_top if s >= s_top else min(math.exp(s), k_top)

@@ -301,37 +301,52 @@ def _positive_sphere(p: PlanarNorm, thetas: np.ndarray) -> tuple[np.ndarray, np.
     return c / norms, s / norms
 
 
-def _modulus_pass(p: PlanarNorm, eps: float, thetas: np.ndarray) -> tuple[float, int]:
-    """Minimise 1 - p(y - x) over y on the theta grid of the positive unit
-    sphere and x at an end of the level curve p(x) = eps inside [0, y].
+def _level_end(p: PlanarNorm, fixed: np.ndarray, eps: float, cap: np.ndarray,
+               first: np.ndarray) -> np.ndarray:
+    """The least c in [0, cap] with p((fixed, c)) >= eps where ``first``,
+    else p((c, fixed)) >= eps (cap if none), elementwise; closed form for
+    the symmetric kinds, the q-mean's scaled by eps (eps**q underflows)."""
+    if p.kind == "linf":
+        return np.where(fixed >= eps, 0.0, np.minimum(eps, cap))
+    if p.kind == "l1":
+        return np.clip(eps - fixed, 0.0, cap)
+    if p.kind == "lq":
+        with np.errstate(divide="ignore"):
+            gap = -np.expm1(p.q * np.log(np.minimum(fixed / eps, 1.0)))
+        return np.minimum(eps * gap ** (1.0 / p.q), cap)
+    return _level_end_bisected(p, fixed, eps, cap, first)
 
-    The curve leaves the box at (0, eps) when eps <= y2, else at (s, y2);
-    it ends at (eps, 0) when eps <= y1, else at (y1, t).  s and t solve
-    p = eps by one vectorised bisection.  Returns the minimum and its theta
-    index.
-    """
-    y1, y2 = _positive_sphere(p, thetas)
-    n = len(thetas)
 
-    # rows [0, n) solve p(y1, t) = eps for t in [0, y2]; rows [n, 2n)
-    # solve p(s, y2) = eps for s in [0, y1]
-    first = np.arange(2 * n) < n
-    fixed = np.concatenate([y1, y2])
-    lo = np.zeros(2 * n)
-    hi = np.concatenate([y2, y1])
+def _level_end_bisected(p: PlanarNorm, fixed: np.ndarray, eps: float, cap: np.ndarray,
+                        first: np.ndarray) -> np.ndarray:
+    """_level_end by 60 vectorised bisection steps: a boundary sphere, r linear
+    in the angle, meets a line u = const at a transcendental equation's root."""
+    lo, hi = np.zeros_like(fixed), cap
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = p.evaluate_many(np.where(first, fixed, mid), np.where(first, mid, fixed)) < eps
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    t, s = np.split(0.5 * (lo + hi), 2)
+    return 0.5 * (lo + hi)
 
-    zero = np.zeros(n)
+
+def _modulus_pass(p: PlanarNorm, eps: float, thetas: np.ndarray) -> tuple[float, int]:
+    """Minimise 1 - p(y - x) over y on the theta grid of the positive unit
+    sphere and x at an end of the level curve p(x) = eps inside [0, y].
+
+    The curve leaves the box at (0, eps) when eps <= y2, else at (s, y2);
+    it ends at (eps, 0) when eps <= y1, else at (y1, t).  s and t come from
+    _level_end.  Returns the minimum and its theta index.
+    """
+    y1, y2 = _positive_sphere(p, thetas)
+    n = len(thetas)  # rows [0, n) solve p(y1, t) = eps, rows [n, 2n) p(s, y2) = eps
+    t, s = np.split(_level_end(p, np.concatenate([y1, y2]), eps, np.concatenate([y2, y1]),
+                               np.arange(2 * n) < n), 2)
     reach = np.stack([
         np.where(eps <= y2, p.evaluate_many(y1, y2 - eps), -np.inf),  # x = (0, eps)
         np.where(eps <= y1, p.evaluate_many(y1 - eps, y2), -np.inf),  # x = (eps, 0)
-        np.where(y1 <= eps, p.evaluate_many(zero, y2 - t), -np.inf),  # x = (y1, t)
-        np.where(y2 <= eps, p.evaluate_many(y1 - s, zero), -np.inf),  # x = (s, y2)
+        np.where(y1 <= eps, p.evaluate_many(np.zeros(n), y2 - t), -np.inf),  # x = (y1, t)
+        np.where(y2 <= eps, p.evaluate_many(y1 - s, np.zeros(n)), -np.inf),  # x = (s, y2)
         # the scaled witness x = eps * y is always feasible and pins delta <= eps
         p.evaluate_many((1.0 - eps) * y1, (1.0 - eps) * y2),
     ])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orlnorm import engine
 from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError, exp_minus,
                      flat_then_power, generated_norm, generated_norm_on_grid, l1,
                      lemma_bounds_check,
@@ -59,9 +60,46 @@ def test_luxemburg_outside_space_flagged_infinite():
 
 
 def test_luxemburg_overflow_is_infinite():
-    # the norms are 2e308 and 1e310 (power:1): doubling lam overflows
+    # the norms are 2e308 and 1e310 (power:1), past the largest float
     assert luxemburg_norm(power(1), simple_function(measure_space([2.0]), [1e308])) == math.inf
     assert luxemburg_norm(power(1), simple_function(measure_space([1e300]), [1e10])) == math.inf
+    # norm 1e400: k_L = 1e-400 underflows to 0
+    assert luxemburg_norm(power(1), simple_function(measure_space([1e300]), [1e100])) == math.inf
+
+
+def test_luxemburg_equals_max_type_norm_in_few_evaluations(orlicz_catalog, monkeypatch):
+    real_modular_of = engine.modular_of
+    scales = []
+
+    def counting_modular_of(phi, x):
+        modular_at = real_modular_of(phi, x)
+
+        def counted(scale):
+            scales.append(scale)
+            return modular_at(scale)
+        return counted
+
+    monkeypatch.setattr(engine, "modular_of", counting_modular_of)
+    rng = np.random.default_rng(11)
+    spaces = (unit_weights(6), measure_space([0.5, 2.0, 1.0, 3.0, 0.1, math.inf]))
+    for phi in orlicz_catalog.values():
+        for sp in spaces:
+            for _ in range(25):
+                x = _rand_function(sp, rng)
+                scales.clear()
+                got = luxemburg_norm(phi, x)
+                assert len(scales) <= 20, (phi.label, x.values)
+                want = generated_norm(phi, linf(), x).value
+                assert got == pytest.approx(want, rel=1e-10), (phi.label, x.values)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_luxemburg_flat_generator_on_infinite_atoms_only(a, q):
+    # I(x / lam) is 0 for lam >= max|x| / a and +inf below
+    sp = measure_space([1.0, math.inf, 2.0, math.inf])
+    x = simple_function(sp, [0.0, -1.5, 0.0, 0.7])
+    assert luxemburg_norm(flat_then_power(a, q), x) == pytest.approx(1.5 / a, rel=1e-15)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from orlnorm import (DomainError, boundary_sampled, build_modulus_table,
                      check_lattice_axioms, is_strictly_increasing_on_ray, l1, linf, lq,
                      modulus_diagnostics, modulus_of_monotonicity, planar_from_descriptor,
                      strictly_monotone_probe, verify_sandwich)
-from orlnorm.planar import _modulus_pass
+from orlnorm import planar
+from orlnorm.planar import _level_end, _modulus_pass
 
 HALF_PI = math.pi / 2.0
 
@@ -178,6 +179,62 @@ def test_modulus_table_monotone_and_floor():
     assert table.floor_value(0.05) == 0.0
     assert table.floor_value(0.35) == table.deltas[1]
     assert table.floor_value(0.95) == table.deltas[-1]
+
+
+TABLE_EPS = np.arange(0.025, 0.9751, 0.025)
+BOUNDARY_BALL = boundary_sampled([(0.0, 1.0), (0.4, 1.1), (1.1, 1.15), (HALF_PI, 1.0)])
+
+
+def _level_end_cases(p):
+    # the fixed coordinate and the cap run over the coarse pass's sphere grid
+    y1, y2 = planar._positive_sphere(p, np.linspace(0.0, HALF_PI, 129))
+    for eps in TABLE_EPS:
+        for fixed, cap, first in ((y1, y2, True), (y2, y1, False)):
+            yield fixed, eps, cap, np.full(fixed.shape, first)
+
+
+@pytest.mark.parametrize("p", [linf(), l1(), *(lq(q) for q in (1, 1.2, 1.5, 2, 3, 6, 50, 400))],
+                         ids=lambda p: p.label)
+def test_level_end_matches_bisection_oracle(p):
+    for fixed, eps, cap, first in _level_end_cases(p):
+        got = _level_end(p, fixed, eps, cap, first)
+        want = planar._level_end_bisected(p, fixed, eps, cap, first)
+        assert np.max(np.abs(got - want)) <= 1e-13, (eps, first[0])
+
+
+def test_level_end_boundary_is_least_point_at_level():
+    # the bisected ends checked on the level condition itself: p(c) = eps
+    # inside (0, cap), p(c - h) < eps, p(c + h) >= eps below cap, p(c) >= eps at 0
+    p, h = BOUNDARY_BALL, 1e-12
+    for fixed, eps, cap, first in _level_end_cases(p):
+        c = _level_end(p, fixed, eps, cap, first)
+
+        def at(u):
+            return p.evaluate_many(fixed, u) if first[0] else p.evaluate_many(u, fixed)
+        inner = (c > h) & (c < cap - h)
+        assert np.all(np.abs(at(c) - eps)[inner] <= 1e-13), (eps, first[0])
+        assert np.all(at(c - h)[c > h] < eps), (eps, first[0])
+        assert np.all(at(np.minimum(c + h, cap))[c < cap - h] >= eps), (eps, first[0])
+        assert np.all(at(c)[c <= h] >= eps - 1e-13), (eps, first[0])
+
+
+def test_level_end_lq400_does_not_underflow():
+    # eps**q underflows to 0 here, and (eps**q - fixed**q)**(1/q) gives 0
+    # where the level curve sits at c = 0.0999...
+    p, fixed, cap, first = lq(400), np.array([0.09]), np.array([1.0]), np.array([True])
+    got = _level_end(p, fixed, 0.1, cap, first)
+    assert got[0] == pytest.approx(0.1, abs=1e-3)
+    assert abs(got[0] - planar._level_end_bisected(p, fixed, 0.1, cap, first)[0]) <= 1e-13
+    assert p((0.09, got[0])) == pytest.approx(0.1, abs=1e-15)
+
+
+def test_modulus_table_matches_bisection_pass(planar_catalog, monkeypatch):
+    fast = {name: build_modulus_table(p) for name, p in planar_catalog.items()}
+    monkeypatch.setattr(planar, "_level_end", planar._level_end_bisected)
+    for name, p in planar_catalog.items():
+        slow = build_modulus_table(p)
+        assert np.max(np.abs(np.subtract(fast[name].deltas, slow.deltas))) <= 1e-14, name
+        assert np.max(np.abs(np.subtract(fast[name].bounds, slow.bounds))) <= 1e-13, name
 
 
 def test_strictly_increasing_on_ray():
