@@ -60,27 +60,26 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     luxemburg_root's bracket where I(kx) <= 1, capped at the finite/+inf
     jump.  +inf when the modular of x / lam is +inf for every lam (x nonzero
     on an infinite atom, Phi vanishing only at 0) or the norm overflows."""
-    if x.is_zero:
+    modular_at = modular_of(phi, x)
+    if modular_at.top == 0.0:
         return 0.0
-    s_start, s_top = log_k_span(x)
-    top = _jump_top(phi, x, s_top)
+    s_start, s_top = log_k_span(modular_at.top)
+    top = _jump_top(phi, modular_at.top_inf, s_top)
     if top is None:
         return math.inf
     k_top, s_top, _ = top
-    modular_at = modular_of(phi, x)
-    lo, _ = luxemburg_root(lambda s: modular_at(min(math.exp(s), k_top)), phi, x,
-                           min(s_start, s_top), s_top, LUXEMBURG_LOG_TOL)
+    lo, _ = luxemburg_root(lambda s: modular_at(min(math.exp(s), k_top)), phi,
+                           modular_at.top_finite, min(s_start, s_top), s_top, LUXEMBURG_LOG_TOL)
     k = min(math.exp(lo), k_top)
     return 1.0 / k if k > 0.0 else math.inf
 
 
-def _jump_top(phi: OrliczFunction, x: SimpleFunction,
+def _jump_top(phi: OrliczFunction, m: float,
               s_top: float) -> tuple[float, float, bool] | None:
     """(k_top, s_top, open_top): the cap e^s_top on k, lowered to the finite/+inf
     jump where lower (open_top false there), or None when I(k x) = +inf for all
     k > 0.  I(k x) = +inf exactly when Phi(k m) > 0, m = max|x| on infinite atoms."""
     k_top, open_top = math.exp(s_top), True
-    m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
     if m > 0.0:
         k_jump = phi.zero_bound / m
         while k_jump > 0.0 and phi.evaluate(k_jump * m) != 0.0:
@@ -103,11 +102,12 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     """
     if not log_tol > 0.0:
         raise DomainError(f"log_tol must be positive, got {log_tol!r}")
-    if x.is_zero:
+    modular_at = modular_of(phi, x)
+    if modular_at.top == 0.0:
         return NormResult(0.0, None, False, None, 0)
 
-    s_start, s_top = log_k_span(x)
-    top = _jump_top(phi, x, s_top)
+    s_start, s_top = log_k_span(modular_at.top)
+    top = _jump_top(phi, modular_at.top_inf, s_top)
     if top is None:
         return NormResult(math.inf, None, False, None, 0)
     k_top, s_top, open_top = top  # open_top: false while s_top is the jump
@@ -115,7 +115,6 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     def k_of(s: float) -> float:
         return k_top if s >= s_top else min(math.exp(s), k_top)
 
-    modular_at = modular_of(phi, x)
     p_abs = p._eval_abs
     seen: dict[float, float] = {}  # g by s = log k: exp(log k) need not give k back
     best_s, best_v = s_top, math.inf
@@ -132,8 +131,8 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         return mod
 
     p11 = p_abs(1.0, 1.0)
-    lo, hi = luxemburg_root(sample, phi, x, min(s_start, s_top), s_top,
-                             log_tol if p11 == 1.0 else ROOT_LOG_TOL)
+    lo, hi = luxemburg_root(sample, phi, modular_at.top_finite, min(s_start, s_top), s_top,
+                            log_tol if p11 == 1.0 else ROOT_LOG_TOL)
     if hi not in seen:
         sample(hi)
     if math.isinf(best_v):
@@ -154,19 +153,19 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
                       evaluations=len(seen))
 
 
-def log_k_span(x: SimpleFunction) -> tuple[float, float]:
-    """(s_start, s_top) in s = log k for a nonzero x: the searches are homogeneous,
-    starting at k = 1 / max|x|; up to s_top, k and k max|x| stay below 1e300."""
-    s_start = -math.log(max(abs(v) for v in x.values))
+def log_k_span(top: float) -> tuple[float, float]:
+    """(s_start, s_top) in s = log k for x with top = max|x| > 0: the searches are
+    homogeneous, starting at k = 1 / max|x|; up to s_top, k and k max|x| stay below 1e300."""
+    s_start = -math.log(top)
     return s_start, min(s_start, 0.0) - _LOG_TINY
 
 
-def luxemburg_root(sample, phi: OrliczFunction, x: SimpleFunction, s: float, s_top: float,
+def luxemburg_root(sample, phi: OrliczFunction, top_finite: float, s: float, s_top: float,
                    tol: float) -> tuple[float, float]:
     """Bracket (lo, hi) in s = log k, of width at most about tol, of the
     Luxemburg point I(e^s x) = 1, searched from s up to s_top; (s_top,
     s_top) when I <= 1 up to there (s_top possibly not sampled).  sample(s)
-    returns I(e^s x).
+    returns I(e^s x); top_finite is max|x| on the finite atoms.
 
     I(kx)/k is nondecreasing (Phi is convex with Phi(0) = 0), so one sample
     I(e^s x) = i brackets the root between s and s - log i."""
@@ -180,8 +179,6 @@ def luxemburg_root(sample, phi: OrliczFunction, x: SimpleFunction, s: float, s_t
     low = -math.inf  # I = 0 at low
     if i == 0.0:
         # Phi vanishes on [0, zero_bound]: start where the finite support leaves it
-        top_finite = max((abs(v) for w, v in zip(x.space.weights, x.values)
-                          if math.isfinite(w)), default=0.0)
         if top_finite == 0.0:
             s = s_top
         elif phi.zero_bound > 0.0:
@@ -380,15 +377,13 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     ball if it lies outside (Psi is convex with Psi(0) = 0), so the value
     is the pairing with a feasible y.
     """
-    for i in x.space.infinite_indices:
-        if x.values[i] != 0.0:
-            raise PreconditionError("dual norm needs x supported on finite atoms")
-    if x.is_zero:
+    modular_at = modular_of(phi, x)
+    if modular_at.top_inf > 0.0:
+        raise PreconditionError("dual norm needs x supported on finite atoms")
+    if modular_at.top == 0.0:
         return 0.0
 
-    idx = [i for i in x.support]
-    w = np.array([x.space.weights[i] for i in idx])
-    ax = np.array([abs(x.values[i]) for i in idx])
+    w, ax = np.array([(x.space.weights[i], abs(x.values[i])) for i in x.support]).T
     points: dict[float, tuple[np.ndarray, float]] = {}  # s -> (y, conjugate modular of y)
 
     def log_modular(s: float) -> float:
@@ -405,10 +400,9 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
 
     # u Phi'(u) - Phi(u) <= Phi(2u) - 2 Phi(u), so the modular is at most
     # I(2kx) and k = k_L / 2 is feasible
-    modular_at = modular_of(phi, x)
-    s_start, s_top = log_k_span(x)
-    s_lo, s_hi = luxemburg_root(lambda s: modular_at(math.exp(s)), phi, x, s_start, s_top,
-                                ROOT_LOG_TOL)
+    s_start, s_top = log_k_span(modular_at.top)
+    s_lo, s_hi = luxemburg_root(lambda s: modular_at(math.exp(s)), phi, modular_at.top_finite,
+                                s_start, s_top, ROOT_LOG_TOL)
     s_cap = s_hi + _LOG_K_CAP
     a = b = s_lo - _LN2
     fa = fb = log_modular(a)

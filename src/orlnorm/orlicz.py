@@ -108,10 +108,10 @@ class OrliczFunction:
             if k == "power":
                 return au ** self.q
             if k == "exp_minus":
-                small = au < 1e-5
-                series = au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0))
-                big = np.where(small, 0.0, au)
-                return np.where(small, series, np.expm1(big) - big)
+                out = np.expm1(au) - au
+                if np.any(au < 1e-5):  # expm1(u) - u cancels there: the series, as in _eval_abs
+                    out = np.where(au < 1e-5, au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0)), out)
+                return out
             if k == "flat_then_power":
                 t = np.maximum(0.0, au - self.a)
                 return t ** self.q

@@ -881,9 +881,9 @@ def _scale_to_modular(phi, x, target: float) -> float:
     """c <= the root of modular(c x) = target, within SCALE_LOG_TOL in log c:
     the Luxemburg root of modular / target (I(cx) / (c target) rises)."""
     modular_at = modular_of(phi, x)
-    s_start, s_top = log_k_span(x)
-    lo, _ = luxemburg_root(lambda s: modular_at(math.exp(s)) / target, phi, x, s_start, s_top,
-                           SCALE_LOG_TOL)
+    s_start, s_top = log_k_span(modular_at.top)
+    lo, _ = luxemburg_root(lambda s: modular_at(math.exp(s)) / target, phi,
+                           modular_at.top_finite, s_start, s_top, SCALE_LOG_TOL)
     return math.exp(lo)
 
 

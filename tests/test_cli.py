@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orlnorm
 from orlnorm.cli import main
 
 
@@ -143,6 +148,19 @@ def test_unread_flags_exit_2(capsys):
                  ("modulus", "--tol", "1e-9"), ("norm", "--values", "3,4", "--budget", "5"),
                  ("norm", "--values", "3,4", "--json"), ("verify", "T1", "--tol", "1e-9")):
         assert run(capsys, *argv)[0] == 2, argv
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(orlnorm.__file__).parents[1]))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "orlnorm", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run_module("norm", "--phi", "power:2", "--p", "l1", "--values", "3,4")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == pytest.approx(10.0, rel=1e-9)
+    assert run_module("norm", "--values", "3,4", "--budget", "5").returncode == 2
 
 
 def test_config_file_merges_under_flags(tmp_path, capsys):

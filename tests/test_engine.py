@@ -10,6 +10,7 @@ from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError, exp_
                      linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
                      orlicz_dual_norm, piecewise_linear, power, simple_function,
                      unit_weights)
+from orlnorm.spaces import ARRAY_ATOMS
 
 
 def _rand_function(space, rng, scale=2.0, signed=True):
@@ -77,6 +78,8 @@ def test_luxemburg_equals_max_type_norm_in_few_evaluations(orlicz_catalog, monke
         def counted(scale):
             scales.append(scale)
             return modular_at(scale)
+        counted.top, counted.top_inf = modular_at.top, modular_at.top_inf
+        counted.top_finite = modular_at.top_finite
         return counted
 
     monkeypatch.setattr(engine, "modular_of", counting_modular_of)
@@ -338,6 +341,76 @@ def test_homogeneity_and_triangle_quick():
         ny = generated_norm(phi, p, y).value
         assert generated_norm(phi, p, x.plus(y)).value <= nx + ny + 1e-9
         assert generated_norm(phi, p, x.scaled(lam)).value == pytest.approx(lam * nx, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# wide elements: from ARRAY_ATOMS atoms on the modular sums with numpy
+
+
+def _wide_space(rng, n=256, infinite=0):
+    """n atoms of log-uniform weight in [0.25, 4], the last `infinite` of infinite measure."""
+    weights = 10.0 ** rng.uniform(-0.6, 0.6, n)
+    weights[n - infinite:] = math.inf
+    return measure_space(weights)
+
+
+def test_wide_generated_norm_power_closed_forms():
+    # M = sum w |x|^q: the max norm gives M^(1/q), the sum norm
+    # q/(q-1) ((q-1) M)^(1/q), and lq:2 under |u|^2 gives sqrt(2 M)
+    rng = np.random.default_rng(23)
+    sp = _wide_space(rng)
+    x = _rand_function(sp, rng)
+    for q in (2.0, 3.0):
+        m = math.fsum(w * abs(v) ** q for w, v in zip(sp.weights, x.values))
+        assert generated_norm(power(q), linf(), x).value == pytest.approx(
+            m ** (1 / q), rel=1e-9, abs=0.0)
+        assert generated_norm(power(q), l1(), x).value == pytest.approx(
+            q / (q - 1) * ((q - 1) * m) ** (1 / q), rel=1e-9, abs=0.0)
+        if q == 2.0:
+            assert generated_norm(power(q), lq(2), x).value == pytest.approx(
+                math.sqrt(2 * m), rel=1e-9, abs=0.0)
+
+
+def test_wide_generated_norm_under_grid_homogeneous_and_repeatable(orlicz_catalog,
+                                                                    planar_catalog):
+    rng = np.random.default_rng(29)
+    for phi in orlicz_catalog.values():
+        sp = _wide_space(rng, infinite=4 if phi.zero_bound > 0.0 else 0)
+        x = _rand_function(sp, rng, scale=0.5)
+        for p in planar_catalog.values():
+            r = generated_norm(phi, p, x)
+            assert r == generated_norm(phi, p, x), (phi.label, p.label)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = generated_norm_on_grid(phi, p, x)
+            assert r.value <= grid * (1.0 + 1e-9), (phi.label, p.label)
+            for lam in (1e-150, 1e150):
+                assert generated_norm(phi, p, x.scaled(lam)).value == pytest.approx(
+                    lam * r.value, rel=1e-10, abs=0.0), (phi.label, p.label, lam)
+
+
+def test_wide_flat_generator_on_infinite_atoms_only(planar_catalog):
+    # T4: supported only on infinite atoms, the norm is max|x| / a
+    rng = np.random.default_rng(31)
+    sp = _wide_space(rng, infinite=4)
+    vals = np.zeros(sp.n_atoms)
+    vals[-4:] = [0.3, -1.7, 0.9, 1.1]
+    x = simple_function(sp, vals)
+    for a in (0.5, 1.0, 2.0):
+        for p in planar_catalog.values():
+            assert generated_norm(flat_then_power(a, 2), p, x).value == pytest.approx(
+                1.7 / a, rel=1e-12, abs=0.0), (a, p.label)
+
+
+def test_norms_agree_across_the_array_threshold(orlicz_catalog, planar_catalog):
+    # a zero atom added at ARRAY_ATOMS - 1 atoms switches the modular to numpy
+    rng = np.random.default_rng(37)
+    sp = _wide_space(rng, n=ARRAY_ATOMS - 1)
+    x = _rand_function(sp, rng)
+    padded = simple_function(measure_space(sp.weights + (1.0,)), x.values + (0.0,))
+    for phi in orlicz_catalog.values():
+        for p in planar_catalog.values():
+            assert generated_norm(phi, p, padded).value == pytest.approx(
+                generated_norm(phi, p, x).value, rel=1e-14, abs=0.0), (phi.label, p.label)
 
 
 # --------------------------------------------------------------------------

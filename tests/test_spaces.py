@@ -9,6 +9,7 @@ from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_
                      dominated_pair_sample, flat_then_power, function_from_descriptor,
                      measure_space, modular, modular_on_grid, order_ops, piecewise_linear,
                      power, simple_function, space_from_descriptor, unit_weights)
+from orlnorm.spaces import ARRAY_ATOMS
 
 
 def test_space_validation():
@@ -82,6 +83,47 @@ def test_modular_equals_atom_by_atom_loop_bit_for_bit():
             for scale in 10.0 ** rng.uniform(-3, 3, 6):
                 got = modular(phi, x, scale=float(scale))
                 assert got == _modular_atom_by_atom(phi, x, float(scale)), (phi.label, x, scale)
+
+
+def _modular_exact_sum(phi, x, scale):
+    """The wide-element reference: one Phi evaluation per nonzero atom, the
+    finite atoms' terms summed exactly."""
+    args = [(w, scale * v) for w, v in zip(x.space.weights, x.values) if v != 0.0]
+    if not all(math.isfinite(u) for _, u in args):
+        raise DomainError("non-finite argument")
+    if any(math.isinf(w) and phi.evaluate(u) != 0.0 for w, u in args):
+        return math.inf
+    try:
+        return math.fsum(w * phi.evaluate(u) for w, u in args if math.isfinite(w))
+    except OverflowError:  # the exact sum leaves double range
+        return math.inf
+
+
+def test_wide_modular_matches_exact_sum():
+    # from ARRAY_ATOMS atoms on, the finite atoms are summed by a numpy dot
+    rng = np.random.default_rng(37)
+    phis = list(catalog_orlicz_functions().values())
+    phis += [piecewise_linear([(0, 0), (0.5, 0), (1, 0.25), (2, 2)]), flat_then_power(0.5, 1)]
+    for phi in phis:
+        for n in (ARRAY_ATOMS, 97, 300):
+            for inf_share in (0.0, 0.1):
+                weights = np.where(rng.uniform(size=n) < inf_share, math.inf,
+                                   10.0 ** rng.uniform(-2, 2, n))
+                values = rng.normal(size=n) * (rng.uniform(size=n) < 0.8)
+                x = simple_function(measure_space(weights), values)
+                for scale in [*10.0 ** rng.uniform(-3, 3, 8), 1e308, math.nan]:
+                    try:
+                        want = _modular_exact_sum(phi, x, float(scale))
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            modular(phi, x, scale=float(scale))
+                        continue
+                    got = modular(phi, x, scale=float(scale))
+                    assert type(got) is float
+                    assert got == want or abs(got - want) <= 1e-14 * want, (phi.label, n, scale)
+    # a sum past double range is +inf on both paths
+    for n in (ARRAY_ATOMS - 1, ARRAY_ATOMS):
+        assert modular(power(1), simple_function(unit_weights(n), [1e308] * n)) == math.inf
 
 
 def test_modular_rejects_non_finite_arguments():
