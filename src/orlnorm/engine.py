@@ -2,48 +2,49 @@
 dual-norm lower bound, and the unit-ball bound check.
 
 The generated norm of x is  inf_{k>0} g(k),  g(k) = (1/k) p((1, I(k x))).
-f(t) = p((1, I(t x))) is convex and nondecreasing, so g(1/u) = u f(1/u), its
-perspective, is convex in u = 1/k and g is unimodal in log k.
+f(t) = p((1, I(t x))) is convex and nondecreasing, so g is convex in 1/k
+(a perspective).  p is 1-homogeneous, so p(1, I) = p_1 + I p_2 (Euler) and
 
-The engine first finds the Luxemburg point k_L, where I(k_L x) = 1, with
-Brent's zeroin on log I(e^s x), s = log k.  One sample brackets it, because
-I(kx)/k is nondecreasing.  k stays below the finite/+inf jump, taken in
-closed form from the zero bound of Phi, and below K_CAP k_L; the search is
-homogeneous in x.  Under the max norm k_L is the minimiser and the search
-ends there.  Otherwise p >= max gives k* >= k_L / p((1,1)), and Brent's
-method on log k, seeded with the root's samples, stops when the minimiser
-is within log_tol of the best sample or when convexity certifies the best
-value within GAP_REL_TOL of the infimum.  A 6-atom call takes about 9
-evaluations.  The reported value is exactly the best g(k) the engine
-evaluated: for a planar "norm" whose ball is not convex, an upper bound of
-the infimum.
+    k^2 g'(k) = p_2(1, I) J(k) - p_1(1, I),  J(k) = sum w (u Phi'(u) - Phi(u)),
+
+u = k|x|, Phi' the right derivative; by Young's equality J is the conjugate
+modular of Phi'(k|x|), nondecreasing in k.  The minimiser is the sign change
+of one function F of k (_first_order): log I under the max norm (the
+Luxemburg point I(k_L x) = 1), log J under the sum norm (the Amemiya/Orlicz
+equality J = 1; Hudzik and Maligranda, Indag. Math. 11, 2000), log J +
+(q - 1) log I under the q-mean, and a closed-form sign for a boundary ball.
+Steps that double in log k from k = 1/max|x| bracket it (luxemburg_root
+under the max norm), below the finite/+inf jump, taken in closed form from
+the zero bound of Phi, and below K_CAP k_L, so the search is homogeneous in
+x.  Where Phi' jumps, F jumps at k = b/|x_i|, b a kink of Phi: a binary
+search over those points narrows the bracket, and a jump of F across 0 at
+one of them is the exact minimiser; Brent's zeroin on log k settles a
+smooth piece.  A 6-atom call takes 4-7 evaluations.  The reported value is
+exactly the best g(k) evaluated: for a planar "norm" whose ball is not
+convex, an upper bound of the infimum.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .orlicz import OrliczFunction, young_conjugate_many
-from .planar import PlanarNorm
+from .planar import PlanarNorm, l1, linf
 from .spaces import SimpleFunction, modular, modular_of, modular_on_grid
 
 K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L (I(k_L x) = 1)
-ROOT_LOG_TOL = 1e-2  # width in log k of the Luxemburg root that seeds Brent (p not max)
-DUAL_LOG_TOL = 2e-4  # width in log k of the dual norm's root bracket before one secant step
-GAP_REL_TOL = 1e-13  # Brent stops once convexity bounds the infimum this close to g
-LUXEMBURG_LOG_TOL = 1e-11  # width in log k of luxemburg_norm's root bracket
+LOG_TOL = 1e-11  # default width in log k of the searches' final bracket
 GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
 GRID_K_HI = 1e8
 GRID_POINTS = 10_000
 LEMMA_TOL = 1e-9  # slack of lemma_bounds_check's two inequalities
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = 2.0 ** -52
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(1e-300)
-_LOG_K_CAP = math.log(K_CAP)
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,10 @@ class NormResult:
 
 
 def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
-    """inf { lam > 0 : modular(x / lam) <= 1 } = 1 / k_L: one over the end of
-    luxemburg_root's bracket where I(kx) <= 1, capped at the finite/+inf
-    jump.  +inf when the modular of x / lam is +inf for every lam (x nonzero
+    """inf { lam > 0 : modular(x / lam) <= 1 }: the norm generated by the max
+    norm.  +inf when the modular of x / lam is +inf for every lam (x nonzero
     on an infinite atom, Phi vanishing only at 0) or the norm overflows."""
-    modular_at = modular_of(phi, x)
-    if modular_at.top == 0.0:
-        return 0.0
-    s_start, s_top = log_k_span(modular_at.top)
-    top = _jump_top(phi, modular_at.top_inf, s_top)
-    if top is None:
-        return math.inf
-    k_top, s_top, _ = top
-    lo, _ = luxemburg_root(lambda s: modular_at(min(math.exp(s), k_top)), phi,
-                           modular_at.top_finite, min(s_start, s_top), s_top, LUXEMBURG_LOG_TOL)
-    k = min(math.exp(lo), k_top)
-    return 1.0 / k if k > 0.0 else math.inf
+    return generated_norm(phi, _MAX_NORM, x).value
 
 
 def _jump_top(phi: OrliczFunction, m: float,
@@ -92,65 +81,171 @@ def _jump_top(phi: OrliczFunction, m: float,
 
 
 def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
-                   log_tol: float = 1e-11) -> NormResult:
+                   log_tol: float = LOG_TOL) -> NormResult:
     """Minimise g(k) = (1/k) p((1, modular(k x))) over 0 < k <= K_CAP * k_L,
     k_L the Luxemburg point I(k_L x) = 1, and below the finite/+inf jump.
 
-    ``bracket`` is an interval of k known to hold the minimiser; ``attained``
-    is false when the best k sits at the K_CAP * k_L cap with no jump below
-    it (the infimum is approached as k grows).
+    ``bracket`` holds the minimiser: F <= 0 at its lower end and F > 0 at
+    its upper end, or both ends at the top when F <= 0 up to there.
+    ``attained`` is false exactly when F <= 0 all the way to the K_CAP * k_L
+    cap with no jump below it (the infimum is approached as k grows).
     """
     if not log_tol > 0.0:
         raise DomainError(f"log_tol must be positive, got {log_tol!r}")
     modular_at = modular_of(phi, x)
     if modular_at.top == 0.0:
         return NormResult(0.0, None, False, None, 0)
+    root = _first_order_root(phi, p, modular_at, log_tol)
+    if root is None or math.isinf(root.best_v):
+        return NormResult(math.inf, None, False, None, 0 if root is None else root.evaluations)
+    # near the minimiser g is flat to rounding, and the best sample may lie
+    # outside the tightest bracket; every sample below lo has F <= 0
+    k = root.best_k
+    return NormResult(value=root.best_v, k_star=k, attained=root.attained,
+                      bracket=(min(root.lo[0], k), max(root.hi[0], k)),
+                      evaluations=root.evaluations)
 
+
+def _first_order(p: PlanarNorm):
+    """F(I, J) with the sign of p_2(1, I) J - p_1(1, I), the sign of g'(k+)."""
+    if p.kind == "linf":
+        return lambda i, j: math.log(i) if i > 0.0 else -math.inf
+    ang, rad = p.angles, p.radii
+    q1 = p.q - 1.0 if p.kind == "lq" else 0.0  # the sum norm is the q = 1 mean
+
+    def first_order(i: float, j: float) -> float:
+        if not i + j < math.inf:
+            return math.inf
+        if p.kind == "boundary":
+            # p = r / rho(theta), so at (1, I) p_1 and p_2 are rho + I rho' and
+            # I rho - rho' over r rho^2
+            theta = math.atan(i)
+            m = min(bisect_right(ang, theta), len(ang) - 1)
+            slope = (rad[m] - rad[m - 1]) / (ang[m] - ang[m - 1])
+            rho = p._radius(theta)
+            return (i * rho - slope) * j - (rho + i * slope)
+        if j <= 0.0 or i <= 0.0 < q1:  # the sign of I^(q-1) J - 1
+            return -math.inf
+        return math.log(j) + q1 * math.log(i) if q1 else math.log(j)
+    return first_order
+
+
+@dataclass
+class _Root:
+    """The search's record: the best g sampled and its k, and the bracket
+    ends (k, F, I, J), F <= 0 at lo and F > 0 at hi."""
+    best_v: float = math.inf
+    best_k: float | None = None
+    lo: tuple[float, float, float, float] | None = None
+    hi: tuple[float, float, float, float] | None = None
+    attained: bool = True
+    evaluations: int = 0
+
+
+def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at,
+                      log_tol: float) -> _Root | None:
+    """Find the minimiser of g as the sign change of F in k, recording g at
+    every sample; None when I(kx) = +inf for all k > 0."""
     s_start, s_top = log_k_span(modular_at.top)
     top = _jump_top(phi, modular_at.top_inf, s_top)
     if top is None:
-        return NormResult(math.inf, None, False, None, 0)
-    k_top, s_top, open_top = top  # open_top: false while s_top is the jump
+        return None
+    k_top, s_top, open_top = top  # open_top: false while k_top is the jump
+    p_abs, first_order = p._eval_abs, _first_order(p)
+    # under the max norm F = log I needs no Phi'
+    pair = (lambda k: (modular_at(k), 0.0)) if p.kind == "linf" else modular_at.with_conjugate
+    root = _Root()
+    kl_floor = 0.0  # k_L >= k / max(1, I(kx)) at every sample: I(kx)/k is nondecreasing
 
     def k_of(s: float) -> float:
         return k_top if s >= s_top else min(math.exp(s), k_top)
 
-    p_abs = p._eval_abs
-    seen: dict[float, float] = {}  # g by s = log k: exp(log k) need not give k back
-    best_s, best_v = s_top, math.inf
+    def sample(k: float) -> tuple[float, float, float]:
+        """Record g at k and return (F, I, J) there."""
+        nonlocal kl_floor
+        i, j = pair(k)
+        root.evaluations += 1
+        val = p_abs(1.0, i) / k if i < math.inf and k > 0.0 else math.inf  # k underflows
+        if val < root.best_v:
+            root.best_v, root.best_k = val, k
+        f = first_order(i, j)
+        if f <= 0.0:
+            if root.lo is None or k > root.lo[0]:
+                root.lo = (k, f, i, j)
+        elif root.hi is None or k < root.hi[0]:
+            root.hi = (k, f, i, j)
+        kl_floor = max(kl_floor, k / max(1.0, i))
+        return f, i, j
 
-    def sample(s: float) -> float:
-        """Record g at s = log k and return I(k x)."""
-        nonlocal best_s, best_v
-        k = k_of(s)
-        mod = modular_at(k)
-        val = math.inf if math.isinf(mod) else p_abs(1.0, mod) / k
-        seen[s] = val
-        if val < best_v:
-            best_v, best_s = val, s
-        return mod
+    factor = 2.0
+    if p.kind == "linf":  # the Luxemburg point is the minimiser
+        _, hi = luxemburg_root(lambda s: sample(k_of(s))[1], phi, modular_at.top_finite,
+                               min(s_start, s_top), s_top, log_tol)
+        if k_of(hi) not in {end[0] for end in (root.lo, root.hi) if end}:
+            sample(k_of(hi))  # the top, where luxemburg_root stops unsampled
+    elif sample(min(1.0 / modular_at.top, k_top))[0] <= 0.0:
+        k_end, capped = k_top, False
+        while root.hi is None and root.lo[0] < k_end:
+            k = root.lo[0] * factor
+            factor *= factor
+            if not capped and k >= K_CAP * kl_floor:  # the cap K_CAP k_L may bind
+                capped = True
+                s_lo, i_lo = math.log(root.lo[0]), root.lo[2]  # sampled already
+                s_l, _ = luxemburg_root(lambda s: i_lo if s == s_lo else sample(k_of(s))[1],
+                                        phi, modular_at.top_finite, s_lo, s_top, log_tol)
+                k_end = min(k_end, K_CAP * math.exp(s_l))
+                continue
+            sample(min(k, k_end))
+    else:
+        k_floor = math.exp(max(s_start, 0.0) + _LOG_TINY)  # k and k max|x| above 1e-300
+        while root.lo is None and root.hi[0] > k_floor:
+            sample(max(root.hi[0] / factor, k_floor))
+            factor *= factor
+    if root.lo and root.hi and root.lo[0] < root.hi[0] and p.kind != "linf":
+        # Phi' jumps at the kinks: a binary search over them, each with F's left
+        # limit from the drop of J; then zeroin on the smooth piece left, unless
+        # F = 0 at lo or F jumps across 0 at hi (the minimiser is that end)
+        k_hi, f_hi, i_hi, j_hi = root.hi  # f_hi: F's left limit at hi
+        candidates = _kink_candidates(phi, modular_at, root.lo[0], k_hi)
+        if candidates and candidates[-1][0] == k_hi:
+            f_hi = first_order(i_hi, j_hi - candidates.pop()[1])
+        while candidates:
+            m = len(candidates) // 2
+            k, drop = candidates[m]
+            f, i, j = sample(k)
+            if f <= 0.0:
+                candidates = candidates[m + 1:]
+            else:
+                candidates, f_hi = candidates[:m], first_order(i, j - drop)
+        (k_lo, f_lo, _, _), k_hi = root.lo, root.hi[0]
+        if f_lo < 0.0 < f_hi:
+            _zeroin(lambda s: sample(k_of(s))[0], math.log(k_lo), f_lo, math.log(k_hi), f_hi,
+                    log_tol)
+    if root.lo is None:  # F > 0 down to the floor, or I > 1 at a root found to rounding
+        root.lo = root.hi
+    if root.hi is None:  # F <= 0 up to the top: attained only at the jump
+        root.hi = root.lo
+        root.attained = root.lo[0] == k_top and not open_top
+    return root
 
-    p11 = p_abs(1.0, 1.0)
-    lo, hi = luxemburg_root(sample, phi, modular_at.top_finite, min(s_start, s_top), s_top,
-                            log_tol if p11 == 1.0 else ROOT_LOG_TOL)
-    if hi not in seen:
-        sample(hi)
-    if math.isinf(best_v):
-        return NormResult(math.inf, None, False, None, len(seen))
-    s_cap = max(lo + _LOG_K_CAP, max(seen))
-    if s_cap < s_top:
-        s_top, k_top, open_top = s_cap, math.exp(s_cap), True
-    if p11 != 1.0:
-        # p >= max gives g(k) >= 1/k, so k* >= k_L / p((1,1)); under the max
-        # norm (p((1,1)) = 1) the Luxemburg point k_L is the minimiser itself
-        lo, hi = _minimise(sample, seen, best_s, min(lo - math.log(p11), best_s), s_top,
-                           log_tol)
-    best_k = k_of(best_s)
-    # g is convex in 1/k: if best_s lies outside (lo, hi), g is least all the way between
-    return NormResult(value=best_v, k_star=best_k,
-                      attained=not (open_top and best_k >= 0.999 * k_top),
-                      bracket=(k_of(min(lo, best_s)), k_of(max(hi, best_s))),
-                      evaluations=len(seen))
+
+def _kink_candidates(phi: OrliczFunction, modular_at, lo: float,
+                     hi: float) -> list[tuple[float, float]]:
+    """The k in (lo, hi] where Phi' jumps on a finite atom, k |x_i| = b for
+    a kink b of Phi, sorted, each with the drop of J from its right to its
+    left limit there: the sum of w_i b (the jump of Phi' at b)."""
+    if not phi.kinks:
+        return []
+    drops: dict[float, float] = {}
+    ws, az = modular_at.finite_atoms()
+    for w, a in zip(ws.tolist(), az.tolist()):
+        for b, jump in phi.kinks if a > 0.0 else ():
+            k = b / a
+            while k * a < b:  # the modular takes u = k |x_i|: at k it must reach b
+                k = math.nextafter(k, math.inf)
+            if lo < k <= hi:
+                drops[k] = drops.get(k, 0.0) + w * b * jump
+    return sorted(drops.items())
 
 
 def log_k_span(top: float) -> tuple[float, float]:
@@ -244,107 +339,6 @@ def _zeroin(f, a: float, fa: float, b: float, fb: float, tol: float) -> tuple[fl
             d = e = b - a
 
 
-def _minimise(sample, seen: dict[float, float], x: float, a: float, s_top: float,
-              tol: float) -> tuple[float, float]:
-    """Brent's method on s -> g(e^s) over [a, s_top] from the samples taken
-    so far, x the best; returns the final bracket of the minimiser."""
-
-    def g(s: float) -> float:
-        if s not in seen:
-            sample(s)
-        return seen[s]
-
-    # g is unimodal in s: while no sample lies above the best, step up with
-    # doubling steps until g rises or the cap is reached
-    step = 1.0
-    while x < s_top and x == max(seen):
-        g(min(x + step, s_top))
-        x = min(seen, key=seen.__getitem__)
-        step *= 2.0
-    below = [s for s in seen if s < x]
-    above = [s for s in seen if s > x]
-    if below and max(below) >= a:
-        a = max(below)
-    b = min(above) if above else s_top
-    # the parabola's first points: x's neighbours, or its two nearest samples
-    if below and above:
-        v, w = max(below), min(above)
-    else:
-        v, w = (sorted(below or above, key=lambda s: abs(s - x)) + [x, x])[:2]
-    return _brent_log(g, a, seen.get(a, math.inf), b, seen.get(b, math.inf),
-                      x, seen[x], v, seen[v], w, seen[w], tol)
-
-
-def _brent_log(g, a: float, fa: float, b: float, fb: float, x: float, fx: float,
-               v: float, fv: float, w: float, fw: float, tol: float) -> tuple[float, float]:
-    """Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 5) on s -> g(e^s) over the bracket [a, b] with x the best sample and
-    v, w the two next (a and b need not be samples: fa, fb are then +inf).
-    Stops when the minimiser is within tol of x (absolute: at a kink of g
-    the error in the value is linear in the step), or when the samples
-    L < x < R nearest x certify g(x) within GAP_REL_TOL of the infimum:
-    in u = 1/k, g(1/u) is convex, so below x it stays above the extension
-    of the chord (x, R), and above x above that of (L, x)."""
-    d = e = b - a
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = 0.5 * tol + _EPS * abs(x)
-        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
-            return a, b
-        lo, flo, hi, fhi = a, fa, b, fb
-        for s, fs in ((v, fv), (w, fw)):
-            if lo < s < x:
-                lo, flo = s, fs
-            elif x < s < hi:
-                hi, fhi = s, fs
-        if flo + fhi < math.inf:
-            ul, ux, uh = math.exp(-lo), math.exp(-x), math.exp(-hi)
-            if ul > ux > uh and GAP_REL_TOL * fx >= max(
-                    (flo - fx) * (ux - uh) / (ul - ux), (fhi - fx) * (ul - ux) / (ux - uh)):
-                return a, b
-        parabolic = False
-        if a < x < b and abs(e) > tol1 and fw + fv < math.inf:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            pp = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            pp, q = (-pp if q > 0.0 else pp), abs(q)
-            parabolic = abs(pp) < abs(0.5 * q * e) and q * (a - x) < pp < q * (b - x)
-        if not a < x < b:
-            # the best sample ends the bracket (the cap or the jump): one
-            # tolerance inward settles a monotone bracket
-            d = math.copysign(tol1, xm - x)
-        elif parabolic:
-            e, d = d, pp / q
-            if min(x + d - a, b - x - d) < 2.0 * tol1:
-                d = math.copysign(tol1, xm - x)
-        else:
-            e = (a if x >= xm else b) - x
-            d = _CGOLD * e
-            # the nearest sample across x is already flat to GAP_REL_TOL:
-            # its mirror image can complete the certificate
-            across, f_across = (hi - x, fhi) if e < 0.0 else (x - lo, flo)
-            if across < abs(d) and f_across - fx <= GAP_REL_TOL * fx:
-                d = math.copysign(across, e)
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = g(u)
-        if fu < fx:  # a tie keeps x: the minimiser lies between the two
-            if u >= x:
-                a, fa = x, fx
-            else:
-                b, fb = x, fx
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a, fa = u, fu
-            else:
-                b, fb = u, fu
-            if fu <= fw:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv:
-                v, fv = u, fu
-
-
 def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction) -> float:
     """Dense-grid record for g(k); an independent cross-check of the engine."""
     ks = np.geomspace(GRID_K_LO, GRID_K_HI, GRID_POINTS)
@@ -366,60 +360,26 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
 
     The supremum is attained at y = Phi'(k|x|), the right derivative, for
     the k where the conjugate modular of y reaches 1.  By Young's equality
-    Psi(Phi'(u)) = u Phi'(u) - Phi(u), that modular is sum w (u Phi'(u) -
-    Phi(u)) with u = k|x|, which is nondecreasing in k.  Brent's zeroin
-    finds the k on the log of that modular in s = log k, bracketed from
-    k_L / 2 (k_L the Luxemburg point I(k_L x) = 1) by steps that double up
-    to K_CAP * k_L.  y is taken on the chord between the bracket's ends,
-    where their modulars average to 1 (feasible, as Psi is convex): exact
-    where a kink of Phi makes the modular jump across 1.  The certificate y
-    is checked once against the exact conjugate and scaled into the dual
-    ball if it lies outside (Psi is convex with Psi(0) = 0), so the value
-    is the pairing with a feasible y.
+    Psi(Phi'(u)) = u Phi'(u) - Phi(u), that modular is J(k) = sum w (u
+    Phi'(u) - Phi(u)) with u = k|x|, and J = 1 is the sum norm's first-order
+    equation: k comes from generated_norm's search under the sum norm, whose
+    bracket has J <= 1 at its lower end and J > 1 at its upper end (both at
+    the K_CAP * k_L cap when J <= 1 up to there).  y is taken on the chord
+    between the ends' derivatives, where their J average to 1 (feasible, as
+    Psi is convex): exact where a kink of Phi makes J jump across 1.  The
+    certificate y is checked once against the exact conjugate and scaled
+    into the dual ball if it lies outside (Psi is convex with Psi(0) = 0),
+    so the value is the pairing with a feasible y.
     """
     modular_at = modular_of(phi, x)
     if modular_at.top_inf > 0.0:
         raise PreconditionError("dual norm needs x supported on finite atoms")
     if modular_at.top == 0.0:
         return 0.0
-
-    w, ax = np.array([(x.space.weights[i], abs(x.values[i])) for i in x.support]).T
-    points: dict[float, tuple[np.ndarray, float]] = {}  # s -> (y, conjugate modular of y)
-
-    def log_modular(s: float) -> float:
-        """Take y = Phi'(e^s |x|), the right derivative, and the log of its
-        conjugate modular by Young's equality (+inf when not finite)."""
-        us = math.exp(s) * ax
-        y = phi.derivative_array(us)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(w * (us * y - phi.evaluate_array(us))))
-        if not math.isfinite(total):
-            total = math.inf
-        points[s] = y, total
-        return math.log(total) if total > 0.0 else -math.inf
-
-    # u Phi'(u) - Phi(u) <= Phi(2u) - 2 Phi(u), so the modular is at most
-    # I(2kx) and k = k_L / 2 is feasible
-    s_start, s_top = log_k_span(modular_at.top)
-    s_lo, s_hi = luxemburg_root(lambda s: modular_at(math.exp(s)), phi, modular_at.top_finite,
-                                s_start, s_top, ROOT_LOG_TOL)
-    s_cap = s_hi + _LOG_K_CAP
-    a = b = s_lo - _LN2
-    fa = fb = log_modular(a)
-    step = _LN2
-    while fb <= 0.0 and b < s_cap:
-        a, fa = b, fb
-        b = min(b + step, s_cap)
-        fb = log_modular(b)
-        step *= 2.0
-    lo, hi = (b, b) if fb <= 0.0 else _zeroin(log_modular, a, fa, b, fb, DUAL_LOG_TOL)
-    if lo < hi:  # a secant step lands O(tol^2) from a smooth root; the chord's
-        # error is the product of its ends' distances to the root
-        (_, m_lo), (_, m_hi) = points[lo], points[hi]
-        s = lo + (1.0 - m_lo) / (m_hi - m_lo) * (hi - lo)
-        if lo < s < hi:
-            lo, hi = (s, hi) if log_modular(s) <= 0.0 else (lo, s)
-    (y_lo, m_lo), (y_hi, m_hi) = points[lo], points[hi]
+    root = _first_order_root(phi, _SUM_NORM, modular_at, LOG_TOL)
+    w, ax = modular_at.finite_atoms()
+    (k_lo, _, _, m_lo), (k_hi, _, _, m_hi) = root.lo, root.hi
+    y_lo, y_hi = phi.derivative_array(k_lo * ax), phi.derivative_array(k_hi * ax)
     t = 1.0 if m_hi <= 1.0 else (1.0 - m_lo) / (m_hi - m_lo)
     y = y_lo + t * (y_hi - y_lo)
 
@@ -427,6 +387,9 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     if exact > 1.0:
         y = y / (exact * (1.0 + 1e-12))  # the margin absorbs rounding in Psi
     return float(np.sum(w * ax * y))
+
+
+_MAX_NORM, _SUM_NORM = linf(), l1()
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,31 @@ class OrliczFunction:
         t = (au - x0) / (x1 - x0)
         return ys[i - 1] * (1.0 - t) + ys[i] * t
 
+    def _eval_pair(self, au: float) -> tuple[float, float]:
+        """(Phi(au), au Phi'(au)) for a finite au >= 0, Phi' the right
+        derivative, unchecked."""
+        f = self._eval_abs(au)
+        k = self.kind
+        if k == "power":
+            return f, self.q * f
+        if k == "exp_minus":  # Phi'(u) = e^u - 1 = Phi(u) + u
+            return f, au * (f + au)
+        if k == "pwl":
+            return f, au * float(self._slopes[min(bisect_right(self.xs, au), len(self.xs) - 1) - 1])
+        try:
+            return f, 0.0 if au < self.a else au * self.q * (au - self.a) ** (self.q - 1.0)
+        except OverflowError:
+            return f, math.inf
+
+    @cached_property
+    def kinks(self) -> tuple[tuple[float, float], ...]:
+        """(u, jump of Phi' at u) for each u > 0 where the derivative jumps:
+        a polyline's inner breakpoints, and a for flat_then_power(a, 1)."""
+        if self.kind == "pwl":
+            jumps = np.diff(self._slopes)
+            return tuple((x, float(d)) for x, d in zip(self.xs[1:-1], jumps) if d > 0.0)
+        return ((self.a, 1.0),) if self.kind == "flat_then_power" and self.q == 1.0 else ()
+
     @cached_property
     def _slopes(self) -> np.ndarray:
         """A polyline's segment slopes; the last is its tail slope."""
@@ -102,24 +127,8 @@ class OrliczFunction:
         return float(self._slopes[-1])
 
     def evaluate_array(self, u: np.ndarray) -> np.ndarray:
-        au = np.abs(np.asarray(u, dtype=float))
-        k = self.kind
         with np.errstate(over="ignore", invalid="ignore"):
-            if k == "power":
-                return au ** self.q
-            if k == "exp_minus":
-                out = np.expm1(au) - au
-                if np.any(au < 1e-5):  # expm1(u) - u cancels there: the series, as in _eval_abs
-                    out = np.where(au < 1e-5, au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0)), out)
-                return out
-            if k == "flat_then_power":
-                t = np.maximum(0.0, au - self.a)
-                return t ** self.q
-            out = np.interp(au, self.xs, self.ys)
-            tail = au >= self.xs[-1]
-            if np.any(tail):
-                out = np.where(tail, self.ys[-1] + self._tail_slope() * (au - self.xs[-1]), out)
-            return out
+            return self._phi_array(np.abs(np.asarray(u, dtype=float)))
 
     def derivative_array(self, u: np.ndarray) -> np.ndarray:
         """The right derivative of Phi on [0, inf), taken at |u|."""
@@ -137,6 +146,38 @@ class OrliczFunction:
         # segment i holds [xs[i], xs[i+1]); past the last breakpoint the tail slope
         i = np.searchsorted(self.xs, au, side="right")
         return self._slopes[np.minimum(i, len(self.xs) - 1) - 1]
+
+    def pair_array(self, au: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi(au), au Phi'(au)) for an array au >= 0, as _eval_pair."""
+        k, q = self.kind, self.q
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k == "flat_then_power" and q > 1.0:  # 0 ** (q - 1) = 0 on the flat zone
+                t = np.maximum(0.0, au - self.a)
+                return t ** q, q * au * t ** (q - 1.0)
+            f = self._phi_array(au)
+            if k == "power":
+                return f, q * f
+            if k == "exp_minus":  # Phi'(u) = Phi(u) + u
+                return f, au * (f + au)
+            return f, au * self.derivative_array(au)
+
+    def _phi_array(self, au: np.ndarray) -> np.ndarray:
+        k = self.kind
+        if k == "power":
+            return au ** self.q
+        if k == "exp_minus":
+            out = np.expm1(au) - au
+            if np.any(au < 1e-5):  # expm1(u) - u cancels there: the series, as in _eval_abs
+                out = np.where(au < 1e-5, au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0)), out)
+            return out
+        if k == "flat_then_power":
+            t = np.maximum(0.0, au - self.a)
+            return t ** self.q
+        out = np.interp(au, self.xs, self.ys)
+        tail = au >= self.xs[-1]
+        if np.any(tail):
+            out = np.where(tail, self.ys[-1] + self._tail_slope() * (au - self.xs[-1]), out)
+        return out
 
     @property
     def label(self) -> str:

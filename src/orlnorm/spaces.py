@@ -171,7 +171,9 @@ def modular(phi: "OrliczFunction", x: SimpleFunction, scale: float = 1.0) -> flo
 def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], float]:
     """scale -> modular(phi, x, scale), reading the support of x once.  The
     callable carries ``top`` = max|x|, ``top_inf`` = max|x| on the infinite
-    atoms and ``top_finite`` = max|x| on the finite ones.
+    atoms and ``top_finite`` = max|x| on the finite ones, ``with_conjugate``:
+    scale -> (modular, sum w (u Phi'(u) - Phi(u)) over the finite atoms, u =
+    scale |x|), and ``finite_atoms()``: their weights and |values| as arrays.
 
     Phi is even and nondecreasing on [0, inf), so the infinite atoms need
     one evaluation at their largest |value|, and one finiteness check of
@@ -201,12 +203,17 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
         top_finite = max((a for _, a in finite), default=0.0)
     top = max(top_inf, top_finite)
 
-    def at(scale: float) -> float:
+    def diverges(scale: float) -> bool:
+        """Whether an infinite atom makes the modular +inf at scale (checked finite)."""
         s = abs(scale)
         if top > 0.0 and not math.isfinite(s * top):
             raise DomainError(f"non-finite argument {scale!r} * {top!r}")
-        if top_inf > 0.0 and ev(s * top_inf) != 0.0:
+        return top_inf > 0.0 and ev(s * top_inf) != 0.0
+
+    def at(scale: float) -> float:
+        if diverges(scale):
             return math.inf
+        s = abs(scale)
         if wide:
             # vdot, unlike dot, does not warn on overflow: past double range it is +inf
             return float(np.vdot(ws, phi.evaluate_array(s * az)))
@@ -215,7 +222,27 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
             total += w * ev(s * a)
         return total
 
+    def with_conjugate(scale: float) -> tuple[float, float]:
+        if diverges(scale):
+            return math.inf, math.inf
+        s = abs(scale)
+        if wide:
+            f, d = phi.pair_array(s * az)
+            i = float(np.vdot(ws, f))
+            return (i, float(np.vdot(ws, d - f))) if i < math.inf else (i, math.inf)
+        pair = phi._eval_pair
+        i = j = 0.0
+        for w, a in finite:
+            f, d = pair(s * a)
+            i += w * f
+            j += w * (d - f)
+        return i, j
+
+    def finite_atoms() -> tuple[np.ndarray, np.ndarray]:
+        return (ws, az) if wide else tuple(np.array(finite, dtype=float).reshape(-1, 2).T)
+
     at.top, at.top_inf, at.top_finite = top, top_inf, top_finite
+    at.with_conjugate, at.finite_atoms = with_conjugate, finite_atoms
     return at
 
 

@@ -141,6 +141,21 @@ def test_verify_json_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_statuses_match_the_recorded_catalog_run(capsys):
+    # tests/data/verify_statuses.json records the exit code and each suite's
+    # status, trials and violation kinds of its "command" on the 20 catalog
+    # pairs; a change to the engine's search must not move any of them
+    record = json.loads((Path(__file__).parent / "data" / "verify_statuses.json").read_text())
+    assert len(record["pairs"]) == 20
+    for pair, want in record["pairs"].items():
+        phi, p = pair.split()
+        code, out, _ = run(capsys, *record["command"].split(), "--phi", phi, "--p", p)
+        reports = {r["theorem_id"]: {"status": r["status"], "trials": r["trials"],
+                                     "violation_kinds": sorted({v["kind"] for v in r["violations"]})}
+                   for r in json.loads(out)["reports"]}
+        assert {"exit": code, "reports": reports} == want, pair
+
+
 def test_unread_flags_exit_2(capsys):
     # each subcommand parses only the flags it reads
     for argv in (("modulus", "--phi", "power:2"), ("modulus", "--space", "{}"),

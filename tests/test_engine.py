@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from orlnorm import engine
-from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError, exp_minus,
+from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError,
+                     boundary_sampled, exp_minus,
                      flat_then_power, generated_norm, generated_norm_on_grid, l1,
                      lemma_bounds_check,
                      linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
@@ -92,8 +93,13 @@ def test_luxemburg_equals_max_type_norm_in_few_evaluations(orlicz_catalog, monke
                 scales.clear()
                 got = luxemburg_norm(phi, x)
                 assert len(scales) <= 20, (phi.label, x.values)
-                want = generated_norm(phi, linf(), x).value
-                assert got == pytest.approx(want, rel=1e-10), (phi.label, x.values)
+                # the definition: x / got lies in the modular ball, x / (got (1 - 1e-9)) not
+                if math.isinf(got):  # x is nonzero on an infinite atom, Phi vanishes only at 0
+                    assert phi.zero_bound == 0.0, (phi.label, x.values)
+                    continue
+                assert modular(phi, x, scale=1.0 / got) <= 1.0 + 1e-12, (phi.label, x.values)
+                assert modular(phi, x, scale=1.0 / (got * (1.0 - 1e-9))) > 1.0, (
+                    phi.label, x.values)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -102,7 +108,7 @@ def test_luxemburg_flat_generator_on_infinite_atoms_only(a, q):
     # I(x / lam) is 0 for lam >= max|x| / a and +inf below
     sp = measure_space([1.0, math.inf, 2.0, math.inf])
     x = simple_function(sp, [0.0, -1.5, 0.0, 0.7])
-    assert luxemburg_norm(flat_then_power(a, q), x) == pytest.approx(1.5 / a, rel=1e-15)
+    assert luxemburg_norm(flat_then_power(a, q), x) == pytest.approx(1.5 / a, rel=1e-15, abs=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -250,11 +256,82 @@ def test_search_stays_under_grid_oracle_and_jump(orlicz_catalog, planar_catalog)
         if m > 0.0:
             assert r.k_star <= phi.zero_bound / m
             assert math.isfinite(modular(phi, x, scale=r.k_star))
-    # under the max norm the Luxemburg root is the answer; elsewhere it seeds
-    # Brent, which stops on the convexity gap certificate
+    # under the max norm the Luxemburg root is the answer; elsewhere zeroin
+    # on the first-order equation (measured: means 4.8-5.0, at most 10)
     for p_label, counts in evaluations.items():
-        assert np.mean(counts) <= (8 if p_label == "linf" else 16), p_label
-        assert max(counts) <= 40, p_label
+        assert np.mean(counts) <= (8 if p_label == "linf" else 5.5), p_label
+        assert max(counts) <= 12, p_label
+
+
+def _convex_polyline(rng):
+    """A convex polyline through 2-4 random breakpoints, flat on its first piece half the time."""
+    m = int(rng.integers(2, 5))
+    xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, m))])
+    slopes = np.sort(rng.uniform(0.0, 3.0, m))
+    if rng.uniform() < 0.5:
+        slopes[0] = 0.0
+    ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+    return piecewise_linear(list(zip(xs, ys)))
+
+
+def _convex_ball(rng):
+    """A boundary ball whose radius slope never increases at a sample: a
+    concave radius in angle, 1 at both ends."""
+    m = int(rng.integers(1, 4))
+    angles = np.concatenate([[0.0], np.sort(rng.uniform(0.1, math.pi / 2 - 0.1, m)), [math.pi / 2]])
+    slopes = np.sort(rng.uniform(-0.6, 0.6, m + 1))[::-1]
+    radii = np.concatenate([[0.0], np.cumsum(slopes * np.diff(angles))])
+    radii = 1.0 + radii - radii[-1] * angles / angles[-1]  # a linear tilt keeps the slopes' order
+    return boundary_sampled(list(zip(angles, radii)))
+
+
+def test_kinked_generators_and_boundary_balls_stay_under_grid():
+    # where Phi' jumps, F jumps at k = b/|x_i|: the binary search over those
+    # points settles the sum norm in a few evaluations
+    rng = np.random.default_rng(2000)
+    phis = [power(1), *(flat_then_power(a, 1) for a in rng.uniform(0.05, 1.0, 3)),
+            *(_convex_polyline(rng) for _ in range(4))]
+    norms = [l1(), lq(1.5), lq(2), lq(3), *(_convex_ball(rng) for _ in range(3))]
+    evaluations = {}
+    for phi in phis:
+        for p in norms:
+            for _ in range(6):
+                x = simple_function(measure_space(np.exp(rng.uniform(-2.0, 2.0, 6))),
+                                    rng.uniform(-2.0, 2.0, 6))
+                r = generated_norm(phi, p, x)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    grid = generated_norm_on_grid(phi, p, x)
+                assert r.value <= grid * (1.0 + 1e-9), (phi.label, p.label, x.values)
+                assert r.bracket[0] <= r.k_star <= r.bracket[1], (phi.label, p.label, x.values)
+                if p.kind == "boundary":
+                    kind = "kinked boundary" if phi.kinks else "boundary"
+                else:
+                    kind = "kinked l1" if p.kind == "l1" and phi.kinks and r.attained else "mean"
+                evaluations.setdefault(kind, []).append(r.evaluations)
+    # measured: at most 7, 16 (the capped non-attained calls), 13 and 54; a
+    # minimiser at a corner of the boundary ball, where F jumps at an angle
+    # of the samples, still takes zeroin to bisection
+    for kind, bound in (("kinked l1", 8), ("mean", 16), ("boundary", 14),
+                        ("kinked boundary", 56)):
+        assert max(evaluations[kind]) <= bound, kind
+
+
+def test_attainment_is_decided_by_the_first_order_limit():
+    # under the sum norm, flat_then_power(a, 1) on n unit atoms has J -> a n:
+    # the infimum is attained iff a n > 1, at the kink k = a / |x_(m)|, m the
+    # first count of active atoms with a m > 1; else it is sum |x| at k -> inf
+    x = simple_function(unit_weights(4), [0.7, -1.9, 1.3, -0.4])
+    top = sorted((abs(v) for v in x.values), reverse=True)
+    a = 1.5 / 4
+    r = generated_norm(flat_then_power(a, 1), l1(), x)
+    k = a / top[2]
+    assert r.attained and r.k_star == pytest.approx(k, rel=1e-15, abs=0.0)
+    assert r.value == pytest.approx((1.0 + sum(k * v - a for v in top[:3])) / k, rel=1e-15,
+                                    abs=0.0)
+    assert r.evaluations <= 8
+    r = generated_norm(flat_then_power(0.5 / 4, 1), l1(), x)
+    assert not r.attained and r.bracket[0] == r.bracket[1] == r.k_star
+    assert r.value == pytest.approx(sum(top), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("phi, p, values", [
@@ -283,14 +360,16 @@ def test_norms_are_homogeneous_at_extreme_scales(lam):
         for p in (linf(), l1(), lq(2)):
             r = generated_norm(phi, p, x)
             ref = generated_norm(phi, p, simple_function(sp, base)).value
-            assert r.attained and r.value == pytest.approx(lam * ref, rel=1e-10), (phi.label, p.label)
+            assert r.attained and r.value == pytest.approx(lam * ref, rel=1e-10, abs=0.0), (
+                phi.label, p.label)
         ref = orlicz_dual_norm(phi, simple_function(sp, base))
-        assert orlicz_dual_norm(phi, x) == pytest.approx(lam * ref, rel=1e-9), phi.label
+        assert orlicz_dual_norm(phi, x) == pytest.approx(lam * ref, rel=1e-9, abs=0.0), phi.label
     # the Luxemburg norm of (lam, 2 lam) under |u|^2 is sqrt(5) lam
     pair = simple_function(unit_weights(2), [lam, 2.0 * lam])
     assert generated_norm(power(2), linf(), pair).value == pytest.approx(
-        math.sqrt(5.0) * lam, rel=1e-10)
-    assert luxemburg_norm(power(2), pair) == pytest.approx(math.sqrt(5.0) * lam, rel=1e-10)
+        math.sqrt(5.0) * lam, rel=1e-10, abs=0.0)
+    assert luxemburg_norm(power(2), pair) == pytest.approx(math.sqrt(5.0) * lam, rel=1e-10,
+                                                           abs=0.0)
 
 
 def test_cap_follows_the_luxemburg_point_not_max_value():
@@ -469,7 +548,8 @@ def test_dual_norm_zero_and_single_atom():
 
 
 def test_dual_norm_weighted_and_steep(monkeypatch):
-    # each probe of k evaluates Phi' once: at most 20 of them per dual norm
+    # the sum norm's search takes J from the modular's pass: Phi' itself is
+    # evaluated at the bracket's two ends only, for the chord
     calls = []
     derivative = OrliczFunction.derivative_array
 
@@ -487,10 +567,10 @@ def test_dual_norm_weighted_and_steep(monkeypatch):
             x = _rand_function(sp, rng)
             calls.clear()
             dual = orlicz_dual_norm(phi, x)
-            assert len(calls) <= 20, phi.label
+            assert len(calls) == 2, phi.label
             amemiya = generated_norm(phi, l1(), x).value
             assert dual <= amemiya + 1e-6, phi.label
-            assert dual >= amemiya - 1e-10 * max(1.0, amemiya), phi.label
+            assert dual >= amemiya - 2e-12 * max(1.0, amemiya), phi.label
 
 
 def test_dual_norm_rejects_infinite_atom_support():
