@@ -156,16 +156,20 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at,
     pair = (lambda k: (modular_at(k), 0.0)) if p.kind == "linf" else modular_at.with_conjugate
     root = _Root()
     kl_floor = 0.0  # k_L >= k / max(1, I(kx)) at every sample: I(kx)/k is nondecreasing
+    exp, inf = math.exp, math.inf
 
     def k_of(s: float) -> float:
-        return k_top if s >= s_top else min(math.exp(s), k_top)
+        if s >= s_top:
+            return k_top
+        k = exp(s)
+        return k_top if k_top < k else k
 
     def sample(k: float) -> tuple[float, float, float]:
         """Record g at k and return (F, I, J) there."""
         nonlocal kl_floor
         i, j = pair(k)
         root.evaluations += 1
-        val = p_abs(1.0, i) / k if i < math.inf and k > 0.0 else math.inf  # k underflows
+        val = p_abs(1.0, i) / k if i < inf and k > 0.0 else inf  # k underflows
         if val < root.best_v:
             root.best_v, root.best_k = val, k
         f = first_order(i, j)
@@ -174,7 +178,9 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at,
                 root.lo = (k, f, i, j)
         elif root.hi is None or k < root.hi[0]:
             root.hi = (k, f, i, j)
-        kl_floor = max(kl_floor, k / max(1.0, i))
+        c = k / i if i > 1.0 else k
+        if c > kl_floor:
+            kl_floor = c
         return f, i, j
 
     factor = 2.0
@@ -367,9 +373,10 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     the K_CAP * k_L cap when J <= 1 up to there).  y is taken on the chord
     between the ends' derivatives, where their J average to 1 (feasible, as
     Psi is convex): exact where a kink of Phi makes J jump across 1.  The
-    certificate y is checked once against the exact conjugate and scaled
-    into the dual ball if it lies outside (Psi is convex with Psi(0) = 0),
-    so the value is the pairing with a feasible y.
+    certificate y is checked against the exact conjugate and, while its
+    conjugate modular c exceeds 1, replaced by y / c (Psi is convex with
+    Psi(0) = 0, so that is within rounding of the dual ball) and checked
+    again, so the value is the pairing with a feasible y.
     """
     modular_at = modular_of(phi, x)
     if modular_at.top_inf > 0.0:
@@ -384,8 +391,9 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     y = y_lo + t * (y_hi - y_lo)
 
     exact = float(np.sum(w * young_conjugate_many(phi, y)))
-    if exact > 1.0:
-        y = y / (exact * (1.0 + 1e-12))  # the margin absorbs rounding in Psi
+    while exact > 1.0:  # +inf gives y = 0
+        y = y / exact
+        exact = float(np.sum(w * young_conjugate_many(phi, y)))
     return float(np.sum(w * ax * y))
 
 

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -93,21 +94,16 @@ class OrliczFunction:
         t = (au - x0) / (x1 - x0)
         return ys[i - 1] * (1.0 - t) + ys[i] * t
 
-    def _eval_pair(self, au: float) -> tuple[float, float]:
-        """(Phi(au), au Phi'(au)) for a finite au >= 0, Phi' the right
-        derivative, unchecked."""
-        f = self._eval_abs(au)
-        k = self.kind
-        if k == "power":
-            return f, self.q * f
-        if k == "exp_minus":  # Phi'(u) = e^u - 1 = Phi(u) + u
-            return f, au * (f + au)
-        if k == "pwl":
-            return f, au * float(self._slopes[min(bisect_right(self.xs, au), len(self.xs) - 1) - 1])
-        try:
-            return f, 0.0 if au < self.a else au * self.q * (au - self.a) ** (self.q - 1.0)
-        except OverflowError:
-            return f, math.inf
+    @cached_property
+    def sums(self) -> tuple[Callable, Callable]:
+        """This kind's summing kernels (modular_sum, pair_sum) over a list of
+        (w, a) pairs, a >= 0 finite, and a scale s >= 0 with s a finite:
+        modular_sum(atoms, s) = sum w Phi(u) and pair_sum(atoms, s) = (sum w
+        Phi(u), sum w (u Phi'(u) - Phi(u))), u = s a, Phi' the right
+        derivative.  Each adds the atoms in order and evaluates Phi with
+        _eval_abs's expressions inline, so sum w Phi(u) is bit for bit that
+        of an atom-by-atom loop over _eval_abs; an overflow is +inf per atom."""
+        return _KERNELS[self.kind](self)
 
     @cached_property
     def kinks(self) -> tuple[tuple[float, float], ...]:
@@ -148,7 +144,7 @@ class OrliczFunction:
         return self._slopes[np.minimum(i, len(self.xs) - 1) - 1]
 
     def pair_array(self, au: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi(au), au Phi'(au)) for an array au >= 0, as _eval_pair."""
+        """(Phi(au), au Phi'(au)) for an array au >= 0, Phi' the right derivative."""
         k, q = self.kind, self.q
         with np.errstate(over="ignore", invalid="ignore"):
             if k == "flat_then_power" and q > 1.0:  # 0 ** (q - 1) = 0 on the flat zone
@@ -197,6 +193,154 @@ class OrliczFunction:
         if self.kind == "pwl":
             return {"kind": "pwl", "points": [[x, y] for x, y in zip(self.xs, self.ys)]}
         return {"kind": self.kind}
+
+
+# ---------------------------------------------------------------------------
+# Summing kernels: one loop per kind, the per-atom arithmetic inline
+
+
+def _power_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+    q = phi.q
+
+    def modular_sum(atoms, s: float) -> float:
+        i = 0.0
+        for w, a in atoms:
+            try:
+                f = (s * a) ** q
+            except OverflowError:
+                f = math.inf
+            i += w * f
+        return i
+
+    def pair_sum(atoms, s: float) -> tuple[float, float]:
+        i = j = 0.0
+        for w, a in atoms:
+            try:
+                f = (s * a) ** q
+            except OverflowError:
+                f = math.inf
+            i += w * f
+            j += w * (q * f - f)  # u Phi'(u) = q Phi(u)
+        return i, j
+
+    return modular_sum, pair_sum
+
+
+def _exp_minus_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+    expm1, inf = math.expm1, math.inf
+
+    def modular_sum(atoms, s: float) -> float:
+        i = 0.0
+        for w, a in atoms:
+            u = s * a
+            if u < 1e-5:  # expm1(u) - u cancels there: the series
+                f = u * u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
+            else:
+                try:
+                    f = expm1(u) - u
+                except OverflowError:
+                    f = inf
+            i += w * f
+        return i
+
+    def pair_sum(atoms, s: float) -> tuple[float, float]:
+        i = j = 0.0
+        for w, a in atoms:
+            u = s * a
+            if u < 1e-5:
+                f = u * u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
+            else:
+                try:
+                    f = expm1(u) - u
+                except OverflowError:
+                    f = inf
+            i += w * f
+            j += w * (u * (f + u) - f)  # Phi'(u) = e^u - 1 = Phi(u) + u
+        return i, j
+
+    return modular_sum, pair_sum
+
+
+def _flat_then_power_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+    # on the flat zone u < a both terms are 0 and the atom is skipped: adding
+    # +0.0 to a sum of nonnegative terms leaves its bits as they are
+    a0, q, inf = phi.a, phi.q, math.inf
+    q1 = q - 1.0
+
+    def modular_sum(atoms, s: float) -> float:
+        i = 0.0
+        for w, a in atoms:
+            t = s * a - a0
+            if t > 0.0:
+                try:
+                    f = t ** q
+                except OverflowError:
+                    f = inf
+                i += w * f
+        return i
+
+    def pair_sum(atoms, s: float) -> tuple[float, float]:
+        i = j = 0.0
+        for w, a in atoms:
+            u = s * a
+            if u < a0:
+                continue
+            t = u - a0
+            try:
+                f = t ** q
+            except OverflowError:
+                f = inf
+            try:  # at u = a the right derivative: 0 ** 0 = 1 when q = 1
+                d = u * q * t ** q1
+            except OverflowError:
+                d = inf
+            i += w * f
+            j += w * (d - f)
+        return i, j
+
+    return modular_sum, pair_sum
+
+
+def _pwl_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+    xs, ys, slopes = phi.xs, phi.ys, phi._slopes.tolist()
+    x_end, y_end, tail = xs[-1], ys[-1], slopes[-1]
+
+    def modular_sum(atoms, s: float) -> float:
+        i = 0.0
+        for w, a in atoms:
+            u = s * a
+            if u >= x_end:
+                f = y_end + tail * (u - x_end)
+            else:
+                m = bisect_right(xs, u)
+                x0 = xs[m - 1]
+                t = (u - x0) / (xs[m] - x0)
+                f = ys[m - 1] * (1.0 - t) + ys[m] * t
+            i += w * f
+        return i
+
+    def pair_sum(atoms, s: float) -> tuple[float, float]:
+        i = j = 0.0
+        for w, a in atoms:
+            u = s * a
+            if u >= x_end:
+                f = y_end + tail * (u - x_end)
+                d = u * tail
+            else:  # segment m - 1 holds [xs[m - 1], xs[m])
+                m = bisect_right(xs, u)
+                x0 = xs[m - 1]
+                t = (u - x0) / (xs[m] - x0)
+                f = ys[m - 1] * (1.0 - t) + ys[m] * t
+                d = u * slopes[m - 1]
+            i += w * f
+            j += w * (d - f)
+        return i, j
+
+    return modular_sum, pair_sum
+
+
+_KERNELS = {"power": _power_sums, "exp_minus": _exp_minus_sums,
+            "flat_then_power": _flat_then_power_sums, "pwl": _pwl_sums}
 
 
 def power(q: float) -> OrliczFunction:

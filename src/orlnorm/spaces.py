@@ -85,11 +85,11 @@ class SimpleFunction:
 
     def __post_init__(self) -> None:
         # Python floats whatever the input: numpy scalars slow the modular down
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if len(values) != self.space.n_atoms:
             raise DomainError("values must align with the space's atoms")
-        if any(not math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise DomainError("simple functions take finite values")
 
     @property
@@ -178,12 +178,13 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
     Phi is even and nondecreasing on [0, inf), so the infinite atoms need
     one evaluation at their largest |value|, and one finiteness check of
     scale * max|x| covers every atom.  On a space of fewer than ARRAY_ATOMS
-    atoms the finite atoms are summed in atom order, as an atom-by-atom loop
-    would; from ARRAY_ATOMS on, by one numpy dot product of the weights
-    with phi.evaluate_array, which may differ from that loop by a few ulps.
+    atoms the finite atoms are summed in atom order by the kind's kernel
+    (phi.sums), bit for bit as an atom-by-atom loop over Phi would; from
+    ARRAY_ATOMS on, by one numpy dot product of the weights with
+    phi.evaluate_array, which may differ from that loop by a few ulps.
     """
     n = x.space.n_atoms
-    ev = phi._eval_abs
+    ev, inf = phi._eval_abs, math.inf
     wide = n >= ARRAY_ATOMS
     if wide:
         ws, az = np.fromiter(x.space.weights, float, n), np.abs(np.fromiter(x.values, float, n))
@@ -193,50 +194,45 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
         top_finite = float(np.max(az, initial=0.0))
     else:
         finite: list[tuple[float, float]] = []  # (weight, |value|) of the finite support
-        top_inf = 0.0
+        append = finite.append
+        top_inf = top_finite = 0.0
         for w, v in zip(x.space.weights, x.values):
             if v != 0.0:
-                if math.isinf(w):
-                    top_inf = max(top_inf, abs(v))
+                a = v if v > 0.0 else -v
+                if w == inf:  # weights are positive or +inf
+                    if a > top_inf:
+                        top_inf = a
                 else:
-                    finite.append((w, abs(v)))
-        top_finite = max((a for _, a in finite), default=0.0)
-    top = max(top_inf, top_finite)
+                    append((w, a))
+                    if a > top_finite:
+                        top_finite = a
+        modular_sum, pair_sum = phi.sums
+    top = top_inf if top_inf > top_finite else top_finite
 
-    def diverges(scale: float) -> bool:
-        """Whether an infinite atom makes the modular +inf at scale (checked finite)."""
-        s = abs(scale)
-        if top > 0.0 and not math.isfinite(s * top):
-            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
-        return top_inf > 0.0 and ev(s * top_inf) != 0.0
-
+    # scale * top finite covers every atom; an infinite atom makes the
+    # modular +inf where Phi(scale * top_inf) > 0
     def at(scale: float) -> float:
-        if diverges(scale):
-            return math.inf
         s = abs(scale)
+        if top > 0.0 and not s * top < inf:
+            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
+        if top_inf > 0.0 and ev(s * top_inf) != 0.0:
+            return inf
         if wide:
             # vdot, unlike dot, does not warn on overflow: past double range it is +inf
             return float(np.vdot(ws, phi.evaluate_array(s * az)))
-        total = 0.0
-        for w, a in finite:
-            total += w * ev(s * a)
-        return total
+        return modular_sum(finite, s)
 
     def with_conjugate(scale: float) -> tuple[float, float]:
-        if diverges(scale):
-            return math.inf, math.inf
         s = abs(scale)
+        if top > 0.0 and not s * top < inf:
+            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
+        if top_inf > 0.0 and ev(s * top_inf) != 0.0:
+            return inf, inf
         if wide:
             f, d = phi.pair_array(s * az)
             i = float(np.vdot(ws, f))
-            return (i, float(np.vdot(ws, d - f))) if i < math.inf else (i, math.inf)
-        pair = phi._eval_pair
-        i = j = 0.0
-        for w, a in finite:
-            f, d = pair(s * a)
-            i += w * f
-            j += w * (d - f)
-        return i, j
+            return (i, float(np.vdot(ws, d - f))) if i < inf else (i, inf)
+        return pair_sum(finite, s)
 
     def finite_atoms() -> tuple[np.ndarray, np.ndarray]:
         return (ws, az) if wide else tuple(np.array(finite, dtype=float).reshape(-1, 2).T)

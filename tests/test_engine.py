@@ -570,7 +570,9 @@ def test_dual_norm_weighted_and_steep(monkeypatch):
             assert len(calls) == 2, phi.label
             amemiya = generated_norm(phi, l1(), x).value
             assert dual <= amemiya + 1e-6, phi.label
-            assert dual >= amemiya - 2e-12 * max(1.0, amemiya), phi.label
+            # the chord between the bracket's ends costs a kinked generator up to about 7e-13
+            gap = 2e-12 if phi in kinked else 1e-14
+            assert dual >= amemiya - gap * max(1.0, amemiya), phi.label
 
 
 def test_dual_norm_rejects_infinite_atom_support():

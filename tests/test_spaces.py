@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_functions,
-                     dominated_pair_sample, flat_then_power, function_from_descriptor,
-                     measure_space, modular, modular_on_grid, order_ops, piecewise_linear,
-                     power, simple_function, space_from_descriptor, unit_weights)
-from orlnorm.spaces import ARRAY_ATOMS
+                     catalog_planar_norms, dominated_pair_sample, exp_minus, flat_then_power,
+                     function_from_descriptor, measure_space, modular, modular_on_grid,
+                     order_ops, piecewise_linear, power, simple_function, space_from_descriptor,
+                     unit_weights)
+from orlnorm.engine import _first_order
+from orlnorm.spaces import ARRAY_ATOMS, modular_of
 
 
 def test_space_validation():
@@ -124,6 +126,57 @@ def test_wide_modular_matches_exact_sum():
     # a sum past double range is +inf on both paths
     for n in (ARRAY_ATOMS - 1, ARRAY_ATOMS):
         assert modular(power(1), simple_function(unit_weights(n), [1e308] * n)) == math.inf
+
+
+def _conjugate_exact_sum(phi, x, scale):
+    """J's reference: sum w (u Phi'(u) - Phi(u)) over the finite atoms, u =
+    scale |x|, Phi' from derivative_array, the terms summed exactly."""
+    args = [(w, abs(scale * v)) for w, v in zip(x.space.weights, x.values)
+            if v != 0.0 and math.isfinite(w)]
+    slopes = phi.derivative_array([u for _, u in args]).tolist()
+    return math.fsum(w * (u * d - phi.evaluate(u)) for (w, u), d in zip(args, slopes))
+
+
+def test_modular_with_conjugate_matches_exact_sums():
+    # the (I, J) pass, by the kind's kernel below ARRAY_ATOMS and by numpy
+    # from there on; at scale 1 the special values sit below exp_minus's
+    # series cut, at the flat zones' ends, at the polyline's breakpoints and
+    # on its tail
+    rng = np.random.default_rng(41)
+    special = [3e-6, -1e-7, 1e-5, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0, 0.0]
+    phis = list(catalog_orlicz_functions().values())
+    phis += [piecewise_linear([(0, 0), (0.5, 0), (1, 0.25), (2, 2)]), flat_then_power(0.5, 1)]
+    for phi in phis:
+        for n in (1, 6, ARRAY_ATOMS - 1, ARRAY_ATOMS, 97):
+            for inf_share in (0.0, 0.2):
+                weights = np.where(rng.uniform(size=n) < inf_share, math.inf,
+                                   10.0 ** rng.uniform(-2, 2, n))
+                values = rng.normal(size=n) * (rng.uniform(size=n) < 0.8)
+                values[:len(special)] = rng.permutation(special)[:n]
+                x = simple_function(measure_space(weights), values)
+                pair = modular_of(phi, x).with_conjugate
+                for scale in (1.0, *10.0 ** rng.uniform(-1, 1, 4)):
+                    i, j = pair(float(scale))
+                    want = _modular_exact_sum(phi, x, float(scale))
+                    if math.isinf(want):
+                        assert (i, j) == (math.inf, math.inf), (phi.label, n, scale)
+                        continue
+                    if n < ARRAY_ATOMS:
+                        assert i == _modular_atom_by_atom(phi, x, float(scale))
+                    assert i == want or abs(i - want) <= 1e-14 * want, (phi.label, n, scale)
+                    want = _conjugate_exact_sum(phi, x, float(scale))
+                    assert abs(j - want) <= 1e-14 * max(1.0, want), (phi.label, n, scale)
+
+
+def test_modular_overflow_gives_infinite_first_order():
+    # an atom whose Phi overflows: I = +inf, and every first-order function is +inf
+    for phi in (power(3), exp_minus(), flat_then_power(1, 2)):
+        for n in (3, ARRAY_ATOMS):
+            x = simple_function(unit_weights(n), [1e200, 0.5] + [0.0] * (n - 2))
+            i, j = modular_of(phi, x).with_conjugate(1.0)
+            assert i == math.inf, phi.label
+            for p in catalog_planar_norms().values():
+                assert _first_order(p)(i, j) == math.inf, (phi.label, p.label)
 
 
 def test_modular_rejects_non_finite_arguments():
