@@ -93,14 +93,30 @@ def _json_text(obj) -> str:
 
 def _load_config(args: argparse.Namespace) -> None:
     """Config file values fill in only where the flag was left at default;
-    keys the subcommand has no flag for are not read."""
+    keys the subcommand has no flag for are not read.  A value becomes the
+    flag's text (a list joined with commas, an object as JSON text) and is
+    converted by the flag's own type, as on the command line."""
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DomainError(f"config file {args.config!r} must hold a JSON object")
     for key in ("phi", "p", "space", "values", "seed", "budget", "tol", "grid"):
-        if key in cfg and hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, cfg[key])
+        value = cfg.get(key)
+        if value is None or not hasattr(args, key) or getattr(args, key) is not None:
+            continue
+        if isinstance(value, list):
+            text = ",".join(map(str, value))
+        elif isinstance(value, dict):
+            text = json.dumps(value)
+        else:
+            text = str(value)
+        convert = _FLAGS[key][1].get("type", str) if key in _FLAGS else str
+        try:
+            setattr(args, key, convert(text))
+        except ValueError as exc:
+            raise DomainError(f"config value {key!r} = {value!r}: {exc}") from exc
 
 
 _FLAGS = {

@@ -1,4 +1,5 @@
 """Shared exception types."""
+from contextlib import contextmanager
 
 
 class DomainError(ValueError):
@@ -11,3 +12,15 @@ class ContractError(ValueError):
 
 class PreconditionError(RuntimeError):
     """A stated hypothesis of a bound or check is not satisfied by the input."""
+
+
+@contextmanager
+def reading_descriptor(what: str, d):
+    """Report a malformed descriptor d (a missing key, a wrong type, a value
+    that does not convert) as a DomainError naming it."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"bad {what} descriptor {d!r}: {exc!r}") from exc

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, reading_descriptor
 
 DELTA2_FAIL_RATIO = 1e8
 DELTA2_LO_EXP = -40.0  # the doubling grid: 2^[lo, hi], DELTA2_PER_OCTAVE points per octave
@@ -56,53 +56,19 @@ class OrliczFunction:
         au = abs(u)
         if not math.isfinite(au):
             raise DomainError(f"non-finite argument {u!r}")
-        return self._eval_abs(au)
+        # the kernel on one unit atom: 0.0 + 1.0 * f is f for every f >= 0
+        return self.pair_sum(((1.0, au),), 1.0)[0]
 
     __call__ = evaluate
 
-    def _eval_abs(self, au: float) -> float:
-        """Phi(au) for a finite au >= 0, unchecked."""
-        k = self.kind
-        if k == "power":
-            try:
-                return au ** self.q
-            except OverflowError:
-                return math.inf
-        if k == "exp_minus":
-            if au < 1e-5:
-                return au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0))
-            try:
-                return math.expm1(au) - au
-            except OverflowError:
-                return math.inf
-        if k == "flat_then_power":
-            t = au - self.a
-            if t <= 0.0:
-                return 0.0
-            try:
-                return t ** self.q
-            except OverflowError:
-                return math.inf
-        return self._eval_pwl(au)
-
-    def _eval_pwl(self, au: float) -> float:
-        xs, ys = self.xs, self.ys
-        if au >= xs[-1]:
-            return ys[-1] + self._tail_slope() * (au - xs[-1])
-        i = bisect_right(xs, au)
-        x0, x1 = xs[i - 1], xs[i]
-        t = (au - x0) / (x1 - x0)
-        return ys[i - 1] * (1.0 - t) + ys[i] * t
-
     @cached_property
-    def sums(self) -> tuple[Callable, Callable]:
-        """This kind's summing kernels (modular_sum, pair_sum) over a list of
-        (w, a) pairs, a >= 0 finite, and a scale s >= 0 with s a finite:
-        modular_sum(atoms, s) = sum w Phi(u) and pair_sum(atoms, s) = (sum w
-        Phi(u), sum w (u Phi'(u) - Phi(u))), u = s a, Phi' the right
-        derivative.  Each adds the atoms in order and evaluates Phi with
-        _eval_abs's expressions inline, so sum w Phi(u) is bit for bit that
-        of an atom-by-atom loop over _eval_abs; an overflow is +inf per atom."""
+    def pair_sum(self) -> Callable:
+        """This kind's summing kernel, the one scalar evaluator of Phi:
+        pair_sum(atoms, s) = (sum w Phi(u), sum w (u Phi'(u) - Phi(u))) over
+        (w, a) pairs, a >= 0 finite, u = s a with s >= 0 and s a finite, Phi'
+        the right derivative.  It adds the atoms in order, so sum w Phi(u) is
+        bit for bit that of an atom-by-atom loop over evaluate; an overflow
+        is +inf per atom."""
         return _KERNELS[self.kind](self)
 
     @cached_property
@@ -163,7 +129,7 @@ class OrliczFunction:
             return au ** self.q
         if k == "exp_minus":
             out = np.expm1(au) - au
-            if np.any(au < 1e-5):  # expm1(u) - u cancels there: the series, as in _eval_abs
+            if np.any(au < 1e-5):  # expm1(u) - u cancels there: the series, as in the kernel
                 out = np.where(au < 1e-5, au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0)), out)
             return out
         if k == "flat_then_power":
@@ -196,21 +162,13 @@ class OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# Summing kernels: one loop per kind, the per-atom arithmetic inline
+# Summing kernels: one loop per kind, the per-atom arithmetic of Phi and of
+# u Phi'(u) inline.  These are the only scalar expressions of Phi; the numpy
+# path (_phi_array, pair_array) writes the same expressions over arrays.
 
 
-def _power_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+def _power_sum(phi: OrliczFunction) -> Callable:
     q = phi.q
-
-    def modular_sum(atoms, s: float) -> float:
-        i = 0.0
-        for w, a in atoms:
-            try:
-                f = (s * a) ** q
-            except OverflowError:
-                f = math.inf
-            i += w * f
-        return i
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
@@ -223,14 +181,14 @@ def _power_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
             j += w * (q * f - f)  # u Phi'(u) = q Phi(u)
         return i, j
 
-    return modular_sum, pair_sum
+    return pair_sum
 
 
-def _exp_minus_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+def _exp_minus_sum(phi: OrliczFunction) -> Callable:
     expm1, inf = math.expm1, math.inf
 
-    def modular_sum(atoms, s: float) -> float:
-        i = 0.0
+    def pair_sum(atoms, s: float) -> tuple[float, float]:
+        i = j = 0.0
         for w, a in atoms:
             u = s * a
             if u < 1e-5:  # expm1(u) - u cancels there: the series
@@ -241,43 +199,17 @@ def _exp_minus_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
                 except OverflowError:
                     f = inf
             i += w * f
-        return i
-
-    def pair_sum(atoms, s: float) -> tuple[float, float]:
-        i = j = 0.0
-        for w, a in atoms:
-            u = s * a
-            if u < 1e-5:
-                f = u * u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
-            else:
-                try:
-                    f = expm1(u) - u
-                except OverflowError:
-                    f = inf
-            i += w * f
             j += w * (u * (f + u) - f)  # Phi'(u) = e^u - 1 = Phi(u) + u
         return i, j
 
-    return modular_sum, pair_sum
+    return pair_sum
 
 
-def _flat_then_power_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+def _flat_then_power_sum(phi: OrliczFunction) -> Callable:
     # on the flat zone u < a both terms are 0 and the atom is skipped: adding
     # +0.0 to a sum of nonnegative terms leaves its bits as they are
     a0, q, inf = phi.a, phi.q, math.inf
     q1 = q - 1.0
-
-    def modular_sum(atoms, s: float) -> float:
-        i = 0.0
-        for w, a in atoms:
-            t = s * a - a0
-            if t > 0.0:
-                try:
-                    f = t ** q
-                except OverflowError:
-                    f = inf
-                i += w * f
-        return i
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
@@ -298,26 +230,12 @@ def _flat_then_power_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
             j += w * (d - f)
         return i, j
 
-    return modular_sum, pair_sum
+    return pair_sum
 
 
-def _pwl_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
+def _pwl_sum(phi: OrliczFunction) -> Callable:
     xs, ys, slopes = phi.xs, phi.ys, phi._slopes.tolist()
     x_end, y_end, tail = xs[-1], ys[-1], slopes[-1]
-
-    def modular_sum(atoms, s: float) -> float:
-        i = 0.0
-        for w, a in atoms:
-            u = s * a
-            if u >= x_end:
-                f = y_end + tail * (u - x_end)
-            else:
-                m = bisect_right(xs, u)
-                x0 = xs[m - 1]
-                t = (u - x0) / (xs[m] - x0)
-                f = ys[m - 1] * (1.0 - t) + ys[m] * t
-            i += w * f
-        return i
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
@@ -336,11 +254,11 @@ def _pwl_sums(phi: OrliczFunction) -> tuple[Callable, Callable]:
             j += w * (d - f)
         return i, j
 
-    return modular_sum, pair_sum
+    return pair_sum
 
 
-_KERNELS = {"power": _power_sums, "exp_minus": _exp_minus_sums,
-            "flat_then_power": _flat_then_power_sums, "pwl": _pwl_sums}
+_KERNELS = {"power": _power_sum, "exp_minus": _exp_minus_sum,
+            "flat_then_power": _flat_then_power_sum, "pwl": _pwl_sum}
 
 
 def power(q: float) -> OrliczFunction:
@@ -392,15 +310,16 @@ def piecewise_linear(points) -> OrliczFunction:
 
 
 def orlicz_from_descriptor(d: dict) -> OrliczFunction:
-    kind = d.get("kind")
-    if kind == "power":
-        return power(d["q"])
-    if kind == "exp_minus":
-        return exp_minus()
-    if kind == "flat_then_power":
-        return flat_then_power(d["a"], d["q"])
-    if kind == "pwl":
-        return piecewise_linear(d["points"])
+    with reading_descriptor("Orlicz", d):
+        kind = d.get("kind")
+        if kind == "power":
+            return power(d["q"])
+        if kind == "exp_minus":
+            return exp_minus()
+        if kind == "flat_then_power":
+            return flat_then_power(d["a"], d["q"])
+        if kind == "pwl":
+            return piecewise_linear(d["points"])
     raise DomainError(f"unknown Orlicz descriptor {d!r}")
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, reading_descriptor
 
 PLANAR_TOL = 1e-12  # absolute comparison tolerance at O(1) magnitudes
 _HALF_PI = math.pi / 2.0
@@ -163,15 +163,16 @@ def boundary_sampled(samples) -> PlanarNorm:
 
 
 def planar_from_descriptor(d: dict) -> PlanarNorm:
-    kind = d.get("kind")
-    if kind == "linf":
-        return linf()
-    if kind == "l1":
-        return l1()
-    if kind == "lq":
-        return lq(d["q"])
-    if kind == "boundary":
-        return boundary_sampled(d["samples"])
+    with reading_descriptor("planar norm", d):
+        kind = d.get("kind")
+        if kind == "linf":
+            return linf()
+        if kind == "l1":
+            return l1()
+        if kind == "lq":
+            return lq(d["q"])
+        if kind == "boundary":
+            return boundary_sampled(d["samples"])
     raise DomainError(f"unknown planar norm descriptor {d!r}")
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, reading_descriptor
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orlicz import OrliczFunction
@@ -68,14 +68,15 @@ def unit_weights(n: int) -> MeasureSpace:
 
 
 def space_from_descriptor(d: dict) -> MeasureSpace:
-    atoms = d.get("atoms")
-    if not isinstance(atoms, list) or not atoms:
-        raise DomainError(f"bad measure space descriptor {d!r}")
-    weights = []
-    for a in atoms:
-        w = a["w"] if isinstance(a, dict) else a
-        weights.append(math.inf if w == "inf" else float(w))
-    return measure_space(weights)
+    with reading_descriptor("measure space", d):
+        atoms = d.get("atoms")
+        if not isinstance(atoms, list) or not atoms:
+            raise DomainError(f"bad measure space descriptor {d!r}")
+        weights = []
+        for a in atoms:
+            w = a["w"] if isinstance(a, dict) else a
+            weights.append(math.inf if w == "inf" else float(w))
+        return measure_space(weights)
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,15 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
 
     Phi is even and nondecreasing on [0, inf), so the infinite atoms need
     one evaluation at their largest |value|, and one finiteness check of
-    scale * max|x| covers every atom.  On a space of fewer than ARRAY_ATOMS
-    atoms the finite atoms are summed in atom order by the kind's kernel
-    (phi.sums), bit for bit as an atom-by-atom loop over Phi would; from
-    ARRAY_ATOMS on, by one numpy dot product of the weights with
-    phi.evaluate_array, which may differ from that loop by a few ulps.
+    scale * max|x| covers every atom; the infinite-atom test is one call
+    of phi.evaluate.  On a space of fewer than ARRAY_ATOMS atoms the finite
+    atoms are summed in atom order by phi.pair_sum, the kind's one scalar
+    evaluator, whose first component is bit for bit an atom-by-atom loop
+    over Phi; from ARRAY_ATOMS on, by one numpy dot product of the weights
+    with phi.evaluate_array, which may differ from that loop by a few ulps.
     """
     n = x.space.n_atoms
-    ev, inf = phi._eval_abs, math.inf
+    ev, inf = phi.evaluate, math.inf
     wide = n >= ARRAY_ATOMS
     if wide:
         ws, az = np.fromiter(x.space.weights, float, n), np.abs(np.fromiter(x.values, float, n))
@@ -206,7 +208,7 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
                     append((w, a))
                     if a > top_finite:
                         top_finite = a
-        modular_sum, pair_sum = phi.sums
+        pair_sum = phi.pair_sum
     top = top_inf if top_inf > top_finite else top_finite
 
     # scale * top finite covers every atom; an infinite atom makes the
@@ -220,7 +222,7 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
         if wide:
             # vdot, unlike dot, does not warn on overflow: past double range it is +inf
             return float(np.vdot(ws, phi.evaluate_array(s * az)))
-        return modular_sum(finite, s)
+        return pair_sum(finite, s)[0]
 
     def with_conjugate(scale: float) -> tuple[float, float]:
         s = abs(scale)

@@ -981,6 +981,8 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
     unknown = [i for i in ids if i not in SUITE_IDS]
     if unknown:
         raise DomainError(f"unknown suite ids {unknown}")
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
     table = _TableOnFirstUse(p)
     reports = []
     for tid in SUITE_IDS:

@@ -54,6 +54,13 @@ def test_input_errors_exit_2(capsys):
     assert run(capsys, "modulus", "--grid", "1.5")[0] == 2
     assert run(capsys, "verify", "T99")[0] == 2
     assert run(capsys, "norm", "--values", "3,4", "--tol", "0")[0] == 2
+    # malformed descriptors name themselves instead of dying with a traceback
+    for flag, text in (("--space", '{"atoms":[{}]}'), ("--phi", '{"kind":"power"}'),
+                       ("--p", '{"kind":"lq"}'), ("--phi", '{"kind":"pwl","points":5}'),
+                       ("--space", "[1]")):
+        code, out, err = run(capsys, "norm", "--values", "1", flag, text)
+        assert code == 2 and out == "" and "bad " in err and "descriptor" in err
+    assert run(capsys, "verify", "T2", "--budget", "-5", "--json")[0] == 2
 
 
 def test_norm_outside_space_exits_2(capsys):
@@ -187,6 +194,23 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
     # explicit flag wins over the config value
     code, out, _ = run(capsys, "norm", "--config", str(cfg), "--p", "linf")
     assert json.loads(out)["value"] == pytest.approx(5.0, abs=1e-8)
+    # values of any JSON type: a list joins with commas, an object becomes
+    # JSON text, a scalar converts with the flag's own type
+    cfg.write_text(json.dumps({"values": [3, 4], "seed": "3", "p": "l1",
+                               "phi": {"kind": "power", "q": 2},
+                               "space": {"atoms": [{"w": 1}, {"w": 1}]}}))
+    code, out, _ = run(capsys, "norm", "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(10.0, rel=1e-9) and payload["seed"] == 3
+    cfg.write_text(json.dumps({"grid": [0.2, 0.5], "p": "l1"}))
+    code, out, _ = run(capsys, "modulus", "--config", str(cfg))
+    assert code == 0 and out.startswith("epsilon,delta\n0.2,")
+    for bad in ({"values": "3,4", "seed": "x"}, {"values": "3,4", "seed": 3.5},
+                {"values": "3,4", "tol": True}, [1, 2]):
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "norm", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -119,14 +119,30 @@ def test_derivative_is_the_right_derivative(generators):
 def test_overflow_evaluates_to_infinity():
     assert math.isinf(exp_minus()(1000.0))
     assert math.isinf(power(4)(1e100))
+    assert flat_then_power(1, 2)(1e200) == math.inf
+    assert flat_then_power(1, 2).evaluate_array([1e200])[0] == math.inf
 
 
 def test_evaluate_array_matches_scalar(orlicz_catalog):
-    us = np.array([-3.0, -0.5, 0.0, 1e-7, 0.9, 1.0, 2.5, 40.0])
+    # the branch points of the scalar evaluator: exp_minus's series below
+    # 1e-5 and the end 1.0 of flat_then_power(1, 2)'s flat zone
+    us = np.array([-3.0, -0.5, 0.0, 1e-7, np.nextafter(1e-5, 0.0), 1e-5, 0.9, 1.0, 2.5, 40.0])
     for phi in orlicz_catalog.values():
         arr = phi.evaluate_array(us)
         for u, a in zip(us, arr):
             assert a == pytest.approx(phi(float(u)), rel=1e-12, abs=1e-300)
+    below = float(np.nextafter(1e-5, 0.0))
+    assert exp_minus()(below) == pytest.approx(below * below / 2.0, rel=1e-5)
+    assert exp_minus()(1e-5) == pytest.approx(1e-10 / 2.0, rel=1e-5)
+    assert flat_then_power(1, 2)(1.0) == 0.0
+    # a polyline is exact at each breakpoint, and linear on its tail
+    pwl = piecewise_linear([(0, 0), (1, 0), (2, 1), (3, 3)])
+    assert [pwl(x) for x in pwl.xs] == list(pwl.ys)
+    assert pwl.evaluate_array(pwl.xs).tolist() == list(pwl.ys)
+    tail = [3.0 + 1e-9, 4.0, 1e6]
+    for u, a in zip(tail, pwl.evaluate_array(tail)):
+        assert pwl(u) == pytest.approx(3.0 + 2.0 * (u - 3.0), rel=1e-12)
+        assert a == pytest.approx(pwl(u), rel=1e-12)
 
 
 # --------------------------------------------------------------------------
