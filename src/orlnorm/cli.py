@@ -15,7 +15,7 @@ import sys
 from .engine import generated_norm
 from .errors import ContractError, DomainError, PreconditionError
 from .orlicz import exp_minus, flat_then_power, orlicz_from_descriptor, piecewise_linear, power
-from .planar import l1, linf, lq, modulus_of_monotonicity, planar_from_descriptor
+from .planar import l1, linf, lq, modulus_diagnostics_many, planar_from_descriptor
 from .spaces import simple_function, space_from_descriptor, unit_weights
 from .verify import SUITE_IDS, run_suites
 
@@ -183,10 +183,7 @@ def cmd_modulus(args: argparse.Namespace) -> int:
     _load_config(args)
     p = _parse_p(args.p or "linf")
     grid = _parse_grid(args.grid) if args.grid else [i / 10.0 for i in range(1, 10)]
-    for e in grid:
-        if not (0.0 < e < 1.0):
-            raise DomainError(f"epsilon grid must lie in (0,1), got {e}")
-    deltas = [modulus_of_monotonicity(p, e, args.resolution) for e in grid]
+    deltas = [r.value for r in modulus_diagnostics_many(p, grid, args.resolution)]
     if args.as_json:
         payload = {"schema": SCHEMA, "command": "modulus", "p": p.descriptor(),
                    "epsilon": grid, "delta": deltas}
@@ -216,6 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p = _parse_p(args.p or "l1")
     space = _parse_space(args.space) if args.space else unit_weights(6)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {seed}")
     budget = args.budget if args.budget is not None else 120
     reports = run_suites(ids, phi, p, space, seed=seed, budget=budget)
     payload = {"schema": SCHEMA, "command": "verify", "seed": seed,

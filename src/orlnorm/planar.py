@@ -15,6 +15,9 @@ The monotonicity modulus
 
 is computed on the positive quadrant by two passes of a grid over y on the
 positive unit sphere, the second refining around the first's minimiser.
+Both passes run over many epsilons at once, as (epsilons x grid) arrays:
+the coarse pass shares one grid, and the refinement windows of one size go
+through one call.  The values are those of a pass per epsilon, bit for bit.
 For each y the inner maximum of p(y - x) needs no search.  Larger p(x)
 only shrinks p(y - x), so x runs over the level curve p(x) = eps inside the
 box [0, y].  On that curve x2 is a concave, nonincreasing function of x1,
@@ -302,11 +305,12 @@ def _positive_sphere(p: PlanarNorm, thetas: np.ndarray) -> tuple[np.ndarray, np.
     return c / norms, s / norms
 
 
-def _level_end(p: PlanarNorm, fixed: np.ndarray, eps: float, cap: np.ndarray,
+def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
                first: np.ndarray) -> np.ndarray:
     """The least c in [0, cap] with p((fixed, c)) >= eps where ``first``,
-    else p((c, fixed)) >= eps (cap if none), elementwise; closed form for
-    the symmetric kinds, the q-mean's scaled by eps (eps**q underflows)."""
+    else p((c, fixed)) >= eps (cap if none), elementwise with eps
+    broadcasting; closed form for the symmetric kinds, the q-mean's scaled
+    by eps (eps**q underflows)."""
     if p.kind == "linf":
         return np.where(fixed >= eps, 0.0, np.minimum(eps, cap))
     if p.kind == "l1":
@@ -318,11 +322,11 @@ def _level_end(p: PlanarNorm, fixed: np.ndarray, eps: float, cap: np.ndarray,
     return _level_end_bisected(p, fixed, eps, cap, first)
 
 
-def _level_end_bisected(p: PlanarNorm, fixed: np.ndarray, eps: float, cap: np.ndarray,
+def _level_end_bisected(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
                         first: np.ndarray) -> np.ndarray:
     """_level_end by 60 vectorised bisection steps: a boundary sphere, r linear
     in the angle, meets a line u = const at a transcendental equation's root."""
-    lo, hi = np.zeros_like(fixed), cap
+    lo, hi = np.zeros(np.broadcast_shapes(np.shape(fixed), np.shape(eps))), cap
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = p.evaluate_many(np.where(first, fixed, mid), np.where(first, mid, fixed)) < eps
@@ -331,51 +335,78 @@ def _level_end_bisected(p: PlanarNorm, fixed: np.ndarray, eps: float, cap: np.nd
     return 0.5 * (lo + hi)
 
 
-def _modulus_pass(p: PlanarNorm, eps: float, thetas: np.ndarray) -> tuple[float, int]:
-    """Minimise 1 - p(y - x) over y on the theta grid of the positive unit
+def _modulus_pass(p: PlanarNorm, eps: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise 1 - p(y - x) over y on a theta grid of the positive unit
     sphere and x at an end of the level curve p(x) = eps inside [0, y].
 
-    The curve leaves the box at (0, eps) when eps <= y2, else at (s, y2);
-    it ends at (eps, 0) when eps <= y1, else at (y1, t).  s and t come from
-    _level_end.  Returns the minimum and its theta index.
+    ``eps`` is a column of m epsilons; ``thetas`` is one grid for all of
+    them, shape (n,), or one row per epsilon, shape (m, n).  The curve leaves
+    the box at (0, eps) when eps <= y2, else at (s, y2); it ends at (eps, 0)
+    when eps <= y1, else at (y1, t).  s and t come from _level_end.  Returns
+    each row's minimum and its theta index.
     """
     y1, y2 = _positive_sphere(p, thetas)
-    n = len(thetas)  # rows [0, n) solve p(y1, t) = eps, rows [n, 2n) p(s, y2) = eps
-    t, s = np.split(_level_end(p, np.concatenate([y1, y2]), eps, np.concatenate([y2, y1]),
-                               np.arange(2 * n) < n), 2)
-    reach = np.stack([
-        np.where(eps <= y2, p.evaluate_many(y1, y2 - eps), -np.inf),  # x = (0, eps)
-        np.where(eps <= y1, p.evaluate_many(y1 - eps, y2), -np.inf),  # x = (eps, 0)
-        np.where(y1 <= eps, p.evaluate_many(np.zeros(n), y2 - t), -np.inf),  # x = (y1, t)
-        np.where(y2 <= eps, p.evaluate_many(y1 - s, np.zeros(n)), -np.inf),  # x = (s, y2)
-        # the scaled witness x = eps * y is always feasible and pins delta <= eps
-        p.evaluate_many((1.0 - eps) * y1, (1.0 - eps) * y2),
-    ])
-    obj = 1.0 - np.max(reach, axis=0)
-    i = int(np.argmin(obj))
-    return float(obj[i]), i
+    n = thetas.shape[-1]  # columns [0, n) solve p(y1, t) = eps, columns [n, 2n) p(s, y2) = eps
+    t, s = np.split(_level_end(p, np.concatenate([y1, y2], axis=-1), eps,
+                               np.concatenate([y2, y1], axis=-1), np.arange(2 * n) < n), 2, axis=-1)
+    # a running maximum holds two (m, n) candidates at a time; the scaled
+    # witness x = eps * y is always feasible and pins delta <= eps
+    reach = p.evaluate_many((1.0 - eps) * y1, (1.0 - eps) * y2)
+    reach = np.maximum(reach, np.where(eps <= y2, p.evaluate_many(y1, y2 - eps), -np.inf))  # x = (0, eps)
+    reach = np.maximum(reach, np.where(eps <= y1, p.evaluate_many(y1 - eps, y2), -np.inf))  # x = (eps, 0)
+    reach = np.maximum(reach, np.where(y1 <= eps, p.evaluate_many(np.zeros(n), y2 - t), -np.inf))  # x = (y1, t)
+    reach = np.maximum(reach, np.where(y2 <= eps, p.evaluate_many(y1 - s, np.zeros(n)), -np.inf))  # x = (s, y2)
+    obj = 1.0 - reach
+    return np.min(obj, axis=-1), np.argmin(obj, axis=-1)
+
+
+_COARSE_THETAS = np.linspace(0.0, _HALF_PI, 129)
+_EPS_BLOCK = 64  # epsilons per pass: bounds the (epsilons x thetas) temporaries
+
+
+def _modulus_block(p: PlanarNorm, eps: list[float], resolution: float) -> list[ModulusResult]:
+    """The two passes for a block of epsilons: one coarse pass over all of
+    them, then one refinement pass per window size."""
+    col = np.array(eps)[:, None]
+    v1, i1 = _modulus_pass(p, col, _COARSE_THETAS)
+
+    step = _COARSE_THETAS[1] - _COARSE_THETAS[0]
+    t_lo = np.maximum(0.0, _COARSE_THETAS[i1] - 2.0 * step)
+    t_hi = np.minimum(_HALF_PI, _COARSE_THETAS[i1] + 2.0 * step)
+    # a window clipped at 0 or pi/2 is narrower and may take fewer points
+    n_t = np.clip(np.ceil((t_hi - t_lo) / resolution) + 1, 33, 6001).astype(int)
+    v2 = np.empty_like(v1)
+    for n in np.unique(n_t):
+        rows = n_t == n
+        thetas = np.linspace(t_lo[rows], t_hi[rows], n, axis=1)
+        v2[rows] = _modulus_pass(p, col[rows], thetas)[0]
+
+    return [ModulusResult(epsilon=e, value=max(0.0, min(a, b)),
+                          refinement_bound=4.0 * (max(a - b, 0.0) + resolution),
+                          coarse_value=a, fine_value=b, resolution=resolution)
+            for e, a, b in zip(eps, v1.tolist(), v2.tolist())]
+
+
+def modulus_diagnostics_many(p: PlanarNorm, epsilons, resolution: float = 1e-3) -> list[ModulusResult]:
+    """modulus_diagnostics at each epsilon, in the given order, duplicates
+    included; the passes run over many epsilons at once."""
+    eps = []
+    for e in epsilons:
+        if not (0.0 < float(e) < 1.0):
+            raise DomainError(f"epsilon must lie in (0, 1), got {e!r}")
+        eps.append(float(e))
+    if not (0.0 < resolution <= 0.1):
+        raise DomainError(f"resolution must lie in (0, 0.1], got {resolution!r}")
+    results = []
+    for start in range(0, len(eps), _EPS_BLOCK):
+        results += _modulus_block(p, eps[start:start + _EPS_BLOCK], resolution)
+    return results
 
 
 def modulus_diagnostics(p: PlanarNorm, epsilon: float, resolution: float = 1e-3) -> ModulusResult:
-    eps = float(epsilon)
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not (0.0 < resolution <= 0.1):
-        raise DomainError(f"resolution must lie in (0, 0.1], got {resolution!r}")
-
-    thetas1 = np.linspace(0.0, _HALF_PI, 129)
-    v1, i1 = _modulus_pass(p, eps, thetas1)
-
-    step = thetas1[1] - thetas1[0]
-    t_lo = max(0.0, thetas1[i1] - 2.0 * step)
-    t_hi = min(_HALF_PI, thetas1[i1] + 2.0 * step)
-    n_t = int(np.clip(math.ceil((t_hi - t_lo) / resolution) + 1, 33, 6001))
-    v2, _ = _modulus_pass(p, eps, np.linspace(t_lo, t_hi, n_t))
-
-    value = max(0.0, min(v1, v2))
-    bound = 4.0 * (max(v1 - v2, 0.0) + resolution)
-    return ModulusResult(epsilon=eps, value=value, refinement_bound=bound,
-                         coarse_value=v1, fine_value=v2, resolution=resolution)
+    """The monotonicity modulus at epsilon with its two passes' values and
+    the refinement bound 4 (max(coarse - fine, 0) + resolution)."""
+    return modulus_diagnostics_many(p, [epsilon], resolution)[0]
 
 
 def modulus_of_monotonicity(p: PlanarNorm, epsilon: float, resolution: float = 1e-3) -> float:
@@ -420,10 +451,11 @@ class MonotonicityModulusTable:
 
 def build_modulus_table(p: PlanarNorm, epsilons=None, resolution: float = 1e-3) -> MonotonicityModulusTable:
     if epsilons is None:
-        epsilons = tuple(np.arange(0.025, 0.9751, 0.025))
-    results = [modulus_diagnostics(p, float(e), resolution) for e in epsilons]
+        epsilons = np.arange(0.025, 0.9751, 0.025)
+    epsilons = tuple(float(e) for e in epsilons)
+    results = modulus_diagnostics_many(p, epsilons, resolution)
     return MonotonicityModulusTable(
-        epsilons=tuple(float(e) for e in epsilons),
+        epsilons=epsilons,
         deltas=tuple(r.value for r in results),
         bounds=tuple(r.refinement_bound for r in results),
         resolution=resolution,

@@ -981,8 +981,10 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
     unknown = [i for i in ids if i not in SUITE_IDS]
     if unknown:
         raise DomainError(f"unknown suite ids {unknown}")
-    if budget < 0:
-        raise DomainError(f"budget must be >= 0, got {budget}")
+    if budget < 1:  # a suite that runs no trial passes vacuously
+        raise DomainError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     table = _TableOnFirstUse(p)
     reports = []
     for tid in SUITE_IDS:

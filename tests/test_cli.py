@@ -61,6 +61,17 @@ def test_input_errors_exit_2(capsys):
         code, out, err = run(capsys, "norm", "--values", "1", flag, text)
         assert code == 2 and out == "" and "bad " in err and "descriptor" in err
     assert run(capsys, "verify", "T2", "--budget", "-5", "--json")[0] == 2
+    # a zero budget runs no trial, so it cannot pass a suite
+    assert run(capsys, "verify", "T2", "--budget", "0")[0] == 2
+
+
+def test_negative_seed_names_its_flag(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "T2", "--seed", "-3", "--budget", "2")
+    assert code == 2 and out == "" and "--seed" in err and "-3" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -3, "budget": 2}))
+    code, out, err = run(capsys, "verify", "T2", "--config", str(cfg))
+    assert code == 2 and out == "" and "--seed" in err and "-3" in err
 
 
 def test_norm_outside_space_exits_2(capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +139,7 @@ def test_modulus_endpoint_maximum_matches_level_curve_walk(q):
     c = np.linspace(0.0, 1.0, 20_001)
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
         for theta in np.linspace(0.0, HALF_PI, 33):
-            got, _ = _modulus_pass(p, eps, np.array([theta]))
+            got = _modulus_pass(p, np.array([[eps]]), np.array([theta]))[0][0]
             n = p.evaluate((math.cos(theta), math.sin(theta)))
             y1, y2 = math.cos(theta) / n, math.sin(theta) / n
             x1 = eps * c
@@ -235,6 +238,40 @@ def test_modulus_table_matches_bisection_pass(planar_catalog, monkeypatch):
         slow = build_modulus_table(p)
         assert np.max(np.abs(np.subtract(fast[name].deltas, slow.deltas))) <= 1e-14, name
         assert np.max(np.abs(np.subtract(fast[name].bounds, slow.bounds))) <= 1e-13, name
+
+
+MODULUS_RECORD = json.loads((Path(__file__).parent / "data" / "modulus_tables.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(MODULUS_RECORD["norms"]))
+def test_modulus_matches_the_recorded_bits(name):
+    # tests/data/modulus_tables.json holds tables and every ModulusResult
+    # field as one pass per epsilon computed them; epsilons 0.001 and 0.999
+    # clip the refinement window at theta = 0 and pi/2
+    rec = MODULUS_RECORD["norms"][name]
+    p = planar_from_descriptor(rec["p"])
+    for res in MODULUS_RECORD["resolutions"]:
+        table = build_modulus_table(p, resolution=res)
+        assert list(table.deltas) == rec["tables"][repr(res)]["deltas"], res
+        assert list(table.bounds) == rec["tables"][repr(res)]["bounds"], res
+        got = [dataclasses.asdict(modulus_diagnostics(p, e, res)) for e in MODULUS_RECORD["epsilons"]]
+        assert got == rec["results"][repr(res)], res
+
+
+@pytest.mark.parametrize("p", [l1(), lq(3), lq(400), BOUNDARY_BALL], ids=lambda p: p.label)
+def test_modulus_batch_equals_one_row_calls(p):
+    grid = [0.7, 0.001, 0.5, 0.999, 0.5, 0.025, 0.975, 0.7, 0.3]
+    for res in (1e-3, 5e-3):
+        batch = planar.modulus_diagnostics_many(p, grid, res)
+        assert [r.epsilon for r in batch] == grid
+        assert batch == [modulus_diagnostics(p, e, res) for e in grid], res
+
+
+def test_modulus_batch_blocks_match_one_block(monkeypatch):
+    grid = list(np.linspace(0.01, 0.99, 11))
+    whole = planar.modulus_diagnostics_many(lq(1.5), grid, 2e-3)
+    monkeypatch.setattr(planar, "_EPS_BLOCK", 4)
+    assert planar.modulus_diagnostics_many(lq(1.5), grid, 2e-3) == whole
 
 
 def test_strictly_increasing_on_ray():

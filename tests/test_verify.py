@@ -249,6 +249,10 @@ def test_run_suites_order_and_validation():
     assert [r.theorem_id for r in reports] == ["T1", "T2"]
     with pytest.raises(DomainError):
         run_suites(["T99"], power(2), l1(), SP6)
+    with pytest.raises(DomainError, match="budget"):
+        run_suites(["T2"], power(2), l1(), SP6, budget=0)
+    with pytest.raises(DomainError, match="seed"):
+        run_suites(["T2"], power(2), l1(), SP6, seed=-3, budget=2)
     assert set(SUITE_IDS) == {"T1", "T2", "L1", "L2", "T3", "T4", "T5", "T6", "T7",
                               "T8", "T9", "R2", "R3"}
 
