@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
 """Digest `orlnorm verify --all --json` and `orlnorm modulus --json` over the catalog.
 
-Prints one line `phi p seed sha256` per catalog pair and seed, hashing the
-JSON output of `orlnorm verify --all --json --budget 20` run in-process,
-then one line `modulus p sha256` per catalog planar norm, hashing
-`orlnorm modulus --json --p p` at the default grid and resolution.
-Two checkouts print identical lines exactly when these outputs are
-byte-identical, so a change is checked with one diff:
+Prints two lines per catalog pair and seed: `phi p seed sha256`, hashing the
+JSON output of `orlnorm verify --all --json --budget 20` run in-process, and
+`shape phi p seed sha256`, hashing only the report's shape: the exit code
+and each suite's id, status, trials and sorted violation kinds (the fields
+`tests/data/verify_statuses.json` pins at seed 0).  Then one line
+`modulus p sha256` per catalog planar norm, hashing `orlnorm modulus --json
+--p p` at the default grid and resolution.  Two checkouts print identical
+lines exactly when these outputs are byte-identical, so a change is checked
+with one diff:
 
     PYTHONPATH=src python3 scripts/verify_digests.py > after.txt
     diff before.txt after.txt
+
+A change that moves reported values but no verdict changes the full
+digests and keeps every `shape` line: `grep ^shape` on both files before
+the diff.
 """
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 
 from orlnorm import catalog_orlicz_functions, catalog_planar_norms
@@ -23,13 +31,25 @@ from orlnorm.cli import main as cli_main
 BUDGET = 20
 
 
-def digest(argv: list[str], codes=(0,)) -> str:
+def run(argv: list[str], codes=(0,)) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli_main(argv)
     if code not in codes:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    return code, buf.getvalue()
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def shape(code: int, output: str) -> str:
+    """The exit code and each suite's id, status, trials and violation kinds."""
+    reports = [[r["theorem_id"], r["status"], r["trials"],
+                sorted(v["kind"] for v in r["violations"])]
+               for r in json.loads(output)["reports"]]
+    return json.dumps([code, reports])
 
 
 def main() -> int:
@@ -42,9 +62,11 @@ def main() -> int:
                 argv = ["verify", "--all", "--json", "--phi", phi, "--p", p,
                         "--seed", str(seed), "--budget", str(BUDGET)]
                 # exit 1: a suite found violations, still a payload
-                print(f"{phi} {p} {seed} {digest(argv, (0, 1))}", flush=True)
+                code, output = run(argv, (0, 1))
+                print(f"{phi} {p} {seed} {sha(output)}", flush=True)
+                print(f"shape {phi} {p} {seed} {sha(shape(code, output))}", flush=True)
     for p in catalog_planar_norms():
-        print(f"modulus {p} {digest(['modulus', '--json', '--p', p])}", flush=True)
+        print(f"modulus {p} {sha(run(['modulus', '--json', '--p', p])[1])}", flush=True)
     return 0
 
 

@@ -9,9 +9,9 @@ bounded-sequence space.
 """
 from .catalog import (catalog_orlicz_functions, catalog_planar_norms,
                       strictly_monotone_planar_norms)
-from .engine import (K_CAP, LemmaBounds, NormResult, generated_norm,
-                     generated_norm_on_grid, lemma_bounds_check, luxemburg_norm,
-                     orlicz_dual_norm)
+from .engine import (K_CAP, LemmaBounds, NormBatch, NormResult, generated_norm,
+                     generated_norm_batch, generated_norm_on_grid, lemma_bounds_check,
+                     luxemburg_norm, orlicz_dual_norm)
 from .errors import ContractError, DomainError, PreconditionError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, ConvexityProbe,
                      Delta2Report, OrliczFunction, delta2_check, exp_minus,

@@ -22,6 +22,14 @@ one of them is the exact minimiser; Brent's zeroin on log k settles a
 smooth piece.  A 6-atom call takes 4-7 evaluations.  The reported value is
 exactly the best g(k) evaluated: for a planar "norm" whose ball is not
 convex, an upper bound of the infimum.
+
+generated_norm_batch solves the same equation for every row of an (N, n)
+value array at once: the same bracket, then Illinois regula falsi in log k,
+each step one numpy pass over the rows still open.  A row's result does not
+depend on the other rows.  Boundary balls, generators with kinks and rows
+with values on infinite atoms go through generated_norm.  The sampling
+suites in verify norm their samples this way; single calls and the
+constructions use generated_norm.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .orlicz import OrliczFunction, young_conjugate_many
 from .planar import PlanarNorm, l1, linf
-from .spaces import SimpleFunction, modular, modular_of, modular_on_grid
+from .spaces import MeasureSpace, SimpleFunction, modular, modular_of, modular_on_grid
 
 K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L (I(k_L x) = 1)
 LOG_TOL = 1e-11  # default width in log k of the searches' final bracket
@@ -232,7 +240,255 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at,
     if root.hi is None:  # F <= 0 up to the top: attained only at the jump
         root.hi = root.lo
         root.attained = root.lo[0] == k_top and not open_top
+        if p.kind == "linf" and root.lo[0] < k_top:  # luxemburg_root ended on I = 1
+            root.attained = True
     return root
+
+
+@dataclass(frozen=True)
+class NormBatch:
+    """generated_norm_batch's answer, one entry per row: the value, the k of
+    the least g sampled (nan where NormResult.k_star is None) and the
+    attainment flag; ``steps`` counts the lockstep iterations taken."""
+    value: np.ndarray
+    k_star: np.ndarray
+    attained: np.ndarray
+    steps: int
+
+
+def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace,
+                         values) -> NormBatch:
+    """generated_norm for each row of the (N, n) array ``values`` on ``space``,
+    solved in lockstep: the rows share every numpy step, and a row's result
+    does not depend on the other rows (a batch of N is N batches of one, bit
+    for bit).
+
+    Each row solves the scalar engine's first-order equation F = 0 (log I
+    under the max norm, log J under the sum norm, log J + (q - 1) log I under
+    the q-mean; -inf where I or J is 0, +inf where I overflows), I and J the
+    row sums of one phi.pair_array over the block.  The bracket is the scalar
+    engine's: the first sample at k = 1/max|x|, then steps that double in
+    log k, k and k max|x| within [1e-300, 1e300], and k <= K_CAP * k_L off
+    the max norm, k_L the Luxemburg point I(k_L x) = 1, solved for (on log I,
+    by the same regula falsi) once the steps reach K_CAP times a lower bound
+    of it.  Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) in
+    s = log k then narrows each bracket to width LOG_TOL, bisecting every
+    fourth step and whenever an end's F is infinite (a flat zone below, an
+    overflow above).  A row stops at that width and is sampled no more.  Its
+    value is the least g sampled, an upper bound of the infimum, within
+    1e-11 relative of generated_norm's; ``attained`` is false exactly when
+    F <= 0 all the way to the cap.  All-zero rows give 0.0, nan and False.
+
+    These rows go through the scalar generated_norm instead, and equal it
+    exactly: every row when p is a boundary ball or Phi' has a kink (a
+    polyline, flat_then_power(a, 1)), and rows with a nonzero value on an
+    infinite atom (the finite/+inf jump).  With a smooth generator and a
+    max, sum or q-mean norm, rows on finite atoms never take this route.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 2 or x.shape[1] != space.n_atoms:
+        raise DomainError(f"values must have shape (N, {space.n_atoms}), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("simple functions take finite values")
+    n_rows = len(x)
+    value, k_star = np.zeros(n_rows), np.full(n_rows, math.nan)
+    attained = np.zeros(n_rows, dtype=bool)
+    weights = np.asarray(space.weights)
+    finite = np.isfinite(weights)
+    nonzero = (x != 0.0).any(axis=1)
+    if p.kind == "boundary" or phi.kinks:
+        scalar = nonzero
+    else:
+        scalar = (x[:, ~finite] != 0.0).any(axis=1)
+    rows = np.flatnonzero(nonzero & ~scalar)
+    steps = 0
+    if rows.size:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sample = _batch_sampler(phi, p, weights[finite])
+            # C order: each row's sums then run on one contiguous row, whatever N is
+            ax = np.ascontiguousarray(np.abs(x[rows][:, finite]))
+            value[rows], k_star[rows], attained[rows], steps = _lockstep(
+                sample, ax, p.kind != "linf")
+    for r in np.flatnonzero(scalar):
+        res = generated_norm(phi, p, SimpleFunction(space, x[r]))
+        value[r], attained[r] = res.value, res.attained
+        k_star[r] = math.nan if res.k_star is None else res.k_star
+    return NormBatch(value, k_star, attained, steps)
+
+
+def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
+    """(k, ax) -> (I, F, g) per row at k, ax the rows' |values| on the finite
+    atoms of weights w: the row sums of one phi.pair_array over the block."""
+    kind, q = p.kind, p.q
+    q1 = q - 1.0
+    vecdot, log, maximum, inf = np.vecdot, np.log, np.maximum, math.inf
+
+    def sample(k: np.ndarray, ax: np.ndarray):
+        u = k[:, None] * ax
+        if kind == "linf":
+            i = vecdot(phi.evaluate_array(u), w)
+            return i, log(i), maximum(i, 1.0) / k
+        f, d = phi.pair_array(u)
+        i = vecdot(f, w)
+        first = log(np.fmax(vecdot(d, w) - i, 0.0))  # log J, -inf where J <= 0
+        if kind == "l1":
+            g = (1.0 + i) / k
+        elif q == 2.0:  # the Euclidean mean: p((1, I)) = hypot(1, I)
+            first += log(i)
+            g = np.hypot(1.0, i) / k
+        else:
+            first += q1 * log(i)
+            big = maximum(i, 1.0)  # p((1, I)), scaled as the scalar evaluator scales it
+            g = big * (1.0 + (np.minimum(i, 1.0) / big) ** q) ** (1.0 / q) / k
+        return i, np.where(i < inf, first, inf), g
+
+    return sample
+
+
+def _lockstep(sample, ax: np.ndarray, capped: bool):
+    """(value, k_star, attained, steps) for the nonzero rows ax (|values| on
+    the finite atoms); ``capped``: the K_CAP * k_L cap applies."""
+    m, inf, nan = len(ax), math.inf, math.nan
+    where = np.where
+    top = ax.max(axis=1)
+    s_start = -np.log(top)  # log_k_span's span: k and k max|x| within [1e-300, 1e300]
+    k_top = np.exp(np.minimum(s_start, 0.0) - _LOG_TINY)
+    k_floor = np.exp(np.maximum(s_start, 0.0) + _LOG_TINY)
+
+    # The bracket, as the scalar engine takes it: from k = 1/max|x| upward
+    # while F <= 0, else downward, the factor squaring at each step.
+    k = np.minimum(1.0 / top, k_top)
+    i, f, bv = sample(k, ax)
+    steps = 1
+    bk = where(bv < inf, k, nan)
+    up = f <= 0.0
+    lo_k, lo_f = where(up, k, nan), where(up, f, nan)
+    hi_k, hi_f = where(up, nan, k), where(up, nan, f)
+    attained = np.ones(m, dtype=bool)
+    # per open row: its open end k with I there, the step factor, a lower
+    # bound of k_L (I(kx)/k is nondecreasing), the end of its span (the top,
+    # then the cap), and whether the cap is still to be solved for
+    rows, fac, kl = np.arange(m), np.full(m, 2.0), where(i > 1.0, k / i, k)
+    fresh = np.full(m, capped)
+    k_end, sub = k_top, ax
+    while True:
+        nxt = where(up, k * fac, k / fac)
+        at_cap = up & fresh & (nxt >= K_CAP * kl)
+        if np.count_nonzero(at_cap):
+            c = np.flatnonzero(at_cap)
+            r = rows[c]
+            k_end[c], bv[r], bk[r], n = _luxemburg_cap(sample, k[c], i[c], k_end[c], sub[c],
+                                                       bv[r], bk[r])
+            fresh[c] = False
+            steps += n
+        at_end = up & (k >= k_end)  # F <= 0 up to the top: not attained
+        attained[rows[at_end]] = False
+        nxt = where(up, np.minimum(nxt, k_end), np.maximum(nxt, k_floor))
+        keep = ~(at_end | (~up & (k <= k_floor)))
+        rows, nxt, up, fac, kl, fresh, k_end, k_floor, sub = (
+            v[keep] for v in (rows, nxt, up, fac, kl, fresh, k_end, k_floor, sub))
+        if not rows.size:
+            break
+        fac = fac * fac
+        i, f, g = sample(nxt, sub)
+        steps += 1
+        better = g < bv[rows]
+        bv[rows[better]], bk[rows[better]] = g[better], nxt[better]
+        pos = f > 0.0
+        hi_k[rows[pos]], hi_f[rows[pos]] = nxt[pos], f[pos]
+        lo_k[rows[~pos]], lo_f[rows[~pos]] = nxt[~pos], f[~pos]
+        kl = np.maximum(kl, where(i > 1.0, nxt / i, nxt))
+        keep = pos != up  # up rows close at F > 0, down rows at F <= 0
+        rows, k, i, up, fac, kl, fresh, k_end, k_floor, sub = (
+            v[keep] for v in (rows, nxt, i, up, fac, kl, fresh, k_end, k_floor, sub))
+        if not rows.size:
+            break
+
+    # every bracket with F < 0 < F+ at its ends: regula falsi on F
+    rows = np.flatnonzero((lo_f < 0.0) & (hi_f > 0.0))
+    if rows.size:
+        _, bv[rows], bk[rows], n = _illinois(sample, False, np.log(lo_k[rows]), lo_f[rows],
+                                             np.log(hi_k[rows]), hi_f[rows], ax[rows],
+                                             bv[rows], bk[rows])
+        steps += n
+    return bv, bk, attained & (bv < inf), steps
+
+
+def _luxemburg_cap(sample, k, i, k_top, ax, bv, bk):
+    """(min(K_CAP k_L, k_top), bv, bk, steps) for rows whose upward steps
+    reached K_CAP times their lower bound of k_L, from their last sample
+    (k, I) with F <= 0: I(kx)/k is nondecreasing, so k_L lies between log k
+    and log k - log I (the top of the span where I = 0), and regula falsi on
+    log I settles it; where I <= 1 up to the top, the top stays the end."""
+    s, f, s_top = np.log(k), np.log(i), np.log(k_top)
+    s_b = np.minimum(np.where(i > 0.0, s - f, s_top), s_top)
+    kb = np.exp(s_b)
+    i_b, _, g = sample(kb, ax)
+    better = g < bv
+    bv, bk = np.where(better, g, bv), np.where(better, kb, bk)
+    f_b = np.log(i_b)
+    below = f <= 0.0  # the root lies above s
+    lo, f_lo = np.where(below, s, s_b), np.where(below, f, f_b)
+    hi, f_hi = np.where(below, s_b, s), np.where(below, f_b, f)
+    s_l, steps = s_b, 1  # no sign change: the root is at s_b, to rounding or at the top
+    rows = np.flatnonzero((f_lo <= 0.0) & (f_hi > 0.0))
+    if rows.size:
+        s_l = s_l.copy()
+        s_l[rows], bv[rows], bk[rows], n = _illinois(sample, True, lo[rows], f_lo[rows],
+                                                     hi[rows], f_hi[rows], ax[rows],
+                                                     bv[rows], bk[rows])
+        steps += n
+    return np.minimum(K_CAP * np.exp(s_l), k_top), bv, bk, steps
+
+
+def _illinois(sample, log_i: bool, lo, f_lo, hi, f_hi, ax, bv, bk):
+    """Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) in s = log k on
+    each row's bracket, F(lo) <= 0 < F(hi) for a nondecreasing F: log I when
+    log_i, else the first-order F.  (s0, f0) is the retained end and (s1, f1)
+    the latest sample; f0 is halved each time it is retained again.  Every
+    fourth step, and while an end's F is infinite, the step bisects; else it
+    lands at least half the tolerance inside the bracket, so a root found to
+    that width closes it.  A row stops once its bracket is as narrow as
+    zeroin's, LOG_TOL + 4 eps |s|, and is sampled no more.  Returns each row's
+    final lower end, its best g and that g's k (bv, bk updated), and the
+    number of steps."""
+    where = np.where
+    s_out, v_out, k_out = lo.copy(), bv.copy(), bk.copy()
+    at = np.arange(len(lo))
+    s0, f0, s1, f1 = lo, f_lo, hi, f_hi
+    p1 = np.ones(len(lo), dtype=bool)  # f1 > 0
+    h = 0.5 * LOG_TOL + 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
+    t = 0
+    while True:
+        d = s0 - s1
+        width = np.abs(d)
+        done = width <= h + h
+        if np.count_nonzero(done):
+            s_out[at[done]] = where(p1, s0, s1)[done]
+            v_out[at[done]], k_out[at[done]] = bv[done], bk[done]
+            keep = ~done
+            at, s0, f0, s1, f1, p1, h, bv, bk, ax, d, width = (
+                v[keep] for v in (at, s0, f0, s1, f1, p1, h, bv, bk, ax, d, width))
+            if not at.size:
+                return s_out, v_out, k_out, t
+        if t % 4 == 3:
+            r = 0.5
+        else:  # the secant's fraction of the way from s1 to s0
+            r = where(np.isfinite(f0 + f1), f1 / (f1 - f0), 0.5)
+            hr = h / width
+            r = np.minimum(np.maximum(r, hr), 1.0 - hr)
+        t += 1
+        s = s1 + r * d
+        k = np.exp(s)
+        i, f, g = sample(k, ax)
+        if log_i:
+            f = np.log(i)
+        better = g < bv
+        bv, bk = where(better, g, bv), where(better, k, bk)
+        pos = f > 0.0
+        flip = pos != p1  # F changed sign: the latest end is retained
+        s0, f0 = where(flip, s1, s0), where(flip, f1, 0.5 * f0)
+        s1, f1, p1 = s, f, pos
 
 
 def _kink_candidates(phi: OrliczFunction, modular_at, lo: float,

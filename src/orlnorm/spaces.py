@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -30,11 +31,11 @@ class MeasureSpace:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def finite_indices(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if math.isfinite(w))
 
-    @property
+    @cached_property
     def infinite_indices(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if math.isinf(w))
 
@@ -266,6 +267,13 @@ def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) ->
 def dominated_pair_sample(space: MeasureSpace,
                           rng: np.random.Generator) -> tuple[SimpleFunction, SimpleFunction]:
     """A random pair 0 <= x <= y supported on the finite atoms."""
+    x_vals, y_vals = dominated_pair_values(space, rng)
+    return (SimpleFunction(space, tuple(x_vals)), SimpleFunction(space, tuple(y_vals)))
+
+
+def dominated_pair_values(space: MeasureSpace,
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """dominated_pair_sample's values (x, y), drawn from rng the same way."""
     n = space.n_atoms
     y_vals = np.zeros(n)
     fi = list(space.finite_indices)
@@ -273,5 +281,4 @@ def dominated_pair_sample(space: MeasureSpace,
         raise DomainError("space has no finite atoms to support the pair")
     y_vals[fi] = rng.uniform(0.0, 1.0, len(fi))
     frac = rng.uniform(0.0, 1.0, n)
-    x_vals = frac * y_vals
-    return (SimpleFunction(space, tuple(x_vals)), SimpleFunction(space, tuple(y_vals)))
+    return frac * y_vals, y_vals

@@ -22,30 +22,42 @@ stable registry key (T1..T9, L1..L2, R2..R3):
 
 Hypothesis gates that fail mark the report "hypothesis-not-met" instead of
 failing.  Every violation kind has one entry in CHECKS: the measurement
-its suite takes and the predicate, tolerance included, that flags it.
-Suites record violations through that entry, and each record carries
-phi, p, space and every input of the measurement, so replay_violation
-replays any record as emitted: it decodes phi, p and space, re-takes the
+its suite takes and the predicate, tolerance included, that flags it.  A
+measurement takes a list of records and returns a list of measured fields,
+measure(phi, p, space, recs) -> [dict, ...]; the sampling suites (T1, T2,
+L1, T5-T9 and R2) draw their samples in rng order, norm them with one
+generated_norm_batch call per family of samples and then apply the
+predicates.  The rejection loops (T5, T7, T8, T9's positive branch) draw a
+block of candidates, norm it and accept in draw order, within 8 * budget
+attempts; T9's levels share one rng, so a level's unused candidates carry
+into the next.  The constructions (T3, T4, L2, T6's flat pair, T9's failure
+branch, R3) keep the scalar generated_norm.  Suites record violations
+through the CHECKS entry, and each record carries phi, p, space and every
+input of the measurement, so replay_violation replays any record as
+emitted, as a batch of one: it decodes phi, p and space, re-takes the
 measurement from the stored inputs and applies the suite's own predicate.
-run_suites builds at most one modulus table per call, on first use by
-T7, T8 or T9 once their gates have passed.
+The batch's rows are independent, so a replay reproduces the emitted
+fields bit for bit.  run_suites builds at most one modulus table per call,
+on first use by T7, T8 or T9 once their gates have passed.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import generated_norm, lemma_bounds_check, log_k_span, luxemburg_root
-from .errors import DomainError
+from .engine import (generated_norm, generated_norm_batch, lemma_bounds_check, log_k_span,
+                     luxemburg_root)
+from .errors import ContractError, DomainError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, OrliczFunction,
                      delta2_check, orlicz_from_descriptor, strict_convexity_probe)
 from .planar import (MonotonicityModulusTable, PlanarNorm, build_modulus_table,
                      is_strictly_increasing_on_ray, l1, linf, planar_from_descriptor,
                      sandwich_violated, strictly_monotone_probe, verify_sandwich)
-from .spaces import (MeasureSpace, SimpleFunction, dominated_pair_sample, measure_space,
+from .spaces import (MeasureSpace, SimpleFunction, dominated_pair_values, measure_space,
                      modular, modular_of, simple_function, space_from_descriptor)
 
 STATUS_PASSED = "passed"
@@ -64,6 +76,7 @@ WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aim
 PHI_TOP_CAP = 2.0 ** 140  # the steep level of generators still finite there
 SCALE_LOG_TOL = 1e-13  # R3: width in log c of the root of modular(c x) = target
 NO_FINITE_ATOM = "needs a finite atom"  # the samples live on the finite atoms
+_LINF, _L1 = linf(), l1()  # the ends of T1's ordering
 
 
 @dataclass
@@ -98,14 +111,42 @@ def _norm_value(phi, p, x) -> float:
     return generated_norm(phi, p, x).value
 
 
+def _rows(space: MeasureSpace, rows) -> np.ndarray:
+    return np.array(rows, dtype=float).reshape(len(rows), space.n_atoms)
+
+
+def _norm_batch(phi, p, space, rows):
+    return generated_norm_batch(phi, p, space, _rows(space, rows))
+
+
+def _norms(phi, p, space, rows) -> list[float]:
+    """The generated norms of the value rows, in one batch."""
+    return _norm_batch(phi, p, space, rows).value.tolist()
+
+
+def _block(need: int, accepted: int, attempts: int, left: int) -> int:
+    """How many candidates a rejection loop draws next: enough for `need`
+    more acceptances at the rate seen so far (half, before any attempt),
+    within the `left` attempts it has."""
+    return min(left, math.ceil(need * (attempts + 2) / (accepted + 1)))
+
+
+def _random_values(space: MeasureSpace, rng: np.random.Generator,
+                   signed: bool = False) -> np.ndarray:
+    fi = space.finite_indices
+    draw = rng.uniform(0.05, 1.0, len(fi))
+    if signed:
+        draw *= rng.choice([-1.0, 1.0], len(fi))
+    if len(fi) == space.n_atoms:
+        return draw
+    vals = np.zeros(space.n_atoms)
+    vals[list(fi)] = draw
+    return vals
+
+
 def _random_function(space: MeasureSpace, rng: np.random.Generator,
                      signed: bool = False) -> SimpleFunction:
-    vals = np.zeros(space.n_atoms)
-    fi = list(space.finite_indices)
-    vals[fi] = rng.uniform(0.05, 1.0, len(fi))
-    if signed:
-        vals[fi] *= rng.choice([-1.0, 1.0], len(fi))
-    return SimpleFunction(space, tuple(vals))
+    return SimpleFunction(space, tuple(_random_values(space, rng, signed)))
 
 
 def suitable_delta2_regime(space: MeasureSpace) -> str:
@@ -144,11 +185,17 @@ def _finite_phi_top(phi: OrliczFunction) -> float:
 
 @dataclass(frozen=True)
 class Check:
-    """One violation kind.  ``measure(phi, p, space, rec)`` takes the
-    measurement from the inputs stored in ``rec`` and returns the measured
-    fields; ``violated(rec)`` decides on a record holding both."""
-    measure: Callable[[OrliczFunction, PlanarNorm, MeasureSpace, dict], dict]
+    """One violation kind.  ``measure(phi, p, space, recs)`` takes the
+    measurement from the inputs stored in each record of ``recs`` and
+    returns the measured fields, one dict per record; ``violated(rec)``
+    decides on a record holding both."""
+    measure: Callable[[OrliczFunction, PlanarNorm, MeasureSpace, list[dict]], list[dict]]
     violated: Callable[[dict], bool]
+
+
+def _each(measure_one):
+    """A measurement taken record by record (the scalar engine's)."""
+    return lambda phi, p, space, recs: [measure_one(phi, p, space, rec) for rec in recs]
 
 
 def _pack(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace) -> dict:
@@ -161,11 +208,19 @@ def _flag(violations: list[dict], kind: str, phi, p, space, rec: dict) -> None:
         violations.append({"kind": kind, **_pack(phi, p, space), **rec})
 
 
-def _check(violations: list[dict], kind: str, phi, p, space, **inputs) -> dict:
-    """Take `kind`'s measurement on `inputs` and flag it; returns the record."""
-    rec = {**inputs, **CHECKS[kind].measure(phi, p, space, inputs)}
-    _flag(violations, kind, phi, p, space, rec)
-    return rec
+def _measured(kind: str, phi, p, space, inputs: list[dict]) -> list[dict]:
+    """`kind`'s measurement on each input record: the records, fields added."""
+    if not inputs:
+        return []
+    return [{**inp, **got} for inp, got in zip(inputs, CHECKS[kind].measure(phi, p, space, inputs))]
+
+
+def _check(violations: list[dict], kind: str, phi, p, space, inputs: list[dict]) -> list[dict]:
+    """Take `kind`'s measurement on `inputs` and flag each; returns the records."""
+    recs = _measured(kind, phi, p, space, inputs)
+    for rec in recs:
+        _flag(violations, kind, phi, p, space, rec)
+    return recs
 
 
 def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
@@ -182,9 +237,8 @@ def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200) 
     for rec in verify_sandwich(p, PLANAR_SAMPLES, seed).violations:
         _flag(violations, "sandwich", phi, p, space, rec)
     rng = _rng(seed + 1)
-    for _ in range(budget):
-        x = _random_function(space, rng, signed=True)
-        _check(violations, "ordering", phi, p, space, values=list(x.values))
+    _check(violations, "ordering", phi, p, space,
+           [{"values": _random_values(space, rng, signed=True).tolist()} for _ in range(budget)])
     return _passed("T1", PLANAR_SAMPLES + budget, violations,
                    {"planar_samples": PLANAR_SAMPLES, "functions": budget})
 
@@ -193,10 +247,12 @@ def _measure_sandwich(phi, p, space, rec):
     return {"value": p.evaluate(tuple(rec["point"]))}
 
 
-def _measure_ordering(phi, p, space, rec):
-    x = simple_function(space, rec["values"])
-    return {"middle": _norm_value(phi, p, x), "smallest": _norm_value(phi, linf(), x),
-            "biggest": _norm_value(phi, l1(), x)}
+def _measure_ordering(phi, p, space, recs):
+    """||x|| under p, the max norm and the sum norm: one batch each."""
+    rows = [rec["values"] for rec in recs]
+    middle, smallest, biggest = (_norms(phi, q, space, rows) for q in (p, _LINF, _L1))
+    return [{"middle": a, "smallest": b, "biggest": c}
+            for a, b, c in zip(middle, smallest, biggest)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +264,34 @@ def suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200) -> The
         return _hnm("T2", NO_FINITE_ATOM)
     rng = _rng(seed)
     violations = []
-    _check(violations, "norm_zero", phi, p, space, values=[0.0] * space.n_atoms)
+    # the zero row takes no step of the batch's search
+    _check(violations, "norm_zero", phi, p, space, [{"values": [0.0] * space.n_atoms}])
+    triples = []
     for _ in range(budget):
-        x = _random_function(space, rng, signed=True)
-        y = _random_function(space, rng, signed=True)
+        x = _random_values(space, rng, signed=True)
+        y = _random_values(space, rng, signed=True)
         lam = float(rng.uniform(0.05, 4.0) * rng.choice([-1.0, 1.0]))
-        rec = _check(violations, "norm_triangle", phi, p, space,
-                     x=list(x.values), y=list(y.values), lam=lam)
+        triples.append({"x": x.tolist(), "y": y.tolist(), "lam": lam})
+    for rec in _measured("norm_triangle", phi, p, space, triples):
+        _flag(violations, "norm_triangle", phi, p, space, rec)
         _flag(violations, "norm_homogeneity", phi, p, space, rec)
         _flag(violations, "norm_zero", phi, p, space,
               {"values": rec["x"], "value": rec["norm_x"]})
     return _passed("T2", budget, violations, {"triples": budget})
 
 
-def _measure_axioms(phi, p, space, rec):
-    """||x||, ||y||, ||x + y|| and ||lam x||, in that order."""
-    x, y = simple_function(space, rec["x"]), simple_function(space, rec["y"])
-    return {"norm_x": _norm_value(phi, p, x), "norm_y": _norm_value(phi, p, y),
-            "norm_sum": _norm_value(phi, p, x.plus(y)),
-            "norm_scaled": _norm_value(phi, p, x.scaled(rec["lam"]))}
+def _measure_axioms(phi, p, space, recs):
+    """||x||, ||y||, ||x + y|| and ||lam x|| of every record, in one batch."""
+    x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
+    lam = np.array([r["lam"] for r in recs])
+    m = len(recs)
+    norms = _norms(phi, p, space, np.concatenate([x, y, x + y, lam[:, None] * x]))
+    return [{"norm_x": norms[j], "norm_y": norms[m + j], "norm_sum": norms[2 * m + j],
+             "norm_scaled": norms[3 * m + j]} for j in range(m)]
 
 
-def _measure_norm(phi, p, space, rec):
-    return {"value": _norm_value(phi, p, simple_function(space, rec["values"]))}
+def _measure_norm(phi, p, space, recs):
+    return [{"value": v} for v in _norms(phi, p, space, [rec["values"] for rec in recs])]
 
 
 def _norm_zero_violated(r: dict) -> bool:
@@ -251,16 +312,15 @@ def suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50) -> Theor
         return _hnm("L1", NO_FINITE_ATOM)
     rng = _rng(seed)
     violations = []
-    for _ in range(budget):
-        x = _random_function(space, rng, signed=True)
-        _check(violations, "attainment", phi, p, space, values=list(x.values))
+    _check(violations, "attainment", phi, p, space,
+           [{"values": _random_values(space, rng, signed=True).tolist()} for _ in range(budget)])
     return _passed("L1", budget, violations, {"samples": budget})
 
 
-def _measure_attainment(phi, p, space, rec):
-    r = generated_norm(phi, p, simple_function(space, rec["values"]))
-    return {"attained": r.attained, "k_star": r.k_star,
-            "bracket": list(r.bracket) if r.bracket else None}
+def _measure_attainment(phi, p, space, recs):
+    r = _norm_batch(phi, p, space, [rec["values"] for rec in recs])
+    return [{"attained": a, "k_star": None if math.isnan(k) else k}
+            for a, k in zip(r.attained.tolist(), r.k_star.tolist())]
 
 
 def _attainment_violated(r: dict) -> bool:
@@ -282,7 +342,7 @@ def suite_unit_ball_bounds(phi, p, space=None, *, seed: int = 0, budget: int = 0
     cases.append(simple_function(sp2, [a, 1.5 * a, 2.0 * a]))
     violations = []
     for x in cases:
-        _check(violations, "unit_ball_bounds", phi, p, x.space, values=list(x.values))
+        _check(violations, "unit_ball_bounds", phi, p, x.space, [{"values": list(x.values)}])
     return _passed("L2", len(cases), violations, {"cases": len(cases)})
 
 
@@ -361,8 +421,7 @@ def _exact_witness(phi, p, n, *, z_samples, seed):
     rng = _rng(seed)
     violations = []
     zs = _z_batch(n, z_samples, rng)
-    for z in zs:
-        _check(violations, "embedding_exact", phi, p, space, z=[float(t) for t in z])
+    _check(violations, "embedding_exact", phi, p, space, [{"z": z.tolist()} for z in zs])
     return witness, _passed("T4", len(zs), violations, {"n": n, "level": a})
 
 
@@ -428,9 +487,8 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
     rng = _rng(seed)
     violations = []
     zs = _z_batch(n, z_samples, rng)
-    for z in zs:
-        _check(violations, "embedding_bounds", phi, p, space, levels=levels,
-               z=[float(t) for t in z], epsilon=epsilon, eta=eta)
+    _check(violations, "embedding_bounds", phi, p, space,
+           [{"levels": levels, "z": z.tolist(), "epsilon": epsilon, "eta": eta} for z in zs])
     details = {"n": n, "levels": levels, "weights": weights,
                "threshold_requested": WITNESS_THRESHOLD, "threshold_achieved": min(achieved)}
     return witness, _passed("T3", len(zs), violations, details)
@@ -453,33 +511,31 @@ def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -
     if not is_strictly_increasing_on_ray(p):
         return _hnm("T5", "planar norm is flat on the vertical ray through (1, 0)")
     rng = _rng(seed)
-    violations = []
-    min_gap = math.inf
-    trials = 0
+    pairs = []
     attempts = 0
-    while trials < budget and attempts < 8 * budget:
-        attempts += 1
-        x = _random_function(space, rng, signed=True)
-        y = _random_function(space, rng, signed=True)
-        rx = generated_norm(phi, p, x)
-        ry = generated_norm(phi, p, y)
-        if not (rx.attained and ry.attained):
-            return _hnm("T5", "attainment unavailable for a sample")
-        xh = x.scaled(1.0 / rx.value)
-        yh = y.scaled(1.0 / ry.value)
-        if max(abs(a - b) for a, b in zip(xh.values, yh.values)) < 0.05:
-            continue
-        trials += 1
-        rec = _check(violations, "midpoint", phi, p, space,
-                     x=list(xh.values), y=list(yh.values))
-        min_gap = min(min_gap, 1.0 - rec["midpoint_norm"])
-    return _passed("T5", trials, violations,
-                   {"pairs": trials, "min_midpoint_gap": None if trials == 0 else min_gap})
+    while len(pairs) < budget and attempts < 8 * budget:
+        count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
+        block = [_random_values(space, rng, signed=True) for _ in range(2 * count)]
+        r = _norm_batch(phi, p, space, block)
+        for j in range(0, 2 * count, 2):
+            attempts += 1
+            if not (r.attained[j] and r.attained[j + 1]):
+                return _hnm("T5", "attainment unavailable for a sample")
+            xh, yh = (1.0 / r.value[j]) * block[j], (1.0 / r.value[j + 1]) * block[j + 1]
+            if np.max(np.abs(xh - yh)) < 0.05:
+                continue
+            pairs.append({"x": xh.tolist(), "y": yh.tolist()})
+            if len(pairs) == budget:
+                break
+    violations = []
+    recs = _check(violations, "midpoint", phi, p, space, pairs)
+    min_gap = min((1.0 - rec["midpoint_norm"] for rec in recs), default=None)
+    return _passed("T5", len(recs), violations, {"pairs": len(recs), "min_midpoint_gap": min_gap})
 
 
-def _measure_midpoint(phi, p, space, rec):
-    x, y = simple_function(space, rec["x"]), simple_function(space, rec["y"])
-    return {"midpoint_norm": _norm_value(phi, p, x.plus(y).scaled(0.5))}
+def _measure_midpoint(phi, p, space, recs):
+    x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
+    return [{"midpoint_norm": v} for v in _norms(phi, p, space, 0.5 * (x + y))]
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +546,27 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
     a = phi.zero_bound
     rng = _rng(seed)
     if a == 0.0:
+        xs, ys = [], []
+        for _ in range(budget):
+            y = _random_values(space, rng)
+            if rng.random() < 0.5:
+                x = rng.uniform(0.0, 0.95, space.n_atoms) * y
+            else:
+                x = y.copy()
+                j = int(rng.integers(0, space.n_atoms))
+                x[j] *= float(rng.uniform(0.0, 0.9))
+            xs.append(x)
+            ys.append(y)
+        r = _norm_batch(phi, p, space, ys + xs)
         violations = []
         skipped = 0
-        for _ in range(budget):
-            y = _random_function(space, rng)
-            if rng.random() < 0.5:
-                frac = rng.uniform(0.0, 0.95, space.n_atoms)
-                x = SimpleFunction(space, tuple(f * v for f, v in zip(frac, y.values)))
-            else:
-                vals = list(y.values)
-                j = int(rng.integers(0, space.n_atoms))
-                vals[j] *= float(rng.uniform(0.0, 0.9))
-                x = SimpleFunction(space, tuple(vals))
-            ry = generated_norm(phi, p, y)
-            if not ry.attained:
+        for j, (x, y) in enumerate(zip(xs, ys)):
+            if not r.attained[j]:
                 skipped += 1
                 continue
             _flag(violations, "strict_monotonicity", phi, p, space,
-                  {"x": list(x.values), "y": list(y.values),
-                   "norm_x": _norm_value(phi, p, x), "norm_y": ry.value})
+                  {"x": x.tolist(), "y": y.tolist(), "norm_x": float(r.value[budget + j]),
+                   "norm_y": float(r.value[j])})
         if skipped == budget:
             return _hnm("T6", "attainment unavailable for every sample")
         return _passed("T6", budget - skipped, violations,
@@ -540,9 +598,10 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
                                               **rec}})
 
 
-def _measure_pair(phi, p, space, rec):
-    return {"norm_x": _norm_value(phi, p, simple_function(space, rec["x"])),
-            "norm_y": _norm_value(phi, p, simple_function(space, rec["y"]))}
+def _measure_pair(phi, p, space, recs):
+    m = len(recs)
+    norms = _norms(phi, p, space, [r["x"] for r in recs] + [r["y"] for r in recs])
+    return [{"norm_x": norms[j], "norm_y": norms[m + j]} for j in range(m)]
 
 
 def _measure_flat_pair(phi, p, space, rec):
@@ -570,10 +629,24 @@ class _TableOnFirstUse:
         return getattr(self._table, name)
 
 
-def _measure_difference(phi, p, space, rec):
-    """lhs = ||y - x|| for a dominated pair x <= y."""
-    x, y = simple_function(space, rec["x"]), simple_function(space, rec["y"])
-    return {"lhs": _norm_value(phi, p, y.minus_dominated(x))}
+def _measure_difference(phi, p, space, recs):
+    """lhs = ||y - x|| for dominated pairs 0 <= x <= y, in one batch."""
+    x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
+    if np.any((x < 0.0) | (x > y)):
+        raise ContractError("difference requested for a non-dominated pair")
+    return [{"lhs": v} for v in _norms(phi, p, space, y - x)]
+
+
+def _unit_scaled(phi, p, space, pairs: list) -> list:
+    """The dominated pairs (x, y) scaled by 1/||y||, in one batch; None for a
+    pair whose y is zero or has no finite positive norm."""
+    nonzero = [y for _, y in pairs if y.any()]
+    norms = iter(_norms(phi, p, space, nonzero))
+    out = []
+    for x, y in pairs:
+        v = next(norms) if y.any() else 0.0
+        out.append((x * (1.0 / v), y * (1.0 / v)) if math.isfinite(v) and v > 0.0 else None)
+    return out
 
 
 def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 500,
@@ -585,26 +658,25 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 
         return _hnm("T7", NO_FINITE_ATOM)
     table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
-    violations = []
-    checked = 0
+    pairs = []
     attempts = 0
-    while checked < budget and attempts < 8 * budget:
-        attempts += 1
-        x, y = dominated_pair_sample(space, rng)
-        if y.is_zero:
-            continue
-        ry = generated_norm(phi, p, y)
-        if not math.isfinite(ry.value) or ry.value <= 0.0:
-            continue
-        s = 1.0 / ry.value
-        xs, ys = x.scaled(s), y.scaled(s)
-        eps = modular(phi, xs)
-        if not (1e-6 < eps < 1.0 - 1e-6):
-            continue
-        checked += 1
-        _check(violations, "decomposition", phi, p, space, x=list(xs.values),
-               y=list(ys.values), modular_x=eps,
-               delta_floor=table.floor_value(eps), slack=table.slack)
+    while len(pairs) < budget and attempts < 8 * budget:
+        count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
+        block = [dominated_pair_values(space, rng) for _ in range(count)]
+        for scaled in _unit_scaled(phi, p, space, block):
+            attempts += 1
+            if scaled is None:
+                continue
+            xs, ys = scaled
+            eps = modular(phi, SimpleFunction(space, xs))
+            if not (1e-6 < eps < 1.0 - 1e-6):
+                continue
+            pairs.append({"x": xs.tolist(), "y": ys.tolist(), "modular_x": eps,
+                          "delta_floor": table.floor_value(eps), "slack": table.slack})
+            if len(pairs) == budget:
+                break
+    violations = []
+    checked = len(_check(violations, "decomposition", phi, p, space, pairs))
     return _passed("T7", checked, violations,
                    {"checked": checked, "table_slack": table.slack,
                     "table_resolution": table.resolution})
@@ -619,12 +691,16 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                             table: MonotonicityModulusTable | None = None):
     """Estimate the smallest modular of dominated pieces of y with norm >=
     epsilon, and check the norm-difference bound on the same samples.
-    Returns (delta_hat, report)."""
+    Returns (delta_hat, report).  DomainError for a y that is negative
+    somewhere, zero, or of infinite norm (it cannot be scaled to the unit
+    sphere)."""
     if phi.zero_bound != 0.0:
         return 0.0, _hnm("T8", "needs a generator vanishing only at zero")
     if any(v < 0.0 for v in y.values):
         raise DomainError("y must be nonnegative")
     ry = generated_norm(phi, p, y)
+    if not 0.0 < ry.value < math.inf:
+        raise DomainError(f"y must have a finite positive norm, got {ry.value!r}")
     y = y.scaled(1.0 / ry.value)
     if epsilon > 1.0:
         return 0.0, TheoremReport("T8", STATUS_EMPTY, True, 0, [],
@@ -632,27 +708,32 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                                    "epsilon": epsilon})
     table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
-    kept: list[SimpleFunction] = []
+    space, yv = y.space, np.array(y.values)
+    kept: list[np.ndarray] = []
     attempts = 0
     while len(kept) < samples and attempts < 8 * samples:
-        attempts += 1
-        base = float(rng.uniform(max(0.0, epsilon - 0.2), 1.0))
-        frac = np.minimum(1.0, base + rng.uniform(0.0, 0.3, y.space.n_atoms))
-        x = SimpleFunction(y.space, tuple(f * v for f, v in zip(frac, y.values)))
-        if _norm_value(phi, p, x) >= epsilon:
-            kept.append(x)
+        block = []
+        for _ in range(_block(samples - len(kept), len(kept), attempts, 8 * samples - attempts)):
+            base = float(rng.uniform(max(0.0, epsilon - 0.2), 1.0))
+            block.append(np.minimum(1.0, base + rng.uniform(0.0, 0.3, space.n_atoms)) * yv)
+        for x, v in zip(block, _norms(phi, p, space, block)):
+            attempts += 1
+            if v >= epsilon:
+                kept.append(x)
+                if len(kept) == samples:
+                    break
     if not kept:
         return 0.0, TheoremReport("T8", STATUS_EMPTY, True, 0, [],
                                   {"reason": "no sampled dominated piece reached the level",
                                    "epsilon": epsilon})
-    delta_hat = min(modular(phi, x) for x in kept)
+    delta_hat = min(modular(phi, SimpleFunction(space, x)) for x in kept)
     dfloor, slack = table.floor_value(delta_hat), table.slack
     violations = []
-    for x in kept:
-        _check(violations, "lower_local_um", phi, p, y.space, x=list(x.values),
-               y=list(y.values), delta_floor=dfloor, slack=slack)
-    _check(violations, "delta_hat_nonpositive", phi, p, y.space, y=list(y.values),
-           epsilon=epsilon, delta_hat=delta_hat)
+    _check(violations, "lower_local_um", phi, p, space,
+           [{"x": x.tolist(), "y": list(y.values), "delta_floor": dfloor, "slack": slack}
+            for x in kept])
+    _check(violations, "delta_hat_nonpositive", phi, p, space,
+           [{"y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat}])
     report = _passed("T8", len(kept), violations,
                      {"epsilon": epsilon, "delta_hat": delta_hat, "samples": len(kept)})
     return delta_hat, report
@@ -705,42 +786,53 @@ def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 12
     return _um_failure_construction(phi, p, seed=seed, n_max=n_max, regime=regime)
 
 
+def _um_candidates(phi, p, space, rng, count: int) -> list:
+    """count dominated pairs drawn in order and scaled to ||y|| = 1, each as
+    (x, y, ||x||), or None where y is zero or has no finite positive norm."""
+    scaled = _unit_scaled(phi, p, space, [dominated_pair_values(space, rng)
+                                          for _ in range(count)])
+    norms = iter(_norms(phi, p, space, [c[0] for c in scaled if c is not None]))
+    return [None if c is None else (*c, next(norms)) for c in scaled]
+
+
 def _um_positive(phi, p, space, *, seed, budget, table, regime):
     rng = _rng(seed)
-    violations = []
-    trials = 0
-    empirical = {}
+    queue: deque = deque()  # candidates drawn and not yet examined, in rng order
+    levels, inputs = [], []
     for eps in UM_EPSILONS:
         pairs = []
         attempts = 0
         while len(pairs) < budget and attempts < 8 * budget:
+            if not queue:  # what a level leaves carries into the next: draw its whole allowance
+                queue.extend(_um_candidates(phi, p, space, rng, 8 * budget - attempts))
             attempts += 1
-            x, y = dominated_pair_sample(space, rng)
-            if y.is_zero:
-                continue
-            ry = generated_norm(phi, p, y)
-            if not math.isfinite(ry.value) or ry.value <= 0.0:
-                continue
-            s = 1.0 / ry.value
-            xs, ys = x.scaled(s), y.scaled(s)
-            if _norm_value(phi, p, xs) >= eps:
+            cand = queue.popleft()
+            if cand is not None and cand[2] >= eps:
+                xs, ys, _ = cand
                 pairs.append((xs, ys))
                 if len(pairs) % 16 == 1:
                     # the scaled witness x = eps*y pins the modulus at <= eps
-                    pairs.append((ys.scaled(eps), ys))
+                    pairs.append((eps * ys, ys))
         if not pairs:
             continue
-        delta_hat = min(modular(phi, xs) for xs, _ in pairs)
+        delta_hat = min(modular(phi, SimpleFunction(space, xs)) for xs, _ in pairs)
         dfloor, slack = table.floor_value(delta_hat), table.slack
+        levels.append((eps, delta_hat, len(pairs)))
+        inputs += [{"x": xs.tolist(), "y": ys.tolist(), "delta_floor": dfloor, "slack": slack}
+                   for xs, ys in pairs]
+    # one batch measures every level's pairs; the predicate applies level by level
+    recs = iter(_measured("uniform_monotonicity", phi, p, space, inputs))
+    violations = []
+    empirical = {}
+    for eps, delta_hat, count in levels:
         worst = 0.0
-        for xs, ys in pairs:
-            rec = _check(violations, "uniform_monotonicity", phi, p, space, x=list(xs.values),
-                         y=list(ys.values), delta_floor=dfloor, slack=slack)
+        for _ in range(count):
+            rec = next(recs)
+            _flag(violations, "uniform_monotonicity", phi, p, space, rec)
             worst = max(worst, rec["lhs"])
-            trials += 1
         empirical[f"{eps:g}"] = {"delta_hat_modular": delta_hat,
-                                 "empirical_modulus": 1.0 - worst, "pairs": len(pairs)}
-    return _passed("T9", trials, violations,
+                                 "empirical_modulus": 1.0 - worst, "pairs": count}
+    return _passed("T9", len(inputs), violations,
                    {"branch": "positive", "regime": regime, "per_epsilon": empirical})
 
 
@@ -764,14 +856,14 @@ def _um_failure_construction(phi, p, *, seed, n_max, regime):
     if k <= 1.0 - 1e-9:
         return _hnm("T9", "constructed unit vector has its minimiser at or below 1")
 
-    violations = []
-    measured = []
+    inputs = []
     for i, n_ in enumerate(range(1, n_max + 1)):
         yvals = np.zeros(space.n_atoms)
         yvals[block + i] = levels[i] / k
-        rec = _check(violations, "um_failure_construction", phi, p, space,
-                     x=list(x.values), x_n=list(yvals), k=k, n=n_)
-        measured.append({key: rec[key] for key in ("n", "norm_x_n", "norm_sum", "modular_at_k")})
+        inputs.append({"x": list(x.values), "x_n": yvals.tolist(), "k": k, "n": n_})
+    violations = []
+    measured = [{key: rec[key] for key in ("n", "norm_x_n", "norm_sum", "modular_at_k")}
+                for rec in _check(violations, "um_failure_construction", phi, p, space, inputs)]
     return _passed("T9", n_max, violations,
                    {"branch": "failure-construction", "regime": regime, "k": k,
                     "level": levels[0], "measured": measured})
@@ -826,8 +918,8 @@ def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0,
     violations = []
     # dominated tails on a shrinking-weight space must lose their norm exactly
     # when doubling holds at infinity, and keep it otherwise
-    rec = _check(violations, "order_continuity" if continuous else "order_continuity_failure",
-                 phi, p, sp, levels=levels)
+    rec, = _check(violations, "order_continuity" if continuous else "order_continuity_failure",
+                  phi, p, sp, [{"levels": levels}])
     norms = rec["tail_norms"]
     if continuous:
         return _passed("R2", n_max, violations,
@@ -838,10 +930,11 @@ def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0,
                     "last_tail_modular": mod_tail, "regime": regime})
 
 
-def _measure_tails(phi, p, space, rec):
-    levels = rec["levels"]
-    return {"tail_norms": [_norm_value(phi, p, simple_function(space, _tail(levels, i)))
-                           for i in range(len(levels))]}
+def _measure_tails(phi, p, space, recs):
+    """The norms of every tail of each record's levels, one batch per record."""
+    return [{"tail_norms": _norms(phi, p, space, [_tail(rec["levels"], i)
+                                                  for i in range(len(rec["levels"]))])}
+            for rec in recs]
 
 
 def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int = 0,
@@ -849,7 +942,8 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
     a = phi.zero_bound
     violations = []
     if a > 0.0:
-        rec = _check(violations, "flat_sequence", phi, p, measure_space([math.inf]), values=[a])
+        rec, = _check(violations, "flat_sequence", phi, p, measure_space([math.inf]),
+                      [{"values": [a]}])
         return _passed("R3", 1, violations,
                        {"branch": "flat-witness", "modular": rec["modular"], "norm": rec["norm"]})
 
@@ -860,18 +954,16 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
             return _hnm("R3", NO_FINITE_ATOM)
         rng = _rng(seed)
         base = _random_function(space, rng)
-        rec = _check(violations, "modular_norm_convergence", phi, p, space,
-                     base=list(base.values), n_max=n_max, conv_tol=CONV_TOL)
+        rec, = _check(violations, "modular_norm_convergence", phi, p, space,
+                      [{"base": list(base.values), "n_max": n_max, "conv_tol": CONV_TOL}])
         return _passed("R3", n_max, violations,
                        {"branch": "convergent", "regime": regime, "norms": rec["norms"]})
 
     sp, levels = _steep_tail_element(phi, min(n_max, 20))
-    norms, mods = [], []
-    for j, level in enumerate(levels):
-        rec = _check(violations, "steep_sequence", phi, p, sp, n=j + 1, level=level,
-                     norm_floor=NORM_FLOOR)
-        mods.append(rec["modular"])
-        norms.append(rec["norm"])
+    recs = _check(violations, "steep_sequence", phi, p, sp,
+                  [{"n": j + 1, "level": level, "norm_floor": NORM_FLOOR}
+                   for j, level in enumerate(levels)])
+    mods, norms = [rec["modular"] for rec in recs], [rec["norm"] for rec in recs]
     return _passed("R3", len(levels), violations,
                    {"branch": "counterexample", "regime": regime,
                     "modulars": mods, "norms": norms})
@@ -910,15 +1002,15 @@ def _measure_steep(phi, p, space, rec):
 # Registry, runner, replay
 
 
-def _no_measurement(phi, p, space, rec):
-    return {}
+def _no_measurement(phi, p, space, recs):
+    return [{} for _ in recs]
 
 
 _DIFFERENCE = Check(_measure_difference,
                     lambda r: r["lhs"] > 1.0 - r["delta_floor"] + r["slack"] + 1e-6)
 
 CHECKS: dict[str, Check] = {
-    "sandwich": Check(_measure_sandwich,
+    "sandwich": Check(_each(_measure_sandwich),
                       lambda r: bool(sandwich_violated(*r["point"], r["value"]))),
     "ordering": Check(_measure_ordering,
                       lambda r: not (r["smallest"] <= r["middle"] + 1e-9
@@ -930,30 +1022,30 @@ CHECKS: dict[str, Check] = {
                               > 1e-9 * max(r["norm_x"], 1e-12)),
     "norm_zero": Check(_measure_norm, _norm_zero_violated),
     "attainment": Check(_measure_attainment, _attainment_violated),
-    "unit_ball_bounds": Check(_measure_unit_ball,
+    "unit_ball_bounds": Check(_each(_measure_unit_ball),
                               lambda r: not (r["lower_ok"] and r["upper_ok"])),
-    "embedding_exact": Check(_measure_embedding_exact,
+    "embedding_exact": Check(_each(_measure_embedding_exact),
                              lambda r: abs(r["norm"] - r["expected"]) > 1e-12),
-    "embedding_bounds": Check(_measure_embedding_bounds,
+    "embedding_bounds": Check(_each(_measure_embedding_bounds),
                               lambda r: not (r["lower"] <= r["norm"] <= r["upper"])),
     "midpoint": Check(_measure_midpoint, lambda r: r["midpoint_norm"] >= 1.0 - 1e-12),
     "strict_monotonicity": Check(_measure_pair,
                                  lambda r: r["norm_x"] >= r["norm_y"] - 1e-9),
-    "flat_pair_mismatch": Check(_measure_flat_pair,
+    "flat_pair_mismatch": Check(_each(_measure_flat_pair),
                                 lambda r: abs(r["norm_z"] - r["norm_y"]) > 1e-9),
     "decomposition": _DIFFERENCE,
     "lower_local_um": _DIFFERENCE,
     "uniform_monotonicity": _DIFFERENCE,
     "delta_hat_nonpositive": Check(_no_measurement, lambda r: r["delta_hat"] <= 0.0),
-    "um_failure_construction": Check(_measure_um_failure, _um_failure_violated),
+    "um_failure_construction": Check(_each(_measure_um_failure), _um_failure_violated),
     "order_continuity": Check(_measure_tails, lambda r: r["tail_norms"][-1] > 1e-2),
     "order_continuity_failure": Check(_measure_tails, lambda r: min(r["tail_norms"]) < 0.9),
-    "modular_norm_convergence": Check(_measure_convergence,
+    "modular_norm_convergence": Check(_each(_measure_convergence),
                                       lambda r: r["norms"][-1] > r["conv_tol"]),
-    "flat_sequence": Check(_measure_modular_and_norm,
+    "flat_sequence": Check(_each(_measure_modular_and_norm),
                            lambda r: not (r["modular"] == 0.0
                                           and abs(r["norm"] - 1.0) <= 1e-9)),
-    "steep_sequence": Check(_measure_steep,
+    "steep_sequence": Check(_each(_measure_steep),
                             lambda r: not (r["modular"] <= 2.0 ** -r["n"] + 1e-15
                                            and r["norm"] >= r["norm_floor"])),
 }
@@ -1001,11 +1093,11 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
 
 
 def replay_violation(record: dict) -> bool:
-    """Re-take a violation record's measurement from its stored inputs and
-    apply its kind's predicate.  Returns True when the record still
-    describes a violation."""
+    """Re-take a violation record's measurement from its stored inputs, as a
+    batch of one, and apply its kind's predicate.  Returns True when the
+    record still describes a violation."""
     check = CHECKS.get(record.get("kind"))
     if check is None:
         raise DomainError(f"no replayer for record kind {record.get('kind')!r}")
-    measured = check.measure(*_decode(record), record)
+    measured, = check.measure(*_decode(record), [record])
     return bool(check.violated({**record, **measured}))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from orlnorm import engine
+from orlnorm import engine, verify
 from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError,
                      boundary_sampled, exp_minus,
-                     flat_then_power, generated_norm, generated_norm_on_grid, l1,
-                     lemma_bounds_check,
+                     flat_then_power, generated_norm, generated_norm_batch,
+                     generated_norm_on_grid, l1, lemma_bounds_check,
                      linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
                      orlicz_dual_norm, piecewise_linear, power, simple_function,
                      unit_weights)
@@ -196,6 +198,14 @@ def test_attainment_under_fast_growth():
             x = _rand_function(sp, rng)
             r = generated_norm(phi, l1(), x)
             assert r.attained and r.bracket[1] < K_CAP
+
+
+def test_exact_luxemburg_root_is_attained():
+    # I(k x) = k exactly: luxemburg_root lands on I = 1 and samples nothing above
+    # it, and the max norm's minimiser is that point
+    for phi, x in ((power(1), [0.5]), (flat_then_power(1, 2), [0.5, -0.25])):
+        r = generated_norm(phi, linf(), simple_function(unit_weights(len(x)), x))
+        assert r.attained and r.value == pytest.approx(0.5 if phi.q == 1.0 else 0.25, rel=1e-12)
 
 
 def test_non_attainment_reported_at_cap():
@@ -579,3 +589,119 @@ def test_dual_norm_rejects_infinite_atom_support():
     sp = measure_space([math.inf, 1.0])
     with pytest.raises(PreconditionError):
         orlicz_dual_norm(power(2), simple_function(sp, [1.0, 1.0]))
+
+
+# --------------------------------------------------------------------------
+# the batched engine: one lockstep search per block of rows
+
+BATCH_PHIS = (power(2), power(3), exp_minus(), flat_then_power(1, 2),
+              piecewise_linear([(0, 0), (1, 0.5), (2, 2)]), flat_then_power(1, 1))
+BATCH_NORMS = (linf(), l1(), lq(1.5), lq(2), lq(3))
+_VALUE = st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+
+
+@st.composite
+def _batches(draw):
+    """A catalog norm, a generator (two of them kinked), a space of 1-8 atoms
+    with random weights and 1-5 value rows."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_VALUE, min_size=n, max_size=n), min_size=1, max_size=5))
+    return (draw(st.sampled_from(BATCH_PHIS)), draw(st.sampled_from(BATCH_NORMS)),
+            measure_space(weights), np.array(rows))
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _assert_rows_independent(phi, p, space, values, batch):
+    for j, row in enumerate(values):
+        one = generated_norm_batch(phi, p, space, row[None, :])
+        assert one.value[0] == batch.value[j] and one.attained[0] == batch.attained[j]
+        assert _same(one.k_star[0], batch.k_star[j])
+
+
+def _assert_agrees_with_scalar(phi, p, space, values, batch, exact=False):
+    for j, row in enumerate(values):
+        r = generated_norm(phi, p, simple_function(space, row))
+        assert batch.attained[j] == r.attained, (phi.label, p.label, row)
+        if exact:
+            assert batch.value[j] == r.value
+            assert _same(batch.k_star[j], math.nan if r.k_star is None else r.k_star)
+        else:
+            assert batch.value[j] == pytest.approx(r.value, rel=1e-11, abs=0.0), (
+                phi.label, p.label, row)
+
+
+@given(_batches())
+def test_batch_agrees_with_the_scalar_engine_and_the_grid(case):
+    phi, p, space, values = case
+    batch = generated_norm_batch(phi, p, space, values)
+    _assert_agrees_with_scalar(phi, p, space, values, batch, exact=bool(phi.kinks))
+    _assert_rows_independent(phi, p, space, values, batch)
+    for j, row in enumerate(values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = generated_norm_on_grid(phi, p, simple_function(space, row))
+        assert batch.value[j] <= grid + 1e-8, (phi.label, p.label, row)
+
+
+def test_batch_edge_rows(orlicz_catalog, planar_catalog):
+    zero = np.zeros((2, 3))
+    for phi in orlicz_catalog.values():
+        for p in planar_catalog.values():
+            r = generated_norm_batch(phi, p, unit_weights(3), zero)
+            assert np.all(r.value == 0.0) and np.all(np.isnan(r.k_star)) and not r.attained.any()
+            assert r.steps == 0
+    # wholly in the flat zone at k = 1/max|x|: F = -inf until the first doubling
+    flat = flat_then_power(1, 2)
+    rows = np.array([[0.3, -0.9, 0.5, 0.1], [1e-3, 0.0, 2e-3, -5e-4], [0.7, 0.7, -0.7, 0.7]])
+    for p in planar_catalog.values():
+        batch = generated_norm_batch(flat, p, unit_weights(4), rows)
+        _assert_agrees_with_scalar(flat, p, unit_weights(4), rows, batch)
+        _assert_rows_independent(flat, p, unit_weights(4), rows, batch)
+
+
+@pytest.mark.parametrize("phi", [exp_minus(), flat_then_power(1, 2), power(2)])
+def test_batch_on_steep_tails_near_overflow(phi, planar_catalog):
+    # R2's rows: levels close to the largest float at which Phi is finite, on
+    # weights down to 2^-28 / Phi(level); flat_then_power's reach the K_CAP cap
+    space, levels = verify._steep_tail_element(phi, 28)
+    rows = np.array([verify._tail(levels, i) for i in range(28)])
+    for p in planar_catalog.values():
+        batch = generated_norm_batch(phi, p, space, rows)
+        _assert_agrees_with_scalar(phi, p, space, rows, batch)
+        _assert_rows_independent(phi, p, space, rows[::9], generated_norm_batch(
+            phi, p, space, rows[::9]))
+
+
+def test_batch_reaches_the_cap_where_the_infimum_is_not_attained():
+    # power:1 under the sum norm: (1 + k S)/k decreases to S, the cap K_CAP k_L
+    rows = np.array([[1.0, 2.0], [0.5, -0.25]])
+    batch = generated_norm_batch(power(1), l1(), unit_weights(2), rows)
+    assert not batch.attained.any()
+    _assert_agrees_with_scalar(power(1), l1(), unit_weights(2), rows, batch)
+    assert batch.k_star[0] == pytest.approx(K_CAP / 3.0, rel=1e-10)
+
+
+def test_batch_routes_to_the_scalar_engine():
+    # rows nonzero on an infinite atom (the finite/+inf jump) go to the scalar
+    # engine, and so does every row under a boundary ball or a kinked generator
+    ball = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.2), (math.pi / 2, 1.0)])
+    kinked = piecewise_linear([(0, 0), (1, 0), (2, 1)])
+    space = measure_space([1.0, 0.5, math.inf])
+    on_infinite = np.array([[0.3, 0.2, 0.7], [0.0, 0.0, -1.5]])
+    finite = np.array([[0.3, -1.2, 0.0], [2.0, 0.1, 0.0]])
+    for phi, p, rows in ((flat_then_power(1, 2), lq(2), on_infinite),
+                         (exp_minus(), linf(), on_infinite), (power(2), l1(), on_infinite),
+                         (power(2), ball, finite), (kinked, lq(2), finite),
+                         (flat_then_power(0.5, 1), l1(), finite)):
+        batch = generated_norm_batch(phi, p, space, rows)
+        _assert_agrees_with_scalar(phi, p, space, rows, batch, exact=True)
+
+
+def test_batch_rejects_bad_values():
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.array([[0.0, math.nan, 1.0]]),
+                np.array([[math.inf, 0.0, 1.0]])):
+        with pytest.raises(DomainError):
+            generated_norm_batch(power(2), l1(), unit_weights(3), bad)

@@ -8,7 +8,8 @@ import pytest
 
 from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, DomainError,
                      LinfEmbeddingWitness, boundary_sampled, build_linf_witness,
-                     build_modulus_table, exp_minus, flat_then_power, generated_norm, l1,
+                     build_modulus_table, exp_minus, flat_then_power, generated_norm,
+                     generated_norm_batch, l1,
                      linf, lower_local_um_estimate, lq, measure_space, modular,
                      piecewise_linear, power, replay_violation, run_suites, simple_function,
                      suitable_delta2_regime, unit_weights)
@@ -163,6 +164,20 @@ def test_t7_trivial_endpoints():
     assert generated_norm(phi, p, y.minus_dominated(y)).value == 0.0
 
 
+def test_t8_rejects_a_y_it_cannot_scale_to_the_sphere(monkeypatch):
+    # a zero y has norm 0, and a y on an infinite atom under a generator
+    # vanishing only at 0 has norm +inf: neither reaches the unit sphere
+    def untouched(*args, **kwargs):
+        raise AssertionError("no rng or table before y is checked")
+
+    monkeypatch.setattr(verify, "_rng", untouched)
+    monkeypatch.setattr(verify, "_TableOnFirstUse", untouched)
+    for y in (simple_function(SP6, [0.0] * 6),
+              simple_function(measure_space([1.0, math.inf]), [0.5, 0.5])):
+        with pytest.raises(DomainError, match="y must have a finite positive norm"):
+            lower_local_um_estimate(power(2), l1(), y, 0.5, samples=5)
+
+
 def test_t8_estimates_and_empty_feasible():
     phi, p = power(2), lq(2)
     table = build_modulus_table(p, resolution=5e-3)
@@ -286,16 +301,16 @@ def _rec(kind, phi=None, p=None, space=SP2, **inputs):
 
 
 def _stand_in_engine(transform):
-    """generated_norm with its value passed through `transform`: a broken
-    engine for the axioms the working one cannot be made to violate."""
-    def engine(phi, p, x, **kwargs):
-        r = generated_norm(phi, p, x, **kwargs)
+    """generated_norm_batch with its values passed through `transform`: a
+    broken engine for the axioms the working one cannot be made to violate."""
+    def engine(phi, p, space, values):
+        r = generated_norm_batch(phi, p, space, values)
         return dataclasses.replace(r, value=transform(r.value))
     return engine
 
 
 _SQUARED = _stand_in_engine(lambda v: v * v)
-_ZERO = _stand_in_engine(lambda v: 0.0)
+_ZERO = _stand_in_engine(lambda v: 0.0 * v)
 _FLAT = flat_then_power(1, 2)
 _DIFF_TRUE = {"x": [0.0, 0.0], "y": [0.2, 0.1], "delta_floor": 1.0, "slack": 0.0}
 _DIFF_FALSE = {**_DIFF_TRUE, "delta_floor": 0.0}
@@ -384,7 +399,7 @@ def test_every_kind_replays_its_predicate(kind, monkeypatch):
     violating, clean, *engine = REPLAY_CASES[kind]
     assert not replay_violation(clean)
     if engine:
-        monkeypatch.setattr(verify, "generated_norm", engine[0])
+        monkeypatch.setattr(verify, "generated_norm_batch", engine[0])
     assert replay_violation(violating)
 
 
@@ -393,6 +408,24 @@ def test_emitted_records_replay_as_emitted():
     violations = [v for rep in reports for v in rep.violations]
     assert {v["kind"] for v in violations} >= {"sandwich", "ordering"}
     assert all(replay_violation(v) for v in violations)
+
+
+@pytest.mark.parametrize("phi, p, space", [
+    (exp_minus(), l1(), SP6), (power(2), lq(2), SPW), (flat_then_power(1, 2), lq(1.5), SP6),
+    (power(3), linf(), unit_weights(3))])
+def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
+    """Every record the batched suites take replays, as a batch of one, to the
+    fields they measured in their batches: the batch's rows are independent."""
+    flag_all = {kind: dataclasses.replace(check, violated=lambda r: True)
+                for kind, check in verify.CHECKS.items()}
+    monkeypatch.setattr(verify, "CHECKS", flag_all)
+    batched = ["T1", "T2", "L1", "T5", "T6", "T7", "T8", "T9", "R2"]
+    records = [v for rep in run_suites(batched, phi, p, space, seed=3, budget=6)
+               for v in rep.violations]
+    assert {r["kind"] for r in records} >= {"ordering", "norm_triangle", "attainment"}
+    for rec in records:
+        measured, = flag_all[rec["kind"]].measure(*verify._decode(rec), [rec])
+        assert measured == {key: rec[key] for key in measured}, rec["kind"]
 
 
 @pytest.mark.parametrize("phi, p, builds", [(exp_minus(), l1(), 1), (power(2), linf(), 0)])
