@@ -7,6 +7,7 @@ configuration and seed produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -138,7 +139,10 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument(*flags, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args reads it and
+    returns a fresh namespace, so successive main() calls share nothing."""
     ap = argparse.ArgumentParser(prog="orlnorm")
     subs = ap.add_subparsers(dest="command", required=True)
 

@@ -23,13 +23,23 @@ smooth piece.  A 6-atom call takes 4-7 evaluations.  The reported value is
 exactly the best g(k) evaluated: for a planar "norm" whose ball is not
 convex, an upper bound of the infimum.
 
+Both engines sum I and J term by term and check once, after the sum, that
+nothing overflowed.  On a steep atom of tiny weight (the constructions of
+R2, R3 and T3 sit within a few units of log DBL_MAX) u Phi'(u), and at the
+minimiser even Phi(u), can overflow while w Phi(u) is of order 1; such a
+term is taken as exp(log w + its closed-form log) (OrliczFunction.mend_sums),
+so F stays finite below its root and the value is the true minimum.
+
 generated_norm_batch solves the same equation for every row of an (N, n)
 value array at once: the same bracket, then Illinois regula falsi in log k,
-each step one numpy pass over the rows still open.  A row's result does not
-depend on the other rows.  Boundary balls, generators with kinks and rows
-with values on infinite atoms go through generated_norm.  The sampling
-suites in verify norm their samples this way; single calls and the
-constructions use generated_norm.
+each step one numpy pass over the rows still open, with a bisection only
+where the last three steps did not halve the bracket.  A row's result does
+not depend on the other rows.  Boundary balls, generators with kinks and
+rows with values on infinite atoms go through generated_norm.  The suites
+in verify norm their samples and their constructions on finite atoms this
+way (R3's scales to a modular level come from scale_to_modular_batch, the
+same regula falsi on log I); single calls, the constructions on infinite
+atoms and the few elements built one at a time use generated_norm.
 """
 from __future__ import annotations
 
@@ -266,18 +276,24 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     Each row solves the scalar engine's first-order equation F = 0 (log I
     under the max norm, log J under the sum norm, log J + (q - 1) log I under
     the q-mean; -inf where I or J is 0, +inf where I overflows), I and J the
-    row sums of one phi.pair_array over the block.  The bracket is the scalar
-    engine's: the first sample at k = 1/max|x|, then steps that double in
-    log k, k and k max|x| within [1e-300, 1e300], and k <= K_CAP * k_L off
-    the max norm, k_L the Luxemburg point I(k_L x) = 1, solved for (on log I,
-    by the same regula falsi) once the steps reach K_CAP times a lower bound
-    of it.  Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) in
-    s = log k then narrows each bracket to width LOG_TOL, bisecting every
-    fourth step and whenever an end's F is infinite (a flat zone below, an
-    overflow above).  A row stops at that width and is sampled no more.  Its
-    value is the least g sampled, an upper bound of the infimum, within
-    1e-11 relative of generated_norm's; ``attained`` is false exactly when
-    F <= 0 all the way to the cap.  All-zero rows give 0.0, nan and False.
+    row sums of one phi.pair_array over the block.  Where a term of those
+    sums overflows (u Phi'(u), or Phi(u) itself, past double range on a
+    steep atom of tiny weight, while the sum is of order 1), one check per
+    step sends the rows concerned to phi.mend_sums, which takes that term
+    as exp(log w + its closed-form log); I or J is +inf only where the sum
+    itself is.  The bracket is the scalar engine's: the first sample at
+    k = 1/max|x|, then steps that double in log k, k and k max|x| within
+    [1e-300, 1e300], and k <= K_CAP * k_L off the max norm, k_L the
+    Luxemburg point I(k_L x) = 1, solved for (on log I, by the same regula
+    falsi) once the steps reach K_CAP times a lower bound of it.  Illinois
+    regula falsi (Dowell and Jarratt, BIT 11, 1971) in s = log k then
+    narrows each bracket to width LOG_TOL, bisecting where the last three
+    steps did not halve the bracket and while an end's F is infinite (a
+    flat zone below, an overflow above).  A row stops at that width and is
+    sampled no more.  Its value is the least g sampled, an upper bound of
+    the infimum, within 1e-11 relative of generated_norm's; ``attained`` is
+    false exactly when F <= 0 all the way to the cap.  All-zero rows give
+    0.0, nan and False.
 
     These rows go through the scalar generated_norm instead, and equal it
     exactly: every row when p is a boundary ball or Phi' has a kink (a
@@ -316,6 +332,32 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     return NormBatch(value, k_star, attained, steps)
 
 
+def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values, targets, *,
+                           log_tol: float) -> np.ndarray:
+    """For each row x of the (N, n) array ``values`` and its target t > 0 in
+    ``targets``: c <= the root of modular(c x) = t, within log_tol in log c
+    (c at the top of the span where the modular stays below t up to there).
+    The rows must be nonzero and vanish on the infinite atoms.  The roots
+    are solved in lockstep, as generated_norm_batch solves its cap."""
+    x = np.asarray(values, dtype=float)
+    weights = np.asarray(space.weights)
+    finite = np.isfinite(weights)
+    if x.ndim != 2 or x.shape[1] != space.n_atoms:
+        raise DomainError(f"values must have shape (N, {space.n_atoms}), got {x.shape}")
+    ax = np.ascontiguousarray(np.abs(x[:, finite]))
+    if (x[:, ~finite] != 0.0).any() or not (ax.max(axis=1, initial=0.0) > 0.0).all():
+        raise DomainError("rows must be nonzero and supported on the finite atoms")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sample = _batch_sampler(phi, _MAX_NORM, weights[finite])
+        top = ax.max(axis=1)
+        k = 1.0 / top
+        i, _, _ = sample(k, ax)
+        s, _, _, _ = _modular_root(sample, k, i, np.minimum(-np.log(top), 0.0) - _LOG_TINY, ax,
+                                   np.full(len(x), math.inf), np.full(len(x), math.nan),
+                                   np.log(np.asarray(targets, dtype=float)), log_tol)
+    return np.exp(s)
+
+
 def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
     """(k, ax) -> (I, F, g) per row at k, ax the rows' |values| on the finite
     atoms of weights w: the row sums of one phi.pair_array over the block."""
@@ -327,10 +369,15 @@ def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
         u = k[:, None] * ax
         if kind == "linf":
             i = vecdot(phi.evaluate_array(u), w)
+            if not i.sum() < inf:  # a term overflowed: its log form
+                i = phi.mend_sums(w, u, i)
             return i, log(i), maximum(i, 1.0) / k
         f, d = phi.pair_array(u)
         i = vecdot(f, w)
-        first = log(np.fmax(vecdot(d, w) - i, 0.0))  # log J, -inf where J <= 0
+        j = vecdot(d, w) - i  # u Phi' >= Phi >= 0: J and I are finite where this is
+        if not j.sum() < inf:
+            i, j = phi.mend_sums(w, u, i, j)
+        first = log(np.fmax(j, 0.0))  # log J, -inf where J <= 0
         if kind == "l1":
             g = (1.0 + i) / k
         elif q == 2.0:  # the Euclidean mean: p((1, I)) = hypot(1, I)
@@ -377,8 +424,9 @@ def _lockstep(sample, ax: np.ndarray, capped: bool):
         if np.count_nonzero(at_cap):
             c = np.flatnonzero(at_cap)
             r = rows[c]
-            k_end[c], bv[r], bk[r], n = _luxemburg_cap(sample, k[c], i[c], k_end[c], sub[c],
-                                                       bv[r], bk[r])
+            s_l, bv[r], bk[r], n = _modular_root(sample, k[c], i[c], np.log(k_end[c]), sub[c],
+                                                 bv[r], bk[r], np.zeros(len(c)))
+            k_end[c] = np.minimum(K_CAP * np.exp(s_l), k_end[c])
             fresh[c] = False
             steps += n
         at_end = up & (k >= k_end)  # F <= 0 up to the top: not attained
@@ -407,82 +455,89 @@ def _lockstep(sample, ax: np.ndarray, capped: bool):
     # every bracket with F < 0 < F+ at its ends: regula falsi on F
     rows = np.flatnonzero((lo_f < 0.0) & (hi_f > 0.0))
     if rows.size:
-        _, bv[rows], bk[rows], n = _illinois(sample, False, np.log(lo_k[rows]), lo_f[rows],
+        _, bv[rows], bk[rows], n = _illinois(sample, None, np.log(lo_k[rows]), lo_f[rows],
                                              np.log(hi_k[rows]), hi_f[rows], ax[rows],
                                              bv[rows], bk[rows])
         steps += n
     return bv, bk, attained & (bv < inf), steps
 
 
-def _luxemburg_cap(sample, k, i, k_top, ax, bv, bk):
-    """(min(K_CAP k_L, k_top), bv, bk, steps) for rows whose upward steps
-    reached K_CAP times their lower bound of k_L, from their last sample
-    (k, I) with F <= 0: I(kx)/k is nondecreasing, so k_L lies between log k
-    and log k - log I (the top of the span where I = 0), and regula falsi on
-    log I settles it; where I <= 1 up to the top, the top stays the end."""
-    s, f, s_top = np.log(k), np.log(i), np.log(k_top)
-    s_b = np.minimum(np.where(i > 0.0, s - f, s_top), s_top)
+def _modular_root(sample, k, i, s_top, ax, bv, bk, target, tol=LOG_TOL):
+    """(s, bv, bk, steps) for rows with one sample (k, I): s is the lower end,
+    log I(e^s x) <= target there, of a bracket of width tol of the root of
+    log I(e^s x) = target, searched for in s = log k between the floor (k
+    and k max|x| above 1e-300) and s_top; s_top where log I <= target up
+    to there.  I(kx)/k is nondecreasing, so the root lies between log k and
+    log k - (log I - target), and regula falsi on log I - target settles
+    it.  bv, bk: each row's best g and its k, updated by every sample."""
+    s, f = np.log(k), np.log(i) - target
+    s_floor = np.maximum(-np.log(ax.max(axis=1)), 0.0) + _LOG_TINY
+    s_b = np.minimum(np.maximum(s - f, s_floor), s_top)
     kb = np.exp(s_b)
     i_b, _, g = sample(kb, ax)
     better = g < bv
     bv, bk = np.where(better, g, bv), np.where(better, kb, bk)
-    f_b = np.log(i_b)
+    f_b = np.log(i_b) - target
     below = f <= 0.0  # the root lies above s
     lo, f_lo = np.where(below, s, s_b), np.where(below, f, f_b)
     hi, f_hi = np.where(below, s_b, s), np.where(below, f_b, f)
-    s_l, steps = s_b, 1  # no sign change: the root is at s_b, to rounding or at the top
+    s_l, steps = s_b, 1  # no sign change: the root is at s_b, to rounding or at an end
     rows = np.flatnonzero((f_lo <= 0.0) & (f_hi > 0.0))
     if rows.size:
         s_l = s_l.copy()
-        s_l[rows], bv[rows], bk[rows], n = _illinois(sample, True, lo[rows], f_lo[rows],
+        s_l[rows], bv[rows], bk[rows], n = _illinois(sample, target[rows], lo[rows], f_lo[rows],
                                                      hi[rows], f_hi[rows], ax[rows],
-                                                     bv[rows], bk[rows])
+                                                     bv[rows], bk[rows], tol)
         steps += n
-    return np.minimum(K_CAP * np.exp(s_l), k_top), bv, bk, steps
+    return s_l, bv, bk, steps
 
 
-def _illinois(sample, log_i: bool, lo, f_lo, hi, f_hi, ax, bv, bk):
+def _illinois(sample, target, lo, f_lo, hi, f_hi, ax, bv, bk, tol=LOG_TOL):
     """Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) in s = log k on
-    each row's bracket, F(lo) <= 0 < F(hi) for a nondecreasing F: log I when
-    log_i, else the first-order F.  (s0, f0) is the retained end and (s1, f1)
-    the latest sample; f0 is halved each time it is retained again.  Every
-    fourth step, and while an end's F is infinite, the step bisects; else it
-    lands at least half the tolerance inside the bracket, so a root found to
-    that width closes it.  A row stops once its bracket is as narrow as
-    zeroin's, LOG_TOL + 4 eps |s|, and is sampled no more.  Returns each row's
-    final lower end, its best g and that g's k (bv, bk updated), and the
-    number of steps."""
+    each row's bracket, F(lo) <= 0 < F(hi) for a nondecreasing F: log I -
+    target (one log target per row), or the first-order F when target is
+    None.  (s0, f0) is the retained end and (s1, f1) the latest sample; f0
+    is halved each time it is retained again.  A step bisects while an end's
+    F is infinite, and where the last three steps did not halve the bracket,
+    so the bracket halves at least every fourth step; else it lands at least
+    half the tolerance inside the bracket, so a root found to that width
+    closes it.  A row stops once its bracket is as narrow as zeroin's, tol +
+    4 eps |s| at the latest sample s, and is sampled no more.  Returns each
+    row's final lower end, its best g and that g's k (bv, bk updated), and
+    the number of steps."""
     where = np.where
     s_out, v_out, k_out = lo.copy(), bv.copy(), bk.copy()
     at = np.arange(len(lo))
     s0, f0, s1, f1 = lo, f_lo, hi, f_hi
     p1 = np.ones(len(lo), dtype=bool)  # f1 > 0
-    h = 0.5 * LOG_TOL + 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
+    w1 = w2 = w3 = np.full(len(lo), math.inf)  # the bracket's width 1, 2 and 3 steps back
     t = 0
     while True:
         d = s0 - s1
         width = np.abs(d)
-        done = width <= h + h
+        h2 = tol + 4.0 * _EPS * np.abs(s1)  # twice the least step
+        done = width <= h2
         if np.count_nonzero(done):
             s_out[at[done]] = where(p1, s0, s1)[done]
             v_out[at[done]], k_out[at[done]] = bv[done], bk[done]
             keep = ~done
-            at, s0, f0, s1, f1, p1, h, bv, bk, ax, d, width = (
-                v[keep] for v in (at, s0, f0, s1, f1, p1, h, bv, bk, ax, d, width))
+            at, s0, f0, s1, f1, p1, h2, bv, bk, ax, d, width, w1, w2, w3 = (
+                v[keep] for v in (at, s0, f0, s1, f1, p1, h2, bv, bk, ax, d, width, w1, w2, w3))
+            if target is not None:
+                target = target[keep]
             if not at.size:
                 return s_out, v_out, k_out, t
-        if t % 4 == 3:
-            r = 0.5
-        else:  # the secant's fraction of the way from s1 to s0
-            r = where(np.isfinite(f0 + f1), f1 / (f1 - f0), 0.5)
-            hr = h / width
-            r = np.minimum(np.maximum(r, hr), 1.0 - hr)
+        # the secant's fraction of the way from s1 to s0
+        r = where(np.isfinite(f0 + f1), f1 / (f1 - f0), 0.5)
+        hr = 0.5 * h2 / width
+        r = where(width > 0.5 * w3, 0.5, np.minimum(np.maximum(r, hr), 1.0 - hr))
+        w1, w2, w3 = width, w1, w2
         t += 1
         s = s1 + r * d
         k = np.exp(s)
         i, f, g = sample(k, ax)
-        if log_i:
-            f = np.log(i)
+        if target is not None:
+            f = np.log(i) - target
         better = g < bv
         bv, bk = where(better, g, bv), where(better, k, bk)
         pos = f > 0.0

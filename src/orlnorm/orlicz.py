@@ -10,7 +10,9 @@ identically zero.  The catalog kinds are
 
 Values beyond double range evaluate to +inf; the modular layer treats that
 as an honest "too large to represent" and the doubling check below never
-mistakes it for a finite number.
+mistakes it for a finite number.  A weighted term w Phi(u) is +inf only
+when it is itself past double range: where Phi(u) overflows on an atom of
+tiny weight, the sums take the term in log form (log_pair_array).
 
 Each kind carries its convex analysis in closed form (Rockafellar, Convex
 Analysis, 1970, sections 12 and 26): ``zero_bound``, the largest u with
@@ -67,8 +69,11 @@ class OrliczFunction:
         pair_sum(atoms, s) = (sum w Phi(u), sum w (u Phi'(u) - Phi(u))) over
         (w, a) pairs, a >= 0 finite, u = s a with s >= 0 and s a finite, Phi'
         the right derivative.  It adds the atoms in order, so sum w Phi(u) is
-        bit for bit that of an atom-by-atom loop over evaluate; an overflow
-        is +inf per atom."""
+        bit for bit that of an atom-by-atom loop over evaluate wherever that
+        loop is finite.  Where a term overflows (Phi(u) or u Phi'(u) past
+        double range, as on a steep atom of tiny weight), one check after
+        the loop hands the call to mend_sums, which takes that term as
+        exp(log w + its log form): +inf only when the term itself is."""
         return _KERNELS[self.kind](self)
 
     @cached_property
@@ -123,6 +128,51 @@ class OrliczFunction:
                 return f, au * (f + au)
             return f, au * self.derivative_array(au)
 
+    def log_pair_array(self, au: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log Phi(au), log(au Phi'(au) - Phi(au))) for an array au >= 0, -inf
+        where the term is 0: in closed form for the steep kinds (power,
+        exp_minus, flat_then_power with q > 1), finite wherever au is, past
+        the point where Phi or u Phi' overflows; the logs of pair_array's
+        terms for the others, whose terms grow linearly in u."""
+        k, q = self.kind, self.q
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if k == "power":  # u Phi' - Phi = (q - 1) u^q
+                lf = q * np.log(au)
+                return lf, np.log(q - 1.0) + lf
+            if k == "flat_then_power" and q > 1.0:  # t^q and t^(q-1) ((q - 1) u + a), t = u - a
+                lt = np.log(np.maximum(0.0, au - self.a))
+                return q * lt, (q - 1.0) * lt + np.log((q - 1.0) * au + self.a)
+            f, d = self.pair_array(au)
+            lf, lj = np.log(f), np.log(np.maximum(d - f, 0.0))
+            if k != "exp_minus":
+                return lf, lj
+            # e^u (1 - (1 + u) e^-u) and e^u (u - 1 + e^-u), for u > 1
+            big, e = au > 1.0, np.exp(-au)
+            return (np.where(big, au + np.log1p(-(1.0 + au) * e), lf),
+                    np.where(big, au + np.log(au - 1.0 + e), lj))
+
+    def mend_sums(self, w: np.ndarray, au: np.ndarray, i: np.ndarray, j: np.ndarray | None = None):
+        """I (and J, when j is given) for the rows of the (N, n) array au and
+        weights w > 0, from the plain sums i (and j) of each row's terms:
+        where a row's I (or I + J) is not finite, a term overflowed, and the
+        row is summed again with each term that pair_array makes non-finite
+        taken as exp(log w + its log form); I keeps i wherever i is finite,
+        so it stays bit for bit the plain sum there.  i and j are updated in
+        place.  The summing kernels, modular_of and the batched engine call
+        it once they see a sum that is not finite."""
+        bad = np.flatnonzero(~((i if j is None else i + j) < math.inf))
+        f, d = self.pair_array(au[bad])
+        lf, lj = self.log_pair_array(au[bad])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ti, tj = w * f, w * (d - f)
+            lw = np.log(w)
+            ti = np.where(np.isfinite(ti), ti, np.exp(lw + lf)).sum(axis=-1)
+            i[bad] = np.where(i[bad] < math.inf, i[bad], ti)
+            if j is None:
+                return i
+            j[bad] = np.where(np.isfinite(tj), tj, np.exp(lw + lj)).sum(axis=-1)
+        return i, j
+
     def _phi_array(self, au: np.ndarray) -> np.ndarray:
         k = self.kind
         if k == "power":
@@ -167,8 +217,15 @@ class OrliczFunction:
 # path (_phi_array, pair_array) writes the same expressions over arrays.
 
 
+def _overflow_free(phi: OrliczFunction, atoms, s: float, i: float, j: float):
+    """A kernel's (I, J) once its sum is not finite: phi.mend_sums on its atoms."""
+    w, a = np.array(atoms, dtype=float).reshape(-1, 2).T
+    i, j = phi.mend_sums(w, s * a[None, :], np.array([i]), np.array([j]))
+    return float(i[0]), float(j[0])
+
+
 def _power_sum(phi: OrliczFunction) -> Callable:
-    q = phi.q
+    q, inf = phi.q, math.inf
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
@@ -179,7 +236,7 @@ def _power_sum(phi: OrliczFunction) -> Callable:
                 f = math.inf
             i += w * f
             j += w * (q * f - f)  # u Phi'(u) = q Phi(u)
-        return i, j
+        return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
 
@@ -200,7 +257,7 @@ def _exp_minus_sum(phi: OrliczFunction) -> Callable:
                     f = inf
             i += w * f
             j += w * (u * (f + u) - f)  # Phi'(u) = e^u - 1 = Phi(u) + u
-        return i, j
+        return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
 
@@ -228,13 +285,13 @@ def _flat_then_power_sum(phi: OrliczFunction) -> Callable:
                 d = inf
             i += w * f
             j += w * (d - f)
-        return i, j
+        return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
 
 
 def _pwl_sum(phi: OrliczFunction) -> Callable:
-    xs, ys, slopes = phi.xs, phi.ys, phi._slopes.tolist()
+    xs, ys, slopes, inf = phi.xs, phi.ys, phi._slopes.tolist(), math.inf
     x_end, y_end, tail = xs[-1], ys[-1], slopes[-1]
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
@@ -252,7 +309,7 @@ def _pwl_sum(phi: OrliczFunction) -> Callable:
                 d = u * slopes[m - 1]
             i += w * f
             j += w * (d - f)
-        return i, j
+        return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
 

@@ -409,11 +409,6 @@ def modulus_diagnostics(p: PlanarNorm, epsilon: float, resolution: float = 1e-3)
     return modulus_diagnostics_many(p, [epsilon], resolution)[0]
 
 
-def modulus_of_monotonicity(p: PlanarNorm, epsilon: float, resolution: float = 1e-3) -> float:
-    """The monotonicity modulus of (R^2, p) at epsilon (see modulus_diagnostics)."""
-    return modulus_diagnostics(p, epsilon, resolution).value
-
-
 @dataclass(frozen=True)
 class MonotonicityModulusTable:
     epsilons: tuple[float, ...]

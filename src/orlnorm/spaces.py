@@ -141,21 +141,6 @@ def function_from_descriptor(space: MeasureSpace, d: dict) -> SimpleFunction:
     return simple_function(space, d["values"])
 
 
-@dataclass(frozen=True)
-class OrderOps:
-    leq: bool
-    sup: SimpleFunction
-    diff_if_dominated: SimpleFunction | None
-
-
-def order_ops(x: SimpleFunction, y: SimpleFunction) -> OrderOps:
-    """Componentwise order data for the pair: x <= y?, sup, and y' = y - x
-    when 0 <= x <= y (None otherwise)."""
-    dominated = x.leq(y) and all(v >= 0.0 for v in x.values)
-    diff = y.minus_dominated(x) if dominated else None
-    return OrderOps(leq=x.leq(y), sup=x.sup(y), diff_if_dominated=diff)
-
-
 # ---------------------------------------------------------------------------
 # The convex modular
 
@@ -185,6 +170,9 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
     evaluator, whose first component is bit for bit an atom-by-atom loop
     over Phi; from ARRAY_ATOMS on, by one numpy dot product of the weights
     with phi.evaluate_array, which may differ from that loop by a few ulps.
+    Either way a sum that comes out +inf (or J nan) is mended by
+    phi.mend_sums, which takes an overflowing term in log form, so it is
+    +inf only where the modular itself is past double range.
     """
     n = x.space.n_atoms
     ev, inf = phi.evaluate, math.inf
@@ -222,7 +210,8 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
             return inf
         if wide:
             # vdot, unlike dot, does not warn on overflow: past double range it is +inf
-            return float(np.vdot(ws, phi.evaluate_array(s * az)))
+            i = float(np.vdot(ws, phi.evaluate_array(s * az)))
+            return i if i < inf else float(phi.mend_sums(ws, s * az[None, :], np.array([i]))[0])
         return pair_sum(finite, s)[0]
 
     def with_conjugate(scale: float) -> tuple[float, float]:
@@ -234,7 +223,11 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
         if wide:
             f, d = phi.pair_array(s * az)
             i = float(np.vdot(ws, f))
-            return (i, float(np.vdot(ws, d - f))) if i < inf else (i, inf)
+            j = float(np.vdot(ws, d - f)) if i < inf else inf
+            if i + j < inf:
+                return i, j
+            i, j = phi.mend_sums(ws, s * az[None, :], np.array([i]), np.array([j]))
+            return float(i[0]), float(j[0])
         return pair_sum(finite, s)
 
     def finite_atoms() -> tuple[np.ndarray, np.ndarray]:
@@ -264,16 +257,10 @@ def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) ->
     return out
 
 
-def dominated_pair_sample(space: MeasureSpace,
-                          rng: np.random.Generator) -> tuple[SimpleFunction, SimpleFunction]:
-    """A random pair 0 <= x <= y supported on the finite atoms."""
-    x_vals, y_vals = dominated_pair_values(space, rng)
-    return (SimpleFunction(space, tuple(x_vals)), SimpleFunction(space, tuple(y_vals)))
-
-
 def dominated_pair_values(space: MeasureSpace,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """dominated_pair_sample's values (x, y), drawn from rng the same way."""
+    """The values (x, y) of a random pair 0 <= x <= y supported on the
+    finite atoms."""
     n = space.n_atoms
     y_vals = np.zeros(n)
     fi = list(space.finite_indices)

@@ -30,11 +30,15 @@ generated_norm_batch call per family of samples and then apply the
 predicates.  The rejection loops (T5, T7, T8, T9's positive branch) draw a
 block of candidates, norm it and accept in draw order, within 8 * budget
 attempts; T9's levels share one rng, so a level's unused candidates carry
-into the next.  The constructions (T3, T4, L2, T6's flat pair, T9's failure
-branch, R3) keep the scalar generated_norm.  Suites record violations
-through the CHECKS entry, and each record carries phi, p, space and every
-input of the measurement, so replay_violation replays any record as
-emitted, as a batch of one: it decodes phi, p and space, re-takes the
+into the next.  T3 and T4 norm all their rows in one batch (T4's, on
+infinite atoms, go through the scalar engine inside it), and so do R3's
+steep atoms; R3's convergent branch solves its n_max scales in one batch
+(scale_to_modular_batch) and norms the scaled elements in another.  The
+elements built one at a time (L2, T6's flat pair, T8's y, T9's failure
+branch, R3's flat witness) keep the scalar generated_norm.  Suites record
+violations through the CHECKS entry, and each record carries phi, p, space
+and every input of the measurement, so replay_violation replays any record
+as emitted, as a batch of one: it decodes phi, p and space, re-takes the
 measurement from the stored inputs and applies the suite's own predicate.
 The batch's rows are independent, so a replay reproduces the emitted
 fields bit for bit.  run_suites builds at most one modulus table per call,
@@ -49,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (generated_norm, generated_norm_batch, lemma_bounds_check, log_k_span,
-                     luxemburg_root)
+from .engine import (generated_norm, generated_norm_batch, lemma_bounds_check,
+                     scale_to_modular_batch)
 from .errors import ContractError, DomainError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, OrliczFunction,
                      delta2_check, orlicz_from_descriptor, strict_convexity_probe)
@@ -58,7 +62,7 @@ from .planar import (MonotonicityModulusTable, PlanarNorm, build_modulus_table,
                      is_strictly_increasing_on_ray, l1, linf, planar_from_descriptor,
                      sandwich_violated, strictly_monotone_probe, verify_sandwich)
 from .spaces import (MeasureSpace, SimpleFunction, dominated_pair_values, measure_space,
-                     modular, modular_of, simple_function, space_from_descriptor)
+                     modular, simple_function, space_from_descriptor)
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"
@@ -76,6 +80,7 @@ WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aim
 PHI_TOP_CAP = 2.0 ** 140  # the steep level of generators still finite there
 SCALE_LOG_TOL = 1e-13  # R3: width in log c of the root of modular(c x) = target
 NO_FINITE_ATOM = "needs a finite atom"  # the samples live on the finite atoms
+_SIGNS = np.array([-1.0, 1.0])  # rng.choice over these draws the index rng.integers(0, 2)
 _LINF, _L1 = linf(), l1()  # the ends of T1's ordering
 
 
@@ -136,7 +141,7 @@ def _random_values(space: MeasureSpace, rng: np.random.Generator,
     fi = space.finite_indices
     draw = rng.uniform(0.05, 1.0, len(fi))
     if signed:
-        draw *= rng.choice([-1.0, 1.0], len(fi))
+        draw *= _SIGNS[rng.integers(0, 2, len(fi))]
     if len(fi) == space.n_atoms:
         return draw
     vals = np.zeros(space.n_atoms)
@@ -403,10 +408,11 @@ def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
     raise DomainError(f"unknown witness mode {mode!r}")
 
 
-def _embedded_norm(phi, p, space, levels, z) -> tuple[float, float]:
-    """Norm of the element with values levels * z, and max|z|."""
-    z = np.asarray(z)
-    return _norm_value(phi, p, simple_function(space, levels * z)), float(np.max(np.abs(z)))
+def _measure_embedded(phi, p, space, recs, levels) -> list[tuple[float, float]]:
+    """(||levels(rec) * z||, max|z|) for each record's z, the norms in one batch."""
+    zs = [np.asarray(rec["z"]) for rec in recs]
+    norms = _norms(phi, p, space, [levels(rec) * z for rec, z in zip(recs, zs)])
+    return [(v, float(np.max(np.abs(z)))) for v, z in zip(norms, zs)]
 
 
 def _exact_witness(phi, p, n, *, z_samples, seed):
@@ -425,9 +431,9 @@ def _exact_witness(phi, p, n, *, z_samples, seed):
     return witness, _passed("T4", len(zs), violations, {"n": n, "level": a})
 
 
-def _measure_embedding_exact(phi, p, space, rec):
-    got, nz = _embedded_norm(phi, p, space, phi.zero_bound, rec["z"])
-    return {"norm": got, "expected": nz}
+def _measure_embedding_exact(phi, p, space, recs):
+    return [{"norm": got, "expected": nz}
+            for got, nz in _measure_embedded(phi, p, space, recs, lambda rec: phi.zero_bound)]
 
 
 def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
@@ -494,10 +500,10 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
     return witness, _passed("T3", len(zs), violations, details)
 
 
-def _measure_embedding_bounds(phi, p, space, rec):
-    got, nz = _embedded_norm(phi, p, space, np.asarray(rec["levels"]), rec["z"])
-    return {"norm": got, "lower": nz / (1.0 + rec["eta"]) - 1e-6,
-            "upper": (1.0 + rec["epsilon"]) * nz + 1e-6}
+def _measure_embedding_bounds(phi, p, space, recs):
+    got = _measure_embedded(phi, p, space, recs, lambda rec: np.asarray(rec["levels"]))
+    return [{"norm": v, "lower": nz / (1.0 + rec["eta"]) - 1e-6,
+             "upper": (1.0 + rec["epsilon"]) * nz + 1e-6} for rec, (v, nz) in zip(recs, got)]
 
 
 # ---------------------------------------------------------------------------
@@ -969,21 +975,19 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
                     "modulars": mods, "norms": norms})
 
 
-def _scale_to_modular(phi, x, target: float) -> float:
-    """c <= the root of modular(c x) = target, within SCALE_LOG_TOL in log c:
-    the Luxemburg root of modular / target (I(cx) / (c target) rises)."""
-    modular_at = modular_of(phi, x)
-    s_start, s_top = log_k_span(modular_at.top)
-    lo, _ = luxemburg_root(lambda s: modular_at(math.exp(s)) / target, phi,
-                           modular_at.top_finite, s_start, s_top, SCALE_LOG_TOL)
-    return math.exp(lo)
-
-
-def _measure_convergence(phi, p, space, rec):
-    """Norms of base scaled to modular 2^-n, n = 1..n_max."""
-    base = simple_function(space, rec["base"])
-    return {"norms": [_norm_value(phi, p, base.scaled(_scale_to_modular(phi, base, 2.0 ** -n)))
-                      for n in range(1, rec["n_max"] + 1)]}
+def _measure_convergence(phi, p, space, recs):
+    """Norms of base scaled to modular 2^-n, n = 1..n_max: per record, the
+    n_max scales c <= the root of modular(c base) = 2^-n, within
+    SCALE_LOG_TOL in log c, in one batch and the scaled elements' norms in
+    another."""
+    out = []
+    for rec in recs:
+        base = np.asarray(rec["base"], dtype=float)
+        rows = np.tile(base, (rec["n_max"], 1))
+        targets = 2.0 ** -np.arange(1.0, rec["n_max"] + 1.0)
+        c = scale_to_modular_batch(phi, space, rows, targets, log_tol=SCALE_LOG_TOL)
+        out.append({"norms": _norms(phi, p, space, c[:, None] * rows)})
+    return out
 
 
 def _measure_modular_and_norm(phi, p, space, rec):
@@ -991,11 +995,14 @@ def _measure_modular_and_norm(phi, p, space, rec):
     return {"modular": modular(phi, x), "norm": _norm_value(phi, p, x)}
 
 
-def _measure_steep(phi, p, space, rec):
-    """Modular and norm of the single steep atom n carrying its level."""
-    xn = simple_function(space, [rec["level"] if i == rec["n"] - 1 else 0.0
-                                 for i in range(space.n_atoms)])
-    return {"modular": modular(phi, xn), "norm": _norm_value(phi, p, xn)}
+def _measure_steep(phi, p, space, recs):
+    """Modular and norm of each record's single steep atom n carrying its
+    level, the norms in one batch."""
+    rows = np.zeros((len(recs), space.n_atoms))
+    for row, rec in zip(rows, recs):
+        row[rec["n"] - 1] = rec["level"]
+    return [{"modular": modular(phi, SimpleFunction(space, tuple(row))), "norm": v}
+            for row, v in zip(rows, _norms(phi, p, space, rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1031,9 @@ CHECKS: dict[str, Check] = {
     "attainment": Check(_measure_attainment, _attainment_violated),
     "unit_ball_bounds": Check(_each(_measure_unit_ball),
                               lambda r: not (r["lower_ok"] and r["upper_ok"])),
-    "embedding_exact": Check(_each(_measure_embedding_exact),
+    "embedding_exact": Check(_measure_embedding_exact,
                              lambda r: abs(r["norm"] - r["expected"]) > 1e-12),
-    "embedding_bounds": Check(_each(_measure_embedding_bounds),
+    "embedding_bounds": Check(_measure_embedding_bounds,
                               lambda r: not (r["lower"] <= r["norm"] <= r["upper"])),
     "midpoint": Check(_measure_midpoint, lambda r: r["midpoint_norm"] >= 1.0 - 1e-12),
     "strict_monotonicity": Check(_measure_pair,
@@ -1040,12 +1047,12 @@ CHECKS: dict[str, Check] = {
     "um_failure_construction": Check(_each(_measure_um_failure), _um_failure_violated),
     "order_continuity": Check(_measure_tails, lambda r: r["tail_norms"][-1] > 1e-2),
     "order_continuity_failure": Check(_measure_tails, lambda r: min(r["tail_norms"]) < 0.9),
-    "modular_norm_convergence": Check(_each(_measure_convergence),
+    "modular_norm_convergence": Check(_measure_convergence,
                                       lambda r: r["norms"][-1] > r["conv_tol"]),
     "flat_sequence": Check(_each(_measure_modular_and_norm),
                            lambda r: not (r["modular"] == 0.0
                                           and abs(r["norm"] - 1.0) <= 1e-9)),
-    "steep_sequence": Check(_each(_measure_steep),
+    "steep_sequence": Check(_measure_steep,
                             lambda r: not (r["modular"] <= 2.0 ** -r["n"] + 1e-15
                                            and r["norm"] >= r["norm_floor"])),
 }

@@ -13,7 +13,7 @@ from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, build_linf_wit
                      build_modulus_table, catalog_orlicz_functions, catalog_planar_norms,
                      delta2_check, exp_minus, flat_then_power, generated_norm,
                      generated_norm_on_grid, l1, linf, lq, luxemburg_norm, measure_space,
-                     modulus_of_monotonicity, power, simple_function,
+                     modulus_diagnostics, power, simple_function,
                      strictly_monotone_planar_norms, unit_weights)
 from orlnorm.verify import (STATUS_PASSED, suite_decomposition_estimate,
                             suite_modular_norm_equivalence, suite_norm_axioms,
@@ -105,9 +105,9 @@ def test_criterion_03_sandwich_and_family_ordering():
 def test_criterion_04_planar_moduli_closed_forms():
     t0 = time.monotonic()
     eps_grid = [i / 10.0 for i in range(1, 10)]
-    worst_l1 = max(abs(modulus_of_monotonicity(l1(), e) - e) for e in eps_grid)
-    worst_linf = max(abs(modulus_of_monotonicity(linf(), e)) for e in eps_grid)
-    worst_lq2 = max(abs(modulus_of_monotonicity(lq(2), e) - (1.0 - math.sqrt(1.0 - e * e)))
+    worst_l1 = max(abs(modulus_diagnostics(l1(), e).value - e) for e in eps_grid)
+    worst_linf = max(abs(modulus_diagnostics(linf(), e).value) for e in eps_grid)
+    worst_lq2 = max(abs(modulus_diagnostics(lq(2), e).value - (1.0 - math.sqrt(1.0 - e * e)))
                     for e in eps_grid)
     elapsed = time.monotonic() - t0
     ok = worst_l1 <= 1e-3 and worst_linf <= 1e-9 and worst_lq2 <= 1e-3 and elapsed < 30.0

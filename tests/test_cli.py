@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import orlnorm
-from orlnorm.cli import main
+from orlnorm.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -222,6 +222,36 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         code, out, err = run(capsys, "norm", "--config", str(cfg))
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_successive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
+    # one parser per process; each call parses into a fresh namespace, so a
+    # config value or flag of one call never reaches the next
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"phi": "power:3", "p": "l1", "values": "3,4", "seed": 5}))
+    calls = [("norm", "--config", str(cfg)),
+             ("verify", "T2", "--budget", "3", "--json"),
+             ("norm", "--values", "3,4"),
+             ("modulus", "--p", "lq:2", "--grid", "0.5", "--json"),
+             ("verify", "T2", "--budget", "3", "--json", "--config", str(cfg)),
+             ("norm", "--values", "3,4", "--p", "nosuch"),
+             ("norm", "--values", "3,4")]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    in_turn = [run(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert in_turn == alone
+    assert [code for code, _, _ in in_turn] == [0, 0, 0, 0, 0, 2, 0]
+    # the config's generator, norm and seed stay with the calls that read it
+    first, plain = json.loads(in_turn[0][1]), json.loads(in_turn[2][1])
+    assert first["seed"] == 5 and first["value"] == pytest.approx(
+        orlnorm.generated_norm(orlnorm.power(3), orlnorm.l1(),
+                               orlnorm.simple_function(orlnorm.unit_weights(2), [3, 4])).value)
+    assert plain["seed"] == 0 and plain["value"] == pytest.approx(5.0, abs=1e-8)
+    assert json.loads(in_turn[1][1])["phi"] == {"kind": "power", "q": 2.0}
+    assert json.loads(in_turn[4][1])["phi"] == {"kind": "power", "q": 3.0}
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -15,6 +15,8 @@ from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError,
                      unit_weights)
 from orlnorm.spaces import ARRAY_ATOMS
 
+from mp_oracle import oracle_norm
+
 
 def _rand_function(space, rng, scale=2.0, signed=True):
     vals = rng.uniform(0.05, scale, space.n_atoms)
@@ -662,17 +664,75 @@ def test_batch_edge_rows(orlicz_catalog, planar_catalog):
         _assert_rows_independent(flat, p, unit_weights(4), rows, batch)
 
 
-@pytest.mark.parametrize("phi", [exp_minus(), flat_then_power(1, 2), power(2)])
+def _assert_both_engines_match_the_oracle(phi, p, space, rows):
+    """Both engines on every row within 1e-11 relative of the 40-digit
+    oracle, with the same ``attained``."""
+    batch = generated_norm_batch(phi, p, space, rows)
+    for j, row in enumerate(rows):
+        ref = oracle_norm(phi, p, space.weights, row)
+        scalar = generated_norm(phi, p, simple_function(space, row))
+        assert batch.attained[j] == scalar.attained, (phi.label, p.label, j)
+        for got in (batch.value[j], scalar.value):
+            assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (phi.label, p.label, j)
+    return batch
+
+
+@pytest.mark.parametrize("phi", [exp_minus(), flat_then_power(1, 2), power(2), power(3)])
 def test_batch_on_steep_tails_near_overflow(phi, planar_catalog):
     # R2's rows: levels close to the largest float at which Phi is finite, on
-    # weights down to 2^-28 / Phi(level); flat_then_power's reach the K_CAP cap
+    # weights down to 2^-28 / Phi(level) (subnormal for exp_minus); the
+    # minimiser lies where u Phi'(u), and for the last tails Phi(u) itself,
+    # overflows, so the engines take those terms in log form
     space, levels = verify._steep_tail_element(phi, 28)
     rows = np.array([verify._tail(levels, i) for i in range(28)])
+    # the same tails padded with zero atoms to ARRAY_ATOMS: the scalar engine
+    # then sums by numpy (modular_of's wide path) and mends that sum
+    wide = measure_space(list(space.weights) + [1.0] * (ARRAY_ATOMS - 28))
+    padded = np.hstack([rows[::9], np.zeros((len(rows[::9]), ARRAY_ATOMS - 28))])
     for p in planar_catalog.values():
-        batch = generated_norm_batch(phi, p, space, rows)
-        _assert_agrees_with_scalar(phi, p, space, rows, batch)
+        _assert_both_engines_match_the_oracle(phi, p, space, rows)
+        _assert_both_engines_match_the_oracle(phi, p, wide, padded)
         _assert_rows_independent(phi, p, space, rows[::9], generated_norm_batch(
             phi, p, space, rows[::9]))
+
+
+def test_steep_single_atoms_match_the_oracle(orlicz_catalog, planar_catalog):
+    # R3's counterexample rows: one steep atom each, modular 2^-n, n = 1..20
+    for phi in orlicz_catalog.values():
+        space, levels = verify._steep_tail_element(phi, 20)
+        for p in planar_catalog.values():
+            _assert_both_engines_match_the_oracle(phi, p, space, np.diag(levels))
+
+
+def test_approximate_embedding_rows_match_the_oracle(planar_catalog):
+    # T3's rows levels * z on weights target / Phi(level), levels near overflow
+    phi = exp_minus()
+    for p in planar_catalog.values():
+        witness, report = verify.build_linf_witness(phi, p, 4, "approximate", z_samples=20,
+                                                    seed=1)
+        zs = verify._z_batch(4, 20, np.random.default_rng(1))
+        rows = np.array(report.details["levels"]) * np.array(zs)
+        _assert_both_engines_match_the_oracle(phi, p, witness.basis[0].space, rows)
+
+
+def _steep_value(phi, mass: float) -> float:
+    """A value v with Phi(v) about `mass`, for mass >= 1."""
+    if phi.kind == "exp_minus":
+        return math.log(mass)
+    return phi.zero_bound + mass ** (1.0 / phi.q)
+
+
+@given(st.sampled_from([power(2), power(3), exp_minus(), flat_then_power(1, 2)]),
+       st.sampled_from([linf(), l1(), lq(1.5), lq(2), lq(3)]),
+       st.lists(st.tuples(st.floats(0.0, 303.0), st.floats(-30.0, 0.0)), min_size=1,
+                max_size=3))
+def test_steep_atoms_of_tiny_weight_match_the_oracle(phi, p, atoms):
+    # weights 10^-e down to 1e-303, each atom at a value v with w Phi(v) about 2^m
+    weights = [10.0 ** -e for e, _ in atoms]
+    space = measure_space(weights)
+    row = [_steep_value(phi, 2.0 ** m / w) if 2.0 ** m / w > 1.0 else 1.0
+           for w, (_, m) in zip(weights, atoms)]
+    _assert_both_engines_match_the_oracle(phi, p, space, np.array([row]))
 
 
 def test_batch_reaches_the_cap_where_the_infimum_is_not_attained():
@@ -698,6 +758,26 @@ def test_batch_routes_to_the_scalar_engine():
                          (flat_then_power(0.5, 1), l1(), finite)):
         batch = generated_norm_batch(phi, p, space, rows)
         _assert_agrees_with_scalar(phi, p, space, rows, batch, exact=True)
+
+
+def test_scales_to_modular_levels(orlicz_catalog):
+    # R3's roots c of modular(c x) = 2^-n, n = 1..40, as one lockstep batch
+    space = measure_space([0.7, 1.0, 0.3, math.inf])
+    base = np.array([0.4, -0.9, 0.05, 0.0])
+    rows, targets = np.tile(base, (40, 1)), 2.0 ** -np.arange(1.0, 41.0)
+    x = simple_function(space, base)
+    for phi in orlicz_catalog.values():
+        c = engine.scale_to_modular_batch(phi, space, rows, targets, log_tol=1e-13)
+        for cn, t in zip(c.tolist(), targets.tolist()):
+            # c is the lower end of a bracket 1e-13 wide in log c, or the
+            # first guess where that lands on the root to rounding
+            assert modular(phi, x, scale=cn) <= t * (1.0 + 1e-14), (phi.label, t)
+            assert modular(phi, x, scale=cn * math.exp(3e-13)) >= t, (phi.label, t)
+        one = engine.scale_to_modular_batch(phi, space, rows[-1:], targets[-1:], log_tol=1e-13)
+        assert one[0] == c[-1]
+    for bad in ([[0.0, 0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0, 1.0]]):
+        with pytest.raises(DomainError):
+            engine.scale_to_modular_batch(power(2), space, bad, [0.5], log_tol=1e-13)
 
 
 def test_batch_rejects_bad_values():

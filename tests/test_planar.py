@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from orlnorm import (DomainError, boundary_sampled, build_modulus_table,
                      check_lattice_axioms, is_strictly_increasing_on_ray, l1, linf, lq,
-                     modulus_diagnostics, modulus_of_monotonicity, planar_from_descriptor,
-                     strictly_monotone_probe, verify_sandwich)
+                     modulus_diagnostics, planar_from_descriptor, strictly_monotone_probe,
+                     verify_sandwich)
 from orlnorm import planar
 from orlnorm.planar import _level_end, _modulus_pass
 
@@ -109,24 +109,24 @@ def _modulus_box_oracle(p, eps, n=260):
 
 def test_modulus_l1_is_identity():
     for eps in (0.1, 0.3, 0.7, 0.9):
-        assert modulus_of_monotonicity(l1(), eps) == pytest.approx(eps, abs=1e-9)
+        assert modulus_diagnostics(l1(), eps).value == pytest.approx(eps, abs=1e-9)
 
 
 def test_modulus_linf_is_zero():
     for eps in (0.2, 0.5, 0.8):
-        assert modulus_of_monotonicity(linf(), eps) == pytest.approx(0.0, abs=1e-9)
+        assert modulus_diagnostics(linf(), eps).value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_modulus_lq2_closed_form_and_box_oracle():
     eps = 0.6
     closed = 1.0 - math.sqrt(1.0 - eps * eps)
-    got = modulus_of_monotonicity(lq(2), eps, resolution=1e-3)
+    got = modulus_diagnostics(lq(2), eps, resolution=1e-3).value
     assert got == pytest.approx(closed, abs=1e-3)
     oracle = _modulus_box_oracle(lq(2), eps)
     assert oracle == pytest.approx(closed, abs=4e-3)
     assert got == pytest.approx(oracle, abs=4e-3)
     for q in (1.5, 3.0):
-        got = modulus_of_monotonicity(lq(q), eps, resolution=1e-3)
+        got = modulus_diagnostics(lq(q), eps, resolution=1e-3).value
         assert got == pytest.approx(_modulus_box_oracle(lq(q), eps), abs=4e-3), q
 
 
@@ -157,15 +157,15 @@ def test_modulus_endpoint_maximum_matches_level_curve_walk(q):
 
 def test_modulus_rejects_bad_epsilon():
     with pytest.raises(DomainError):
-        modulus_of_monotonicity(l1(), 0.0)
+        modulus_diagnostics(l1(), 0.0)
     with pytest.raises(DomainError):
-        modulus_of_monotonicity(l1(), 1.0)
+        modulus_diagnostics(l1(), 1.0)
 
 
 def test_modulus_never_exceeds_epsilon(planar_catalog):
     for p in planar_catalog.values():
         for eps in (0.15, 0.45, 0.85):
-            assert modulus_of_monotonicity(p, eps) <= eps + 1e-12
+            assert modulus_diagnostics(p, eps).value <= eps + 1e-12
 
 
 def test_modulus_grid_convergence_bound(planar_catalog):
@@ -357,7 +357,7 @@ def test_strict_monotonicity_gives_positive_modulus():
     # norms have a strictly positive modulus on the whole grid
     for p in (l1(), lq(1.5), lq(2), lq(3)):
         for eps in (0.1, 0.4, 0.8):
-            assert modulus_of_monotonicity(p, eps) > 0.0, (p.label, eps)
+            assert modulus_diagnostics(p, eps).value > 0.0, (p.label, eps)
 
 
 def test_descriptor_roundtrip(planar_catalog):

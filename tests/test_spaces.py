@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_functions,
-                     catalog_planar_norms, dominated_pair_sample, exp_minus, flat_then_power,
-                     function_from_descriptor, measure_space, modular, modular_on_grid,
-                     order_ops, piecewise_linear, power, simple_function, space_from_descriptor,
-                     unit_weights)
+                     catalog_planar_norms, exp_minus, flat_then_power, function_from_descriptor,
+                     measure_space, modular, modular_on_grid, piecewise_linear, power,
+                     simple_function, space_from_descriptor, unit_weights)
 from orlnorm.engine import _first_order
-from orlnorm.spaces import ARRAY_ATOMS, modular_of
+from orlnorm.spaces import ARRAY_ATOMS, dominated_pair_values, modular_of
 
 
 def test_space_validation():
@@ -232,13 +231,12 @@ def test_order_ops():
     sp = unit_weights(2)
     x = simple_function(sp, [1, 2])
     y = simple_function(sp, [2, 2])
-    ops = order_ops(x, y)
-    assert ops.leq
-    assert ops.diff_if_dominated.values == (1.0, 0.0)
+    assert x.leq(y)
+    assert y.minus_dominated(x).values == (1.0, 0.0)
     a = simple_function(sp, [1, 0])
     b = simple_function(sp, [0, 1])
-    assert order_ops(a, b).sup.values == (1.0, 1.0)
-    assert not order_ops(simple_function(sp, [2, 0]), simple_function(sp, [1, 3])).leq
+    assert a.sup(b).values == (1.0, 1.0)
+    assert not simple_function(sp, [2, 0]).leq(simple_function(sp, [1, 3]))
 
 
 def test_dominated_difference_contract_error():
@@ -254,12 +252,14 @@ def test_dominated_pair_sample_postconditions():
     sp = measure_space([1.0, 0.5, math.inf])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        x, y = dominated_pair_sample(sp, rng)
-        assert all(0.0 <= a <= b for a, b in zip(x.values, y.values))
-        assert y.values[2] == 0.0  # infinite atom left empty
+        x, y = dominated_pair_values(sp, rng)
+        assert all(0.0 <= a <= b for a, b in zip(x, y))
+        assert y[2] == 0.0  # infinite atom left empty
     # degenerate pairs are admissible
     zero = simple_function(sp, [0, 0, 0])
-    assert order_ops(zero, y).leq
+    assert zero.leq(simple_function(sp, y))
+    with pytest.raises(DomainError):
+        dominated_pair_values(measure_space([math.inf]), rng)
 
 
 def test_descriptor_roundtrip():

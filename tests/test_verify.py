@@ -419,10 +419,12 @@ def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
     flag_all = {kind: dataclasses.replace(check, violated=lambda r: True)
                 for kind, check in verify.CHECKS.items()}
     monkeypatch.setattr(verify, "CHECKS", flag_all)
-    batched = ["T1", "T2", "L1", "T5", "T6", "T7", "T8", "T9", "R2"]
+    batched = ["T1", "T2", "L1", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "R2", "R3"]
     records = [v for rep in run_suites(batched, phi, p, space, seed=3, budget=6)
                for v in rep.violations]
     assert {r["kind"] for r in records} >= {"ordering", "norm_triangle", "attainment"}
+    if phi.kind == "exp_minus":
+        assert {r["kind"] for r in records} >= {"embedding_bounds", "modular_norm_convergence"}
     for rec in records:
         measured, = flag_all[rec["kind"]].measure(*verify._decode(rec), [rec])
         assert measured == {key: rec[key] for key in measured}, rec["kind"]
@@ -439,3 +441,64 @@ def test_run_suites_builds_at_most_one_table(monkeypatch, phi, p, builds):
     monkeypatch.setattr(verify, "build_modulus_table", counting)
     run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5)
     assert len(calls) == builds
+
+
+def test_sign_draws_are_rng_choice_bit_for_bit():
+    # _random_values draws its signs as _SIGNS[rng.integers(0, 2, n)], which is
+    # how rng.choice([-1.0, 1.0], n) draws them: the same values and the same
+    # next draw, so the suites' samples do not depend on which is used
+    for seed in range(5):
+        for n in (1, 5, 6, 7):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(verify._SIGNS[ours.integers(0, 2, n)],
+                                  theirs.choice([-1.0, 1.0], n))
+            assert ours.random() == theirs.random()
+            space = unit_weights(n)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = verify._random_values(space, ours, signed=True)
+            assert np.array_equal(drawn, theirs.uniform(0.05, 1.0, n)
+                                  * theirs.choice([-1.0, 1.0], n))
+            assert ours.random() == theirs.random()
+
+
+def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
+    """`verify --all` for (exp_minus, l1) at seed 1, budget 20: every batch
+    takes at most 8 lockstep steps, but R2's and T3's steep rows near
+    overflow, which take at most 18; R3 and T3 make no scalar norm call."""
+    from orlnorm import cli, engine
+
+    suite = [None]
+    steps: list[tuple[str, int]] = []
+    scalar: list[str] = []
+    batch, scalar_norm, witness = (engine.generated_norm_batch, engine.generated_norm,
+                                   verify.build_linf_witness)
+
+    def counted_batch(*args):
+        r = batch(*args)
+        steps.append((suite[0], r.steps))
+        return r
+
+    def counted_norm(*args, **kwargs):
+        scalar.append(suite[0])
+        return scalar_norm(*args, **kwargs)
+
+    def tagged(tid, fn):
+        def run(*args, **kwargs):
+            suite[0] = tid
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(verify, "generated_norm_batch", counted_batch)
+    for module in (verify, engine):
+        monkeypatch.setattr(module, "generated_norm", counted_norm)
+    for tid, fn in list(verify._SUITES.items()):
+        monkeypatch.setitem(verify._SUITES, tid, tagged(tid, fn))
+    monkeypatch.setattr(verify, "build_linf_witness", lambda phi, p, n, mode, **kw: tagged(
+        "T3" if mode == "approximate" else "T4", witness)(phi, p, n, mode, **kw))
+    argv = ["verify", "--all", "--json", "--phi", "exp_minus", "--p", "l1", "--seed", "1",
+            "--budget", "20"]
+    assert cli.main(argv) == 0
+    assert {tid for tid, _ in steps} >= {"T1", "T3", "R2", "R3"}
+    for tid, n in steps:
+        assert n <= (18 if tid in ("R2", "T3") else 8), (tid, n)
+    assert not {"R3", "T3"} & set(scalar)
