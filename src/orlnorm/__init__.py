@@ -22,9 +22,8 @@ from .planar import (MonotonicityModulusTable, ModulusResult, PlanarNorm,
                      check_lattice_axioms, is_strictly_increasing_on_ray, l1, linf, lq,
                      modulus_diagnostics, planar_from_descriptor, strictly_monotone_probe,
                      verify_sandwich)
-from .spaces import (MeasureSpace, SimpleFunction, function_from_descriptor, measure_space,
-                     modular, modular_on_grid, simple_function, space_from_descriptor,
-                     unit_weights)
+from .spaces import (MeasureSpace, SimpleFunction, measure_space, modular, modular_on_grid,
+                     simple_function, space_from_descriptor, unit_weights)
 from .verify import (SUITE_IDS, LinfEmbeddingWitness, TheoremReport, build_linf_witness,
                      lower_local_um_estimate, replay_violation, run_suites,
                      suitable_delta2_regime, suite_attainment, suite_decomposition_estimate,

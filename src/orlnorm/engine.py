@@ -56,6 +56,7 @@ from .spaces import MeasureSpace, SimpleFunction, modular, modular_of, modular_o
 
 K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L (I(k_L x) = 1)
 LOG_TOL = 1e-11  # default width in log k of the searches' final bracket
+SCALE_LOG_TOL = 1e-13  # scale_to_modular_batch: width in log c of its final bracket
 GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
 GRID_K_HI = 1e8
 GRID_POINTS = 10_000
@@ -332,10 +333,10 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     return NormBatch(value, k_star, attained, steps)
 
 
-def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values, targets, *,
-                           log_tol: float) -> np.ndarray:
+def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
+                           targets) -> np.ndarray:
     """For each row x of the (N, n) array ``values`` and its target t > 0 in
-    ``targets``: c <= the root of modular(c x) = t, within log_tol in log c
+    ``targets``: c <= the root of modular(c x) = t, within SCALE_LOG_TOL in log c
     (c at the top of the span where the modular stays below t up to there).
     The rows must be nonzero and vanish on the infinite atoms.  The roots
     are solved in lockstep, as generated_norm_batch solves its cap."""
@@ -354,7 +355,7 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values, tar
         i, _, _ = sample(k, ax)
         s, _, _, _ = _modular_root(sample, k, i, np.minimum(-np.log(top), 0.0) - _LOG_TINY, ax,
                                    np.full(len(x), math.inf), np.full(len(x), math.nan),
-                                   np.log(np.asarray(targets, dtype=float)), log_tol)
+                                   np.log(np.asarray(targets, dtype=float)), SCALE_LOG_TOL)
     return np.exp(s)
 
 

@@ -95,10 +95,6 @@ class SimpleFunction:
             raise DomainError("simple functions take finite values")
 
     @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v != 0.0)
 
@@ -109,24 +105,6 @@ class SimpleFunction:
         _same_space(self, other)
         return SimpleFunction(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def leq(self, other: "SimpleFunction") -> bool:
-        _same_space(self, other)
-        return all(a <= b for a, b in zip(self.values, other.values))
-
-    def sup(self, other: "SimpleFunction") -> "SimpleFunction":
-        _same_space(self, other)
-        return SimpleFunction(self.space, tuple(max(a, b) for a, b in zip(self.values, other.values)))
-
-    def minus_dominated(self, other: "SimpleFunction") -> "SimpleFunction":
-        """self - other for 0 <= other <= self; anything else is a contract error."""
-        _same_space(self, other)
-        if any(b < 0.0 or b > a for a, b in zip(self.values, other.values)):
-            raise ContractError("difference requested for a non-dominated pair")
-        return SimpleFunction(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def descriptor(self) -> dict:
-        return {"values": list(self.values)}
-
 
 def _same_space(x: SimpleFunction, y: SimpleFunction) -> None:
     if x.space is not y.space and x.space != y.space:
@@ -135,10 +113,6 @@ def _same_space(x: SimpleFunction, y: SimpleFunction) -> None:
 
 def simple_function(space: MeasureSpace, values) -> SimpleFunction:
     return SimpleFunction(space, values)
-
-
-def function_from_descriptor(space: MeasureSpace, d: dict) -> SimpleFunction:
-    return simple_function(space, d["values"])
 
 
 # ---------------------------------------------------------------------------

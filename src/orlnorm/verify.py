@@ -27,12 +27,13 @@ measurement takes a list of records and returns a list of measured fields,
 measure(phi, p, space, recs) -> [dict, ...]; the sampling suites (T1, T2,
 L1, T5-T9 and R2) draw their samples in rng order, norm them with one
 generated_norm_batch call per family of samples and then apply the
-predicates.  The rejection loops (T5, T7, T8, T9's positive branch) draw a
-block of candidates, norm it and accept in draw order, within 8 * budget
-attempts; T9's levels share one rng, so a level's unused candidates carry
-into the next.  T3 and T4 norm all their rows in one batch (T4's, on
+predicates (T6's scan too, through CHECKS["strict_monotonicity"]).  The
+rejection loops (T5, T7, T8, T9's positive branch) draw a block of
+candidates, norm it and accept in draw order, within 8 * budget attempts;
+T9's levels share one rng, so a level's unused candidates carry into the
+next.  T3 and T4 norm all their rows in one batch (T4's, on
 infinite atoms, go through the scalar engine inside it), and so do R3's
-steep atoms; R3's convergent branch solves its n_max scales in one batch
+steep atoms; R3's convergent branch solves its CONV_LEVELS scales in one batch
 (scale_to_modular_batch) and norms the scaled elements in another.  The
 elements built one at a time (L2, T6's flat pair, T8's y, T9's failure
 branch, R3's flat witness) keep the scalar generated_norm.  Suites record
@@ -41,11 +42,14 @@ and every input of the measurement, so replay_violation replays any record
 as emitted, as a batch of one: it decodes phi, p and space, re-takes the
 measurement from the stored inputs and applies the suite's own predicate.
 The batch's rows are independent, so a replay reproduces the emitted
-fields bit for bit.  run_suites builds at most one modulus table per call,
-on first use by T7, T8 or T9 once their gates have passed.
+fields bit for bit.  Every suite in the registry is called as
+suite(phi, p, space, seed=..., budget=...).  T7, T8 and T9 read one modulus
+table per planar norm per process (_modulus_table), built when the first
+of them gets past its gates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from collections.abc import Callable
@@ -69,16 +73,18 @@ STATUS_FAILED = "failed"
 STATUS_HNM = "hypothesis-not-met"
 STATUS_EMPTY = "empty-feasible"
 
-SUITE_IDS = ("T1", "T2", "L1", "L2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "R2", "R3")
-
 MODULUS_RESOLUTION = 2e-3  # grid of the modulus tables T7, T8 and T9 build
 PLANAR_SAMPLES = 10_000  # T1's sandwich samples of p
 UM_EPSILONS = (0.25, 0.5, 0.75)  # T9's norm levels of the dominated piece
+UM_FAILURE_LEVELS = 10  # T9, failure branch: the perturbations x_n, n = 1..UM_FAILURE_LEVELS
+TAIL_LEVELS = 28  # R2: atoms of the steep-tail space
+CONV_LEVELS = 40  # R3, convergent branch: modular levels 2^-n, n = 1..CONV_LEVELS
+STEEP_LEVELS = 20  # R3, counterexample branch: atoms of the steep-tail space
+WITNESS_LEVELS = 4  # T3 and T4: basis elements of the embedding
 CONV_TOL = 1e-3  # R3, convergent branch: the last norm must fall below this
 NORM_FLOOR = 0.9  # R3, counterexample branch: every steep norm must reach this
 WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aims for
 PHI_TOP_CAP = 2.0 ** 140  # the steep level of generators still finite there
-SCALE_LOG_TOL = 1e-13  # R3: width in log c of the root of modular(c x) = target
 NO_FINITE_ATOM = "needs a finite atom"  # the samples live on the finite atoms
 _SIGNS = np.array([-1.0, 1.0])  # rng.choice over these draws the index rng.integers(0, 2)
 _LINF, _L1 = linf(), l1()  # the ends of T1's ordering
@@ -248,8 +254,10 @@ def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200) 
                    {"planar_samples": PLANAR_SAMPLES, "functions": budget})
 
 
-def _measure_sandwich(phi, p, space, rec):
-    return {"value": p.evaluate(tuple(rec["point"]))}
+def _measure_sandwich(phi, p, space, recs):
+    """p at each record's point, by p.evaluate_many as verify_sandwich takes it."""
+    u, v = np.array([rec["point"] for rec in recs], dtype=float).T
+    return [{"value": val} for val in p.evaluate_many(u, v).tolist()]
 
 
 def _measure_ordering(phi, p, space, recs):
@@ -408,6 +416,15 @@ def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
     raise DomainError(f"unknown witness mode {mode!r}")
 
 
+def _witness_suite(mode: str):
+    """T3 (approximate) or T4 (exact) on WITNESS_LEVELS basis elements; the
+    construction builds its own space, so `space` goes unused."""
+    def suite(phi, p, space=None, *, seed: int = 0, budget: int = 100) -> TheoremReport:
+        return build_linf_witness(phi, p, WITNESS_LEVELS, mode, z_samples=min(budget, 100),
+                                  seed=seed)[1]
+    return suite
+
+
 def _measure_embedded(phi, p, space, recs, levels) -> list[tuple[float, float]]:
     """(||levels(rec) * z||, max|z|) for each record's z, the norms in one batch."""
     zs = [np.asarray(rec["z"]) for rec in recs]
@@ -552,7 +569,7 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
     a = phi.zero_bound
     rng = _rng(seed)
     if a == 0.0:
-        xs, ys = [], []
+        pairs = []
         for _ in range(budget):
             y = _random_values(space, rng)
             if rng.random() < 0.5:
@@ -561,22 +578,13 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
                 x = y.copy()
                 j = int(rng.integers(0, space.n_atoms))
                 x[j] *= float(rng.uniform(0.0, 0.9))
-            xs.append(x)
-            ys.append(y)
-        r = _norm_batch(phi, p, space, ys + xs)
+            pairs.append({"x": x.tolist(), "y": y.tolist()})
         violations = []
-        skipped = 0
-        for j, (x, y) in enumerate(zip(xs, ys)):
-            if not r.attained[j]:
-                skipped += 1
-                continue
-            _flag(violations, "strict_monotonicity", phi, p, space,
-                  {"x": x.tolist(), "y": y.tolist(), "norm_x": float(r.value[budget + j]),
-                   "norm_y": float(r.value[j])})
-        if skipped == budget:
+        recs = _check(violations, "strict_monotonicity", phi, p, space, pairs)
+        checked = sum(rec["attained_y"] for rec in recs)
+        if not checked:
             return _hnm("T6", "attainment unavailable for every sample")
-        return _passed("T6", budget - skipped, violations,
-                       {"pairs": budget - skipped, "skipped": skipped})
+        return _passed("T6", checked, violations, {"pairs": checked, "skipped": budget - checked})
 
     # flat generator: z enlarges y by a / k* on the free last atom, where
     # Phi(k* a / k*) = Phi(a) = 0 adds nothing to I(k* y), finite atom or not
@@ -605,9 +613,12 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
 
 
 def _measure_pair(phi, p, space, recs):
+    """||x||, ||y|| and whether ||y|| is attained, for every record in one batch."""
     m = len(recs)
-    norms = _norms(phi, p, space, [r["x"] for r in recs] + [r["y"] for r in recs])
-    return [{"norm_x": norms[j], "norm_y": norms[m + j]} for j in range(m)]
+    r = _norm_batch(phi, p, space, [r["x"] for r in recs] + [r["y"] for r in recs])
+    norms, attained = r.value.tolist(), r.attained.tolist()
+    return [{"norm_x": norms[j], "norm_y": norms[m + j], "attained_y": attained[m + j]}
+            for j in range(m)]
 
 
 def _measure_flat_pair(phi, p, space, rec):
@@ -620,19 +631,11 @@ def _measure_flat_pair(phi, p, space, rec):
 # T7: the norm-difference bound through the planar modulus
 
 
-class _TableOnFirstUse:
-    """Stands in for the modulus table of p at MODULUS_RESOLUTION and builds
-    it on first use, so a run whose suites all stop at their gates builds
-    none and a run sharing one stand-in builds at most one."""
-
-    def __init__(self, p: PlanarNorm) -> None:
-        self._p = p
-        self._table: MonotonicityModulusTable | None = None
-
-    def __getattr__(self, name: str):
-        if self._table is None:
-            self._table = build_modulus_table(self._p, resolution=MODULUS_RESOLUTION)
-        return getattr(self._table, name)
+@functools.cache
+def _modulus_table(p: PlanarNorm) -> MonotonicityModulusTable:
+    """The modulus table of p at MODULUS_RESOLUTION, built once per planar
+    norm per process; T7, T8 and T9 ask for it only once their gates pass."""
+    return build_modulus_table(p, resolution=MODULUS_RESOLUTION)
 
 
 def _measure_difference(phi, p, space, recs):
@@ -655,14 +658,14 @@ def _unit_scaled(phi, p, space, pairs: list) -> list:
     return out
 
 
-def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 500,
-                                 table: MonotonicityModulusTable | None = None) -> TheoremReport:
+def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
+                                 budget: int = 500) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T7", "planar norm is not strictly monotone", witness=wit)
     if not space.finite_indices:
         return _hnm("T7", NO_FINITE_ATOM)
-    table = table if table is not None else _TableOnFirstUse(p)
+    table = _modulus_table(p)
     rng = _rng(seed)
     pairs = []
     attempts = 0
@@ -693,8 +696,7 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 
 
 
 def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
-                            samples: int = 200, seed: int = 0,
-                            table: MonotonicityModulusTable | None = None):
+                            samples: int = 200, seed: int = 0):
     """Estimate the smallest modular of dominated pieces of y with norm >=
     epsilon, and check the norm-difference bound on the same samples.
     Returns (delta_hat, report).  DomainError for a y that is negative
@@ -712,7 +714,6 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
         return 0.0, TheoremReport("T8", STATUS_EMPTY, True, 0, [],
                                   {"reason": "no dominated piece can reach the norm level",
                                    "epsilon": epsilon})
-    table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
     space, yv = y.space, np.array(y.values)
     kept: list[np.ndarray] = []
@@ -733,6 +734,7 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                                   {"reason": "no sampled dominated piece reached the level",
                                    "epsilon": epsilon})
     delta_hat = min(modular(phi, SimpleFunction(space, x)) for x in kept)
+    table = _modulus_table(p)
     dfloor, slack = table.floor_value(delta_hat), table.slack
     violations = []
     _check(violations, "lower_local_um", phi, p, space,
@@ -745,8 +747,7 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
     return delta_hat, report
 
 
-def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
-                         table: MonotonicityModulusTable | None = None) -> TheoremReport:
+def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> TheoremReport:
     if phi.zero_bound != 0.0:
         return _hnm("T8", "needs a generator vanishing only at zero")
     ok, wit = strictly_monotone_probe(p)
@@ -754,15 +755,13 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
         return _hnm("T8", "planar norm is not strictly monotone", witness=wit)
     if not space.finite_indices:
         return _hnm("T8", NO_FINITE_ATOM)
-    table = table if table is not None else _TableOnFirstUse(p)
     rng = _rng(seed)
     violations = []
     trials = 0
     deltas = {}
     for i, eps in enumerate((0.3, 0.5, 0.8)):
         y = _random_function(space, rng)
-        d, rep = lower_local_um_estimate(phi, p, y, eps, samples=budget,
-                                         seed=seed + 101 * i, table=table)
+        d, rep = lower_local_um_estimate(phi, p, y, eps, samples=budget, seed=seed + 101 * i)
         trials += rep.trials
         violations += rep.violations
         deltas[str(eps)] = d
@@ -773,9 +772,7 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60,
 # T9: uniform monotonicity
 
 
-def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120,
-                               table: MonotonicityModulusTable | None = None,
-                               n_max: int = 10) -> TheoremReport:
+def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T9", "planar norm is not strictly monotone", witness=wit)
@@ -786,10 +783,8 @@ def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 12
     if d2.holds:
         if not space.finite_indices:
             return _hnm("T9", NO_FINITE_ATOM)
-        return _um_positive(phi, p, space, seed=seed, budget=budget,
-                            table=table if table is not None else _TableOnFirstUse(p),
-                            regime=regime)
-    return _um_failure_construction(phi, p, seed=seed, n_max=n_max, regime=regime)
+        return _um_positive(phi, p, space, seed=seed, budget=budget, regime=regime)
+    return _um_failure_construction(phi, p, seed=seed, regime=regime)
 
 
 def _um_candidates(phi, p, space, rng, count: int) -> list:
@@ -801,7 +796,8 @@ def _um_candidates(phi, p, space, rng, count: int) -> list:
     return [None if c is None else (*c, next(norms)) for c in scaled]
 
 
-def _um_positive(phi, p, space, *, seed, budget, table, regime):
+def _um_positive(phi, p, space, *, seed, budget, regime):
+    table = _modulus_table(p)
     rng = _rng(seed)
     queue: deque = deque()  # candidates drawn and not yet examined, in rng order
     levels, inputs = [], []
@@ -842,12 +838,12 @@ def _um_positive(phi, p, space, *, seed, budget, table, regime):
                    {"branch": "positive", "regime": regime, "per_epsilon": empirical})
 
 
-def _um_failure_construction(phi, p, *, seed, n_max, regime):
+def _um_failure_construction(phi, p, *, seed, regime):
     """Doubling fails: exhibit additive perturbations with norms bounded away
     from zero that barely move the unit vector they are added to."""
     rng = _rng(seed)
     block = 3
-    steep, levels = _steep_tail_element(phi, n_max)
+    steep, levels = _steep_tail_element(phi, UM_FAILURE_LEVELS)
     space = measure_space((1.0,) * block + steep.weights)
 
     xvals = np.zeros(space.n_atoms)
@@ -863,14 +859,14 @@ def _um_failure_construction(phi, p, *, seed, n_max, regime):
         return _hnm("T9", "constructed unit vector has its minimiser at or below 1")
 
     inputs = []
-    for i, n_ in enumerate(range(1, n_max + 1)):
+    for i, n_ in enumerate(range(1, UM_FAILURE_LEVELS + 1)):
         yvals = np.zeros(space.n_atoms)
         yvals[block + i] = levels[i] / k
         inputs.append({"x": list(x.values), "x_n": yvals.tolist(), "k": k, "n": n_})
     violations = []
     measured = [{key: rec[key] for key in ("n", "norm_x_n", "norm_sum", "modular_at_k")}
                 for rec in _check(violations, "um_failure_construction", phi, p, space, inputs)]
-    return _passed("T9", n_max, violations,
+    return _passed("T9", UM_FAILURE_LEVELS, violations,
                    {"branch": "failure-construction", "regime": regime, "k": k,
                     "level": levels[0], "measured": measured})
 
@@ -916,11 +912,10 @@ def _tail(levels, start: int) -> list[float]:
     return [v if j >= start else 0.0 for j, v in enumerate(levels)]
 
 
-def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0,
-                           n_max: int = 28) -> TheoremReport:
+def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0) -> TheoremReport:
     regime = suitable_delta2_regime(space)
     continuous = delta2_check(phi, REGIME_INFINITY).holds
-    sp, levels = _steep_tail_element(phi, n_max)
+    sp, levels = _steep_tail_element(phi, TAIL_LEVELS)
     violations = []
     # dominated tails on a shrinking-weight space must lose their norm exactly
     # when doubling holds at infinity, and keep it otherwise
@@ -928,10 +923,10 @@ def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0,
                   phi, p, sp, [{"levels": levels}])
     norms = rec["tail_norms"]
     if continuous:
-        return _passed("R2", n_max, violations,
+        return _passed("R2", TAIL_LEVELS, violations,
                        {"branch": "order-continuous", "tail_norms": norms, "regime": regime})
-    mod_tail = modular(phi, simple_function(sp, _tail(levels, n_max - 1)))
-    return _passed("R2", n_max, violations,
+    mod_tail = modular(phi, simple_function(sp, _tail(levels, TAIL_LEVELS - 1)))
+    return _passed("R2", TAIL_LEVELS, violations,
                    {"branch": "not-order-continuous", "tail_norms": norms,
                     "last_tail_modular": mod_tail, "regime": regime})
 
@@ -943,8 +938,8 @@ def _measure_tails(phi, p, space, recs):
             for rec in recs]
 
 
-def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int = 0,
-                                   n_max: int = 40) -> TheoremReport:
+def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0,
+                                   budget: int = 0) -> TheoremReport:
     a = phi.zero_bound
     violations = []
     if a > 0.0:
@@ -961,11 +956,11 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
         rng = _rng(seed)
         base = _random_function(space, rng)
         rec, = _check(violations, "modular_norm_convergence", phi, p, space,
-                      [{"base": list(base.values), "n_max": n_max, "conv_tol": CONV_TOL}])
-        return _passed("R3", n_max, violations,
+                      [{"base": list(base.values), "n_max": CONV_LEVELS, "conv_tol": CONV_TOL}])
+        return _passed("R3", CONV_LEVELS, violations,
                        {"branch": "convergent", "regime": regime, "norms": rec["norms"]})
 
-    sp, levels = _steep_tail_element(phi, min(n_max, 20))
+    sp, levels = _steep_tail_element(phi, STEEP_LEVELS)
     recs = _check(violations, "steep_sequence", phi, p, sp,
                   [{"n": j + 1, "level": level, "norm_floor": NORM_FLOOR}
                    for j, level in enumerate(levels)])
@@ -977,15 +972,14 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int 
 
 def _measure_convergence(phi, p, space, recs):
     """Norms of base scaled to modular 2^-n, n = 1..n_max: per record, the
-    n_max scales c <= the root of modular(c base) = 2^-n, within
-    SCALE_LOG_TOL in log c, in one batch and the scaled elements' norms in
-    another."""
+    n_max scales c <= the root of modular(c base) = 2^-n in one batch and
+    the scaled elements' norms in another."""
     out = []
     for rec in recs:
         base = np.asarray(rec["base"], dtype=float)
         rows = np.tile(base, (rec["n_max"], 1))
         targets = 2.0 ** -np.arange(1.0, rec["n_max"] + 1.0)
-        c = scale_to_modular_batch(phi, space, rows, targets, log_tol=SCALE_LOG_TOL)
+        c = scale_to_modular_batch(phi, space, rows, targets)
         out.append({"norms": _norms(phi, p, space, c[:, None] * rows)})
     return out
 
@@ -1017,7 +1011,7 @@ _DIFFERENCE = Check(_measure_difference,
                     lambda r: r["lhs"] > 1.0 - r["delta_floor"] + r["slack"] + 1e-6)
 
 CHECKS: dict[str, Check] = {
-    "sandwich": Check(_each(_measure_sandwich),
+    "sandwich": Check(_measure_sandwich,
                       lambda r: bool(sandwich_violated(*r["point"], r["value"]))),
     "ordering": Check(_measure_ordering,
                       lambda r: not (r["smallest"] <= r["middle"] + 1e-9
@@ -1037,7 +1031,7 @@ CHECKS: dict[str, Check] = {
                               lambda r: not (r["lower"] <= r["norm"] <= r["upper"])),
     "midpoint": Check(_measure_midpoint, lambda r: r["midpoint_norm"] >= 1.0 - 1e-12),
     "strict_monotonicity": Check(_measure_pair,
-                                 lambda r: r["norm_x"] >= r["norm_y"] - 1e-9),
+                                 lambda r: r["attained_y"] and r["norm_x"] >= r["norm_y"] - 1e-9),
     "flat_pair_mismatch": Check(_each(_measure_flat_pair),
                                 lambda r: abs(r["norm_z"] - r["norm_y"]) > 1e-9),
     "decomposition": _DIFFERENCE,
@@ -1063,6 +1057,8 @@ _SUITES = {
     "T2": suite_norm_axioms,
     "L1": suite_attainment,
     "L2": suite_unit_ball_bounds,
+    "T3": _witness_suite("approximate"),
+    "T4": _witness_suite("exact"),
     "T5": suite_strict_convexity,
     "T6": suite_strict_monotonicity,
     "T7": suite_decomposition_estimate,
@@ -1071,12 +1067,11 @@ _SUITES = {
     "R2": suite_order_continuity,
     "R3": suite_modular_norm_equivalence,
 }
-_TABLE_SUITES = ("T7", "T8", "T9")
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[TheoremReport]:
-    """Run the selected suites in registry order with shared inputs; T7, T8
-    and T9 share one modulus table, built when the first of them needs it."""
+    """Run the selected suites in registry order with shared inputs."""
     unknown = [i for i in ids if i not in SUITE_IDS]
     if unknown:
         raise DomainError(f"unknown suite ids {unknown}")
@@ -1084,19 +1079,8 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
         raise DomainError(f"budget must be >= 1, got {budget}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    table = _TableOnFirstUse(p)
-    reports = []
-    for tid in SUITE_IDS:
-        if tid not in ids:
-            continue
-        if tid in ("T3", "T4"):
-            mode = "approximate" if tid == "T3" else "exact"
-            _, rep = build_linf_witness(phi, p, 4, mode, z_samples=min(budget, 100), seed=seed)
-        else:
-            shared = {"table": table} if tid in _TABLE_SUITES else {}
-            rep = _SUITES[tid](phi, p, space, seed=seed, budget=budget, **shared)
-        reports.append(rep)
-    return reports
+    return [_SUITES[tid](phi, p, space, seed=seed, budget=budget)
+            for tid in SUITE_IDS if tid in ids]
 
 
 def replay_violation(record: dict) -> bool:

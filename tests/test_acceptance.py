@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, build_linf_witness,
-                     build_modulus_table, catalog_orlicz_functions, catalog_planar_norms,
-                     delta2_check, exp_minus, flat_then_power, generated_norm,
-                     generated_norm_on_grid, l1, linf, lq, luxemburg_norm, measure_space,
-                     modulus_diagnostics, power, simple_function,
-                     strictly_monotone_planar_norms, unit_weights)
+                     catalog_orlicz_functions, catalog_planar_norms, delta2_check,
+                     exp_minus, flat_then_power, generated_norm, generated_norm_on_grid, l1,
+                     linf, lq, luxemburg_norm, measure_space, modulus_diagnostics, power,
+                     simple_function, strictly_monotone_planar_norms, unit_weights)
 from orlnorm.verify import (STATUS_PASSED, suite_decomposition_estimate,
                             suite_modular_norm_equivalence, suite_norm_axioms,
                             suite_strict_monotonicity)
@@ -121,14 +120,11 @@ def test_criterion_04_planar_moduli_closed_forms():
 
 def test_criterion_05_decomposition_estimate_across_catalog():
     sp = unit_weights(6)
-    tables = {name: build_modulus_table(p, resolution=2e-3)
-              for name, p in strictly_monotone_planar_norms().items()}
-    assert "linf" not in tables
+    assert "linf" not in strictly_monotone_planar_norms()
     total = 0
     for phi_name, phi in catalog_orlicz_functions().items():
         for p_name, p in strictly_monotone_planar_norms().items():
-            rep = suite_decomposition_estimate(phi, p, sp, budget=500, seed=55,
-                                               table=tables[p_name])
+            rep = suite_decomposition_estimate(phi, p, sp, budget=500, seed=55)
             assert rep.status == STATUS_PASSED, (phi_name, p_name, rep.violations[:1])
             assert rep.details["checked"] == 500, (phi_name, p_name, rep.details)
             total += rep.details["checked"]
@@ -211,17 +207,16 @@ def test_criterion_10_doubling_classifier_matches_ground_truth():
 
 def test_criterion_11_modular_norm_convergence_split():
     spw = measure_space([0.7, 0.5, 0.3, 0.2])
-    rep = suite_modular_norm_equivalence(exp_minus(), lq(2), spw, n_max=20)
+    rep = suite_modular_norm_equivalence(exp_minus(), lq(2), spw)
     assert rep.status == STATUS_PASSED and rep.details["branch"] == "counterexample"
     mods, norms = rep.details["modulars"], rep.details["norms"]
     assert len(norms) == 20
     assert all(m <= 2.0 ** -(j + 1) + 1e-15 for j, m in enumerate(mods))
     assert all(v >= 0.9 for v in norms)
 
-    rep2 = suite_modular_norm_equivalence(power(2), linf(), unit_weights(5),
-                                          n_max=20, seed=11)
+    rep2 = suite_modular_norm_equivalence(power(2), linf(), unit_weights(5), seed=11)
     assert rep2.status == STATUS_PASSED and rep2.details["branch"] == "convergent"
     final = rep2.details["norms"][-1]
     assert final <= 1e-3
     _line(11, True, f"steep norms min {min(norms):.3f} >= 0.9; "
-                    f"square-generator norm at n=20 is {final:.2e} <= 1e-3")
+                    f"square-generator norm at n={len(rep2.details['norms'])} is {final:.2e} <= 1e-3")

@@ -767,17 +767,17 @@ def test_scales_to_modular_levels(orlicz_catalog):
     rows, targets = np.tile(base, (40, 1)), 2.0 ** -np.arange(1.0, 41.0)
     x = simple_function(space, base)
     for phi in orlicz_catalog.values():
-        c = engine.scale_to_modular_batch(phi, space, rows, targets, log_tol=1e-13)
+        c = engine.scale_to_modular_batch(phi, space, rows, targets)
         for cn, t in zip(c.tolist(), targets.tolist()):
             # c is the lower end of a bracket 1e-13 wide in log c, or the
             # first guess where that lands on the root to rounding
             assert modular(phi, x, scale=cn) <= t * (1.0 + 1e-14), (phi.label, t)
             assert modular(phi, x, scale=cn * math.exp(3e-13)) >= t, (phi.label, t)
-        one = engine.scale_to_modular_batch(phi, space, rows[-1:], targets[-1:], log_tol=1e-13)
+        one = engine.scale_to_modular_batch(phi, space, rows[-1:], targets[-1:])
         assert one[0] == c[-1]
     for bad in ([[0.0, 0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0, 1.0]]):
         with pytest.raises(DomainError):
-            engine.scale_to_modular_batch(power(2), space, bad, [0.5], log_tol=1e-13)
+            engine.scale_to_modular_batch(power(2), space, bad, [0.5])
 
 
 def test_batch_rejects_bad_values():

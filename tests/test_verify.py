@@ -134,8 +134,7 @@ def test_norm_result_reports_its_own_evaluation():
 
 
 def test_t7_estimate_and_gate():
-    table = build_modulus_table(l1(), resolution=5e-3)
-    rep = suite_decomposition_estimate(power(2), l1(), SP6, budget=60, table=table)
+    rep = suite_decomposition_estimate(power(2), l1(), SP6, budget=60)
     assert rep.status == STATUS_PASSED and rep.details["checked"] == 60
     assert suite_decomposition_estimate(power(2), linf(), SP6).status == STATUS_HNM
 
@@ -161,7 +160,7 @@ def test_t7_trivial_endpoints():
     y = y.scaled(1.0 / ny)
     assert generated_norm(phi, p, y).value <= 1.0 + 1e-9
     # x = y: the difference vanishes and the left side is 0
-    assert generated_norm(phi, p, y.minus_dominated(y)).value == 0.0
+    assert generated_norm(phi, p, simple_function(SP6, [v - v for v in y.values])).value == 0.0
 
 
 def test_t8_rejects_a_y_it_cannot_scale_to_the_sphere(monkeypatch):
@@ -171,7 +170,7 @@ def test_t8_rejects_a_y_it_cannot_scale_to_the_sphere(monkeypatch):
         raise AssertionError("no rng or table before y is checked")
 
     monkeypatch.setattr(verify, "_rng", untouched)
-    monkeypatch.setattr(verify, "_TableOnFirstUse", untouched)
+    monkeypatch.setattr(verify, "_modulus_table", untouched)
     for y in (simple_function(SP6, [0.0] * 6),
               simple_function(measure_space([1.0, math.inf]), [0.5, 0.5])):
         with pytest.raises(DomainError, match="y must have a finite positive norm"):
@@ -180,27 +179,25 @@ def test_t8_rejects_a_y_it_cannot_scale_to_the_sphere(monkeypatch):
 
 def test_t8_estimates_and_empty_feasible():
     phi, p = power(2), lq(2)
-    table = build_modulus_table(p, resolution=5e-3)
     rng = np.random.default_rng(0)
     y = simple_function(SP6, rng.uniform(0.3, 1.0, 6))
-    d, rep = lower_local_um_estimate(phi, p, y, 0.5, samples=40, seed=1, table=table)
+    d, rep = lower_local_um_estimate(phi, p, y, 0.5, samples=40, seed=1)
     assert rep.status == STATUS_PASSED
     assert d > 0.0
-    d2, rep2 = lower_local_um_estimate(phi, p, y, 1.5, samples=10, seed=1, table=table)
+    d2, rep2 = lower_local_um_estimate(phi, p, y, 1.5, samples=10, seed=1)
     assert rep2.status == STATUS_EMPTY and d2 == 0.0
-    assert suite_lower_local_um(phi, p, SP6, budget=20, table=table).status == STATUS_PASSED
+    assert suite_lower_local_um(phi, p, SP6, budget=20).status == STATUS_PASSED
 
 
 def test_t9_positive_and_failure_branches():
-    table = build_modulus_table(l1(), resolution=5e-3)
-    rep = suite_uniform_monotonicity(power(2), l1(), SP6, budget=30, table=table)
+    rep = suite_uniform_monotonicity(power(2), l1(), SP6, budget=30)
     assert rep.status == STATUS_PASSED and rep.details["branch"] == "positive"
     for eps_label, eps_info in rep.details["per_epsilon"].items():
         assert eps_info["delta_hat_modular"] > 0.0
         # the scaled witness keeps the empirical modulus at or below eps
         assert eps_info["empirical_modulus"] <= float(eps_label) + 1e-6
 
-    rep_f = suite_uniform_monotonicity(exp_minus(), lq(2), SPW, n_max=8)
+    rep_f = suite_uniform_monotonicity(exp_minus(), lq(2), SPW)
     assert rep_f.status == STATUS_PASSED
     assert rep_f.details["branch"] == "failure-construction"
     k = rep_f.details["k"]
@@ -225,10 +222,10 @@ def test_r2_branches():
 
 
 def test_r3_branches():
-    rep = suite_modular_norm_equivalence(power(2), linf(), SP6, n_max=20)
+    rep = suite_modular_norm_equivalence(power(2), linf(), SP6)
     assert rep.status == STATUS_PASSED and rep.details["branch"] == "convergent"
     assert rep.details["norms"][-1] <= 1e-3
-    rep_c = suite_modular_norm_equivalence(exp_minus(), lq(2), SPW, n_max=20)
+    rep_c = suite_modular_norm_equivalence(exp_minus(), lq(2), SPW)
     assert rep_c.status == STATUS_PASSED and rep_c.details["branch"] == "counterexample"
     assert all(v >= 0.9 for v in rep_c.details["norms"])
     rep_flat = suite_modular_norm_equivalence(flat_then_power(1, 2), lq(2), SP6)
@@ -412,10 +409,12 @@ def test_emitted_records_replay_as_emitted():
 
 @pytest.mark.parametrize("phi, p, space", [
     (exp_minus(), l1(), SP6), (power(2), lq(2), SPW), (flat_then_power(1, 2), lq(1.5), SP6),
-    (power(3), linf(), unit_weights(3))])
+    (power(3), linf(), unit_weights(3)), (power(2), BAD, SP2)])
 def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
     """Every record the batched suites take replays, as a batch of one, to the
-    fields they measured in their batches: the batch's rows are independent."""
+    fields they measured in their batches: the batch's rows are independent.
+    On the non-convex ball BAD that includes T1's sandwich records, which
+    verify_sandwich evaluates with p.evaluate_many."""
     flag_all = {kind: dataclasses.replace(check, violated=lambda r: True)
                 for kind, check in verify.CHECKS.items()}
     monkeypatch.setattr(verify, "CHECKS", flag_all)
@@ -425,6 +424,8 @@ def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
     assert {r["kind"] for r in records} >= {"ordering", "norm_triangle", "attainment"}
     if phi.kind == "exp_minus":
         assert {r["kind"] for r in records} >= {"embedding_bounds", "modular_norm_convergence"}
+    if p is BAD:
+        assert "sandwich" in {r["kind"] for r in records}
     for rec in records:
         measured, = flag_all[rec["kind"]].measure(*verify._decode(rec), [rec])
         assert measured == {key: rec[key] for key in measured}, rec["kind"]
@@ -432,6 +433,8 @@ def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
 
 @pytest.mark.parametrize("phi, p, builds", [(exp_minus(), l1(), 1), (power(2), linf(), 0)])
 def test_run_suites_builds_at_most_one_table(monkeypatch, phi, p, builds):
+    """One table per planar norm per process: a second run with the same p
+    builds none, and a run whose suites stop at their gates builds none."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -439,7 +442,10 @@ def test_run_suites_builds_at_most_one_table(monkeypatch, phi, p, builds):
         return build_modulus_table(*args, **kwargs)
 
     monkeypatch.setattr(verify, "build_modulus_table", counting)
+    verify._modulus_table.cache_clear()
     run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5)
+    assert len(calls) == builds
+    run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5, seed=1)
     assert len(calls) == builds
 
 
@@ -470,8 +476,7 @@ def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
     suite = [None]
     steps: list[tuple[str, int]] = []
     scalar: list[str] = []
-    batch, scalar_norm, witness = (engine.generated_norm_batch, engine.generated_norm,
-                                   verify.build_linf_witness)
+    batch, scalar_norm = engine.generated_norm_batch, engine.generated_norm
 
     def counted_batch(*args):
         r = batch(*args)
@@ -493,8 +498,6 @@ def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
         monkeypatch.setattr(module, "generated_norm", counted_norm)
     for tid, fn in list(verify._SUITES.items()):
         monkeypatch.setitem(verify._SUITES, tid, tagged(tid, fn))
-    monkeypatch.setattr(verify, "build_linf_witness", lambda phi, p, n, mode, **kw: tagged(
-        "T3" if mode == "approximate" else "T4", witness)(phi, p, n, mode, **kw))
     argv = ["verify", "--all", "--json", "--phi", "exp_minus", "--p", "l1", "--seed", "1",
             "--budget", "20"]
     assert cli.main(argv) == 0
