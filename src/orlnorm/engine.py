@@ -266,6 +266,10 @@ class NormBatch:
     attained: np.ndarray
     steps: int
 
+    def __getitem__(self, rows: slice) -> NormBatch:
+        """The answer for a slice of the rows (``steps`` is the whole batch's)."""
+        return NormBatch(self.value[rows], self.k_star[rows], self.attained[rows], self.steps)
+
 
 def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace,
                          values) -> NormBatch:

@@ -21,38 +21,35 @@ stable registry key (T1..T9, L1..L2, R2..R3):
     R3  modular-to-norm convergence equivalence probe
 
 Hypothesis gates that fail mark the report "hypothesis-not-met" instead of
-failing.  Every violation kind has one entry in CHECKS: the measurement
-its suite takes and the predicate, tolerance included, that flags it.  A
-measurement takes a list of records and returns a list of measured fields,
-measure(phi, p, space, recs) -> [dict, ...]; the sampling suites (T1, T2,
-L1, T5-T9 and R2) draw their samples in rng order, norm them with one
-generated_norm_batch call per family of samples and then apply the
-predicates (T6's scan too, through CHECKS["strict_monotonicity"]).  The
-rejection loops (T5, T7, T8, T9's positive branch) draw a block of
-candidates, norm it and accept in draw order, within 8 * budget attempts;
-T9's levels share one rng, so a level's unused candidates carry into the
-next.  T3 and T4 norm all their rows in one batch (T4's, on
-infinite atoms, go through the scalar engine inside it), and so do R3's
-steep atoms; R3's convergent branch solves its CONV_LEVELS scales in one batch
-(scale_to_modular_batch) and norms the scaled elements in another.  The
-elements built one at a time (L2, T6's flat pair, T8's y, T9's failure
-branch, R3's flat witness) keep the scalar generated_norm.  Suites record
-violations through the CHECKS entry, and each record carries phi, p, space
-and every input of the measurement, so replay_violation replays any record
-as emitted, as a batch of one: it decodes phi, p and space, re-takes the
-measurement from the stored inputs and applies the suite's own predicate.
-The batch's rows are independent, so a replay reproduces the emitted
-fields bit for bit.  Every suite in the registry is called as
-suite(phi, p, space, seed=..., budget=...).  T7, T8 and T9 read one modulus
-table per planar norm per process (_modulus_table), built when the first
-of them gets past its gates.
+failing.  Every violation kind has one entry in CHECKS: its measurement
+and the predicate, tolerance included, that flags it.  Suites and
+measurements are generators: for the generated norms of a family of rows
+they yield a request, _Norms(phi, p, space, rows), or _Scales(phi, space,
+rows, targets) for R3's scales to modular levels, receive the answer of
+generated_norm_batch (scale_to_modular_batch) and go on; a suite reaches
+its measurements through yield from.  _drive runs the selected suites
+together in passes.  Each pass advances every live suite to its next
+request, groups the requests by (kind, phi, p, space) in registry order
+and answers each group with one engine call on its stacked rows.  A
+batch's rows are independent, bit for bit, and each suite owns its rng,
+so no report depends on what ran beside it.  The public suites,
+build_linf_witness, lower_local_um_estimate and replay_violation run their
+single generator through _drive too.  The elements built one at a time
+(L2, T6's flat pair, T8's y, T9's failure branch, R3's flat witness) keep
+the scalar generated_norm.  Each violation record carries phi, p, space
+and every input of its measurement, so replay_violation re-takes the
+measurement as a batch of one and reproduces the emitted fields bit for
+bit.  Every suite in the registry is called as suite(phi, p, space,
+seed=..., budget=...).  T7, T8 and T9 read one modulus table per planar
+norm per process (_modulus_table), built when the first of them gets past
+its gates.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
-from collections.abc import Callable
+from collections import deque, namedtuple
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,21 +115,70 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _norm_value(phi, p, x) -> float:
-    return generated_norm(phi, p, x).value
+# ---------------------------------------------------------------------------
+# Requests and _drive, which answers them
+
+
+# The requests suites yield: the generated norms of the value rows on space
+# (a NormBatch answers it) and scale_to_modular_batch's scales (an array).
+_Norms = namedtuple("_Norms", "phi p space rows")
+_Scales = namedtuple("_Scales", "phi space rows targets")
+
+
+def _drive(gens: list) -> list:
+    """Run the generators together; returns what each returns.  A pass
+    advances every live generator to its next request and groups the
+    requests by (kind, phi, p, space), in generator order; each group gets
+    one engine call on its stacked rows, and each request its slice of the
+    answer.  An exception closes every generator and propagates."""
+    out, pending = [None] * len(gens), dict.fromkeys(range(len(gens)))
+    try:
+        while pending:
+            groups: dict = {}
+            for i, reply in sorted(pending.items()):
+                try:
+                    req = gens[i].send(reply)
+                except StopIteration as stop:
+                    out[i] = stop.value
+                    continue
+                key = (type(req), req.phi, getattr(req, "p", None), req.space)
+                groups.setdefault(key, []).append((i, req))
+            pending = {}
+            for group in groups.values():
+                head, reqs = group[0][1], [req for _, req in group]
+                rows = np.concatenate([_rows(head.space, req.rows) for req in reqs])
+                if isinstance(head, _Scales):
+                    got = scale_to_modular_batch(head.phi, head.space, rows,
+                                                 np.concatenate([req.targets for req in reqs]))
+                else:
+                    got = generated_norm_batch(head.phi, head.p, head.space, rows)
+                ends = np.cumsum([len(req.rows) for req in reqs]).tolist()
+                pending.update((i, got[end - len(req.rows):end])
+                               for (i, req), end in zip(group, ends))
+    finally:
+        for gen in gens:
+            gen.close()
+    return out
+
+
+def _driven(gen_fn):
+    """gen_fn run alone through _drive; the generator function is its __wrapped__."""
+    return functools.wraps(gen_fn)(lambda *args, **kwargs: _drive([gen_fn(*args, **kwargs)])[0])
+
+
+def _now(value):
+    """A generator that requests nothing and returns value."""
+    yield from ()
+    return value
 
 
 def _rows(space: MeasureSpace, rows) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), space.n_atoms)
 
 
-def _norm_batch(phi, p, space, rows):
-    return generated_norm_batch(phi, p, space, _rows(space, rows))
-
-
-def _norms(phi, p, space, rows) -> list[float]:
+def _norms(phi, p, space, rows):
     """The generated norms of the value rows, in one batch."""
-    return _norm_batch(phi, p, space, rows).value.tolist()
+    return (yield _Norms(phi, p, space, rows)).value.tolist()
 
 
 def _block(need: int, accepted: int, attempts: int, left: int) -> int:
@@ -153,11 +199,6 @@ def _random_values(space: MeasureSpace, rng: np.random.Generator,
     vals = np.zeros(space.n_atoms)
     vals[list(fi)] = draw
     return vals
-
-
-def _random_function(space: MeasureSpace, rng: np.random.Generator,
-                     signed: bool = False) -> SimpleFunction:
-    return SimpleFunction(space, tuple(_random_values(space, rng, signed)))
 
 
 def suitable_delta2_regime(space: MeasureSpace) -> str:
@@ -196,17 +237,17 @@ def _finite_phi_top(phi: OrliczFunction) -> float:
 
 @dataclass(frozen=True)
 class Check:
-    """One violation kind.  ``measure(phi, p, space, recs)`` takes the
-    measurement from the inputs stored in each record of ``recs`` and
-    returns the measured fields, one dict per record; ``violated(rec)``
-    decides on a record holding both."""
-    measure: Callable[[OrliczFunction, PlanarNorm, MeasureSpace, list[dict]], list[dict]]
+    """One violation kind.  ``measure(phi, p, space, recs)`` is a generator
+    that takes the measurement from the inputs stored in each record of
+    ``recs`` and returns the measured fields, one dict per record;
+    ``violated(rec)`` decides on a record holding both."""
+    measure: Callable[[OrliczFunction, PlanarNorm, MeasureSpace, list[dict]], Generator]
     violated: Callable[[dict], bool]
 
 
 def _each(measure_one):
     """A measurement taken record by record (the scalar engine's)."""
-    return lambda phi, p, space, recs: [measure_one(phi, p, space, rec) for rec in recs]
+    return lambda phi, p, space, recs: _now([measure_one(phi, p, space, rec) for rec in recs])
 
 
 def _pack(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace) -> dict:
@@ -219,16 +260,17 @@ def _flag(violations: list[dict], kind: str, phi, p, space, rec: dict) -> None:
         violations.append({"kind": kind, **_pack(phi, p, space), **rec})
 
 
-def _measured(kind: str, phi, p, space, inputs: list[dict]) -> list[dict]:
+def _measured(kind: str, phi, p, space, inputs: list[dict]):
     """`kind`'s measurement on each input record: the records, fields added."""
     if not inputs:
         return []
-    return [{**inp, **got} for inp, got in zip(inputs, CHECKS[kind].measure(phi, p, space, inputs))]
+    got = yield from CHECKS[kind].measure(phi, p, space, inputs)
+    return [{**inp, **fields} for inp, fields in zip(inputs, got)]
 
 
-def _check(violations: list[dict], kind: str, phi, p, space, inputs: list[dict]) -> list[dict]:
+def _check(violations: list[dict], kind: str, phi, p, space, inputs: list[dict]):
     """Take `kind`'s measurement on `inputs` and flag each; returns the records."""
-    recs = _measured(kind, phi, p, space, inputs)
+    recs = yield from _measured(kind, phi, p, space, inputs)
     for rec in recs:
         _flag(violations, kind, phi, p, space, rec)
     return recs
@@ -243,13 +285,14 @@ def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
 # T1: sandwich bounds and ordering of the family
 
 
+@_driven
 def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
     violations = []
     for rec in verify_sandwich(p, PLANAR_SAMPLES, seed).violations:
         _flag(violations, "sandwich", phi, p, space, rec)
     rng = _rng(seed + 1)
-    _check(violations, "ordering", phi, p, space,
-           [{"values": _random_values(space, rng, signed=True).tolist()} for _ in range(budget)])
+    rows = [_random_values(space, rng, signed=True).tolist() for _ in range(budget)]
+    yield from _check(violations, "ordering", phi, p, space, [{"values": v} for v in rows])
     return _passed("T1", PLANAR_SAMPLES + budget, violations,
                    {"planar_samples": PLANAR_SAMPLES, "functions": budget})
 
@@ -257,35 +300,38 @@ def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200) 
 def _measure_sandwich(phi, p, space, recs):
     """p at each record's point, by p.evaluate_many as verify_sandwich takes it."""
     u, v = np.array([rec["point"] for rec in recs], dtype=float).T
-    return [{"value": val} for val in p.evaluate_many(u, v).tolist()]
+    return _now([{"value": val} for val in p.evaluate_many(u, v).tolist()])
 
 
 def _measure_ordering(phi, p, space, recs):
     """||x|| under p, the max norm and the sum norm: one batch each."""
     rows = [rec["values"] for rec in recs]
-    middle, smallest, biggest = (_norms(phi, q, space, rows) for q in (p, _LINF, _L1))
-    return [{"middle": a, "smallest": b, "biggest": c}
-            for a, b, c in zip(middle, smallest, biggest)]
+    norms = []
+    for q in (p, _LINF, _L1):
+        norms.append((yield from _norms(phi, q, space, rows)))
+    return [{"middle": a, "smallest": b, "biggest": c} for a, b, c in zip(*norms)]
 
 
 # ---------------------------------------------------------------------------
 # T2: norm axioms
 
 
+@_driven
 def suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
     if not space.finite_indices:
         return _hnm("T2", NO_FINITE_ATOM)
     rng = _rng(seed)
     violations = []
     # the zero row takes no step of the batch's search
-    _check(violations, "norm_zero", phi, p, space, [{"values": [0.0] * space.n_atoms}])
+    yield from _check(violations, "norm_zero", phi, p, space,
+                      [{"values": [0.0] * space.n_atoms}])
     triples = []
     for _ in range(budget):
         x = _random_values(space, rng, signed=True)
         y = _random_values(space, rng, signed=True)
         lam = float(rng.uniform(0.05, 4.0) * rng.choice([-1.0, 1.0]))
         triples.append({"x": x.tolist(), "y": y.tolist(), "lam": lam})
-    for rec in _measured("norm_triangle", phi, p, space, triples):
+    for rec in (yield from _measured("norm_triangle", phi, p, space, triples)):
         _flag(violations, "norm_triangle", phi, p, space, rec)
         _flag(violations, "norm_homogeneity", phi, p, space, rec)
         _flag(violations, "norm_zero", phi, p, space,
@@ -298,13 +344,14 @@ def _measure_axioms(phi, p, space, recs):
     x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
     lam = np.array([r["lam"] for r in recs])
     m = len(recs)
-    norms = _norms(phi, p, space, np.concatenate([x, y, x + y, lam[:, None] * x]))
+    norms = yield from _norms(phi, p, space, np.concatenate([x, y, x + y, lam[:, None] * x]))
     return [{"norm_x": norms[j], "norm_y": norms[m + j], "norm_sum": norms[2 * m + j],
              "norm_scaled": norms[3 * m + j]} for j in range(m)]
 
 
 def _measure_norm(phi, p, space, recs):
-    return [{"value": v} for v in _norms(phi, p, space, [rec["values"] for rec in recs])]
+    norms = yield from _norms(phi, p, space, [rec["values"] for rec in recs])
+    return [{"value": v} for v in norms]
 
 
 def _norm_zero_violated(r: dict) -> bool:
@@ -317,6 +364,7 @@ def _norm_zero_violated(r: dict) -> bool:
 # L1: attainment of the infimum
 
 
+@_driven
 def suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50) -> TheoremReport:
     if math.isfinite(phi.slope_limit):
         return _hnm("L1", "needs an asymptotic slope diverging to infinity",
@@ -325,13 +373,13 @@ def suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50) -> Theor
         return _hnm("L1", NO_FINITE_ATOM)
     rng = _rng(seed)
     violations = []
-    _check(violations, "attainment", phi, p, space,
-           [{"values": _random_values(space, rng, signed=True).tolist()} for _ in range(budget)])
+    rows = [_random_values(space, rng, signed=True).tolist() for _ in range(budget)]
+    yield from _check(violations, "attainment", phi, p, space, [{"values": v} for v in rows])
     return _passed("L1", budget, violations, {"samples": budget})
 
 
 def _measure_attainment(phi, p, space, recs):
-    r = _norm_batch(phi, p, space, [rec["values"] for rec in recs])
+    r = yield _Norms(phi, p, space, [rec["values"] for rec in recs])
     return [{"attained": a, "k_star": None if math.isnan(k) else k}
             for a, k in zip(r.attained.tolist(), r.k_star.tolist())]
 
@@ -344,18 +392,17 @@ def _attainment_violated(r: dict) -> bool:
 # L2: unit-ball bounds
 
 
+@_driven
 def suite_unit_ball_bounds(phi, p, space=None, *, seed: int = 0, budget: int = 0) -> TheoremReport:
     a = phi.zero_bound
     if a <= 0.0:
         return _hnm("L2", "needs a flat zone: largest zero of the generator must be positive")
-    cases = []
-    sp1 = measure_space([math.inf])
-    cases.append(simple_function(sp1, [a]))
-    sp2 = measure_space([math.inf, 1.0, 1.0])
-    cases.append(simple_function(sp2, [a, 1.5 * a, 2.0 * a]))
+    cases = [simple_function(measure_space([math.inf]), [a]),
+             simple_function(measure_space([math.inf, 1.0, 1.0]), [a, 1.5 * a, 2.0 * a])]
     violations = []
     for x in cases:
-        _check(violations, "unit_ball_bounds", phi, p, x.space, [{"values": list(x.values)}])
+        yield from _check(violations, "unit_ball_bounds", phi, p, x.space,
+                          [{"values": list(x.values)}])
     return _passed("L2", len(cases), violations, {"cases": len(cases)})
 
 
@@ -403,16 +450,17 @@ def _z_batch(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     return zs
 
 
+@_driven
 def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
                        eta: float = 0.01, z_samples: int = 100, seed: int = 0):
     """Construct a positive embedding of the bounded-sequence space and
     measure its distortion.  Returns (witness, report); the witness is None
     when a hypothesis gate fails."""
     if mode == "exact":
-        return _exact_witness(phi, p, n, z_samples=z_samples, seed=seed)
+        return (yield from _exact_witness(phi, p, n, z_samples=z_samples, seed=seed))
     if mode == "approximate":
-        return _approximate_witness(phi, p, n, epsilon=epsilon, eta=eta,
-                                    z_samples=z_samples, seed=seed)
+        return (yield from _approximate_witness(phi, p, n, epsilon=epsilon, eta=eta,
+                                                z_samples=z_samples, seed=seed))
     raise DomainError(f"unknown witness mode {mode!r}")
 
 
@@ -420,15 +468,15 @@ def _witness_suite(mode: str):
     """T3 (approximate) or T4 (exact) on WITNESS_LEVELS basis elements; the
     construction builds its own space, so `space` goes unused."""
     def suite(phi, p, space=None, *, seed: int = 0, budget: int = 100) -> TheoremReport:
-        return build_linf_witness(phi, p, WITNESS_LEVELS, mode, z_samples=min(budget, 100),
-                                  seed=seed)[1]
+        return (yield from build_linf_witness.__wrapped__(
+            phi, p, WITNESS_LEVELS, mode, z_samples=min(budget, 100), seed=seed))[1]
     return suite
 
 
-def _measure_embedded(phi, p, space, recs, levels) -> list[tuple[float, float]]:
+def _measure_embedded(phi, p, space, recs, levels):
     """(||levels(rec) * z||, max|z|) for each record's z, the norms in one batch."""
     zs = [np.asarray(rec["z"]) for rec in recs]
-    norms = _norms(phi, p, space, [levels(rec) * z for rec, z in zip(recs, zs)])
+    norms = yield from _norms(phi, p, space, [levels(rec) * z for rec, z in zip(recs, zs)])
     return [(v, float(np.max(np.abs(z)))) for v, z in zip(norms, zs)]
 
 
@@ -441,16 +489,16 @@ def _exact_witness(phi, p, n, *, z_samples, seed):
                   for i in range(n))
     witness = LinfEmbeddingWitness(n, basis, epsilon=0.0, eta=None, exact=True,
                                    threshold_achieved=None)
-    rng = _rng(seed)
     violations = []
-    zs = _z_batch(n, z_samples, rng)
-    _check(violations, "embedding_exact", phi, p, space, [{"z": z.tolist()} for z in zs])
+    zs = _z_batch(n, z_samples, _rng(seed))
+    yield from _check(violations, "embedding_exact", phi, p, space,
+                      [{"z": z.tolist()} for z in zs])
     return witness, _passed("T4", len(zs), violations, {"n": n, "level": a})
 
 
 def _measure_embedding_exact(phi, p, space, recs):
-    return [{"norm": got, "expected": nz}
-            for got, nz in _measure_embedded(phi, p, space, recs, lambda rec: phi.zero_bound)]
+    got = yield from _measure_embedded(phi, p, space, recs, lambda rec: phi.zero_bound)
+    return [{"norm": v, "expected": nz} for v, nz in got]
 
 
 def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
@@ -473,12 +521,9 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
         with np.errstate(invalid="ignore", divide="ignore"):
             ach = np.where(fv > 0.0, target * (f2v / np.where(fv > 0.0, fv, 1.0)), -math.inf)
         ok = np.isfinite(ach) & (ach >= WITNESS_THRESHOLD)
-        if np.any(ok):
-            i = int(np.argmax(ok))
-            v_j, a_j = float(grid[i]), float(ach[i])
-        else:
-            i = int(np.nanargmax(np.where(np.isfinite(ach), ach, -math.inf)))
-            v_j, a_j = float(grid[i]), float(ach[i])
+        i = int(np.argmax(ok) if np.any(ok)
+                else np.nanargmax(np.where(np.isfinite(ach), ach, -math.inf)))
+        v_j, a_j = float(grid[i]), float(ach[i])
         if not math.isfinite(a_j) or a_j < 2.0:
             return None, _hnm("T3", "double precision cannot hold the required modular jump",
                               best_achievable=a_j, level=v_j)
@@ -507,18 +552,19 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
     witness = LinfEmbeddingWitness(n, basis, epsilon=epsilon, eta=eta, exact=False,
                                    threshold_achieved=min(achieved))
 
-    rng = _rng(seed)
     violations = []
-    zs = _z_batch(n, z_samples, rng)
-    _check(violations, "embedding_bounds", phi, p, space,
-           [{"levels": levels, "z": z.tolist(), "epsilon": epsilon, "eta": eta} for z in zs])
+    zs = _z_batch(n, z_samples, _rng(seed))
+    yield from _check(violations, "embedding_bounds", phi, p, space,
+                      [{"levels": levels, "z": z.tolist(), "epsilon": epsilon, "eta": eta}
+                       for z in zs])
     details = {"n": n, "levels": levels, "weights": weights,
                "threshold_requested": WITNESS_THRESHOLD, "threshold_achieved": min(achieved)}
     return witness, _passed("T3", len(zs), violations, details)
 
 
 def _measure_embedding_bounds(phi, p, space, recs):
-    got = _measure_embedded(phi, p, space, recs, lambda rec: np.asarray(rec["levels"]))
+    got = yield from _measure_embedded(phi, p, space, recs,
+                                       lambda rec: np.asarray(rec["levels"]))
     return [{"norm": v, "lower": nz / (1.0 + rec["eta"]) - 1e-6,
              "upper": (1.0 + rec["epsilon"]) * nz + 1e-6} for rec, (v, nz) in zip(recs, got)]
 
@@ -527,6 +573,7 @@ def _measure_embedding_bounds(phi, p, space, recs):
 # T5: strict convexity
 
 
+@_driven
 def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
     probe = strict_convexity_probe(phi)
     if not probe.strictly_convex:
@@ -534,12 +581,11 @@ def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -
     if not is_strictly_increasing_on_ray(p):
         return _hnm("T5", "planar norm is flat on the vertical ray through (1, 0)")
     rng = _rng(seed)
-    pairs = []
-    attempts = 0
+    pairs, attempts = [], 0
     while len(pairs) < budget and attempts < 8 * budget:
         count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
         block = [_random_values(space, rng, signed=True) for _ in range(2 * count)]
-        r = _norm_batch(phi, p, space, block)
+        r = yield _Norms(phi, p, space, block)
         for j in range(0, 2 * count, 2):
             attempts += 1
             if not (r.attained[j] and r.attained[j + 1]):
@@ -551,24 +597,28 @@ def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -
             if len(pairs) == budget:
                 break
     violations = []
-    recs = _check(violations, "midpoint", phi, p, space, pairs)
+    recs = yield from _check(violations, "midpoint", phi, p, space, pairs)
     min_gap = min((1.0 - rec["midpoint_norm"] for rec in recs), default=None)
     return _passed("T5", len(recs), violations, {"pairs": len(recs), "min_midpoint_gap": min_gap})
 
 
 def _measure_midpoint(phi, p, space, recs):
     x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
-    return [{"midpoint_norm": v} for v in _norms(phi, p, space, 0.5 * (x + y))]
+    return [{"midpoint_norm": v} for v in (yield from _norms(phi, p, space, 0.5 * (x + y)))]
 
 
 # ---------------------------------------------------------------------------
 # T6: strict monotonicity
 
 
+@_driven
 def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500) -> TheoremReport:
     a = phi.zero_bound
     rng = _rng(seed)
     if a == 0.0:
+        fi = space.finite_indices  # y vanishes on the infinite atoms: x shrinks a finite one
+        if not fi:
+            return _hnm("T6", NO_FINITE_ATOM)
         pairs = []
         for _ in range(budget):
             y = _random_values(space, rng)
@@ -576,11 +626,11 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
                 x = rng.uniform(0.0, 0.95, space.n_atoms) * y
             else:
                 x = y.copy()
-                j = int(rng.integers(0, space.n_atoms))
+                j = fi[int(rng.integers(0, len(fi)))]
                 x[j] *= float(rng.uniform(0.0, 0.9))
             pairs.append({"x": x.tolist(), "y": y.tolist()})
         violations = []
-        recs = _check(violations, "strict_monotonicity", phi, p, space, pairs)
+        recs = yield from _check(violations, "strict_monotonicity", phi, p, space, pairs)
         checked = sum(rec["attained_y"] for rec in recs)
         if not checked:
             return _hnm("T6", "attainment unavailable for every sample")
@@ -604,7 +654,7 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
     zvals[free] = a / k
     z = SimpleFunction(space, tuple(zvals))
     rec = {"y": list(y.values), "z": list(z.values), "k": k, "norm_y": ry.value,
-           "norm_z": _norm_value(phi, p, z)}
+           "norm_z": generated_norm(phi, p, z).value}
     violations = []
     _flag(violations, "flat_pair_mismatch", phi, p, space, rec)
     return _passed("T6", 1, violations,
@@ -615,7 +665,7 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
 def _measure_pair(phi, p, space, recs):
     """||x||, ||y|| and whether ||y|| is attained, for every record in one batch."""
     m = len(recs)
-    r = _norm_batch(phi, p, space, [r["x"] for r in recs] + [r["y"] for r in recs])
+    r = yield _Norms(phi, p, space, [r["x"] for r in recs] + [r["y"] for r in recs])
     norms, attained = r.value.tolist(), r.attained.tolist()
     return [{"norm_x": norms[j], "norm_y": norms[m + j], "attained_y": attained[m + j]}
             for j in range(m)]
@@ -623,8 +673,8 @@ def _measure_pair(phi, p, space, recs):
 
 def _measure_flat_pair(phi, p, space, rec):
     z = simple_function(space, rec["z"])
-    return {"norm_y": _norm_value(phi, p, simple_function(space, rec["y"])),
-            "norm_z": _norm_value(phi, p, z)}
+    return {"norm_y": generated_norm(phi, p, simple_function(space, rec["y"])).value,
+            "norm_z": generated_norm(phi, p, z).value}
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +693,14 @@ def _measure_difference(phi, p, space, recs):
     x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
     if np.any((x < 0.0) | (x > y)):
         raise ContractError("difference requested for a non-dominated pair")
-    return [{"lhs": v} for v in _norms(phi, p, space, y - x)]
+    return [{"lhs": v} for v in (yield from _norms(phi, p, space, y - x))]
 
 
-def _unit_scaled(phi, p, space, pairs: list) -> list:
+def _unit_scaled(phi, p, space, pairs: list):
     """The dominated pairs (x, y) scaled by 1/||y||, in one batch; None for a
     pair whose y is zero or has no finite positive norm."""
     nonzero = [y for _, y in pairs if y.any()]
-    norms = iter(_norms(phi, p, space, nonzero))
+    norms = iter((yield from _norms(phi, p, space, nonzero)))
     out = []
     for x, y in pairs:
         v = next(norms) if y.any() else 0.0
@@ -658,6 +708,7 @@ def _unit_scaled(phi, p, space, pairs: list) -> list:
     return out
 
 
+@_driven
 def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
                                  budget: int = 500) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p)
@@ -667,12 +718,11 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
         return _hnm("T7", NO_FINITE_ATOM)
     table = _modulus_table(p)
     rng = _rng(seed)
-    pairs = []
-    attempts = 0
+    pairs, attempts = [], 0
     while len(pairs) < budget and attempts < 8 * budget:
         count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
         block = [dominated_pair_values(space, rng) for _ in range(count)]
-        for scaled in _unit_scaled(phi, p, space, block):
+        for scaled in (yield from _unit_scaled(phi, p, space, block)):
             attempts += 1
             if scaled is None:
                 continue
@@ -685,7 +735,7 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
             if len(pairs) == budget:
                 break
     violations = []
-    checked = len(_check(violations, "decomposition", phi, p, space, pairs))
+    checked = len((yield from _check(violations, "decomposition", phi, p, space, pairs)))
     return _passed("T7", checked, violations,
                    {"checked": checked, "table_slack": table.slack,
                     "table_resolution": table.resolution})
@@ -695,6 +745,7 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
 # T8: lower local uniform monotonicity
 
 
+@_driven
 def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                             samples: int = 200, seed: int = 0):
     """Estimate the smallest modular of dominated pieces of y with norm >=
@@ -723,7 +774,7 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
         for _ in range(_block(samples - len(kept), len(kept), attempts, 8 * samples - attempts)):
             base = float(rng.uniform(max(0.0, epsilon - 0.2), 1.0))
             block.append(np.minimum(1.0, base + rng.uniform(0.0, 0.3, space.n_atoms)) * yv)
-        for x, v in zip(block, _norms(phi, p, space, block)):
+        for x, v in zip(block, (yield from _norms(phi, p, space, block))):
             attempts += 1
             if v >= epsilon:
                 kept.append(x)
@@ -737,16 +788,16 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
     table = _modulus_table(p)
     dfloor, slack = table.floor_value(delta_hat), table.slack
     violations = []
-    _check(violations, "lower_local_um", phi, p, space,
-           [{"x": x.tolist(), "y": list(y.values), "delta_floor": dfloor, "slack": slack}
-            for x in kept])
-    _check(violations, "delta_hat_nonpositive", phi, p, space,
-           [{"y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat}])
-    report = _passed("T8", len(kept), violations,
-                     {"epsilon": epsilon, "delta_hat": delta_hat, "samples": len(kept)})
-    return delta_hat, report
+    yield from _check(violations, "lower_local_um", phi, p, space,
+                      [{"x": x.tolist(), "y": list(y.values), "delta_floor": dfloor,
+                        "slack": slack} for x in kept])
+    yield from _check(violations, "delta_hat_nonpositive", phi, p, space,
+                      [{"y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat}])
+    return delta_hat, _passed("T8", len(kept), violations,
+                              {"epsilon": epsilon, "delta_hat": delta_hat, "samples": len(kept)})
 
 
+@_driven
 def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> TheoremReport:
     if phi.zero_bound != 0.0:
         return _hnm("T8", "needs a generator vanishing only at zero")
@@ -760,8 +811,9 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> T
     trials = 0
     deltas = {}
     for i, eps in enumerate((0.3, 0.5, 0.8)):
-        y = _random_function(space, rng)
-        d, rep = lower_local_um_estimate(phi, p, y, eps, samples=budget, seed=seed + 101 * i)
+        y = SimpleFunction(space, tuple(_random_values(space, rng)))
+        d, rep = yield from lower_local_um_estimate.__wrapped__(phi, p, y, eps, samples=budget,
+                                                                seed=seed + 101 * i)
         trials += rep.trials
         violations += rep.violations
         deltas[str(eps)] = d
@@ -772,6 +824,7 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> T
 # T9: uniform monotonicity
 
 
+@_driven
 def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120) -> TheoremReport:
     ok, wit = strictly_monotone_probe(p)
     if not ok:
@@ -779,20 +832,19 @@ def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 12
     if phi.zero_bound > 0.0:
         return _hnm("T9", "generator has a flat zone; uniform monotonicity is out of reach")
     regime = suitable_delta2_regime(space)
-    d2 = delta2_check(phi, regime)
-    if d2.holds:
+    if delta2_check(phi, regime).holds:
         if not space.finite_indices:
             return _hnm("T9", NO_FINITE_ATOM)
-        return _um_positive(phi, p, space, seed=seed, budget=budget, regime=regime)
-    return _um_failure_construction(phi, p, seed=seed, regime=regime)
+        return (yield from _um_positive(phi, p, space, seed=seed, budget=budget, regime=regime))
+    return (yield from _um_failure_construction(phi, p, seed=seed, regime=regime))
 
 
-def _um_candidates(phi, p, space, rng, count: int) -> list:
+def _um_candidates(phi, p, space, rng, count: int):
     """count dominated pairs drawn in order and scaled to ||y|| = 1, each as
     (x, y, ||x||), or None where y is zero or has no finite positive norm."""
-    scaled = _unit_scaled(phi, p, space, [dominated_pair_values(space, rng)
-                                          for _ in range(count)])
-    norms = iter(_norms(phi, p, space, [c[0] for c in scaled if c is not None]))
+    scaled = yield from _unit_scaled(phi, p, space, [dominated_pair_values(space, rng)
+                                                     for _ in range(count)])
+    norms = iter((yield from _norms(phi, p, space, [c[0] for c in scaled if c is not None])))
     return [None if c is None else (*c, next(norms)) for c in scaled]
 
 
@@ -802,11 +854,11 @@ def _um_positive(phi, p, space, *, seed, budget, regime):
     queue: deque = deque()  # candidates drawn and not yet examined, in rng order
     levels, inputs = [], []
     for eps in UM_EPSILONS:
-        pairs = []
-        attempts = 0
+        pairs, attempts = [], 0
         while len(pairs) < budget and attempts < 8 * budget:
             if not queue:  # what a level leaves carries into the next: draw its whole allowance
-                queue.extend(_um_candidates(phi, p, space, rng, 8 * budget - attempts))
+                queue.extend((yield from _um_candidates(phi, p, space, rng,
+                                                        8 * budget - attempts)))
             attempts += 1
             cand = queue.popleft()
             if cand is not None and cand[2] >= eps:
@@ -823,7 +875,7 @@ def _um_positive(phi, p, space, *, seed, budget, regime):
         inputs += [{"x": xs.tolist(), "y": ys.tolist(), "delta_floor": dfloor, "slack": slack}
                    for xs, ys in pairs]
     # one batch measures every level's pairs; the predicate applies level by level
-    recs = iter(_measured("uniform_monotonicity", phi, p, space, inputs))
+    recs = iter((yield from _measured("uniform_monotonicity", phi, p, space, inputs)))
     violations = []
     empirical = {}
     for eps, delta_hat, count in levels:
@@ -864,8 +916,9 @@ def _um_failure_construction(phi, p, *, seed, regime):
         yvals[block + i] = levels[i] / k
         inputs.append({"x": list(x.values), "x_n": yvals.tolist(), "k": k, "n": n_})
     violations = []
+    recs = yield from _check(violations, "um_failure_construction", phi, p, space, inputs)
     measured = [{key: rec[key] for key in ("n", "norm_x_n", "norm_sum", "modular_at_k")}
-                for rec in _check(violations, "um_failure_construction", phi, p, space, inputs)]
+                for rec in recs]
     return _passed("T9", UM_FAILURE_LEVELS, violations,
                    {"branch": "failure-construction", "regime": regime, "k": k,
                     "level": levels[0], "measured": measured})
@@ -875,8 +928,8 @@ def _measure_um_failure(phi, p, space, rec):
     x, xn = simple_function(space, rec["x"]), simple_function(space, rec["x_n"])
     k, n_ = rec["k"], rec["n"]
     return {"modular_at_k": modular(phi, xn, scale=k),
-            "norm_x_n": _norm_value(phi, p, xn),
-            "norm_sum": _norm_value(phi, p, x.plus(xn)),
+            "norm_x_n": generated_norm(phi, p, xn).value,
+            "norm_sum": generated_norm(phi, p, x.plus(xn)).value,
             "floor": 2.0 / (3.0 * k), "cap": 1.0 + 2.0 ** -n_}
 
 
@@ -912,6 +965,7 @@ def _tail(levels, start: int) -> list[float]:
     return [v if j >= start else 0.0 for j, v in enumerate(levels)]
 
 
+@_driven
 def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0) -> TheoremReport:
     regime = suitable_delta2_regime(space)
     continuous = delta2_check(phi, REGIME_INFINITY).holds
@@ -919,8 +973,9 @@ def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0) -> 
     violations = []
     # dominated tails on a shrinking-weight space must lose their norm exactly
     # when doubling holds at infinity, and keep it otherwise
-    rec, = _check(violations, "order_continuity" if continuous else "order_continuity_failure",
-                  phi, p, sp, [{"levels": levels}])
+    rec, = yield from _check(violations,
+                             "order_continuity" if continuous else "order_continuity_failure",
+                             phi, p, sp, [{"levels": levels}])
     norms = rec["tail_norms"]
     if continuous:
         return _passed("R2", TAIL_LEVELS, violations,
@@ -933,37 +988,40 @@ def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0) -> 
 
 def _measure_tails(phi, p, space, recs):
     """The norms of every tail of each record's levels, one batch per record."""
-    return [{"tail_norms": _norms(phi, p, space, [_tail(rec["levels"], i)
-                                                  for i in range(len(rec["levels"]))])}
-            for rec in recs]
+    out = []
+    for rec in recs:
+        tails = [_tail(rec["levels"], i) for i in range(len(rec["levels"]))]
+        out.append({"tail_norms": (yield from _norms(phi, p, space, tails))})
+    return out
 
 
+@_driven
 def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0,
                                    budget: int = 0) -> TheoremReport:
     a = phi.zero_bound
     violations = []
     if a > 0.0:
-        rec, = _check(violations, "flat_sequence", phi, p, measure_space([math.inf]),
-                      [{"values": [a]}])
+        rec, = yield from _check(violations, "flat_sequence", phi, p,
+                                 measure_space([math.inf]), [{"values": [a]}])
         return _passed("R3", 1, violations,
                        {"branch": "flat-witness", "modular": rec["modular"], "norm": rec["norm"]})
 
     regime = suitable_delta2_regime(space)
-    d2 = delta2_check(phi, regime)
-    if d2.holds:
+    if delta2_check(phi, regime).holds:
         if not space.finite_indices:
             return _hnm("R3", NO_FINITE_ATOM)
         rng = _rng(seed)
-        base = _random_function(space, rng)
-        rec, = _check(violations, "modular_norm_convergence", phi, p, space,
-                      [{"base": list(base.values), "n_max": CONV_LEVELS, "conv_tol": CONV_TOL}])
+        base = SimpleFunction(space, tuple(_random_values(space, rng)))
+        rec, = yield from _check(violations, "modular_norm_convergence", phi, p, space,
+                                 [{"base": list(base.values), "n_max": CONV_LEVELS,
+                                   "conv_tol": CONV_TOL}])
         return _passed("R3", CONV_LEVELS, violations,
                        {"branch": "convergent", "regime": regime, "norms": rec["norms"]})
 
     sp, levels = _steep_tail_element(phi, STEEP_LEVELS)
-    recs = _check(violations, "steep_sequence", phi, p, sp,
-                  [{"n": j + 1, "level": level, "norm_floor": NORM_FLOOR}
-                   for j, level in enumerate(levels)])
+    recs = yield from _check(violations, "steep_sequence", phi, p, sp,
+                             [{"n": j + 1, "level": level, "norm_floor": NORM_FLOOR}
+                              for j, level in enumerate(levels)])
     mods, norms = [rec["modular"] for rec in recs], [rec["norm"] for rec in recs]
     return _passed("R3", len(levels), violations,
                    {"branch": "counterexample", "regime": regime,
@@ -979,14 +1037,14 @@ def _measure_convergence(phi, p, space, recs):
         base = np.asarray(rec["base"], dtype=float)
         rows = np.tile(base, (rec["n_max"], 1))
         targets = 2.0 ** -np.arange(1.0, rec["n_max"] + 1.0)
-        c = scale_to_modular_batch(phi, space, rows, targets)
-        out.append({"norms": _norms(phi, p, space, c[:, None] * rows)})
+        c = yield _Scales(phi, space, rows, targets)
+        out.append({"norms": (yield from _norms(phi, p, space, c[:, None] * rows))})
     return out
 
 
 def _measure_modular_and_norm(phi, p, space, rec):
     x = simple_function(space, rec["values"])
-    return {"modular": modular(phi, x), "norm": _norm_value(phi, p, x)}
+    return {"modular": modular(phi, x), "norm": generated_norm(phi, p, x).value}
 
 
 def _measure_steep(phi, p, space, recs):
@@ -996,15 +1054,11 @@ def _measure_steep(phi, p, space, recs):
     for row, rec in zip(rows, recs):
         row[rec["n"] - 1] = rec["level"]
     return [{"modular": modular(phi, SimpleFunction(space, tuple(row))), "norm": v}
-            for row, v in zip(rows, _norms(phi, p, space, rows))]
+            for row, v in zip(rows, (yield from _norms(phi, p, space, rows)))]
 
 
 # ---------------------------------------------------------------------------
 # Registry, runner, replay
-
-
-def _no_measurement(phi, p, space, recs):
-    return [{} for _ in recs]
 
 
 _DIFFERENCE = Check(_measure_difference,
@@ -1037,7 +1091,7 @@ CHECKS: dict[str, Check] = {
     "decomposition": _DIFFERENCE,
     "lower_local_um": _DIFFERENCE,
     "uniform_monotonicity": _DIFFERENCE,
-    "delta_hat_nonpositive": Check(_no_measurement, lambda r: r["delta_hat"] <= 0.0),
+    "delta_hat_nonpositive": Check(_each(lambda *_: {}), lambda r: r["delta_hat"] <= 0.0),
     "um_failure_construction": Check(_each(_measure_um_failure), _um_failure_violated),
     "order_continuity": Check(_measure_tails, lambda r: r["tail_norms"][-1] > 1e-2),
     "order_continuity_failure": Check(_measure_tails, lambda r: min(r["tail_norms"]) < 0.9),
@@ -1052,26 +1106,27 @@ CHECKS: dict[str, Check] = {
 }
 
 
-_SUITES = {
-    "T1": suite_sandwich_ordering,
-    "T2": suite_norm_axioms,
-    "L1": suite_attainment,
-    "L2": suite_unit_ball_bounds,
+_SUITES = {  # suite id -> generator function, in registry order
+    "T1": suite_sandwich_ordering.__wrapped__,
+    "T2": suite_norm_axioms.__wrapped__,
+    "L1": suite_attainment.__wrapped__,
+    "L2": suite_unit_ball_bounds.__wrapped__,
     "T3": _witness_suite("approximate"),
     "T4": _witness_suite("exact"),
-    "T5": suite_strict_convexity,
-    "T6": suite_strict_monotonicity,
-    "T7": suite_decomposition_estimate,
-    "T8": suite_lower_local_um,
-    "T9": suite_uniform_monotonicity,
-    "R2": suite_order_continuity,
-    "R3": suite_modular_norm_equivalence,
+    "T5": suite_strict_convexity.__wrapped__,
+    "T6": suite_strict_monotonicity.__wrapped__,
+    "T7": suite_decomposition_estimate.__wrapped__,
+    "T8": suite_lower_local_um.__wrapped__,
+    "T9": suite_uniform_monotonicity.__wrapped__,
+    "R2": suite_order_continuity.__wrapped__,
+    "R3": suite_modular_norm_equivalence.__wrapped__,
 }
 SUITE_IDS = tuple(_SUITES)
 
 
 def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[TheoremReport]:
-    """Run the selected suites in registry order with shared inputs."""
+    """Run the selected suites together through _drive, their reports in
+    registry order."""
     unknown = [i for i in ids if i not in SUITE_IDS]
     if unknown:
         raise DomainError(f"unknown suite ids {unknown}")
@@ -1079,8 +1134,8 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
         raise DomainError(f"budget must be >= 1, got {budget}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    return [_SUITES[tid](phi, p, space, seed=seed, budget=budget)
-            for tid in SUITE_IDS if tid in ids]
+    return _drive([_SUITES[tid](phi, p, space, seed=seed, budget=budget)
+                   for tid in SUITE_IDS if tid in ids])
 
 
 def replay_violation(record: dict) -> bool:
@@ -1090,5 +1145,5 @@ def replay_violation(record: dict) -> bool:
     check = CHECKS.get(record.get("kind"))
     if check is None:
         raise DomainError(f"no replayer for record kind {record.get('kind')!r}")
-    measured, = check.measure(*_decode(record), [record])
+    measured, = _drive([check.measure(*_decode(record), [record])])[0]
     return bool(check.violated({**record, **measured}))

@@ -151,6 +151,18 @@ def test_verify_on_a_space_without_finite_atoms(capsys):
         assert reports["T7"]["details"]["reason"] == "needs a finite atom"
 
 
+def test_verify_on_the_space_of_the_space_help(capsys):
+    # the --space help's example holds an infinite atom, where T6's samples
+    # vanish: the scan shrinks a finite atom, so no pair has x == y
+    space = '{"atoms":[{"w":1},{"w":"inf"}]}'
+    for phi in ("power:2", "exp_minus"):
+        code, out, _ = run(capsys, "verify", "--all", "--json", "--budget", "20",
+                           "--phi", phi, "--p", "l1", "--space", space)
+        assert code == 0, phi
+        t6, = (r for r in json.loads(out)["reports"] if r["theorem_id"] == "T6")
+        assert t6["status"] == "passed" and t6["trials"] > 0
+
+
 def test_verify_json_is_deterministic(capsys):
     args = ("verify", "T1", "T2", "--phi", "exp_minus", "--p", "lq:2",
             "--seed", "7", "--budget", "20", "--json")

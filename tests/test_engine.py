@@ -780,6 +780,32 @@ def test_scales_to_modular_levels(orlicz_catalog):
             engine.scale_to_modular_batch(power(2), space, bad, [0.5])
 
 
+@st.composite
+def _scale_batches(draw):
+    """A generator, a space of 1-6 finite atoms (and maybe one infinite atom,
+    where the rows vanish), 1-5 nonzero value rows and a target per row."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_VALUE, min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=5))
+    targets = draw(st.lists(st.floats(1e-12, 4.0), min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        weights, rows = weights + [math.inf], [row + [0.0] for row in rows]
+    return (draw(st.sampled_from(BATCH_PHIS)), measure_space(weights), np.array(rows),
+            np.array(targets))
+
+
+@given(_scale_batches())
+def test_scale_batch_rows_are_independent(case):
+    # a batch of N rows equals N batches of one, bit for bit: verify merges
+    # the scale requests of concurrent suites into one call
+    phi, space, rows, targets = case
+    c = engine.scale_to_modular_batch(phi, space, rows, targets)
+    for j in range(len(rows)):
+        one = engine.scale_to_modular_batch(phi, space, rows[j:j + 1], targets[j:j + 1])
+        assert _same(one[0], c[j]), (phi.label, j)
+
+
 def test_batch_rejects_bad_values():
     for bad in (np.zeros(3), np.zeros((2, 4)), np.array([[0.0, math.nan, 1.0]]),
                 np.array([[math.inf, 0.0, 1.0]])):

@@ -427,7 +427,7 @@ def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
     if p is BAD:
         assert "sandwich" in {r["kind"] for r in records}
     for rec in records:
-        measured, = flag_all[rec["kind"]].measure(*verify._decode(rec), [rec])
+        measured, = verify._drive([flag_all[rec["kind"]].measure(*verify._decode(rec), [rec])])[0]
         assert measured == {key: rec[key] for key in measured}, rec["kind"]
 
 
@@ -468,32 +468,55 @@ def test_sign_draws_are_rng_choice_bit_for_bit():
 
 
 def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
-    """`verify --all` for (exp_minus, l1) at seed 1, budget 20: every batch
-    takes at most 8 lockstep steps, but R2's and T3's steep rows near
-    overflow, which take at most 18; R3 and T3 make no scalar norm call."""
+    """`verify --all` for (exp_minus, l1) at seed 1, budget 20 merges the
+    suites' concurrent requests into at most 10 batched engine calls (26 with
+    the suites run one after another).  A call on the round's 6-atom space
+    takes at most 8 lockstep steps, one on R2's or T3's own space (steep rows
+    near overflow) at most 18; R3 and T3 make no scalar norm call."""
     from orlnorm import cli, engine
 
-    suite = [None]
-    steps: list[tuple[str, int]] = []
+    phi = exp_minus()
+    r2_space = verify._steep_tail_element(phi, verify.TAIL_LEVELS)[0]
+    t3_space = build_linf_witness(phi, l1(), verify.WITNESS_LEVELS, "approximate",
+                                  z_samples=20, seed=1)[0].basis[0].space
+    bound = {unit_weights(6): 8, r2_space: 18, t3_space: 18}
+    suite = [None]  # the suite _drive is advancing; None while it answers
+    requested: set[str] = set()
+    calls: list[tuple] = []  # (space, lockstep steps) per batched engine call
     scalar: list[str] = []
-    batch, scalar_norm = engine.generated_norm_batch, engine.generated_norm
+    batch, scales, scalar_norm = (engine.generated_norm_batch, engine.scale_to_modular_batch,
+                                  engine.generated_norm)
 
-    def counted_batch(*args):
-        r = batch(*args)
-        steps.append((suite[0], r.steps))
+    def counted_batch(phi, p, space, values):
+        r = batch(phi, p, space, values)
+        calls.append((space, r.steps))
         return r
+
+    def counted_scales(phi, space, values, targets):
+        calls.append((space, 0))
+        return scales(phi, space, values, targets)
 
     def counted_norm(*args, **kwargs):
         scalar.append(suite[0])
         return scalar_norm(*args, **kwargs)
 
-    def tagged(tid, fn):
+    def tagged(tid, gen_fn):
         def run(*args, **kwargs):
-            suite[0] = tid
-            return fn(*args, **kwargs)
+            gen, reply = gen_fn(*args, **kwargs), None
+            while True:
+                suite[0] = tid
+                try:
+                    req = gen.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    suite[0] = None
+                requested.add(tid)
+                reply = yield req
         return run
 
     monkeypatch.setattr(verify, "generated_norm_batch", counted_batch)
+    monkeypatch.setattr(verify, "scale_to_modular_batch", counted_scales)
     for module in (verify, engine):
         monkeypatch.setattr(module, "generated_norm", counted_norm)
     for tid, fn in list(verify._SUITES.items()):
@@ -501,7 +524,75 @@ def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
     argv = ["verify", "--all", "--json", "--phi", "exp_minus", "--p", "l1", "--seed", "1",
             "--budget", "20"]
     assert cli.main(argv) == 0
-    assert {tid for tid, _ in steps} >= {"T1", "T3", "R2", "R3"}
-    for tid, n in steps:
-        assert n <= (18 if tid in ("R2", "T3") else 8), (tid, n)
+    assert requested >= {"T1", "T3", "R2", "R3"}
+    assert len(calls) <= 10, len(calls)
+    for space, steps in calls:
+        assert steps <= bound[space], (space.n_atoms, steps)
     assert not {"R3", "T3"} & set(scalar)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_merged_suites_equal_each_suite_alone(orlicz_catalog, planar_catalog, seed):
+    """Run together, the suites merge their requests into shared engine
+    calls; every report is byte for byte the one each suite gives alone."""
+    import json
+    for phi in orlicz_catalog.values():
+        for p in planar_catalog.values():
+            together = run_suites(SUITE_IDS, phi, p, SP6, seed=seed, budget=6)
+            alone = [rep for tid in SUITE_IDS
+                     for rep in run_suites([tid], phi, p, SP6, seed=seed, budget=6)]
+            assert (json.dumps([r.to_dict() for r in together])
+                    == json.dumps([r.to_dict() for r in alone])), (phi.label, p.label)
+
+
+def test_a_failing_suite_closes_the_others(monkeypatch):
+    """A suite that raises on its second request: run_suites re-raises that
+    exception, and every other suite's generator is closed."""
+    class Boom(Exception):
+        pass
+
+    gens, closed = [], []
+
+    def watched(tid, gen_fn):
+        def run(*args, **kwargs):
+            gen, reply, asked = gen_fn(*args, **kwargs), None, 0
+            try:
+                while True:
+                    req = gen.send(reply)
+                    asked += 1
+                    if tid == "T2" and asked == 2:
+                        raise Boom(tid)
+                    reply = yield req
+            except StopIteration as stop:
+                return stop.value
+            except GeneratorExit:
+                closed.append(tid)
+                gen.close()
+                raise
+
+        def started(*args, **kwargs):
+            gens.append(run(*args, **kwargs))
+            return gens[-1]
+        return started
+
+    for tid, fn in list(verify._SUITES.items()):
+        monkeypatch.setitem(verify._SUITES, tid, watched(tid, fn))
+    with pytest.raises(Boom, match="T2"):
+        run_suites(SUITE_IDS, exp_minus(), l1(), SP6, seed=1, budget=5)
+    assert len(gens) == len(SUITE_IDS)
+    assert all(inspect.getgeneratorstate(g) == inspect.GEN_CLOSED for g in gens)
+    assert {"T1", "T7", "T8"} <= set(closed) and "T2" not in closed
+
+
+def test_t6_scan_shrinks_only_finite_atoms(monkeypatch):
+    """On a space with an infinite atom, where every sample vanishes, the
+    scan shrinks a finite atom: no pair has x == y, and T6 passes."""
+    space = measure_space([1.0, math.inf])
+    for phi in (power(2), exp_minus()):
+        assert suite_strict_monotonicity(phi, l1(), space, budget=20).status == STATUS_PASSED
+    flag_all = dataclasses.replace(verify.CHECKS["strict_monotonicity"], violated=lambda r: True)
+    monkeypatch.setitem(verify.CHECKS, "strict_monotonicity", flag_all)
+    recs = suite_strict_monotonicity(power(2), l1(), space, budget=40).violations
+    assert len(recs) == 40 and all(r["x"] != r["y"] for r in recs)
+    assert suite_strict_monotonicity(power(2), l1(), measure_space([math.inf]),
+                                     budget=5).details["reason"] == verify.NO_FINITE_ATOM
