@@ -32,17 +32,18 @@ together in passes.  Each pass advances every live suite to its next
 request, groups the requests by (kind, phi, p, space) in registry order
 and answers each group with one engine call on its stacked rows.  A
 batch's rows are independent, bit for bit, and each suite owns its rng,
-so no report depends on what ran beside it.  The public suites,
-build_linf_witness, lower_local_um_estimate and replay_violation run their
-single generator through _drive too.  The elements built one at a time
-(L2, T6's flat pair, T8's y, T9's failure branch, R3's flat witness) keep
-the scalar generated_norm.  Each violation record carries phi, p, space
-and every input of its measurement, so replay_violation re-takes the
-measurement as a batch of one and reproduces the emitted fields bit for
-bit.  Every suite in the registry is called as suite(phi, p, space,
-seed=..., budget=...).  T7, T8 and T9 read one modulus table per planar
-norm per process (_modulus_table), built when the first of them gets past
-its gates.
+so no report depends on what ran beside it.  _SUITES registers the
+generator functions (_suite_*); each public suite, build_linf_witness and
+lower_local_um_estimate is its generator run alone through _drive
+(_driven), and replay_violation drives its measurement the same way.  The
+elements built one at a time (L2, T6's flat pair, T8's y, T9's failure
+branch, R3's flat witness) keep the scalar generated_norm.  Each violation
+record carries phi, p, space and every input of its measurement, so
+replay_violation re-takes the measurement as a batch of one and
+reproduces the emitted fields bit for bit.  Every suite in the registry
+is called as suite(phi, p, space, seed=..., budget=...).  T7, T8 and T9
+read one modulus table per planar norm per process (_modulus_table),
+built when the first of them gets past its gates.
 """
 from __future__ import annotations
 
@@ -115,6 +116,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _norm_value(phi, p, x) -> float:
+    return generated_norm(phi, p, x).value
+
+
 # ---------------------------------------------------------------------------
 # Requests and _drive, which answers them
 
@@ -162,7 +167,7 @@ def _drive(gens: list) -> list:
 
 
 def _driven(gen_fn):
-    """gen_fn run alone through _drive; the generator function is its __wrapped__."""
+    """gen_fn run alone through _drive, under its name and docstring."""
     return functools.wraps(gen_fn)(lambda *args, **kwargs: _drive([gen_fn(*args, **kwargs)])[0])
 
 
@@ -199,6 +204,11 @@ def _random_values(space: MeasureSpace, rng: np.random.Generator,
     vals = np.zeros(space.n_atoms)
     vals[list(fi)] = draw
     return vals
+
+
+def _random_function(space: MeasureSpace, rng: np.random.Generator,
+                     signed: bool = False) -> SimpleFunction:
+    return SimpleFunction(space, tuple(_random_values(space, rng, signed)))
 
 
 def suitable_delta2_regime(space: MeasureSpace) -> str:
@@ -285,8 +295,7 @@ def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
 # T1: sandwich bounds and ordering of the family
 
 
-@_driven
-def suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
+def _suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200):
     violations = []
     for rec in verify_sandwich(p, PLANAR_SAMPLES, seed).violations:
         _flag(violations, "sandwich", phi, p, space, rec)
@@ -316,8 +325,7 @@ def _measure_ordering(phi, p, space, recs):
 # T2: norm axioms
 
 
-@_driven
-def suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
+def _suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200):
     if not space.finite_indices:
         return _hnm("T2", NO_FINITE_ATOM)
     rng = _rng(seed)
@@ -364,8 +372,7 @@ def _norm_zero_violated(r: dict) -> bool:
 # L1: attainment of the infimum
 
 
-@_driven
-def suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50) -> TheoremReport:
+def _suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50):
     if math.isfinite(phi.slope_limit):
         return _hnm("L1", "needs an asymptotic slope diverging to infinity",
                     slope_limit=phi.slope_limit)
@@ -392,13 +399,15 @@ def _attainment_violated(r: dict) -> bool:
 # L2: unit-ball bounds
 
 
-@_driven
-def suite_unit_ball_bounds(phi, p, space=None, *, seed: int = 0, budget: int = 0) -> TheoremReport:
+def _suite_unit_ball_bounds(phi, p, space=None, *, seed: int = 0, budget: int = 0):
     a = phi.zero_bound
     if a <= 0.0:
         return _hnm("L2", "needs a flat zone: largest zero of the generator must be positive")
-    cases = [simple_function(measure_space([math.inf]), [a]),
-             simple_function(measure_space([math.inf, 1.0, 1.0]), [a, 1.5 * a, 2.0 * a])]
+    cases = []
+    sp1 = measure_space([math.inf])
+    cases.append(simple_function(sp1, [a]))
+    sp2 = measure_space([math.inf, 1.0, 1.0])
+    cases.append(simple_function(sp2, [a, 1.5 * a, 2.0 * a]))
     violations = []
     for x in cases:
         yield from _check(violations, "unit_ball_bounds", phi, p, x.space,
@@ -450,9 +459,8 @@ def _z_batch(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     return zs
 
 
-@_driven
-def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
-                       eta: float = 0.01, z_samples: int = 100, seed: int = 0):
+def _build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
+                        eta: float = 0.01, z_samples: int = 100, seed: int = 0):
     """Construct a positive embedding of the bounded-sequence space and
     measure its distortion.  Returns (witness, report); the witness is None
     when a hypothesis gate fails."""
@@ -467,8 +475,8 @@ def build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
 def _witness_suite(mode: str):
     """T3 (approximate) or T4 (exact) on WITNESS_LEVELS basis elements; the
     construction builds its own space, so `space` goes unused."""
-    def suite(phi, p, space=None, *, seed: int = 0, budget: int = 100) -> TheoremReport:
-        return (yield from build_linf_witness.__wrapped__(
+    def suite(phi, p, space=None, *, seed: int = 0, budget: int = 100):
+        return (yield from _build_linf_witness(
             phi, p, WITNESS_LEVELS, mode, z_samples=min(budget, 100), seed=seed))[1]
     return suite
 
@@ -490,7 +498,8 @@ def _exact_witness(phi, p, n, *, z_samples, seed):
     witness = LinfEmbeddingWitness(n, basis, epsilon=0.0, eta=None, exact=True,
                                    threshold_achieved=None)
     violations = []
-    zs = _z_batch(n, z_samples, _rng(seed))
+    rng = _rng(seed)
+    zs = _z_batch(n, z_samples, rng)
     yield from _check(violations, "embedding_exact", phi, p, space,
                       [{"z": z.tolist()} for z in zs])
     return witness, _passed("T4", len(zs), violations, {"n": n, "level": a})
@@ -521,9 +530,12 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
         with np.errstate(invalid="ignore", divide="ignore"):
             ach = np.where(fv > 0.0, target * (f2v / np.where(fv > 0.0, fv, 1.0)), -math.inf)
         ok = np.isfinite(ach) & (ach >= WITNESS_THRESHOLD)
-        i = int(np.argmax(ok) if np.any(ok)
-                else np.nanargmax(np.where(np.isfinite(ach), ach, -math.inf)))
-        v_j, a_j = float(grid[i]), float(ach[i])
+        if np.any(ok):
+            i = int(np.argmax(ok))
+            v_j, a_j = float(grid[i]), float(ach[i])
+        else:
+            i = int(np.nanargmax(np.where(np.isfinite(ach), ach, -math.inf)))
+            v_j, a_j = float(grid[i]), float(ach[i])
         if not math.isfinite(a_j) or a_j < 2.0:
             return None, _hnm("T3", "double precision cannot hold the required modular jump",
                               best_achievable=a_j, level=v_j)
@@ -553,7 +565,8 @@ def _approximate_witness(phi, p, n, *, epsilon, eta, z_samples, seed):
                                    threshold_achieved=min(achieved))
 
     violations = []
-    zs = _z_batch(n, z_samples, _rng(seed))
+    rng = _rng(seed)
+    zs = _z_batch(n, z_samples, rng)
     yield from _check(violations, "embedding_bounds", phi, p, space,
                       [{"levels": levels, "z": z.tolist(), "epsilon": epsilon, "eta": eta}
                        for z in zs])
@@ -573,15 +586,15 @@ def _measure_embedding_bounds(phi, p, space, recs):
 # T5: strict convexity
 
 
-@_driven
-def suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200) -> TheoremReport:
+def _suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200):
     probe = strict_convexity_probe(phi)
     if not probe.strictly_convex:
         return _hnm("T5", "generator is not strictly convex", witness=list(probe.witness))
     if not is_strictly_increasing_on_ray(p):
         return _hnm("T5", "planar norm is flat on the vertical ray through (1, 0)")
     rng = _rng(seed)
-    pairs, attempts = [], 0
+    pairs = []
+    attempts = 0
     while len(pairs) < budget and attempts < 8 * budget:
         count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
         block = [_random_values(space, rng, signed=True) for _ in range(2 * count)]
@@ -611,8 +624,7 @@ def _measure_midpoint(phi, p, space, recs):
 # T6: strict monotonicity
 
 
-@_driven
-def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500) -> TheoremReport:
+def _suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500):
     a = phi.zero_bound
     rng = _rng(seed)
     if a == 0.0:
@@ -654,7 +666,7 @@ def suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500
     zvals[free] = a / k
     z = SimpleFunction(space, tuple(zvals))
     rec = {"y": list(y.values), "z": list(z.values), "k": k, "norm_y": ry.value,
-           "norm_z": generated_norm(phi, p, z).value}
+           "norm_z": _norm_value(phi, p, z)}
     violations = []
     _flag(violations, "flat_pair_mismatch", phi, p, space, rec)
     return _passed("T6", 1, violations,
@@ -673,8 +685,8 @@ def _measure_pair(phi, p, space, recs):
 
 def _measure_flat_pair(phi, p, space, rec):
     z = simple_function(space, rec["z"])
-    return {"norm_y": generated_norm(phi, p, simple_function(space, rec["y"])).value,
-            "norm_z": generated_norm(phi, p, z).value}
+    return {"norm_y": _norm_value(phi, p, simple_function(space, rec["y"])),
+            "norm_z": _norm_value(phi, p, z)}
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +720,7 @@ def _unit_scaled(phi, p, space, pairs: list):
     return out
 
 
-@_driven
-def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
-                                 budget: int = 500) -> TheoremReport:
+def _suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 500):
     ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T7", "planar norm is not strictly monotone", witness=wit)
@@ -718,7 +728,8 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
         return _hnm("T7", NO_FINITE_ATOM)
     table = _modulus_table(p)
     rng = _rng(seed)
-    pairs, attempts = [], 0
+    pairs = []
+    attempts = 0
     while len(pairs) < budget and attempts < 8 * budget:
         count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
         block = [dominated_pair_values(space, rng) for _ in range(count)]
@@ -745,9 +756,8 @@ def suite_decomposition_estimate(phi, p, space, *, seed: int = 0,
 # T8: lower local uniform monotonicity
 
 
-@_driven
-def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
-                            samples: int = 200, seed: int = 0):
+def _lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
+                             samples: int = 200, seed: int = 0):
     """Estimate the smallest modular of dominated pieces of y with norm >=
     epsilon, and check the norm-difference bound on the same samples.
     Returns (delta_hat, report).  DomainError for a y that is negative
@@ -793,12 +803,12 @@ def lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                         "slack": slack} for x in kept])
     yield from _check(violations, "delta_hat_nonpositive", phi, p, space,
                       [{"y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat}])
-    return delta_hat, _passed("T8", len(kept), violations,
-                              {"epsilon": epsilon, "delta_hat": delta_hat, "samples": len(kept)})
+    report = _passed("T8", len(kept), violations,
+                     {"epsilon": epsilon, "delta_hat": delta_hat, "samples": len(kept)})
+    return delta_hat, report
 
 
-@_driven
-def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> TheoremReport:
+def _suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60):
     if phi.zero_bound != 0.0:
         return _hnm("T8", "needs a generator vanishing only at zero")
     ok, wit = strictly_monotone_probe(p)
@@ -811,8 +821,8 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> T
     trials = 0
     deltas = {}
     for i, eps in enumerate((0.3, 0.5, 0.8)):
-        y = SimpleFunction(space, tuple(_random_values(space, rng)))
-        d, rep = yield from lower_local_um_estimate.__wrapped__(phi, p, y, eps, samples=budget,
+        y = _random_function(space, rng)
+        d, rep = yield from _lower_local_um_estimate(phi, p, y, eps, samples=budget,
                                                                 seed=seed + 101 * i)
         trials += rep.trials
         violations += rep.violations
@@ -824,15 +834,15 @@ def suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60) -> T
 # T9: uniform monotonicity
 
 
-@_driven
-def suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120) -> TheoremReport:
+def _suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120):
     ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T9", "planar norm is not strictly monotone", witness=wit)
     if phi.zero_bound > 0.0:
         return _hnm("T9", "generator has a flat zone; uniform monotonicity is out of reach")
     regime = suitable_delta2_regime(space)
-    if delta2_check(phi, regime).holds:
+    d2 = delta2_check(phi, regime)
+    if d2.holds:
         if not space.finite_indices:
             return _hnm("T9", NO_FINITE_ATOM)
         return (yield from _um_positive(phi, p, space, seed=seed, budget=budget, regime=regime))
@@ -854,7 +864,8 @@ def _um_positive(phi, p, space, *, seed, budget, regime):
     queue: deque = deque()  # candidates drawn and not yet examined, in rng order
     levels, inputs = [], []
     for eps in UM_EPSILONS:
-        pairs, attempts = [], 0
+        pairs = []
+        attempts = 0
         while len(pairs) < budget and attempts < 8 * budget:
             if not queue:  # what a level leaves carries into the next: draw its whole allowance
                 queue.extend((yield from _um_candidates(phi, p, space, rng,
@@ -928,8 +939,8 @@ def _measure_um_failure(phi, p, space, rec):
     x, xn = simple_function(space, rec["x"]), simple_function(space, rec["x_n"])
     k, n_ = rec["k"], rec["n"]
     return {"modular_at_k": modular(phi, xn, scale=k),
-            "norm_x_n": generated_norm(phi, p, xn).value,
-            "norm_sum": generated_norm(phi, p, x.plus(xn)).value,
+            "norm_x_n": _norm_value(phi, p, xn),
+            "norm_sum": _norm_value(phi, p, x.plus(xn)),
             "floor": 2.0 / (3.0 * k), "cap": 1.0 + 2.0 ** -n_}
 
 
@@ -965,8 +976,7 @@ def _tail(levels, start: int) -> list[float]:
     return [v if j >= start else 0.0 for j, v in enumerate(levels)]
 
 
-@_driven
-def suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0) -> TheoremReport:
+def _suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0):
     regime = suitable_delta2_regime(space)
     continuous = delta2_check(phi, REGIME_INFINITY).holds
     sp, levels = _steep_tail_element(phi, TAIL_LEVELS)
@@ -995,9 +1005,7 @@ def _measure_tails(phi, p, space, recs):
     return out
 
 
-@_driven
-def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0,
-                                   budget: int = 0) -> TheoremReport:
+def _suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int = 0):
     a = phi.zero_bound
     violations = []
     if a > 0.0:
@@ -1007,11 +1015,12 @@ def suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0,
                        {"branch": "flat-witness", "modular": rec["modular"], "norm": rec["norm"]})
 
     regime = suitable_delta2_regime(space)
-    if delta2_check(phi, regime).holds:
+    d2 = delta2_check(phi, regime)
+    if d2.holds:
         if not space.finite_indices:
             return _hnm("R3", NO_FINITE_ATOM)
         rng = _rng(seed)
-        base = SimpleFunction(space, tuple(_random_values(space, rng)))
+        base = _random_function(space, rng)
         rec, = yield from _check(violations, "modular_norm_convergence", phi, p, space,
                                  [{"base": list(base.values), "n_max": CONV_LEVELS,
                                    "conv_tol": CONV_TOL}])
@@ -1044,7 +1053,7 @@ def _measure_convergence(phi, p, space, recs):
 
 def _measure_modular_and_norm(phi, p, space, rec):
     x = simple_function(space, rec["values"])
-    return {"modular": modular(phi, x), "norm": generated_norm(phi, p, x).value}
+    return {"modular": modular(phi, x), "norm": _norm_value(phi, p, x)}
 
 
 def _measure_steep(phi, p, space, recs):
@@ -1106,20 +1115,36 @@ CHECKS: dict[str, Check] = {
 }
 
 
+# the public suites and constructions: each generator run alone through _drive
+suite_sandwich_ordering = _driven(_suite_sandwich_ordering)
+suite_norm_axioms = _driven(_suite_norm_axioms)
+suite_attainment = _driven(_suite_attainment)
+suite_unit_ball_bounds = _driven(_suite_unit_ball_bounds)
+build_linf_witness = _driven(_build_linf_witness)
+suite_strict_convexity = _driven(_suite_strict_convexity)
+suite_strict_monotonicity = _driven(_suite_strict_monotonicity)
+suite_decomposition_estimate = _driven(_suite_decomposition_estimate)
+lower_local_um_estimate = _driven(_lower_local_um_estimate)
+suite_lower_local_um = _driven(_suite_lower_local_um)
+suite_uniform_monotonicity = _driven(_suite_uniform_monotonicity)
+suite_order_continuity = _driven(_suite_order_continuity)
+suite_modular_norm_equivalence = _driven(_suite_modular_norm_equivalence)
+
+
 _SUITES = {  # suite id -> generator function, in registry order
-    "T1": suite_sandwich_ordering.__wrapped__,
-    "T2": suite_norm_axioms.__wrapped__,
-    "L1": suite_attainment.__wrapped__,
-    "L2": suite_unit_ball_bounds.__wrapped__,
+    "T1": _suite_sandwich_ordering,
+    "T2": _suite_norm_axioms,
+    "L1": _suite_attainment,
+    "L2": _suite_unit_ball_bounds,
     "T3": _witness_suite("approximate"),
     "T4": _witness_suite("exact"),
-    "T5": suite_strict_convexity.__wrapped__,
-    "T6": suite_strict_monotonicity.__wrapped__,
-    "T7": suite_decomposition_estimate.__wrapped__,
-    "T8": suite_lower_local_um.__wrapped__,
-    "T9": suite_uniform_monotonicity.__wrapped__,
-    "R2": suite_order_continuity.__wrapped__,
-    "R3": suite_modular_norm_equivalence.__wrapped__,
+    "T5": _suite_strict_convexity,
+    "T6": _suite_strict_monotonicity,
+    "T7": _suite_decomposition_estimate,
+    "T8": _suite_lower_local_um,
+    "T9": _suite_uniform_monotonicity,
+    "R2": _suite_order_continuity,
+    "R3": _suite_modular_norm_equivalence,
 }
 SUITE_IDS = tuple(_SUITES)
 

@@ -472,7 +472,10 @@ def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
     suites' concurrent requests into at most 10 batched engine calls (26 with
     the suites run one after another).  A call on the round's 6-atom space
     takes at most 8 lockstep steps, one on R2's or T3's own space (steep rows
-    near overflow) at most 18; R3 and T3 make no scalar norm call."""
+    near overflow) at most 18.  R3 and T3 make no scalar norm call, and no
+    merged batch routes a row to the scalar engine: T4 and L2 miss their
+    hypotheses, and every other row lies on finite atoms with a smooth
+    generator, so T3's and R3's rows stay on the lockstep path too."""
     from orlnorm import cli, engine
 
     phi = exp_minus()
@@ -529,6 +532,7 @@ def test_verify_round_counts_steps_and_scalar_calls(monkeypatch):
     for space, steps in calls:
         assert steps <= bound[space], (space.n_atoms, steps)
     assert not {"R3", "T3"} & set(scalar)
+    assert None not in scalar, scalar.count(None)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
