@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .engine import generated_norm
+from .engine import LOG_TOL, generated_norm
 from .errors import ContractError, DomainError, PreconditionError
 from .orlicz import exp_minus, flat_then_power, orlicz_from_descriptor, piecewise_linear, power
 from .planar import l1, linf, lq, modulus_diagnostics_many, planar_from_descriptor
@@ -94,16 +94,17 @@ def _json_text(obj) -> str:
 
 def _load_config(args: argparse.Namespace) -> None:
     """Config file values fill in only where the flag was left at default;
-    keys the subcommand has no flag for are not read.  A value becomes the
-    flag's text (a list joined with commas, an object as JSON text) and is
-    converted by the flag's own type, as on the command line."""
+    the keys read are the subcommand's value flags in _FLAGS (--json stores
+    to as_json, so the switch is not read).  A value becomes the flag's text
+    (a list joined with commas, an object as JSON text) and is converted by
+    the flag's own type, as on the command line."""
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise DomainError(f"config file {args.config!r} must hold a JSON object")
-    for key in ("phi", "p", "space", "values", "seed", "budget", "tol", "grid"):
+    for key in _FLAGS:
         value = cfg.get(key)
         if value is None or not hasattr(args, key) or getattr(args, key) is not None:
             continue
@@ -113,7 +114,7 @@ def _load_config(args: argparse.Namespace) -> None:
             text = json.dumps(value)
         else:
             text = str(value)
-        convert = _FLAGS[key][1].get("type", str) if key in _FLAGS else str
+        convert = _FLAGS[key][1].get("type", str)
         try:
             setattr(args, key, convert(text))
         except ValueError as exc:
@@ -124,6 +125,9 @@ _FLAGS = {
     "phi": (("--phi",), dict(default=None, help="generator, e.g. power:2, exp_minus, flat_then_power:1,2, pwl:0,0;1,0;2,1")),
     "p": (("--p",), dict(default=None, help="planar norm, e.g. linf, l1, lq:2")),
     "space": (("--space",), dict(default=None, help='measure space JSON or file, e.g. {"atoms":[{"w":1},{"w":"inf"}]}')),
+    "values": (("--values",), dict(default=None, help="comma separated atom values, e.g. 3,4")),
+    "grid": (("--grid",), dict(default=None, help="epsilon grid start:stop:count or comma list")),
+    "resolution": (("--resolution",), dict(type=float, default=None)),
     "seed": (("--seed",), dict(type=int, default=None)),
     "budget": (("--budget",), dict(type=int, default=None)),
     "tol": (("--tol",), dict(type=float, default=None, help="norm-search tolerance on log k")),
@@ -147,13 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = ap.add_subparsers(dest="command", required=True)
 
     norm = subs.add_parser("norm", help="compute the generated norm of a simple function (JSON)")
-    norm.add_argument("--values", default=None, help="comma separated atom values, e.g. 3,4")
-    _add_flags(norm, "phi", "p", "space", "seed", "tol", "out", "config")
+    _add_flags(norm, "values", "phi", "p", "space", "seed", "tol", "out", "config")
 
     mod = subs.add_parser("modulus", help="tabulate the planar monotonicity modulus")
-    mod.add_argument("--grid", default=None, help="epsilon grid start:stop:count or comma list")
-    mod.add_argument("--resolution", type=float, default=1e-3)
-    _add_flags(mod, "p", "json", "out", "config")
+    _add_flags(mod, "grid", "resolution", "p", "json", "out", "config")
 
     ver = subs.add_parser("verify", help="run check suites")
     ver.add_argument("ids", nargs="*", help=f"suite ids among {','.join(SUITE_IDS)}")
@@ -171,7 +172,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     p = _parse_p(args.p or "linf")
     space = _parse_space(args.space) if args.space else unit_weights(len(values))
     x = simple_function(space, values)
-    log_tol = args.tol if args.tol is not None else 1e-11
+    log_tol = args.tol if args.tol is not None else LOG_TOL
     r = generated_norm(phi, p, x, log_tol=log_tol)
     if not math.isfinite(r.value):
         raise DomainError("x is outside the Orlicz space (modular infinite at every k > 0)")
@@ -187,7 +188,8 @@ def cmd_modulus(args: argparse.Namespace) -> int:
     _load_config(args)
     p = _parse_p(args.p or "linf")
     grid = _parse_grid(args.grid) if args.grid else [i / 10.0 for i in range(1, 10)]
-    deltas = [r.value for r in modulus_diagnostics_many(p, grid, args.resolution)]
+    resolution = args.resolution if args.resolution is not None else 1e-3
+    deltas = [r.value for r in modulus_diagnostics_many(p, grid, resolution)]
     if args.as_json:
         payload = {"schema": SCHEMA, "command": "modulus", "p": p.descriptor(),
                    "epsilon": grid, "delta": deltas}
@@ -210,9 +212,6 @@ def _human_table(reports, seed: int) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     _load_config(args)
     ids = list(SUITE_IDS) if args.run_all or not args.ids else args.ids
-    for tid in ids:
-        if tid not in SUITE_IDS:
-            raise DomainError(f"unknown suite id {tid!r}; choose among {','.join(SUITE_IDS)}")
     phi = _parse_phi(args.phi or "power:2")
     p = _parse_p(args.p or "l1")
     space = _parse_space(args.space) if args.space else unit_weights(6)
@@ -242,9 +241,7 @@ def main(argv=None) -> int:
             return cmd_norm(args)
         if args.command == "modulus":
             return cmd_modulus(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        return cmd_verify(args)
     except (DomainError, ContractError, PreconditionError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,9 +33,8 @@ request, groups the requests by (kind, phi, p, space) in registry order
 and answers each group with one engine call on its stacked rows.  A
 batch's rows are independent, bit for bit, and each suite owns its rng,
 so no report depends on what ran beside it.  _SUITES registers the
-generator functions (_suite_*); each public suite, build_linf_witness and
-lower_local_um_estimate is its generator run alone through _drive
-(_driven), and replay_violation drives its measurement the same way.  The
+generator functions (_suite_*), and run_suites alone checks and defaults a
+run: each public suite is run_suites on its one id.  The
 elements built one at a time (L2, T6's flat pair, T8's y, T9's failure
 branch, R3's flat witness) keep the scalar generated_norm.  Each violation
 record carries phi, p, space and every input of its measurement, so
@@ -295,7 +294,7 @@ def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
 # T1: sandwich bounds and ordering of the family
 
 
-def _suite_sandwich_ordering(phi, p, space, *, seed: int = 0, budget: int = 200):
+def _suite_sandwich_ordering(phi, p, space, *, seed: int, budget: int):
     violations = []
     for rec in verify_sandwich(p, PLANAR_SAMPLES, seed).violations:
         _flag(violations, "sandwich", phi, p, space, rec)
@@ -313,19 +312,20 @@ def _measure_sandwich(phi, p, space, recs):
 
 
 def _measure_ordering(phi, p, space, recs):
-    """||x|| under p, the max norm and the sum norm: one batch each."""
+    """||x|| under p, the max norm and the sum norm: one batch per distinct planar norm."""
     rows = [rec["values"] for rec in recs]
-    norms = []
-    for q in (p, _LINF, _L1):
-        norms.append((yield from _norms(phi, q, space, rows)))
-    return [{"middle": a, "smallest": b, "biggest": c} for a, b, c in zip(*norms)]
+    keys = [repr(q.descriptor()) for q in (p, _LINF, _L1)]
+    norms = {}  # repr of a planar norm's descriptor -> the rows' norms under it
+    for key, q in dict(zip(keys, (p, _LINF, _L1))).items():
+        norms[key] = yield from _norms(phi, q, space, rows)
+    return [{"middle": a, "smallest": b, "biggest": c} for a, b, c in zip(*map(norms.get, keys))]
 
 
 # ---------------------------------------------------------------------------
 # T2: norm axioms
 
 
-def _suite_norm_axioms(phi, p, space, *, seed: int = 0, budget: int = 200):
+def _suite_norm_axioms(phi, p, space, *, seed: int, budget: int):
     if not space.finite_indices:
         return _hnm("T2", NO_FINITE_ATOM)
     rng = _rng(seed)
@@ -372,7 +372,7 @@ def _norm_zero_violated(r: dict) -> bool:
 # L1: attainment of the infimum
 
 
-def _suite_attainment(phi, p, space, *, seed: int = 0, budget: int = 50):
+def _suite_attainment(phi, p, space, *, seed: int, budget: int):
     if math.isfinite(phi.slope_limit):
         return _hnm("L1", "needs an asymptotic slope diverging to infinity",
                     slope_limit=phi.slope_limit)
@@ -399,7 +399,7 @@ def _attainment_violated(r: dict) -> bool:
 # L2: unit-ball bounds
 
 
-def _suite_unit_ball_bounds(phi, p, space=None, *, seed: int = 0, budget: int = 0):
+def _suite_unit_ball_bounds(phi, p, space, *, seed: int, budget: int):
     a = phi.zero_bound
     if a <= 0.0:
         return _hnm("L2", "needs a flat zone: largest zero of the generator must be positive")
@@ -475,7 +475,7 @@ def _build_linf_witness(phi, p, n: int, mode: str, *, epsilon: float = 0.1,
 def _witness_suite(mode: str):
     """T3 (approximate) or T4 (exact) on WITNESS_LEVELS basis elements; the
     construction builds its own space, so `space` goes unused."""
-    def suite(phi, p, space=None, *, seed: int = 0, budget: int = 100):
+    def suite(phi, p, space, *, seed: int, budget: int):
         return (yield from _build_linf_witness(
             phi, p, WITNESS_LEVELS, mode, z_samples=min(budget, 100), seed=seed))[1]
     return suite
@@ -586,7 +586,7 @@ def _measure_embedding_bounds(phi, p, space, recs):
 # T5: strict convexity
 
 
-def _suite_strict_convexity(phi, p, space, *, seed: int = 0, budget: int = 200):
+def _suite_strict_convexity(phi, p, space, *, seed: int, budget: int):
     probe = strict_convexity_probe(phi)
     if not probe.strictly_convex:
         return _hnm("T5", "generator is not strictly convex", witness=list(probe.witness))
@@ -624,7 +624,7 @@ def _measure_midpoint(phi, p, space, recs):
 # T6: strict monotonicity
 
 
-def _suite_strict_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 500):
+def _suite_strict_monotonicity(phi, p, space, *, seed: int, budget: int):
     a = phi.zero_bound
     rng = _rng(seed)
     if a == 0.0:
@@ -720,7 +720,7 @@ def _unit_scaled(phi, p, space, pairs: list):
     return out
 
 
-def _suite_decomposition_estimate(phi, p, space, *, seed: int = 0, budget: int = 500):
+def _suite_decomposition_estimate(phi, p, space, *, seed: int, budget: int):
     ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T7", "planar norm is not strictly monotone", witness=wit)
@@ -808,7 +808,7 @@ def _lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
     return delta_hat, report
 
 
-def _suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60):
+def _suite_lower_local_um(phi, p, space, *, seed: int, budget: int):
     if phi.zero_bound != 0.0:
         return _hnm("T8", "needs a generator vanishing only at zero")
     ok, wit = strictly_monotone_probe(p)
@@ -834,7 +834,7 @@ def _suite_lower_local_um(phi, p, space, *, seed: int = 0, budget: int = 60):
 # T9: uniform monotonicity
 
 
-def _suite_uniform_monotonicity(phi, p, space, *, seed: int = 0, budget: int = 120):
+def _suite_uniform_monotonicity(phi, p, space, *, seed: int, budget: int):
     ok, wit = strictly_monotone_probe(p)
     if not ok:
         return _hnm("T9", "planar norm is not strictly monotone", witness=wit)
@@ -976,7 +976,7 @@ def _tail(levels, start: int) -> list[float]:
     return [v if j >= start else 0.0 for j, v in enumerate(levels)]
 
 
-def _suite_order_continuity(phi, p, space, *, seed: int = 0, budget: int = 0):
+def _suite_order_continuity(phi, p, space, *, seed: int, budget: int):
     regime = suitable_delta2_regime(space)
     continuous = delta2_check(phi, REGIME_INFINITY).holds
     sp, levels = _steep_tail_element(phi, TAIL_LEVELS)
@@ -1005,7 +1005,7 @@ def _measure_tails(phi, p, space, recs):
     return out
 
 
-def _suite_modular_norm_equivalence(phi, p, space, *, seed: int = 0, budget: int = 0):
+def _suite_modular_norm_equivalence(phi, p, space, *, seed: int, budget: int):
     a = phi.zero_bound
     violations = []
     if a > 0.0:
@@ -1115,20 +1115,9 @@ CHECKS: dict[str, Check] = {
 }
 
 
-# the public suites and constructions: each generator run alone through _drive
-suite_sandwich_ordering = _driven(_suite_sandwich_ordering)
-suite_norm_axioms = _driven(_suite_norm_axioms)
-suite_attainment = _driven(_suite_attainment)
-suite_unit_ball_bounds = _driven(_suite_unit_ball_bounds)
+# the public constructions: each generator run alone through _drive
 build_linf_witness = _driven(_build_linf_witness)
-suite_strict_convexity = _driven(_suite_strict_convexity)
-suite_strict_monotonicity = _driven(_suite_strict_monotonicity)
-suite_decomposition_estimate = _driven(_suite_decomposition_estimate)
 lower_local_um_estimate = _driven(_lower_local_um_estimate)
-suite_lower_local_um = _driven(_suite_lower_local_um)
-suite_uniform_monotonicity = _driven(_suite_uniform_monotonicity)
-suite_order_continuity = _driven(_suite_order_continuity)
-suite_modular_norm_equivalence = _driven(_suite_modular_norm_equivalence)
 
 
 _SUITES = {  # suite id -> generator function, in registry order
@@ -1154,13 +1143,32 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
     registry order."""
     unknown = [i for i in ids if i not in SUITE_IDS]
     if unknown:
-        raise DomainError(f"unknown suite ids {unknown}")
+        raise DomainError(f"unknown suite ids {unknown}; choose among {','.join(SUITE_IDS)}")
     if budget < 1:  # a suite that runs no trial passes vacuously
         raise DomainError(f"budget must be >= 1, got {budget}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return _drive([_SUITES[tid](phi, p, space, seed=seed, budget=budget)
                    for tid in SUITE_IDS if tid in ids])
+
+
+def _public(tid: str):
+    """run_suites([tid], ...)[0], under the suite generator's name and docstring."""
+    return functools.wraps(_SUITES[tid])(
+        lambda phi, p, space, **kwargs: run_suites([tid], phi, p, space, **kwargs)[0])
+
+
+suite_sandwich_ordering = _public("T1")
+suite_norm_axioms = _public("T2")
+suite_attainment = _public("L1")
+suite_unit_ball_bounds = _public("L2")
+suite_strict_convexity = _public("T5")
+suite_strict_monotonicity = _public("T6")
+suite_decomposition_estimate = _public("T7")
+suite_lower_local_um = _public("T8")
+suite_uniform_monotonicity = _public("T9")
+suite_order_continuity = _public("R2")
+suite_modular_norm_equivalence = _public("R3")
 
 
 def replay_violation(record: dict) -> bool:

@@ -236,6 +236,20 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_config_sets_every_value_flag(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"resolution": 0.05, "grid": [0.5], "p": "lq:2"}))
+    code, out, _ = run(capsys, "modulus", "--config", str(cfg))
+    assert (code, out) == run(capsys, "modulus", "--p", "lq:2", "--grid", "0.5",
+                              "--resolution", "0.05")[:2]
+    assert float(out.split("\n")[1].split(",")[1]) == pytest.approx(0.134486, abs=1e-6)
+    target = tmp_path / "table.csv"
+    cfg.write_text(json.dumps({"resolution": 0.05, "grid": [0.5], "p": "lq:2",
+                               "out": str(target)}))
+    assert run(capsys, "modulus", "--config", str(cfg))[:2] == (0, "")
+    assert target.read_text() == out
+
+
 def test_successive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
     # one parser per process; each call parses into a fresh namespace, so a
     # config value or flag of one call never reaches the next

@@ -30,11 +30,28 @@ def test_t1_passes_and_catches_bad_norm():
     rep = suite_sandwich_ordering(power(2), lq(2), SP6, budget=25)
     assert rep.status == STATUS_PASSED
     bad = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.8), (math.pi / 2, 1.0)])
-    rep_bad = suite_sandwich_ordering(power(2), bad, SP6, budget=0)
+    rep_bad = suite_sandwich_ordering(power(2), bad, SP6, budget=1)
     assert rep_bad.status == STATUS_FAILED
     sandwich = [v for v in rep_bad.violations if v["kind"] == "sandwich"]
     assert sandwich
     assert replay_violation(sandwich[0])
+
+
+@pytest.mark.parametrize("p, calls", [(linf(), 2), (l1(), 2), (lq(2), 3)],
+                         ids=["linf", "l1", "lq2"])
+def test_t1_norms_each_distinct_planar_norm_once(monkeypatch, p, calls):
+    # the ordering's ends are the max and sum norms: a p equal to one of
+    # them is one planar norm, normed in one batch
+    seen = []
+    real = verify.generated_norm_batch
+
+    def counted(phi, q, space, rows):
+        seen.append(repr(q.descriptor()))
+        return real(phi, q, space, rows)
+
+    monkeypatch.setattr(verify, "generated_norm_batch", counted)
+    assert suite_sandwich_ordering(power(2), p, SP6, budget=10).status == STATUS_PASSED
+    assert len(seen) == calls and len(set(seen)) == calls
 
 
 def test_t2_axioms_pass():
@@ -48,9 +65,9 @@ def test_l1_attainment_and_gate():
 
 
 def test_l2_bounds_and_gate():
-    rep = suite_unit_ball_bounds(flat_then_power(1, 2), lq(2))
+    rep = suite_unit_ball_bounds(flat_then_power(1, 2), lq(2), SP6)
     assert rep.status == STATUS_PASSED
-    assert suite_unit_ball_bounds(power(2), lq(2)).status == STATUS_HNM
+    assert suite_unit_ball_bounds(power(2), lq(2), SP6).status == STATUS_HNM
 
 
 def test_t3_witness_and_gates():
@@ -64,6 +81,20 @@ def test_t3_witness_and_gates():
         assert modular(exp_minus(), b, scale=1.01) >= 2.0
     _, gate = build_linf_witness(power(2), l1(), 4, "approximate", seed=2)
     assert gate.status == STATUS_HNM
+    # a steep tail: the first grid level already jumps past the threshold
+    rep = run_suites(["T3"], flat_then_power(2, 40), l1(), SP6, budget=20)[0]
+    assert rep.status == STATUS_PASSED and rep.details["levels"] == [2.02] * 4
+    assert rep.details["threshold_achieved"] == pytest.approx(8.39e9, rel=1e-3)
+    # no grid level jumps by 2: the best is 0.05 * Phi(1.01 v) / Phi(v) at the
+    # lowest level v = 2.02, 0.05 * (0.0402 / 0.02)^2 for the square above 2
+    # and 0.05 * 0.0402 / 0.02 for the line above 2
+    for phi, best in ((flat_then_power(2, 2), 0.202005),
+                      (piecewise_linear([(0, 0), (2, 0), (3, 5)]), 0.1005)):
+        gate = run_suites(["T3"], phi, l1(), SP6, budget=20)[0]
+        assert gate.status == STATUS_HNM
+        assert gate.details["reason"] == "double precision cannot hold the required modular jump"
+        assert gate.details["best_achievable"] == pytest.approx(best, rel=1e-9)
+        assert gate.details["level"] == 2.02
 
 
 def test_t4_witness_and_gate():
@@ -265,6 +296,11 @@ def test_run_suites_order_and_validation():
         run_suites(["T2"], power(2), l1(), SP6, budget=0)
     with pytest.raises(DomainError, match="seed"):
         run_suites(["T2"], power(2), l1(), SP6, seed=-3, budget=2)
+    # the public suites are run_suites on one id, with its checks
+    with pytest.raises(DomainError, match="budget"):
+        suite_norm_axioms(exp_minus(), lq(1.5), SP6, budget=0)
+    with pytest.raises(DomainError, match="seed"):
+        suite_strict_monotonicity(power(2), l1(), SP6, seed=-1)
     assert set(SUITE_IDS) == {"T1", "T2", "L1", "L2", "T3", "T4", "T5", "T6", "T7",
                               "T8", "T9", "R2", "R3"}
 
