@@ -7,9 +7,11 @@ JSON output of `orlnorm verify --all --json --budget 20` run in-process, and
 and each suite's id, status, trials and sorted violation kinds (the fields
 `tests/data/verify_statuses.json` pins at seed 0).  Then one line
 `modulus p sha256` per catalog planar norm, hashing `orlnorm modulus --json
---p p` at the default grid and resolution.  Two checkouts print identical
-lines exactly when these outputs are byte-identical, so a change is checked
-with one diff:
+--p p` at the default grid and resolution.  Last, the same three kinds of
+line for `power:2` under BOUNDARY, a convex, strictly monotone boundary
+ball, so the polygonal-gauge path is covered too.  Two checkouts print
+identical lines exactly when these outputs are byte-identical, so a change
+is checked with one diff:
 
     PYTHONPATH=src python3 scripts/verify_digests.py > after.txt
     diff before.txt after.txt
@@ -29,6 +31,7 @@ from orlnorm import catalog_orlicz_functions, catalog_planar_norms
 from orlnorm.cli import main as cli_main
 
 BUDGET = 20
+BOUNDARY = "boundary:0,1;0.5,1.02;1.1,1.05;1.5707963267948966,1"
 
 
 def run(argv: list[str], codes=(0,)) -> tuple[int, str]:
@@ -56,18 +59,28 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 7919])
     args = ap.parse_args()
-    for phi in catalog_orlicz_functions():
-        for p in catalog_planar_norms():
-            for seed in args.seeds:
-                argv = ["verify", "--all", "--json", "--phi", phi, "--p", p,
-                        "--seed", str(seed), "--budget", str(BUDGET)]
-                # exit 1: a suite found violations, still a payload
-                code, output = run(argv, (0, 1))
-                print(f"{phi} {p} {seed} {sha(output)}", flush=True)
-                print(f"shape {phi} {p} {seed} {sha(shape(code, output))}", flush=True)
-    for p in catalog_planar_norms():
-        print(f"modulus {p} {sha(run(['modulus', '--json', '--p', p])[1])}", flush=True)
+    pairs = [(phi, p) for phi in catalog_orlicz_functions() for p in catalog_planar_norms()]
+    digest_verify(pairs, args.seeds)
+    digest_modulus(catalog_planar_norms())
+    digest_verify([("power:2", BOUNDARY)], args.seeds)
+    digest_modulus([BOUNDARY])
     return 0
+
+
+def digest_verify(pairs, seeds) -> None:
+    for phi, p in pairs:
+        for seed in seeds:
+            argv = ["verify", "--all", "--json", "--phi", phi, "--p", p,
+                    "--seed", str(seed), "--budget", str(BUDGET)]
+            # exit 1: a suite found violations, still a payload
+            code, output = run(argv, (0, 1))
+            print(f"{phi} {p} {seed} {sha(output)}", flush=True)
+            print(f"shape {phi} {p} {seed} {sha(shape(code, output))}", flush=True)
+
+
+def digest_modulus(norms) -> None:
+    for p in norms:
+        print(f"modulus {p} {sha(run(['modulus', '--json', '--p', p])[1])}", flush=True)
 
 
 if __name__ == "__main__":

@@ -218,8 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise DomainError(f"--seed must be >= 0, got {seed}")
-    budget = args.budget if args.budget is not None else 120
-    reports = run_suites(ids, phi, p, space, seed=seed, budget=budget)
+    budget = {} if args.budget is None else {"budget": args.budget}  # run_suites' default
+    reports = run_suites(ids, phi, p, space, seed=seed, **budget)
     payload = {"schema": SCHEMA, "command": "verify", "seed": seed,
                "phi": phi.descriptor(), "p": p.descriptor(), "space": space.descriptor(),
                "reports": [rep.to_dict() for rep in reports]}

@@ -12,16 +12,16 @@ modular of Phi'(k|x|), nondecreasing in k.  The minimiser is the sign change
 of one function F of k (_first_order): log I under the max norm (the
 Luxemburg point I(k_L x) = 1), log J under the sum norm (the Amemiya/Orlicz
 equality J = 1; Hudzik and Maligranda, Indag. Math. 11, 2000), log J +
-(q - 1) log I under the q-mean, and a closed-form sign for a boundary ball.
-Steps that double in log k from k = 1/max|x| bracket it (luxemburg_root
-under the max norm), below the finite/+inf jump, taken in closed form from
-the zero bound of Phi, and below K_CAP k_L, so the search is homogeneous in
-x.  Where Phi' jumps, F jumps at k = b/|x_i|, b a kink of Phi: a binary
-search over those points narrows the bracket, and a jump of F across 0 at
-one of them is the exact minimiser; Brent's zeroin on log k settles a
-smooth piece.  A 6-atom call takes 4-7 evaluations.  The reported value is
-exactly the best g(k) evaluated: for a planar "norm" whose ball is not
-convex, an upper bound of the infimum.
+(q - 1) log I under the q-mean, and b J - a under a boundary ball, on its
+facet a u + b v = 1 that holds (1, I).  Steps that double in log k from
+k = 1/max|x| bracket it (luxemburg_root under the max norm), below the
+finite/+inf jump, taken in closed form from the zero bound of Phi, and
+below K_CAP k_L, so the search is homogeneous in x.  F jumps up at k =
+b/|x_i| for a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of a
+boundary ball, a Luxemburg-type root: binary searches over those points
+narrow the bracket, and a jump of F across 0 at one of them is the
+minimiser; Brent's zeroin on log k settles a smooth piece.  A 6-atom call
+takes 4-7 evaluations; the value reported is the best g(k) evaluated.
 
 Both engines sum I and J term by term and check once, after the sum, that
 nothing overflowed.  On a steep atom of tiny weight (the constructions of
@@ -30,16 +30,10 @@ minimiser even Phi(u), can overflow while w Phi(u) is of order 1; such a
 term is taken as exp(log w + its closed-form log) (OrliczFunction.mend_sums),
 so F stays finite below its root and the value is the true minimum.
 
-generated_norm_batch solves the same equation for every row of an (N, n)
-value array at once: the same bracket, then Illinois regula falsi in log k,
-each step one numpy pass over the rows still open, with a bisection only
-where the last three steps did not halve the bracket.  A row's result does
-not depend on the other rows.  Boundary balls, generators with kinks and
-rows with values on infinite atoms go through generated_norm.  The suites
-in verify norm their samples and their constructions on finite atoms this
-way (R3's scales to a modular level come from scale_to_modular_batch, the
-same regula falsi on log I); single calls, the constructions on infinite
-atoms and the few elements built one at a time use generated_norm.
+generated_norm_batch solves the same equation for the rows of an (N, n)
+value array in lockstep, each row independent of the others, and
+scale_to_modular_batch R3's scales to a modular level; verify norms its
+samples and its constructions on finite atoms with them.
 """
 from __future__ import annotations
 
@@ -129,20 +123,14 @@ def _first_order(p: PlanarNorm):
     """F(I, J) with the sign of p_2(1, I) J - p_1(1, I), the sign of g'(k+)."""
     if p.kind == "linf":
         return lambda i, j: math.log(i) if i > 0.0 else -math.inf
-    ang, rad = p.angles, p.radii
     q1 = p.q - 1.0 if p.kind == "lq" else 0.0  # the sum norm is the q = 1 mean
 
     def first_order(i: float, j: float) -> float:
         if not i + j < math.inf:
             return math.inf
-        if p.kind == "boundary":
-            # p = r / rho(theta), so at (1, I) p_1 and p_2 are rho + I rho' and
-            # I rho - rho' over r rho^2
-            theta = math.atan(i)
-            m = min(bisect_right(ang, theta), len(ang) - 1)
-            slope = (rad[m] - rad[m - 1]) / (ang[m] - ang[m - 1])
-            rho = p._radius(theta)
-            return (i * rho - slope) * j - (rho + i * slope)
+        if p.kind == "boundary":  # b J - a on the facet a u + b v = 1 holding (1, I+)
+            a, b = p.facets[bisect_right(p.corners, i)]
+            return b * j - a
         if j <= 0.0 or i <= 0.0 < q1:  # the sign of I^(q-1) J - 1
             return -math.inf
         return math.log(j) + q1 * math.log(i) if q1 else math.log(j)
@@ -242,6 +230,29 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at,
                 candidates = candidates[m + 1:]
             else:
                 candidates, f_hi = candidates[:m], first_order(i, j - drop)
+        # then over a boundary ball's corners c in the bracket, each solved as I(kx)/c
+        # = 1: F's limits there are the facets' b J - a, and an end moves onto it
+        if p.kind == "boundary":
+            corners, facets = p.corners, p.facets
+            lo_t, hi_t = bisect_right(corners, root.lo[2]), bisect_right(corners, root.hi[2])
+            while lo_t < hi_t:
+                t = (lo_t + hi_t) // 2
+                c, hi = corners[t], root.hi
+                s_lo, s_hi = math.log(root.lo[0]), math.log(hi[0])
+                seen = {s_lo: root.lo, s_hi: hi}  # (k, F, I, J) at each s sampled
+                ends = luxemburg_root(lambda s: (seen[s] if s in seen else seen.setdefault(
+                    s, (k_of(s), *sample(k_of(s)))))[2] / c, phi, modular_at.top_finite,
+                    s_lo, s_hi, log_tol)
+                # on the corner to the solve's width: its lower end, if not a flat zone's
+                k, _, i, j = seen.get(ends[0]) or seen[ends[1]]
+                (a0, b0), (a1, b1) = facets[t], facets[t + 1]
+                f_hi = f_hi if root.hi is hi else root.hi[1]  # a sample of the solve has F > 0
+                if b1 * j - a1 <= 0.0:  # F <= 0 past the corner
+                    lo_t, root.lo = t + 1, max(root.lo, (k, b1 * j - a1, i, j))
+                elif k <= root.hi[0]:
+                    hi_t, root.hi, f_hi = t, (k, b1 * j - a1, i, j), b0 * j - a0
+                lo_t = max(lo_t, bisect_right(corners, root.lo[2]))
+                hi_t = min(hi_t, bisect_right(corners, root.hi[2]))
         (k_lo, f_lo, _, _), k_hi = root.lo, root.hi[0]
         if f_lo < 0.0 < f_hi:
             _zeroin(lambda s: sample(k_of(s))[0], math.log(k_lo), f_lo, math.log(k_hi), f_hi,
@@ -317,10 +328,7 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     weights = np.asarray(space.weights)
     finite = np.isfinite(weights)
     nonzero = (x != 0.0).any(axis=1)
-    if p.kind == "boundary" or phi.kinks:
-        scalar = nonzero
-    else:
-        scalar = (x[:, ~finite] != 0.0).any(axis=1)
+    scalar = nonzero if p.kind == "boundary" or phi.kinks else (x[:, ~finite] != 0.0).any(axis=1)
     rows = np.flatnonzero(nonzero & ~scalar)
     steps = 0
     if rows.size:

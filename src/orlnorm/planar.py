@@ -3,11 +3,13 @@
 A lattice norm here depends only on the coordinate absolute values and is
 monotone in them.  Every constructible kind is normalised so that
 p((1,0)) = p((0,1)) = 1.  The catalog kinds (max, sum, q-mean) evaluate
-exactly; user-defined norms are given by boundary samples of the unit
-sphere in the positive quadrant and interpolate the radius piecewise
-linearly in the angle.  check_lattice_axioms and verify_sandwich are
-sampled: a "pass" means no violation was found at the given budget.  The
-strictness verdicts are exact per kind, from one end of each boundary piece.
+exactly.  A user-defined norm is the polygonal gauge through boundary
+samples of its unit sphere in the positive quadrant, p = max_i (a_i |u| +
+b_i |v|) with a_i u + b_i v = 1 on the i-th edge: monotone, hence a norm,
+iff every a_i, b_i >= 0 (Bauer, Stoer and Witzgall, Numer. Math. 3, 1961).
+check_lattice_axioms and verify_sandwich are sampled: a "pass" means no
+violation was found at the given budget.  The strictness verdicts are
+exact per kind, from the signs of a boundary ball's normals.
 
 The monotonicity modulus
 
@@ -28,8 +30,8 @@ and its maximum sits at one of the curve's two ends on the box edges.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -47,6 +49,24 @@ class PlanarNorm:
     q: float = math.nan
     angles: tuple[float, ...] = ()
     radii: tuple[float, ...] = ()
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """A boundary ball's sample points, (r, 0) first and (0, r) last."""
+        pts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(self.angles, self.radii)]
+        return ((self.radii[0], 0.0), *pts[1:-1], (0.0, self.radii[-1]))
+
+    @cached_property
+    def facets(self) -> tuple[tuple[float, float], ...]:
+        """(a, b) with a u + b v = 1 on each edge of a boundary ball, in angle
+        order; u0 v1 - u1 v0 > 0 on the edge from (u0, v0) to (u1, v1)."""
+        return tuple(((v1 - v0) / (u0 * v1 - u1 * v0), (u0 - u1) / (u0 * v1 - u1 * v0))
+                     for (u0, v0), (u1, v1) in zip(self.vertices, self.vertices[1:]))
+
+    @cached_property
+    def corners(self) -> tuple[float, ...]:
+        """Inner vertices' slopes v/u: (1, I) lies on facet bisect_right(corners, I)."""
+        return tuple(v / u for u, v in self.vertices[1:-1])
 
     def evaluate(self, point: tuple[float, float]) -> float:
         u, v = point
@@ -67,21 +87,7 @@ class PlanarNorm:
             if m == 0.0:
                 return 0.0
             return m * ((au / m) ** self.q + (av / m) ** self.q) ** (1.0 / self.q)
-        r = math.hypot(au, av)
-        if r == 0.0:
-            return 0.0
-        return r / self._radius(math.atan2(av, au))
-
-    def _radius(self, theta: float) -> float:
-        ang, rad = self.angles, self.radii
-        if theta <= ang[0]:
-            return rad[0]
-        if theta >= ang[-1]:
-            return rad[-1]
-        i = bisect_right(ang, theta)
-        a0, a1 = ang[i - 1], ang[i]
-        t = (theta - a0) / (a1 - a0)
-        return rad[i - 1] * (1.0 - t) + rad[i] * t
+        return max(a * au + b * av for a, b in self.facets)
 
     def evaluate_many(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorised evaluation (absolute values are taken internally)."""
@@ -99,12 +105,7 @@ class PlanarNorm:
                 out = safe * ((au / safe) ** self.q + (av / safe) ** self.q) ** (1.0 / self.q)
             out = np.where(np.isinf(m), np.inf, out)
             return np.where(m > 0.0, out, 0.0)
-        r = np.hypot(au, av)
-        theta = np.arctan2(av, au)
-        rad = np.interp(theta, self.angles, self.radii)
-        with np.errstate(invalid="ignore"):
-            out = r / rad
-        return np.where(r > 0.0, out, 0.0)
+        return reduce(np.maximum, (a * au + b * av for a, b in self.facets))
 
     @property
     def label(self) -> str:
@@ -138,31 +139,33 @@ def lq(q: float) -> PlanarNorm:
 
 
 def boundary_sampled(samples) -> PlanarNorm:
-    """Norm from (angle, radius) samples of the positive-quadrant unit sphere.
+    """The polygonal gauge through (angle, radius) samples of the
+    positive-quadrant unit sphere.
 
     Angles must increase from 0 to pi/2; the endpoint radii must equal 1
-    within 1e-12 so the unit vectors are normalised.  Convexity and
-    monotonicity of the induced ball are NOT enforced here: run
-    check_lattice_axioms to probe them.
+    within 1e-12 so the unit vectors are normalised.  The samples must be in
+    convex position, p <= 1 + PLANAR_TOL at every one.  Monotonicity is not
+    required: a ball that bulges past the max-norm square constructs, and
+    check_lattice_axioms and strictly_monotone_probe report it.
     """
     pts = sorted((float(a), float(r)) for a, r in samples)
     if len(pts) < 2:
         raise DomainError("boundary norm needs at least two samples")
-    angles = tuple(a for a, _ in pts)
-    radii = tuple(r for _, r in pts)
+    angles, radii = zip(*pts)
     for a, r in pts:
         if not (math.isfinite(a) and math.isfinite(r)) or r <= 0.0:
             raise DomainError(f"bad boundary sample ({a!r}, {r!r})")
-        if a < -PLANAR_TOL or a > _HALF_PI + PLANAR_TOL:
-            raise DomainError(f"boundary angle {a!r} outside [0, pi/2]")
     if any(b - a <= 0.0 for a, b in zip(angles, angles[1:])):
         raise DomainError("boundary angles must be strictly increasing")
     if abs(angles[0]) > PLANAR_TOL or abs(angles[-1] - _HALF_PI) > PLANAR_TOL:
-        raise DomainError("boundary samples must cover angles 0 and pi/2")
+        raise DomainError("boundary angles must run from 0 to pi/2")
     if abs(1.0 / radii[0] - 1.0) > PLANAR_TOL or abs(1.0 / radii[-1] - 1.0) > PLANAR_TOL:
         raise DomainError("boundary norm must satisfy p((1,0)) = p((0,1)) = 1")
-    angles = (0.0,) + angles[1:-1] + (_HALF_PI,)
-    return PlanarNorm("boundary", angles=angles, radii=radii)
+    p = PlanarNorm("boundary", angles=(0.0, *angles[1:-1], _HALF_PI), radii=radii)
+    for (a, r), vertex in zip(pts, p.vertices):
+        if p._eval_abs(*vertex) > 1.0 + PLANAR_TOL:
+            raise DomainError(f"boundary samples are not in convex position at ({a!r}, {r!r})")
+    return p
 
 
 def planar_from_descriptor(d: dict) -> PlanarNorm:
@@ -309,8 +312,8 @@ def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
                first: np.ndarray) -> np.ndarray:
     """The least c in [0, cap] with p((fixed, c)) >= eps where ``first``,
     else p((c, fixed)) >= eps (cap if none), elementwise with eps
-    broadcasting; closed form for the symmetric kinds, the q-mean's scaled
-    by eps (eps**q underflows)."""
+    broadcasting; closed form per kind, the q-mean's scaled by eps (eps**q
+    underflows); on a boundary ball, where the first of its facets does."""
     if p.kind == "linf":
         return np.where(fixed >= eps, 0.0, np.minimum(eps, cap))
     if p.kind == "l1":
@@ -319,13 +322,19 @@ def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
         with np.errstate(divide="ignore"):
             gap = -np.expm1(p.q * np.log(np.minimum(fixed / eps, 1.0)))
         return np.minimum(eps * gap ** (1.0 / p.q), cap)
-    return _level_end_bisected(p, fixed, eps, cap, first)
+    c = cap
+    for a, b in p.facets:  # the least c >= 0 at which the facet reaches eps
+        lead, rate = np.where(first, a, b) * fixed, np.where(first, b, a)
+        with np.errstate(divide="ignore"):
+            reach = np.where(rate > 0.0, (eps - lead) / rate, np.inf)
+        c = np.minimum(c, np.where(lead >= eps, 0.0, reach))
+    return c
 
 
 def _level_end_bisected(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
                         first: np.ndarray) -> np.ndarray:
-    """_level_end by 60 vectorised bisection steps: a boundary sphere, r linear
-    in the angle, meets a line u = const at a transcendental equation's root."""
+    """_level_end by 60 vectorised bisection steps on p itself, for p
+    nondecreasing in c: the tests' reference for the closed forms."""
     lo, hi = np.zeros(np.broadcast_shapes(np.shape(fixed), np.shape(eps))), cap
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -461,55 +470,25 @@ def build_modulus_table(p: PlanarNorm, epsilons=None, resolution: float = 1e-3) 
 # Strictness verdicts
 
 
-def _sphere_point(p: PlanarNorm, theta: float) -> tuple[float, float]:
-    r = p._radius(theta)
-    return r * math.cos(theta), r * math.sin(theta)
-
-
-def _failing_end(p: PlanarNorm, ray: bool) -> tuple[float, float] | None:
-    """(theta, signed width of the piece) at the first piece end where the
-    sphere curve rho(theta)(cos theta, sin theta) has x rising or (unless
-    ``ray``) y falling; None when there is none.  With rho's slope m on a
-    piece, x' = m cos - rho sin and y' = m sin + rho cos.  For m >= 0, y' > 0
-    and rho tan rises, so x' <= 0 iff at the left end; for m < 0, x' < 0 and
-    rho cot falls, so y' >= 0 iff at the right end."""
-    ang, rad = p.angles, p.radii
-    for t0, t1, r0, r1 in zip(ang, ang[1:], rad, rad[1:]):
-        m = (r1 - r0) / (t1 - t0)
-        if m >= 0.0:
-            if m * math.cos(t0) > r0 * math.sin(t0):
-                return t0, t1 - t0
-        elif not ray and -m * math.sin(t1) > r1 * math.cos(t1):
-            return t1, t0 - t1
-    return None
-
-
 def is_strictly_increasing_on_ray(p: PlanarNorm) -> bool:
     """True iff u -> p((1, u)) strictly increases on [0, inf), exactly per
-    kind.  1/p((1, tan theta)) is the sphere's x at angle theta, and on a
-    boundary piece with x' <= 0, x' vanishes at most once."""
-    if p.kind == "boundary":
-        return _failing_end(p, ray=True) is None
-    return p.kind != "linf"
+    kind.  On a boundary ball p((1, u)) is convex in u and starts on the
+    first facet, so it strictly increases iff that facet's b > 0."""
+    return p.facets[0][1] > 0.0 if p.kind == "boundary" else p.kind != "linf"
 
 
 def strictly_monotone_probe(p: PlanarNorm):
     """Strict monotonicity on the positive quadrant, exactly per kind: the
-    sum and q-mean norms are, the max norm is not.  A boundary ball is
-    monotone iff its sphere curve has x nonincreasing and y nondecreasing,
-    and then strictly monotone, as a piece linear in angle holds no segment.
-    Returns (True, None) or (False, witness), the witness a dominated pair
-    on the unit sphere: a failing piece end and a point into the piece."""
+    sum and q-mean norms are, the max norm is not, a boundary ball is iff
+    every facet has a, b > 0.  Returns (True, None) or (False, witness), the
+    witness a dominated pair on the unit sphere: the failing edge's ends
+    (b <= 0 iff u does not fall along the edge, a <= 0 iff v does not rise)."""
     if p.kind == "linf":
         return False, {"low": [1.0, 0.2], "high": [1.0, 1.0], "low_value": 1.0, "high_value": 1.0}
-    end = _failing_end(p, ray=False) if p.kind == "boundary" else None
-    if end is None:
-        return True, None
-    theta, h = end
-    low = _sphere_point(p, theta)
-    high = _sphere_point(p, theta + h)
-    while high[0] < low[0] or high[1] < low[1]:  # ends: the failing derivative is strict
-        h *= 0.5
-        high = _sphere_point(p, theta + h)
-    return False, {"low": list(low), "high": list(high),
-                   "low_value": p.evaluate(low), "high_value": p.evaluate(high)}
+    if p.kind == "boundary":
+        for (a, b), start, end in zip(p.facets, p.vertices, p.vertices[1:]):
+            if a <= 0.0 or b <= 0.0:
+                low, high = (start, end) if b <= 0.0 else (end, start)
+                return False, {"low": list(low), "high": list(high),
+                               "low_value": p.evaluate(low), "high_value": p.evaluate(high)}
+    return True, None

@@ -47,6 +47,7 @@ built when the first of them gets past its gates.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from collections import deque, namedtuple
 from collections.abc import Callable, Generator
@@ -165,9 +166,17 @@ def _drive(gens: list) -> list:
     return out
 
 
+def _named(fn, gen_fn, signature: inspect.Signature):
+    """fn under gen_fn's public name (no leading underscore), docstring and ``signature``."""
+    fn.__name__ = fn.__qualname__ = gen_fn.__name__.lstrip("_")
+    fn.__doc__, fn.__signature__ = gen_fn.__doc__, signature
+    return fn
+
+
 def _driven(gen_fn):
-    """gen_fn run alone through _drive, under its name and docstring."""
-    return functools.wraps(gen_fn)(lambda *args, **kwargs: _drive([gen_fn(*args, **kwargs)])[0])
+    """gen_fn run alone through _drive, under its public name, docstring and signature."""
+    return _named(lambda *args, **kwargs: _drive([gen_fn(*args, **kwargs)])[0], gen_fn,
+                  inspect.signature(gen_fn))
 
 
 def _now(value):
@@ -1153,9 +1162,11 @@ def run_suites(ids, phi, p, space, *, seed: int = 0, budget: int = 200) -> list[
 
 
 def _public(tid: str):
-    """run_suites([tid], ...)[0], under the suite generator's name and docstring."""
-    return functools.wraps(_SUITES[tid])(
-        lambda phi, p, space, **kwargs: run_suites([tid], phi, p, space, **kwargs)[0])
+    """run_suites([tid], ...)[0] under its generator's public name, with run_suites' parameters."""
+    sig = inspect.signature(run_suites)
+    return _named(lambda phi, p, space, **kwargs: run_suites([tid], phi, p, space, **kwargs)[0],
+                  _SUITES[tid], sig.replace(parameters=list(sig.parameters.values())[1:],
+                                            return_annotation="TheoremReport"))
 
 
 suite_sandwich_ordering = _public("T1")

@@ -74,6 +74,24 @@ def test_negative_seed_names_its_flag(tmp_path, capsys):
     assert code == 2 and out == "" and "--seed" in err and "-3" in err
 
 
+def test_verify_takes_the_run_suites_budget(capsys):
+    # without --budget, verify runs run_suites' default
+    code, out, _ = run(capsys, "verify", "T2", "--json")
+    rep, = json.loads(out)["reports"]
+    want = orlnorm.suite_norm_axioms(orlnorm.power(2), orlnorm.l1(), orlnorm.unit_weights(6))
+    assert code == 0 and rep == want.to_dict() and rep["trials"] == 200
+
+
+def test_boundary_samples_out_of_convex_position_exit_2(capsys):
+    dent = "boundary:0,1;1.35,1;1.45,1.6;1.5707963267948966,1"
+    code, out, err = run(capsys, "modulus", "--p", dent)
+    assert code == 2 and out == "" and "convex position" in err
+    # a ball that bulges past the max-norm square is convex, not monotone: it runs
+    code, out, _ = run(capsys, "norm", "--values", "3,4", "--p",
+                       "boundary:0,1;0.7853981633974483,1.8;1.5707963267948966,1")
+    assert code == 0 and json.loads(out)["value"] > 0.0
+
+
 def test_norm_outside_space_exits_2(capsys):
     code, out, err = run(capsys, "norm", "--phi", "power:2", "--values", "1",
                          "--space", '{"atoms":[{"w":"inf"}]}')

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orlnorm import (DomainError, boundary_sampled, build_modulus_table,
@@ -13,7 +13,7 @@ from orlnorm import (DomainError, boundary_sampled, build_modulus_table,
                      modulus_diagnostics, planar_from_descriptor, strictly_monotone_probe,
                      verify_sandwich)
 from orlnorm import planar
-from orlnorm.planar import _level_end, _modulus_pass
+from orlnorm.planar import PLANAR_TOL, _level_end, _modulus_pass
 
 HALF_PI = math.pi / 2.0
 
@@ -61,6 +61,35 @@ def test_boundary_constructor_validation():
         boundary_sampled([(0.1, 1.0), (HALF_PI, 1.0)])  # missing angle 0
     ok = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.3), (HALF_PI, 1.0)])
     assert ok((1.0, 0.0)) == ok((0.0, 1.0)) == 1.0
+
+
+# boundary balls through the vertices of the sum and max norms' spheres
+L1_POLYGON = boundary_sampled([(0.0, 1.0), (HALF_PI, 1.0)])
+LINF_POLYGON = boundary_sampled([(0.0, 1.0), (math.pi / 4, math.sqrt(2.0)), (HALF_PI, 1.0)])
+
+
+def test_polygons_through_catalog_vertices_are_the_catalog_norms():
+    rng = np.random.default_rng(31)
+    u, v = rng.uniform(-3.0, 3.0, 10_000), rng.uniform(-3.0, 3.0, 10_000)
+    for ball, p in ((L1_POLYGON, l1()), (LINF_POLYGON, linf())):
+        assert np.max(np.abs(ball.evaluate_many(u, v) - p.evaluate_many(u, v))) <= PLANAR_TOL
+        for point in zip(u[:500].tolist(), v[:500].tolist()):
+            assert abs(ball(point) - p(point)) <= PLANAR_TOL, point
+
+
+@given(st.lists(st.floats(0.01, HALF_PI - 0.01), max_size=6, unique=True),
+       st.floats(1.0, 8.0), st.floats(1e-3, 1e3))
+def test_polygon_is_one_at_its_samples_and_homogeneous(angles, q, t):
+    # samples of a q-mean sphere, q >= 1, are in convex position
+    angles = np.sort(angles)
+    assume(np.all(np.diff(angles) > 1e-3))
+    radii = (np.cos(angles) ** q + np.sin(angles) ** q) ** (-1.0 / q)
+    samples = [(0.0, 1.0), *zip(angles.tolist(), radii.tolist()), (HALF_PI, 1.0)]
+    p = boundary_sampled(samples)
+    for a, r in samples:
+        u, v = r * math.cos(a), r * math.sin(a)
+        assert abs(p((u, v)) - 1.0) <= PLANAR_TOL, (a, r)
+        assert p((-t * u, t * v)) == pytest.approx(t, rel=1e-12, abs=0.0), (a, r)
 
 
 def test_sandwich_exact_for_envelopes(planar_catalog):
@@ -186,6 +215,10 @@ def test_modulus_table_monotone_and_floor():
 
 TABLE_EPS = np.arange(0.025, 0.9751, 0.025)
 BOUNDARY_BALL = boundary_sampled([(0.0, 1.0), (0.4, 1.1), (1.1, 1.15), (HALF_PI, 1.0)])
+MONOTONE_BALL = boundary_sampled([(0.0, 1.0), (0.5, 1.02), (1.1, 1.05), (HALF_PI, 1.0)])
+BULGE = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.8), (HALF_PI, 1.0)])
+SLANTED = boundary_sampled([(0.0, 1.0), (math.atan2(0.3, 1.002), math.hypot(1.002, 0.3)),
+                            (HALF_PI, 1.0)])
 
 
 def _level_end_cases(p):
@@ -196,9 +229,11 @@ def _level_end_cases(p):
             yield fixed, eps, cap, np.full(fixed.shape, first)
 
 
-@pytest.mark.parametrize("p", [linf(), l1(), *(lq(q) for q in (1, 1.2, 1.5, 2, 3, 6, 50, 400))],
+@pytest.mark.parametrize("p", [linf(), l1(), *(lq(q) for q in (1, 1.2, 1.5, 2, 3, 6, 50, 400)),
+                               MONOTONE_BALL],
                          ids=lambda p: p.label)
 def test_level_end_matches_bisection_oracle(p):
+    # the bisection presumes p((fixed, c)) nondecreasing in c, so a monotone ball
     for fixed, eps, cap, first in _level_end_cases(p):
         got = _level_end(p, fixed, eps, cap, first)
         want = planar._level_end_bisected(p, fixed, eps, cap, first)
@@ -232,9 +267,10 @@ def test_level_end_lq400_does_not_underflow():
 
 
 def test_modulus_table_matches_bisection_pass(planar_catalog, monkeypatch):
-    fast = {name: build_modulus_table(p) for name, p in planar_catalog.items()}
+    norms = {**planar_catalog, "boundary": BOUNDARY_BALL}
+    fast = {name: build_modulus_table(p) for name, p in norms.items()}
     monkeypatch.setattr(planar, "_level_end", planar._level_end_bisected)
-    for name, p in planar_catalog.items():
+    for name, p in norms.items():
         slow = build_modulus_table(p)
         assert np.max(np.abs(np.subtract(fast[name].deltas, slow.deltas))) <= 1e-14, name
         assert np.max(np.abs(np.subtract(fast[name].bounds, slow.bounds))) <= 1e-13, name
@@ -278,11 +314,14 @@ def test_strictly_increasing_on_ray():
     assert is_strictly_increasing_on_ray(l1())
     assert not is_strictly_increasing_on_ray(linf())
     assert is_strictly_increasing_on_ray(lq(2))
-    # x' <= 0 up to u = 4 but p((1, u)) falls from u ~ 4.455: a grid on
-    # u in [0, 4] called this ball ray-strict
-    p = boundary_sampled([(0.0, 1.0), (1.35, 1.0), (1.45, 1.6), (HALF_PI, 1.0)])
-    assert not is_strictly_increasing_on_ray(p)
-    assert p((1.0, 5.0)) < p((1.0, 4.5))
+    assert is_strictly_increasing_on_ray(MONOTONE_BALL)
+    # the sample at 1.45 rad pokes out past the chord of its neighbours
+    with pytest.raises(DomainError, match="convex position"):
+        boundary_sampled([(0.0, 1.0), (1.35, 1.0), (1.45, 1.6), (HALF_PI, 1.0)])
+    # the first edge leaves (1, 0) with u rising, b < 0: p((1, u)) first falls
+    assert BULGE.facets[0][1] < 0.0
+    assert not is_strictly_increasing_on_ray(BULGE)
+    assert BULGE((1.0, 0.5)) < BULGE((1.0, 0.0))
 
 
 def test_strictly_monotone_probe():
@@ -290,15 +329,24 @@ def test_strictly_monotone_probe():
     assert not ok
     assert witness == {"low": [1.0, 0.2], "high": [1.0, 1.0], "low_value": 1.0,
                        "high_value": 1.0}
-    for p in (l1(), lq(1.5), lq(2), lq(3)):
+    for p in (l1(), lq(1.5), lq(2), lq(3), MONOTONE_BALL):
         ok, witness = strictly_monotone_probe(p)
         assert ok, witness
-    # the sphere leaves (1, 0) outward: p((1.0037, 0)) > p((1.0037, 0.0502)),
-    # which a scan of random dominated pairs missed
-    p = boundary_sampled([(0.0, 1.0), (0.5307897118093668, 1.0524571004753451), (HALF_PI, 1.0)])
-    assert p((1.0037, 0.0)) > p((1.0037, 0.0502))
+    # the first edge runs from (1, 0) out to (1.002, 0.3), so b < 0 on it:
+    # p((1.001, 0)) > p((1.001, 0.05)); the witness is that edge, upward
+    assert SLANTED.facets[0][1] < 0.0
+    assert SLANTED((1.001, 0.0)) > SLANTED((1.001, 0.05))
+    ok, witness = strictly_monotone_probe(SLANTED)
+    assert not ok
+    assert witness["low"] == [1.0, 0.0] and witness["high"] == list(SLANTED.vertices[1])
+    _assert_dominated_sphere_pair(SLANTED, witness)
+    # the last edge runs up to (0, 1) from (0.314, 1.012), so a < 0 on it;
+    # the witness is that edge, downward
+    p = boundary_sampled([(0.0, 1.0), (1.27, 1.06), (HALF_PI, 1.0)])
+    assert p.facets[-1][0] < 0.0 < p.facets[0][1]
     ok, witness = strictly_monotone_probe(p)
     assert not ok
+    assert witness["low"] == [0.0, 1.0] and witness["high"] == list(p.vertices[1])
     _assert_dominated_sphere_pair(p, witness)
 
 
@@ -312,27 +360,38 @@ def _assert_dominated_sphere_pair(p, witness):
 
 def _random_ball(rng):
     """A boundary ball: a q-mean sphere sampled at 1-5 angles, its radii
-    scaled by noise of a random size (none, small, large)."""
-    n = int(rng.integers(1, 6))
-    angles = np.sort(rng.uniform(0.0, HALF_PI, n))
-    q = rng.uniform(1.0, 4.0)
-    radii = (np.cos(angles) ** q + np.sin(angles) ** q) ** (-1.0 / q)
-    radii = radii * (1.0 + rng.choice([0.0, 0.01, 0.1]) * rng.standard_normal(n))
-    return boundary_sampled([(0.0, 1.0), *zip(angles, radii), (HALF_PI, 1.0)])
+    scaled by noise of a random size (none, small, large); a draw whose
+    samples are not in convex position is drawn again."""
+    while True:
+        n = int(rng.integers(1, 6))
+        angles = np.sort(rng.uniform(0.0, HALF_PI, n))
+        q = rng.uniform(1.0, 4.0)
+        radii = (np.cos(angles) ** q + np.sin(angles) ** q) ** (-1.0 / q)
+        radii = radii * (1.0 + rng.choice([0.0, 0.01, 0.1]) * rng.standard_normal(n))
+        try:
+            return boundary_sampled([(0.0, 1.0), *zip(angles, radii), (HALF_PI, 1.0)])
+        except DomainError:
+            pass
+
+
+def _sphere_points(p, per_edge=200):
+    """Dense points on a boundary ball's sphere, the polygon's edges in angle
+    order, as an (m, 2) array."""
+    verts = np.array(p.vertices)
+    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
+    return np.concatenate([a + t * (b - a) for a, b in zip(verts, verts[1:])] + [verts[-1:]])
 
 
 def test_strictness_verdicts_match_dense_sphere_oracle():
-    # oracle: the sphere curve on 20,001 angles; monotone iff x never rises
-    # and y never falls, ray-strict iff x strictly falls
+    # oracle: dense points on the polygon; strictly monotone iff x strictly
+    # falls and y strictly rises along it, ray-strict iff x strictly falls
     rng = np.random.default_rng(2024)
-    thetas = np.linspace(0.0, HALF_PI, 20_001)
     counts = {True: 0, False: 0}
     for _ in range(400):
         p = _random_ball(rng)
-        rho = np.interp(thetas, p.angles, p.radii)
-        dx, dy = np.diff(rho * np.cos(thetas)), np.diff(rho * np.sin(thetas))
+        dx, dy = np.diff(_sphere_points(p), axis=0).T
         ok, witness = strictly_monotone_probe(p)
-        assert ok == bool(np.all(dx <= 0.0) and np.all(dy >= 0.0)), p.descriptor()
+        assert ok == bool(np.all(dx < 0.0) and np.all(dy > 0.0)), p.descriptor()
         assert is_strictly_increasing_on_ray(p) == bool(np.all(dx < 0.0)), p.descriptor()
         counts[ok] += 1
         if not ok:

@@ -97,6 +97,27 @@ def test_t3_witness_and_gates():
         assert gate.details["level"] == 2.02
 
 
+def test_t3_gates_a_flat_zone_that_leaves_no_level_range():
+    # Phi vanishes up to 1e12, so the levels would have to start above the
+    # largest v with a finite Phi((1 + eta) v) under power 40
+    w, gate = build_linf_witness(flat_then_power(1e12, 40), l1(), 4, "approximate")
+    assert w is None and gate.status == STATUS_HNM
+    assert gate.details["reason"] == "no representable level range for the construction"
+
+
+def test_public_entry_points_show_their_names_and_defaults():
+    # the public suites take run_suites' defaults; the constructions keep their own
+    sig = inspect.signature(suite_norm_axioms)
+    assert suite_norm_axioms.__name__ == "suite_norm_axioms"
+    assert list(sig.parameters) == ["phi", "p", "space", "seed", "budget"]
+    defaults = inspect.signature(run_suites).parameters
+    for name in ("seed", "budget"):
+        assert sig.parameters[name].default == defaults[name].default != inspect.Parameter.empty
+    assert build_linf_witness.__name__ == "build_linf_witness"
+    assert inspect.signature(build_linf_witness).parameters["seed"].default == 0
+    assert suite_norm_axioms(power(2), l1(), SP6, seed=3).trials == 200
+
+
 def test_t4_witness_and_gate():
     w, rep = build_linf_witness(flat_then_power(1, 2), lq(2), 4, "exact", z_samples=30, seed=2)
     assert rep.status == STATUS_PASSED
@@ -171,10 +192,11 @@ def test_t7_estimate_and_gate():
 
 
 def test_strictness_gates_reject_a_ball_that_is_not_monotone():
-    # p((1.0037, 0)) > p((1.0037, 0.0502)): outside the hypothesis of T7-T9,
-    # though a scan of random dominated pairs passed it
-    p = boundary_sampled([(0.0, 1.0), (0.5307897118093668, 1.0524571004753451),
+    # the first edge runs from (1, 0) out to (1.002, 0.3), so p((1.001, 0)) >
+    # p((1.001, 0.05)): outside the hypothesis of T7-T9
+    p = boundary_sampled([(0.0, 1.0), (math.atan2(0.3, 1.002), math.hypot(1.002, 0.3)),
                           (math.pi / 2, 1.0)])
+    assert p((1.001, 0.0)) > p((1.001, 0.05))
     for suite in (suite_decomposition_estimate, suite_lower_local_um,
                   suite_uniform_monotonicity):
         rep = suite(power(2), p, SP6, budget=10)
