@@ -8,20 +8,22 @@ f(t) = p((1, I(t x))) is convex and nondecreasing, so g is convex in 1/k
     k^2 g'(k) = p_2(1, I) J(k) - p_1(1, I),  J(k) = sum w (u Phi'(u) - Phi(u)),
 
 u = k|x|, Phi' the right derivative; by Young's equality J is the conjugate
-modular of Phi'(k|x|), nondecreasing in k.  The minimiser is the sign change
-of one function F of k (_first_order): log I under the max norm (the
-Luxemburg point I(k_L x) = 1), log J under the sum norm (the Amemiya/Orlicz
-equality J = 1; Hudzik and Maligranda, Indag. Math. 11, 2000), log J +
-(q - 1) log I under the q-mean, and b J - a under a boundary ball, on its
-facet a u + b v = 1 that holds (1, I).  Steps that double in log k from
-k = 1/max|x| bracket it (luxemburg_root under the max norm), below the
-finite/+inf jump, taken in closed form from the zero bound of Phi, and
-below K_CAP k_L, so the search is homogeneous in x.  F jumps up at k =
-b/|x_i| for a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of a
-boundary ball, a Luxemburg-type root: binary searches over those points
-narrow the bracket, and a jump of F across 0 at one of them is the
-minimiser; Brent's zeroin on log k settles a smooth piece.  A 6-atom call
-takes 4-7 evaluations; the value reported is the best g(k) evaluated.
+modular of Phi'(k|x|), nondecreasing in k, and d I / d log k = I + J.  The
+minimiser is the sign change of one function F of k (_first_order), in log
+form: log I under the max norm (the Luxemburg point I(k_L x) = 1), log J
+under the sum norm (the Amemiya/Orlicz equality J = 1; Hudzik and
+Maligranda, Indag. Math. 11, 2000), log J + (q - 1) log I under the q-mean,
+and log(b J / a) under a boundary ball, on its facet a u + b v = 1 that
+holds (1, I).  One loop in s = log k (_first_order_root) solves it from k
+= 1/max|x|, below the finite/+inf jump, taken in closed form from the zero
+bound of Phi, and below K_CAP k_L, so the search is homogeneous in x: Newton
+steps with the slope q'(1 + J/I) of log I (exact for a power generator,
+which takes 3 evaluations), scaled by the secant of the two latest samples,
+each landing 0.45 tol past the predicted root.  F jumps up at k = b/|x_i| for
+a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of a boundary ball:
+a binary search over the kinks and Newton steps on log I toward the corners
+narrow the bracket first, and a jump of F across 0 at one of them is the
+minimiser.  The value reported is the best g(k) evaluated.
 
 Both engines sum I and J term by term and check once, after the sum, that
 nothing overflowed.  On a steep atom of tiny weight (the constructions of
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +61,7 @@ LEMMA_TOL = 1e-9  # slack of lemma_bounds_check's two inequalities
 _EPS = 2.0 ** -52
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(1e-300)
+_HALF_TOL = 0.45  # a step lands this many tol past the predicted root: two close a bracket
 
 
 @dataclass(frozen=True)
@@ -109,162 +113,247 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     if modular_at.top == 0.0:
         return NormResult(0.0, None, False, None, 0)
     root = _first_order_root(phi, p, modular_at, log_tol)
-    if root is None or math.isinf(root.best_v):
-        return NormResult(math.inf, None, False, None, 0 if root is None else root.evaluations)
+    if root is None:
+        return NormResult(math.inf, None, False, None, 0)
+    value, k, lo, hi, attained, evaluations = root
+    if value == math.inf:
+        return NormResult(math.inf, None, False, None, evaluations)
     # near the minimiser g is flat to rounding, and the best sample may lie
     # outside the tightest bracket; every sample below lo has F <= 0
-    k = root.best_k
-    return NormResult(value=root.best_v, k_star=k, attained=root.attained,
-                      bracket=(min(root.lo[0], k), max(root.hi[0], k)),
-                      evaluations=root.evaluations)
+    return NormResult(value, k, attained, (lo[1] if lo[1] < k else k, hi[1] if hi[1] > k else k),
+                      evaluations)
 
 
 def _first_order(p: PlanarNorm):
-    """F(I, J) with the sign of p_2(1, I) J - p_1(1, I), the sign of g'(k+)."""
-    if p.kind == "linf":
-        return lambda i, j: math.log(i) if i > 0.0 else -math.inf
-    q1 = p.q - 1.0 if p.kind == "lq" else 0.0  # the sum norm is the q = 1 mean
+    """F(I, J), with the sign of p_2(1, I) J - p_1(1, I), the sign of g'(k+),
+    in log form: log I under the max norm, log J + (q - 1) log I under the
+    q-mean (q = 1: the sum norm), log(b J / a) on the facet a u + b v = 1 of
+    a boundary ball that holds (1, I+); +-inf where the sign is fixed (I or
+    J is 0, a facet's a or b is not positive, or I + J overflows)."""
+    if p.kind != "boundary":
+        return _mean_first_order(p.kind == "linf", p.q - 1.0 if p.kind == "lq" else 0.0)
+    log, inf, corners, facets = math.log, math.inf, p.corners, p.facets
+
+    def on_facet(i: float, j: float) -> float:
+        if not i + j < inf:
+            return inf
+        a, b = facets[bisect_right(corners, i)]
+        bj = b * j
+        if a > 0.0 < bj:
+            return log(bj) - log(a)
+        return 0.0 if bj == a else math.copysign(inf, bj - a)
+    return on_facet
+
+
+@lru_cache(maxsize=32)
+def _mean_first_order(max_norm: bool, q1: float):
+    """F for the max norm, or for the q-mean with q1 = q - 1 (0: the sum norm)."""
+    log, inf = math.log, math.inf
+    if max_norm:
+        return lambda i, j: log(i) if 0.0 < i < inf else (inf if i else -inf)
 
     def first_order(i: float, j: float) -> float:
-        if not i + j < math.inf:
-            return math.inf
-        if p.kind == "boundary":  # b J - a on the facet a u + b v = 1 holding (1, I+)
-            a, b = p.facets[bisect_right(p.corners, i)]
-            return b * j - a
+        if not i + j < inf:
+            return inf
         if j <= 0.0 or i <= 0.0 < q1:  # the sign of I^(q-1) J - 1
-            return -math.inf
-        return math.log(j) + q1 * math.log(i) if q1 else math.log(j)
+            return -inf
+        return log(j) + q1 * log(i) if q1 else log(j)
     return first_order
 
 
-@dataclass
-class _Root:
-    """The search's record: the best g sampled and its k, and the bracket
-    ends (k, F, I, J), F <= 0 at lo and F > 0 at hi."""
-    best_v: float = math.inf
-    best_k: float | None = None
-    lo: tuple[float, float, float, float] | None = None
-    hi: tuple[float, float, float, float] | None = None
-    attained: bool = True
-    evaluations: int = 0
+def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: float):
+    """Find the minimiser of g as the sign change of F in s = log k, from k =
+    1 / max|x|, recording g at every sample: (best g, its k, lo, hi,
+    attained, evaluations), lo and hi the bracket ends (s, k, F, I, J), F <=
+    0 at lo and F > 0 at hi; None when I(kx) = +inf for all k > 0.
 
-
-def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at,
-                      log_tol: float) -> _Root | None:
-    """Find the minimiser of g as the sign change of F in k, recording g at
-    every sample; None when I(kx) = +inf for all k > 0."""
-    s_start, s_top = log_k_span(modular_at.top)
+    One loop finds the root of G = F, or, while it solves for the K_CAP
+    k_L cap, of G = log I (the Luxemburg point; given up once F > 0 at a
+    sample below K_CAP kl, where the cap cannot bind), from the latest and
+    the previous sample and the bracket ends a (G <= 0) and b (G > 0),
+    samples (s, k, G, I, J) or None (then the floor or end of the span
+    bounds the bracket).  Every sample also records g, F's ends lo and hi,
+    and kl, a lower bound of k_L (I(kx)/k is nondecreasing, so k_L >= k /
+    max(1, I(kx))).  Each step is
+    Newton's from the latest sample, with slope q'(1 + J/I) (q' = q under
+    the q-mean, else 1), the exact slope of log I, so exact for a power
+    generator; once the two latest samples are finite, the slope is scaled
+    by their secant's ratio to the model.  Where Phi vanishes on [0, z],
+    the step is taken in log(k - k_edge), k_edge = z / max|x| on the finite
+    atoms, in which such a Phi grows like a power.  A step lands 0.45 tol
+    (_HALF_TOL) past the predicted root, at least that far inside the
+    bracket, so that two steps close it; it takes the ends' secant when it
+    would leave the bracket, and bisects when the last three steps did not
+    halve it (unless G at least halved) or when the latest G is infinite.
+    With no sample above, G = -inf steps to k twice Phi's flat edge (I =
+    0), past a boundary ball's corner, or to the end of the span (J = 0: F
+    has no root below it); with none below, G = +inf steps past the corner
+    below, or halves k (an overflow).  F's jumps go first: a binary search
+    over the kinks b/|x_i| inside the bracket (G at an upper end there is
+    F's left limit), then Newton on log I toward a corner between the
+    ends' facets, from the end nearer to it.  The loop stops at width tol +
+    4 eps |s|, at G = 0, or with G <= 0 up to the end (G > 0 down to the
+    floor)."""
+    log, exp, inf = math.log, math.exp, math.inf
+    s_start = -log(modular_at.top)  # homogeneous: from k = 1/max|x|, k and k max|x|
+    s_top = min(s_start, 0.0) - _LOG_TINY  # within [1e-300, 1e300]
     top = _jump_top(phi, modular_at.top_inf, s_top)
     if top is None:
         return None
     k_top, s_top, open_top = top  # open_top: false while k_top is the jump
-    p_abs, first_order = p._eval_abs, _first_order(p)
-    # under the max norm F = log I needs no Phi'
-    pair = (lambda k: (modular_at(k), 0.0)) if p.kind == "linf" else modular_at.with_conjugate
-    root = _Root()
-    kl_floor = 0.0  # k_L >= k / max(1, I(kx)) at every sample: I(kx)/k is nondecreasing
-    exp, inf = math.exp, math.inf
-
-    def k_of(s: float) -> float:
-        if s >= s_top:
-            return k_top
-        k = exp(s)
-        return k_top if k_top < k else k
-
-    def sample(k: float) -> tuple[float, float, float]:
-        """Record g at k and return (F, I, J) there."""
-        nonlocal kl_floor
-        i, j = pair(k)
-        root.evaluations += 1
-        val = p_abs(1.0, i) / k if i < inf and k > 0.0 else inf  # k underflows
-        if val < root.best_v:
-            root.best_v, root.best_k = val, k
-        f = first_order(i, j)
-        if f <= 0.0:
-            if root.lo is None or k > root.lo[0]:
-                root.lo = (k, f, i, j)
-        elif root.hi is None or k < root.hi[0]:
-            root.hi = (k, f, i, j)
-        c = k / i if i > 1.0 else k
-        if c > kl_floor:
-            kl_floor = c
-        return f, i, j
-
-    factor = 2.0
-    if p.kind == "linf":  # the Luxemburg point is the minimiser
-        _, hi = luxemburg_root(lambda s: sample(k_of(s))[1], phi, modular_at.top_finite,
-                               min(s_start, s_top), s_top, log_tol)
-        if k_of(hi) not in {end[0] for end in (root.lo, root.hi) if end}:
-            sample(k_of(hi))  # the top, where luxemburg_root stops unsampled
-    elif sample(min(1.0 / modular_at.top, k_top))[0] <= 0.0:
-        k_end, capped = k_top, False
-        while root.hi is None and root.lo[0] < k_end:
-            k = root.lo[0] * factor
-            factor *= factor
-            if not capped and k >= K_CAP * kl_floor:  # the cap K_CAP k_L may bind
-                capped = True
-                s_lo, i_lo = math.log(root.lo[0]), root.lo[2]  # sampled already
-                s_l, _ = luxemburg_root(lambda s: i_lo if s == s_lo else sample(k_of(s))[1],
-                                        phi, modular_at.top_finite, s_lo, s_top, log_tol)
-                k_end = min(k_end, K_CAP * math.exp(s_l))
+    pair, p_abs, first_order = modular_at.with_conjugate, p._eval_abs, _first_order(p)
+    qm = p.q if p.kind == "lq" else 1.0
+    corners = p.corners if p.kind == "boundary" else None
+    cands = _kink_candidates(phi, modular_at, k_top) if phi.kinks else None
+    s_floor = max(s_start, 0.0) + _LOG_TINY  # k and k max|x| above 1e-300
+    zb, tf = phi.zero_bound, modular_at.top_finite
+    k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
+    s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
+    h0 = _HALF_TOL * log_tol
+    best_v, best_k, lo, hi, kl, n = inf, None, None, None, 0.0, 0
+    s_end, k_end, capped = s_top, k_top, p.kind == "linf"  # lowered to the cap once solved
+    a = b = last = prev = k = saved = None
+    drop, jumped, luxemburg, s = 0.0, False, False, min(s_start, s_top)  # luxemburg: G = log I
+    w1 = w2 = w3 = inf  # the bracket's width 1, 2 and 3 steps back
+    while True:
+        if last is not None:
+            s1, k1, g1, i1, j1 = last
+            k = None
+            if cands and not luxemburg:  # the kinks inside the bracket, or up to the end
+                k_lo, k_hi = a[1] if a else 0.0, b[1] if b else math.nextafter(k_end, inf)
+                cands = [c for c in cands if k_lo < c[0] < k_hi]
+            two = False
+            if b is None:  # G <= 0 at every sample
+                done = a[1] >= k_end or a[2] == 0.0
+            elif a is None:  # G > 0 at every sample
+                done = b[0] <= s_floor
+            else:  # F's left limit <= 0 at b: b is the minimiser, once lo is next to it
+                two, width = True, b[0] - a[0]
+                done = (width <= log_tol + 4.0 * _EPS * abs(s1) or a[2] == 0.0
+                        or b[2] <= 0.0 and not cands)
+            if done or luxemburg and hi is not None and hi[1] <= K_CAP * kl:
+                if not luxemburg:
+                    break
+                # back to F where it left off, with the cap K_CAP k_L once k_L is
+                # solved; not when F > 0 at a sample below K_CAP kl <= K_CAP k_L
+                if done:
+                    s = 0.5 * (a[0] + b[0]) if two else (a or b)[0]
+                    if K_CAP * exp(s) < k_end:
+                        k_end = K_CAP * exp(s)
+                        s_end = log(k_end)
+                luxemburg, a, b, (last, prev, w1, w2, w3) = False, lo, hi, saved
                 continue
-            sample(min(k, k_end))
-    else:
-        k_floor = math.exp(max(s_start, 0.0) + _LOG_TINY)  # k and k max|x| above 1e-300
-        while root.lo is None and root.hi[0] > k_floor:
-            sample(max(root.hi[0] / factor, k_floor))
-            factor *= factor
-    if root.lo and root.hi and root.lo[0] < root.hi[0] and p.kind != "linf":
-        # Phi' jumps at the kinks: a binary search over them, each with F's left
-        # limit from the drop of J; then zeroin on the smooth piece left, unless
-        # F = 0 at lo or F jumps across 0 at hi (the minimiser is that end)
-        k_hi, f_hi, i_hi, j_hi = root.hi  # f_hi: F's left limit at hi
-        candidates = _kink_candidates(phi, modular_at, root.lo[0], k_hi)
-        if candidates and candidates[-1][0] == k_hi:
-            f_hi = first_order(i_hi, j_hi - candidates.pop()[1])
-        while candidates:
-            m = len(candidates) // 2
-            k, drop = candidates[m]
-            f, i, j = sample(k)
-            if f <= 0.0:
-                candidates = candidates[m + 1:]
-            else:
-                candidates, f_hi = candidates[:m], first_order(i, j - drop)
-        # then over a boundary ball's corners c in the bracket, each solved as I(kx)/c
-        # = 1: F's limits there are the facets' b J - a, and an end moves onto it
-        if p.kind == "boundary":
-            corners, facets = p.corners, p.facets
-            lo_t, hi_t = bisect_right(corners, root.lo[2]), bisect_right(corners, root.hi[2])
-            while lo_t < hi_t:
-                t = (lo_t + hi_t) // 2
-                c, hi = corners[t], root.hi
-                s_lo, s_hi = math.log(root.lo[0]), math.log(hi[0])
-                seen = {s_lo: root.lo, s_hi: hi}  # (k, F, I, J) at each s sampled
-                ends = luxemburg_root(lambda s: (seen[s] if s in seen else seen.setdefault(
-                    s, (k_of(s), *sample(k_of(s)))))[2] / c, phi, modular_at.top_finite,
-                    s_lo, s_hi, log_tol)
-                # on the corner to the solve's width: its lower end, if not a flat zone's
-                k, _, i, j = seen.get(ends[0]) or seen[ends[1]]
-                (a0, b0), (a1, b1) = facets[t], facets[t + 1]
-                f_hi = f_hi if root.hi is hi else root.hi[1]  # a sample of the solve has F > 0
-                if b1 * j - a1 <= 0.0:  # F <= 0 past the corner
-                    lo_t, root.lo = t + 1, max(root.lo, (k, b1 * j - a1, i, j))
-                elif k <= root.hi[0]:
-                    hi_t, root.hi, f_hi = t, (k, b1 * j - a1, i, j), b0 * j - a0
-                lo_t = max(lo_t, bisect_right(corners, root.lo[2]))
-                hi_t = min(hi_t, bisect_right(corners, root.hi[2]))
-        (k_lo, f_lo, _, _), k_hi = root.lo, root.hi[0]
-        if f_lo < 0.0 < f_hi:
-            _zeroin(lambda s: sample(k_of(s))[0], math.log(k_lo), f_lo, math.log(k_hi), f_hi,
-                    log_tol)
-    if root.lo is None:  # F > 0 down to the floor, or I > 1 at a root found to rounding
-        root.lo = root.hi
-    if root.hi is None:  # F <= 0 up to the top: attained only at the jump
-        root.hi = root.lo
-        root.attained = root.lo[0] == k_top and not open_top
-        if p.kind == "linf" and root.lo[0] < k_top:  # luxemburg_root ended on I = 1
-            root.attained = True
-    return root
+            if cands and not luxemburg:  # the middle kink, exactly there
+                k, drop = cands[len(cands) // 2]
+                s, w1, w2, w3, jumped = log(k), inf, inf, inf, True
+            elif (two and corners is not None and not luxemburg
+                  and (ta := bisect_right(corners, a[3])) < (tb := bisect_right(corners, b[3]))):
+                # Newton on log I to the middle corner, from the end nearer to it
+                c = corners[(ta + tb) // 2]
+                e = a if a[3] > 0.0 and (not b[3] < inf or c * c < a[3] * b[3]) else b
+                s = _toward(e, c, h0) if 0.0 < e[3] < inf else 0.5 * (a[0] + b[0])
+                w1, w2, w3, jumped = inf, inf, inf, True
+                if not a[0] < s < b[0]:
+                    s = 0.5 * (a[0] + b[0])
+            elif -inf < g1 < inf and (not two or width <= 0.5 * w3
+                                      or prev is not None and abs(g1) <= 0.5 * abs(prev[2])):
+                # Newton, in x = log(k - k_edge)
+                q = 1.0 if luxemburg else qm
+                if k1 > k_edge > 0.0:
+                    ke, x1 = k_edge, log(k1 - k_edge)
+                    m = q * (1.0 + j1 / i1) * (1.0 - ke / k1) if i1 > 0.0 else inf
+                else:
+                    ke, x1 = 0.0, s1
+                    m = q * (1.0 + j1 / i1) if i1 > 0.0 else inf
+                if prev is not None and -inf < prev[2] < inf and prev[3] > 0.0 < prev[1] - ke:
+                    s0, k0, g0, i0, j0 = prev
+                    x0 = log(k0 - ke) if ke else s0
+                    if x0 != x1:  # the secant-to-model ratio; a flat secant: no root near
+                        r = (g1 - g0) / (x1 - x0) / (
+                            0.5 * (m + q * (1.0 + j0 / i0) * (1.0 - ke / k0)))
+                        m = m * r if r > 0.0 else 0.0
+                s = x = x1 - g1 / m if m > 0.0 else (inf if g1 < 0.0 else -inf)
+                if ke:  # k = k_edge + e^x
+                    s = x + math.log1p(ke * exp(-x)) if x > 0.0 else log(ke + exp(x))
+                s += h0 + _EPS * abs(s) if g1 < 0.0 else -h0 - _EPS * abs(s)
+                if two:
+                    if not a[0] < s < b[0]:  # the ends' secant, else bisect
+                        s = (a[0] - a[2] * width / (b[2] - a[2])
+                             if -inf < a[2] and b[2] < inf else 0.5 * (a[0] + b[0]))
+                    h = h0 + _EPS * abs(s)
+                    s = a[0] + h if s < a[0] + h else b[0] - h if s > b[0] - h else s
+                    w1, w2, w3 = width, w1, w2
+            elif two:
+                s = 0.5 * (a[0] + b[0])
+                w1, w2, w3 = width, w1, w2
+            elif b is None:  # G = -inf at every sample
+                if i1 == 0.0:  # Phi's flat zone: k doubles past its edge
+                    s = (s1 if s1 > s_edge else s_edge) + _LN2
+                elif (corners is not None and not luxemburg
+                      and bisect_right(corners, i1) < len(corners)):
+                    s = _toward(last, corners[bisect_right(corners, i1)], h0)
+                else:  # J = 0 from here on: F has no root below the end
+                    s = s_end
+            elif (corners is not None and not luxemburg and i1 + j1 < inf
+                  and bisect_right(corners, i1)):  # F > 0 on the whole facet
+                s = _toward(last, corners[bisect_right(corners, i1) - 1], h0)
+            else:  # G = +inf at every sample: an overflow
+                s = s1 - _LN2
+            if not two:
+                s = s_end if s >= s_end else s_floor if s < s_floor else s
+        if k is None:  # the end itself at or past it
+            k = k_end if s >= s_end else min(exp(s), k_end)
+        if not capped and b is None and last is not None and k >= K_CAP * kl:
+            # the cap K_CAP k_L may bind: solve for k_L first
+            capped, drop, saved, luxemburg = True, 0.0, (last, prev, w1, w2, w3), True
+            g = log(i1) if 0.0 < i1 < inf else (inf if i1 else -inf)
+            last, prev, w1, w2, w3 = (s1, k1, g, i1, j1), None, inf, inf, inf
+            a, b = (last, None) if g <= 0.0 else (None, last)
+            continue
+        i, j = pair(k)
+        n += 1
+        v = p_abs(1.0, i) / k if i < inf and k > 0.0 else inf  # k underflows
+        if v < best_v:
+            best_v, best_k = v, k
+        f = first_order(i, j)
+        e = (s, k, f, i, j)
+        if f <= 0.0:
+            if lo is None or s > lo[0]:
+                lo = e
+        elif hi is None or s < hi[0]:
+            hi = e
+        if not capped:
+            c = k / i if i > 1.0 else k
+            if c > kl:
+                kl = c
+        if luxemburg:
+            f = log(i) if 0.0 < i < inf else (inf if i else -inf)
+            e = (s, k, f, i, j)
+        elif drop:
+            if f > 0.0:  # at a kink: F's left limit
+                e = (s, k, first_order(i, j - drop), i, j - drop)
+            drop = 0.0
+        if f <= 0.0:
+            if a is None or s > a[0]:
+                a = e
+        elif b is None or s < b[0]:
+            b = e
+        prev, last, jumped = None if jumped else last, e, False  # no secant across a jump
+    attained = True
+    if lo is None:  # F > 0 down to the floor
+        lo = hi
+    if hi is None:  # F <= 0 up to the top: attained at the jump, or where F = 0
+        hi = lo
+        attained = lo[1] == k_top and not open_top or lo[2] == 0.0
+    return best_v, best_k, lo, hi, attained, n
+
+
+def _toward(e, c: float, h0: float) -> float:
+    """Newton's step on log I - log c from the sample e, its slope 1 + J/I
+    exact, landing h0 past the corner I = c of a boundary ball."""
+    d = math.log(c / e[3]) / (1.0 + e[4] / e[3])
+    s = e[0] + d
+    return s + math.copysign(h0 + _EPS * abs(s), d)
 
 
 @dataclass(frozen=True)
@@ -297,19 +386,19 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     steep atom of tiny weight, while the sum is of order 1), one check per
     step sends the rows concerned to phi.mend_sums, which takes that term
     as exp(log w + its closed-form log); I or J is +inf only where the sum
-    itself is.  The bracket is the scalar engine's: the first sample at
-    k = 1/max|x|, then steps that double in log k, k and k max|x| within
-    [1e-300, 1e300], and k <= K_CAP * k_L off the max norm, k_L the
-    Luxemburg point I(k_L x) = 1, solved for (on log I, by the same regula
-    falsi) once the steps reach K_CAP times a lower bound of it.  Illinois
-    regula falsi (Dowell and Jarratt, BIT 11, 1971) in s = log k then
-    narrows each bracket to width LOG_TOL, bisecting where the last three
-    steps did not halve the bracket and while an end's F is infinite (a
-    flat zone below, an overflow above).  A row stops at that width and is
-    sampled no more.  Its value is the least g sampled, an upper bound of
-    the infimum, within 1e-11 relative of generated_norm's; ``attained`` is
-    false exactly when F <= 0 all the way to the cap.  All-zero rows give
-    0.0, nan and False.
+    itself is.  The bracket is the batch's own, not the scalar engine's
+    Newton steps: the first sample at k = 1/max|x|, then steps that double
+    in log k, k and k max|x| within [1e-300, 1e300], and k <= K_CAP * k_L
+    off the max norm, k_L the Luxemburg point I(k_L x) = 1, solved for (on
+    log I, by the same regula falsi) once the steps reach K_CAP times a
+    lower bound of it.  Illinois regula falsi (Dowell and Jarratt, BIT 11,
+    1971) in s = log k then narrows each bracket to width LOG_TOL,
+    bisecting where the last three steps did not halve the bracket and
+    while an end's F is infinite (a flat zone below, an overflow above).
+    A row stops at that width and is sampled no more.  Its value is the
+    least g sampled, an upper bound of the infimum, within 1e-11 relative
+    of generated_norm's; ``attained`` is false exactly when F <= 0 all the
+    way to the cap.  All-zero rows give 0.0, nan and False.
 
     These rows go through the scalar generated_norm instead, and equal it
     exactly: every row when p is a boundary ball or Phi' has a kink (a
@@ -411,12 +500,12 @@ def _lockstep(sample, ax: np.ndarray, capped: bool):
     m, inf, nan = len(ax), math.inf, math.nan
     where = np.where
     top = ax.max(axis=1)
-    s_start = -np.log(top)  # log_k_span's span: k and k max|x| within [1e-300, 1e300]
+    s_start = -np.log(top)  # the scalar span: k and k max|x| within [1e-300, 1e300]
     k_top = np.exp(np.minimum(s_start, 0.0) - _LOG_TINY)
     k_floor = np.exp(np.maximum(s_start, 0.0) + _LOG_TINY)
 
-    # The bracket, as the scalar engine takes it: from k = 1/max|x| upward
-    # while F <= 0, else downward, the factor squaring at each step.
+    # The bracket: from k = 1/max|x| upward while F <= 0, else downward,
+    # the factor squaring at each step.
     k = np.minimum(1.0 / top, k_top)
     i, f, bv = sample(k, ax)
     steps = 1
@@ -514,8 +603,8 @@ def _illinois(sample, target, lo, f_lo, hi, f_hi, ax, bv, bk, tol=LOG_TOL):
     F is infinite, and where the last three steps did not halve the bracket,
     so the bracket halves at least every fourth step; else it lands at least
     half the tolerance inside the bracket, so a root found to that width
-    closes it.  A row stops once its bracket is as narrow as zeroin's, tol +
-    4 eps |s| at the latest sample s, and is sampled no more.  Returns each
+    closes it.  A row stops once its bracket is as narrow as the scalar
+    loop's, tol + 4 eps |s| at the latest sample s, and is sampled no more.  Returns each
     row's final lower end, its best g and that g's k (bv, bk updated), and
     the number of steps."""
     where = np.where
@@ -559,13 +648,10 @@ def _illinois(sample, target, lo, f_lo, hi, f_hi, ax, bv, bk, tol=LOG_TOL):
         s1, f1, p1 = s, f, pos
 
 
-def _kink_candidates(phi: OrliczFunction, modular_at, lo: float,
-                     hi: float) -> list[tuple[float, float]]:
-    """The k in (lo, hi] where Phi' jumps on a finite atom, k |x_i| = b for
-    a kink b of Phi, sorted, each with the drop of J from its right to its
-    left limit there: the sum of w_i b (the jump of Phi' at b)."""
-    if not phi.kinks:
-        return []
+def _kink_candidates(phi: OrliczFunction, modular_at, hi: float) -> list[tuple[float, float]]:
+    """The k <= hi where Phi' jumps on a finite atom, k |x_i| = b for a kink
+    b of Phi, sorted, each with the drop of J from its right to its left
+    limit there: the sum of w_i b (the jump of Phi' at b)."""
     drops: dict[float, float] = {}
     ws, az = modular_at.finite_atoms()
     for w, a in zip(ws.tolist(), az.tolist()):
@@ -573,100 +659,9 @@ def _kink_candidates(phi: OrliczFunction, modular_at, lo: float,
             k = b / a
             while k * a < b:  # the modular takes u = k |x_i|: at k it must reach b
                 k = math.nextafter(k, math.inf)
-            if lo < k <= hi:
+            if k <= hi:
                 drops[k] = drops.get(k, 0.0) + w * b * jump
     return sorted(drops.items())
-
-
-def log_k_span(top: float) -> tuple[float, float]:
-    """(s_start, s_top) in s = log k for x with top = max|x| > 0: the searches are
-    homogeneous, starting at k = 1 / max|x|; up to s_top, k and k max|x| stay below 1e300."""
-    s_start = -math.log(top)
-    return s_start, min(s_start, 0.0) - _LOG_TINY
-
-
-def luxemburg_root(sample, phi: OrliczFunction, top_finite: float, s: float, s_top: float,
-                   tol: float) -> tuple[float, float]:
-    """Bracket (lo, hi) in s = log k, of width at most about tol, of the
-    Luxemburg point I(e^s x) = 1, searched from s up to s_top; (s_top,
-    s_top) when I <= 1 up to there (s_top possibly not sampled).  sample(s)
-    returns I(e^s x); top_finite is max|x| on the finite atoms.
-
-    I(kx)/k is nondecreasing (Phi is convex with Phi(0) = 0), so one sample
-    I(e^s x) = i brackets the root between s and s - log i."""
-    s_floor = max(s, 0.0) + _LOG_TINY  # k and k max|x| stay above 1e-300
-    i = sample(s)
-    while math.isinf(i):  # below the jump only double overflow makes I infinite
-        s -= _LN2
-        if s < s_floor:
-            return s, s
-        i = sample(s)
-    low = -math.inf  # I = 0 at low
-    if i == 0.0:
-        # Phi vanishes on [0, zero_bound]: start where the finite support leaves it
-        if top_finite == 0.0:
-            s = s_top
-        elif phi.zero_bound > 0.0:
-            s = min(max(s, math.log(phi.zero_bound / top_finite)), s_top)
-        while i == 0.0 and s < s_top:
-            low, s = s, min(s + _LN2, s_top)
-            i = sample(s)
-        if i == 0.0:
-            return s, s
-
-    def log_modular(t: float) -> float:
-        mod = sample(t)
-        return math.log(mod) if mod > 0.0 else -math.inf
-
-    f = math.log(i)
-    other = max(s - f, low) if f > 0.0 else min(s - f, s_top)
-    if other == s:  # I = 1 at s, or I < 1 at s_top
-        return s, s
-    f_other = -math.inf if other == low else log_modular(other)
-    if (f_other > 0.0) == (f > 0.0):  # the root lies at s_top, or at other up to rounding
-        return other, other
-    return _zeroin(log_modular, s, f, other, f_other, tol)
-
-
-def _zeroin(f, a: float, fa: float, b: float, fb: float, tol: float) -> tuple[float, float]:
-    """Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) from a sign change of the nondecreasing f between a and b:
-    returns the final bracket (lower, upper) of the root, f <= 0 at lower,
-    of width at most tol + 4 eps |s|.  An infinite f (I = 0, or an
-    overflow) forces bisection."""
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return (b, c) if fb <= 0.0 else (c, b)
-        if abs(e) >= tol1 and abs(fa) > abs(fb) and math.isfinite(fa + fc):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
 
 
 def generated_norm_on_grid(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction) -> float:
@@ -709,7 +704,7 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
         return 0.0
     root = _first_order_root(phi, _SUM_NORM, modular_at, LOG_TOL)
     w, ax = modular_at.finite_atoms()
-    (k_lo, _, _, m_lo), (k_hi, _, _, m_hi) = root.lo, root.hi
+    (_, k_lo, _, _, m_lo), (_, k_hi, _, _, m_hi) = root[2:4]
     y_lo, y_hi = phi.derivative_array(k_lo * ax), phi.derivative_array(k_hi * ax)
     t = 1.0 if m_hi <= 1.0 else (1.0 - m_lo) / (m_hi - m_lo)
     y = y_lo + t * (y_hi - y_lo)
