@@ -205,6 +205,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     qm = p.q if p.kind == "lq" else 1.0
     corners = p.corners if p.kind == "boundary" else None
     cands = _kink_candidates(phi, modular_at, k_top) if phi.kinks else None
+    drops = dict(cands) if cands else None  # a sample at a kink takes F's left limit
     s_floor = max(s_start, 0.0) + _LOG_TINY  # k and k max|x| above 1e-300
     zb, tf = phi.zero_bound, modular_at.top_finite
     k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
@@ -213,7 +214,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     best_v, best_k, lo, hi, kl, n = inf, None, None, None, 0.0, 0
     s_end, k_end, capped = s_top, k_top, p.kind == "linf"  # lowered to the cap once solved
     a = b = last = prev = k = saved = None
-    drop, jumped, luxemburg, s = 0.0, False, False, min(s_start, s_top)  # luxemburg: G = log I
+    jumped, luxemburg, s = False, False, min(s_start, s_top)  # luxemburg: G = log I
     w1 = w2 = w3 = inf  # the bracket's width 1, 2 and 3 steps back
     while True:
         if last is not None:
@@ -244,8 +245,10 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                 luxemburg, a, b, (last, prev, w1, w2, w3) = False, lo, hi, saved
                 continue
             if cands and not luxemburg:  # the middle kink, exactly there
-                k, drop = cands[len(cands) // 2]
+                k = cands[len(cands) // 2][0]
                 s, w1, w2, w3, jumped = log(k), inf, inf, inf, True
+            elif a is None and b[2] <= 0.0:  # F's left limit <= 0 at the kink b: a sample
+                s = b[0] - _LN2  # below it, next to it as no kink lies between
             elif (two and corners is not None and not luxemburg
                   and (ta := bisect_right(corners, a[3])) < (tb := bisect_right(corners, b[3]))):
                 # Newton on log I to the middle corner, from the end nearer to it
@@ -305,7 +308,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             k = k_end if s >= s_end else min(exp(s), k_end)
         if not capped and b is None and last is not None and k >= K_CAP * kl:
             # the cap K_CAP k_L may bind: solve for k_L first
-            capped, drop, saved, luxemburg = True, 0.0, (last, prev, w1, w2, w3), True
+            capped, saved, luxemburg = True, (last, prev, w1, w2, w3), True
             g = log(i1) if 0.0 < i1 < inf else (inf if i1 else -inf)
             last, prev, w1, w2, w3 = (s1, k1, g, i1, j1), None, inf, inf, inf
             a, b = (last, None) if g <= 0.0 else (None, last)
@@ -317,10 +320,10 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             best_v, best_k = v, k
         f = first_order(i, j)
         e = (s, k, f, i, j)
-        if f <= 0.0:
-            if lo is None or s > lo[0]:
+        if f <= 0.0:  # ordered by k: e^s rounds, and a kink is sampled at its own k
+            if lo is None or k > lo[1]:
                 lo = e
-        elif hi is None or s < hi[0]:
+        elif hi is None or k < hi[1]:
             hi = e
         if not capped:
             c = k / i if i > 1.0 else k
@@ -329,14 +332,13 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
         if luxemburg:
             f = log(i) if 0.0 < i < inf else (inf if i else -inf)
             e = (s, k, f, i, j)
-        elif drop:
-            if f > 0.0:  # at a kink: F's left limit
-                e = (s, k, first_order(i, j - drop), i, j - drop)
-            drop = 0.0
+        elif drops is not None and f > 0.0 and k in drops:  # at a kink: F's left limit
+            d = drops[k]
+            e = (s, k, first_order(i, j - d), i, j - d)
         if f <= 0.0:
-            if a is None or s > a[0]:
+            if a is None or k > a[1]:
                 a = e
-        elif b is None or s < b[0]:
+        elif b is None or k < b[1]:
             b = e
         prev, last, jumped = None if jumped else last, e, False  # no secant across a jump
     attained = True

@@ -395,6 +395,23 @@ def test_polygons_through_catalog_vertices_give_the_catalog_norms(orlicz_catalog
         assert max(evaluations) <= 10, p.label
 
 
+def test_a_sample_at_a_kink_takes_the_left_limit():
+    # k = 1/max|x| = 1 is the top atom's kink: F > 0 there and F = -inf just
+    # below (J = 0 on the polyline's first piece), so k = 1 is the minimiser
+    phi = piecewise_linear([(0, 0), (1, 0.5), (2, 2), (3, 5)])
+    x = simple_function(measure_space([3.0, 1.0, 1.0]), [1.0, -0.5, 0.25])
+    r = generated_norm(phi, l1(), x)
+    assert r.attained and r.k_star == 1.0 and r.evaluations <= 2
+    assert r.value == 1.0 + 1.5 + 0.25 + 0.125
+    assert orlicz_dual_norm(phi, x) == pytest.approx(r.value, rel=1e-12, abs=0.0)
+    # a kink at the flat edge, where I = 0 and F = -inf on both sides under a
+    # q-mean: the search moves past it, it does not sample it again
+    phi = piecewise_linear([(0, 0), (1, 0), (2, 1)])
+    x = simple_function(measure_space([13.578551308290841]), [-3.2437265851831345])
+    r = generated_norm(phi, lq(5), x)
+    assert r.evaluations <= 6 and r.value <= generated_norm_on_grid(phi, lq(5), x)
+
+
 def test_minimiser_on_a_flat_facet_is_attained():
     # past its corner I = 1 the polygon through the max norm's vertices has
     # the flat facet v = 1 (a = 0): with |u|, F = b J - a = 0 there, g is
