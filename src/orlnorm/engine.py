@@ -118,8 +118,7 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     value, k, lo, hi, attained, evaluations = root
     if value == math.inf:
         return NormResult(math.inf, None, False, None, evaluations)
-    # near the minimiser g is flat to rounding, and the best sample may lie
-    # outside the tightest bracket; every sample below lo has F <= 0
+    # k is lo's or hi's; where F's sign is rounding, lo may lie above hi
     return NormResult(value, k, attained, (lo[1] if lo[1] < k else k, hi[1] if hi[1] > k else k),
                       evaluations)
 
@@ -163,16 +162,16 @@ def _mean_first_order(max_norm: bool, q1: float):
 
 def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: float):
     """Find the minimiser of g as the sign change of F in s = log k, from k =
-    1 / max|x|, recording g at every sample: (best g, its k, lo, hi,
-    attained, evaluations), lo and hi the bracket ends (s, k, F, I, J), F <=
-    0 at lo and F > 0 at hi; None when I(kx) = +inf for all k > 0.
+    1 / max|x|: (the least g sampled, its k, lo, hi, attained,
+    evaluations), lo and hi the bracket ends (s, k, F, I, J), F <= 0 at lo
+    and F > 0 at hi; None when I(kx) = +inf for all k > 0.
 
     One loop finds the root of G = F, or, while it solves for the K_CAP
     k_L cap, of G = log I (the Luxemburg point; given up once F > 0 at a
     sample below K_CAP kl, where the cap cannot bind), from the latest and
     the previous sample and the bracket ends a (G <= 0) and b (G > 0),
     samples (s, k, G, I, J) or None (then the floor or end of the span
-    bounds the bracket).  Every sample also records g, F's ends lo and hi,
+    bounds the bracket).  Every sample also records F's ends lo and hi,
     and kl, a lower bound of k_L (I(kx)/k is nondecreasing, so k_L >= k /
     max(1, I(kx))).  Each step is
     Newton's from the latest sample, with slope q'(1 + J/I) (q' = q under
@@ -211,7 +210,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
     s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
     h0 = _HALF_TOL * log_tol
-    best_v, best_k, lo, hi, kl, n = inf, None, None, None, 0.0, 0
+    lo, hi, kl, n = None, None, 0.0, 0
     s_end, k_end, capped = s_top, k_top, p.kind == "linf"  # lowered to the cap once solved
     a = b = last = prev = k = saved = None
     jumped, luxemburg, s = False, False, min(s_start, s_top)  # luxemburg: G = log I
@@ -315,9 +314,6 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             continue
         i, j = pair(k)
         n += 1
-        v = p_abs(1.0, i) / k if i < inf and k > 0.0 else inf  # k underflows
-        if v < best_v:
-            best_v, best_k = v, k
         f = first_order(i, j)
         e = (s, k, f, i, j)
         if f <= 0.0:  # ordered by k: e^s rounds, and a kink is sampled at its own k
@@ -347,7 +343,12 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     if hi is None:  # F <= 0 up to the top: attained at the jump, or where F = 0
         hi = lo
         attained = lo[1] == k_top and not open_top or lo[2] == 0.0
-    return best_v, best_k, lo, hi, attained, n
+    # g is nonincreasing where F <= 0 and increasing where F > 0, so its least
+    # sampled value is at lo or at hi (k underflows to 0 below 1e-323)
+    v_lo, v_hi = (p_abs(1.0, e[3]) / e[1] if e[3] < inf and e[1] > 0.0 else inf
+                  for e in (lo, hi))
+    v, k = (v_lo, lo[1]) if v_lo <= v_hi else (v_hi, hi[1])
+    return v, k, lo, hi, attained, n
 
 
 def _toward(e, c: float, h0: float) -> float:
