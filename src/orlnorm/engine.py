@@ -23,7 +23,8 @@ each landing 0.45 tol past the predicted root.  F jumps up at k = b/|x_i| for
 a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of a boundary ball:
 a binary search over the kinks and Newton steps on log I toward the corners
 narrow the bracket first, and a jump of F across 0 at one of them is the
-minimiser.  The value reported is the best g(k) evaluated.
+minimiser.  The value reported is the least g(k) sampled, at an end of the
+final bracket as g is unimodal.
 
 Both engines sum I and J term by term and check once, after the sum, that
 nothing overflowed.  On a steep atom of tiny weight (the constructions of
