@@ -34,8 +34,9 @@ term is taken as exp(log w + its closed-form log) (OrliczFunction.mend_sums),
 so F stays finite below its root and the value is the true minimum.
 
 generated_norm_batch solves the same equation for the rows of an (N, n)
-value array in lockstep, each row independent of the others, and
-scale_to_modular_batch R3's scales to a modular level; verify norms its
+value array in lockstep, each row independent of the others, by the same
+step rule (_lockstep), which also solves log I(kx) = log t for
+scale_to_modular_batch (R3's scales to a modular level); verify norms its
 samples and its constructions on finite atoms with them.
 """
 from __future__ import annotations
@@ -382,27 +383,21 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     does not depend on the other rows (a batch of N is N batches of one, bit
     for bit).
 
-    Each row solves the scalar engine's first-order equation F = 0 (log I
-    under the max norm, log J under the sum norm, log J + (q - 1) log I under
-    the q-mean; -inf where I or J is 0, +inf where I overflows), I and J the
-    row sums of one phi.pair_array over the block.  Where a term of those
-    sums overflows (u Phi'(u), or Phi(u) itself, past double range on a
-    steep atom of tiny weight, while the sum is of order 1), one check per
-    step sends the rows concerned to phi.mend_sums, which takes that term
-    as exp(log w + its closed-form log); I or J is +inf only where the sum
-    itself is.  The bracket is the batch's own, not the scalar engine's
-    Newton steps: the first sample at k = 1/max|x|, then steps that double
-    in log k, k and k max|x| within [1e-300, 1e300], and k <= K_CAP * k_L
-    off the max norm, k_L the Luxemburg point I(k_L x) = 1, solved for (on
-    log I, by the same regula falsi) once the steps reach K_CAP times a
-    lower bound of it.  Illinois regula falsi (Dowell and Jarratt, BIT 11,
-    1971) in s = log k then narrows each bracket to width LOG_TOL,
-    bisecting where the last three steps did not halve the bracket and
-    while an end's F is infinite (a flat zone below, an overflow above).
-    A row stops at that width and is sampled no more.  Its value is the
-    least g sampled, an upper bound of the infimum, within 1e-11 relative
-    of generated_norm's; ``attained`` is false exactly when F <= 0 all the
-    way to the cap.  All-zero rows give 0.0, nan and False.
+    Each row runs the scalar engine's loop (_first_order_root) on its
+    first-order equation F = 0 (log I under the max norm, log J under the
+    sum norm, log J + (q - 1) log I under the q-mean; -inf where I or J is 0,
+    +inf where I overflows), and on log I = 0 for the K_CAP * k_L cap: the
+    same span, Newton steps and one-sided moves, I and J the row sums of one
+    phi.pair_array over the block.  Where a term of those sums overflows (u
+    Phi'(u), or Phi(u) itself, past double range on a steep atom of tiny
+    weight, while the sum is of order 1), one check per step sends the rows
+    concerned to phi.mend_sums, which takes that term as exp(log w + its
+    closed-form log); I or J is +inf only where the sum itself is.  A row
+    stops at the loop's stopping rule and is sampled no more; ``steps``
+    counts the samples, so it is the most any row took.  Its value is the
+    lesser g = p((1, I))/k at its final bracket's ends, within 1e-11
+    relative of generated_norm's; ``attained`` is false exactly when F <= 0
+    all the way to the cap.  All-zero rows give 0.0, nan and False.
 
     These rows go through the scalar generated_norm instead, and equal it
     exactly: every row when p is a boundary ball or Phi' has a kink (a
@@ -426,11 +421,20 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     steps = 0
     if rows.size:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sample = _batch_sampler(phi, p, weights[finite])
             # C order: each row's sums then run on one contiguous row, whatever N is
             ax = np.ascontiguousarray(np.abs(x[rows][:, finite]))
-            value[rows], k_star[rows], attained[rows], steps = _lockstep(
-                sample, ax, p.kind != "linf")
+            lo, hi, steps = _lockstep(_batch_sampler(phi, p, weights[finite]), ax,
+                                      np.zeros(len(rows)), LOG_TOL, p.q if p.kind == "lq" else 1.0,
+                                      phi.zero_bound, p.kind == "linf")
+            # g is nonincreasing where F <= 0 and increasing where F > 0: the
+            # lesser g at the ends (nan at a missing end)
+            ends = np.array([lo, hi])
+            v_lo, v_hi = p.evaluate_many(1.0, ends[:, 3]) / ends[:, 1]
+            v = value[rows] = np.fmin(v_lo, v_hi)
+            k_star[rows] = np.where(v < math.inf, np.where((v_lo <= v_hi) | (v_hi != v_hi),
+                                                           lo[1], hi[1]), math.nan)
+            # F <= 0 up to the cap where no sample had F > 0
+            attained[rows] = ((hi[0] == hi[0]) | (lo[2] == 0.0)) & (v < math.inf)
     for r in np.flatnonzero(scalar):
         res = generated_norm(phi, p, SimpleFunction(space, x[r]))
         value[r], attained[r] = res.value, res.attained
@@ -444,7 +448,7 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     ``targets``: c <= the root of modular(c x) = t, within SCALE_LOG_TOL in log c
     (c at the top of the span where the modular stays below t up to there).
     The rows must be nonzero and vanish on the infinite atoms.  The roots
-    are solved in lockstep, as generated_norm_batch solves its cap."""
+    are solved in lockstep by generated_norm_batch's loop, on log I - log t."""
     x = np.asarray(values, dtype=float)
     weights = np.asarray(space.weights)
     finite = np.isfinite(weights)
@@ -454,202 +458,195 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     if (x[:, ~finite] != 0.0).any() or not (ax.max(axis=1, initial=0.0) > 0.0).all():
         raise DomainError("rows must be nonzero and supported on the finite atoms")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sample = _batch_sampler(phi, _MAX_NORM, weights[finite])
-        top = ax.max(axis=1)
-        k = 1.0 / top
-        i, _, _ = sample(k, ax)
-        s, _, _, _ = _modular_root(sample, k, i, np.minimum(-np.log(top), 0.0) - _LOG_TINY, ax,
-                                   np.full(len(x), math.inf), np.full(len(x), math.nan),
-                                   np.log(np.asarray(targets, dtype=float)), SCALE_LOG_TOL)
-    return np.exp(s)
+        lo, hi, _ = _lockstep(_batch_sampler(phi, _MAX_NORM, weights[finite]), ax,
+                              np.log(np.asarray(targets, dtype=float)), SCALE_LOG_TOL, 1.0,
+                              phi.zero_bound, True)
+    return np.where(lo[0] == lo[0], lo[1], hi[1])  # hi: above t down to the floor
 
 
 def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
-    """(k, ax) -> (I, F, g) per row at k, ax the rows' |values| on the finite
-    atoms of weights w: the row sums of one phi.pair_array over the block."""
-    kind, q = p.kind, p.q
-    q1 = q - 1.0
-    vecdot, log, maximum, inf = np.vecdot, np.log, np.maximum, math.inf
+    """(k, ax) -> (I, 1 + J/I, F) per row at k, ax the rows' |values| on the
+    finite atoms of weights w: the row sums of one phi.pair_array over the
+    block, and F as _first_order gives it for p."""
+    q1 = p.q - 1.0 if p.kind == "lq" else 0.0
+    max_norm, vecdot, log, inf = p.kind == "linf", np.vecdot, np.log, math.inf
 
     def sample(k: np.ndarray, ax: np.ndarray):
         u = k[:, None] * ax
-        if kind == "linf":
-            i = vecdot(phi.evaluate_array(u), w)
-            if not i.sum() < inf:  # a term overflowed: its log form
-                i = phi.mend_sums(w, u, i)
-            return i, log(i), maximum(i, 1.0) / k
         f, d = phi.pair_array(u)
-        i = vecdot(f, w)
-        j = vecdot(d, w) - i  # u Phi' >= Phi >= 0: J and I are finite where this is
-        if not j.sum() < inf:
+        i, t = vecdot(f, w), vecdot(d, w)  # t = I + J: u Phi' >= Phi >= 0
+        j, big = t - i, None
+        if not t.sum() < inf:  # a term overflowed: its log form, on those rows only
+            big = ~(t < inf)
             i, j = phi.mend_sums(w, u, i, j)
+            t[big] = i[big] + j[big]
+        if max_norm:
+            return i, t / i, log(i)
         first = log(np.fmax(j, 0.0))  # log J, -inf where J <= 0
-        if kind == "l1":
-            g = (1.0 + i) / k
-        elif q == 2.0:  # the Euclidean mean: p((1, I)) = hypot(1, I)
-            first += log(i)
-            g = np.hypot(1.0, i) / k
-        else:
+        if q1:
             first += q1 * log(i)
-            big = maximum(i, 1.0)  # p((1, I)), scaled as the scalar evaluator scales it
-            g = big * (1.0 + (np.minimum(i, 1.0) / big) ** q) ** (1.0 / q) / k
-        return i, np.where(i < inf, first, inf), g
+        if big is not None:
+            first[~(t < inf)] = inf
+        return i, t / i, first
 
     return sample
 
 
-def _lockstep(sample, ax: np.ndarray, capped: bool):
-    """(value, k_star, attained, steps) for the nonzero rows ax (|values| on
-    the finite atoms); ``capped``: the K_CAP * k_L cap applies."""
-    m, inf, nan = len(ax), math.inf, math.nan
-    where = np.where
+def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
+              zero_bound: float, capped: bool):
+    """_first_order_root's loop on the rows ax (nonzero |values| on finite
+    atoms) in lockstep, on G = F - target, F the sampler's: (lo, hi, steps),
+    lo and hi (5, N) arrays of each row's final samples (s, k, G, I, q'(1 +
+    J/I)) with G <= 0 at lo and G > 0 at hi (nan where no sample had that
+    sign); ``steps`` counts the calls of ``sample``.
+
+    lo and hi are a row's bracket ends, last and prev its two latest
+    samples, w1..w3 its bracket's width 1, 2 and 3 steps back; qm is q',
+    and Phi vanishes on [0, zero_bound].  Unless ``capped``, k stays below
+    K_CAP k_L: where a step would pass K_CAP kl, kl a lower bound of k_L,
+    before G > 0 anywhere, the row solves G = log I (q' = 1) first, from
+    its latest sample, while flo and fhi keep F's ends; it goes back to F
+    from them with the cap once that is solved, or once F > 0 at a sample
+    below K_CAP kl, where the cap cannot bind.  A row stops at the scalar
+    loop's stopping rule and is sampled no more.  Numpy's cost here is per
+    call, not per row, so the branches that few passes need (one end, a
+    step outside the bracket, bisection, the flat edge, the cap) run only
+    on those passes."""
+    nan, inf, where, log, exp = math.nan, math.inf, np.where, np.log, np.exp
+    fmin, fmax, count = np.fmin, np.fmax, np.count_nonzero
+    m = len(ax)
     top = ax.max(axis=1)
-    s_start = -np.log(top)  # the scalar span: k and k max|x| within [1e-300, 1e300]
-    k_top = np.exp(np.minimum(s_start, 0.0) - _LOG_TINY)
-    k_floor = np.exp(np.maximum(s_start, 0.0) + _LOG_TINY)
-
-    # The bracket: from k = 1/max|x| upward while F <= 0, else downward,
-    # the factor squaring at each step.
-    k = np.minimum(1.0 / top, k_top)
-    i, f, bv = sample(k, ax)
-    steps = 1
-    bk = where(bv < inf, k, nan)
-    up = f <= 0.0
-    lo_k, lo_f = where(up, k, nan), where(up, f, nan)
-    hi_k, hi_f = where(up, nan, k), where(up, nan, f)
-    attained = np.ones(m, dtype=bool)
-    # per open row: its open end k with I there, the step factor, a lower
-    # bound of k_L (I(kx)/k is nondecreasing), the end of its span (the top,
-    # then the cap), and whether the cap is still to be solved for
-    rows, fac, kl = np.arange(m), np.full(m, 2.0), where(i > 1.0, k / i, k)
-    fresh = np.full(m, capped)
-    k_end, sub = k_top, ax
+    s_start = -log(top)  # homogeneous: from k = 1/max|x|
+    s_end = np.minimum(s_start, 0.0) - _LOG_TINY  # k and k max|x| within [1e-300, 1e300]
+    k_edge = zero_bound / top  # I = 0 up to here
+    # each row's constants, one array to compact: k_end is lowered to the cap
+    # once it is solved, and kl grows until then
+    span = np.array([target, exp(s_end), s_end, np.maximum(s_start, 0.0) + _LOG_TINY, k_edge,
+                     log(k_edge), np.zeros(m)])
+    target, k_end, s_end, s_floor, k_edge, s_edge, kl = span
+    h0 = _HALF_TOL * tol
+    lo = hi = last = prev = flo = fhi = np.full((5, m), nan)  # replaced, not written in place
+    out_lo, out_hi = lo.copy(), lo.copy()
+    w1 = w2 = w3 = np.full(m, inf)
+    grow = np.full(m, not capped)  # the cap may bind: unsolved, and G > 0 nowhere
+    lux = np.zeros(m, dtype=bool)  # solving G = log I for the cap
+    n_grow, n_lux, rows, steps = count(grow), 0, np.arange(m), 0
+    s = np.minimum(s_start, s_end)
+    k = fmin(exp(s), k_end)
     while True:
-        nxt = where(up, k * fac, k / fac)
-        at_cap = up & fresh & (nxt >= K_CAP * kl)
-        if np.count_nonzero(at_cap):
-            c = np.flatnonzero(at_cap)
-            r = rows[c]
-            s_l, bv[r], bk[r], n = _modular_root(sample, k[c], i[c], np.log(k_end[c]), sub[c],
-                                                 bv[r], bk[r], np.zeros(len(c)))
-            k_end[c] = np.minimum(K_CAP * np.exp(s_l), k_end[c])
-            fresh[c] = False
-            steps += n
-        at_end = up & (k >= k_end)  # F <= 0 up to the top: not attained
-        attained[rows[at_end]] = False
-        nxt = where(up, np.minimum(nxt, k_end), np.maximum(nxt, k_floor))
-        keep = ~(at_end | (~up & (k <= k_floor)))
-        rows, nxt, up, fac, kl, fresh, k_end, k_floor, sub = (
-            v[keep] for v in (rows, nxt, up, fac, kl, fresh, k_end, k_floor, sub))
-        if not rows.size:
-            break
-        fac = fac * fac
-        i, f, g = sample(nxt, sub)
+        i, d, f = sample(k, ax)
         steps += 1
-        better = g < bv[rows]
-        bv[rows[better]], bk[rows[better]] = g[better], nxt[better]
-        pos = f > 0.0
-        hi_k[rows[pos]], hi_f[rows[pos]] = nxt[pos], f[pos]
-        lo_k[rows[~pos]], lo_f[rows[~pos]] = nxt[~pos], f[~pos]
-        kl = np.maximum(kl, where(i > 1.0, nxt / i, nxt))
-        keep = pos != up  # up rows close at F > 0, down rows at F <= 0
-        rows, k, i, up, fac, kl, fresh, k_end, k_floor, sub = (
-            v[keep] for v in (rows, nxt, i, up, fac, kl, fresh, k_end, k_floor, sub))
-        if not rows.size:
+        f = f - target
+        e = np.array([s, k, f, i, d])
+        if qm != 1.0:
+            e[4] *= qm
+        if n_lux:  # F's ends, ordered by k, and the sample on log I
+            up = f > 0.0
+            flo = where(lux & ~(up | (k <= flo[1])), e, flo)
+            fhi = where(lux & up & ~(k >= fhi[1]), e, fhi)
+            e = where(lux, np.array([s, k, log(i), i, d]), e)
+        up = e[2] > 0.0  # each sample lies past the end of its sign
+        lo, hi = where(up, lo, e), where(up, e, hi)
+        if n_grow:
+            kl[:] = where(grow, fmax(kl, where(i > 1.0, k / i, k)), kl)
+            grow &= hi[0] != hi[0]
+            n_grow = count(grow)
+        prev, last = last, e
+        while True:  # each row's next step
+            s1, k1, g1, i1, m1 = last
+            width = hi[0] - lo[0]  # nan with one end
+            one_end = count(width == width) < len(rows)
+            # at width tol + 4 eps |s| or at G = 0; with one end, at G <= 0 up
+            # to the end or G > 0 down to the floor
+            ulp = abs(s1) * _EPS
+            done = (width <= ulp * 4.0 + tol) | (lo[2] == 0.0)
+            if one_end:
+                done |= (width != width) & ((hi[0] <= s_floor) | (lo[1] >= k_end))
+            if n_lux and count(back := lux & (done | (fhi[1] <= K_CAP * kl))):
+                # back to F from its lower end, with the cap K_CAP k_L once k_L
+                # is solved
+                cap = K_CAP * exp(where(width == width, 0.5 * (lo[0] + hi[0]),
+                                        where(lo[0] == lo[0], lo[0], hi[0])))
+                low = back & done & (cap < k_end)
+                k_end[:], s_end[:] = where(low, cap, k_end), where(low, log(cap), s_end)
+                lo, hi = where(back, flo, lo), where(back, fhi, hi)
+                last, prev = where(back, flo, last), where(back, nan, prev)
+                w1, w2, w3 = (where(back, inf, v) for v in (w1, w2, w3))
+                lux &= ~back
+                n_lux = count(lux)
+                continue
+            if count(done):
+                out_lo[:, rows[done]], out_hi[:, rows[done]] = lo[:, done], hi[:, done]
+                keep = ~done
+                if not count(keep):
+                    return out_lo, out_hi, steps
+                ax = ax[keep]
+                span, lo, hi, last, prev, flo, fhi, w1, w2, w3, grow, lux, rows, width, ulp = (
+                    v[..., keep] for v in (span, lo, hi, last, prev, flo, fhi, w1, w2, w3, grow,
+                                           lux, rows, width, ulp))
+                target, k_end, s_end, s_floor, k_edge, s_edge, kl = span
+                s1, k1, g1, i1, m1 = last
+                n_grow, one_end = count(grow), count(width == width) < len(rows)
+            # Newton, in x = log(k - k_edge) past Phi's flat edge, with the
+            # slope q'(1 + J/I) scaled by the secant of the two latest samples
+            x1, m0 = s1, prev[4]
+            dx, dg = (last - prev)[0:3:2]
+            if zero_bound:  # x = s + log(1 - k_edge / k): s where k <= k_edge, below the edge
+                ke = where(k1 > k_edge, k_edge, 0.0)
+                c1, c0 = 1.0 - ke / k1, 1.0 - ke / prev[1]
+                x1, m1, m0 = s1 + log(c1), m1 * c1, m0 * c0
+                dx = x1 - prev[0] - log(c0)
+            # r is finite where both samples are and lie apart (G is finite
+            # only where I > 0, and past the edge k > k_edge); with both ends,
+            # a slope m <= 0 steps out of the bracket, as the scalar loop's m = 0
+            # does
+            r = dg / dx / (0.5 * (m1 + m0))
+            m1 = m1 * where(np.isfinite(r), r, 1.0)
+            x = x1 - g1 / m1
+            if zero_bound:  # k = k_edge + e^x
+                x = np.logaddexp(log(ke), x)
+            h = ulp + h0
+            x = x - np.copysign(h, g1)  # 0.45 tol past the root
+            # with both ends: inside the bracket, at least 0.45 tol inside,
+            # else the ends' secant, else bisect (G infinite); bisect when the
+            # last three steps did not halve the bracket, unless G halved
+            step = fmax(fmin(x, hi[0] - h), lo[0] + h)  # no bound where an end is missing
+            if count(step != x) and count(out := (width == width) & ~((lo[0] < x) & (x < hi[0]))):
+                step = where(out, where((abs(g1) < inf) & (lo[2] > -inf) & (hi[2] < inf),
+                                        lo[0] - lo[2] * width / (hi[2] - lo[2]),
+                                        0.5 * (lo[0] + hi[0])), x)
+                h = where(out, abs(step) * _EPS + h0, h)
+                step = fmax(fmin(step, hi[0] - h), lo[0] + h)
+            if count(slow := width + width > w3):
+                step = where(slow & ~(abs(g1) <= 0.5 * abs(prev[2])), 0.5 * (lo[0] + hi[0]), step)
+            if one_end:
+                # with one end: Newton, else past Phi's flat edge (I = 0), to the
+                # end of the span (J = 0: F has no root below it), or halving k
+                # (an overflow)
+                x = where(m1 > 0.0, x, where(g1 < 0.0, inf, -inf))
+                x = where(abs(g1) < inf, x, where(hi[0] == hi[0], s1 - _LN2,
+                                                  where(i1 == 0.0, fmax(s1, s_edge) + _LN2, s_end)))
+                step = where(width == width, step, fmin(fmax(x, s_floor), s_end))
+                k = where(step >= s_end, k_end, fmin(exp(step), k_end))
+            else:
+                k = fmin(exp(step), k_end)
+            if n_grow and count(enter := grow & (k >= K_CAP * kl)):
+                # the cap K_CAP k_L may bind: solve for k_L first, from the
+                # latest sample
+                flo, fhi = where(enter, lo, flo), where(enter, hi, fhi)
+                last = last.copy()
+                last[2], last[4] = where(enter, log(i1), g1), where(enter, last[4] / qm, last[4])
+                below = last[2] <= 0.0
+                lo = where(enter, where(below, last, nan), lo)
+                hi = where(enter, where(below, nan, last), hi)
+                prev = where(enter, nan, prev)
+                w1, w2, w3 = (where(enter, inf, v) for v in (w1, w2, w3))
+                grow &= ~enter
+                lux |= enter
+                n_grow, n_lux = count(grow), count(lux)
+                continue
+            w1, w2, w3, s = fmin(width, inf), w1, w2, step
             break
-
-    # every bracket with F < 0 < F+ at its ends: regula falsi on F
-    rows = np.flatnonzero((lo_f < 0.0) & (hi_f > 0.0))
-    if rows.size:
-        _, bv[rows], bk[rows], n = _illinois(sample, None, np.log(lo_k[rows]), lo_f[rows],
-                                             np.log(hi_k[rows]), hi_f[rows], ax[rows],
-                                             bv[rows], bk[rows])
-        steps += n
-    return bv, bk, attained & (bv < inf), steps
-
-
-def _modular_root(sample, k, i, s_top, ax, bv, bk, target, tol=LOG_TOL):
-    """(s, bv, bk, steps) for rows with one sample (k, I): s is the lower end,
-    log I(e^s x) <= target there, of a bracket of width tol of the root of
-    log I(e^s x) = target, searched for in s = log k between the floor (k
-    and k max|x| above 1e-300) and s_top; s_top where log I <= target up
-    to there.  I(kx)/k is nondecreasing, so the root lies between log k and
-    log k - (log I - target), and regula falsi on log I - target settles
-    it.  bv, bk: each row's best g and its k, updated by every sample."""
-    s, f = np.log(k), np.log(i) - target
-    s_floor = np.maximum(-np.log(ax.max(axis=1)), 0.0) + _LOG_TINY
-    s_b = np.minimum(np.maximum(s - f, s_floor), s_top)
-    kb = np.exp(s_b)
-    i_b, _, g = sample(kb, ax)
-    better = g < bv
-    bv, bk = np.where(better, g, bv), np.where(better, kb, bk)
-    f_b = np.log(i_b) - target
-    below = f <= 0.0  # the root lies above s
-    lo, f_lo = np.where(below, s, s_b), np.where(below, f, f_b)
-    hi, f_hi = np.where(below, s_b, s), np.where(below, f_b, f)
-    s_l, steps = s_b, 1  # no sign change: the root is at s_b, to rounding or at an end
-    rows = np.flatnonzero((f_lo <= 0.0) & (f_hi > 0.0))
-    if rows.size:
-        s_l = s_l.copy()
-        s_l[rows], bv[rows], bk[rows], n = _illinois(sample, target[rows], lo[rows], f_lo[rows],
-                                                     hi[rows], f_hi[rows], ax[rows],
-                                                     bv[rows], bk[rows], tol)
-        steps += n
-    return s_l, bv, bk, steps
-
-
-def _illinois(sample, target, lo, f_lo, hi, f_hi, ax, bv, bk, tol=LOG_TOL):
-    """Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) in s = log k on
-    each row's bracket, F(lo) <= 0 < F(hi) for a nondecreasing F: log I -
-    target (one log target per row), or the first-order F when target is
-    None.  (s0, f0) is the retained end and (s1, f1) the latest sample; f0
-    is halved each time it is retained again.  A step bisects while an end's
-    F is infinite, and where the last three steps did not halve the bracket,
-    so the bracket halves at least every fourth step; else it lands at least
-    half the tolerance inside the bracket, so a root found to that width
-    closes it.  A row stops once its bracket is as narrow as the scalar
-    loop's, tol + 4 eps |s| at the latest sample s, and is sampled no more.  Returns each
-    row's final lower end, its best g and that g's k (bv, bk updated), and
-    the number of steps."""
-    where = np.where
-    s_out, v_out, k_out = lo.copy(), bv.copy(), bk.copy()
-    at = np.arange(len(lo))
-    s0, f0, s1, f1 = lo, f_lo, hi, f_hi
-    p1 = np.ones(len(lo), dtype=bool)  # f1 > 0
-    w1 = w2 = w3 = np.full(len(lo), math.inf)  # the bracket's width 1, 2 and 3 steps back
-    t = 0
-    while True:
-        d = s0 - s1
-        width = np.abs(d)
-        h2 = tol + 4.0 * _EPS * np.abs(s1)  # twice the least step
-        done = width <= h2
-        if np.count_nonzero(done):
-            s_out[at[done]] = where(p1, s0, s1)[done]
-            v_out[at[done]], k_out[at[done]] = bv[done], bk[done]
-            keep = ~done
-            at, s0, f0, s1, f1, p1, h2, bv, bk, ax, d, width, w1, w2, w3 = (
-                v[keep] for v in (at, s0, f0, s1, f1, p1, h2, bv, bk, ax, d, width, w1, w2, w3))
-            if target is not None:
-                target = target[keep]
-            if not at.size:
-                return s_out, v_out, k_out, t
-        # the secant's fraction of the way from s1 to s0
-        r = where(np.isfinite(f0 + f1), f1 / (f1 - f0), 0.5)
-        hr = 0.5 * h2 / width
-        r = where(width > 0.5 * w3, 0.5, np.minimum(np.maximum(r, hr), 1.0 - hr))
-        w1, w2, w3 = width, w1, w2
-        t += 1
-        s = s1 + r * d
-        k = np.exp(s)
-        i, f, g = sample(k, ax)
-        if target is not None:
-            f = np.log(i) - target
-        better = g < bv
-        bv, bk = where(better, g, bv), where(better, k, bk)
-        pos = f > 0.0
-        flip = pos != p1  # F changed sign: the latest end is retained
-        s0, f0 = where(flip, s1, s0), where(flip, f1, 0.5 * f0)
-        s1, f1, p1 = s, f, pos
 
 
 def _kink_candidates(phi: OrliczFunction, modular_at, hi: float) -> list[tuple[float, float]]:

@@ -398,7 +398,14 @@ def _modulus_block(p: PlanarNorm, eps: list[float], resolution: float) -> list[M
 
 def modulus_diagnostics_many(p: PlanarNorm, epsilons, resolution: float = 1e-3) -> list[ModulusResult]:
     """modulus_diagnostics at each epsilon, in the given order, duplicates
-    included; the passes run over many epsilons at once."""
+    included; the passes run over many epsilons at once.  p must be monotone
+    (every lattice norm is), as the level curve's end points bound the
+    modulus only then: a boundary ball with a facet a u + b v = 1 where a
+    or b is below -PLANAR_TOL is rejected (samples on an axis-parallel edge,
+    as through (1, 1), give a or b of a rounding's size)."""
+    if p.kind == "boundary" and min(map(min, p.facets)) < -PLANAR_TOL:
+        raise DomainError("the modulus needs a monotone ball: a boundary facet "
+                          "a u + b v = 1 has a < 0 or b < 0")
     eps = []
     for e in epsilons:
         if not (0.0 < float(e) < 1.0):

@@ -139,14 +139,16 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
     Phi is even and nondecreasing on [0, inf), so the infinite atoms need
     one evaluation at their largest |value|, and one finiteness check of
     scale * max|x| covers every atom; the infinite-atom test is one call
-    of phi.evaluate.  On a space of fewer than ARRAY_ATOMS atoms the finite
-    atoms are summed in atom order by phi.pair_sum, the kind's one scalar
-    evaluator, whose first component is bit for bit an atom-by-atom loop
-    over Phi; from ARRAY_ATOMS on, by one numpy dot product of the weights
-    with phi.evaluate_array, which may differ from that loop by a few ulps.
-    Either way a sum that comes out +inf (or J nan) is mended by
-    phi.mend_sums, which takes an overflowing term in log form, so it is
-    +inf only where the modular itself is past double range.
+    of phi.evaluate.  The modular is with_conjugate's first component.  On
+    a space of fewer than ARRAY_ATOMS atoms the finite atoms are summed in
+    atom order by phi.pair_sum, the kind's one scalar evaluator, whose first
+    component is bit for bit an atom-by-atom loop over Phi; from ARRAY_ATOMS
+    on, by numpy dot products of the weights with phi.pair_array's terms,
+    the first of which is phi.evaluate_array's, so the modular may differ
+    from that loop by a few ulps.  Either way a sum that comes out +inf (or
+    J nan) is mended by phi.mend_sums, which takes an overflowing term in
+    log form and keeps every finite I, so it is +inf only where the modular
+    itself is past double range.
     """
     n = x.space.n_atoms
     ev, inf = phi.evaluate, math.inf
@@ -176,18 +178,6 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
 
     # scale * top finite covers every atom; an infinite atom makes the
     # modular +inf where Phi(scale * top_inf) > 0
-    def at(scale: float) -> float:
-        s = abs(scale)
-        if top > 0.0 and not s * top < inf:
-            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
-        if top_inf > 0.0 and ev(s * top_inf) != 0.0:
-            return inf
-        if wide:
-            # vdot, unlike dot, does not warn on overflow: past double range it is +inf
-            i = float(np.vdot(ws, phi.evaluate_array(s * az)))
-            return i if i < inf else float(phi.mend_sums(ws, s * az[None, :], np.array([i]))[0])
-        return pair_sum(finite, s)[0]
-
     def with_conjugate(scale: float) -> tuple[float, float]:
         s = abs(scale)
         if top > 0.0 and not s * top < inf:
@@ -195,6 +185,7 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
         if top_inf > 0.0 and ev(s * top_inf) != 0.0:
             return inf, inf
         if wide:
+            # vdot, unlike dot, does not warn on overflow: past double range it is +inf
             f, d = phi.pair_array(s * az)
             i = float(np.vdot(ws, f))
             j = float(np.vdot(ws, d - f)) if i < inf else inf
@@ -206,6 +197,9 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
 
     def finite_atoms() -> tuple[np.ndarray, np.ndarray]:
         return (ws, az) if wide else tuple(np.array(finite, dtype=float).reshape(-1, 2).T)
+
+    def at(scale: float) -> float:
+        return with_conjugate(scale)[0]
 
     at.top, at.top_inf, at.top_finite = top, top_inf, top_finite
     at.with_conjugate, at.finite_atoms = with_conjugate, finite_atoms

@@ -92,6 +92,13 @@ def test_boundary_samples_out_of_convex_position_exit_2(capsys):
     assert code == 0 and json.loads(out)["value"] > 0.0
 
 
+def test_modulus_of_a_ball_that_is_not_monotone_exits_2(capsys):
+    # first facet b < 0: the modulus's endpoint argument does not hold
+    ball = "boundary:0,1;0.4,1.1;1.1,1.15;1.5707963267948966,1"
+    code, out, err = run(capsys, "modulus", "--p", ball)
+    assert code == 2 and out == "" and "monotone" in err
+
+
 def test_norm_outside_space_exits_2(capsys):
     code, out, err = run(capsys, "norm", "--phi", "power:2", "--values", "1",
                          "--space", '{"atoms":[{"w":"inf"}]}')

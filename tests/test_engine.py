@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orlnorm import engine, verify
@@ -293,6 +293,10 @@ def test_power_rows_take_three_evaluations(n):
                 x = simple_function(sp, rng.uniform(-1.0, 1.0, n))
                 r = generated_norm(power(q), p, x)
                 assert r.evaluations == 3 and r.attained, (q, p.label)
+                # the batch takes the same steps
+                batch = generated_norm_batch(power(q), p, sp, np.array([x.values]))
+                assert batch.steps <= 3 and batch.attained[0], (q, p.label)
+                assert batch.value[0] == pytest.approx(r.value, rel=1e-11, abs=0.0), (q, p.label)
                 m = math.fsum(w * abs(v) ** q for w, v in zip(sp.weights, x.values))
                 want = {"linf": m ** (1.0 / q), "l1": q / (q - 1.0) * ((q - 1.0) * m) ** (1.0 / q)}
                 if p.kind in want:
@@ -763,6 +767,25 @@ def test_batch_edge_rows(orlicz_catalog, planar_catalog):
         _assert_rows_independent(flat, p, unit_weights(4), rows, batch)
 
 
+def test_scale_rows_in_the_flat_zone_step_past_its_edge(monkeypatch):
+    # modular 0 at k = 1/max|x|: the first step doubles k past the flat edge
+    # zero_bound / max|x|, and Newton in log(k - k_edge) takes it from there
+    calls = []
+    pair_array = OrliczFunction.pair_array
+
+    def counted(self, au):
+        calls.append(len(au))
+        return pair_array(self, au)
+    monkeypatch.setattr(OrliczFunction, "pair_array", counted)
+    flat, space = flat_then_power(1, 2), unit_weights(4)
+    rows = np.array([[0.3, -0.9, 0.5, 0.1], [0.7, 0.7, -0.7, 0.7]])
+    c = engine.scale_to_modular_batch(flat, space, rows, [0.5, 0.5])
+    assert len(calls) <= 10, calls
+    for cn, row in zip(c.tolist(), rows):
+        x = simple_function(space, row)
+        assert modular(flat, x, scale=cn) <= 0.5 < modular(flat, x, scale=cn * math.exp(3e-13))
+
+
 def _assert_both_engines_match_the_oracle(phi, p, space, rows):
     """Both engines on every row within 1e-11 relative of the 40-digit
     oracle, with the same ``attained``."""
@@ -894,6 +917,18 @@ def _scale_batches(draw):
             np.array(targets))
 
 
+# exp_minus rows of which some overflow at the samples where the others do not
+@example((exp_minus(), measure_space([94.91394927433957, 11.723455189526877, 0.023830493253589696,
+                                      0.036374399846702425]),
+          np.array([[-2.264577787447321, 3.5442911952466725, 4.56200735157527, 4.269873698223808],
+                    [-7.385340591471637, 8.439571546355069, 7.165515554252181, -3.3046833481052444],
+                    [-3.7800384626550074, -9.661021090165685, -5.545480477877338, -6.9635622299907],
+                    [-1.1255007622279376, 2.2980219396738284, 10.384116078520606,
+                     -2.2568438613643567],
+                    [-5.219719542115012, 8.525643451881752, -9.008146877231734,
+                     -6.477405626717831]]),
+          np.array([4.969516302576338e-4, 8.30890755474444e-6, 1.3546809799216916e-8,
+                    1.026324575034656e-10, 7.697553102915472e-12])))
 @given(_scale_batches())
 def test_scale_batch_rows_are_independent(case):
     # a batch of N rows equals N batches of one, bit for bit: verify merges

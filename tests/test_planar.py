@@ -267,7 +267,7 @@ def test_level_end_lq400_does_not_underflow():
 
 
 def test_modulus_table_matches_bisection_pass(planar_catalog, monkeypatch):
-    norms = {**planar_catalog, "boundary": BOUNDARY_BALL}
+    norms = {**planar_catalog, "boundary": MONOTONE_BALL}
     fast = {name: build_modulus_table(p) for name, p in norms.items()}
     monkeypatch.setattr(planar, "_level_end", planar._level_end_bisected)
     for name, p in norms.items():
@@ -294,13 +294,29 @@ def test_modulus_matches_the_recorded_bits(name):
         assert got == rec["results"][repr(res)], res
 
 
-@pytest.mark.parametrize("p", [l1(), lq(3), lq(400), BOUNDARY_BALL], ids=lambda p: p.label)
+@pytest.mark.parametrize("p", [l1(), lq(3), lq(400), MONOTONE_BALL], ids=lambda p: p.label)
 def test_modulus_batch_equals_one_row_calls(p):
     grid = [0.7, 0.001, 0.5, 0.999, 0.5, 0.025, 0.975, 0.7, 0.3]
     for res in (1e-3, 5e-3):
         batch = planar.modulus_diagnostics_many(p, grid, res)
         assert [r.epsilon for r in batch] == grid
         assert batch == [modulus_diagnostics(p, e, res) for e in grid], res
+
+
+def test_modulus_rejects_a_ball_that_is_not_monotone():
+    # the endpoint argument needs p monotone: BOUNDARY_BALL's first facet has
+    # b = -0.031, BULGE's -0.214; the max norm's polygon, whose first facet
+    # has b = -2.2e-16 from rounding, is monotone and passes
+    assert BOUNDARY_BALL.facets[0][1] < 0.0
+    for p in (BOUNDARY_BALL, BULGE, SLANTED):
+        for call in (lambda: modulus_diagnostics(p, 0.5), lambda: build_modulus_table(p),
+                     lambda: planar.modulus_diagnostics_many(p, [0.2, 0.7])):
+            with pytest.raises(DomainError, match="monotone"):
+                call()
+    square = boundary_sampled([(0.0, 1.0), (math.pi / 4, math.sqrt(2.0)), (HALF_PI, 1.0)])
+    assert square.facets[0][1] < 0.0
+    assert np.allclose(build_modulus_table(square).deltas, build_modulus_table(linf()).deltas,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_modulus_batch_blocks_match_one_block(monkeypatch):
