@@ -591,11 +591,12 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
             # slope q'(1 + J/I) scaled by the secant of the two latest samples
             x1, m0 = s1, prev[4]
             dx, dg = (last - prev)[0:3:2]
-            if zero_bound:  # x = s + log(1 - k_edge / k): s where k <= k_edge, below the edge
+            if zero_bound:  # past the edge, x = log(k - k_edge), k - k_edge exact near it
                 ke = where(k1 > k_edge, k_edge, 0.0)
-                c1, c0 = 1.0 - ke / k1, 1.0 - ke / prev[1]
-                x1, m1, m0 = s1 + log(c1), m1 * c1, m0 * c0
-                dx = x1 - prev[0] - log(c0)
+                past = ke > 0.0
+                x1 = where(past, log(k1 - ke), s1)
+                dx = x1 - where(past, log(prev[1] - ke), prev[0])
+                m1, m0 = m1 * (1.0 - ke / k1), m0 * (1.0 - ke / prev[1])
             # r is finite where both samples are and lie apart (G is finite
             # only where I > 0, and past the edge k > k_edge); with both ends,
             # a slope m <= 0 steps out of the bracket, as the scalar loop's m = 0

@@ -313,9 +313,8 @@ def test_modulus_rejects_a_ball_that_is_not_monotone():
                      lambda: planar.modulus_diagnostics_many(p, [0.2, 0.7])):
             with pytest.raises(DomainError, match="monotone"):
                 call()
-    square = boundary_sampled([(0.0, 1.0), (math.pi / 4, math.sqrt(2.0)), (HALF_PI, 1.0)])
-    assert square.facets[0][1] < 0.0
-    assert np.allclose(build_modulus_table(square).deltas, build_modulus_table(linf()).deltas,
+    assert LINF_POLYGON.facets[0][1] < 0.0
+    assert np.allclose(build_modulus_table(LINF_POLYGON).deltas, build_modulus_table(linf()).deltas,
                        rtol=0.0, atol=1e-12)
 
 
