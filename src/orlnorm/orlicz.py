@@ -9,15 +9,15 @@ identically zero.  The catalog kinds are
     piecewise_linear(pts)   convex polyline through pts, extended linearly
 
 Values beyond double range evaluate to +inf; the modular layer treats that
-as an honest "too large to represent" and the doubling check below never
-mistakes it for a finite number.  A weighted term w Phi(u) is +inf only
+as an honest "too large to represent".  A weighted term w Phi(u) is +inf only
 when it is itself past double range: where Phi(u) overflows on an atom of
 tiny weight, the sums take the term in log form (log_pair_array).
 
 Each kind carries its convex analysis in closed form (Rockafellar, Convex
 Analysis, 1970, sections 12 and 26): ``zero_bound``, the largest u with
 Phi(u) = 0; ``slope_limit``, the limit of Phi(u)/u; the right derivative;
-the Young conjugate; and the strict-convexity verdict.
+the Young conjugate; the strict-convexity verdict; and the doubling
+verdict in each regime, read from the ratio Phi(2u)/Phi(u) at its end.
 """
 from __future__ import annotations
 
@@ -31,10 +31,7 @@ import numpy as np
 
 from .errors import DomainError, reading_descriptor
 
-DELTA2_FAIL_RATIO = 1e8
-DELTA2_LO_EXP = -40.0  # the doubling grid: 2^[lo, hi], DELTA2_PER_OCTAVE points per octave
-DELTA2_HI_EXP = 40.0
-DELTA2_PER_OCTAVE = 4
+DELTA2_FAIL_RATIO = 1e8  # exp_minus's doubling witness is the u where Phi(2u)/Phi(u) passes it
 
 
 @dataclass(frozen=True)
@@ -397,49 +394,36 @@ class Delta2Report:
     constant: float | None
     witness_u: float | None
     witness_ratio: float | None
-    sample_spec: str
 
 
 def delta2_check(phi: OrliczFunction, regime: str) -> Delta2Report:
-    """Grid-relative doubling verdict: Phi(2u) <= K Phi(u) on the regime's
-    sampled range, with failure declared when the ratio passes 1e8 or when
-    Phi(u) = 0 < Phi(2u) somewhere in range.
-
-    The verdict is relative to the declared log-uniform grid; the "zero"
-    regime covers grid points u <= 1 and the "infinity" regime the points
-    u > 1, so the global verdict is exactly the conjunction of the two.
+    """The doubling condition Phi(2u) <= K Phi(u) near zero, near infinity
+    or for all u (Chen 1996; Rao and Ren 1991), per kind from the ratio
+    Phi(2u)/Phi(u) at the regime's end.  At infinity it fails only for
+    exp_minus, whose ratio grows like e^u (witness u = log DELTA2_FAIL_RATIO);
+    at zero iff Phi has a flat zone, Phi(u) = 0 < Phi(2u) just below
+    zero_bound (witness u = zero_bound, ratio +inf); globally iff either
+    does.  ``constant`` is the ratio's limit at the regime's end (2^q, 4 for
+    exp_minus, 2 on a polyline), and for the global regime its supremum: a
+    polyline's ratio is monotone between its breakpoints and their halves.
     """
     if regime not in _REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
-    exps = np.arange(DELTA2_LO_EXP, DELTA2_HI_EXP + 0.5 / DELTA2_PER_OCTAVE,
-                     1.0 / DELTA2_PER_OCTAVE)
-    us = 2.0 ** exps
-    if regime == REGIME_ZERO:
-        us = us[us <= 1.0]
-    elif regime == REGIME_INFINITY:
-        us = us[us > 1.0]
-    spec = (f"log grid 2^[{DELTA2_LO_EXP}, {DELTA2_HI_EXP}], {DELTA2_PER_OCTAVE}/octave, "
-            f"regime {regime}")
-
-    fu = phi.evaluate_array(us)
-    f2u = phi.evaluate_array(2.0 * us)
-
-    zero_break = (fu == 0.0) & (f2u > 0.0)
-    if np.any(zero_break):
-        i = int(np.argmax(zero_break))
-        return Delta2Report(regime, False, None, float(us[i]), math.inf, spec)
-
-    # points where Phi(u) itself overflows carry no ratio information
-    pos = (fu > 0.0) & np.isfinite(fu)
-    if not np.any(pos):
-        return Delta2Report(regime, True, 1.0, None, None, spec)
-    ratios = np.where(pos, f2u / np.where(pos, fu, 1.0), 0.0)
-    over = ratios > DELTA2_FAIL_RATIO
-    if np.any(over):
-        i = int(np.argmax(over))
-        return Delta2Report(regime, False, None, float(us[i]), float(ratios[i]), spec)
-    k = float(np.max(ratios)) * (1.0 + 1e-9)
-    return Delta2Report(regime, True, k, None, None, spec)
+    if phi.zero_bound > 0.0 and regime != REGIME_INFINITY:
+        return Delta2Report(regime, False, None, phi.zero_bound, math.inf)
+    if phi.kind == "exp_minus":
+        if regime == REGIME_ZERO:  # Phi(u) ~ u^2 / 2
+            return Delta2Report(regime, True, 4.0, None, None)
+        u = math.log(DELTA2_FAIL_RATIO)
+        return Delta2Report(regime, False, None, u, phi(2.0 * u) / phi(u))
+    if phi.kind != "pwl":
+        return Delta2Report(regime, True, 2.0 ** phi.q, None, None)
+    k = 2.0
+    if regime == REGIME_GLOBAL:
+        us = np.array(phi.xs[1:])
+        us = np.concatenate([us, 0.5 * us])
+        k = max(k, float(np.max(phi.evaluate_array(2.0 * us) / phi.evaluate_array(us))))
+    return Delta2Report(regime, True, k, None, None)
 
 
 # ---------------------------------------------------------------------------

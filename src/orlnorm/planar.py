@@ -7,9 +7,9 @@ exactly.  A user-defined norm is the polygonal gauge through boundary
 samples of its unit sphere in the positive quadrant, p = max_i (a_i |u| +
 b_i |v|) with a_i u + b_i v = 1 on the i-th edge: monotone, hence a norm,
 iff every a_i, b_i >= 0 (Bauer, Stoer and Witzgall, Numer. Math. 3, 1961).
-check_lattice_axioms and verify_sandwich are sampled: a "pass" means no
-violation was found at the given budget.  The strictness verdicts are
-exact per kind, from the signs of a boundary ball's normals.
+check_lattice_axioms and the strictness verdicts are exact per kind, from
+the signs of a boundary ball's normals.  verify_sandwich is sampled: a
+"pass" means no violation was found at the given budget.
 
 The monotonicity modulus
 
@@ -145,8 +145,9 @@ def boundary_sampled(samples) -> PlanarNorm:
     Angles must increase from 0 to pi/2; the endpoint radii must equal 1
     within 1e-12 so the unit vectors are normalised.  The samples must be in
     convex position, p <= 1 + PLANAR_TOL at every one.  Monotonicity is not
-    required: a ball that bulges past the max-norm square constructs, and
-    check_lattice_axioms and strictly_monotone_probe report it.
+    required: a ball that bulges past the max-norm square constructs;
+    check_lattice_axioms reads the failure from its facets, and
+    modulus_diagnostics_many rejects it.
     """
     pts = sorted((float(a), float(r)) for a, r in samples)
     if len(pts) < 2:
@@ -183,13 +184,13 @@ def planar_from_descriptor(d: dict) -> PlanarNorm:
 
 
 # ---------------------------------------------------------------------------
-# Sampled axiom checks
+# Axiom checks
 
 
 @dataclass
 class ValidationReport:
     passed: bool
-    samples: int
+    samples: int = 0  # the points verify_sandwich drew; check_lattice_axioms draws none
     violations: list[dict] = field(default_factory=list)
 
     def first_violation(self) -> dict | None:
@@ -199,66 +200,29 @@ class ValidationReport:
 _MAX_RECORDS = 50
 
 
-def check_lattice_axioms(p: PlanarNorm, sample_budget: int = 1000, seed: int = 0) -> ValidationReport:
-    """Probe normalisation, the lattice property, homogeneity, the triangle
-    inequality and coordinatewise monotonicity on random points."""
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    violations: list[dict] = []
+def monotone(p: PlanarNorm) -> bool:
+    """p is nondecreasing in |u| and |v|: every catalog kind, and a boundary
+    ball iff every facet has a, b >= -PLANAR_TOL (samples on an
+    axis-parallel edge, as through (1, 1), give a or b of a rounding's size)."""
+    return p.kind != "boundary" or min(map(min, p.facets)) >= -PLANAR_TOL
 
-    def record(kind: str, **data) -> None:
-        if len(violations) < _MAX_RECORDS:
-            violations.append({"check": kind, "p": p.descriptor(), **data})
 
-    for axis, val in (("(1,0)", p.evaluate((1.0, 0.0))), ("(0,1)", p.evaluate((0.0, 1.0)))):
-        if abs(val - 1.0) > PLANAR_TOL:
-            record("normalization", point=axis, value=val)
-
-    n = sample_budget
-    u = rng.uniform(0.0, 2.0, n)
-    v = rng.uniform(0.0, 2.0, n)
-    base = p.evaluate_many(u, v)
-
-    signs_u = rng.choice([-1.0, 1.0], n)
-    signs_v = rng.choice([-1.0, 1.0], n)
-    signed = p.evaluate_many(signs_u * u, signs_v * v)
-    for i in np.nonzero(np.abs(signed - base) > PLANAR_TOL * np.maximum(1.0, base))[0][:5]:
-        record("lattice", point=[float(u[i]), float(v[i])],
-               signs=[float(signs_u[i]), float(signs_v[i])],
-               value=float(signed[i]), expected=float(base[i]))
-
-    t = rng.uniform(0.25, 4.0, n)
-    scaled = p.evaluate_many(t * u, t * v)
-    tol = PLANAR_TOL * np.maximum(1.0, t * base)
-    for i in np.nonzero(np.abs(scaled - t * base) > tol)[0][:5]:
-        record("homogeneity", point=[float(u[i]), float(v[i])], factor=float(t[i]),
-               value=float(scaled[i]), expected=float(t[i] * base[i]))
-
-    u2 = rng.uniform(0.0, 2.0, n)
-    v2 = rng.uniform(0.0, 2.0, n)
-    other = p.evaluate_many(u2, v2)
-    summed = p.evaluate_many(u + u2, v + v2)
-    for i in np.nonzero(summed > base + other + PLANAR_TOL * np.maximum(1.0, base + other))[0][:5]:
-        record("triangle", x=[float(u[i]), float(v[i])], y=[float(u2[i]), float(v2[i])],
-               value=float(summed[i]), bound=float(base[i] + other[i]))
-
-    # dominated pairs: random growth plus the axis projections (u,0) <= (u,v)
-    du = rng.uniform(0.0, 1.0, n)
-    dv = rng.uniform(0.0, 1.0, n)
-    bigger = p.evaluate_many(u + du, v + dv)
-    for i in np.nonzero(base > bigger + PLANAR_TOL)[0][:5]:
-        record("monotonicity", low=[float(u[i]), float(v[i])],
-               high=[float(u[i] + du[i]), float(v[i] + dv[i])],
-               low_value=float(base[i]), high_value=float(bigger[i]))
-    proj_u = p.evaluate_many(u, np.zeros(n))
-    proj_v = p.evaluate_many(np.zeros(n), v)
-    for i in np.nonzero((proj_u > base + PLANAR_TOL) | (proj_v > base + PLANAR_TOL))[0][:5]:
-        record("monotonicity", low=[float(u[i]), 0.0] if proj_u[i] > base[i] + PLANAR_TOL else [0.0, float(v[i])],
-               high=[float(u[i]), float(v[i])],
-               low_value=float(max(proj_u[i], proj_v[i])), high_value=float(base[i]))
-
-    return ValidationReport(passed=not violations, samples=n, violations=violations)
+def check_lattice_axioms(p: PlanarNorm) -> ValidationReport:
+    """The lattice-norm axioms, exactly: the catalog kinds hold them by
+    construction, a boundary ball iff it is monotone.  A facet with b (a)
+    below -PLANAR_TOL pushes u (v) past 1 at its end (start) vertex, high,
+    whose projection low onto that axis has p(low) > p(high)."""
+    violations = []
+    if p.kind == "boundary":
+        for (a, b), start, end in zip(p.facets, p.vertices, p.vertices[1:]):
+            if min(a, b) >= -PLANAR_TOL:
+                continue
+            high = end if b < -PLANAR_TOL else start
+            low = (high[0], 0.0) if b < -PLANAR_TOL else (0.0, high[1])
+            violations.append({"check": "monotonicity", "p": p.descriptor(),
+                               "low": list(low), "high": list(high),
+                               "low_value": p.evaluate(low), "high_value": p.evaluate(high)})
+    return ValidationReport(passed=not violations, violations=violations)
 
 
 def sandwich_violated(u, v, value):
@@ -400,10 +364,8 @@ def modulus_diagnostics_many(p: PlanarNorm, epsilons, resolution: float = 1e-3) 
     """modulus_diagnostics at each epsilon, in the given order, duplicates
     included; the passes run over many epsilons at once.  p must be monotone
     (every lattice norm is), as the level curve's end points bound the
-    modulus only then: a boundary ball with a facet a u + b v = 1 where a
-    or b is below -PLANAR_TOL is rejected (samples on an axis-parallel edge,
-    as through (1, 1), give a or b of a rounding's size)."""
-    if p.kind == "boundary" and min(map(min, p.facets)) < -PLANAR_TOL:
+    modulus only then."""
+    if not monotone(p):
         raise DomainError("the modulus needs a monotone ball: a boundary facet "
                           "a u + b v = 1 has a < 0 or b < 0")
     eps = []

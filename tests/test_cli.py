@@ -188,6 +188,19 @@ def test_verify_on_the_space_of_the_space_help(capsys):
         assert t6["status"] == "passed" and t6["trials"] > 0
 
 
+def test_verify_all_on_a_flat_zone_past_double_range(capsys):
+    # Phi(1.5 a) overflows for a = 1e12 under power 40: L2's case is out of
+    # its hypothesis, and R2's steep level lies past the flat zone, so no
+    # suite stops the run with an input error
+    code, out, _ = run(capsys, "verify", "--all", "--json", "--budget", "20",
+                       "--phi", "flat_then_power:1e12,40", "--p", "l1")
+    assert code != 2
+    reports = {r["theorem_id"]: r for r in json.loads(out)["reports"]}
+    assert reports["L2"]["status"] == "hypothesis-not-met"
+    assert reports["L2"]["details"]["reason"] == "modular of x must be finite"
+    assert reports["R2"]["details"]["branch"] == "order-continuous"
+
+
 def test_verify_json_is_deterministic(capsys):
     args = ("verify", "T1", "T2", "--phi", "exp_minus", "--p", "lq:2",
             "--seed", "7", "--budget", "20", "--json")

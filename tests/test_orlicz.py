@@ -187,6 +187,58 @@ def test_delta2_global_is_conjunction(orlicz_catalog):
             assert g.constant == pytest.approx(max(z.constant, i.constant), rel=1e-12)
 
 
+def _grid_delta2(phi, regime):
+    """The doubling verdict on the log grid 2^[-40, 40], 4 points per
+    octave, u <= 1 for the zero regime and u > 1 for infinity: it fails
+    where Phi(u) = 0 < Phi(2u) or where Phi(2u)/Phi(u) passes 1e8.  Returns
+    (verdict, whether a ratio passed 1e8, the largest finite ratio)."""
+    us = 2.0 ** np.arange(-40.0, 40.125, 0.25)
+    if regime != REGIME_GLOBAL:
+        us = us[us <= 1.0] if regime == REGIME_ZERO else us[us > 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu, f2u = phi.evaluate_array(us), phi.evaluate_array(2.0 * us)
+        pos = (fu > 0.0) & np.isfinite(fu)
+        ratios = f2u[pos] / fu[pos]
+    steep = bool(np.any(ratios > 1e8))
+    top = float(np.max(ratios[np.isfinite(ratios)], initial=0.0))
+    return not (np.any((fu == 0.0) & (f2u > 0.0)) or steep), steep, top
+
+
+def _random_polyline(rng):
+    """A convex polyline with breakpoints and slopes over several decades,
+    flat up to its first breakpoint half the time."""
+    n = int(rng.integers(2, 6))
+    xs = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, n))])
+    slopes = np.cumsum(10.0 ** rng.uniform(-6.0, 3.0, n))
+    if rng.random() < 0.5:
+        slopes[0] = 0.0
+    ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+    return piecewise_linear(zip(xs.tolist(), ys.tolist()))
+
+
+def test_delta2_verdicts_match_a_grid_oracle_off_flat_zones_and_steep_kinks(orlicz_catalog):
+    # the closed-form verdicts are the grid's wherever the grid can see the
+    # asymptotics: they may differ only on a flat zone (the grid reads a
+    # wide zone's edge as a failure at infinity, and a zone past u = 2 as
+    # none at zero) or where a polyline's ratio passes 1e8 at a kink
+    rng = np.random.default_rng(23)
+    phis = [*orlicz_catalog.values(), *(_random_polyline(rng) for _ in range(400))]
+    checks, differ = 0, {"flat": 0, "steep": 0}
+    for i, phi in enumerate(phis):
+        for regime in (REGIME_ZERO, REGIME_INFINITY, REGIME_GLOBAL):
+            rep = delta2_check(phi, regime)
+            grid, steep, top = _grid_delta2(phi, regime)
+            checks += 1
+            if i < len(orlicz_catalog):
+                assert rep.holds == grid, (phi.label, regime)
+            if rep.holds != grid:
+                assert phi.zero_bound > 0.0 or steep, (phi.descriptor(), regime)
+                differ["flat" if phi.zero_bound > 0.0 else "steep"] += 1
+            if rep.holds and regime == REGIME_GLOBAL:  # the constant bounds every ratio
+                assert top <= rep.constant * (1.0 + 1e-12), phi.descriptor()
+    assert checks == 3 * len(phis) and min(differ.values()) > 0, differ
+
+
 def test_delta2_rejects_unknown_regime():
     with pytest.raises(DomainError):
         delta2_check(power(2), "sideways")

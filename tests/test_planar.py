@@ -31,12 +31,12 @@ def test_evaluate_rejects_non_finite():
 
 def test_lattice_axioms_pass_for_catalog(planar_catalog):
     for name, p in planar_catalog.items():
-        rep = check_lattice_axioms(p, 1000, seed=3)
+        rep = check_lattice_axioms(p)
         assert rep.passed, (name, rep.first_violation())
 
 
 def test_lattice_axioms_pass_for_lq_fractional():
-    rep = check_lattice_axioms(lq(1.5), 1000, seed=5)
+    rep = check_lattice_axioms(lq(1.5))
     assert rep.passed, rep.first_violation()
 
 
@@ -44,12 +44,28 @@ def test_boundary_bulge_reports_monotonicity_violation():
     # the sphere pokes outside the max-norm square, so p < max(|u|,|v|)
     # somewhere and an axis projection exceeds the dominating point
     bad = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.8), (HALF_PI, 1.0)])
-    rep = check_lattice_axioms(bad, 2000, seed=0)
+    rep = check_lattice_axioms(bad)
     assert not rep.passed
     kinds = {v["check"] for v in rep.violations}
     assert "monotonicity" in kinds or "triangle" in kinds
+    # one witness per facet: the vertex (1.27, 1.27) and its projections
+    assert [(v["low"], v["high"]) for v in rep.violations] == [
+        ([bad.vertices[1][0], 0.0], list(bad.vertices[1])),
+        ([0.0, bad.vertices[1][1]], list(bad.vertices[1]))]
+    for v in rep.violations:
+        _assert_axis_projection_witness(bad, v)
     sand = verify_sandwich(bad, 2000, seed=0)
     assert not sand.passed
+
+
+def _assert_axis_projection_witness(p, v):
+    """A monotonicity witness of check_lattice_axioms: a vertex on the unit
+    sphere and its projection onto an axis, which p puts above it."""
+    low, high = v["low"], v["high"]
+    assert tuple(high) in p.vertices and low in ([high[0], 0.0], [0.0, high[1]]), v
+    assert v["high_value"] == pytest.approx(1.0, abs=1e-12)
+    assert v["low_value"] > v["high_value"], v
+    assert p(tuple(low)) == v["low_value"] and p(tuple(high)) == v["high_value"]
 
 
 def test_boundary_constructor_validation():
@@ -415,14 +431,20 @@ def test_strictness_verdicts_match_dense_sphere_oracle():
 
 
 def test_sampled_monotonicity_violation_implies_not_strictly_monotone():
+    # oracle: dense points on the polygon; monotone iff x never rises and y
+    # never falls along it
     rng = np.random.default_rng(7)
     flagged = 0
     for i in range(150):
         p = _random_ball(rng)
-        rep = check_lattice_axioms(p, 400, seed=i)
+        rep = check_lattice_axioms(p)
+        dx, dy = np.diff(_sphere_points(p), axis=0).T
+        assert rep.passed == bool(np.all(dx <= 0.0) and np.all(dy >= 0.0)), p.descriptor()
         if any(v["check"] == "monotonicity" for v in rep.violations):
             flagged += 1
             assert strictly_monotone_probe(p)[0] is False, p.descriptor()
+            for v in rep.violations:
+                _assert_axis_projection_witness(p, v)
     assert flagged >= 10
 
 

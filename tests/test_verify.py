@@ -81,28 +81,35 @@ def test_t3_witness_and_gates():
         assert modular(exp_minus(), b, scale=1.01) >= 2.0
     _, gate = build_linf_witness(power(2), l1(), 4, "approximate", seed=2)
     assert gate.status == STATUS_HNM
-    # a steep tail: the first grid level already jumps past the threshold
-    rep = run_suites(["T3"], flat_then_power(2, 40), l1(), SP6, budget=20)[0]
-    assert rep.status == STATUS_PASSED and rep.details["levels"] == [2.02] * 4
-    assert rep.details["threshold_achieved"] == pytest.approx(8.39e9, rel=1e-3)
-    # no grid level jumps by 2: the best is 0.05 * Phi(1.01 v) / Phi(v) at the
-    # lowest level v = 2.02, 0.05 * (0.0402 / 0.02)^2 for the square above 2
-    # and 0.05 * 0.0402 / 0.02 for the line above 2
-    for phi, best in ((flat_then_power(2, 2), 0.202005),
-                      (piecewise_linear([(0, 0), (2, 0), (3, 5)]), 0.1005)):
+    # a flat zone does not break doubling at infinity: Phi(2u) / Phi(u)
+    # tends to 2^q above the zone and to 2 on a polyline's affine tail
+    for phi, k in ((flat_then_power(2, 40), 2.0 ** 40), (flat_then_power(2, 2), 4.0),
+                   (piecewise_linear([(0, 0), (2, 0), (3, 5)]), 2.0)):
         gate = run_suites(["T3"], phi, l1(), SP6, budget=20)[0]
         assert gate.status == STATUS_HNM
-        assert gate.details["reason"] == "double precision cannot hold the required modular jump"
-        assert gate.details["best_achievable"] == pytest.approx(best, rel=1e-9)
-        assert gate.details["level"] == 2.02
+        assert gate.details == {"reason": "generator satisfies the doubling condition at infinity",
+                                "constant": k}
+    # a steep jump: with eta = 0.1 a level's modular jumps past the threshold
+    _, rep = build_linf_witness(exp_minus(), l1(), 4, "approximate", eta=0.1, z_samples=20, seed=2)
+    assert rep.status == STATUS_PASSED
+    assert rep.details["threshold_achieved"] >= rep.details["threshold_requested"]
+    # no level jumps by 2 for the sixth basis element: its budget 0.1 / 2^6
+    # times the best ratio Phi(1.01 v) / Phi(v), at the top level v, is 1.76
+    _, gate = build_linf_witness(exp_minus(), l1(), 6, "approximate", seed=2)
+    assert gate.status == STATUS_HNM
+    assert gate.details["reason"] == "double precision cannot hold the required modular jump"
+    v = gate.details["level"]
+    assert gate.details["best_achievable"] == pytest.approx(
+        0.1 / 64 * exp_minus()(1.01 * v) / exp_minus()(v), rel=1e-9)
+    assert gate.details["best_achievable"] < 2.0
 
 
 def test_t3_gates_a_flat_zone_that_leaves_no_level_range():
-    # Phi vanishes up to 1e12, so the levels would have to start above the
-    # largest v with a finite Phi((1 + eta) v) under power 40
+    # Phi vanishes up to 1e12, yet Phi(2u) <= 3^40 Phi(u) for u >= 2e12:
+    # doubling holds at infinity, so T3's hypothesis fails
     w, gate = build_linf_witness(flat_then_power(1e12, 40), l1(), 4, "approximate")
     assert w is None and gate.status == STATUS_HNM
-    assert gate.details["reason"] == "no representable level range for the construction"
+    assert gate.details["reason"] == "generator satisfies the doubling condition at infinity"
 
 
 def test_public_entry_points_show_their_names_and_defaults():
@@ -189,6 +196,11 @@ def test_t7_estimate_and_gate():
     rep = suite_decomposition_estimate(power(2), l1(), SP6, budget=60)
     assert rep.status == STATUS_PASSED and rep.details["checked"] == 60
     assert suite_decomposition_estimate(power(2), linf(), SP6).status == STATUS_HNM
+    # Phi vanishes up to 1e3, so every scaled x has modular 0 and no pair is
+    # checked: a pass would be vacuous
+    rep = suite_decomposition_estimate(flat_then_power(1e3, 80), l1(), SP6)
+    assert rep.status == STATUS_HNM and rep.trials == 0
+    assert rep.details["reason"].startswith("no sampled pair has a modular")
 
 
 def test_strictness_gates_reject_a_ball_that_is_not_monotone():
@@ -272,6 +284,18 @@ def test_r2_branches():
     assert rep_f.status == STATUS_PASSED and rep_f.details["branch"] == "not-order-continuous"
     assert min(rep_f.details["tail_norms"]) >= 0.9
     assert rep_f.details["last_tail_modular"] <= 2.0 ** -15
+
+
+@pytest.mark.parametrize("phi", [flat_then_power(5, 2), flat_then_power(2.5, 1),
+                                 piecewise_linear([(0, 0), (3, 0), (4, 1)])],
+                         ids=["flat_then_power:5,2", "flat_then_power:2.5,1", "pwl:0,0;3,0;4,1"])
+def test_r2_order_continuous_past_a_wide_flat_zone(phi):
+    # doubling holds at infinity however wide the flat zone, so the tails
+    # must lose their norm
+    for p in (l1(), lq(2), linf()):
+        rep = suite_order_continuity(phi, p, SPW)
+        assert rep.status == STATUS_PASSED, (p.label, rep.violations)
+        assert rep.details["branch"] == "order-continuous"
 
 
 def test_r3_branches():
