@@ -9,7 +9,7 @@ bounded-sequence space.
 """
 from .catalog import (catalog_orlicz_functions, catalog_planar_norms,
                       strictly_monotone_planar_norms)
-from .engine import (K_CAP, LemmaBounds, NormBatch, NormResult, generated_norm,
+from .engine import (LemmaBounds, NormBatch, NormResult, generated_norm,
                      generated_norm_batch, generated_norm_on_grid, lemma_bounds_check,
                      luxemburg_norm, orlicz_dual_norm)
 from .errors import ContractError, DomainError, PreconditionError

@@ -14,10 +14,16 @@ form: log I under the max norm (the Luxemburg point I(k_L x) = 1), log J
 under the sum norm (the Amemiya/Orlicz equality J = 1; Hudzik and
 Maligranda, Indag. Math. 11, 2000), log J + (q - 1) log I under the q-mean,
 and log(b J / a) under a boundary ball, on its facet a u + b v = 1 that
-holds (1, I).  One loop in s = log k (_first_order_root) solves it from k
-= 1/max|x|, below the finite/+inf jump, taken in closed form from the zero
-bound of Phi, and below K_CAP k_L, so the search is homogeneous in x: Newton
-steps with the slope q'(1 + J/I) of log I (exact for a power generator,
+holds (1, I).
+
+Where Phi has a finite slope limit, F may stay <= 0 for every k: then g
+falls to its infimum S = slope_limit sum w |x| only as k -> inf.  That is
+decided before any search, in closed form (_limit), from the limit of J,
+J_inf = Psi(slope_limit) mu(supp x), Psi the Young conjugate.  Otherwise
+one loop in s = log k (_first_order_root) solves F = 0 from k = 1/max|x|,
+below the finite/+inf jump, taken in closed form from the zero bound of
+Phi, and with k and k max|x| in [1e-300, 1e300], so the search is
+homogeneous in x: Newton steps with the slope q'(1 + J/I) of log I (exact for a power generator,
 which takes 3 evaluations), scaled by the secant of the two latest samples,
 each landing 0.45 tol past the predicted root.  F jumps up at k = b/|x_i| for
 a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of a boundary ball:
@@ -49,11 +55,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .orlicz import OrliczFunction, young_conjugate_many
+from .orlicz import OrliczFunction, young_conjugate, young_conjugate_many
 from .planar import PlanarNorm, l1, linf
 from .spaces import MeasureSpace, SimpleFunction, modular, modular_of, modular_on_grid
 
-K_CAP = 1e12  # the generated-norm and dual-norm searches keep k <= K_CAP * k_L (I(k_L x) = 1)
 LOG_TOL = 1e-11  # default width in log k of the searches' final bracket
 SCALE_LOG_TOL = 1e-13  # scale_to_modular_batch: width in log c of its final bracket
 GRID_K_LO = 1e-8  # generated_norm_on_grid: GRID_POINTS k on a log grid over [GRID_K_LO, GRID_K_HI]
@@ -82,47 +87,58 @@ def luxemburg_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     return generated_norm(phi, _MAX_NORM, x).value
 
 
-def _jump_top(phi: OrliczFunction, m: float,
-              s_top: float) -> tuple[float, float, bool] | None:
-    """(k_top, s_top, open_top): the cap e^s_top on k, lowered to the finite/+inf
-    jump where lower (open_top false there), or None when I(k x) = +inf for all
-    k > 0.  I(k x) = +inf exactly when Phi(k m) > 0, m = max|x| on infinite atoms."""
-    k_top, open_top = math.exp(s_top), True
-    if m > 0.0:
-        k_jump = phi.zero_bound / m
-        while k_jump > 0.0 and phi.evaluate(k_jump * m) != 0.0:
-            k_jump = math.nextafter(k_jump, 0.0)
-        if k_jump == 0.0:
-            return None
-        if k_jump < k_top:
-            k_top, s_top, open_top = k_jump, math.log(k_jump), False
-    return k_top, s_top, open_top
-
-
 def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
                    log_tol: float = LOG_TOL) -> NormResult:
-    """Minimise g(k) = (1/k) p((1, modular(k x))) over 0 < k <= K_CAP * k_L,
-    k_L the Luxemburg point I(k_L x) = 1, and below the finite/+inf jump.
+    """Minimise g(k) = (1/k) p((1, modular(k x))) over k > 0, below the
+    finite/+inf jump.
 
+    Attainment is decided before any search (_limit): where the infimum is
+    approached only as k -> inf, the result is its value S = slope_limit
+    sum w |x|, with ``attained`` false, ``k_star`` and ``bracket`` None and
+    0 evaluations.  Every other x of finite norm has ``attained`` true, and
     ``bracket`` holds the minimiser: F <= 0 at its lower end and F > 0 at
-    its upper end, or both ends at the top when F <= 0 up to there.
-    ``attained`` is false exactly when F <= 0 all the way to the K_CAP * k_L
-    cap with no jump below it (the infimum is approached as k grows).
+    its upper end, or both ends at the top when F <= 0 up to there (the
+    finite/+inf jump, or the end of the span where the root lies past
+    double range).
     """
     if not log_tol > 0.0:
         raise DomainError(f"log_tol must be positive, got {log_tol!r}")
     modular_at = modular_of(phi, x)
     if modular_at.top == 0.0:
         return NormResult(0.0, None, False, None, 0)
-    root = _first_order_root(phi, p, modular_at, log_tol)
-    if root is None:
-        return NormResult(math.inf, None, False, None, 0)
-    value, k, lo, hi, attained, evaluations = root
+    if modular_at.top_inf == 0.0 and phi.slope_limit < math.inf:
+        limit = float(_limit(phi, p, *modular_at.finite_atoms()))
+        if limit == limit:
+            return NormResult(limit, None, False, None, 0)
+    value, k, lo, hi, evaluations = _first_order_root(phi, p, modular_at, log_tol)
     if value == math.inf:
         return NormResult(math.inf, None, False, None, evaluations)
     # k is lo's or hi's; where F's sign is rounding, lo may lie above hi
-    return NormResult(value, k, attained, (lo[1] if lo[1] < k else k, hi[1] if hi[1] > k else k),
+    return NormResult(value, k, True, (lo[1] if lo[1] < k else k, hi[1] if hi[1] > k else k),
                       evaluations)
+
+
+def _limit(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """For |values| ax on finite atoms of weights w (a row or an (N, n)
+    array of rows): S = slope_limit sum w |x| where the infimum of g is
+    approached only as k -> inf, nan where it is attained.  With a finite
+    slope limit g(k) = p((1/k, I(kx)/k)) tends to p((0, S)) = S, and J(kx)
+    reaches J_inf = Psi(slope_limit) mu(supp x) at a finite k, past Phi's
+    last kink; F <= 0 for every k iff F <= 0 at J_inf and I = +inf: never
+    under the max norm, iff J_inf = 0 under a q-mean, J_inf < 1 under the
+    sum norm (Hudzik and Maligranda), b J_inf < a on a boundary ball's
+    last facet (a, b)."""
+    slope = phi.slope_limit
+    j_inf = young_conjugate(phi, slope) * np.vecdot(ax != 0.0, w)
+    if p.kind == "boundary":
+        a, b = p.facets[-1]
+        below = b * j_inf < a
+    elif p.kind == "l1":
+        below = j_inf < 1.0
+    else:  # the max norm never, a q-mean where J stays 0
+        below = (j_inf == 0.0) & (p.kind == "lq")
+    with np.errstate(over="ignore"):  # S past double range is +inf
+        return np.where(below, slope * np.vecdot(ax, w), math.nan)
 
 
 def _first_order(p: PlanarNorm):
@@ -164,18 +180,14 @@ def _mean_first_order(max_norm: bool, q1: float):
 
 def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: float):
     """Find the minimiser of g as the sign change of F in s = log k, from k =
-    1 / max|x|: (the least g sampled, its k, lo, hi, attained,
-    evaluations), lo and hi the bracket ends (s, k, F, I, J), F <= 0 at lo
-    and F > 0 at hi; None when I(kx) = +inf for all k > 0.
+    1 / max|x|: (the least g sampled, its k, lo, hi, evaluations), lo and
+    hi the bracket ends (s, k, F, I, J), F <= 0 at lo and F > 0 at hi;
+    +inf and no k or ends when I(kx) = +inf for all k > 0.
 
-    One loop finds the root of G = F, or, while it solves for the K_CAP
-    k_L cap, of G = log I (the Luxemburg point; given up once F > 0 at a
-    sample below K_CAP kl, where the cap cannot bind), from the latest and
-    the previous sample and the bracket ends a (G <= 0) and b (G > 0),
-    samples (s, k, G, I, J) or None (then the floor or end of the span
-    bounds the bracket).  Every sample also records F's ends lo and hi,
-    and kl, a lower bound of k_L (I(kx)/k is nondecreasing, so k_L >= k /
-    max(1, I(kx))).  Each step is
+    One loop finds the root of F from the latest and the previous sample
+    and the bracket ends a (F <= 0) and b (F > 0, or its left limit at a
+    kink), samples (s, k, F, I, J) or None (then the floor or end of the
+    span bounds the bracket).  Each step is
     Newton's from the latest sample, with slope q'(1 + J/I) (q' = q under
     the q-mean, else 1), the exact slope of log I, so exact for a power
     generator; once the two latest samples are finite, the slope is scaled
@@ -185,23 +197,28 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     (_HALF_TOL) past the predicted root, at least that far inside the
     bracket, so that two steps close it; it takes the ends' secant when it
     would leave the bracket, and bisects when the last three steps did not
-    halve it (unless G at least halved) or when the latest G is infinite.
-    With no sample above, G = -inf steps to k twice Phi's flat edge (I =
+    halve it (unless F at least halved) or when the latest F is infinite.
+    With no sample above, F = -inf steps to k twice Phi's flat edge (I =
     0), past a boundary ball's corner, or to the end of the span (J = 0: F
-    has no root below it); with none below, G = +inf steps past the corner
+    has no root below it); with none below, F = +inf steps past the corner
     below, or halves k (an overflow).  F's jumps go first: a binary search
-    over the kinks b/|x_i| inside the bracket (G at an upper end there is
-    F's left limit), then Newton on log I toward a corner between the
+    over the kinks b/|x_i| inside the bracket (F at an upper end there is
+    its left limit), then Newton on log I toward a corner between the
     ends' facets, from the end nearer to it.  The loop stops at width tol +
-    4 eps |s|, at G = 0, or with G <= 0 up to the end (G > 0 down to the
+    4 eps |s|, at F = 0, or with F <= 0 up to the end (F > 0 down to the
     floor)."""
     log, exp, inf = math.log, math.exp, math.inf
     s_start = -log(modular_at.top)  # homogeneous: from k = 1/max|x|, k and k max|x|
     s_top = min(s_start, 0.0) - _LOG_TINY  # within [1e-300, 1e300]
-    top = _jump_top(phi, modular_at.top_inf, s_top)
-    if top is None:
-        return None
-    k_top, s_top, open_top = top  # open_top: false while k_top is the jump
+    k_top, m_inf = exp(s_top), modular_at.top_inf
+    if m_inf > 0.0:  # I(k x) = +inf exactly when Phi(k m_inf) > 0, m_inf = max|x| there
+        k_jump = phi.zero_bound / m_inf
+        while k_jump > 0.0 and phi.evaluate(k_jump * m_inf) != 0.0:
+            k_jump = math.nextafter(k_jump, 0.0)
+        if k_jump == 0.0:
+            return inf, None, None, None, 0
+        if k_jump < k_top:  # the finite/+inf jump ends the span
+            k_top, s_top = k_jump, log(k_jump)
     pair, p_abs, first_order = modular_at.with_conjugate, p._eval_abs, _first_order(p)
     qm = p.q if p.kind == "lq" else 1.0
     corners = p.corners if p.kind == "boundary" else None
@@ -212,45 +229,33 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
     s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
     h0 = _HALF_TOL * log_tol
-    lo, hi, kl, n = None, None, 0.0, 0
-    s_end, k_end, capped = s_top, k_top, p.kind == "linf"  # lowered to the cap once solved
-    a = b = last = prev = k = saved = None
-    jumped, luxemburg, s = False, False, min(s_start, s_top)  # luxemburg: G = log I
+    a = b = hi = last = prev = k = None
+    jumped, s, n = False, min(s_start, s_top), 0
     w1 = w2 = w3 = inf  # the bracket's width 1, 2 and 3 steps back
     while True:
         if last is not None:
             s1, k1, g1, i1, j1 = last
             k = None
-            if cands and not luxemburg:  # the kinks inside the bracket, or up to the end
-                k_lo, k_hi = a[1] if a else 0.0, b[1] if b else math.nextafter(k_end, inf)
+            if cands:  # the kinks inside the bracket, or up to the top
+                k_lo, k_hi = a[1] if a else 0.0, b[1] if b else math.nextafter(k_top, inf)
                 cands = [c for c in cands if k_lo < c[0] < k_hi]
             two = False
-            if b is None:  # G <= 0 at every sample
-                done = a[1] >= k_end or a[2] == 0.0
-            elif a is None:  # G > 0 at every sample
+            if b is None:  # F <= 0 at every sample
+                done = a[1] >= k_top or a[2] == 0.0
+            elif a is None:  # F > 0 at every sample
                 done = b[0] <= s_floor
-            else:  # F's left limit <= 0 at b: b is the minimiser, once lo is next to it
+            else:  # F's left limit <= 0 at b: b is the minimiser, once a is next to it
                 two, width = True, b[0] - a[0]
                 done = (width <= log_tol + 4.0 * _EPS * abs(s1) or a[2] == 0.0
                         or b[2] <= 0.0 and not cands)
-            if done or luxemburg and hi is not None and hi[1] <= K_CAP * kl:
-                if not luxemburg:
-                    break
-                # back to F where it left off, with the cap K_CAP k_L once k_L is
-                # solved; not when F > 0 at a sample below K_CAP kl <= K_CAP k_L
-                if done:
-                    s = 0.5 * (a[0] + b[0]) if two else (a or b)[0]
-                    if K_CAP * exp(s) < k_end:
-                        k_end = K_CAP * exp(s)
-                        s_end = log(k_end)
-                luxemburg, a, b, (last, prev, w1, w2, w3) = False, lo, hi, saved
-                continue
-            if cands and not luxemburg:  # the middle kink, exactly there
+            if done:
+                break
+            if cands:  # the middle kink, exactly there
                 k = cands[len(cands) // 2][0]
                 s, w1, w2, w3, jumped = log(k), inf, inf, inf, True
             elif a is None and b[2] <= 0.0:  # F's left limit <= 0 at the kink b: a sample
                 s = b[0] - _LN2  # below it, next to it as no kink lies between
-            elif (two and corners is not None and not luxemburg
+            elif (two and corners is not None
                   and (ta := bisect_right(corners, a[3])) < (tb := bisect_right(corners, b[3]))):
                 # Newton on log I to the middle corner, from the end nearer to it
                 c = corners[(ta + tb) // 2]
@@ -262,24 +267,26 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             elif -inf < g1 < inf and (not two or width <= 0.5 * w3
                                       or prev is not None and abs(g1) <= 0.5 * abs(prev[2])):
                 # Newton, in x = log(k - k_edge)
-                q = 1.0 if luxemburg else qm
                 if k1 > k_edge > 0.0:
                     ke, x1 = k_edge, log(k1 - k_edge)
-                    m = q * (1.0 + j1 / i1) * (1.0 - ke / k1) if i1 > 0.0 else inf
+                    m = qm * (1.0 + j1 / i1) * (1.0 - ke / k1) if i1 > 0.0 else inf
                 else:
                     ke, x1 = 0.0, s1
-                    m = q * (1.0 + j1 / i1) if i1 > 0.0 else inf
+                    m = qm * (1.0 + j1 / i1) if i1 > 0.0 else inf
                 if prev is not None and -inf < prev[2] < inf and prev[3] > 0.0 < prev[1] - ke:
                     s0, k0, g0, i0, j0 = prev
                     x0 = log(k0 - ke) if ke else s0
                     if x0 != x1:  # the secant-to-model ratio; a flat secant: no root near
                         r = (g1 - g0) / (x1 - x0) / (
-                            0.5 * (m + q * (1.0 + j0 / i0) * (1.0 - ke / k0)))
+                            0.5 * (m + qm * (1.0 + j0 / i0) * (1.0 - ke / k0)))
                         m = m * r if r > 0.0 else 0.0
                 s = x = x1 - g1 / m if m > 0.0 else (inf if g1 < 0.0 else -inf)
                 if ke:  # k = k_edge + e^x
                     s = x + math.log1p(ke * exp(-x)) if x > 0.0 else log(ke + exp(x))
                 s += h0 + _EPS * abs(s) if g1 < 0.0 else -h0 - _EPS * abs(s)
+                if (b is None and s >= s_top and corners is not None
+                        and (c := bisect_right(corners, i1)) < len(corners)):
+                    s = _toward(last, corners[c], h0)  # no root on this facet: past its corner
                 if two:
                     if not a[0] < s < b[0]:  # the ends' secant, else bisect
                         s = (a[0] - a[2] * width / (b[2] - a[2])
@@ -290,67 +297,45 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             elif two:
                 s = 0.5 * (a[0] + b[0])
                 w1, w2, w3 = width, w1, w2
-            elif b is None:  # G = -inf at every sample
+            elif b is None:  # F = -inf at every sample
                 if i1 == 0.0:  # Phi's flat zone: k doubles past its edge
                     s = (s1 if s1 > s_edge else s_edge) + _LN2
-                elif (corners is not None and not luxemburg
-                      and bisect_right(corners, i1) < len(corners)):
+                elif corners is not None and bisect_right(corners, i1) < len(corners):
                     s = _toward(last, corners[bisect_right(corners, i1)], h0)
-                else:  # J = 0 from here on: F has no root below the end
-                    s = s_end
-            elif (corners is not None and not luxemburg and i1 + j1 < inf
+                else:  # J = 0 from here on: F has no root below the top
+                    s = s_top
+            elif (corners is not None and i1 + j1 < inf
                   and bisect_right(corners, i1)):  # F > 0 on the whole facet
                 s = _toward(last, corners[bisect_right(corners, i1) - 1], h0)
-            else:  # G = +inf at every sample: an overflow
+            else:  # F = +inf at every sample: an overflow
                 s = s1 - _LN2
             if not two:
-                s = s_end if s >= s_end else s_floor if s < s_floor else s
-        if k is None:  # the end itself at or past it
-            k = k_end if s >= s_end else min(exp(s), k_end)
-        if not capped and b is None and last is not None and k >= K_CAP * kl:
-            # the cap K_CAP k_L may bind: solve for k_L first
-            capped, saved, luxemburg = True, (last, prev, w1, w2, w3), True
-            g = log(i1) if 0.0 < i1 < inf else (inf if i1 else -inf)
-            last, prev, w1, w2, w3 = (s1, k1, g, i1, j1), None, inf, inf, inf
-            a, b = (last, None) if g <= 0.0 else (None, last)
-            continue
+                s = s_top if s >= s_top else s_floor if s < s_floor else s
+        if k is None:  # the top itself at or past it
+            k = k_top if s >= s_top else min(exp(s), k_top)
         i, j = pair(k)
         n += 1
         f = first_order(i, j)
         e = (s, k, f, i, j)
         if f <= 0.0:  # ordered by k: e^s rounds, and a kink is sampled at its own k
-            if lo is None or k > lo[1]:
-                lo = e
-        elif hi is None or k < hi[1]:
-            hi = e
-        if not capped:
-            c = k / i if i > 1.0 else k
-            if c > kl:
-                kl = c
-        if luxemburg:
-            f = log(i) if 0.0 < i < inf else (inf if i else -inf)
-            e = (s, k, f, i, j)
-        elif drops is not None and f > 0.0 and k in drops:  # at a kink: F's left limit
-            d = drops[k]
-            e = (s, k, first_order(i, j - d), i, j - d)
-        if f <= 0.0:
             if a is None or k > a[1]:
                 a = e
-        elif b is None or k < b[1]:
-            b = e
+        else:
+            if hi is None or k < hi[1]:
+                hi = e
+            if drops is not None and k in drops:  # at a kink: F's left limit
+                d = drops[k]
+                e = (s, k, first_order(i, j - d), i, j - d)
+            if b is None or k < b[1]:
+                b = e
         prev, last, jumped = None if jumped else last, e, False  # no secant across a jump
-    attained = True
-    if lo is None:  # F > 0 down to the floor
-        lo = hi
-    if hi is None:  # F <= 0 up to the top: attained at the jump, or where F = 0
-        hi = lo
-        attained = lo[1] == k_top and not open_top or lo[2] == 0.0
+    lo, hi = a or hi, hi or a  # F > 0 down to the floor, or F <= 0 up to the top
     # g is nonincreasing where F <= 0 and increasing where F > 0, so its least
     # sampled value is at lo or at hi (k underflows to 0 below 1e-323)
     v_lo, v_hi = (p_abs(1.0, e[3]) / e[1] if e[3] < inf and e[1] > 0.0 else inf
                   for e in (lo, hi))
     v, k = (v_lo, lo[1]) if v_lo <= v_hi else (v_hi, hi[1])
-    return v, k, lo, hi, attained, n
+    return v, k, lo, hi, n
 
 
 def _toward(e, c: float, h0: float) -> float:
@@ -383,21 +368,23 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     does not depend on the other rows (a batch of N is N batches of one, bit
     for bit).
 
-    Each row runs the scalar engine's loop (_first_order_root) on its
+    Rows whose infimum is approached only as k -> inf (_limit) are not
+    searched: their value is its limit S, with nan and False.  Each other
+    row runs the scalar engine's loop (_first_order_root) on its
     first-order equation F = 0 (log I under the max norm, log J under the
-    sum norm, log J + (q - 1) log I under the q-mean; -inf where I or J is 0,
-    +inf where I overflows), and on log I = 0 for the K_CAP * k_L cap: the
-    same span, Newton steps and one-sided moves, I and J the row sums of one
-    phi.pair_array over the block.  Where a term of those sums overflows (u
-    Phi'(u), or Phi(u) itself, past double range on a steep atom of tiny
-    weight, while the sum is of order 1), one check per step sends the rows
-    concerned to phi.mend_sums, which takes that term as exp(log w + its
-    closed-form log); I or J is +inf only where the sum itself is.  A row
-    stops at the loop's stopping rule and is sampled no more; ``steps``
-    counts the samples, so it is the most any row took.  Its value is the
-    lesser g = p((1, I))/k at its final bracket's ends, within 1e-11
-    relative of generated_norm's; ``attained`` is false exactly when F <= 0
-    all the way to the cap.  All-zero rows give 0.0, nan and False.
+    sum norm, log J + (q - 1) log I under the q-mean; -inf where I or J is
+    0, +inf where I overflows): the same span, Newton steps and one-sided
+    moves, I and J the row sums of one phi.pair_array over the block.
+    Where a term of those sums overflows (u Phi'(u), or Phi(u) itself, past
+    double range on a steep atom of tiny weight, while the sum is of order
+    1), one check per step sends the rows concerned to phi.mend_sums, which
+    takes that term as exp(log w + its closed-form log); I or J is +inf
+    only where the sum itself is.  A row stops at the loop's stopping rule
+    and is sampled no more; ``steps`` counts the samples, so it is the most
+    any row took.  Its value is the lesser g = p((1, I))/k at its final
+    bracket's ends, within 1e-11 relative of generated_norm's; ``attained``
+    is true where the value is finite.  All-zero rows give 0.0, nan and
+    False.
 
     These rows go through the scalar generated_norm instead, and equal it
     exactly: every row when p is a boundary ball or Phi' has a kink (a
@@ -412,20 +399,23 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
         raise DomainError("simple functions take finite values")
     n_rows = len(x)
     value, k_star = np.zeros(n_rows), np.full(n_rows, math.nan)
-    attained = np.zeros(n_rows, dtype=bool)
     weights = np.asarray(space.weights)
     finite = np.isfinite(weights)
     nonzero = (x != 0.0).any(axis=1)
     scalar = nonzero if p.kind == "boundary" or phi.kinks else (x[:, ~finite] != 0.0).any(axis=1)
     rows = np.flatnonzero(nonzero & ~scalar)
     steps = 0
-    if rows.size:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # C order: each row's sums then run on one contiguous row, whatever N is
-            ax = np.ascontiguousarray(np.abs(x[rows][:, finite]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # C order: each row's sums then run on one contiguous row, whatever N is
+        ax = np.ascontiguousarray(np.abs(x[rows][:, finite]))
+        if rows.size and phi.slope_limit < math.inf:
+            limit = _limit(phi, p, weights[finite], ax)
+            far = limit == limit
+            value[rows[far]], rows, ax = limit[far], rows[~far], ax[~far]
+        if rows.size:
             lo, hi, steps = _lockstep(_batch_sampler(phi, p, weights[finite]), ax,
                                       np.zeros(len(rows)), LOG_TOL, p.q if p.kind == "lq" else 1.0,
-                                      phi.zero_bound, p.kind == "linf")
+                                      phi.zero_bound)
             # g is nonincreasing where F <= 0 and increasing where F > 0: the
             # lesser g at the ends (nan at a missing end)
             ends = np.array([lo, hi])
@@ -433,13 +423,11 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
             v = value[rows] = np.fmin(v_lo, v_hi)
             k_star[rows] = np.where(v < math.inf, np.where((v_lo <= v_hi) | (v_hi != v_hi),
                                                            lo[1], hi[1]), math.nan)
-            # F <= 0 up to the cap where no sample had F > 0
-            attained[rows] = ((hi[0] == hi[0]) | (lo[2] == 0.0)) & (v < math.inf)
     for r in np.flatnonzero(scalar):
         res = generated_norm(phi, p, SimpleFunction(space, x[r]))
-        value[r], attained[r] = res.value, res.attained
+        value[r] = res.value
         k_star[r] = math.nan if res.k_star is None else res.k_star
-    return NormBatch(value, k_star, attained, steps)
+    return NormBatch(value, k_star, k_star == k_star, steps)  # attained: a minimiser found
 
 
 def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
@@ -460,7 +448,7 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lo, hi, _ = _lockstep(_batch_sampler(phi, _MAX_NORM, weights[finite]), ax,
                               np.log(np.asarray(targets, dtype=float)), SCALE_LOG_TOL, 1.0,
-                              phi.zero_bound, True)
+                              phi.zero_bound)
     return np.where(lo[0] == lo[0], lo[1], hi[1])  # hi: above t down to the floor
 
 
@@ -493,7 +481,7 @@ def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
 
 
 def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
-              zero_bound: float, capped: bool):
+              zero_bound: float):
     """_first_order_root's loop on the rows ax (nonzero |values| on finite
     atoms) in lockstep, on G = F - target, F the sampler's: (lo, hi, steps),
     lo and hi (5, N) arrays of each row's final samples (s, k, G, I, q'(1 +
@@ -502,152 +490,102 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
 
     lo and hi are a row's bracket ends, last and prev its two latest
     samples, w1..w3 its bracket's width 1, 2 and 3 steps back; qm is q',
-    and Phi vanishes on [0, zero_bound].  Unless ``capped``, k stays below
-    K_CAP k_L: where a step would pass K_CAP kl, kl a lower bound of k_L,
-    before G > 0 anywhere, the row solves G = log I (q' = 1) first, from
-    its latest sample, while flo and fhi keep F's ends; it goes back to F
-    from them with the cap once that is solved, or once F > 0 at a sample
-    below K_CAP kl, where the cap cannot bind.  A row stops at the scalar
-    loop's stopping rule and is sampled no more.  Numpy's cost here is per
-    call, not per row, so the branches that few passes need (one end, a
-    step outside the bracket, bisection, the flat edge, the cap) run only
-    on those passes."""
+    and Phi vanishes on [0, zero_bound].  A row stops at the scalar loop's
+    stopping rule and is sampled no more.  Numpy's cost here is per call,
+    not per row, so the branches that few passes need (one end, a step
+    outside the bracket, bisection, the flat edge) run only on those
+    passes."""
     nan, inf, where, log, exp = math.nan, math.inf, np.where, np.log, np.exp
     fmin, fmax, count = np.fmin, np.fmax, np.count_nonzero
-    m = len(ax)
     top = ax.max(axis=1)
     s_start = -log(top)  # homogeneous: from k = 1/max|x|
     s_end = np.minimum(s_start, 0.0) - _LOG_TINY  # k and k max|x| within [1e-300, 1e300]
     k_edge = zero_bound / top  # I = 0 up to here
-    # each row's constants, one array to compact: k_end is lowered to the cap
-    # once it is solved, and kl grows until then
+    # each row's constants, one array to compact
     span = np.array([target, exp(s_end), s_end, np.maximum(s_start, 0.0) + _LOG_TINY, k_edge,
-                     log(k_edge), np.zeros(m)])
-    target, k_end, s_end, s_floor, k_edge, s_edge, kl = span
+                     log(k_edge)])
+    target, k_end, s_end, s_floor, k_edge, s_edge = span
     h0 = _HALF_TOL * tol
-    lo = hi = last = prev = flo = fhi = np.full((5, m), nan)  # replaced, not written in place
+    lo = hi = last = np.full((5, len(ax)), nan)  # replaced, not written in place
     out_lo, out_hi = lo.copy(), lo.copy()
-    w1 = w2 = w3 = np.full(m, inf)
-    grow = np.full(m, not capped)  # the cap may bind: unsolved, and G > 0 nowhere
-    lux = np.zeros(m, dtype=bool)  # solving G = log I for the cap
-    n_grow, n_lux, rows, steps = count(grow), 0, np.arange(m), 0
+    w1 = w2 = w3 = np.full(len(ax), inf)
+    rows, steps = np.arange(len(ax)), 0
     s = np.minimum(s_start, s_end)
     k = fmin(exp(s), k_end)
     while True:
         i, d, f = sample(k, ax)
         steps += 1
-        f = f - target
-        e = np.array([s, k, f, i, d])
+        e = np.array([s, k, f - target, i, d])
         if qm != 1.0:
             e[4] *= qm
-        if n_lux:  # F's ends, ordered by k, and the sample on log I
-            up = f > 0.0
-            flo = where(lux & ~(up | (k <= flo[1])), e, flo)
-            fhi = where(lux & up & ~(k >= fhi[1]), e, fhi)
-            e = where(lux, np.array([s, k, log(i), i, d]), e)
         up = e[2] > 0.0  # each sample lies past the end of its sign
         lo, hi = where(up, lo, e), where(up, e, hi)
-        if n_grow:
-            kl[:] = where(grow, fmax(kl, where(i > 1.0, k / i, k)), kl)
-            grow &= hi[0] != hi[0]
-            n_grow = count(grow)
         prev, last = last, e
-        while True:  # each row's next step
+        s1, k1, g1, i1, m1 = last
+        width = hi[0] - lo[0]  # nan with one end
+        one_end = count(width == width) < len(rows)
+        # at width tol + 4 eps |s| or at G = 0; with one end, at G <= 0 up
+        # to the end or G > 0 down to the floor
+        ulp = abs(s1) * _EPS
+        done = (width <= ulp * 4.0 + tol) | (lo[2] == 0.0)
+        if one_end:
+            done |= (width != width) & ((hi[0] <= s_floor) | (lo[1] >= k_end))
+        if count(done):
+            out_lo[:, rows[done]], out_hi[:, rows[done]] = lo[:, done], hi[:, done]
+            keep = ~done
+            if not count(keep):
+                return out_lo, out_hi, steps
+            ax = ax[keep]
+            span, lo, hi, last, prev, w1, w2, w3, rows, width, ulp = (
+                v[..., keep] for v in (span, lo, hi, last, prev, w1, w2, w3, rows, width, ulp))
+            target, k_end, s_end, s_floor, k_edge, s_edge = span
             s1, k1, g1, i1, m1 = last
-            width = hi[0] - lo[0]  # nan with one end
             one_end = count(width == width) < len(rows)
-            # at width tol + 4 eps |s| or at G = 0; with one end, at G <= 0 up
-            # to the end or G > 0 down to the floor
-            ulp = abs(s1) * _EPS
-            done = (width <= ulp * 4.0 + tol) | (lo[2] == 0.0)
-            if one_end:
-                done |= (width != width) & ((hi[0] <= s_floor) | (lo[1] >= k_end))
-            if n_lux and count(back := lux & (done | (fhi[1] <= K_CAP * kl))):
-                # back to F from its lower end, with the cap K_CAP k_L once k_L
-                # is solved
-                cap = K_CAP * exp(where(width == width, 0.5 * (lo[0] + hi[0]),
-                                        where(lo[0] == lo[0], lo[0], hi[0])))
-                low = back & done & (cap < k_end)
-                k_end[:], s_end[:] = where(low, cap, k_end), where(low, log(cap), s_end)
-                lo, hi = where(back, flo, lo), where(back, fhi, hi)
-                last, prev = where(back, flo, last), where(back, nan, prev)
-                w1, w2, w3 = (where(back, inf, v) for v in (w1, w2, w3))
-                lux &= ~back
-                n_lux = count(lux)
-                continue
-            if count(done):
-                out_lo[:, rows[done]], out_hi[:, rows[done]] = lo[:, done], hi[:, done]
-                keep = ~done
-                if not count(keep):
-                    return out_lo, out_hi, steps
-                ax = ax[keep]
-                span, lo, hi, last, prev, flo, fhi, w1, w2, w3, grow, lux, rows, width, ulp = (
-                    v[..., keep] for v in (span, lo, hi, last, prev, flo, fhi, w1, w2, w3, grow,
-                                           lux, rows, width, ulp))
-                target, k_end, s_end, s_floor, k_edge, s_edge, kl = span
-                s1, k1, g1, i1, m1 = last
-                n_grow, one_end = count(grow), count(width == width) < len(rows)
-            # Newton, in x = log(k - k_edge) past Phi's flat edge, with the
-            # slope q'(1 + J/I) scaled by the secant of the two latest samples
-            x1, m0 = s1, prev[4]
-            dx, dg = (last - prev)[0:3:2]
-            if zero_bound:  # past the edge, x = log(k - k_edge), k - k_edge exact near it
-                ke = where(k1 > k_edge, k_edge, 0.0)
-                past = ke > 0.0
-                x1 = where(past, log(k1 - ke), s1)
-                dx = x1 - where(past, log(prev[1] - ke), prev[0])
-                m1, m0 = m1 * (1.0 - ke / k1), m0 * (1.0 - ke / prev[1])
-            # r is finite where both samples are and lie apart (G is finite
-            # only where I > 0, and past the edge k > k_edge); with both ends,
-            # a slope m <= 0 steps out of the bracket, as the scalar loop's m = 0
-            # does
-            r = dg / dx / (0.5 * (m1 + m0))
-            m1 = m1 * where(np.isfinite(r), r, 1.0)
-            x = x1 - g1 / m1
-            if zero_bound:  # k = k_edge + e^x
-                x = np.logaddexp(log(ke), x)
-            h = ulp + h0
-            x = x - np.copysign(h, g1)  # 0.45 tol past the root
-            # with both ends: inside the bracket, at least 0.45 tol inside,
-            # else the ends' secant, else bisect (G infinite); bisect when the
-            # last three steps did not halve the bracket, unless G halved
-            step = fmax(fmin(x, hi[0] - h), lo[0] + h)  # no bound where an end is missing
-            if count(step != x) and count(out := (width == width) & ~((lo[0] < x) & (x < hi[0]))):
-                step = where(out, where((abs(g1) < inf) & (lo[2] > -inf) & (hi[2] < inf),
-                                        lo[0] - lo[2] * width / (hi[2] - lo[2]),
-                                        0.5 * (lo[0] + hi[0])), x)
-                h = where(out, abs(step) * _EPS + h0, h)
-                step = fmax(fmin(step, hi[0] - h), lo[0] + h)
-            if count(slow := width + width > w3):
-                step = where(slow & ~(abs(g1) <= 0.5 * abs(prev[2])), 0.5 * (lo[0] + hi[0]), step)
-            if one_end:
-                # with one end: Newton, else past Phi's flat edge (I = 0), to the
-                # end of the span (J = 0: F has no root below it), or halving k
-                # (an overflow)
-                x = where(m1 > 0.0, x, where(g1 < 0.0, inf, -inf))
-                x = where(abs(g1) < inf, x, where(hi[0] == hi[0], s1 - _LN2,
-                                                  where(i1 == 0.0, fmax(s1, s_edge) + _LN2, s_end)))
-                step = where(width == width, step, fmin(fmax(x, s_floor), s_end))
-                k = where(step >= s_end, k_end, fmin(exp(step), k_end))
-            else:
-                k = fmin(exp(step), k_end)
-            if n_grow and count(enter := grow & (k >= K_CAP * kl)):
-                # the cap K_CAP k_L may bind: solve for k_L first, from the
-                # latest sample
-                flo, fhi = where(enter, lo, flo), where(enter, hi, fhi)
-                last = last.copy()
-                last[2], last[4] = where(enter, log(i1), g1), where(enter, last[4] / qm, last[4])
-                below = last[2] <= 0.0
-                lo = where(enter, where(below, last, nan), lo)
-                hi = where(enter, where(below, nan, last), hi)
-                prev = where(enter, nan, prev)
-                w1, w2, w3 = (where(enter, inf, v) for v in (w1, w2, w3))
-                grow &= ~enter
-                lux |= enter
-                n_grow, n_lux = count(grow), count(lux)
-                continue
-            w1, w2, w3, s = fmin(width, inf), w1, w2, step
-            break
+        # Newton, in x = log(k - k_edge) past Phi's flat edge, with the
+        # slope q'(1 + J/I) scaled by the secant of the two latest samples
+        x1, m0 = s1, prev[4]
+        dx, dg = (last - prev)[0:3:2]
+        if zero_bound:  # past the edge, x = log(k - k_edge), k - k_edge exact near it
+            ke = where(k1 > k_edge, k_edge, 0.0)
+            past = ke > 0.0
+            x1 = where(past, log(k1 - ke), s1)
+            dx = x1 - where(past, log(prev[1] - ke), prev[0])
+            m1, m0 = m1 * (1.0 - ke / k1), m0 * (1.0 - ke / prev[1])
+        # r is finite where both samples are and lie apart (G is finite
+        # only where I > 0, and past the edge k > k_edge); with both ends,
+        # a slope m <= 0 steps out of the bracket, as the scalar loop's m = 0
+        # does
+        r = dg / dx / (0.5 * (m1 + m0))
+        m1 = m1 * where(np.isfinite(r), r, 1.0)
+        x = x1 - g1 / m1
+        if zero_bound:  # k = k_edge + e^x
+            x = np.logaddexp(log(ke), x)
+        h = ulp + h0
+        x = x - np.copysign(h, g1)  # 0.45 tol past the root
+        # with both ends: inside the bracket, at least 0.45 tol inside,
+        # else the ends' secant, else bisect (G infinite); bisect when the
+        # last three steps did not halve the bracket, unless G halved
+        step = fmax(fmin(x, hi[0] - h), lo[0] + h)  # no bound where an end is missing
+        if count(step != x) and count(out := (width == width) & ~((lo[0] < x) & (x < hi[0]))):
+            step = where(out, where((abs(g1) < inf) & (lo[2] > -inf) & (hi[2] < inf),
+                                    lo[0] - lo[2] * width / (hi[2] - lo[2]),
+                                    0.5 * (lo[0] + hi[0])), x)
+            h = where(out, abs(step) * _EPS + h0, h)
+            step = fmax(fmin(step, hi[0] - h), lo[0] + h)
+        if count(slow := width + width > w3):
+            step = where(slow & ~(abs(g1) <= 0.5 * abs(prev[2])), 0.5 * (lo[0] + hi[0]), step)
+        if one_end:
+            # with one end: Newton, else past Phi's flat edge (I = 0), to the
+            # end of the span (J = 0: F has no root below it), or halving k
+            # (an overflow)
+            x = where(m1 > 0.0, x, where(g1 < 0.0, inf, -inf))
+            x = where(abs(g1) < inf, x, where(hi[0] == hi[0], s1 - _LN2,
+                                              where(i1 == 0.0, fmax(s1, s_edge) + _LN2, s_end)))
+            step = where(width == width, step, fmin(fmax(x, s_floor), s_end))
+            k = where(step >= s_end, k_end, fmin(exp(step), k_end))
+        else:
+            k = fmin(exp(step), k_end)
+        w1, w2, w3, s = fmin(width, inf), w1, w2, step
 
 
 def _kink_candidates(phi: OrliczFunction, modular_at, hi: float) -> list[tuple[float, float]]:
@@ -689,11 +627,15 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     the k where the conjugate modular of y reaches 1.  By Young's equality
     Psi(Phi'(u)) = u Phi'(u) - Phi(u), that modular is J(k) = sum w (u
     Phi'(u) - Phi(u)) with u = k|x|, and J = 1 is the sum norm's first-order
-    equation: k comes from generated_norm's search under the sum norm, whose
-    bracket has J <= 1 at its lower end and J > 1 at its upper end (both at
-    the K_CAP * k_L cap when J <= 1 up to there).  y is taken on the chord
-    between the ends' derivatives, where their J average to 1 (feasible, as
-    Psi is convex): exact where a kink of Phi makes J jump across 1.  The
+    equation.  Where J stays below 1 (_limit under the sum norm), y =
+    slope_limit on the support of x is feasible, as its conjugate modular
+    is J_inf < 1, and no y pairs higher, as Psi is +inf past the slope
+    limit: the value is S = slope_limit sum w |x|.  Otherwise k comes from
+    generated_norm's search under the sum norm, whose bracket has J <= 1 at
+    its lower end and J > 1 at its upper end (both at the lower end where J
+    = 1 there).  y is taken on the chord between the ends' derivatives,
+    where their J average to 1 (feasible, as Psi is convex): exact where a
+    kink of Phi makes J jump across 1.  The
     certificate y is checked against the exact conjugate and, while its
     conjugate modular c exceeds 1, replaced by y / c (Psi is convex with
     Psi(0) = 0, so that is within rounding of the dual ball) and checked
@@ -704,8 +646,10 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
         raise PreconditionError("dual norm needs x supported on finite atoms")
     if modular_at.top == 0.0:
         return 0.0
-    root = _first_order_root(phi, _SUM_NORM, modular_at, LOG_TOL)
     w, ax = modular_at.finite_atoms()
+    if phi.slope_limit < math.inf and (limit := float(_limit(phi, _SUM_NORM, w, ax))) == limit:
+        return limit
+    root = _first_order_root(phi, _SUM_NORM, modular_at, LOG_TOL)
     (_, k_lo, _, _, m_lo), (_, k_hi, _, _, m_hi) = root[2:4]
     y_lo, y_hi = phi.derivative_array(k_lo * ax), phi.derivative_array(k_hi * ax)
     t = 1.0 if m_hi <= 1.0 else (1.0 - m_lo) / (m_hi - m_lo)

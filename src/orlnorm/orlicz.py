@@ -468,13 +468,15 @@ class ConvexityProbe:
 
 def strict_convexity_probe(phi: OrliczFunction) -> ConvexityProbe:
     """Strict convexity by kind: exp_minus and |u|^q with q > 1 are strictly
-    convex.  Every other generator is affine on a first piece, [0,
-    zero_bound] when it has a flat zone, else the first polyline segment or
-    [0, 1] for |u|; the piece's quarter points witness a midpoint equality
-    Phi((u1+u2)/2) = (Phi(u1)+Phi(u2))/2, with gap the second minus the first."""
-    if phi.kind == "exp_minus" or (phi.kind == "power" and phi.q > 1.0):
-        return ConvexityProbe(True, None)
+    convex.  Each generator is probed on a first piece, [0, zero_bound]
+    when it has a flat zone, else the first polyline segment or [0, 1];
+    gap is (Phi(u1)+Phi(u2))/2 - Phi((u1+u2)/2) at the piece's quarter
+    points.  Every generator but the strictly convex ones is affine there,
+    and the quarter points witness a midpoint equality; for the strictly
+    convex ones gap is the margin of that midpoint (0.0625 for |u|^2, 6.5e-13
+    for |u|^1.00000000001)."""
     hi = phi.zero_bound or (phi.xs[1] if phi.kind == "pwl" else 1.0)
     u1, u2 = 0.25 * hi, 0.75 * hi
     gap = 0.5 * (phi.evaluate(u1) + phi.evaluate(u2)) - phi.evaluate(0.5 * (u1 + u2))
-    return ConvexityProbe(False, (u1, u2), gap)
+    strict = phi.kind == "exp_minus" or (phi.kind == "power" and phi.q > 1.0)
+    return ConvexityProbe(strict, None if strict else (u1, u2), gap)

@@ -81,6 +81,7 @@ STEEP_LEVELS = 20  # R3, counterexample branch: atoms of the steep-tail space
 WITNESS_LEVELS = 4  # T3 and T4: basis elements of the embedding
 CONV_TOL = 1e-3  # R3, convergent branch: the last norm must fall below this
 NORM_FLOOR = 0.9  # R3, counterexample branch: every steep norm must reach this
+MIDPOINT_TOL = 1e-12  # T5: a midpoint norm above 1 - MIDPOINT_TOL is a violation
 WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aims for
 PHI_TOP_CAP = 2.0 ** 140  # the steep level of generators still finite there
 NO_FINITE_ATOM = "needs a finite atom"  # the samples live on the finite atoms
@@ -400,10 +401,6 @@ def _measure_attainment(phi, p, space, recs):
             for a, k in zip(r.attained.tolist(), r.k_star.tolist())]
 
 
-def _attainment_violated(r: dict) -> bool:
-    return not r["attained"] or r["k_star"] is None
-
-
 # ---------------------------------------------------------------------------
 # L2: unit-ball bounds
 
@@ -589,6 +586,9 @@ def _suite_strict_convexity(phi, p, space, *, seed: int, budget: int):
     probe = strict_convexity_probe(phi)
     if not probe.strictly_convex:
         return _hnm("T5", "generator is not strictly convex", witness=list(probe.witness))
+    if probe.gap < MIDPOINT_TOL:
+        return _hnm("T5", "generator's midpoint gap is below the midpoint tolerance",
+                    gap=probe.gap, tolerance=MIDPOINT_TOL)
     if not is_strictly_increasing_on_ray(p):
         return _hnm("T5", "planar norm is flat on the vertical ray through (1, 0)")
     rng = _rng(seed)
@@ -960,9 +960,11 @@ def _steep_tail_element(phi, n_levels: int):
     """Shrinking-weight atoms with per-atom modular 2^-j; the steep level is
     shared so tails keep a large norm exactly when doubling fails.  Returns
     (space, levels)."""
-    # levels 2^j keep a power's weights sane; else one steep level past any flat zone
+    # levels 2^j keep a power's weights sane where Phi is finite up to
+    # 2^n_levels; else one steep level past any flat zone
     a = phi.zero_bound
-    v_level = None if phi.kind == "power" else a + 0.98 * (_finite_phi_top(phi) - a)
+    v_level = (None if phi.kind == "power" and math.isfinite(phi.evaluate(2.0 ** n_levels))
+               else a + 0.98 * (_finite_phi_top(phi) - a))
     levels, weights = [], []
     for j in range(1, n_levels + 1):
         v = v_level if v_level is not None else 2.0 ** j
@@ -980,16 +982,27 @@ def _tail(levels, start: int) -> list[float]:
 
 def _suite_order_continuity(phi, p, space, *, seed: int, budget: int):
     regime = suitable_delta2_regime(space)
-    continuous = delta2_check(phi, REGIME_INFINITY).holds
+    doubling = delta2_check(phi, REGIME_INFINITY)
     sp, levels = _steep_tail_element(phi, TAIL_LEVELS)
-    violations = []
+    violations, rec = [], {"levels": levels}
+    if doubling.holds:
+        # with Phi(2u) <= K Phi(u) from the least level on, the last tail, of
+        # modular m = 2^-TAIL_LEVELS, has Luxemburg norm at most (K m)^(1 /
+        # log2 K); the generated norm is at most the Amemiya norm, at most
+        # twice that: 2^(2 - TAIL_LEVELS / log2 K), below 4 for every K
+        log_phi = phi.log_pair_array(np.array([min(levels), 2.0 * min(levels)]))[0]
+        with np.errstate(over="ignore"):  # Phi(2v) may overflow where Phi(v) does not
+            k = max(doubling.constant, float(np.exp(log_phi[1] - log_phi[0])))
+        rec["bound"] = 2.0 ** (2.0 - TAIL_LEVELS / math.log2(k))
+        if rec["bound"] >= 1.0:
+            return _hnm("R2", "doubling constant leaves the last tail a norm bound of 1 or more",
+                        doubling_constant=k, bound=rec["bound"])
     # dominated tails on a shrinking-weight space must lose their norm exactly
     # when doubling holds at infinity, and keep it otherwise
-    rec, = yield from _check(violations,
-                             "order_continuity" if continuous else "order_continuity_failure",
-                             phi, p, sp, [{"levels": levels}])
+    rec, = yield from _check(violations, "order_continuity" if doubling.holds
+                             else "order_continuity_failure", phi, p, sp, [rec])
     norms = rec["tail_norms"]
-    if continuous:
+    if doubling.holds:
         return _passed("R2", TAIL_LEVELS, violations,
                        {"branch": "order-continuous", "tail_norms": norms, "regime": regime})
     mod_tail = modular(phi, simple_function(sp, _tail(levels, TAIL_LEVELS - 1)))
@@ -1087,14 +1100,14 @@ CHECKS: dict[str, Check] = {
                               lambda r: abs(r["norm_scaled"] - abs(r["lam"]) * r["norm_x"])
                               > 1e-9 * max(r["norm_x"], 1e-12)),
     "norm_zero": Check(_measure_norm, _norm_zero_violated),
-    "attainment": Check(_measure_attainment, _attainment_violated),
+    "attainment": Check(_measure_attainment, lambda r: not r["attained"]),
     "unit_ball_bounds": Check(_each(_measure_unit_ball),
                               lambda r: not (r["lower_ok"] and r["upper_ok"])),
     "embedding_exact": Check(_measure_embedding_exact,
                              lambda r: abs(r["norm"] - r["expected"]) > 1e-12),
     "embedding_bounds": Check(_measure_embedding_bounds,
                               lambda r: not (r["lower"] <= r["norm"] <= r["upper"])),
-    "midpoint": Check(_measure_midpoint, lambda r: r["midpoint_norm"] >= 1.0 - 1e-12),
+    "midpoint": Check(_measure_midpoint, lambda r: r["midpoint_norm"] >= 1.0 - MIDPOINT_TOL),
     "strict_monotonicity": Check(_measure_pair,
                                  lambda r: r["attained_y"] and r["norm_x"] >= r["norm_y"] - 1e-9),
     "flat_pair_mismatch": Check(_each(_measure_flat_pair),
@@ -1104,7 +1117,7 @@ CHECKS: dict[str, Check] = {
     "uniform_monotonicity": _DIFFERENCE,
     "delta_hat_nonpositive": Check(_each(lambda *_: {}), lambda r: r["delta_hat"] <= 0.0),
     "um_failure_construction": Check(_each(_measure_um_failure), _um_failure_violated),
-    "order_continuity": Check(_measure_tails, lambda r: r["tail_norms"][-1] > 1e-2),
+    "order_continuity": Check(_measure_tails, lambda r: r["tail_norms"][-1] > r["bound"]),
     "order_continuity_failure": Check(_measure_tails, lambda r: min(r["tail_norms"]) < 0.9),
     "modular_norm_convergence": Check(_measure_convergence,
                                       lambda r: r["norms"][-1] > r["conv_tol"]),

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orlnorm import engine, verify
-from orlnorm import (K_CAP, DomainError, OrliczFunction, PreconditionError,
+from orlnorm import (DomainError, OrliczFunction, PreconditionError,
                      boundary_sampled, exp_minus,
                      flat_then_power, generated_norm, generated_norm_batch,
                      generated_norm_on_grid, l1, lemma_bounds_check,
@@ -204,7 +205,7 @@ def test_attainment_under_fast_growth():
         for _ in range(10):
             x = _rand_function(sp, rng)
             r = generated_norm(phi, l1(), x)
-            assert r.attained and r.bracket[1] < K_CAP
+            assert r.attained
 
 
 def test_exact_luxemburg_root_is_attained():
@@ -215,15 +216,14 @@ def test_exact_luxemburg_root_is_attained():
         assert r.attained and r.value == pytest.approx(0.5 if phi.q == 1.0 else 0.25, rel=1e-12)
 
 
-def test_non_attainment_reported_at_cap():
+def test_non_attainment_reported_at_the_limit():
     # linear growth: (1 + k S)/k decreases to S, the infimum is not attained;
-    # the cap is K_CAP times the Luxemburg point, here k_L = 1/S
+    # J = 0 for every k decides that before any search, and S is exact
     sp = unit_weights(2)
     x = simple_function(sp, [1.0, 2.0])
     r = generated_norm(power(1), l1(), x)
-    assert not r.attained
-    assert r.value == pytest.approx(3.0, rel=1e-9)
-    assert r.bracket[1] == r.k_star == pytest.approx(K_CAP / 3.0, rel=1e-12)
+    assert not r.attained and r.value == 3.0
+    assert r.k_star is None and r.bracket is None and r.evaluations == 0
 
 
 def _search_elements(orlicz_catalog, planar_catalog, per_pair=8):
@@ -309,8 +309,8 @@ def test_power_rows_take_three_evaluations(n):
     (flat_then_power(2, 2), linf(), [1.0], [1.0], 1.0 / 3.0, 4),
     # I overflows at k = 1/max|x|: k halves, then one Newton step
     (power(2), linf(), [1.5e308, 1.5e308], [1.0, 1.0], math.sqrt(1.5e308) * math.sqrt(2.0), 4),
-    # J = 0: F = -inf up to the end, the K_CAP k_L cap, k_L solved on log I
-    (power(1), l1(), [1.0, 1.0], [1.0, 2.0], 3.0, 4),
+    # J = 0 for every k: the limit S = 3 as k -> inf, in closed form
+    (power(1), l1(), [1.0, 1.0], [1.0, 2.0], 3.0, 0),
     # supported on an infinite atom: the finite/+inf jump k = a / 1.5 is the top
     (flat_then_power(1, 2), l1(), [math.inf], [1.5], 1.5, 1),
     # Newton from w Phi(u) = 7e-301 overshoots into overflow: bisection
@@ -322,7 +322,7 @@ def test_search_paths(phi, p, weights, values, want, evaluations):
     assert r.value == pytest.approx(want, rel=1e-11, abs=0.0)
     assert r.evaluations <= evaluations
     assert r.attained == (phi.q != 1.0)  # power(1) under the sum norm: not attained
-    assert r.bracket[0] <= r.k_star <= r.bracket[1]
+    assert r.bracket is None if phi.q == 1.0 else r.bracket[0] <= r.k_star <= r.bracket[1]
 
 
 def _convex_polyline(rng):
@@ -365,7 +365,11 @@ def test_kinked_generators_and_boundary_balls_stay_under_grid():
                 with np.errstate(over="ignore", invalid="ignore"):
                     grid = generated_norm_on_grid(phi, p, x)
                 assert r.value <= grid * (1.0 + 1e-9), (phi.label, p.label, x.values)
-                assert r.bracket[0] <= r.k_star <= r.bracket[1], (phi.label, p.label, x.values)
+                if r.k_star is None:  # the infimum at k -> inf, in closed form
+                    assert not r.attained and r.bracket is None and r.evaluations == 0
+                else:
+                    assert r.bracket[0] <= r.k_star <= r.bracket[1], (phi.label, p.label,
+                                                                      x.values)
                 if p.kind == "boundary":
                     kind = "kinked boundary" if phi.kinks else "boundary"
                 else:
@@ -444,9 +448,51 @@ def test_attainment_is_decided_by_the_first_order_limit():
                                     abs=0.0)
     assert r.evaluations <= 3  # a binary search over the 4 kinks
     r = generated_norm(flat_then_power(0.5 / 4, 1), l1(), x)
-    assert not r.attained and r.bracket[0] == r.bracket[1] == r.k_star
-    assert r.evaluations <= 8
-    assert r.value == pytest.approx(sum(top), rel=1e-9, abs=0.0)
+    assert not r.attained and r.bracket is None and r.k_star is None
+    assert r.evaluations == 0
+    assert r.value == pytest.approx(sum(top), rel=1e-15, abs=0.0)
+
+
+def test_closed_form_attainment_matches_the_grid_oracle():
+    # g tends to S = slope_limit sum w |x| as k -> inf and is unimodal: the
+    # infimum is approached only there iff g > S everywhere, so iff the grid
+    # stays at S or above and g is still above S at k = 100 / S (where it
+    # is S on a half-line, as for |u| under the max norm, it is attained);
+    # there the engines report S with nothing searched
+    rng = np.random.default_rng(2024)
+    phis = [power(1), power(2), *(flat_then_power(a, 1) for a in rng.uniform(0.05, 1.0, 3)),
+            *(_convex_polyline(rng) for _ in range(3))]
+    # the fixed ball's last facet is 0.18 u + v = 1: not attained where J_inf < 0.18
+    norms = [linf(), l1(), lq(1.5), lq(3), _convex_ball(rng), _convex_ball(rng),
+             boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.2), (math.pi / 2, 1.0)])]
+    unattained = collections.Counter()
+    for phi in phis:
+        for p in norms:
+            n = int(rng.integers(1, 7))
+            space = measure_space(np.exp(rng.uniform(-3.0, 1.0, n)))
+            rows = rng.uniform(-2.0, 2.0, (6, n)) * (rng.uniform(size=(6, n)) < 0.8)
+            rows[:, 0] += 0.5  # nonzero
+            batch = generated_norm_batch(phi, p, space, rows)
+            for j, row in enumerate(rows):
+                x = simple_function(space, row)
+                r = generated_norm(phi, p, x)
+                s = phi.slope_limit * math.fsum(w * abs(v) for w, v in zip(space.weights, row))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    grid = generated_norm_on_grid(phi, p, x)
+                assert r.value <= grid * (1.0 + 1e-9), (phi.label, p.label, row)
+                far = p.evaluate((1.0, modular(phi, x, scale=100.0 / s))) * s / 100.0
+                above = grid >= s * (1.0 - 1e-12) and far > s * (1.0 + 1e-12)
+                assert (r.k_star is None) == above, (phi.label, p.label, row)
+                assert batch.attained[j] == r.attained
+                if r.k_star is None:
+                    unattained[p.kind] += 1
+                    assert not r.attained and r.bracket is None and r.evaluations == 0
+                    assert r.value == pytest.approx(s, rel=1e-15, abs=0.0)
+                    one = generated_norm_batch(phi, p, space, row[None, :])
+                    assert one.value[0] == batch.value[j] == pytest.approx(r.value, rel=1e-15)
+                    assert math.isnan(one.k_star[0]) and math.isnan(batch.k_star[j])
+                    assert not one.attained[0]
+    assert min(unattained[kind] for kind in ("l1", "lq", "boundary")) >= 5, unattained
 
 
 @pytest.mark.parametrize("phi, p, values", [
@@ -460,14 +506,13 @@ def test_bracket_edge_cases_stay_under_grid(phi, p, values):
     r = generated_norm(phi, p, x)
     assert r.value <= generated_norm_on_grid(phi, p, x) * (1.0 + 1e-9)
     assert r.attained
-    # the cap is K_CAP times the Luxemburg point 1 / luxemburg_norm
-    assert r.bracket[0] <= r.k_star <= r.bracket[1] < K_CAP / luxemburg_norm(phi, x)
+    assert r.bracket[0] <= r.k_star <= r.bracket[1]
 
 
 @pytest.mark.parametrize("lam", [1e-150, 1e-13, 1e13, 1e150])
 def test_norms_are_homogeneous_at_extreme_scales(lam):
-    # the searches start at k = 1/max|x| and cap k at K_CAP k_L; an absolute
-    # cap k <= K_CAP made small elements come out wrong
+    # the searches start at k = 1/max|x|; an absolute span for k made small
+    # elements come out wrong
     sp = measure_space([0.5, 1.0, 2.0])
     base = [0.3, -1.2, 0.7]
     x = simple_function(sp, [lam * v for v in base])
@@ -485,21 +530,16 @@ def test_norms_are_homogeneous_at_extreme_scales(lam):
         math.sqrt(5.0) * lam, rel=1e-10, abs=0.0)
     assert luxemburg_norm(power(2), pair) == pytest.approx(math.sqrt(5.0) * lam, rel=1e-10,
                                                            abs=0.0)
-
-
-def test_cap_follows_the_luxemburg_point_not_max_value():
-    # values 1e42 on weights 1e-84 have the same modular under |u|^2 as the
-    # plain element (R2's tail elements have this shape): a cap at
-    # K_CAP / max|x| would stop k near 1e-30, far below k_L
-    sp = measure_space([0.5, 1.0, 2.0])
-    plain = simple_function(sp, [0.3, -1.2, 0.7])
+    # values 1e42 lam on weights 1e-84 have the same modular under |u|^2 as
+    # lam times the base (R2's tail elements have this shape), with k_L
+    # about 1e12 k_L' / max|x|
     heavy = simple_function(measure_space([1e-84 * w for w in sp.weights]),
-                            [1e42 * v for v in plain.values])
+                            [1e42 * v for v in x.values])
     for p in (linf(), l1(), lq(2)):
         assert generated_norm(power(2), p, heavy).value == pytest.approx(
-            generated_norm(power(2), p, plain).value, rel=1e-10), p.label
+            generated_norm(power(2), p, x).value, rel=1e-10), p.label
     assert orlicz_dual_norm(power(2), heavy) == pytest.approx(
-        orlicz_dual_norm(power(2), plain), rel=1e-9)
+        orlicz_dual_norm(power(2), x), rel=1e-9)
 
 
 def test_modular_infinite_at_every_k_returns_inf_without_search():
@@ -682,7 +722,8 @@ def test_dual_norm_weighted_and_steep(monkeypatch):
             x = _rand_function(sp, rng)
             calls.clear()
             dual = orlicz_dual_norm(phi, x)
-            assert len(calls) == 2, phi.label
+            # power(1): J = 0 for every k, the value is its limit and takes no Phi'
+            assert len(calls) == (0 if phi == power(1) else 2), phi.label
             amemiya = generated_norm(phi, l1(), x).value
             assert dual <= amemiya + 1e-6, phi.label
             # the chord between the bracket's ends costs a kinked generator up to about 7e-13
@@ -857,13 +898,13 @@ def test_steep_atoms_of_tiny_weight_match_the_oracle(phi, p, atoms):
     _assert_both_engines_match_the_oracle(phi, p, space, np.array([row]))
 
 
-def test_batch_reaches_the_cap_where_the_infimum_is_not_attained():
-    # power:1 under the sum norm: (1 + k S)/k decreases to S, the cap K_CAP k_L
+def test_batch_reports_the_limit_where_the_infimum_is_not_attained():
+    # power:1 under the sum norm: (1 + k S)/k decreases to S, taken exactly
     rows = np.array([[1.0, 2.0], [0.5, -0.25]])
     batch = generated_norm_batch(power(1), l1(), unit_weights(2), rows)
-    assert not batch.attained.any()
-    _assert_agrees_with_scalar(power(1), l1(), unit_weights(2), rows, batch)
-    assert batch.k_star[0] == pytest.approx(K_CAP / 3.0, rel=1e-10)
+    assert not batch.attained.any() and np.isnan(batch.k_star).all() and batch.steps == 0
+    assert batch.value.tolist() == [3.0, 0.75]
+    _assert_agrees_with_scalar(power(1), l1(), unit_weights(2), rows, batch, exact=True)
 
 
 def test_batch_routes_to_the_scalar_engine():

@@ -444,8 +444,9 @@ REPLAY_CASES = {
                                      k=1.0, n=1),
                                 _rec("um_failure_construction", x=[0.0, 0.0], x_n=[0.0, 0.5],
                                      k=1.0, n=1)),
-    "order_continuity": (_rec("order_continuity", space=SP3, levels=[1.0, 1.0, 1.0]),
-                         _rec("order_continuity", space=SP3, levels=[1.0, 1e-4, 1e-6])),
+    "order_continuity": (_rec("order_continuity", space=SP3, levels=[1.0, 1.0, 1.0], bound=1e-2),
+                         _rec("order_continuity", space=SP3, levels=[1.0, 1e-4, 1e-6],
+                              bound=1e-2)),
     "order_continuity_failure": (_rec("order_continuity_failure", space=SP3,
                                       levels=[1.0, 1e-4, 1e-6]),
                                  _rec("order_continuity_failure", space=SP3,
