@@ -18,7 +18,10 @@ is checked with one diff:
 
 A change that moves reported values but no verdict changes the full
 digests and keeps every `shape` line: `grep ^shape` on both files before
-the diff.
+the diff.  tests/data/verify_shapes.txt holds the `shape` lines of the
+default seeds, and CI diffs each run's against it:
+
+    grep ^shape after.txt | diff tests/data/verify_shapes.txt -
 """
 import argparse
 import contextlib

@@ -383,8 +383,8 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     and is sampled no more; ``steps`` counts the samples, so it is the most
     any row took.  Its value is the lesser g = p((1, I))/k at its final
     bracket's ends, within 1e-11 relative of generated_norm's; ``attained``
-    is true where the value is finite.  All-zero rows give 0.0, nan and
-    False.
+    is true on the searched rows of finite value.  All-zero rows give 0.0,
+    nan and False.
 
     These rows go through the scalar generated_norm instead, and equal it
     exactly: every row when p is a boundary ball or Phi' has a kink (a

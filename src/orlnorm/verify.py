@@ -81,7 +81,7 @@ STEEP_LEVELS = 20  # R3, counterexample branch: atoms of the steep-tail space
 WITNESS_LEVELS = 4  # T3 and T4: basis elements of the embedding
 CONV_TOL = 1e-3  # R3, convergent branch: the last norm must fall below this
 NORM_FLOOR = 0.9  # R3, counterexample branch: every steep norm must reach this
-MIDPOINT_TOL = 1e-12  # T5: a midpoint norm above 1 - MIDPOINT_TOL is a violation
+MIDPOINT_TOL = 1e-12  # T5: a midpoint norm of at least 1 - MIDPOINT_TOL is a violation
 WITNESS_THRESHOLD = 1e9  # T3: modular jump each approximate-embedding level aims for
 PHI_TOP_CAP = 2.0 ** 140  # the steep level of generators still finite there
 NO_FINITE_ATOM = "needs a finite atom"  # the samples live on the finite atoms
@@ -658,7 +658,7 @@ def _suite_strict_monotonicity(phi, p, space, *, seed: int, budget: int):
     ry = generated_norm(phi, p, y)
     y = y.scaled(1.0 / ry.value)
     ry = generated_norm(phi, p, y)
-    if not ry.attained or ry.k_star is None:
+    if not ry.attained:
         return _hnm("T6", "attainment unavailable for the constructed element")
     k = ry.k_star
     zvals = list(y.values)
@@ -916,7 +916,7 @@ def _um_failure_construction(phi, p, *, seed, regime):
     rx = generated_norm(phi, p, x)
     x = x.scaled(1.0 / rx.value)
     rx = generated_norm(phi, p, x)
-    if not rx.attained or rx.k_star is None:
+    if not rx.attained:
         return _hnm("T9", "attainment unavailable for the constructed unit vector")
     k = rx.k_star
     if k <= 1.0 - 1e-9:

@@ -224,6 +224,14 @@ def test_non_attainment_reported_at_the_limit():
     r = generated_norm(power(1), l1(), x)
     assert not r.attained and r.value == 3.0
     assert r.k_star is None and r.bracket is None and r.evaluations == 0
+    # |u|^(1 + 1e-13): J = 1e-13 I reaches 1 near k = 3.3e12 = 1e13 k_L, where
+    # the minimum 3 + 9.1e-12 is attained; a search capped at 1e12 k_L
+    # reported 3 + 1.1e-11 there, unattained
+    r = generated_norm(power(1.0000000000001), l1(), x)
+    assert r.attained and r.k_star == pytest.approx(3.335e12, rel=1e-3)
+    assert 3.0 < r.value < 3.000000000011092
+    want = oracle_norm(power(1.0000000000001), l1(), [1.0, 1.0], [1.0, 2.0])
+    assert r.value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _search_elements(orlicz_catalog, planar_catalog, per_pair=8):
@@ -531,8 +539,8 @@ def test_norms_are_homogeneous_at_extreme_scales(lam):
     assert luxemburg_norm(power(2), pair) == pytest.approx(math.sqrt(5.0) * lam, rel=1e-10,
                                                            abs=0.0)
     # values 1e42 lam on weights 1e-84 have the same modular under |u|^2 as
-    # lam times the base (R2's tail elements have this shape), with k_L
-    # about 1e12 k_L' / max|x|
+    # lam times the base (R2's tail elements have this shape): the search
+    # starts at k = 1/max|x|, 42 decades below the minimiser
     heavy = simple_function(measure_space([1e-84 * w for w in sp.weights]),
                             [1e42 * v for v in x.values])
     for p in (linf(), l1(), lq(2)):

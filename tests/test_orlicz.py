@@ -368,6 +368,12 @@ def test_strict_convexity_probe_verdicts():
     assert not flat.strictly_convex
     assert max(abs(flat.witness[0]), abs(flat.witness[1])) <= 1.0 + 1e-9
     assert strict_convexity_probe(power(1.05)).strictly_convex
+    # the strictly convex kinds' midpoint gap at [0, 1]'s quarter points
+    for phi, gap in ((power(2), 0.0625), (power(3), 0.09375), (exp_minus(), 0.052),
+                     (power(1.00000000001), 6.5e-13)):
+        probe = strict_convexity_probe(phi)
+        assert probe.strictly_convex and probe.witness is None
+        assert probe.gap == pytest.approx(gap, rel=2e-2), phi.label
     linear = strict_convexity_probe(power(1))
     assert not linear.strictly_convex
     u1, u2 = linear.witness

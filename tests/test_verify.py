@@ -64,6 +64,15 @@ def test_l1_attainment_and_gate():
     assert suite_attainment(power(1), l1(), SP6).status == STATUS_HNM
 
 
+def test_l1_and_t6_pass_on_a_nearly_linear_generator():
+    # |u|^(1 + 1e-13) grows faster than linearly, so each norm is attained,
+    # at k near 1e13 times the Luxemburg point: a search capped at 1e12 of
+    # it reported every sample unattained (L1 failed, T6 checked no pair)
+    l1_rep, t6_rep = run_suites(["L1", "T6"], power(1.0000000000001), l1(), SP6)
+    assert l1_rep.status == STATUS_PASSED and l1_rep.trials == 200
+    assert t6_rep.status == STATUS_PASSED and t6_rep.trials == 200
+
+
 def test_l2_bounds_and_gate():
     rep = suite_unit_ball_bounds(flat_then_power(1, 2), lq(2), SP6)
     assert rep.status == STATUS_PASSED
@@ -158,6 +167,18 @@ def test_t5_scan_and_gates():
     pwl = piecewise_linear([(0, 0), (1, 0.5), (2, 2)])
     assert suite_strict_convexity(pwl, l1(), SP6).status == STATUS_HNM
     assert suite_strict_convexity(power(2), linf(), SP6).status == STATUS_HNM
+
+
+@pytest.mark.parametrize("q", [1.00000000001, 1.0000000000001])
+@pytest.mark.parametrize("p", [l1(), lq(2)], ids=["l1", "lq:2"])
+def test_t5_gates_a_midpoint_gap_below_its_tolerance(q, p):
+    # strictly convex, but its midpoint gap at [0, 1]'s quarter points,
+    # about 0.65 (q - 1), is below the midpoint check's 1e-12: the scan
+    # would flag rounding (at q = 1 + 1e-9 the gap is 6.5e-11 and it passes)
+    rep = suite_strict_convexity(power(q), p, SP6, budget=25)
+    assert rep.status == STATUS_HNM
+    assert 0.0 < rep.details["gap"] < rep.details["tolerance"] == verify.MIDPOINT_TOL
+    assert suite_strict_convexity(power(1.000000001), p, SP6, budget=25).status == STATUS_PASSED
 
 
 def test_t6_both_directions():
@@ -279,7 +300,7 @@ def test_t9_positive_and_failure_branches():
 def test_r2_branches():
     rep = suite_order_continuity(power(2), l1(), SP6)
     assert rep.status == STATUS_PASSED and rep.details["branch"] == "order-continuous"
-    assert rep.details["tail_norms"][-1] <= 1e-2
+    assert rep.details["tail_norms"][-1] <= 2.0 ** (2.0 - 28.0 / 2.0)  # the bound for K = 4
     rep_f = suite_order_continuity(exp_minus(), lq(2), SPW)
     assert rep_f.status == STATUS_PASSED and rep_f.details["branch"] == "not-order-continuous"
     assert min(rep_f.details["tail_norms"]) >= 0.9
@@ -296,6 +317,23 @@ def test_r2_order_continuous_past_a_wide_flat_zone(phi):
         rep = suite_order_continuity(phi, p, SPW)
         assert rep.status == STATUS_PASSED, (p.label, rep.violations)
         assert rep.details["branch"] == "order-continuous"
+
+
+@pytest.mark.parametrize("p", [linf(), l1(), lq(1.5), lq(2), lq(3)],
+                         ids=["linf", "l1", "lq:1.5", "lq:2", "lq:3"])
+def test_r2_bounds_the_last_tail_by_the_doubling_constant(p):
+    # |u|^5 doubles with K = 32: the last tail, of modular 2^-28, has norm at
+    # most 2 (K 2^-28)^(1/5) = 0.082, above the 1e-2 a fixed cut would allow
+    rep = suite_order_continuity(power(5), p, SPW)
+    assert rep.status == STATUS_PASSED and rep.details["branch"] == "order-continuous"
+    assert 1e-2 < rep.details["tail_norms"][-1] <= 0.5 * 2.0 ** (2.0 - 28.0 / 5.0)
+    # past q = 14 the bound is 1 or more: nothing to check.  For power:40
+    # the levels 2^j overflow Phi, and the steep level serves instead
+    for phi, k in ((power(40), 2.0 ** 40), (flat_then_power(0.5, 40), 2.0 ** 40)):
+        rep = suite_order_continuity(phi, p, SPW)
+        assert rep.status == STATUS_HNM, phi.label
+        assert rep.details["doubling_constant"] == pytest.approx(k, rel=1e-6)
+        assert rep.details["bound"] == pytest.approx(2.0 ** (2.0 - 28.0 / 40.0), rel=1e-6)
 
 
 def test_r3_branches():
