@@ -106,8 +106,8 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     modular_at = modular_of(phi, x)
     if modular_at.top == 0.0:
         return NormResult(0.0, None, False, None, 0)
-    if modular_at.top_inf == 0.0 and phi.slope_limit < math.inf:
-        limit = float(_limit(phi, p, *modular_at.finite_atoms()))
+    if modular_at.top_inf == 0.0:
+        limit = float(_limit(phi, p, modular_at.finite_atoms))
         if limit == limit:
             return NormResult(limit, None, False, None, 0)
     value, k, lo, hi, evaluations = _first_order_root(phi, p, modular_at, log_tol)
@@ -118,22 +118,27 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
                       evaluations)
 
 
-def _limit(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray, ax: np.ndarray) -> np.ndarray:
-    """For |values| ax on finite atoms of weights w (a row or an (N, n)
-    array of rows): S = slope_limit sum w |x| where the infimum of g is
-    approached only as k -> inf, nan where it is attained.  With a finite
-    slope limit g(k) = p((1/k, I(kx)/k)) tends to p((0, S)) = S, and J(kx)
+def _limit(phi: OrliczFunction, p: PlanarNorm, atoms) -> np.ndarray | float:
+    """For the |values| ax on finite atoms of weights w that atoms() gives
+    (ax a row or an (N, n) array of rows): S = slope_limit sum w |x| where
+    the infimum of g is approached only as k -> inf, nan where it is
+    attained; a plain nan, without calling atoms, where the slope limit is
+    infinite, as the infimum is then always attained.  With a finite slope
+    limit g(k) = p((1/k, I(kx)/k)) tends to p((0, S)) = S, and J(kx)
     reaches J_inf = Psi(slope_limit) mu(supp x) at a finite k, past Phi's
     last kink; F <= 0 for every k iff F <= 0 at J_inf and I = +inf: never
-    under the max norm, iff J_inf = 0 under a q-mean, J_inf < 1 under the
-    sum norm (Hudzik and Maligranda), b J_inf < a on a boundary ball's
-    last facet (a, b)."""
+    under the max norm, iff J_inf < 1 under the sum norm and the q-mean
+    with q = 1 (Hudzik and Maligranda), iff J_inf = 0 under a q-mean with
+    q > 1, iff b J_inf < a on a boundary ball's last facet (a, b)."""
     slope = phi.slope_limit
+    if slope == math.inf:
+        return math.nan
+    w, ax = atoms()
     j_inf = young_conjugate(phi, slope) * np.vecdot(ax != 0.0, w)
     if p.kind == "boundary":
         a, b = p.facets[-1]
         below = b * j_inf < a
-    elif p.kind == "l1":
+    elif p.kind == "l1" or p.kind == "lq" and p.q == 1.0:
         below = j_inf < 1.0
     else:  # the max norm never, a q-mean where J stays 0
         below = (j_inf == 0.0) & (p.kind == "lq")
@@ -199,8 +204,8 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     would leave the bracket, and bisects when the last three steps did not
     halve it (unless F at least halved) or when the latest F is infinite.
     With no sample above, F = -inf steps to k twice Phi's flat edge (I =
-    0), past a boundary ball's corner, or to the end of the span (J = 0: F
-    has no root below it); with none below, F = +inf steps past the corner
+    0), or else (J = 0) to the end of the span, where J is largest; with
+    none below, F = +inf steps past the corner
     below, or halves k (an overflow).  F's jumps go first: a binary search
     over the kinks b/|x_i| inside the bracket (F at an upper end there is
     its left limit), then Newton on log I toward a corner between the
@@ -284,9 +289,6 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                 if ke:  # k = k_edge + e^x
                     s = x + math.log1p(ke * exp(-x)) if x > 0.0 else log(ke + exp(x))
                 s += h0 + _EPS * abs(s) if g1 < 0.0 else -h0 - _EPS * abs(s)
-                if (b is None and s >= s_top and corners is not None
-                        and (c := bisect_right(corners, i1)) < len(corners)):
-                    s = _toward(last, corners[c], h0)  # no root on this facet: past its corner
                 if two:
                     if not a[0] < s < b[0]:  # the ends' secant, else bisect
                         s = (a[0] - a[2] * width / (b[2] - a[2])
@@ -300,9 +302,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             elif b is None:  # F = -inf at every sample
                 if i1 == 0.0:  # Phi's flat zone: k doubles past its edge
                     s = (s1 if s1 > s_edge else s_edge) + _LN2
-                elif corners is not None and bisect_right(corners, i1) < len(corners):
-                    s = _toward(last, corners[bisect_right(corners, i1)], h0)
-                else:  # J = 0 from here on: F has no root below the top
+                else:  # J = 0: F's root, if any, lies where J > 0, at the top
                     s = s_top
             elif (corners is not None and i1 + j1 < inf
                   and bisect_right(corners, i1)):  # F > 0 on the whole facet
@@ -408,8 +408,8 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # C order: each row's sums then run on one contiguous row, whatever N is
         ax = np.ascontiguousarray(np.abs(x[rows][:, finite]))
-        if rows.size and phi.slope_limit < math.inf:
-            limit = _limit(phi, p, weights[finite], ax)
+        if rows.size:
+            limit = np.broadcast_to(_limit(phi, p, lambda: (weights[finite], ax)), rows.shape)
             far = limit == limit
             value[rows[far]], rows, ax = limit[far], rows[~far], ax[~far]
         if rows.size:
@@ -461,9 +461,9 @@ def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
 
     def sample(k: np.ndarray, ax: np.ndarray):
         u = k[:, None] * ax
-        f, d = phi.pair_array(u)
-        i, t = vecdot(f, w), vecdot(d, w)  # t = I + J: u Phi' >= Phi >= 0
-        j, big = t - i, None
+        f, jt = phi.pair_array(u)
+        i, j = vecdot(f, w), vecdot(jt, w)
+        t, big = i + j, None
         if not t.sum() < inf:  # a term overflowed: its log form, on those rows only
             big = ~(t < inf)
             i, j = phi.mend_sums(w, u, i, j)
@@ -647,7 +647,8 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     if modular_at.top == 0.0:
         return 0.0
     w, ax = modular_at.finite_atoms()
-    if phi.slope_limit < math.inf and (limit := float(_limit(phi, _SUM_NORM, w, ax))) == limit:
+    limit = float(_limit(phi, _SUM_NORM, lambda: (w, ax)))
+    if limit == limit:
         return limit
     root = _first_order_root(phi, _SUM_NORM, modular_at, LOG_TOL)
     (_, k_lo, _, _, m_lo), (_, k_hi, _, _, m_hi) = root[2:4]

@@ -48,7 +48,7 @@ class OrliczFunction:
         """lim Phi(u)/u as u -> inf: the tail slope of a polyline, 1 for the
         power kinds with q = 1, +inf otherwise (q is nan for exp_minus)."""
         if self.kind == "pwl":
-            return self._tail_slope()
+            return float(self._slopes[-1])
         return 1.0 if self.q == 1.0 else math.inf
 
     def evaluate(self, u: float) -> float:
@@ -78,17 +78,27 @@ class OrliczFunction:
         """(u, jump of Phi' at u) for each u > 0 where the derivative jumps:
         a polyline's inner breakpoints, and a for flat_then_power(a, 1)."""
         if self.kind == "pwl":
-            jumps = np.diff(self._slopes)
-            return tuple((x, float(d)) for x, d in zip(self.xs[1:-1], jumps) if d > 0.0)
+            jumps = np.diff(self._slopes)  # 0 at the last breakpoint
+            return tuple((x, float(d)) for x, d in zip(self.xs[1:], jumps) if d > 0.0)
         return ((self.a, 1.0),) if self.kind == "flat_then_power" and self.q == 1.0 else ()
 
     @cached_property
     def _slopes(self) -> np.ndarray:
-        """A polyline's segment slopes; the last is its tail slope."""
-        return _segment_slopes(self.xs, self.ys)
+        """A polyline's slope on each piece [xs[m], xs[m+1]), the last piece
+        [xs[-1], inf) taking the tail slope, the last segment's."""
+        slopes = np.diff(self.ys) / np.diff(self.xs)
+        return np.append(slopes, slopes[-1])
 
-    def _tail_slope(self) -> float:
-        return float(self._slopes[-1])
+    @cached_property
+    def _segment_psi(self) -> np.ndarray:
+        """u Phi'(u) - Phi(u) on each piece of a polyline: the constant
+        Psi(slope) = slope x - y at the piece's left end, 0 on a piece
+        through the origin."""
+        return self._slopes * np.array(self.xs) - np.array(self.ys)
+
+    def _piece(self, au: np.ndarray) -> np.ndarray:
+        """The index m of the polyline piece [xs[m], xs[m+1]) holding each au >= 0."""
+        return np.searchsorted(self.xs, au, side="right") - 1
 
     def evaluate_array(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -107,30 +117,35 @@ class OrliczFunction:
                 # 0 ** 0 is 1 in numpy: the flat zone is masked, not powered
                 t = np.maximum(0.0, au - self.a)
                 return np.where(au >= self.a, self.q * t ** (self.q - 1.0), 0.0)
-        # segment i holds [xs[i], xs[i+1]); past the last breakpoint the tail slope
-        i = np.searchsorted(self.xs, au, side="right")
-        return self._slopes[np.minimum(i, len(self.xs) - 1) - 1]
+        return self._slopes[self._piece(au)]
 
     def pair_array(self, au: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi(au), au Phi'(au)) for an array au >= 0, Phi' the right derivative."""
+        """(Phi(au), au Phi'(au) - Phi(au)) for an array au >= 0, Phi' the
+        right derivative: the terms of I and J, the second in closed form so
+        that it does not cancel: the constant Psi(slope) on a linear piece of
+        Phi, (q - 1) Phi(u) for a power."""
         k, q = self.kind, self.q
         with np.errstate(over="ignore", invalid="ignore"):
-            if k == "flat_then_power" and q > 1.0:  # 0 ** (q - 1) = 0 on the flat zone
+            if k == "flat_then_power":
                 t = np.maximum(0.0, au - self.a)
-                return t ** q, q * au * t ** (q - 1.0)
+                if q == 1.0:  # Psi(1) = a past the flat zone
+                    return t, np.where(au >= self.a, self.a, 0.0)
+                # t^(q-1) ((q - 1) u + a), 0 on the flat zone as 0 ** (q - 1) = 0
+                return t ** q, t ** (q - 1.0) * ((q - 1.0) * au + self.a)
             f = self._phi_array(au)
-            if k == "power":
-                return f, q * f
+            if k == "power":  # (q - 1) u^q
+                return f, (q - 1.0) * f
             if k == "exp_minus":  # Phi'(u) = Phi(u) + u
-                return f, au * (f + au)
-            return f, au * self.derivative_array(au)
+                return f, au * (f + au) - f
+            return f, self._segment_psi[self._piece(au)]
 
     def log_pair_array(self, au: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log Phi(au), log(au Phi'(au) - Phi(au))) for an array au >= 0, -inf
         where the term is 0: in closed form for the steep kinds (power,
         exp_minus, flat_then_power with q > 1), finite wherever au is, past
         the point where Phi or u Phi' overflows; the logs of pair_array's
-        terms for the others, whose terms grow linearly in u."""
+        terms for the others, whose Phi grows linearly in u and whose J term
+        is constant."""
         k, q = self.kind, self.q
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if k == "power":  # u Phi' - Phi = (q - 1) u^q
@@ -139,8 +154,8 @@ class OrliczFunction:
             if k == "flat_then_power" and q > 1.0:  # t^q and t^(q-1) ((q - 1) u + a), t = u - a
                 lt = np.log(np.maximum(0.0, au - self.a))
                 return q * lt, (q - 1.0) * lt + np.log((q - 1.0) * au + self.a)
-            f, d = self.pair_array(au)
-            lf, lj = np.log(f), np.log(np.maximum(d - f, 0.0))
+            f, jt = self.pair_array(au)
+            lf, lj = np.log(f), np.log(np.maximum(jt, 0.0))
             if k != "exp_minus":
                 return lf, lj
             # e^u (1 - (1 + u) e^-u) and e^u (u - 1 + e^-u), for u > 1
@@ -148,25 +163,22 @@ class OrliczFunction:
             return (np.where(big, au + np.log1p(-(1.0 + au) * e), lf),
                     np.where(big, au + np.log(au - 1.0 + e), lj))
 
-    def mend_sums(self, w: np.ndarray, au: np.ndarray, i: np.ndarray, j: np.ndarray | None = None):
-        """I (and J, when j is given) for the rows of the (N, n) array au and
-        weights w > 0, from the plain sums i (and j) of each row's terms:
-        where a row's I (or I + J) is not finite, a term overflowed, and the
-        row is summed again with each term that pair_array makes non-finite
+    def mend_sums(self, w: np.ndarray, au: np.ndarray, i: np.ndarray, j: np.ndarray):
+        """I and J for the rows of the (N, n) array au and weights w > 0,
+        from the plain sums i and j of each row's terms: where a row's I + J
+        is not finite, a term overflowed, and the row is summed again with each term that pair_array makes non-finite
         taken as exp(log w + its log form); I keeps i wherever i is finite,
         so it stays bit for bit the plain sum there.  i and j are updated in
         place.  The summing kernels, modular_of and the batched engine call
         it once they see a sum that is not finite."""
-        bad = np.flatnonzero(~((i if j is None else i + j) < math.inf))
-        f, d = self.pair_array(au[bad])
+        bad = np.flatnonzero(~(i + j < math.inf))
+        f, jt = self.pair_array(au[bad])
         lf, lj = self.log_pair_array(au[bad])
         with np.errstate(over="ignore", invalid="ignore"):
-            ti, tj = w * f, w * (d - f)
+            ti, tj = w * f, w * jt
             lw = np.log(w)
             ti = np.where(np.isfinite(ti), ti, np.exp(lw + lf)).sum(axis=-1)
             i[bad] = np.where(i[bad] < math.inf, i[bad], ti)
-            if j is None:
-                return i
             j[bad] = np.where(np.isfinite(tj), tj, np.exp(lw + lj)).sum(axis=-1)
         return i, j
 
@@ -182,11 +194,8 @@ class OrliczFunction:
         if k == "flat_then_power":
             t = np.maximum(0.0, au - self.a)
             return t ** self.q
-        out = np.interp(au, self.xs, self.ys)
-        tail = au >= self.xs[-1]
-        if np.any(tail):
-            out = np.where(tail, self.ys[-1] + self._tail_slope() * (au - self.xs[-1]), out)
-        return out
+        m = self._piece(au)
+        return np.take(self.ys, m) + self._slopes[m] * (au - np.take(self.xs, m))
 
     @property
     def label(self) -> str:
@@ -222,7 +231,7 @@ def _overflow_free(phi: OrliczFunction, atoms, s: float, i: float, j: float):
 
 
 def _power_sum(phi: OrliczFunction) -> Callable:
-    q, inf = phi.q, math.inf
+    q, q1, inf = phi.q, phi.q - 1.0, math.inf
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
@@ -232,7 +241,7 @@ def _power_sum(phi: OrliczFunction) -> Callable:
             except OverflowError:
                 f = math.inf
             i += w * f
-            j += w * (q * f - f)  # u Phi'(u) = q Phi(u)
+            j += w * (q1 * f)  # u Phi'(u) - Phi(u) = (q - 1) Phi(u)
         return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
@@ -276,36 +285,30 @@ def _flat_then_power_sum(phi: OrliczFunction) -> Callable:
                 f = t ** q
             except OverflowError:
                 f = inf
-            try:  # at u = a the right derivative: 0 ** 0 = 1 when q = 1
-                d = u * q * t ** q1
+            try:  # u Phi'(u) - Phi(u) = t^(q-1) ((q - 1) u + a): a when q = 1 (0 ** 0 = 1)
+                c = t ** q1 * (q1 * u + a0)
             except OverflowError:
-                d = inf
+                c = inf
             i += w * f
-            j += w * (d - f)
+            j += w * c
         return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
 
 
 def _pwl_sum(phi: OrliczFunction) -> Callable:
-    xs, ys, slopes, inf = phi.xs, phi.ys, phi._slopes.tolist(), math.inf
-    x_end, y_end, tail = xs[-1], ys[-1], slopes[-1]
+    # on piece m, [xs[m], xs[m+1]) or [xs[-1], inf), Phi(u) = ys[m] + slope (u -
+    # xs[m]) and u Phi'(u) - Phi(u) is the piece's constant Psi(slope)
+    xs, ys, inf = phi.xs, phi.ys, math.inf
+    slopes, psi = phi._slopes.tolist(), phi._segment_psi.tolist()
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
         for w, a in atoms:
             u = s * a
-            if u >= x_end:
-                f = y_end + tail * (u - x_end)
-                d = u * tail
-            else:  # segment m - 1 holds [xs[m - 1], xs[m])
-                m = bisect_right(xs, u)
-                x0 = xs[m - 1]
-                t = (u - x0) / (xs[m] - x0)
-                f = ys[m - 1] * (1.0 - t) + ys[m] * t
-                d = u * slopes[m - 1]
-            i += w * f
-            j += w * (d - f)
+            m = bisect_right(xs, u) - 1
+            i += w * (ys[m] + slopes[m] * (u - xs[m]))
+            j += w * psi[m]
         return (i, j) if i + j < inf else _overflow_free(phi, atoms, s, i, j)
 
     return pair_sum
@@ -335,10 +338,6 @@ def flat_then_power(a: float, q: float) -> OrliczFunction:
     return OrliczFunction("flat_then_power", a=a, q=q, zero_bound=a)
 
 
-def _segment_slopes(xs, ys) -> np.ndarray:
-    return np.diff(ys) / np.diff(xs)
-
-
 def piecewise_linear(points) -> OrliczFunction:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
@@ -351,7 +350,7 @@ def piecewise_linear(points) -> OrliczFunction:
         raise DomainError("breakpoint abscissae must be strictly increasing")
     if any(y < 0.0 or not math.isfinite(y) for y in ys):
         raise DomainError("breakpoint values must be finite and nonnegative")
-    slopes = _segment_slopes(xs, ys)
+    slopes = np.diff(ys) / np.diff(xs)
     if np.any(slopes[1:] < slopes[:-1] - 1e-12):
         raise DomainError("breakpoints must describe a convex function")
     if slopes[0] < -1e-12:

@@ -186,9 +186,9 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], fl
             return inf, inf
         if wide:
             # vdot, unlike dot, does not warn on overflow: past double range it is +inf
-            f, d = phi.pair_array(s * az)
+            f, jt = phi.pair_array(s * az)
             i = float(np.vdot(ws, f))
-            j = float(np.vdot(ws, d - f)) if i < inf else inf
+            j = float(np.vdot(ws, jt)) if i < inf else inf
             if i + j < inf:
                 return i, j
             i, j = phi.mend_sums(ws, s * az[None, :], np.array([i]), np.array([j]))

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -402,3 +403,25 @@ def test_descriptor_roundtrip(orlicz_catalog):
         phi2 = orlicz_from_descriptor(phi.descriptor())
         for u in (0.4, 1.1, 3.3):
             assert phi2(u) == phi(u)
+
+
+def test_conjugate_term_is_exact_on_linear_pieces_and_near_linear_powers():
+    # u Phi'(u) - Phi(u) is Psi(slope) on a linear piece: taken as a difference
+    # of two terms that grow like u it read 0 (or ulps of u) past u ~ a / eps
+    pwl = piecewise_linear([(0, 0), (1, 0.5), (3, 4)])  # slopes 0.5, 1.75: Psi 0, 1.25
+    cases = [(flat_then_power(0.69, 1), [(0.5, 0.0), (0.69, 0.69), (2.0, 0.69)]),
+             (pwl, [(0.5, 0.0), (1.0, 1.25), (2.0, 1.25), (3.0, 1.25)]),
+             (piecewise_linear([(0, 0), (2, 1)]), [(1.0, 0.0), (3.0, 0.0)])]
+    for phi, points in cases:
+        c_tail = young_conjugate(phi, phi.slope_limit)
+        for u, c in points + [(u, c_tail) for u in (1e10, 1e200, 1e299)]:
+            assert phi.pair_sum(((1.0, u),), 1.0)[1] == pytest.approx(c, rel=1e-15), (phi.label, u)
+            assert phi.pair_array(np.array([u]))[1][0] == pytest.approx(c, rel=1e-15), (phi.label, u)
+    # (q - 1) u^q for a power: the difference q u^q - u^q kept 3 digits at q - 1 = 1e-13
+    q = 1.0000000000001
+    with mpmath.workdps(50):
+        for u in (0.5, 3.0, 1e100):
+            mq, mu = mpmath.mpf(q), mpmath.mpf(u)
+            exact = float(mu * mq * mu ** (mq - 1) - mu ** mq)
+            assert power(q).pair_sum(((1.0, u),), 1.0)[1] == pytest.approx(exact, rel=1e-14)
+            assert power(q).pair_array(np.array([u]))[1][0] == pytest.approx(exact, rel=1e-14)
