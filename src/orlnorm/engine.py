@@ -9,7 +9,7 @@ f(t) = p((1, I(t x))) is convex and nondecreasing, so g is convex in 1/k
 
 u = k|x|, Phi' the right derivative; by Young's equality J is the conjugate
 modular of Phi'(k|x|), nondecreasing in k, and d I / d log k = I + J.  The
-minimiser is the sign change of one function F of k (_first_order), in log
+minimiser is the sign change of one function F of k (_first_order_root), in log
 form: log I under the max norm (the Luxemburg point I(k_L x) = 1), log J
 under the sum norm (the Amemiya/Orlicz equality J = 1; Hudzik and
 Maligranda, Indag. Math. 11, 2000), log J + (q - 1) log I under the q-mean,
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ _LOG_TINY = math.log(1e-300)
 _HALF_TOL = 0.45  # a step lands this many tol past the predicted root: two close a bracket
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(NamedTuple):
     value: float
     k_star: float | None
     attained: bool
@@ -147,13 +146,11 @@ def _limit(phi: OrliczFunction, p: PlanarNorm, atoms) -> np.ndarray | float:
 
 
 def _first_order(p: PlanarNorm):
-    """F(I, J), with the sign of p_2(1, I) J - p_1(1, I), the sign of g'(k+),
-    in log form: log I under the max norm, log J + (q - 1) log I under the
-    q-mean (q = 1: the sum norm), log(b J / a) on the facet a u + b v = 1 of
-    a boundary ball that holds (1, I+); +-inf where the sign is fixed (I or
-    J is 0, a facet's a or b is not positive, or I + J overflows)."""
-    if p.kind != "boundary":
-        return _mean_first_order(p.kind == "linf", p.q - 1.0 if p.kind == "lq" else 0.0)
+    """F(I, J) on a boundary ball, with the sign of p_2(1, I) J - p_1(1, I),
+    the sign of g'(k+): log(b J / a) on the facet a u + b v = 1 that holds
+    (1, I+); +-inf where the sign is fixed (a facet's a or b is not
+    positive, or I + J overflows).  The max, sum and q-mean norms' F is
+    written in _first_order_root's loop."""
     log, inf, corners, facets = math.log, math.inf, p.corners, p.facets
 
     def on_facet(i: float, j: float) -> float:
@@ -165,22 +162,6 @@ def _first_order(p: PlanarNorm):
             return log(bj) - log(a)
         return 0.0 if bj == a else math.copysign(inf, bj - a)
     return on_facet
-
-
-@lru_cache(maxsize=32)
-def _mean_first_order(max_norm: bool, q1: float):
-    """F for the max norm, or for the q-mean with q1 = q - 1 (0: the sum norm)."""
-    log, inf = math.log, math.inf
-    if max_norm:
-        return lambda i, j: log(i) if 0.0 < i < inf else (inf if i else -inf)
-
-    def first_order(i: float, j: float) -> float:
-        if not i + j < inf:
-            return inf
-        if j <= 0.0 or i <= 0.0 < q1:  # the sign of I^(q-1) J - 1
-            return -inf
-        return log(j) + q1 * log(i) if q1 else log(j)
-    return first_order
 
 
 def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: float):
@@ -214,7 +195,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     floor)."""
     log, exp, inf = math.log, math.exp, math.inf
     s_start = -log(modular_at.top)  # homogeneous: from k = 1/max|x|, k and k max|x|
-    s_top = min(s_start, 0.0) - _LOG_TINY  # within [1e-300, 1e300]
+    s_top = (0.0 if 0.0 < s_start else s_start) - _LOG_TINY  # within [1e-300, 1e300]
     k_top, m_inf = exp(s_top), modular_at.top_inf
     if m_inf > 0.0:  # I(k x) = +inf exactly when Phi(k m_inf) > 0, m_inf = max|x| there
         k_jump = phi.zero_bound / m_inf
@@ -224,18 +205,19 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             return inf, None, None, None, 0
         if k_jump < k_top:  # the finite/+inf jump ends the span
             k_top, s_top = k_jump, log(k_jump)
-    pair, p_abs, first_order = modular_at.with_conjugate, p._eval_abs, _first_order(p)
+    kernel, p_abs, max_norm = modular_at.kernel, p._eval_abs, p.kind == "linf"
     qm = p.q if p.kind == "lq" else 1.0
-    corners = p.corners if p.kind == "boundary" else None
+    q1 = qm - 1.0
+    corners, on_facet = (p.corners, _first_order(p)) if p.kind == "boundary" else (None, None)
     cands = _kink_candidates(phi, modular_at, k_top) if phi.kinks else None
     drops = dict(cands) if cands else None  # a sample at a kink takes F's left limit
-    s_floor = max(s_start, 0.0) + _LOG_TINY  # k and k max|x| above 1e-300
+    s_floor = (0.0 if 0.0 > s_start else s_start) + _LOG_TINY  # k and k max|x| above 1e-300
     zb, tf = phi.zero_bound, modular_at.top_finite
     k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
     s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
     h0 = _HALF_TOL * log_tol
     a = b = hi = last = prev = k = None
-    jumped, s, n = False, min(s_start, s_top), 0
+    jumped, s, n = False, s_top if s_top < s_start else s_start, 0
     w1 = w2 = w3 = inf  # the bracket's width 1, 2 and 3 steps back
     while True:
         if last is not None:
@@ -312,28 +294,44 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             if not two:
                 s = s_top if s >= s_top else s_floor if s < s_floor else s
         if k is None:  # the top itself at or past it
-            k = k_top if s >= s_top else min(exp(s), k_top)
-        i, j = pair(k)
+            k = k_top if s >= s_top else exp(s)
+            k = k_top if k_top < k else k
+        i, j = kernel(k)  # unchecked: k max|x| <= 1e300 and k <= the jump
         n += 1
-        f = first_order(i, j)
-        e = (s, k, f, i, j)
-        if f <= 0.0:  # ordered by k: e^s rounds, and a kink is sampled at its own k
-            if a is None or k > a[1]:
-                a = e
-        else:
-            if hi is None or k < hi[1]:
-                hi = e
-            if drops is not None and k in drops:  # at a kink: F's left limit
-                d = drops[k]
-                e = (s, k, first_order(i, j - d), i, j - d)
+        right = True  # F at k; at a kink where F > 0 then its left limit
+        while True:
+            # F: log I under the max norm, log J + (q - 1) log I under the
+            # q-mean (q = 1: the sum norm); +-inf where its sign is fixed
+            if max_norm:
+                f = log(i) if 0.0 < i < inf else (inf if i else -inf)
+            elif on_facet is not None:
+                f = on_facet(i, j)
+            elif not i + j < inf:
+                f = inf
+            elif j <= 0.0 or i <= 0.0 < q1:  # the sign of I^(q-1) J - 1
+                f = -inf
+            else:
+                f = log(j) + q1 * log(i) if q1 else log(j)
+            e = (s, k, f, i, j)
+            if right and f <= 0.0:  # ordered by k: e^s rounds, and a kink is sampled at its own k
+                if a is None or k > a[1]:
+                    a = e
+                break
+            if right:
+                if hi is None or k < hi[1]:
+                    hi = e
+                if drops is not None and k in drops:  # at a kink: F's left limit
+                    j, right = j - drops[k], False
+                    continue
             if b is None or k < b[1]:
                 b = e
+            break
         prev, last, jumped = None if jumped else last, e, False  # no secant across a jump
     lo, hi = a or hi, hi or a  # F > 0 down to the floor, or F <= 0 up to the top
     # g is nonincreasing where F <= 0 and increasing where F > 0, so its least
     # sampled value is at lo or at hi (k underflows to 0 below 1e-323)
-    v_lo, v_hi = (p_abs(1.0, e[3]) / e[1] if e[3] < inf and e[1] > 0.0 else inf
-                  for e in (lo, hi))
+    v_lo = p_abs(1.0, lo[3]) / lo[1] if lo[3] < inf and lo[1] > 0.0 else inf
+    v_hi = p_abs(1.0, hi[3]) / hi[1] if hi[3] < inf and hi[1] > 0.0 else inf
     v, k = (v_lo, lo[1]) if v_lo <= v_hi else (v_hi, hi[1])
     return v, k, lo, hi, n
 
@@ -455,7 +453,7 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
 def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
     """(k, ax) -> (I, 1 + J/I, F) per row at k, ax the rows' |values| on the
     finite atoms of weights w: the row sums of one phi.pair_array over the
-    block, and F as _first_order gives it for p."""
+    block, and F as _first_order_root takes it for p."""
     q1 = p.q - 1.0 if p.kind == "lq" else 0.0
     max_norm, vecdot, log, inf = p.kind == "linf", np.vecdot, np.log, math.inf
 

@@ -295,19 +295,6 @@ def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
     return c
 
 
-def _level_end_bisected(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
-                        first: np.ndarray) -> np.ndarray:
-    """_level_end by 60 vectorised bisection steps on p itself, for p
-    nondecreasing in c: the tests' reference for the closed forms."""
-    lo, hi = np.zeros(np.broadcast_shapes(np.shape(fixed), np.shape(eps))), cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = p.evaluate_many(np.where(first, fixed, mid), np.where(first, mid, fixed)) < eps
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _modulus_pass(p: PlanarNorm, eps: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimise 1 - p(y - x) over y on a theta grid of the positive unit
     sphere and x at an end of the level curve p(x) = eps inside [0, y].

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -126,84 +126,96 @@ def modular(phi: "OrliczFunction", x: SimpleFunction, scale: float = 1.0) -> flo
     0 when Phi(|value|) = 0 and +inf otherwise.  DomainError when
     scale * value is not finite on some atom.
     """
-    return modular_of(phi, x)(scale)
+    return modular_of(phi, x).with_conjugate(scale)[0]
 
 
-def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Callable[[float], float]:
-    """scale -> modular(phi, x, scale), reading the support of x once.  The
-    callable carries ``top`` = max|x|, ``top_inf`` = max|x| on the infinite
-    atoms and ``top_finite`` = max|x| on the finite ones, ``with_conjugate``:
-    scale -> (modular, sum w (u Phi'(u) - Phi(u)) over the finite atoms, u =
-    scale |x|), and ``finite_atoms()``: their weights and |values| as arrays.
+class Modular:
+    """modular_of's record of x under phi: ``top`` = max|x|, ``top_inf`` =
+    max|x| on the infinite atoms, ``top_finite`` = max|x| on the finite
+    ones, and ``kernel``: s -> (sum w Phi(u), sum w (u Phi'(u) - Phi(u)))
+    over the finite atoms, u = s |x|, for s >= 0.
+
+    ``kernel`` is unchecked: it neither tests s * top for finiteness nor
+    looks at the infinite atoms, so it is the modular only where s * top
+    is finite and Phi(s * top_inf) = 0.  The engine samples it directly,
+    as every k of its span lies there (k max|x| <= 1e300, k at most the
+    finite/+inf jump).  ``with_conjugate`` is the checked pass."""
+    __slots__ = ("phi", "top", "top_inf", "top_finite", "kernel", "_atoms")
+
+    def __init__(self, phi: "OrliczFunction", top_inf: float, top_finite: float,
+                 kernel: Callable[[float], tuple[float, float]], atoms) -> None:
+        self.phi, self.top_inf, self.top_finite, self.kernel = phi, top_inf, top_finite, kernel
+        self.top = top_inf if top_inf > top_finite else top_finite
+        self._atoms = atoms  # (weight, |value|) pairs, or their two arrays
+
+    def with_conjugate(self, scale: float) -> tuple[float, float]:
+        """(modular, J) at scale: one finiteness check of scale * max|x|
+        covers every atom (DomainError), and (inf, inf) where an infinite
+        atom has Phi(scale * top_inf) > 0, one call of phi.evaluate."""
+        s, top, top_inf = abs(scale), self.top, self.top_inf
+        if top > 0.0 and not s * top < math.inf:
+            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
+        if top_inf > 0.0 and self.phi.evaluate(s * top_inf) != 0.0:
+            return math.inf, math.inf
+        return self.kernel(s)
+
+    def finite_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The finite atoms' weights and |values|, as arrays."""
+        atoms = self._atoms
+        if isinstance(atoms, list):
+            return tuple(np.array(atoms, dtype=float).reshape(-1, 2).T)
+        return atoms
+
+
+def _array_sums(phi: "OrliczFunction", ws: np.ndarray, az: np.ndarray,
+                s: float) -> tuple[float, float]:
+    # vdot, unlike dot, does not warn on overflow: past double range it is +inf
+    f, jt = phi.pair_array(s * az)
+    i = float(np.vdot(ws, f))
+    j = float(np.vdot(ws, jt)) if i < math.inf else math.inf
+    if i + j < math.inf:
+        return i, j
+    i, j = phi.mend_sums(ws, s * az[None, :], np.array([i]), np.array([j]))
+    return float(i[0]), float(j[0])
+
+
+def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Modular:
+    """The Modular record of x under phi, reading the support of x once.
 
     Phi is even and nondecreasing on [0, inf), so the infinite atoms need
-    one evaluation at their largest |value|, and one finiteness check of
-    scale * max|x| covers every atom; the infinite-atom test is one call
-    of phi.evaluate.  The modular is with_conjugate's first component.  On
-    a space of fewer than ARRAY_ATOMS atoms the finite atoms are summed in
-    atom order by phi.pair_sum, the kind's one scalar evaluator, whose first
-    component is bit for bit an atom-by-atom loop over Phi; from ARRAY_ATOMS
-    on, by numpy dot products of the weights with phi.pair_array's terms,
-    the first of which is phi.evaluate_array's, so the modular may differ
-    from that loop by a few ulps.  Either way a sum that comes out +inf (or
-    J nan) is mended by phi.mend_sums, which takes an overflowing term in
-    log form and keeps every finite I, so it is +inf only where the modular
-    itself is past double range.
+    only their largest |value|.  On a space of fewer than ARRAY_ATOMS atoms
+    the kernel is phi.pair_sum on the finite support, the kind's one scalar
+    evaluator, which sums in atom order, so its I is bit for bit an
+    atom-by-atom loop over Phi; from ARRAY_ATOMS on it is numpy dot
+    products of the weights with phi.pair_array's terms, the first of which
+    is phi.evaluate_array's, so I may differ from that loop by a few ulps.
+    Either way a sum that comes out +inf (or J nan) is mended by
+    phi.mend_sums, which takes an overflowing term in log form and keeps
+    every finite I, so it is +inf only where the modular itself is past
+    double range.
     """
     n = x.space.n_atoms
-    ev, inf = phi.evaluate, math.inf
-    wide = n >= ARRAY_ATOMS
-    if wide:
+    if n >= ARRAY_ATOMS:
         ws, az = np.fromiter(x.space.weights, float, n), np.abs(np.fromiter(x.values, float, n))
         fin = np.isfinite(ws)
         top_inf = float(np.max(az, where=~fin, initial=0.0))
         ws, az = ws[fin], az[fin]
-        top_finite = float(np.max(az, initial=0.0))
-    else:
-        finite: list[tuple[float, float]] = []  # (weight, |value|) of the finite support
-        append = finite.append
-        top_inf = top_finite = 0.0
-        for w, v in zip(x.space.weights, x.values):
-            if v != 0.0:
-                a = v if v > 0.0 else -v
-                if w == inf:  # weights are positive or +inf
-                    if a > top_inf:
-                        top_inf = a
-                else:
-                    append((w, a))
-                    if a > top_finite:
-                        top_finite = a
-        pair_sum = phi.pair_sum
-    top = top_inf if top_inf > top_finite else top_finite
-
-    # scale * top finite covers every atom; an infinite atom makes the
-    # modular +inf where Phi(scale * top_inf) > 0
-    def with_conjugate(scale: float) -> tuple[float, float]:
-        s = abs(scale)
-        if top > 0.0 and not s * top < inf:
-            raise DomainError(f"non-finite argument {scale!r} * {top!r}")
-        if top_inf > 0.0 and ev(s * top_inf) != 0.0:
-            return inf, inf
-        if wide:
-            # vdot, unlike dot, does not warn on overflow: past double range it is +inf
-            f, jt = phi.pair_array(s * az)
-            i = float(np.vdot(ws, f))
-            j = float(np.vdot(ws, jt)) if i < inf else inf
-            if i + j < inf:
-                return i, j
-            i, j = phi.mend_sums(ws, s * az[None, :], np.array([i]), np.array([j]))
-            return float(i[0]), float(j[0])
-        return pair_sum(finite, s)
-
-    def finite_atoms() -> tuple[np.ndarray, np.ndarray]:
-        return (ws, az) if wide else tuple(np.array(finite, dtype=float).reshape(-1, 2).T)
-
-    def at(scale: float) -> float:
-        return with_conjugate(scale)[0]
-
-    at.top, at.top_inf, at.top_finite = top, top_inf, top_finite
-    at.with_conjugate, at.finite_atoms = with_conjugate, finite_atoms
-    return at
+        return Modular(phi, top_inf, float(np.max(az, initial=0.0)),
+                       partial(_array_sums, phi, ws, az), (ws, az))
+    finite: list[tuple[float, float]] = []  # (weight, |value|) of the finite support
+    append, inf = finite.append, math.inf
+    top_inf = top_finite = 0.0
+    for w, v in zip(x.space.weights, x.values):
+        if v != 0.0:
+            a = v if v > 0.0 else -v
+            if w == inf:  # weights are positive or +inf
+                if a > top_inf:
+                    top_inf = a
+            else:
+                append((w, a))
+                if a > top_finite:
+                    top_finite = a
+    return Modular(phi, top_inf, top_finite, partial(phi.pair_sum, finite), finite)
 
 
 def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_
                      catalog_planar_norms, exp_minus, flat_then_power, measure_space,
                      modular, modular_on_grid, piecewise_linear, power, simple_function,
                      space_from_descriptor, unit_weights)
-from orlnorm.engine import _first_order
+from orlnorm.engine import _batch_sampler, generated_norm
 from orlnorm.spaces import ARRAY_ATOMS, dominated_pair_values, modular_of
+
+from mp_oracle import oracle_norm
 
 
 def test_space_validation():
@@ -167,14 +169,57 @@ def test_modular_with_conjugate_matches_exact_sums():
 
 
 def test_modular_overflow_gives_infinite_first_order():
-    # an atom whose Phi overflows: I = +inf, and every first-order function is +inf
+    # an atom whose Phi overflows: I = +inf, checked and unchecked, and the
+    # lockstep sampler's first-order function is +inf under every norm
     for phi in (power(3), exp_minus(), flat_then_power(1, 2)):
         for n in (3, ARRAY_ATOMS):
             x = simple_function(unit_weights(n), [1e200, 0.5] + [0.0] * (n - 2))
-            i, j = modular_of(phi, x).with_conjugate(1.0)
-            assert i == math.inf, phi.label
+            modular_at = modular_of(phi, x)
+            i = modular_at.with_conjugate(1.0)[0]
+            assert i == modular_at.kernel(1.0)[0] == math.inf, phi.label
+            w, ax = modular_at.finite_atoms()
             for p in catalog_planar_norms().values():
-                assert _first_order(p)(i, j) == math.inf, (phi.label, p.label)
+                with np.errstate(invalid="ignore"):  # J/I is inf/inf, as in the engine
+                    _, _, f = _batch_sampler(phi, p, w)(np.ones(1), ax[None, :])
+                assert f[0] == math.inf, (phi.label, p.label)
+    # the scalar loop's first sample overflows (I = 3e308 at k = 1): F = +inf
+    # there steps k down, and the search still lands on the minimiser
+    x = simple_function(measure_space([1e308] * 3), [1.0, -1.0, 1.0])
+    assert modular_of(power(3), x).kernel(1.0)[0] == math.inf
+    for p in catalog_planar_norms().values():
+        want = oracle_norm(power(3), p, x.space.weights, x.values)
+        assert generated_norm(power(3), p, x).value == pytest.approx(want, rel=1e-11), p.label
+
+
+FLAT_GENERATORS = (flat_then_power(1, 2), flat_then_power(0.5, 1), flat_then_power(2, 3.5),
+                   piecewise_linear([(0, 0), (0.5, 0), (1, 0.25), (2, 2)]))
+
+
+@given(st.sampled_from(FLAT_GENERATORS), st.sampled_from((6, ARRAY_ATOMS)),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80)
+def test_unchecked_kernel_is_the_checked_pass_up_to_the_jump(phi, n, seed):
+    # the engine samples the unchecked kernel at k <= k_jump, its closed-form
+    # end of the span on infinite atoms; with_conjugate's two guards never
+    # fire there, so the two agree bit for bit, and one float past the true
+    # jump (k_jump or the next float up) the checked pass is (inf, inf)
+    rng = np.random.default_rng(seed)
+    weights = np.where(rng.uniform(size=n) < 0.3, math.inf, 10.0 ** rng.uniform(-2, 2, n))
+    weights[0] = math.inf
+    values = rng.uniform(-3.0, 3.0, n) * (rng.uniform(size=n) < 0.8)
+    values[0] = 10.0 ** rng.uniform(-3, 3)
+    modular_at = modular_of(phi, simple_function(measure_space(weights), values))
+    m_inf = modular_at.top_inf
+    k_jump = phi.zero_bound / m_inf  # as _first_order_root takes it
+    while phi.evaluate(k_jump * m_inf) != 0.0:
+        k_jump = math.nextafter(k_jump, 0.0)
+    k_end = math.nextafter(k_jump, math.inf)  # the true jump: the largest k with Phi(k m_inf) = 0
+    k_end = k_end if phi.evaluate(k_end * m_inf) == 0.0 else k_jump
+    assert phi.evaluate(math.nextafter(k_end, math.inf) * m_inf) > 0.0
+    for k in (*(k_jump * 10.0 ** -rng.uniform(0, 12, 30)), k_jump, k_end):
+        want = modular_at.with_conjugate(float(k))
+        assert [v.hex() for v in modular_at.kernel(float(k))] == [v.hex() for v in want], k
+    assert modular_at.with_conjugate(math.nextafter(k_end, math.inf)) == (math.inf, math.inf)
 
 
 def test_modular_rejects_non_finite_arguments():

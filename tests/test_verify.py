@@ -111,6 +111,29 @@ def test_t3_witness_and_gates():
     assert gate.details["best_achievable"] == pytest.approx(
         0.1 / 64 * exp_minus()(1.01 * v) / exp_minus()(v), rel=1e-9)
     assert gate.details["best_achievable"] < 2.0
+    with pytest.raises(DomainError, match="unknown witness mode"):
+        build_linf_witness(exp_minus(), l1(), 4, "approximately")
+
+
+def test_t3_gates_a_basis_whose_remeasured_jump_falls_below_the_floor():
+    # the re-measured jump of the last basis element is its best jump a_j
+    # times (1 - 1e-12) up to rounding, so the gate fires for a_j in
+    # [2, 2 / (1 - 1e-12)); the six-level gate gives the best ratio r =
+    # Phi(1.01 v) / Phi(v), and epsilon = 2^5 (1 + d) / r puts the fourth
+    # element's a_j = epsilon / 2^4 r at 2 (1 + d)
+    _, gate = build_linf_witness(exp_minus(), l1(), 6, "approximate", seed=2)
+    r = gate.details["best_achievable"] * 64 / 0.1
+    _, gate = build_linf_witness(exp_minus(), l1(), 4, "approximate",
+                                 epsilon=32 * (1 + 0.5e-12) / r, seed=2)
+    assert gate.status == STATUS_HNM
+    assert gate.details["reason"] == "constructed basis does not jump above the floor"
+    assert gate.details["index"] == 3
+    assert 2.0 * (1.0 - 1e-12) < gate.details["scaled_modular"] < 2.0
+    # just above the window the basis jumps by 2 and the suite runs
+    w, rep = build_linf_witness(exp_minus(), l1(), 4, "approximate",
+                                epsilon=32 * (1 + 2e-12) / r, z_samples=5, seed=2)
+    assert rep.status == STATUS_PASSED
+    assert modular(exp_minus(), w.basis[3], scale=1.01) >= 2.0
 
 
 def test_t3_gates_a_flat_zone_that_leaves_no_level_range():
