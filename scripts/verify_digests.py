@@ -9,7 +9,11 @@ and each suite's id, status, trials and sorted violation kinds (the fields
 `modulus p sha256` per catalog planar norm, hashing `orlnorm modulus --json
 --p p` at the default grid and resolution.  Last, the same three kinds of
 line for `power:2` under BOUNDARY, a convex, strictly monotone boundary
-ball, so the polygonal-gauge path is covered too.  Two checkouts print
+ball, so the polygonal-gauge path is covered too, and the two verify lines
+(tagged `wide`) for `power:2` and `flat_then_power:1,2` under `lq:2` on
+WIDE_SPACE, whose ARRAY_ATOMS finite atoms put the modular on its numpy
+path and whose two infinite atoms reach the finite/+inf jump there.  Two
+checkouts print
 identical lines exactly when these outputs are byte-identical, so a change
 is checked with one diff:
 
@@ -32,9 +36,13 @@ import sys
 
 from orlnorm import catalog_orlicz_functions, catalog_planar_norms
 from orlnorm.cli import main as cli_main
+from orlnorm.spaces import ARRAY_ATOMS
 
 BUDGET = 20
 BOUNDARY = "boundary:0,1;0.5,1.02;1.1,1.05;1.5707963267948966,1"
+# weights 0.25 to 4 in steps of 0.25 on the finite atoms, then two of +inf
+WIDE_SPACE = json.dumps({"atoms": [{"w": 0.25 * (1 + i % 16)} for i in range(ARRAY_ATOMS)]
+                         + [{"w": "inf"}] * 2})
 
 
 def run(argv: list[str], codes=(0,)) -> tuple[int, str]:
@@ -67,18 +75,21 @@ def main() -> int:
     digest_modulus(catalog_planar_norms())
     digest_verify([("power:2", BOUNDARY)], args.seeds)
     digest_modulus([BOUNDARY])
+    digest_verify([("power:2", "lq:2"), ("flat_then_power:1,2", "lq:2")], args.seeds,
+                  WIDE_SPACE)
     return 0
 
 
-def digest_verify(pairs, seeds) -> None:
+def digest_verify(pairs, seeds, space=None) -> None:
+    tag, extra = ("", []) if space is None else (" wide", ["--space", space])
     for phi, p in pairs:
         for seed in seeds:
             argv = ["verify", "--all", "--json", "--phi", phi, "--p", p,
-                    "--seed", str(seed), "--budget", str(BUDGET)]
+                    "--seed", str(seed), "--budget", str(BUDGET), *extra]
             # exit 1: a suite found violations, still a payload
             code, output = run(argv, (0, 1))
-            print(f"{phi} {p} {seed} {sha(output)}", flush=True)
-            print(f"shape {phi} {p} {seed} {sha(shape(code, output))}", flush=True)
+            print(f"{phi} {p}{tag} {seed} {sha(output)}", flush=True)
+            print(f"shape {phi} {p}{tag} {seed} {sha(shape(code, output))}", flush=True)
 
 
 def digest_modulus(norms) -> None:

@@ -397,8 +397,7 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
         raise DomainError("simple functions take finite values")
     n_rows = len(x)
     value, k_star = np.zeros(n_rows), np.full(n_rows, math.nan)
-    weights = np.asarray(space.weights)
-    finite = np.isfinite(weights)
+    weights, finite, _ = space.atom_arrays
     nonzero = (x != 0.0).any(axis=1)
     scalar = nonzero if p.kind == "boundary" or phi.kinks else (x[:, ~finite] != 0.0).any(axis=1)
     rows = np.flatnonzero(nonzero & ~scalar)
@@ -407,11 +406,11 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
         # C order: each row's sums then run on one contiguous row, whatever N is
         ax = np.ascontiguousarray(np.abs(x[rows][:, finite]))
         if rows.size:
-            limit = np.broadcast_to(_limit(phi, p, lambda: (weights[finite], ax)), rows.shape)
+            limit = np.broadcast_to(_limit(phi, p, lambda: (weights, ax)), rows.shape)
             far = limit == limit
             value[rows[far]], rows, ax = limit[far], rows[~far], ax[~far]
         if rows.size:
-            lo, hi, steps = _lockstep(_batch_sampler(phi, p, weights[finite]), ax,
+            lo, hi, steps = _lockstep(_batch_sampler(phi, p, weights), ax,
                                       np.zeros(len(rows)), LOG_TOL, p.q if p.kind == "lq" else 1.0,
                                       phi.zero_bound)
             # g is nonincreasing where F <= 0 and increasing where F > 0: the
@@ -436,15 +435,14 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     The rows must be nonzero and vanish on the infinite atoms.  The roots
     are solved in lockstep by generated_norm_batch's loop, on log I - log t."""
     x = np.asarray(values, dtype=float)
-    weights = np.asarray(space.weights)
-    finite = np.isfinite(weights)
+    weights, finite, _ = space.atom_arrays
     if x.ndim != 2 or x.shape[1] != space.n_atoms:
         raise DomainError(f"values must have shape (N, {space.n_atoms}), got {x.shape}")
     ax = np.ascontiguousarray(np.abs(x[:, finite]))
     if (x[:, ~finite] != 0.0).any() or not (ax.max(axis=1, initial=0.0) > 0.0).all():
         raise DomainError("rows must be nonzero and supported on the finite atoms")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo, hi, _ = _lockstep(_batch_sampler(phi, _MAX_NORM, weights[finite]), ax,
+        lo, hi, _ = _lockstep(_batch_sampler(phi, _MAX_NORM, weights), ax,
                               np.log(np.asarray(targets, dtype=float)), SCALE_LOG_TOL, 1.0,
                               phi.zero_bound)
     return np.where(lo[0] == lo[0], lo[1], hi[1])  # hi: above t down to the floor

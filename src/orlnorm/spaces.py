@@ -20,7 +20,7 @@ from .errors import ContractError, DomainError, reading_descriptor
 if TYPE_CHECKING:  # pragma: no cover
     from .orlicz import OrliczFunction
 
-ARRAY_ATOMS = 64  # modular_of sums with numpy from here: norm calls cross over at 48-64 atoms
+ARRAY_ATOMS = 64  # modular_of sums with numpy from here: norm calls cross over near 90-96 atoms
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,20 @@ class MeasureSpace:
     def infinite_indices(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if math.isinf(w))
 
+    @cached_property
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(the finite atoms' weights, the mask of finite atoms, whether an
+        atom is infinite): the space's array view, built on first use and
+        read-only, which modular_of's wide path and the batch engines share."""
+        ws = np.fromiter(self.weights, float, len(self.weights))
+        finite = np.isfinite(ws)
+        ws = ws[finite]
+        ws.flags.writeable = finite.flags.writeable = False
+        return ws, finite, len(ws) < len(finite)
+
     @property
     def has_infinite_atoms(self) -> bool:
-        return any(math.isinf(w) for w in self.weights)
+        return self.atom_arrays[2]
 
     @property
     def all_unit_weights(self) -> bool:
@@ -188,7 +199,8 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Modular:
     evaluator, which sums in atom order, so its I is bit for bit an
     atom-by-atom loop over Phi; from ARRAY_ATOMS on it is numpy dot
     products of the weights with phi.pair_array's terms, the first of which
-    is phi.evaluate_array's, so I may differ from that loop by a few ulps.
+    is phi.evaluate_array's, so I may differ from that loop by a few ulps;
+    its weights are the space's atom_arrays, converted once per space.
     Either way a sum that comes out +inf (or J nan) is mended by
     phi.mend_sums, which takes an overflowing term in log form and keeps
     every finite I, so it is +inf only where the modular itself is past
@@ -196,10 +208,10 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Modular:
     """
     n = x.space.n_atoms
     if n >= ARRAY_ATOMS:
-        ws, az = np.fromiter(x.space.weights, float, n), np.abs(np.fromiter(x.values, float, n))
-        fin = np.isfinite(ws)
-        top_inf = float(np.max(az, where=~fin, initial=0.0))
-        ws, az = ws[fin], az[fin]
+        ws, finite, has_infinite = x.space.atom_arrays
+        az, top_inf = np.abs(np.fromiter(x.values, float, n)), 0.0
+        if has_infinite:
+            top_inf, az = float(np.max(az, where=~finite, initial=0.0)), az[finite]
         return Modular(phi, top_inf, float(np.max(az, initial=0.0)),
                        partial(_array_sums, phi, ws, az), (ws, az))
     finite: list[tuple[float, float]] = []  # (weight, |value|) of the finite support

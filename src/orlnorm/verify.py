@@ -913,14 +913,11 @@ def _um_failure_construction(phi, p, *, seed, regime):
     xvals = np.zeros(space.n_atoms)
     xvals[:block] = rng.uniform(0.5, 1.5, block)
     x = SimpleFunction(space, tuple(xvals))
-    rx = generated_norm(phi, p, x)
-    x = x.scaled(1.0 / rx.value)
-    rx = generated_norm(phi, p, x)
-    if not rx.attained:
-        return _hnm("T9", "attainment unavailable for the constructed unit vector")
-    k = rx.k_star
-    if k <= 1.0 - 1e-9:
-        return _hnm("T9", "constructed unit vector has its minimiser at or below 1")
+    x = x.scaled(1.0 / generated_norm(phi, p, x).value)
+    # Phi has no flat zone and fails doubling, so it is exp_minus (delta2_check),
+    # whose slope limit is infinite: ||x|| is attained, at k = p((1, I))/||x|| >= 1
+    # as p is monotone with p((1, 0)) = 1
+    k = generated_norm(phi, p, x).k_star
 
     inputs = []
     for i, n_ in enumerate(range(1, UM_FAILURE_LEVELS + 1)):

@@ -24,11 +24,25 @@ def _phi(phi):
         q = int(phi.q) if phi.q.is_integer() else mpf(phi.q)
         return lambda u: u ** q
     if phi.kind == "exp_minus":
-        return lambda u: mpmath.expm1(u) - u
+        return _exp_minus
     if phi.kind == "flat_then_power":
         a, q = mpf(phi.a), int(phi.q) if phi.q.is_integer() else mpf(phi.q)
         return lambda u: (u - a) ** q if u > a else mpf(0)
     raise ValueError(f"no oracle for {phi.kind}")
+
+
+def _exp_minus(u):
+    """e^u - 1 - u: expm1(u) - u from u = 1 on; below it, where that
+    difference loses -log10(u) of the working digits, the series u^2/2 +
+    u^3/6 + ... summed to the working precision."""
+    if u >= 1:
+        return mpmath.expm1(u) - u
+    term, total, n = u * u / 2, mpmath.mpf(0), 2
+    while term > mpmath.eps * total:
+        total += term
+        n += 1
+        term *= u / n
+    return total
 
 
 def _planar(p):

@@ -851,6 +851,17 @@ def test_batch_on_steep_tails_near_overflow(phi, planar_catalog):
             phi, p, space, rows[::9]))
 
 
+@pytest.mark.parametrize("p", [linf(), l1(), lq(2)])
+def test_exp_minus_on_huge_weights_matches_the_oracle(p):
+    # the minimiser puts k |x| near 1e-154, where expm1(u) - u cancels at any
+    # fixed precision: the oracle takes Phi's series there
+    x = simple_function(measure_space([1e308] * 3), [1.0, -1.0, 1.0])
+    want = oracle_norm(exp_minus(), p, x.space.weights, x.values)
+    if p.kind == "linf":  # 3e308 u^2 / 2 = 1 at u = 1 / norm
+        assert want == pytest.approx(math.sqrt(1.5e308), rel=1e-11, abs=0.0)
+    assert generated_norm(exp_minus(), p, x).value == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_steep_single_atoms_match_the_oracle(orlicz_catalog, planar_catalog):
     # R3's counterexample rows: one steep atom each, modular 2^-n, n = 1..20
     for phi in orlicz_catalog.values():

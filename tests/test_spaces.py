@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_functions,
-                     catalog_planar_norms, exp_minus, flat_then_power, measure_space,
-                     modular, modular_on_grid, piecewise_linear, power, simple_function,
-                     space_from_descriptor, unit_weights)
-from orlnorm.engine import _batch_sampler, generated_norm
-from orlnorm.spaces import ARRAY_ATOMS, dominated_pair_values, modular_of
+                     catalog_planar_norms, exp_minus, flat_then_power, l1, linf, lq,
+                     measure_space, modular, modular_on_grid, piecewise_linear, power,
+                     simple_function, space_from_descriptor, unit_weights)
+from orlnorm.engine import (_batch_sampler, generated_norm, generated_norm_batch,
+                            scale_to_modular_batch)
+from orlnorm.spaces import ARRAY_ATOMS, _array_sums, dominated_pair_values, modular_of
 
 from mp_oracle import oracle_norm
 
@@ -166,6 +167,81 @@ def test_modular_with_conjugate_matches_exact_sums():
                     assert i == want or abs(i - want) <= 1e-14 * want, (phi.label, n, scale)
                     want = _conjugate_exact_sum(phi, x, float(scale))
                     assert abs(j - want) <= 1e-14 * max(1.0, want), (phi.label, n, scale)
+
+
+def _wide_space(n, infinite):
+    weights = 10.0 ** np.random.default_rng(n).uniform(-2, 2, n)
+    weights[[3, n - 1][:infinite]] = math.inf
+    return measure_space(weights)
+
+
+@pytest.mark.parametrize("n", [ARRAY_ATOMS, 256])
+@pytest.mark.parametrize("infinite", [0, 2])
+def test_wide_kernel_is_the_sums_over_freshly_converted_arrays(n, infinite):
+    # the wide modular reads the space's cached atom_arrays; the reference
+    # converts the weights and values afresh on every call, as the sums did
+    # before the cache, and the two agree bit for bit
+    space, rng = _wide_space(n, infinite), np.random.default_rng(n + infinite)
+    for phi in catalog_orlicz_functions().values():
+        x = simple_function(space, rng.normal(size=n) * (rng.uniform(size=n) < 0.8))
+        ws, az = np.array(space.weights), np.abs(np.array(x.values))
+        finite = np.isfinite(ws)
+        modular_at = modular_of(phi, x)
+        assert modular_at.top_inf == max(az[~finite], default=0.0)
+        assert modular_at.top_finite == az[finite].max()
+        for s in (1.0, *10.0 ** rng.uniform(-2, 2, 5)):
+            want = _array_sums(phi, ws[finite], az[finite], float(s))
+            assert [v.hex() for v in modular_at.kernel(float(s))] == [v.hex() for v in want]
+
+
+def test_atom_arrays_are_read_only_and_built_once_per_space():
+    space = _wide_space(ARRAY_ATOMS, 2)
+    ws, finite, has_infinite = space.atom_arrays
+    assert has_infinite and space.has_infinite_atoms and finite.sum() == ARRAY_ATOMS - 2
+    assert ws.tolist() == [w for w in space.weights if math.isfinite(w)]
+    for arr, v in ((ws, 1.0), (finite, False)):
+        with pytest.raises(ValueError):
+            arr[0] = v
+    # two elements on the space and a multiple of one share its arrays
+    x = simple_function(space, np.linspace(-1.0, 1.0, ARRAY_ATOMS))
+    y = simple_function(space, np.ones(ARRAY_ATOMS))
+    for z in (x, y, x.scaled(3.0), x.plus(y)):
+        assert z.space.atom_arrays is space.atom_arrays
+        assert modular_of(power(2), z).finite_atoms()[0] is ws
+    assert not unit_weights(ARRAY_ATOMS).atom_arrays[2]
+
+
+def test_batch_engines_keep_their_values_on_infinite_atoms():
+    # values pinned from the engines before the weights' array view was
+    # cached; the third row, nonzero on both infinite atoms, takes the
+    # scalar route (the finite/+inf jump)
+    n = ARRAY_ATOMS + 2
+    weights = [0.25 * (1 + i % 16) for i in range(n)]
+    weights[5] = weights[-1] = math.inf
+    space = measure_space(weights)
+    rows = np.array([[math.sin(i * r + 1.0) for i in range(n)] for r in (1, 2, 3)])
+    rows[:2, [5, -1]] = 0.0
+    pinned = {
+        "power:2": (lq(2), ["0x1.6eeacab06355dp+3", "0x1.703dd640005dcp+3"],
+                    ["0x1.f93148960d62dp-4", "0x1.f760254d09de9p-4"],
+                    ["0x1.65399d079a74ap-4", "0x1.63f0b6168adf5p-3"]),
+        "flat_then_power:1,2": (l1(), ["0x1.f59eb508d301bp-1", "0x1.f35420abfc322p-1",
+                                       "0x1.f68603bdaeb6fp-1"],
+                                ["0x1.08e3eb9213dfep+0", "0x1.0ad28ee0a7b48p+0",
+                                 "0x1.08396ef6f1157p+0"],
+                                ["0x1.2642b707a82cdp+0", "0x1.439e713c34e00p+0"]),
+        "exp_minus": (linf(), ["0x1.77e3258024872p+2", "0x1.793ed69ebba7dp+2"],
+                      ["0x1.5cb344ebd0966p-3", "0x1.5b71e2e470bdfp-3"],
+                      ["0x1.f09c75f37a8fcp-4", "0x1.e68af36fa5795p-3"]),
+    }
+    phis = catalog_orlicz_functions()
+    for name, (p, value, k_star, scale) in pinned.items():
+        phi = phis[name]
+        batch = generated_norm_batch(phi, p, space, rows[:len(value)])
+        assert [v.hex() for v in batch.value.tolist()] == value, name
+        assert [v.hex() for v in batch.k_star.tolist()] == k_star, name
+        c = scale_to_modular_batch(phi, space, rows[:2], [0.5, 2.0])
+        assert [v.hex() for v in c.tolist()] == scale, name
 
 
 def test_modular_overflow_gives_infinite_first_order():

@@ -12,7 +12,7 @@ from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, DomainError,
                      generated_norm_batch, l1,
                      linf, lower_local_um_estimate, lq, measure_space, modular,
                      piecewise_linear, power, replay_violation, run_suites, simple_function,
-                     suitable_delta2_regime, unit_weights)
+                     strictly_monotone_planar_norms, suitable_delta2_regime, unit_weights)
 from orlnorm import verify
 from orlnorm.verify import (SUITE_IDS, STATUS_EMPTY, STATUS_FAILED, STATUS_HNM,
                             STATUS_PASSED, suite_attainment, suite_decomposition_estimate,
@@ -214,6 +214,22 @@ def test_t6_both_directions():
     assert pair["z"] != pair["y"]
 
 
+def test_t6_without_an_attained_norm_is_out_of_reach():
+    # a linear tail keeps J below 1 under the sum norm and the q-mean (J = 0
+    # for power(1)), so no ||y|| is attained and no sample is checked
+    for p in (l1(), lq(2)):
+        rep = suite_strict_monotonicity(power(1), p, SP6, budget=20)
+        assert rep.status == STATUS_HNM
+        assert rep.details["reason"] == "attainment unavailable for every sample"
+    # flat_then_power(a, 1) under the sum norm: J tends to a mu(supp y), and
+    # the flat pair's y is carried by 5 unit atoms, unattained iff 5 a < 1
+    rep = suite_strict_monotonicity(flat_then_power(0.1, 1), l1(), SP6, budget=20)
+    assert rep.status == STATUS_HNM
+    assert rep.details["reason"] == "attainment unavailable for the constructed element"
+    rep = suite_strict_monotonicity(flat_then_power(0.5, 1), l1(), SP6, budget=20)
+    assert rep.status == STATUS_PASSED
+
+
 def test_t6_flat_pair_on_any_space_with_two_atoms():
     # the free last atom may be infinite; one atom holds no flat pair
     phi = flat_then_power(1, 2)
@@ -315,6 +331,11 @@ def test_t9_positive_and_failure_branches():
         assert m["norm_x_n"] >= 2.0 / (3.0 * k) - 1e-9
         assert m["norm_sum"] <= 1.0 + 2.0 ** -m["n"] + 1e-9
         assert m["modular_at_k"] <= 2.0 ** -m["n"] + 1e-12
+    # exp_minus alone takes this branch: its unit vector's norm is attained,
+    # at k >= 1, under every strictly monotone catalog norm
+    for p in strictly_monotone_planar_norms().values():
+        rep_p = suite_uniform_monotonicity(exp_minus(), p, SPW, budget=10)
+        assert rep_p.status == STATUS_PASSED and rep_p.details["k"] >= 1.0, p.label
 
     assert suite_uniform_monotonicity(flat_then_power(1, 2), l1(), SP6).status == STATUS_HNM
     assert suite_uniform_monotonicity(power(2), linf(), SP6).status == STATUS_HNM
