@@ -397,7 +397,7 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
         raise DomainError("simple functions take finite values")
     n_rows = len(x)
     value, k_star = np.zeros(n_rows), np.full(n_rows, math.nan)
-    weights, finite, _ = space.atom_arrays
+    weights, finite = space.atom_arrays
     nonzero = (x != 0.0).any(axis=1)
     scalar = nonzero if p.kind == "boundary" or phi.kinks else (x[:, ~finite] != 0.0).any(axis=1)
     rows = np.flatnonzero(nonzero & ~scalar)
@@ -435,7 +435,7 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     The rows must be nonzero and vanish on the infinite atoms.  The roots
     are solved in lockstep by generated_norm_batch's loop, on log I - log t."""
     x = np.asarray(values, dtype=float)
-    weights, finite, _ = space.atom_arrays
+    weights, finite = space.atom_arrays
     if x.ndim != 2 or x.shape[1] != space.n_atoms:
         raise DomainError(f"values must have shape (N, {space.n_atoms}), got {x.shape}")
     ax = np.ascontiguousarray(np.abs(x[:, finite]))

@@ -40,19 +40,19 @@ class MeasureSpace:
         return tuple(i for i, w in enumerate(self.weights) if math.isinf(w))
 
     @cached_property
-    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(the finite atoms' weights, the mask of finite atoms, whether an
-        atom is infinite): the space's array view, built on first use and
-        read-only, which modular_of's wide path and the batch engines share."""
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the finite atoms' weights, the mask of finite atoms): the space's
+        array view, built on first use and read-only, which modular_of's
+        wide path and the batch engines share."""
         ws = np.fromiter(self.weights, float, len(self.weights))
         finite = np.isfinite(ws)
         ws = ws[finite]
         ws.flags.writeable = finite.flags.writeable = False
-        return ws, finite, len(ws) < len(finite)
+        return ws, finite
 
     @property
     def has_infinite_atoms(self) -> bool:
-        return self.atom_arrays[2]
+        return bool(self.infinite_indices)
 
     @property
     def all_unit_weights(self) -> bool:
@@ -208,9 +208,9 @@ def modular_of(phi: "OrliczFunction", x: SimpleFunction) -> Modular:
     """
     n = x.space.n_atoms
     if n >= ARRAY_ATOMS:
-        ws, finite, has_infinite = x.space.atom_arrays
+        ws, finite = x.space.atom_arrays
         az, top_inf = np.abs(np.fromiter(x.values, float, n)), 0.0
-        if has_infinite:
+        if len(ws) < n:
             top_inf, az = float(np.max(az, where=~finite, initial=0.0)), az[finite]
         return Modular(phi, top_inf, float(np.max(az, initial=0.0)),
                        partial(_array_sums, phi, ws, az), (ws, az))

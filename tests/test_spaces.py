@@ -196,8 +196,8 @@ def test_wide_kernel_is_the_sums_over_freshly_converted_arrays(n, infinite):
 
 def test_atom_arrays_are_read_only_and_built_once_per_space():
     space = _wide_space(ARRAY_ATOMS, 2)
-    ws, finite, has_infinite = space.atom_arrays
-    assert has_infinite and space.has_infinite_atoms and finite.sum() == ARRAY_ATOMS - 2
+    ws, finite = space.atom_arrays
+    assert space.has_infinite_atoms and finite.sum() == ARRAY_ATOMS - 2
     assert ws.tolist() == [w for w in space.weights if math.isfinite(w)]
     for arr, v in ((ws, 1.0), (finite, False)):
         with pytest.raises(ValueError):
@@ -208,7 +208,8 @@ def test_atom_arrays_are_read_only_and_built_once_per_space():
     for z in (x, y, x.scaled(3.0), x.plus(y)):
         assert z.space.atom_arrays is space.atom_arrays
         assert modular_of(power(2), z).finite_atoms()[0] is ws
-    assert not unit_weights(ARRAY_ATOMS).atom_arrays[2]
+    assert unit_weights(ARRAY_ATOMS).atom_arrays[1].all()
+    assert not unit_weights(ARRAY_ATOMS).has_infinite_atoms
 
 
 def test_batch_engines_keep_their_values_on_infinite_atoms():
