@@ -5,10 +5,14 @@ Runs pytest in this process under sys.settrace, with the standard library
 only, then prints each statement of the package that never ran as
 `path:line: source`, one count per file and the total:
 
-    PYTHONPATH=src python3 scripts/line_coverage.py                  # the whole suite
-    PYTHONPATH=src python3 scripts/line_coverage.py tests/test_spaces.py -x
+    python3 scripts/line_coverage.py                  # the whole suite
+    python3 scripts/line_coverage.py tests/test_spaces.py -x
 
-The arguments go to pytest unchanged; the exit code is pytest's.  A
+The package is imported from src/, which the script puts first on
+sys.path.  The arguments go to pytest unchanged; the exit code is pytest's.
+When pytest stops on collection errors, or collects or runs no test, there
+is nothing to report: the script prints no report and exits with that
+code.  A
 statement ran when a line event fired on a line of its header: all lines
 of a simple statement; those of a compound statement up to its body,
 decorators included; and for a `try`, also its first body statement.
@@ -26,6 +30,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orlnorm"
+_NO_RUN = (pytest.ExitCode.INTERRUPTED, pytest.ExitCode.INTERNAL_ERROR,
+           pytest.ExitCode.USAGE_ERROR, pytest.ExitCode.NO_TESTS_COLLECTED)
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -94,8 +100,13 @@ def traced_pytest(args: list[str], files: set[str]) -> tuple[int, dict[str, set[
 
 
 def main() -> int:
+    sys.path.insert(0, str(PACKAGE.parent))
     paths = {os.path.realpath(p): p for p in sorted(PACKAGE.glob("*.py"))}
     code, ran = traced_pytest(sys.argv[1:], set(paths))
+    if code in _NO_RUN:
+        print(f"line_coverage: pytest exited with {code} before running the suite; no report",
+              file=sys.stderr)
+        return code
     total = unrun_total = 0
     counts = []
     for real, path in paths.items():

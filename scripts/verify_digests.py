@@ -7,7 +7,7 @@ JSON output of `orlnorm verify --all --json --budget 20` run in-process, and
 and each suite's id, status, trials and sorted violation kinds (the fields
 `tests/data/verify_statuses.json` pins at seed 0).  Then one line
 `modulus p sha256` per catalog planar norm, hashing `orlnorm modulus --json
---p p` at the default grid and resolution.  Last, the same three kinds of
+--p p` at the default grid.  Last, the same three kinds of
 line for `power:2` under BOUNDARY, a convex, strictly monotone boundary
 ball, so the polygonal-gauge path is covered too, and the two verify lines
 (tagged `wide`) for `power:2` and `flat_then_power:1,2` under `lq:2` on

@@ -127,7 +127,6 @@ _FLAGS = {
     "space": (("--space",), dict(default=None, help='measure space JSON or file, e.g. {"atoms":[{"w":1},{"w":"inf"}]}')),
     "values": (("--values",), dict(default=None, help="comma separated atom values, e.g. 3,4")),
     "grid": (("--grid",), dict(default=None, help="epsilon grid start:stop:count or comma list")),
-    "resolution": (("--resolution",), dict(type=float, default=None)),
     "seed": (("--seed",), dict(type=int, default=None)),
     "budget": (("--budget",), dict(type=int, default=None)),
     "tol": (("--tol",), dict(type=float, default=None, help="norm-search tolerance on log k")),
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(norm, "values", "phi", "p", "space", "seed", "tol", "out", "config")
 
     mod = subs.add_parser("modulus", help="tabulate the planar monotonicity modulus")
-    _add_flags(mod, "grid", "resolution", "p", "json", "out", "config")
+    _add_flags(mod, "grid", "p", "json", "out", "config")
 
     ver = subs.add_parser("verify", help="run check suites")
     ver.add_argument("ids", nargs="*", help=f"suite ids among {','.join(SUITE_IDS)}")
@@ -188,8 +187,7 @@ def cmd_modulus(args: argparse.Namespace) -> int:
     _load_config(args)
     p = _parse_p(args.p or "linf")
     grid = _parse_grid(args.grid) if args.grid else [i / 10.0 for i in range(1, 10)]
-    resolution = args.resolution if args.resolution is not None else 1e-3
-    deltas = [r.value for r in modulus_diagnostics_many(p, grid, resolution)]
+    deltas = [r.value for r in modulus_diagnostics_many(p, grid)]
     if args.as_json:
         payload = {"schema": SCHEMA, "command": "modulus", "p": p.descriptor(),
                    "epsilon": grid, "delta": deltas}

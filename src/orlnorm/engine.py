@@ -164,6 +164,19 @@ def _first_order(p: PlanarNorm):
     return on_facet
 
 
+def _jump(phi: OrliczFunction, m_inf: float) -> float:
+    """The largest float k with Phi(k m_inf) = 0 (0.0 if none): as Phi
+    vanishes exactly on [0, zero_bound], the largest with k m_inf <=
+    zero_bound, one or two floats from their rounded quotient."""
+    nextafter, zb = math.nextafter, phi.zero_bound
+    k = zb / m_inf
+    while k > 0.0 and k * m_inf > zb:
+        k = nextafter(k, 0.0)
+    while k > 0.0 and nextafter(k, math.inf) * m_inf <= zb:
+        k = nextafter(k, math.inf)
+    return k
+
+
 def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: float):
     """Find the minimiser of g as the sign change of F in s = log k, from k =
     1 / max|x|: (the least g sampled, its k, lo, hi, evaluations), lo and
@@ -198,9 +211,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     s_top = (0.0 if 0.0 < s_start else s_start) - _LOG_TINY  # within [1e-300, 1e300]
     k_top, m_inf = exp(s_top), modular_at.top_inf
     if m_inf > 0.0:  # I(k x) = +inf exactly when Phi(k m_inf) > 0, m_inf = max|x| there
-        k_jump = phi.zero_bound / m_inf
-        while k_jump > 0.0 and phi.evaluate(k_jump * m_inf) != 0.0:
-            k_jump = math.nextafter(k_jump, 0.0)
+        k_jump = _jump(phi, m_inf)
         if k_jump == 0.0:
             return inf, None, None, None, 0
         if k_jump < k_top:  # the finite/+inf jump ends the span
@@ -217,7 +228,8 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
     h0 = _HALF_TOL * log_tol
     a = b = hi = last = prev = k = None
-    jumped, s, n = False, s_top if s_top < s_start else s_start, 0
+    # a start within h0 below the top (the jump at k = 1/max|x|, up to a float) takes the top
+    jumped, s, n = False, s_top if s_top < s_start + h0 else s_start, 0
     w1 = w2 = w3 = inf  # the bracket's width 1, 2 and 3 steps back
     while True:
         if last is not None:
@@ -634,8 +646,10 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     kink of Phi makes J jump across 1.  The
     certificate y is checked against the exact conjugate and, while its
     conjugate modular c exceeds 1, replaced by y / c (Psi is convex with
-    Psi(0) = 0, so that is within rounding of the dual ball) and checked
-    again, so the value is the pairing with a feasible y.
+    Psi(0) = 0, so that is within rounding of the dual ball; for a power,
+    by y / c^((q - 1)/q), which is on it, or by y one float lower where that
+    factor rounds to 1) and checked again, so the value is the pairing with
+    a feasible y.
     """
     modular_at = modular_of(phi, x)
     if modular_at.top_inf > 0.0:
@@ -652,9 +666,12 @@ def orlicz_dual_norm(phi: OrliczFunction, x: SimpleFunction) -> float:
     t = 1.0 if m_hi <= 1.0 else (1.0 - m_lo) / (m_hi - m_lo)
     y = y_lo + t * (y_hi - y_lo)
 
+    # a power's Psi is homogeneous of degree q/(q - 1): y / c^((q - 1)/q) is on the ball
+    degree = (phi.q - 1.0) / phi.q if phi.kind == "power" else 1.0
     exact = float(np.sum(w * young_conjugate_many(phi, y)))
     while exact > 1.0:  # +inf gives y = 0
-        y = y / exact
+        shrink = exact ** degree
+        y = y / shrink if shrink > 1.0 else np.nextafter(y, 0.0)  # q near 1 rounds it to 1
         exact = float(np.sum(w * young_conjugate_many(phi, y)))
     return float(np.sum(w * ax * y))
 

@@ -15,17 +15,35 @@ The monotonicity modulus
 
     delta(eps) = inf { 1 - p(y - x) : 0 <= x <= y, p(x) >= eps, p(y) = 1 }
 
-is computed on the positive quadrant by two passes of a grid over y on the
-positive unit sphere, the second refining around the first's minimiser.
-Both passes run over many epsilons at once, as (epsilons x grid) arrays:
-the coarse pass shares one grid, and the refinement windows of one size go
-through one call.  The values are those of a pass per epsilon, bit for bit.
-For each y the inner maximum of p(y - x) needs no search.  Larger p(x)
-only shrinks p(y - x), so x runs over the level curve p(x) = eps inside the
-box [0, y].  On that curve x2 is a concave, nonincreasing function of x1,
-so y2 - x2 is convex in x1; p is convex and nondecreasing in each
-coordinate on the positive quadrant, so p(y - x) is convex along the curve
-and its maximum sits at one of the curve's two ends on the box edges.
+is exact: 1 minus the largest reach(y) over a finite set of candidate
+points y on the positive unit sphere, every epsilon in one numpy pass.
+
+reach(y), the inner maximum of p(y - x), needs no search.  Larger p(x) only
+shrinks p(y - x), so x runs over the level curve p(x) = eps inside the box
+[0, y].  On that curve x2 is a concave, nonincreasing function of x1, so
+y2 - x2 is convex in x1; p is convex and nondecreasing in each coordinate
+on the positive quadrant, so p(y - x) is convex along the curve and its
+maximum sits at one of the curve's two ends on the box edges.
+
+The candidates are the sphere's vertices (a boundary ball's samples;
+(1, 0), (1, 1), (0, 1) for the max norm; the axis points for the sum and
+q-mean norms) and the two sphere points with y1 = eps and with y2 = eps.
+One code path serves every kind:
+
+- Polygons (the max and sum norms, boundary balls).  Between two
+  neighbouring candidates y runs along one edge, affinely in its position,
+  and no end switches: the end taken switches only at y1 = eps or y2 = eps.
+  Each term of reach is convex there.  With x = (0, eps), (eps, 0) or eps y
+  it is p of an affine function.  With x = (y1, t) it is p((0, y2 - t)) =
+  y2 - t, where t = g(y1), the least x2 with p(x) >= eps, is concave in y1
+  on [0, eps), as the boundary of the convex set p < eps; x = (s, y2)
+  gives y1 - s alike.  So the maximum sits at a candidate.  g jumps only
+  at y1 = eps (where the curve has an edge on x1 = eps), a candidate, and
+  there reach, the maximum over the whole curve, bounds the limit from
+  either side.
+- q-mean, q >= 1.  0 <= x <= y gives (y_i - x_i)^q + x_i^q <= y_i^q, so
+  p(y - x)^q <= 1 - p(x)^q <= 1 - eps^q.  Equality holds at y2 = eps,
+  x = (0, eps), which is a candidate, so delta = 1 - (1 - eps^q)^(1/q).
 """
 from __future__ import annotations
 
@@ -260,22 +278,21 @@ def verify_sandwich(p: PlanarNorm, sample_budget: int = 10_000, seed: int = 0) -
 class ModulusResult:
     epsilon: float
     value: float
-    refinement_bound: float
-    coarse_value: float
-    fine_value: float
-    resolution: float
 
 
-def _positive_sphere(p: PlanarNorm, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c, s = np.cos(thetas), np.sin(thetas)
-    norms = p.evaluate_many(c, s)
-    return c / norms, s / norms
+def _sphere_vertices(p: PlanarNorm) -> tuple[tuple[float, float], ...]:
+    """The positive unit sphere's vertices: a boundary ball's samples, the
+    max norm's square corners, else the axis points (the q-mean sphere has
+    no other corner)."""
+    if p.kind == "boundary":
+        return p.vertices
+    return ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0)) if p.kind == "linf" else ((1.0, 0.0), (0.0, 1.0))
 
 
-def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
+def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap,
                first: np.ndarray) -> np.ndarray:
     """The least c in [0, cap] with p((fixed, c)) >= eps where ``first``,
-    else p((c, fixed)) >= eps (cap if none), elementwise with eps
+    else p((c, fixed)) >= eps (cap if none), elementwise with eps and cap
     broadcasting; closed form per kind, the q-mean's scaled by eps (eps**q
     underflows); on a boundary ball, where the first of its facets does."""
     if p.kind == "linf":
@@ -289,69 +306,46 @@ def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap: np.ndarray,
     c = cap
     for a, b in p.facets:  # the least c >= 0 at which the facet reaches eps
         lead, rate = np.where(first, a, b) * fixed, np.where(first, b, a)
-        with np.errstate(divide="ignore"):
+        # 0/0 where fixed sits on the end of a facet with rate 0; np.where drops it
+        with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.where(rate > 0.0, (eps - lead) / rate, np.inf)
         c = np.minimum(c, np.where(lead >= eps, 0.0, reach))
     return c
 
 
-def _modulus_pass(p: PlanarNorm, eps: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise 1 - p(y - x) over y on a theta grid of the positive unit
-    sphere and x at an end of the level curve p(x) = eps inside [0, y].
+def _candidates(p: PlanarNorm, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate points y of the positive unit sphere, one row per
+    epsilon of the column ``eps``: the sphere's vertices, then (eps, t) and
+    (s, eps)."""
+    vertices = _sphere_vertices(p)
+    t, s = _level_end(p, np.hstack([eps, eps]), 1.0, 1.0, np.array([True, False])).T
+    v1, v2 = (np.broadcast_to(coord, (len(eps), len(vertices))) for coord in zip(*vertices))
+    return np.hstack([v1, eps, s[:, None]]), np.hstack([v2, t[:, None], eps])
 
-    ``eps`` is a column of m epsilons; ``thetas`` is one grid for all of
-    them, shape (n,), or one row per epsilon, shape (m, n).  The curve leaves
-    the box at (0, eps) when eps <= y2, else at (s, y2); it ends at (eps, 0)
-    when eps <= y1, else at (y1, t).  s and t come from _level_end.  Returns
-    each row's minimum and its theta index.
-    """
-    y1, y2 = _positive_sphere(p, thetas)
-    n = thetas.shape[-1]  # columns [0, n) solve p(y1, t) = eps, columns [n, 2n) p(s, y2) = eps
+
+def _reach(p: PlanarNorm, eps: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """The largest p(y - x) over x on the level curve p(x) = eps inside the
+    box [0, y], for y = (y1, y2) on the positive unit sphere, elementwise
+    with eps broadcasting.  The curve leaves the box at (0, eps) when eps <=
+    y2, else at (s, y2); it ends at (eps, 0) when eps <= y1, else at (y1, t).
+    s and t come from _level_end."""
+    n = y1.shape[-1]  # columns [0, n) solve p(y1, t) = eps, columns [n, 2n) p(s, y2) = eps
     t, s = np.split(_level_end(p, np.concatenate([y1, y2], axis=-1), eps,
                                np.concatenate([y2, y1], axis=-1), np.arange(2 * n) < n), 2, axis=-1)
-    # a running maximum holds two (m, n) candidates at a time; the scaled
-    # witness x = eps * y is always feasible and pins delta <= eps
+    # a running maximum holds two (m, n) arrays at a time; the scaled
+    # witness x = eps * y is on the curve and pins delta <= eps
     reach = p.evaluate_many((1.0 - eps) * y1, (1.0 - eps) * y2)
     reach = np.maximum(reach, np.where(eps <= y2, p.evaluate_many(y1, y2 - eps), -np.inf))  # x = (0, eps)
     reach = np.maximum(reach, np.where(eps <= y1, p.evaluate_many(y1 - eps, y2), -np.inf))  # x = (eps, 0)
     reach = np.maximum(reach, np.where(y1 <= eps, p.evaluate_many(np.zeros(n), y2 - t), -np.inf))  # x = (y1, t)
     reach = np.maximum(reach, np.where(y2 <= eps, p.evaluate_many(y1 - s, np.zeros(n)), -np.inf))  # x = (s, y2)
-    obj = 1.0 - reach
-    return np.min(obj, axis=-1), np.argmin(obj, axis=-1)
+    return reach
 
 
-_COARSE_THETAS = np.linspace(0.0, _HALF_PI, 129)
-_EPS_BLOCK = 64  # epsilons per pass: bounds the (epsilons x thetas) temporaries
-
-
-def _modulus_block(p: PlanarNorm, eps: list[float], resolution: float) -> list[ModulusResult]:
-    """The two passes for a block of epsilons: one coarse pass over all of
-    them, then one refinement pass per window size."""
-    col = np.array(eps)[:, None]
-    v1, i1 = _modulus_pass(p, col, _COARSE_THETAS)
-
-    step = _COARSE_THETAS[1] - _COARSE_THETAS[0]
-    t_lo = np.maximum(0.0, _COARSE_THETAS[i1] - 2.0 * step)
-    t_hi = np.minimum(_HALF_PI, _COARSE_THETAS[i1] + 2.0 * step)
-    # a window clipped at 0 or pi/2 is narrower and may take fewer points
-    n_t = np.clip(np.ceil((t_hi - t_lo) / resolution) + 1, 33, 6001).astype(int)
-    v2 = np.empty_like(v1)
-    for n in np.unique(n_t):
-        rows = n_t == n
-        thetas = np.linspace(t_lo[rows], t_hi[rows], n, axis=1)
-        v2[rows] = _modulus_pass(p, col[rows], thetas)[0]
-
-    return [ModulusResult(epsilon=e, value=max(0.0, min(a, b)),
-                          refinement_bound=4.0 * (max(a - b, 0.0) + resolution),
-                          coarse_value=a, fine_value=b, resolution=resolution)
-            for e, a, b in zip(eps, v1.tolist(), v2.tolist())]
-
-
-def modulus_diagnostics_many(p: PlanarNorm, epsilons, resolution: float = 1e-3) -> list[ModulusResult]:
+def modulus_diagnostics_many(p: PlanarNorm, epsilons) -> list[ModulusResult]:
     """modulus_diagnostics at each epsilon, in the given order, duplicates
-    included; the passes run over many epsilons at once.  p must be monotone
-    (every lattice norm is), as the level curve's end points bound the
-    modulus only then."""
+    included, in one numpy pass.  p must be monotone (every lattice norm
+    is), as the level curve's end points bound the modulus only then."""
     if not monotone(p):
         raise DomainError("the modulus needs a monotone ball: a boundary facet "
                           "a u + b v = 1 has a < 0 or b < 0")
@@ -360,45 +354,39 @@ def modulus_diagnostics_many(p: PlanarNorm, epsilons, resolution: float = 1e-3) 
         if not (0.0 < float(e) < 1.0):
             raise DomainError(f"epsilon must lie in (0, 1), got {e!r}")
         eps.append(float(e))
-    if not (0.0 < resolution <= 0.1):
-        raise DomainError(f"resolution must lie in (0, 0.1], got {resolution!r}")
-    results = []
-    for start in range(0, len(eps), _EPS_BLOCK):
-        results += _modulus_block(p, eps[start:start + _EPS_BLOCK], resolution)
-    return results
+    col = np.array(eps).reshape(-1, 1)
+    values = 1.0 - np.max(_reach(p, col, *_candidates(p, col)), axis=1)
+    return [ModulusResult(epsilon=e, value=max(0.0, v)) for e, v in zip(eps, values.tolist())]
 
 
-def modulus_diagnostics(p: PlanarNorm, epsilon: float, resolution: float = 1e-3) -> ModulusResult:
-    """The monotonicity modulus at epsilon with its two passes' values and
-    the refinement bound 4 (max(coarse - fine, 0) + resolution)."""
-    return modulus_diagnostics_many(p, [epsilon], resolution)[0]
+def modulus_diagnostics(p: PlanarNorm, epsilon: float) -> ModulusResult:
+    """The monotonicity modulus at epsilon, exact up to rounding."""
+    return modulus_diagnostics_many(p, [epsilon])[0]
 
 
 @dataclass(frozen=True)
 class MonotonicityModulusTable:
     epsilons: tuple[float, ...]
     deltas: tuple[float, ...]
-    bounds: tuple[float, ...]
-    resolution: float
 
     def __post_init__(self) -> None:
-        slack = max(self.bounds) if self.bounds else 0.0
         for e, d in zip(self.epsilons, self.deltas):
-            if d < -PLANAR_TOL or d > e + slack + PLANAR_TOL:
+            if d < -PLANAR_TOL or d > e + PLANAR_TOL:
                 raise DomainError(f"modulus table entry delta({e}) = {d} outside [0, eps]")
         for d0, d1 in zip(self.deltas, self.deltas[1:]):
-            if d1 < d0 - slack - PLANAR_TOL:
+            if d1 < d0 - PLANAR_TOL:
                 raise DomainError("modulus table must be nondecreasing in epsilon")
 
     @property
-    def slack(self) -> float:
-        return max(self.bounds) if self.bounds else 0.0
+    def bounds(self) -> tuple[float, ...]:
+        """Each entry's error bound: rounding only, PLANAR_TOL."""
+        return (PLANAR_TOL,) * len(self.deltas)
 
     def floor_value(self, eps: float) -> float:
         """delta at the largest grid point <= eps (0 below the grid).
 
         Because the modulus is nondecreasing, this never overstates
-        delta(eps) by more than the table's grid slack.
+        delta(eps).
         """
         best = 0.0
         for e, d in zip(self.epsilons, self.deltas):
@@ -410,16 +398,14 @@ class MonotonicityModulusTable:
 
 
 def build_modulus_table(p: PlanarNorm, epsilons=None, resolution: float = 1e-3) -> MonotonicityModulusTable:
+    """The exact modulus at each epsilon (by default 0.025, 0.05, ..., 0.975).
+    ``resolution`` is ignored: it set the grid step of an earlier, sampled
+    modulus, and stays so that callers passing it keep working."""
     if epsilons is None:
         epsilons = np.arange(0.025, 0.9751, 0.025)
     epsilons = tuple(float(e) for e in epsilons)
-    results = modulus_diagnostics_many(p, epsilons, resolution)
-    return MonotonicityModulusTable(
-        epsilons=epsilons,
-        deltas=tuple(r.value for r in results),
-        bounds=tuple(r.refinement_bound for r in results),
-        resolution=resolution,
-    )
+    return MonotonicityModulusTable(epsilons=epsilons,
+                                    deltas=tuple(r.value for r in modulus_diagnostics_many(p, epsilons)))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ STATUS_FAILED = "failed"
 STATUS_HNM = "hypothesis-not-met"
 STATUS_EMPTY = "empty-feasible"
 
-MODULUS_RESOLUTION = 2e-3  # grid of the modulus tables T7, T8 and T9 build
 PLANAR_SAMPLES = 10_000  # T1's sandwich samples of p
 UM_EPSILONS = (0.25, 0.5, 0.75)  # T9's norm levels of the dominated piece
 UM_FAILURE_LEVELS = 10  # T9, failure branch: the perturbations x_n, n = 1..UM_FAILURE_LEVELS
@@ -694,9 +693,9 @@ def _measure_flat_pair(phi, p, space, rec):
 
 @functools.cache
 def _modulus_table(p: PlanarNorm) -> MonotonicityModulusTable:
-    """The modulus table of p at MODULUS_RESOLUTION, built once per planar
-    norm per process; T7, T8 and T9 ask for it only once their gates pass."""
-    return build_modulus_table(p, resolution=MODULUS_RESOLUTION)
+    """The modulus table of p, built once per planar norm per process; T7,
+    T8 and T9 ask for it only once their gates pass."""
+    return build_modulus_table(p)
 
 
 def _measure_difference(phi, p, space, recs):
@@ -741,16 +740,14 @@ def _suite_decomposition_estimate(phi, p, space, *, seed: int, budget: int):
             if not (1e-6 < eps < 1.0 - 1e-6):
                 continue
             pairs.append({"x": xs.tolist(), "y": ys.tolist(), "modular_x": eps,
-                          "delta_floor": table.floor_value(eps), "slack": table.slack})
+                          "delta_floor": table.floor_value(eps)})
             if len(pairs) == budget:
                 break
     if not pairs:  # a pass with no pair checked would be vacuous
         return _hnm("T7", "no sampled pair has a modular of x inside (1e-6, 1 - 1e-6)")
     violations = []
     checked = len((yield from _check(violations, "decomposition", phi, p, space, pairs)))
-    return _passed("T7", checked, violations,
-                   {"checked": checked, "table_slack": table.slack,
-                    "table_resolution": table.resolution})
+    return _passed("T7", checked, violations, {"checked": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +793,11 @@ def _lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                                   {"reason": "no sampled dominated piece reached the level",
                                    "epsilon": epsilon})
     delta_hat = min(modular(phi, SimpleFunction(space, x)) for x in kept)
-    table = _modulus_table(p)
-    dfloor, slack = table.floor_value(delta_hat), table.slack
+    dfloor = _modulus_table(p).floor_value(delta_hat)
     violations = []
     yield from _check(violations, "lower_local_um", phi, p, space,
-                      [{"x": x.tolist(), "y": list(y.values), "delta_floor": dfloor,
-                        "slack": slack} for x in kept])
+                      [{"x": x.tolist(), "y": list(y.values), "delta_floor": dfloor}
+                       for x in kept])
     yield from _check(violations, "delta_hat_nonpositive", phi, p, space,
                       [{"y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat}])
     report = _passed("T8", len(kept), violations,
@@ -882,9 +878,9 @@ def _um_positive(phi, p, space, *, seed, budget, regime):
         if not pairs:
             continue
         delta_hat = min(modular(phi, SimpleFunction(space, xs)) for xs, _ in pairs)
-        dfloor, slack = table.floor_value(delta_hat), table.slack
+        dfloor = table.floor_value(delta_hat)
         levels.append((eps, delta_hat, len(pairs)))
-        inputs += [{"x": xs.tolist(), "y": ys.tolist(), "delta_floor": dfloor, "slack": slack}
+        inputs += [{"x": xs.tolist(), "y": ys.tolist(), "delta_floor": dfloor}
                    for xs, ys in pairs]
     # one batch measures every level's pairs; the predicate applies level by level
     recs = iter((yield from _measured("uniform_monotonicity", phi, p, space, inputs)))
@@ -1083,7 +1079,7 @@ def _measure_steep(phi, p, space, recs):
 
 
 _DIFFERENCE = Check(_measure_difference,
-                    lambda r: r["lhs"] > 1.0 - r["delta_floor"] + r["slack"] + 1e-6)
+                    lambda r: r["lhs"] > 1.0 - r["delta_floor"] + 1e-6)
 
 CHECKS: dict[str, Check] = {
     "sandwich": Check(_measure_sandwich,

@@ -278,14 +278,12 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
 
 def test_config_sets_every_value_flag(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"resolution": 0.05, "grid": [0.5], "p": "lq:2"}))
+    cfg.write_text(json.dumps({"grid": [0.5], "p": "lq:2"}))
     code, out, _ = run(capsys, "modulus", "--config", str(cfg))
-    assert (code, out) == run(capsys, "modulus", "--p", "lq:2", "--grid", "0.5",
-                              "--resolution", "0.05")[:2]
-    assert float(out.split("\n")[1].split(",")[1]) == pytest.approx(0.134486, abs=1e-6)
+    assert (code, out) == run(capsys, "modulus", "--p", "lq:2", "--grid", "0.5")[:2]
+    assert float(out.split("\n")[1].split(",")[1]) == pytest.approx(1.0 - math.sqrt(0.75), abs=1e-12)
     target = tmp_path / "table.csv"
-    cfg.write_text(json.dumps({"resolution": 0.05, "grid": [0.5], "p": "lq:2",
-                               "out": str(target)}))
+    cfg.write_text(json.dumps({"grid": [0.5], "p": "lq:2", "out": str(target)}))
     assert run(capsys, "modulus", "--config", str(cfg))[:2] == (0, "")
     assert target.read_text() == out
 

@@ -261,7 +261,7 @@ def test_search_stays_under_grid_oracle_and_jump(orlicz_catalog, planar_catalog)
         assert r.value <= grid * (1.0 + 1e-9), (phi.label, p.label, x.values)
         m = max((abs(x.values[i]) for i in x.space.infinite_indices), default=0.0)
         if m > 0.0:
-            assert r.k_star <= phi.zero_bound / m
+            assert phi.evaluate(r.k_star * m) == 0.0  # at most the jump
             assert math.isfinite(modular(phi, x, scale=r.k_star))
     # Newton steps on the first-order equation (measured: means 3.9 under
     # the max norm, 4.2-4.6 elsewhere, at most 10)
@@ -721,6 +721,22 @@ def test_dual_norm_weighted_and_steep(monkeypatch):
             # the chord between the bracket's ends costs a kinked generator up to about 7e-13
             gap = 2e-12 if phi in kinked else 1e-14
             assert dual >= amemiya - gap * max(1.0, amemiya), phi.label
+
+
+def test_dual_norm_of_a_power_near_one_is_the_closed_form():
+    # Psi(v) = (q - 1) (v/q)^(q/(q - 1)) is homogeneous of a degree near 1e6
+    # here, so a certificate rescaled by its conjugate modular c (not by
+    # c^((q - 1)/q)) lands far inside the dual ball; the closed form is
+    # q/(q - 1) ((q - 1) sum w |x|^q)^(1/q)
+    rng = np.random.default_rng(12)
+    for _ in range(800):
+        q = 1.0 + 10.0 ** rng.uniform(-6.0, 0.0)
+        n = int(rng.integers(1, 7))
+        w, x = np.exp(rng.uniform(-2.0, 2.0, n)), rng.uniform(-3.0, 3.0, n)
+        total = float(np.sum(w * np.abs(x) ** q))
+        closed = q * total ** (1.0 / q) * math.exp((1.0 / q - 1.0) * math.log(q - 1.0))
+        got = orlicz_dual_norm(power(q), simple_function(measure_space(w.tolist()), x.tolist()))
+        assert got == pytest.approx(closed, rel=1e-13, abs=0.0), (q, w, x)
 
 
 def test_dual_norm_rejects_infinite_atom_support():

@@ -1,7 +1,4 @@
-import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +10,7 @@ from orlnorm import (DomainError, boundary_sampled, build_modulus_table,
                      modulus_diagnostics, planar_from_descriptor, strictly_monotone_probe,
                      verify_sandwich)
 from orlnorm import planar
-from orlnorm.planar import PLANAR_TOL, _level_end, _modulus_pass
+from orlnorm.planar import PLANAR_TOL, _level_end
 
 HALF_PI = math.pi / 2.0
 
@@ -133,13 +130,18 @@ def test_homogeneity_and_sandwich_property(u, v, t):
 # monotonicity modulus
 
 
-def _modulus_box_oracle(p, eps, n=260):
-    """Independent brute-force: walk x over the full box [0, y] and apply the
-    level constraint p(x) >= eps directly, no bisection, no refinement."""
+def _sphere_grid(p, n):
+    """n points of p's positive unit sphere, evenly spaced in angle."""
     thetas = np.linspace(0.0, HALF_PI, n)
     c, s = np.cos(thetas), np.sin(thetas)
     norms = p.evaluate_many(c, s)
-    y1, y2 = c / norms, s / norms
+    return c / norms, s / norms
+
+
+def _modulus_box_oracle(p, eps, n=260):
+    """Independent brute-force: walk x over the full box [0, y] and apply the
+    level constraint p(x) >= eps directly, no level curve, no candidates."""
+    y1, y2 = _sphere_grid(p, n)
     fr = np.linspace(0.0, 1.0, n)
     best = math.inf
     for i in range(n):
@@ -152,27 +154,72 @@ def _modulus_box_oracle(p, eps, n=260):
     return best
 
 
+def _values(p, epsilons):
+    return [r.value for r in planar.modulus_diagnostics_many(p, epsilons)]
+
+
+MODULUS_EPS = [0.001, 0.025, 0.1, 0.3, 0.5, 0.7, 0.9, 0.975, 0.999]
+
+
 def test_modulus_l1_is_identity():
-    for eps in (0.1, 0.3, 0.7, 0.9):
-        assert modulus_diagnostics(l1(), eps).value == pytest.approx(eps, abs=1e-9)
+    for p in (l1(), L1_POLYGON):
+        assert np.max(np.abs(np.subtract(_values(p, MODULUS_EPS), MODULUS_EPS))) <= 1e-15, p.label
 
 
 def test_modulus_linf_is_zero():
-    for eps in (0.2, 0.5, 0.8):
-        assert modulus_diagnostics(linf(), eps).value == pytest.approx(0.0, abs=1e-9)
+    for p in (linf(), LINF_POLYGON):
+        assert _values(p, MODULUS_EPS) == [0.0] * len(MODULUS_EPS), p.label
+
+
+@pytest.mark.parametrize("q", [1, 1.2, 1.5, 2, 3, 6, 50, 400])
+def test_modulus_lq_is_the_closed_form(q):
+    # delta = 1 - (1 - eps^q)^(1/q), taken without cancellation
+    epsilons = [0.001, 0.025, 0.5, 0.975, 0.999]
+    for eps, got in zip(epsilons, _values(lq(q), epsilons)):
+        closed = -math.expm1(math.log1p(-eps ** q) / q)
+        assert abs(got - closed) <= 1e-15, eps
 
 
 def test_modulus_lq2_closed_form_and_box_oracle():
     eps = 0.6
     closed = 1.0 - math.sqrt(1.0 - eps * eps)
-    got = modulus_diagnostics(lq(2), eps, resolution=1e-3).value
-    assert got == pytest.approx(closed, abs=1e-3)
+    got = modulus_diagnostics(lq(2), eps).value
+    assert abs(got - closed) <= 1e-15
+    # the box oracle's infimum runs over fewer points, so it is at least delta
     oracle = _modulus_box_oracle(lq(2), eps)
-    assert oracle == pytest.approx(closed, abs=4e-3)
-    assert got == pytest.approx(oracle, abs=4e-3)
-    for q in (1.5, 3.0):
-        got = modulus_diagnostics(lq(q), eps, resolution=1e-3).value
-        assert got == pytest.approx(_modulus_box_oracle(lq(q), eps), abs=4e-3), q
+    assert got <= oracle + 1e-9 and oracle == pytest.approx(closed, abs=4e-3)
+
+
+@st.composite
+def _monotone_balls(draw):
+    """A monotone boundary ball: a q-mean sphere sampled at 1-5 angles, its
+    radii moved by up to 5%."""
+    angles = sorted(draw(st.lists(st.floats(0.01, HALF_PI - 0.01), min_size=1, max_size=5,
+                                  unique=True)))
+    q = draw(st.floats(1.0, 4.0))
+    noise = draw(st.lists(st.floats(-0.05, 0.05), min_size=len(angles), max_size=len(angles)))
+    radii = [(math.cos(a) ** q + math.sin(a) ** q) ** (-1.0 / q) * (1.0 + e)
+             for a, e in zip(angles, noise)]
+    try:
+        p = boundary_sampled([(0.0, 1.0), *zip(angles, radii), (HALF_PI, 1.0)])
+    except DomainError:
+        assume(False)
+    assume(planar.monotone(p))
+    return p
+
+
+@given(_monotone_balls(), st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
+@settings(max_examples=40)
+def test_modulus_candidates_beat_a_dense_sphere_sweep(p, epsilons):
+    """No point of a dense sweep of the sphere (2,000 per edge) reaches further
+    than the candidates, and the value is at most the box oracle's, an
+    infimum over fewer points."""
+    got = np.array(_values(p, epsilons))
+    y = _sphere_points(p, per_edge=2000)
+    sweep = planar._reach(p, np.array(epsilons)[:, None], y[None, :, 0], y[None, :, 1])
+    assert np.all(got <= 1.0 - np.max(sweep, axis=1) + 1e-14), p.descriptor()
+    for eps, value in zip(epsilons, got):
+        assert value <= _modulus_box_oracle(p, eps, n=60) + 1e-8, (p.descriptor(), eps)
 
 
 @pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0, 6.0])
@@ -183,10 +230,8 @@ def test_modulus_endpoint_maximum_matches_level_curve_walk(q):
     p = lq(q)
     c = np.linspace(0.0, 1.0, 20_001)
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for theta in np.linspace(0.0, HALF_PI, 33):
-            got = _modulus_pass(p, np.array([[eps]]), np.array([theta]))[0][0]
-            n = p.evaluate((math.cos(theta), math.sin(theta)))
-            y1, y2 = math.cos(theta) / n, math.sin(theta) / n
+        for y1, y2 in zip(*_sphere_grid(p, 33)):
+            got = planar._reach(p, np.array([[eps]]), np.array([[y1]]), np.array([[y2]]))[0][0]
             x1 = eps * c
             x2 = eps * (1.0 - c ** q) ** (1.0 / q)
             ends_1 = [0.0 if eps <= y2 else (eps ** q - y2 ** q) ** (1.0 / q),
@@ -197,7 +242,7 @@ def test_modulus_endpoint_maximum_matches_level_curve_walk(q):
             x2 = np.concatenate([x2, ends_2])
             inside = (x1 <= y1) & (x2 <= y2)
             walk = float(np.max(p.evaluate_many(y1 - x1[inside], y2 - x2[inside])))
-            assert abs(got - (1.0 - walk)) <= 1e-12, (eps, theta)
+            assert abs(got - walk) <= 1e-12, (eps, y1, y2)
 
 
 def test_modulus_rejects_bad_epsilon():
@@ -213,20 +258,15 @@ def test_modulus_never_exceeds_epsilon(planar_catalog):
             assert modulus_diagnostics(p, eps).value <= eps + 1e-12
 
 
-def test_modulus_grid_convergence_bound(planar_catalog):
-    for name, p in planar_catalog.items():
-        for eps in (0.3, 0.7):
-            d1 = modulus_diagnostics(p, eps, resolution=2e-3)
-            d2 = modulus_diagnostics(p, eps, resolution=1e-3)
-            assert abs(d1.value - d2.value) <= d1.refinement_bound, (name, eps)
-
-
 def test_modulus_table_monotone_and_floor():
-    table = build_modulus_table(lq(2), epsilons=[0.1, 0.3, 0.5, 0.7, 0.9], resolution=1e-3)
+    table = build_modulus_table(lq(2), epsilons=[0.1, 0.3, 0.5, 0.7, 0.9])
     assert all(b >= a - 1e-9 for a, b in zip(table.deltas, table.deltas[1:]))
     assert table.floor_value(0.05) == 0.0
     assert table.floor_value(0.35) == table.deltas[1]
     assert table.floor_value(0.95) == table.deltas[-1]
+    assert table.bounds == (PLANAR_TOL,) * 5
+    # the ignored keyword keeps its callers working
+    assert build_modulus_table(lq(2), epsilons=[0.1, 0.3], resolution=0.05).deltas == table.deltas[:2]
 
 
 TABLE_EPS = np.arange(0.025, 0.9751, 0.025)
@@ -250,8 +290,8 @@ def _level_end_bisected(p, fixed, eps, cap, first):
 
 
 def _level_end_cases(p):
-    # the fixed coordinate and the cap run over the coarse pass's sphere grid
-    y1, y2 = planar._positive_sphere(p, np.linspace(0.0, HALF_PI, 129))
+    # the fixed coordinate and the cap run over a grid of the sphere
+    y1, y2 = _sphere_grid(p, 129)
     for eps in TABLE_EPS:
         for fixed, cap, first in ((y1, y2, True), (y2, y1, False)):
             yield fixed, eps, cap, np.full(fixed.shape, first)
@@ -301,34 +341,14 @@ def test_modulus_table_matches_bisection_pass(planar_catalog, monkeypatch):
     for name, p in norms.items():
         slow = build_modulus_table(p)
         assert np.max(np.abs(np.subtract(fast[name].deltas, slow.deltas))) <= 1e-14, name
-        assert np.max(np.abs(np.subtract(fast[name].bounds, slow.bounds))) <= 1e-13, name
-
-
-MODULUS_RECORD = json.loads((Path(__file__).parent / "data" / "modulus_tables.json").read_text())
-
-
-@pytest.mark.parametrize("name", sorted(MODULUS_RECORD["norms"]))
-def test_modulus_matches_the_recorded_bits(name):
-    # tests/data/modulus_tables.json holds tables and every ModulusResult
-    # field as one pass per epsilon computed them; epsilons 0.001 and 0.999
-    # clip the refinement window at theta = 0 and pi/2
-    rec = MODULUS_RECORD["norms"][name]
-    p = planar_from_descriptor(rec["p"])
-    for res in MODULUS_RECORD["resolutions"]:
-        table = build_modulus_table(p, resolution=res)
-        assert list(table.deltas) == rec["tables"][repr(res)]["deltas"], res
-        assert list(table.bounds) == rec["tables"][repr(res)]["bounds"], res
-        got = [dataclasses.asdict(modulus_diagnostics(p, e, res)) for e in MODULUS_RECORD["epsilons"]]
-        assert got == rec["results"][repr(res)], res
 
 
 @pytest.mark.parametrize("p", [l1(), lq(3), lq(400), MONOTONE_BALL], ids=lambda p: p.label)
 def test_modulus_batch_equals_one_row_calls(p):
     grid = [0.7, 0.001, 0.5, 0.999, 0.5, 0.025, 0.975, 0.7, 0.3]
-    for res in (1e-3, 5e-3):
-        batch = planar.modulus_diagnostics_many(p, grid, res)
-        assert [r.epsilon for r in batch] == grid
-        assert batch == [modulus_diagnostics(p, e, res) for e in grid], res
+    batch = planar.modulus_diagnostics_many(p, grid)
+    assert [r.epsilon for r in batch] == grid
+    assert batch == [modulus_diagnostics(p, e) for e in grid]
 
 
 def test_modulus_rejects_a_ball_that_is_not_monotone():
@@ -342,15 +362,7 @@ def test_modulus_rejects_a_ball_that_is_not_monotone():
             with pytest.raises(DomainError, match="monotone"):
                 call()
     assert LINF_POLYGON.facets[0][1] < 0.0
-    assert np.allclose(build_modulus_table(LINF_POLYGON).deltas, build_modulus_table(linf()).deltas,
-                       rtol=0.0, atol=1e-12)
-
-
-def test_modulus_batch_blocks_match_one_block(monkeypatch):
-    grid = list(np.linspace(0.01, 0.99, 11))
-    whole = planar.modulus_diagnostics_many(lq(1.5), grid, 2e-3)
-    monkeypatch.setattr(planar, "_EPS_BLOCK", 4)
-    assert planar.modulus_diagnostics_many(lq(1.5), grid, 2e-3) == whole
+    assert build_modulus_table(LINF_POLYGON).deltas == build_modulus_table(linf()).deltas
 
 
 def test_strictly_increasing_on_ray():

@@ -9,7 +9,7 @@ from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_
                      catalog_planar_norms, exp_minus, flat_then_power, l1, linf, lq,
                      measure_space, modular, modular_on_grid, piecewise_linear, power,
                      simple_function, space_from_descriptor, unit_weights)
-from orlnorm.engine import (_batch_sampler, generated_norm, generated_norm_batch,
+from orlnorm.engine import (_batch_sampler, _jump, generated_norm, generated_norm_batch,
                             scale_to_modular_batch)
 from orlnorm.spaces import ARRAY_ATOMS, _array_sums, dominated_pair_values, modular_of
 
@@ -276,10 +276,10 @@ FLAT_GENERATORS = (flat_then_power(1, 2), flat_then_power(0.5, 1), flat_then_pow
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80)
 def test_unchecked_kernel_is_the_checked_pass_up_to_the_jump(phi, n, seed):
-    # the engine samples the unchecked kernel at k <= k_jump, its closed-form
-    # end of the span on infinite atoms; with_conjugate's two guards never
-    # fire there, so the two agree bit for bit, and one float past the true
-    # jump (k_jump or the next float up) the checked pass is (inf, inf)
+    # the engine samples the unchecked kernel at k <= k_jump, the end of the
+    # span on infinite atoms: the largest float with Phi(k_jump m_inf) = 0.
+    # with_conjugate's two guards never fire there, so the two agree bit for
+    # bit, and one float past k_jump the checked pass is (inf, inf)
     rng = np.random.default_rng(seed)
     weights = np.where(rng.uniform(size=n) < 0.3, math.inf, 10.0 ** rng.uniform(-2, 2, n))
     weights[0] = math.inf
@@ -287,16 +287,13 @@ def test_unchecked_kernel_is_the_checked_pass_up_to_the_jump(phi, n, seed):
     values[0] = 10.0 ** rng.uniform(-3, 3)
     modular_at = modular_of(phi, simple_function(measure_space(weights), values))
     m_inf = modular_at.top_inf
-    k_jump = phi.zero_bound / m_inf  # as _first_order_root takes it
-    while phi.evaluate(k_jump * m_inf) != 0.0:
-        k_jump = math.nextafter(k_jump, 0.0)
-    k_end = math.nextafter(k_jump, math.inf)  # the true jump: the largest k with Phi(k m_inf) = 0
-    k_end = k_end if phi.evaluate(k_end * m_inf) == 0.0 else k_jump
-    assert phi.evaluate(math.nextafter(k_end, math.inf) * m_inf) > 0.0
-    for k in (*(k_jump * 10.0 ** -rng.uniform(0, 12, 30)), k_jump, k_end):
+    k_jump = _jump(phi, m_inf)
+    assert phi.evaluate(k_jump * m_inf) == 0.0
+    assert phi.evaluate(math.nextafter(k_jump, math.inf) * m_inf) > 0.0
+    for k in (*(k_jump * 10.0 ** -rng.uniform(0, 12, 30)), k_jump):
         want = modular_at.with_conjugate(float(k))
         assert [v.hex() for v in modular_at.kernel(float(k))] == [v.hex() for v in want], k
-    assert modular_at.with_conjugate(math.nextafter(k_end, math.inf)) == (math.inf, math.inf)
+    assert modular_at.with_conjugate(math.nextafter(k_jump, math.inf)) == (math.inf, math.inf)
 
 
 def test_modular_rejects_non_finite_arguments():

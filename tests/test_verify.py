@@ -473,7 +473,7 @@ def _stand_in_engine(transform):
 _SQUARED = _stand_in_engine(lambda v: v * v)
 _ZERO = _stand_in_engine(lambda v: 0.0 * v)
 _FLAT = flat_then_power(1, 2)
-_DIFF_TRUE = {"x": [0.0, 0.0], "y": [0.2, 0.1], "delta_floor": 1.0, "slack": 0.0}
+_DIFF_TRUE = {"x": [0.0, 0.0], "y": [0.2, 0.1], "delta_floor": 1.0}
 _DIFF_FALSE = {**_DIFF_TRUE, "delta_floor": 0.0}
 
 # kind -> (record that replays True, record that replays False[, stand-in engine
