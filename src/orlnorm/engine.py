@@ -20,17 +20,21 @@ Where Phi has a finite slope limit, F may stay <= 0 for every k: then g
 falls to its infimum S = slope_limit sum w |x| only as k -> inf.  That is
 decided before any search, in closed form (_limit), from the limit of J,
 J_inf = Psi(slope_limit) mu(supp x), Psi the Young conjugate.  Otherwise
-one loop in s = log k (_first_order_root) solves F = 0 from k = 1/max|x|,
-below the finite/+inf jump, taken in closed form from the zero bound of
-Phi, and with k and k max|x| in [1e-300, 1e300], so the search is
-homogeneous in x: Newton steps with the slope q'(1 + J/I) of log I (exact for a power generator,
-which takes 3 evaluations), scaled by the secant of the two latest samples,
-each landing 0.45 tol past the predicted root.  F jumps up at k = b/|x_i| for
-a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of a boundary ball:
-a binary search over the kinks and Newton steps on log I toward the corners
-narrow the bracket first, and a jump of F across 0 at one of them is the
-minimiser.  The value reported is the least g(k) sampled, at an end of the
-final bracket as g is unimodal.
+one loop in s = log k (_first_order_root) solves F = 0 from k = 1/max|x|
+(from twice Phi's flat edge where that k is not past it), below the
+finite/+inf jump, taken in closed form from the zero bound of Phi, and
+with k and k max|x| in [1e-300, 1e300], so the search is homogeneous in x:
+Newton steps with the slope q'(1 + J/I) of log I (exact for a power
+generator, which takes 3 evaluations), scaled by the secant of the two
+latest samples, each landing 0.45 tol past the predicted root.  Where a
+step overshoots into overflow (I = +inf: a steep atom of tiny weight), the
+next is Newton in k from the lower end, where log Phi is linear (exp_minus)
+or concave (powers), so it lands at or just below the root.  F jumps up at
+k = b/|x_i| for a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of
+a boundary ball: a binary search over the kinks and Newton steps on log I
+toward the corners narrow the bracket first, and a jump of F across 0 at
+one of them is the minimiser.  The value reported is the least g(k)
+sampled, at an end of the final bracket as g is unimodal.
 
 Both engines sum I and J term by term and check once, after the sum, that
 nothing overflowed.  On a steep atom of tiny weight (the constructions of
@@ -69,6 +73,12 @@ _EPS = 2.0 ** -52
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(1e-300)
 _HALF_TOL = 0.45  # a step lands this many tol past the predicted root: two close a bracket
+# _lockstep's state rows: lo, hi, last, prev (s, k, G, I, q'(1 + J/I) each), the
+# bracket's width 1, 2 and 3 steps back, the row's constants, and the k of
+# the lower end its last Newton step in k started from
+_STATE = (slice(0, 5), slice(5, 10), slice(10, 15), slice(15, 20), slice(20, 23), slice(23, 29),
+          29)
+_STATE_ROWS = 30
 
 
 class NormResult(NamedTuple):
@@ -179,33 +189,41 @@ def _jump(phi: OrliczFunction, m_inf: float) -> float:
 
 def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: float):
     """Find the minimiser of g as the sign change of F in s = log k, from k =
-    1 / max|x|: (the least g sampled, its k, lo, hi, evaluations), lo and
-    hi the bracket ends (s, k, F, I, J), F <= 0 at lo and F > 0 at hi;
-    +inf and no k or ends when I(kx) = +inf for all k > 0.
+    1 / max|x|, or from twice Phi's flat edge k_edge where that k is not
+    past it (I there is 0, or rounding on the edge): (the least g sampled,
+    its k, lo, hi, evaluations), lo and hi the bracket ends (s, k, F, I, J),
+    F <= 0 at lo and F > 0 at hi; +inf and no k or ends when I(kx) = +inf
+    for all k > 0.
 
     One loop finds the root of F from the latest and the previous sample
     and the bracket ends a (F <= 0) and b (F > 0, or its left limit at a
     kink), samples (s, k, F, I, J) or None (then the floor or end of the
-    span bounds the bracket).  Each step is
-    Newton's from the latest sample, with slope q'(1 + J/I) (q' = q under
-    the q-mean, else 1), the exact slope of log I, so exact for a power
-    generator; once the two latest samples are finite, the slope is scaled
-    by their secant's ratio to the model.  Where Phi vanishes on [0, z],
-    the step is taken in log(k - k_edge), k_edge = z / max|x| on the finite
-    atoms, in which such a Phi grows like a power.  A step lands 0.45 tol
-    (_HALF_TOL) past the predicted root, at least that far inside the
-    bracket, so that two steps close it; it takes the ends' secant when it
-    would leave the bracket, and bisects when the last three steps did not
-    halve it (unless F at least halved) or when the latest F is infinite.
-    With no sample above, F = -inf steps to k twice Phi's flat edge (I =
-    0), or else (J = 0) to the end of the span, where J is largest; with
-    none below, F = +inf steps past the corner
-    below, or halves k (an overflow).  F's jumps go first: a binary search
-    over the kinks b/|x_i| inside the bracket (F at an upper end there is
-    its left limit), then Newton on log I toward a corner between the
-    ends' facets, from the end nearer to it.  The loop stops at width tol +
-    4 eps |s|, at F = 0, or with F <= 0 up to the end (F > 0 down to the
-    floor)."""
+    span bounds the bracket).  Each step is Newton's from the latest
+    sample, with slope q'(1 + J/I) (q' = q under the q-mean, else 1), the
+    exact slope of log I, so exact for a power generator; once the two
+    latest samples are finite, the slope is scaled by their secant's ratio
+    to the model.  Where Phi vanishes on [0, z], the step is taken in
+    log(k - k_edge), k_edge = z / max|x| on the finite atoms, in which such
+    a Phi grows like a power.  A step lands 0.45 tol (_HALF_TOL) past the
+    predicted root, at least that far inside the bracket, so that two steps
+    close it; it takes the ends' secant when it would leave the bracket,
+    and bisects when the last three steps did not halve it (unless F at
+    least halved) or when the latest F is infinite.  Two moves replace that
+    bisection while I overflowed at b (I = +inf, no value there): from a
+    with F finite, Newton in k, k = k_a (1 - F_a / m_a), m_a = q'(1 + J_a /
+    I_a), at most once per lower end (log Phi is linear in k for exp_minus
+    and concave for powers, so it lands at or just below the root, where
+    Newton in log k overshoots by hundreds); from a in the flat zone (I =
+    0), the first float past k_edge, which closes the bracket when the root
+    lies within a float of the edge.  With no sample above, F = -inf steps
+    to k twice Phi's flat edge (I = 0), or else (J = 0) to the end of the
+    span, where J is largest; with none below, F = +inf steps past the
+    corner below, or halves k (an overflow).  F's jumps go first: a binary
+    search over the kinks b/|x_i| inside the bracket (F at an upper end
+    there is its left limit), then Newton on log I toward a corner between
+    the ends' facets, from the end nearer to it.  The loop stops at width
+    tol + 4 eps |s|, at F = 0, or with F <= 0 up to the end (F > 0 down to
+    the floor)."""
     log, exp, inf = math.log, math.exp, math.inf
     s_start = -log(modular_at.top)  # homogeneous: from k = 1/max|x|, k and k max|x|
     s_top = (0.0 if 0.0 < s_start else s_start) - _LOG_TINY  # within [1e-300, 1e300]
@@ -226,8 +244,10 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     zb, tf = phi.zero_bound, modular_at.top_finite
     k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
     s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
+    if zb > 0.0 and tf / modular_at.top <= zb:  # k = 1/max|x| not past the edge: from twice it
+        s_start = s_edge + _LN2
     h0 = _HALF_TOL * log_tol
-    a = b = hi = last = prev = k = None
+    a = b = hi = last = prev = k = k_from = None
     # a start within h0 below the top (the jump at k = 1/max|x|, up to a float) takes the top
     jumped, s, n = False, s_top if s_top < s_start + h0 else s_start, 0
     w1 = w2 = w3 = inf  # the bracket's width 1, 2 and 3 steps back
@@ -238,13 +258,13 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
             if cands:  # the kinks inside the bracket, or up to the top
                 k_lo, k_hi = a[1] if a else 0.0, b[1] if b else math.nextafter(k_top, inf)
                 cands = [c for c in cands if k_lo < c[0] < k_hi]
-            two = False
+            two = over = False  # over: both ends, and I overflowed at b
             if b is None:  # F <= 0 at every sample
                 done = a[1] >= k_top or a[2] == 0.0
             elif a is None:  # F > 0 at every sample
                 done = b[0] <= s_floor
             else:  # F's left limit <= 0 at b: b is the minimiser, once a is next to it
-                two, width = True, b[0] - a[0]
+                two, over, width = True, b[3] == inf, b[0] - a[0]
                 done = (width <= log_tol + 4.0 * _EPS * abs(s1) or a[2] == 0.0
                         or b[2] <= 0.0 and not cands)
             if done:
@@ -263,6 +283,19 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                 w1, w2, w3, jumped = inf, inf, inf, True
                 if not a[0] < s < b[0]:
                     s = 0.5 * (a[0] + b[0])
+            elif over and a[1] != k_from and -inf < a[2] and 0.0 < a[3] and a[4] < inf:
+                # Newton in k from a, once per lower end
+                k_from = a[1]
+                s = log(a[1] * (1.0 - a[2] / (qm * (1.0 + a[4] / a[3]))))
+                s += h0 + _EPS * abs(s)
+                h = h0 + _EPS * abs(s)
+                s = a[0] + h if s < a[0] + h else b[0] - h if s > b[0] - h else s
+                w1, w2, w3 = width, w1, w2
+            elif (over and a[3] == 0.0 < k_edge and a[1] <= k_edge
+                  and (k_past := math.nextafter(k_edge, inf)) < b[1]):
+                # I = 0 at a: the first float past the flat edge
+                k, w1, w2, w3 = k_past, width, w1, w2
+                s = log(k)
             elif -inf < g1 < inf and (not two or width <= 0.5 * w3
                                       or prev is not None and abs(g1) <= 0.5 * abs(prev[2])):
                 # Newton, in x = log(k - k_edge)
@@ -496,39 +529,49 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
     J/I)) with G <= 0 at lo and G > 0 at hi (nan where no sample had that
     sign); ``steps`` counts the calls of ``sample``.
 
-    lo and hi are a row's bracket ends, last and prev its two latest
-    samples, w1..w3 its bracket's width 1, 2 and 3 steps back; qm is q',
-    and Phi vanishes on [0, zero_bound].  A row stops at the scalar loop's
-    stopping rule and is sampled no more.  Numpy's cost here is per call,
-    not per row, so the branches that few passes need (one end, a step
-    outside the bracket, bisection, the flat edge) run only on those
+    Each row takes the scalar loop's steps: from k = 1/max|x| (twice the
+    flat edge where zero_bound >= 1, as that k is then not past it),
+    Newton in log k or log(k - k_edge), and, while its upper end's I
+    overflowed, Newton in k from the lower end once per lower end, or the
+    first float past the flat edge from a lower end where I = 0.  lo and hi
+    are a row's bracket ends, last and prev its two latest samples, w its
+    bracket's width 1, 2 and 3 steps back, k_from the lower end its last
+    Newton step in k started from; qm is q', and Phi vanishes on [0,
+    zero_bound].  These and the row's constants are rows of one stacked
+    array, updated in place, so that dropping the rows that stopped takes
+    one index.  A row stops at the scalar loop's stopping rule and is
+    sampled no more.  Numpy's cost here is per call, not per row, so the
+    branches that few passes need (one end, a step outside the bracket,
+    bisection, an overflowed upper end, the flat edge) run only on those
     passes."""
     nan, inf, where, log, exp = math.nan, math.inf, np.where, np.log, np.exp
-    fmin, fmax, count = np.fmin, np.fmax, np.count_nonzero
+    fmin, fmax, count, copyto = np.fmin, np.fmax, np.count_nonzero, np.copyto
     top = ax.max(axis=1)
     s_start = -log(top)  # homogeneous: from k = 1/max|x|
     s_end = np.minimum(s_start, 0.0) - _LOG_TINY  # k and k max|x| within [1e-300, 1e300]
     k_edge = zero_bound / top  # I = 0 up to here
-    # each row's constants, one array to compact
-    span = np.array([target, exp(s_end), s_end, np.maximum(s_start, 0.0) + _LOG_TINY, k_edge,
-                     log(k_edge)])
+    state = np.full((_STATE_ROWS, len(ax)), nan)
+    lo, hi, last, prev, w, span, k_from = (state[r] for r in _STATE)
+    w[:] = inf
+    span[:] = (target, exp(s_end), s_end, np.maximum(s_start, 0.0) + _LOG_TINY, k_edge,
+               log(k_edge))
     target, k_end, s_end, s_floor, k_edge, s_edge = span
     h0 = _HALF_TOL * tol
-    lo = hi = last = np.full((5, len(ax)), nan)  # replaced, not written in place
     out_lo, out_hi = lo.copy(), lo.copy()
-    w1 = w2 = w3 = np.full(len(ax), inf)
     rows, steps = np.arange(len(ax)), 0
-    s = np.minimum(s_start, s_end)
+    # k = 1/max|x| lies on the flat edge or inside it when zero_bound >= 1
+    s = np.minimum(s_edge + _LN2 if zero_bound >= 1.0 else s_start, s_end)
     k = fmin(exp(s), k_end)
     while True:
         i, d, f = sample(k, ax)
         steps += 1
-        e = np.array([s, k, f - target, i, d])
+        prev[:] = last
+        last[0], last[1], last[2], last[3], last[4] = s, k, f - target, i, d
         if qm != 1.0:
-            e[4] *= qm
-        up = e[2] > 0.0  # each sample lies past the end of its sign
-        lo, hi = where(up, lo, e), where(up, e, hi)
-        prev, last = last, e
+            last[4] *= qm
+        up = last[2] > 0.0  # each sample lies past the end of its sign
+        copyto(lo, last, where=~up)
+        copyto(hi, last, where=up)
         s1, k1, g1, i1, m1 = last
         width = hi[0] - lo[0]  # nan with one end
         one_end = count(width == width) < len(rows)
@@ -543,11 +586,11 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
             keep = ~done
             if not count(keep):
                 return out_lo, out_hi, steps
-            ax = ax[keep]
-            span, lo, hi, last, prev, w1, w2, w3, rows, width, ulp = (
-                v[..., keep] for v in (span, lo, hi, last, prev, w1, w2, w3, rows, width, ulp))
+            state, ax, rows = state[:, keep], ax[keep], rows[keep]
+            lo, hi, last, prev, w, span, k_from = (state[r] for r in _STATE)
             target, k_end, s_end, s_floor, k_edge, s_edge = span
             s1, k1, g1, i1, m1 = last
+            width, ulp = hi[0] - lo[0], abs(s1) * _EPS
             one_end = count(width == width) < len(rows)
         # Newton, in x = log(k - k_edge) past Phi's flat edge, with the
         # slope q'(1 + J/I) scaled by the secant of the two latest samples
@@ -580,8 +623,17 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
                                     0.5 * (lo[0] + hi[0])), x)
             h = where(out, abs(step) * _EPS + h0, h)
             step = fmax(fmin(step, hi[0] - h), lo[0] + h)
-        if count(slow := width + width > w3):
+        if count(slow := width + width > w[2]):
             step = where(slow & ~(abs(g1) <= 0.5 * abs(prev[2])), 0.5 * (lo[0] + hi[0]), step)
+        if n_over := count(over := hi[3] == inf):  # I overflowed at the upper end
+            # Newton in k from the lower end, once per lower end
+            newt = over & (lo[1] != k_from) & (lo[2] > -inf) & (lo[3] > 0.0) & (lo[4] < inf)
+            if count(newt):  # (x stays the Newton step of the rows with one end)
+                xk = log(lo[1] * (1.0 - lo[2] / lo[4]))
+                xk = xk + (abs(xk) * _EPS + h0)
+                hk = abs(xk) * _EPS + h0
+                step = where(newt, fmax(fmin(xk, hi[0] - hk), lo[0] + hk), step)
+                k_from[newt] = lo[1, newt]
         if one_end:
             # with one end: Newton, else past Phi's flat edge (I = 0), to the
             # end of the span (J = 0: F has no root below it), or halving k
@@ -593,7 +645,11 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
             k = where(step >= s_end, k_end, fmin(exp(step), k_end))
         else:
             k = fmin(exp(step), k_end)
-        w1, w2, w3, s = fmin(width, inf), w1, w2, step
+        if zero_bound and n_over:  # I = 0 at lo: the first float past the flat edge
+            k_past = np.nextafter(k_edge, inf)
+            if count(probe := over & (lo[3] == 0.0) & (lo[1] <= k_edge) & (k_past < hi[1])):
+                k, step = where(probe, k_past, k), where(probe, log(k_past), step)
+        w[1:], w[0], s = w[:2], fmin(width, inf), step
 
 
 def _kink_candidates(phi: OrliczFunction, modular_at, hi: float) -> list[tuple[float, float]]:

@@ -294,17 +294,19 @@ def test_power_rows_take_three_evaluations(n):
 
 
 @pytest.mark.parametrize("phi, p, weights, values, want, evaluations", [
-    # I = 0 at k = 1/max|x|: k doubles past the flat edge k = 2, then Newton
-    # in log(k - 2), exact for (u - 2)^2: the Luxemburg point k = 3
-    (flat_then_power(2, 2), linf(), [1.0], [1.0], 1.0 / 3.0, 4),
+    # k = 1/max|x| lies in the flat zone: the search starts at twice its edge
+    # k = 2, then Newton in log(k - 2), exact for (u - 2)^2: the Luxemburg
+    # point k = 3
+    (flat_then_power(2, 2), linf(), [1.0], [1.0], 1.0 / 3.0, 3),
     # I overflows at k = 1/max|x|: k halves, then one Newton step
     (power(2), linf(), [1.5e308, 1.5e308], [1.0, 1.0], math.sqrt(1.5e308) * math.sqrt(2.0), 4),
     # J = 0 for every k: the limit S = 3 as k -> inf, in closed form
     (power(1), l1(), [1.0, 1.0], [1.0, 2.0], 3.0, 0),
     # supported on an infinite atom: the finite/+inf jump k = a / 1.5 is the top
     (flat_then_power(1, 2), l1(), [math.inf], [1.5], 1.5, 1),
-    # Newton from w Phi(u) = 7e-301 overshoots into overflow: bisection
-    (exp_minus(), linf(), [1e-300], [700.0], 1.0133537911075876, 14),
+    # Newton in log k from w Phi(u) = 7e-301 overshoots into overflow: then
+    # Newton in k from below, where log Phi is about linear in k
+    (exp_minus(), linf(), [1e-300], [700.0], 1.0133537911075876, 5),
 ])
 def test_search_paths(phi, p, weights, values, want, evaluations):
     x = simple_function(measure_space(weights), values)
@@ -313,6 +315,27 @@ def test_search_paths(phi, p, weights, values, want, evaluations):
     assert r.evaluations <= evaluations
     assert r.attained == (phi.q != 1.0)  # power(1) under the sum norm: not attained
     assert r.bracket is None if phi.q == 1.0 else r.bracket[0] <= r.k_star <= r.bracket[1]
+
+
+@pytest.mark.parametrize("p", [linf(), l1(), lq(1.5), lq(2), lq(3)])
+def test_rows_near_overflow_take_few_evaluations(p):
+    # one steep atom: from k = 1/max|x| Newton in log k overshoots about 290
+    # into overflow, and Newton in k from the lower end, where log Phi is
+    # about linear in k, lands at or below the root
+    steep = simple_function(measure_space([1e-300]), [700.0])
+    # the root lies within one float of the flat edge k = 1 (I = 3e308 (k -
+    # 1)^2): from k = 2, where I overflows, k halves to the edge, where I =
+    # 0, and the first float past it closes the bracket; 1/k <= g(k), and
+    # g(k) > 1 past k = 1 + 1e-150, so the norm is 1 to rounding
+    heavy = simple_function(measure_space([1e308] * 3), [1.0, -1.0, 1.0])
+    want = oracle_norm(exp_minus(), p, steep.space.weights, steep.values)
+    for phi, x, bound, value in ((exp_minus(), steep, 8, want),
+                                 (flat_then_power(1, 2), heavy, 3, 1.0)):
+        r = generated_norm(phi, p, x)
+        batch = generated_norm_batch(phi, p, x.space, np.array([x.values]))
+        assert r.evaluations <= bound and batch.steps == r.evaluations, (phi.label, r.evaluations)
+        for got in (r.value, batch.value[0]):
+            assert got == pytest.approx(value, rel=1e-11, abs=0.0), phi.label
 
 
 def _convex_polyline(rng):
@@ -788,6 +811,28 @@ def _assert_agrees_with_scalar(phi, p, space, values, batch, exact=False):
                 phi.label, p.label, row)
 
 
+_SMOOTH_PHIS = (power(1.5), power(2), power(3), exp_minus(), flat_then_power(1, 2),
+                flat_then_power(0.3, 3))
+
+
+# k = 1/max|x| on flat_then_power(1, 2)'s edge, where I is rounding: started
+# there, the engines took 5 against 4 and 10 against 8 evaluations
+@example(flat_then_power(1, 2), linf(), [(0.39, 0.39)])
+@example(flat_then_power(1, 2), l1(), [(-1.55, -0.39)])
+@given(st.sampled_from(_SMOOTH_PHIS), st.sampled_from(BATCH_NORMS),
+       st.lists(st.tuples(st.floats(-3.0, 3.0), _VALUE), min_size=1, max_size=8)
+       .filter(lambda atoms: any(v for _, v in atoms)))
+def test_both_engines_take_the_same_steps(phi, p, atoms):
+    # one step rule: a batch of one row takes as many lockstep steps as the
+    # scalar engine takes evaluations on that row, flat edges and overflow
+    # included, not only the same value
+    space = measure_space([math.exp(e) for e, _ in atoms])
+    row = np.array([v for _, v in atoms])
+    r = generated_norm(phi, p, simple_function(space, row))
+    assert generated_norm_batch(phi, p, space, row[None, :]).steps == r.evaluations, (
+        phi.label, p.label)
+
+
 @given(_batches())
 def test_batch_agrees_with_the_scalar_engine_and_the_grid(case):
     phi, p, space, values = case
@@ -915,6 +960,36 @@ def test_steep_atoms_of_tiny_weight_match_the_oracle(phi, p, atoms):
     row = [_steep_value(phi, 2.0 ** m / w) if 2.0 ** m / w > 1.0 else 1.0
            for w, (_, m) in zip(weights, atoms)]
     _assert_both_engines_match_the_oracle(phi, p, space, np.array([row]))
+
+
+def test_a_row_samples_the_same_k_alone_and_in_a_batch(monkeypatch):
+    # a steep row whose upper end overflows (its next step is Newton in k
+    # from the lower end) beside a row whose I overflows at its start (one
+    # end, halving k, then Newton from above): each row's samples are the
+    # ones it takes alone
+    sampled = []
+    sampler = engine._batch_sampler
+
+    def recording(*args):
+        sample = sampler(*args)
+
+        def run(k, ax):
+            sampled.append(dict(zip(map(tuple, ax.tolist()), k.tolist())))
+            return sample(k, ax)
+        return run
+    monkeypatch.setattr(engine, "_batch_sampler", recording)
+    space = measure_space([1e-300, 1e308, 1e308, 1e308])
+    rows = np.array([[700.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
+    for p in (linf(), l1(), lq(2)):
+        alone = []
+        for row in rows:
+            sampled.clear()
+            generated_norm_batch(exp_minus(), p, space, row[None, :])
+            alone.append([ks[tuple(row)] for ks in sampled])
+        sampled.clear()
+        generated_norm_batch(exp_minus(), p, space, rows)
+        for row, ks in zip(rows, alone):
+            assert [s[tuple(row)] for s in sampled if tuple(row) in s] == ks, p.label
 
 
 def test_batch_reports_the_limit_where_the_infimum_is_not_attained():
