@@ -221,9 +221,9 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     corner below, or halves k (an overflow).  F's jumps go first: a binary
     search over the kinks b/|x_i| inside the bracket (F at an upper end
     there is its left limit), then Newton on log I toward a corner between
-    the ends' facets, from the end nearer to it.  The loop stops at width
-    tol + 4 eps |s|, at F = 0, or with F <= 0 up to the end (F > 0 down to
-    the floor)."""
+    the ends' facets, from the end nearer to it, in log(k - k_edge) too.
+    The loop stops at width tol + 4 eps |s|, at F = 0, or with F <= 0 up to
+    the end (F > 0 down to the floor)."""
     log, exp, inf = math.log, math.exp, math.inf
     s_start = -log(modular_at.top)  # homogeneous: from k = 1/max|x|, k and k max|x|
     s_top = (0.0 if 0.0 < s_start else s_start) - _LOG_TINY  # within [1e-300, 1e300]
@@ -279,7 +279,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                 # Newton on log I to the middle corner, from the end nearer to it
                 c = corners[(ta + tb) // 2]
                 e = a if a[3] > 0.0 and (not b[3] < inf or c * c < a[3] * b[3]) else b
-                s = _toward(e, c, h0) if 0.0 < e[3] < inf else 0.5 * (a[0] + b[0])
+                s = _toward(e, c, h0, k_edge) if 0.0 < e[3] < inf else 0.5 * (a[0] + b[0])
                 w1, w2, w3, jumped = inf, inf, inf, True
                 if not a[0] < s < b[0]:
                     s = 0.5 * (a[0] + b[0])
@@ -314,7 +314,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                         m = m * r if r > 0.0 else 0.0
                 s = x = x1 - g1 / m if m > 0.0 else (inf if g1 < 0.0 else -inf)
                 if ke:  # k = k_edge + e^x
-                    s = x + math.log1p(ke * exp(-x)) if x > 0.0 else log(ke + exp(x))
+                    s = _log_past(ke, x)
                 s += h0 + _EPS * abs(s) if g1 < 0.0 else -h0 - _EPS * abs(s)
                 if two:
                     if not a[0] < s < b[0]:  # the ends' secant, else bisect
@@ -333,7 +333,7 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                     s = s_top
             elif (corners is not None and i1 + j1 < inf
                   and bisect_right(corners, i1)):  # F > 0 on the whole facet
-                s = _toward(last, corners[bisect_right(corners, i1) - 1], h0)
+                s = _toward(last, corners[bisect_right(corners, i1) - 1], h0, k_edge)
             else:  # F = +inf at every sample: an overflow
                 s = s1 - _LN2
             if not two:
@@ -381,12 +381,21 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     return v, k, lo, hi, n
 
 
-def _toward(e, c: float, h0: float) -> float:
-    """Newton's step on log I - log c from the sample e, its slope 1 + J/I
-    exact, landing h0 past the corner I = c of a boundary ball."""
+def _toward(e, c: float, h0: float, ke: float) -> float:
+    """Newton's step on log I - log c from the sample e, landing h0 past the
+    corner I = c of a boundary ball: in log k, its slope 1 + J/I exact, or
+    past Phi's flat edge k = ke > 0 in log(k - ke), as the Newton branch."""
     d = math.log(c / e[3]) / (1.0 + e[4] / e[3])
-    s = e[0] + d
+    if e[1] > ke > 0.0:  # the slope in log(k - ke) is (1 + J/I)(1 - ke/k)
+        s = _log_past(ke, math.log(e[1] - ke) + d / (1.0 - ke / e[1]))
+    else:
+        s = e[0] + d
     return s + math.copysign(h0 + _EPS * abs(s), d)
+
+
+def _log_past(ke: float, x: float) -> float:
+    """log(ke + e^x), without overflow."""
+    return x + math.log1p(ke * math.exp(-x)) if x > 0.0 else math.log(ke + math.exp(x))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ samples of its unit sphere in the positive quadrant, p = max_i (a_i |u| +
 b_i |v|) with a_i u + b_i v = 1 on the i-th edge: monotone, hence a norm,
 iff every a_i, b_i >= 0 (Bauer, Stoer and Witzgall, Numer. Math. 3, 1961).
 check_lattice_axioms and the strictness verdicts are exact per kind, from
-the signs of a boundary ball's normals.  verify_sandwich is sampled: a
-"pass" means no violation was found at the given budget.
+the signs of a boundary ball's normals, and verify_sandwich is exact from
+the unit sphere's vertices.
 
 The monotonicity modulus
 
@@ -70,7 +70,13 @@ class PlanarNorm:
 
     @cached_property
     def vertices(self) -> tuple[tuple[float, float], ...]:
-        """A boundary ball's sample points, (r, 0) first and (0, r) last."""
+        """The positive unit sphere's vertices, (r, 0) first and (0, r) last:
+        a boundary ball's sample points, the max norm's square corners, else
+        the axis points (the q-mean sphere has no other corner)."""
+        if self.kind == "linf":
+            return ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        if self.kind != "boundary":
+            return ((1.0, 0.0), (0.0, 1.0))
         pts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(self.angles, self.radii)]
         return ((self.radii[0], 0.0), *pts[1:-1], (0.0, self.radii[-1]))
 
@@ -208,14 +214,10 @@ def planar_from_descriptor(d: dict) -> PlanarNorm:
 @dataclass
 class ValidationReport:
     passed: bool
-    samples: int = 0  # the points verify_sandwich drew; check_lattice_axioms draws none
     violations: list[dict] = field(default_factory=list)
 
     def first_violation(self) -> dict | None:
         return self.violations[0] if self.violations else None
-
-
-_MAX_RECORDS = 50
 
 
 def monotone(p: PlanarNorm) -> bool:
@@ -250,24 +252,23 @@ def sandwich_violated(u, v, value):
     return (value < np.maximum(au, av) - PLANAR_TOL) | (value > au + av + PLANAR_TOL)
 
 
-def verify_sandwich(p: PlanarNorm, sample_budget: int = 10_000, seed: int = 0) -> ValidationReport:
-    """Check max(|u|,|v|) - tol <= p((u,v)) <= |u| + |v| + tol on samples."""
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = sample_budget
-    u = np.concatenate([rng.uniform(-2.0, 2.0, n), [1.0, 0.0, 1.0, 0.0, 5.0]])
-    v = np.concatenate([rng.uniform(-2.0, 2.0, n), [0.0, 1.0, 1.0, 0.0, 5.0]])
+def verify_sandwich(p: PlanarNorm) -> ValidationReport:
+    """max(|u|,|v|) <= p((u,v)) <= |u| + |v|, exactly (within PLANAR_TOL at
+    unit scale): p is even in each coordinate and homogeneous, so the bounds
+    hold iff they do on the positive unit sphere, and there iff at its
+    vertices (PlanarNorm.vertices).  On a polygon's sphere max(u, v) is
+    convex and u + v affine along each edge, so the largest max(u, v) and
+    the least u + v sit at vertices; the q-mean holds both bounds by the
+    power-mean inequality, with equality at its axis points."""
+    u, v = np.array(p.vertices).T
     vals = p.evaluate_many(u, v)
-    lo = np.maximum(np.abs(u), np.abs(v))
-    hi = np.abs(u) + np.abs(v)
-    bad = sandwich_violated(u, v, vals)
     violations = [
-        {"check": "sandwich", "p": p.descriptor(), "point": [float(u[i]), float(v[i])],
-         "value": float(vals[i]), "lower": float(lo[i]), "upper": float(hi[i])}
-        for i in np.nonzero(bad)[0][:_MAX_RECORDS]
+        {"check": "sandwich", "p": p.descriptor(), "point": [a, b], "value": val,
+         "lower": max(a, b), "upper": a + b}
+        for a, b, val, bad in zip(u.tolist(), v.tolist(), vals.tolist(),
+                                  sandwich_violated(u, v, vals).tolist()) if bad
     ]
-    return ValidationReport(passed=not violations, samples=len(u), violations=violations)
+    return ValidationReport(passed=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +279,6 @@ def verify_sandwich(p: PlanarNorm, sample_budget: int = 10_000, seed: int = 0) -
 class ModulusResult:
     epsilon: float
     value: float
-
-
-def _sphere_vertices(p: PlanarNorm) -> tuple[tuple[float, float], ...]:
-    """The positive unit sphere's vertices: a boundary ball's samples, the
-    max norm's square corners, else the axis points (the q-mean sphere has
-    no other corner)."""
-    if p.kind == "boundary":
-        return p.vertices
-    return ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0)) if p.kind == "linf" else ((1.0, 0.0), (0.0, 1.0))
 
 
 def _level_end(p: PlanarNorm, fixed: np.ndarray, eps, cap,
@@ -317,9 +309,8 @@ def _candidates(p: PlanarNorm, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """The candidate points y of the positive unit sphere, one row per
     epsilon of the column ``eps``: the sphere's vertices, then (eps, t) and
     (s, eps)."""
-    vertices = _sphere_vertices(p)
     t, s = _level_end(p, np.hstack([eps, eps]), 1.0, 1.0, np.array([True, False])).T
-    v1, v2 = (np.broadcast_to(coord, (len(eps), len(vertices))) for coord in zip(*vertices))
+    v1, v2 = (np.broadcast_to(coord, (len(eps), len(p.vertices))) for coord in zip(*p.vertices))
     return np.hstack([v1, eps, s[:, None]]), np.hstack([v2, t[:, None], eps])
 
 

@@ -6,7 +6,7 @@ negative directions are backed by explicit constructions whose claimed
 numbers are re-measured.  A suite returns a TheoremReport whose id is a
 stable registry key (T1..T9, L1..L2, R2..R3):
 
-    T1  planar sandwich bounds and ordering of the norm family
+    T1  planar sandwich bounds (exact, at the sphere's vertices) and family ordering
     T2  norm axioms of the generated norm
     L1  attainment of the defining infimum under fast growth
     L2  unit-ball bounds for elements pinned to the ball boundary
@@ -71,7 +71,6 @@ STATUS_FAILED = "failed"
 STATUS_HNM = "hypothesis-not-met"
 STATUS_EMPTY = "empty-feasible"
 
-PLANAR_SAMPLES = 10_000  # T1's sandwich samples of p
 UM_EPSILONS = (0.25, 0.5, 0.75)  # T9's norm levels of the dominated piece
 UM_FAILURE_LEVELS = 10  # T9, failure branch: the perturbations x_n, n = 1..UM_FAILURE_LEVELS
 TAIL_LEVELS = 28  # R2: atoms of the steep-tail space
@@ -305,13 +304,13 @@ def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
 
 def _suite_sandwich_ordering(phi, p, space, *, seed: int, budget: int):
     violations = []
-    for rec in verify_sandwich(p, PLANAR_SAMPLES, seed).violations:
+    for rec in verify_sandwich(p).violations:
         _flag(violations, "sandwich", phi, p, space, rec)
     rng = _rng(seed + 1)
     rows = [_random_values(space, rng, signed=True).tolist() for _ in range(budget)]
     yield from _check(violations, "ordering", phi, p, space, [{"values": v} for v in rows])
-    return _passed("T1", PLANAR_SAMPLES + budget, violations,
-                   {"planar_samples": PLANAR_SAMPLES, "functions": budget})
+    return _passed("T1", len(p.vertices) + budget, violations,
+                   {"planar_vertices": len(p.vertices), "functions": budget})
 
 
 def _measure_sandwich(phi, p, space, recs):

@@ -338,6 +338,35 @@ def test_rows_near_overflow_take_few_evaluations(p):
             assert got == pytest.approx(value, rel=1e-11, abs=0.0), phi.label
 
 
+@pytest.mark.parametrize("values, evaluations", [([1.0, 0.0], (4, 6, 6)),
+                                                  ([1.0, 1e-3], (13, 22, 22))])
+def test_underflow_past_the_flat_edge_doubles_k(values, evaluations):
+    # at k = 1/max|x| = 1, past the flat edge 0.999999, I = 1e-300 (k -
+    # 0.999999)^10 underflows to 0: F = -inf at every sample, so k doubles
+    # from there, in both engines
+    phi, space = flat_then_power(0.999999, 10), measure_space([1e-300, 1.0])
+    for p, count in zip((linf(), l1(), lq(2)), evaluations):
+        r = generated_norm(phi, p, simple_function(space, values))
+        batch = generated_norm_batch(phi, p, space, np.array([values]))
+        assert r.evaluations == batch.steps == count and batch.value[0] == r.value, p.label
+        want = oracle_norm(phi, p, space.weights, values)
+        assert r.value == pytest.approx(want, rel=1e-11, abs=0.0), p.label
+
+
+def test_corner_step_past_a_flat_edge():
+    # I = 25k - 20 on (0.8, 2), past the flat edge k = 0.8 of the atom of
+    # value 2.5; the ball's corner I = tan(0.05) is the minimiser, as g
+    # falls on the facet before it and rises on the one after: the step
+    # toward it in log(k - 0.8) lands there at once (15 evaluations in log k)
+    p = boundary_sampled([(0.0, 1.0), (0.05, 1.0), (math.pi / 2, 1.0)])
+    phi, x = flat_then_power(2, 1), simple_function(measure_space([1.0, 10.0]), [1.0, 2.5])
+    r = generated_norm(phi, p, x)
+    want = 25.0 / ((20.0 + math.tan(0.05)) * math.cos(0.05))
+    assert r.evaluations <= 4 and r.attained
+    assert r.value == pytest.approx(want, rel=1e-11, abs=0.0)
+    assert r.value <= generated_norm_on_grid(phi, p, x)
+
+
 def _convex_polyline(rng):
     """A convex polyline through 2-4 random breakpoints, flat on its first piece half the time."""
     m = int(rng.integers(2, 5))

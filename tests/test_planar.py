@@ -51,8 +51,10 @@ def test_boundary_bulge_reports_monotonicity_violation():
         ([0.0, bad.vertices[1][1]], list(bad.vertices[1]))]
     for v in rep.violations:
         _assert_axis_projection_witness(bad, v)
-    sand = verify_sandwich(bad, 2000, seed=0)
-    assert not sand.passed
+    # the bulging vertex is the one violation of the sandwich's lower bound
+    sand = verify_sandwich(bad)
+    assert [(v["point"], v["lower"], v["upper"]) for v in sand.violations] == [
+        (list(bad.vertices[1]), max(bad.vertices[1]), sum(bad.vertices[1]))]
 
 
 def _assert_axis_projection_witness(p, v):
@@ -107,7 +109,7 @@ def test_polygon_is_one_at_its_samples_and_homogeneous(angles, q, t):
 
 def test_sandwich_exact_for_envelopes(planar_catalog):
     for name, p in planar_catalog.items():
-        rep = verify_sandwich(p, 10_000, seed=11)
+        rep = verify_sandwich(p)
         assert rep.passed, (name, rep.first_violation())
     # the envelopes themselves achieve equality
     pts = [(0.3, 1.7), (1.0, 1.0), (2.0, 0.1)]
@@ -115,6 +117,44 @@ def test_sandwich_exact_for_envelopes(planar_catalog):
         assert linf()((u, v)) == max(abs(u), abs(v))
         assert l1()((u, v)) == abs(u) + abs(v)
     assert max(1.0, 1.0) <= lq(2)((1.0, 1.0)) <= 2.0
+
+
+def _sampled_sandwich_violated(p):
+    """The sampled check that verify_sandwich replaced, as an oracle: 1e5
+    uniform points of [-2, 2]^2 and five fixed ones; True iff one violates."""
+    rng = np.random.default_rng(0)
+    u = np.concatenate([rng.uniform(-2.0, 2.0, 100_000), [1.0, 0.0, 1.0, 0.0, 5.0]])
+    v = np.concatenate([rng.uniform(-2.0, 2.0, 100_000), [0.0, 1.0, 1.0, 0.0, 5.0]])
+    return bool(np.any(planar.sandwich_violated(u, v, p.evaluate_many(u, v))))
+
+
+@st.composite
+def _square_scaled_balls(draw):
+    """A boundary ball through 1-4 samples at angles on a grid of pi/64, each
+    at f times the max-norm square's radius, f on a grid of 0.05 in [0.7,
+    1.25]: it bulges past the unit square by max f - 1 (0, or at least 0.05)."""
+    angles = sorted(draw(st.lists(st.integers(1, 31), min_size=1, max_size=4, unique=True)))
+    scales = draw(st.lists(st.integers(14, 25), min_size=len(angles), max_size=len(angles)))
+    thetas = [a * HALF_PI / 32 for a in angles]
+    samples = [(t, f / 20 / max(math.cos(t), math.sin(t))) for t, f in zip(thetas, scales)]
+    try:
+        return boundary_sampled([(0.0, 1.0), *samples, (HALF_PI, 1.0)]), max(scales) / 20 - 1.0
+    except DomainError:
+        assume(False)
+
+
+@given(_square_scaled_balls())
+@settings(max_examples=80, deadline=None)
+def test_sandwich_at_the_vertices_equals_a_dense_sampled_verdict(ball):
+    """The vertex verdict equals the sampled one at 1e5 points: it fails
+    exactly where the ball bulges past the unit square, each violation at a
+    vertex below its lower bound (a constructible ball, in convex position
+    through (1, 0) and (0, 1), never exceeds the upper one)."""
+    p, bulge = ball
+    exact = verify_sandwich(p)
+    assert exact.passed == (bulge <= 0.0) == (not _sampled_sandwich_violated(p)), bulge
+    for v in exact.violations:
+        assert tuple(v["point"]) in p.vertices and v["value"] < v["lower"] - PLANAR_TOL
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 5))

@@ -27,11 +27,13 @@ SPW = measure_space([0.7, 0.5, 0.3, 0.2])
 
 
 def test_t1_passes_and_catches_bad_norm():
+    # trials: the sphere's vertices read (the q-mean's two axis points) and
+    # the functions ordered
     rep = suite_sandwich_ordering(power(2), lq(2), SP6, budget=25)
-    assert rep.status == STATUS_PASSED
+    assert rep.status == STATUS_PASSED and rep.trials == 2 + 25
     bad = boundary_sampled([(0.0, 1.0), (math.pi / 4, 1.8), (math.pi / 2, 1.0)])
     rep_bad = suite_sandwich_ordering(power(2), bad, SP6, budget=1)
-    assert rep_bad.status == STATUS_FAILED
+    assert rep_bad.status == STATUS_FAILED and rep_bad.trials == 3 + 1
     sandwich = [v for v in rep_bad.violations if v["kind"] == "sandwich"]
     assert sandwich
     assert replay_violation(sandwich[0])
