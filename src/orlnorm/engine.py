@@ -426,7 +426,7 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     first-order equation F = 0 (log I under the max norm, log J under the
     sum norm, log J + (q - 1) log I under the q-mean; -inf where I or J is
     0, +inf where I overflows): the same span, Newton steps and one-sided
-    moves, I and J the row sums of one phi.pair_array over the block.
+    moves, I and J the row sums of one phi.pair_terms over the block.
     Where a term of those sums overflows (u Phi'(u), or Phi(u) itself, past
     double range on a steep atom of tiny weight, while the sum is of order
     1), one check per step sends the rows concerned to phi.mend_sums, which
@@ -504,14 +504,15 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
 
 def _batch_sampler(phi: OrliczFunction, p: PlanarNorm, w: np.ndarray):
     """(k, ax) -> (I, 1 + J/I, F) per row at k, ax the rows' |values| on the
-    finite atoms of weights w: the row sums of one phi.pair_array over the
-    block, and F as _first_order_root takes it for p."""
+    finite atoms of weights w: the row sums of one phi.pair_terms over the
+    block (its callers hold the error context), and F as _first_order_root
+    takes it for p."""
     q1 = p.q - 1.0 if p.kind == "lq" else 0.0
     max_norm, vecdot, log, inf = p.kind == "linf", np.vecdot, np.log, math.inf
 
     def sample(k: np.ndarray, ax: np.ndarray):
         u = k[:, None] * ax
-        f, jt = phi.pair_array(u)
+        f, jt = phi.pair_terms(u)
         i, j = vecdot(f, w), vecdot(jt, w)
         t, big = i + j, None
         if not t.sum() < inf:  # a term overflowed: its log form, on those rows only

@@ -32,6 +32,8 @@ import numpy as np
 from .errors import DomainError, reading_descriptor
 
 DELTA2_FAIL_RATIO = 1e8  # exp_minus's doubling witness is the u where Phi(2u)/Phi(u) passes it
+SERIES_CUT = 1e-5  # exp_minus takes Phi(u) from its series below this u: expm1(u) - u cancels there
+_TERM_CAP = 2.0 ** 1000  # finite_bound keeps pair_terms below this, 2^24 under the largest double
 
 
 @dataclass(frozen=True)
@@ -123,21 +125,51 @@ class OrliczFunction:
         """(Phi(au), au Phi'(au) - Phi(au)) for an array au >= 0, Phi' the
         right derivative: the terms of I and J, the second in closed form so
         that it does not cancel: the constant Psi(slope) on a linear piece of
-        Phi, (q - 1) Phi(u) for a power."""
-        k, q = self.kind, self.q
+        Phi, (q - 1) Phi(u) for a power.  A term past double range is +inf,
+        silently: pair_terms under an error context."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if k == "flat_then_power":
-                t = np.maximum(0.0, au - self.a)
-                if q == 1.0:  # Psi(1) = a past the flat zone
-                    return t, np.where(au >= self.a, self.a, 0.0)
-                # t^(q-1) ((q - 1) u + a), 0 on the flat zone as 0 ** (q - 1) = 0
-                return t ** q, t ** (q - 1.0) * ((q - 1.0) * au + self.a)
-            f = self._phi_array(au)
-            if k == "power":  # (q - 1) u^q
-                return f, (q - 1.0) * f
-            if k == "exp_minus":  # Phi'(u) = Phi(u) + u
-                return f, au * (f + au) - f
-            return f, self._segment_psi[self._piece(au)]
+            return self.pair_terms(au)
+
+    def pair_terms(self, au: np.ndarray,
+                   series: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """pair_array's terms, bit for bit, without its error context: for a
+        caller that holds one, or whose au all lie below finite_bound, where
+        no term overflows.  ``series`` says whether some au is below
+        SERIES_CUT, where exp_minus takes its series; None tests au."""
+        k, q = self.kind, self.q
+        if k == "flat_then_power":
+            t = np.maximum(0.0, au - self.a)
+            if q == 1.0:  # Psi(1) = a past the flat zone
+                return t, np.where(au >= self.a, self.a, 0.0)
+            # t^(q-1) ((q - 1) u + a), 0 on the flat zone as 0 ** (q - 1) = 0
+            return t ** q, t ** (q - 1.0) * ((q - 1.0) * au + self.a)
+        f = self._phi_array(au, series)
+        if k == "power":  # (q - 1) u^q
+            return f, (q - 1.0) * f
+        if k == "exp_minus":  # Phi'(u) = Phi(u) + u
+            return f, au * (f + au) - f
+        return f, self._segment_psi[self._piece(au)]
+
+    @cached_property
+    def finite_bound(self) -> float:
+        """A u > 0 such that pair_terms raises no floating-point error on au
+        below it: every term there is at most about _TERM_CAP = 2^1000.
+        Float multiplication by s > 0 is monotone, so s max|x| below it puts
+        every s |x_i| below it.  Per kind, with q u^q bounding both terms of
+        power(q) and of flat_then_power(a, q) (there t = u - a <= u, and (q -
+        1) u + a < q u where t > 0): 2^e with e = floor((1000 - log2 q) / q);
+        686 for exp_minus, where u e^u, which bounds u (Phi(u) + u), is below
+        2^1000; (2^1000 - max ys) / max(max |slope|, 1) for a polyline, whose
+        Phi(u) is at most max ys plus its steepest slope times u; and 0 for
+        flat_then_power with a past 2^1000, where (q - 1) u + a may itself
+        overflow."""
+        if self.kind == "exp_minus":
+            return 686.0
+        if self.kind == "pwl":
+            return (_TERM_CAP - max(self.ys)) / max(float(np.abs(self._slopes).max()), 1.0)
+        if self.kind == "flat_then_power" and self.a > _TERM_CAP:
+            return 0.0
+        return 2.0 ** math.floor((1000.0 - math.log2(self.q)) / self.q)
 
     def log_pair_array(self, au: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log Phi(au), log(au Phi'(au) - Phi(au))) for an array au >= 0, -inf
@@ -154,7 +186,7 @@ class OrliczFunction:
             if k == "flat_then_power" and q > 1.0:  # t^q and t^(q-1) ((q - 1) u + a), t = u - a
                 lt = np.log(np.maximum(0.0, au - self.a))
                 return q * lt, (q - 1.0) * lt + np.log((q - 1.0) * au + self.a)
-            f, jt = self.pair_array(au)
+            f, jt = self.pair_terms(au)
             lf, lj = np.log(f), np.log(np.maximum(jt, 0.0))
             if k != "exp_minus":
                 return lf, lj
@@ -171,10 +203,10 @@ class OrliczFunction:
         so it stays bit for bit the plain sum there.  i and j are updated in
         place.  The summing kernels, modular_of and the batched engine call
         it once they see a sum that is not finite."""
-        bad = np.flatnonzero(~(i + j < math.inf))
-        f, jt = self.pair_array(au[bad])
-        lf, lj = self.log_pair_array(au[bad])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # i + j may overflow, as may the terms
+            bad = np.flatnonzero(~(i + j < math.inf))
+            f, jt = self.pair_terms(au[bad])
+            lf, lj = self.log_pair_array(au[bad])
             ti, tj = w * f, w * jt
             lw = np.log(w)
             ti = np.where(np.isfinite(ti), ti, np.exp(lw + lf)).sum(axis=-1)
@@ -182,14 +214,16 @@ class OrliczFunction:
             j[bad] = np.where(np.isfinite(tj), tj, np.exp(lw + lj)).sum(axis=-1)
         return i, j
 
-    def _phi_array(self, au: np.ndarray) -> np.ndarray:
+    def _phi_array(self, au: np.ndarray, series: bool | None = None) -> np.ndarray:
         k = self.kind
         if k == "power":
             return au ** self.q
         if k == "exp_minus":
             out = np.expm1(au) - au
-            if np.any(au < 1e-5):  # expm1(u) - u cancels there: the series, as in the kernel
-                out = np.where(au < 1e-5, au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0)), out)
+            if series is None:
+                series = np.any(au < SERIES_CUT)
+            if series:  # the series, as in the kernel
+                out = np.where(au < SERIES_CUT, au * au * (0.5 + au * (1.0 / 6.0 + au / 24.0)), out)
             return out
         if k == "flat_then_power":
             t = np.maximum(0.0, au - self.a)
@@ -248,13 +282,13 @@ def _power_sum(phi: OrliczFunction) -> Callable:
 
 
 def _exp_minus_sum(phi: OrliczFunction) -> Callable:
-    expm1, inf = math.expm1, math.inf
+    expm1, inf, cut = math.expm1, math.inf, SERIES_CUT
 
     def pair_sum(atoms, s: float) -> tuple[float, float]:
         i = j = 0.0
         for w, a in atoms:
             u = s * a
-            if u < 1e-5:  # expm1(u) - u cancels there: the series
+            if u < cut:  # expm1(u) - u cancels there: the series
                 f = u * u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
             else:
                 try:

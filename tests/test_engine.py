@@ -894,16 +894,16 @@ def test_scale_rows_in_the_flat_zone_step_past_its_edge(monkeypatch):
     # modular 0 at k = 1/max|x|: the first step doubles k past the flat edge
     # zero_bound / max|x|, and Newton in log(k - k_edge) takes it from there
     calls = []
-    pair_array = OrliczFunction.pair_array
+    pair_terms = OrliczFunction.pair_terms
 
-    def counted(self, au):
+    def counted(self, au, series=None):
         calls.append(len(au))
-        return pair_array(self, au)
-    monkeypatch.setattr(OrliczFunction, "pair_array", counted)
+        return pair_terms(self, au, series)
+    monkeypatch.setattr(OrliczFunction, "pair_terms", counted)
     flat, space = flat_then_power(1, 2), unit_weights(4)
     rows = np.array([[0.3, -0.9, 0.5, 0.1], [0.7, 0.7, -0.7, 0.7]])
     c = engine.scale_to_modular_batch(flat, space, rows, [0.5, 0.5])
-    assert len(calls) <= 10, calls
+    assert 0 < len(calls) <= 10, calls
     for cn, row in zip(c.tolist(), rows):
         x = simple_function(space, row)
         assert modular(flat, x, scale=cn) <= 0.5 < modular(flat, x, scale=cn * math.exp(3e-13))

@@ -11,7 +11,8 @@ from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_
                      simple_function, space_from_descriptor, unit_weights)
 from orlnorm.engine import (_batch_sampler, _jump, generated_norm, generated_norm_batch,
                             scale_to_modular_batch)
-from orlnorm.spaces import ARRAY_ATOMS, _array_sums, dominated_pair_values, modular_of
+from orlnorm.orlicz import SERIES_CUT, OrliczFunction
+from orlnorm.spaces import ARRAY_ATOMS, dominated_pair_values, modular_of
 
 from mp_oracle import oracle_norm
 
@@ -175,23 +176,99 @@ def _wide_space(n, infinite):
     return measure_space(weights)
 
 
+def _vdot_sums(phi, ws, az, s):
+    """The wide kernel's reference: pair_array's terms, under its error
+    context, summed by np.vdot."""
+    f, jt = phi.pair_array(s * az)
+    return float(np.vdot(ws, f)), float(np.vdot(ws, jt))
+
+
+def _below(bound, top):
+    """The largest s with s * top < bound."""
+    s = bound / top
+    while not s * top < bound:
+        s = math.nextafter(s, 0.0)
+    while math.nextafter(s, math.inf) * top < bound:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 @pytest.mark.parametrize("n", [ARRAY_ATOMS, 256])
 @pytest.mark.parametrize("infinite", [0, 2])
 def test_wide_kernel_is_the_sums_over_freshly_converted_arrays(n, infinite):
-    # the wide modular reads the space's cached atom_arrays; the reference
-    # converts the weights and values afresh on every call, as the sums did
-    # before the cache, and the two agree bit for bit
+    # the wide modular reads the space's cached atom_arrays and the least and
+    # largest |x| once per call; the reference converts the weights and
+    # values afresh and sums pair_array's terms by np.vdot, and the two
+    # agree bit for bit.  One element has a finite atom of value 0, the
+    # other none, sampled where s min|x| straddles exp_minus's series cut
     space, rng = _wide_space(n, infinite), np.random.default_rng(n + infinite)
+    ws = np.array(space.weights)
+    finite = np.isfinite(ws)
     for phi in catalog_orlicz_functions().values():
-        x = simple_function(space, rng.normal(size=n) * (rng.uniform(size=n) < 0.8))
-        ws, az = np.array(space.weights), np.abs(np.array(x.values))
-        finite = np.isfinite(ws)
-        modular_at = modular_of(phi, x)
-        assert modular_at.top_inf == max(az[~finite], default=0.0)
-        assert modular_at.top_finite == az[finite].max()
-        for s in (1.0, *10.0 ** rng.uniform(-2, 2, 5)):
-            want = _array_sums(phi, ws[finite], az[finite], float(s))
-            assert [v.hex() for v in modular_at.kernel(float(s))] == [v.hex() for v in want]
+        zero = rng.normal(size=n) * (rng.uniform(size=n) < 0.8)
+        zero[0] = 0.0  # atom 0 is finite
+        dense = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        cut = _below(SERIES_CUT, np.abs(dense[finite]).min())
+        for values, straddle in ((zero, ()), (dense, (cut, math.nextafter(cut, math.inf)))):
+            x = simple_function(space, values)
+            az = np.abs(np.array(x.values))
+            modular_at = modular_of(phi, x)
+            assert modular_at.top_inf == max(az[~finite], default=0.0)
+            assert modular_at.top_finite == az[finite].max()
+            for s in (1.0, *10.0 ** rng.uniform(-2, 2, 5), *straddle):
+                want = _vdot_sums(phi, ws[finite], az[finite], float(s))
+                assert [v.hex() for v in modular_at.kernel(float(s))] == [v.hex() for v in want]
+
+
+GUARDED = (power(1), power(2), power(3), power(7.5), exp_minus(), flat_then_power(1, 1),
+           flat_then_power(1, 1.5), flat_then_power(1, 2),
+           piecewise_linear([(0, 0), (0.5, 0), (1, 0.25), (2, 2)]))
+
+
+@pytest.mark.parametrize("phi", GUARDED, ids=lambda phi: phi.label)
+def test_wide_kernel_guard_is_exact_at_its_bound(phi, monkeypatch):
+    # below phi.finite_bound the wide kernel takes its terms with no error
+    # context.  Just below it and just above it, where pair_array runs, with
+    # steep atoms of weight 1e-300 at max|x|, the kernel is pair_array's
+    # terms summed by np.vdot to the bit; error::RuntimeWarning in the test
+    # settings shows that no warning leaks below the bound
+    rng, n, steep = np.random.default_rng(59), ARRAY_ATOMS, [0, 7, ARRAY_ATOMS - 1]
+    weights = 10.0 ** rng.uniform(-2, 0, n)
+    weights[steep] = 1e-300
+    values = 3.7 * rng.uniform(0.0, 0.5, n) * rng.choice([-1.0, 1.0], n)
+    values[steep] = [3.7, -3.7, 3.7]
+    modular_at = modular_of(phi, simple_function(measure_space(weights), values))
+    ws, az = np.array(weights), np.abs(values)
+    below = _below(phi.finite_bound, 3.7)
+    above = math.nextafter(below, math.inf)
+    assert below * 3.7 < phi.finite_bound <= above * 3.7
+    calls = []
+    pair_array = OrliczFunction.pair_array
+
+    def counted(self, au):
+        calls.append(len(au))
+        return pair_array(self, au)
+    monkeypatch.setattr(OrliczFunction, "pair_array", counted)
+    for s, guarded in ((below, True), (above, False)):
+        calls.clear()
+        got = modular_at.kernel(s)
+        assert (not calls) == guarded, (phi.label, s)
+        want = _vdot_sums(phi, ws, az, s)
+        assert math.isfinite(want[0] + want[1]), (phi.label, s)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (phi.label, s)
+
+
+def test_wide_kernel_guard_with_a_flat_zone_past_its_cap():
+    # flat_then_power(a, q) with a the largest double: (q - 1) u + a rounds
+    # past double range on the flat zone, where its J term is then 0 * inf,
+    # so finite_bound is 0 and every sample takes pair_array's error
+    # context: no warning leaks, and the kernel equals pair_array's sums
+    # (whose J is nan there, a known defect of the array terms on such a zone)
+    phi = flat_then_power(math.nextafter(math.inf, 0.0), 1.0001)
+    assert phi.finite_bound == 0.0
+    x = simple_function(unit_weights(ARRAY_ATOMS), np.linspace(0.5, 1.0, ARRAY_ATOMS))
+    want = _vdot_sums(phi, np.ones(ARRAY_ATOMS), np.abs(np.array(x.values)), 1e300)
+    assert [v.hex() for v in modular_of(phi, x).kernel(1e300)] == [v.hex() for v in want]
 
 
 def test_atom_arrays_are_read_only_and_built_once_per_space():
@@ -256,7 +333,9 @@ def test_modular_overflow_gives_infinite_first_order():
             assert i == modular_at.kernel(1.0)[0] == math.inf, phi.label
             w, ax = modular_at.finite_atoms()
             for p in catalog_planar_norms().values():
-                with np.errstate(invalid="ignore"):  # J/I is inf/inf, as in the engine
+                # the engine's error context, which the sampler leaves to its
+                # callers: the terms overflow and J/I is inf/inf
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     _, _, f = _batch_sampler(phi, p, w)(np.ones(1), ax[None, :])
                 assert f[0] == math.inf, (phi.label, p.label)
     # the scalar loop's first sample overflows (I = 3e308 at k = 1): F = +inf
