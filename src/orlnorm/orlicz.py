@@ -141,8 +141,10 @@ class OrliczFunction:
             t = np.maximum(0.0, au - self.a)
             if q == 1.0:  # Psi(1) = a past the flat zone
                 return t, np.where(au >= self.a, self.a, 0.0)
-            # t^(q-1) ((q - 1) u + a), 0 on the flat zone as 0 ** (q - 1) = 0
-            return t ** q, t ** (q - 1.0) * ((q - 1.0) * au + self.a)
+            # t^(q-1) ((q - 1) u + a), 0 on the flat zone as 0 ** (q - 1) = 0;
+            # with a past _TERM_CAP, (q - 1) u + a may round to +inf there: 0 * inf
+            jt = t ** (q - 1.0) * ((q - 1.0) * au + self.a)
+            return t ** q, np.where(t > 0.0, jt, 0.0) if self.a > _TERM_CAP else jt
         f = self._phi_array(au, series)
         if k == "power":  # (q - 1) u^q
             return f, (q - 1.0) * f
@@ -185,7 +187,9 @@ class OrliczFunction:
                 return lf, np.log(q - 1.0) + lf
             if k == "flat_then_power" and q > 1.0:  # t^q and t^(q-1) ((q - 1) u + a), t = u - a
                 lt = np.log(np.maximum(0.0, au - self.a))
-                return q * lt, (q - 1.0) * lt + np.log((q - 1.0) * au + self.a)
+                lj = (q - 1.0) * lt + np.log((q - 1.0) * au + self.a)
+                # -inf + inf on the flat zone, as in pair_terms
+                return q * lt, np.where(lt > -np.inf, lj, -np.inf) if self.a > _TERM_CAP else lj
             f, jt = self.pair_terms(au)
             lf, lj = np.log(f), np.log(np.maximum(jt, 0.0))
             if k != "exp_minus":

@@ -262,15 +262,16 @@ def modular_on_grid(phi: "OrliczFunction", x: SimpleFunction, ks: np.ndarray) ->
     return out
 
 
-def dominated_pair_values(space: MeasureSpace,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The values (x, y) of a random pair 0 <= x <= y supported on the
-    finite atoms."""
-    n = space.n_atoms
-    y_vals = np.zeros(n)
+def dominated_pairs(space: MeasureSpace, rng: np.random.Generator,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values (x, y), as (count, n) arrays, of count random pairs 0 <= x
+    <= y supported on the finite atoms, from one draw: each row takes y's
+    finite atoms and then x's fractions of y, in that order, so the rows
+    and the rng's next draw are those of count pairs drawn one at a time."""
     fi = list(space.finite_indices)
     if not fi:
         raise DomainError("space has no finite atoms to support the pair")
-    y_vals[fi] = rng.uniform(0.0, 1.0, len(fi))
-    frac = rng.uniform(0.0, 1.0, n)
-    return frac * y_vals, y_vals
+    draw = rng.uniform(0.0, 1.0, (count, len(fi) + space.n_atoms))
+    y = np.zeros((count, space.n_atoms))
+    y[:, fi] = draw[:, :len(fi)]
+    return draw[:, len(fi):] * y, y

@@ -41,12 +41,11 @@ record carries phi, p, space and every input of its measurement, so
 replay_violation re-takes the measurement as a batch of one and
 reproduces the emitted fields bit for bit.  Every suite in the registry
 is called as suite(phi, p, space, seed=..., budget=...).  T7, T8 and T9
-read one modulus table per planar norm per process (_modulus_table),
-built when the first of them gets past its gates.
+read delta exactly: their records store the modular level, and
+_measure_difference takes the planar modulus there, beside ||y - x||.
 """
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from collections import deque, namedtuple
@@ -60,11 +59,11 @@ from .engine import (generated_norm, generated_norm_batch, lemma_bounds_check,
 from .errors import ContractError, DomainError
 from .orlicz import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, OrliczFunction,
                      delta2_check, orlicz_from_descriptor, strict_convexity_probe)
-from .planar import (MonotonicityModulusTable, PlanarNorm, build_modulus_table,
-                     is_strictly_increasing_on_ray, l1, linf, planar_from_descriptor,
-                     sandwich_violated, strictly_monotone_probe, verify_sandwich)
-from .spaces import (MeasureSpace, SimpleFunction, dominated_pair_values, measure_space,
-                     modular, simple_function, space_from_descriptor)
+from .planar import (PlanarNorm, is_strictly_increasing_on_ray, l1, linf,
+                     modulus_diagnostics_many, planar_from_descriptor, sandwich_violated,
+                     strictly_monotone_probe)
+from .spaces import (MeasureSpace, SimpleFunction, dominated_pairs, measure_space, modular,
+                     simple_function, space_from_descriptor)
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"
@@ -304,8 +303,8 @@ def _decode(rec: dict) -> tuple[OrliczFunction, PlanarNorm, MeasureSpace]:
 
 def _suite_sandwich_ordering(phi, p, space, *, seed: int, budget: int):
     violations = []
-    for rec in verify_sandwich(p).violations:
-        _flag(violations, "sandwich", phi, p, space, rec)
+    yield from _check(violations, "sandwich", phi, p, space,
+                      [{"point": list(vertex)} for vertex in p.vertices])
     rng = _rng(seed + 1)
     rows = [_random_values(space, rng, signed=True).tolist() for _ in range(budget)]
     yield from _check(violations, "ordering", phi, p, space, [{"values": v} for v in rows])
@@ -314,9 +313,11 @@ def _suite_sandwich_ordering(phi, p, space, *, seed: int, budget: int):
 
 
 def _measure_sandwich(phi, p, space, recs):
-    """p at each record's point, by p.evaluate_many as verify_sandwich takes it."""
-    u, v = np.array([rec["point"] for rec in recs], dtype=float).T
-    return _now([{"value": val} for val in p.evaluate_many(u, v).tolist()])
+    """p at each record's point (u, v), by p.evaluate_many, and the bounds
+    max(|u|, |v|) and |u| + |v| it must lie between."""
+    u, v = np.abs(np.array([rec["point"] for rec in recs], dtype=float)).T
+    return _now([{"value": val, "lower": lo, "upper": up} for val, lo, up in
+                 zip(p.evaluate_many(u, v).tolist(), np.maximum(u, v).tolist(), (u + v).tolist())])
 
 
 def _measure_ordering(phi, p, space, recs):
@@ -658,14 +659,11 @@ def _suite_strict_monotonicity(phi, p, space, *, seed: int, budget: int):
     ry = generated_norm(phi, p, y)
     if not ry.attained:
         return _hnm("T6", "attainment unavailable for the constructed element")
-    k = ry.k_star
-    zvals = list(y.values)
-    zvals[free] = a / k
-    z = SimpleFunction(space, tuple(zvals))
-    rec = {"y": list(y.values), "z": list(z.values), "k": k, "norm_y": ry.value,
-           "norm_z": _norm_value(phi, p, z)}
+    z = list(y.values)
+    z[free] = a / ry.k_star
     violations = []
-    _flag(violations, "flat_pair_mismatch", phi, p, space, rec)
+    rec, = yield from _check(violations, "flat_pair_mismatch", phi, p, space,
+                             [{"y": list(y.values), "z": z, "k": ry.k_star}])
     return _passed("T6", 1, violations,
                    {"constructed_flat_pair": {"kind": "flat_pair", **_pack(phi, p, space),
                                               **rec}})
@@ -690,31 +688,30 @@ def _measure_flat_pair(phi, p, space, rec):
 # T7: the norm-difference bound through the planar modulus
 
 
-@functools.cache
-def _modulus_table(p: PlanarNorm) -> MonotonicityModulusTable:
-    """The modulus table of p, built once per planar norm per process; T7,
-    T8 and T9 ask for it only once their gates pass."""
-    return build_modulus_table(p)
-
-
 def _measure_difference(phi, p, space, recs):
-    """lhs = ||y - x|| for dominated pairs 0 <= x <= y, in one batch."""
+    """lhs = ||y - x|| for dominated pairs 0 <= x <= y, in one batch, and
+    delta = the planar modulus at each record's modular level: exact, from
+    one modulus_diagnostics_many pass over the distinct levels inside (0, 1),
+    and 0 outside, which never overstates it."""
     x, y = _rows(space, [r["x"] for r in recs]), _rows(space, [r["y"] for r in recs])
     if np.any((x < 0.0) | (x > y)):
         raise ContractError("difference requested for a non-dominated pair")
-    return [{"lhs": v} for v in (yield from _norms(phi, p, space, y - x))]
+    levels = {r["modular_level"] for r in recs if 0.0 < r["modular_level"] < 1.0}
+    delta = {m.epsilon: m.value for m in modulus_diagnostics_many(p, levels)}
+    lhs = yield from _norms(phi, p, space, y - x)
+    return [{"lhs": v, "delta": delta.get(r["modular_level"], 0.0)} for r, v in zip(recs, lhs)]
 
 
-def _unit_scaled(phi, p, space, pairs: list):
-    """The dominated pairs (x, y) scaled by 1/||y||, in one batch; None for a
-    pair whose y is zero or has no finite positive norm."""
-    nonzero = [y for _, y in pairs if y.any()]
-    norms = iter((yield from _norms(phi, p, space, nonzero)))
-    out = []
-    for x, y in pairs:
-        v = next(norms) if y.any() else 0.0
-        out.append((x * (1.0 / v), y * (1.0 / v)) if math.isfinite(v) and v > 0.0 else None)
-    return out
+def _unit_scaled(phi, p, space, x: np.ndarray, y: np.ndarray):
+    """The rows of the dominated pairs (x, y) scaled by 1/||y||, the norms in
+    one batch: (x, y, ok), ok False on a row whose y is zero or has no
+    finite positive norm."""
+    nonzero = y.any(axis=1)
+    v = np.zeros(len(y))
+    v[nonzero] = (yield _Norms(phi, p, space, y[nonzero])).value
+    ok = np.isfinite(v) & (v > 0.0)
+    c = (1.0 / np.where(ok, v, 1.0))[:, None]
+    return x * c, y * c, ok
 
 
 def _suite_decomposition_estimate(phi, p, space, *, seed: int, budget: int):
@@ -723,23 +720,20 @@ def _suite_decomposition_estimate(phi, p, space, *, seed: int, budget: int):
         return _hnm("T7", "planar norm is not strictly monotone", witness=wit)
     if not space.finite_indices:
         return _hnm("T7", NO_FINITE_ATOM)
-    table = _modulus_table(p)
     rng = _rng(seed)
     pairs = []
     attempts = 0
     while len(pairs) < budget and attempts < 8 * budget:
         count = _block(budget - len(pairs), len(pairs), attempts, 8 * budget - attempts)
-        block = [dominated_pair_values(space, rng) for _ in range(count)]
-        for scaled in (yield from _unit_scaled(phi, p, space, block)):
+        scaled = yield from _unit_scaled(phi, p, space, *dominated_pairs(space, rng, count))
+        for xs, ys, ok in zip(*scaled):
             attempts += 1
-            if scaled is None:
+            if not ok:
                 continue
-            xs, ys = scaled
             eps = modular(phi, SimpleFunction(space, xs))
             if not (1e-6 < eps < 1.0 - 1e-6):
                 continue
-            pairs.append({"x": xs.tolist(), "y": ys.tolist(), "modular_x": eps,
-                          "delta_floor": table.floor_value(eps)})
+            pairs.append({"x": xs.tolist(), "y": ys.tolist(), "modular_level": eps})
             if len(pairs) == budget:
                 break
     if not pairs:  # a pass with no pair checked would be vacuous
@@ -792,10 +786,9 @@ def _lower_local_um_estimate(phi, p, y: SimpleFunction, epsilon: float, *,
                                   {"reason": "no sampled dominated piece reached the level",
                                    "epsilon": epsilon})
     delta_hat = min(modular(phi, SimpleFunction(space, x)) for x in kept)
-    dfloor = _modulus_table(p).floor_value(delta_hat)
     violations = []
     yield from _check(violations, "lower_local_um", phi, p, space,
-                      [{"x": x.tolist(), "y": list(y.values), "delta_floor": dfloor}
+                      [{"x": x.tolist(), "y": list(y.values), "modular_level": delta_hat}
                        for x in kept])
     yield from _check(violations, "delta_hat_nonpositive", phi, p, space,
                       [{"y": list(y.values), "epsilon": epsilon, "delta_hat": delta_hat}])
@@ -846,16 +839,14 @@ def _suite_uniform_monotonicity(phi, p, space, *, seed: int, budget: int):
 
 
 def _um_candidates(phi, p, space, rng, count: int):
-    """count dominated pairs drawn in order and scaled to ||y|| = 1, each as
-    (x, y, ||x||), or None where y is zero or has no finite positive norm."""
-    scaled = yield from _unit_scaled(phi, p, space, [dominated_pair_values(space, rng)
-                                                     for _ in range(count)])
-    norms = iter((yield from _norms(phi, p, space, [c[0] for c in scaled if c is not None])))
-    return [None if c is None else (*c, next(norms)) for c in scaled]
+    """count dominated pairs drawn in one block and scaled to ||y|| = 1, each
+    as (x, y, ||x||), or None where y is zero or has no finite positive norm."""
+    xs, ys, ok = yield from _unit_scaled(phi, p, space, *dominated_pairs(space, rng, count))
+    norms = iter((yield from _norms(phi, p, space, xs[ok])))
+    return [(x, y, next(norms)) if good else None for x, y, good in zip(xs, ys, ok)]
 
 
 def _um_positive(phi, p, space, *, seed, budget, regime):
-    table = _modulus_table(p)
     rng = _rng(seed)
     queue: deque = deque()  # candidates drawn and not yet examined, in rng order
     levels, inputs = [], []
@@ -877,9 +868,8 @@ def _um_positive(phi, p, space, *, seed, budget, regime):
         if not pairs:
             continue
         delta_hat = min(modular(phi, SimpleFunction(space, xs)) for xs, _ in pairs)
-        dfloor = table.floor_value(delta_hat)
         levels.append((eps, delta_hat, len(pairs)))
-        inputs += [{"x": xs.tolist(), "y": ys.tolist(), "delta_floor": dfloor}
+        inputs += [{"x": xs.tolist(), "y": ys.tolist(), "modular_level": delta_hat}
                    for xs, ys in pairs]
     # one batch measures every level's pairs; the predicate applies level by level
     recs = iter((yield from _measured("uniform_monotonicity", phi, p, space, inputs)))
@@ -1078,7 +1068,7 @@ def _measure_steep(phi, p, space, recs):
 
 
 _DIFFERENCE = Check(_measure_difference,
-                    lambda r: r["lhs"] > 1.0 - r["delta_floor"] + 1e-6)
+                    lambda r: r["lhs"] > 1.0 - r["delta"] + 1e-6)
 
 CHECKS: dict[str, Check] = {
     "sandwich": Check(_measure_sandwich,

@@ -1,5 +1,7 @@
 import collections
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from orlnorm import (DomainError, OrliczFunction, PreconditionError,
                      flat_then_power, generated_norm, generated_norm_batch,
                      generated_norm_on_grid, l1, lemma_bounds_check,
                      linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
-                     orlicz_dual_norm, piecewise_linear, power, simple_function,
-                     unit_weights)
+                     orlicz_dual_norm, orlicz_from_descriptor, piecewise_linear,
+                     planar_from_descriptor, power, simple_function, unit_weights)
 from orlnorm.spaces import ARRAY_ATOMS
 
 from mp_oracle import oracle_norm
@@ -336,6 +338,60 @@ def test_rows_near_overflow_take_few_evaluations(p):
         assert r.evaluations <= bound and batch.steps == r.evaluations, (phi.label, r.evaluations)
         for got in (r.value, batch.value[0]):
             assert got == pytest.approx(value, rel=1e-11, abs=0.0), phi.label
+
+
+_HARD_ROWS = json.loads((Path(__file__).parent / "data" / "hard_rows.json").read_text())["rows"]
+
+
+@pytest.mark.parametrize("row", _HARD_ROWS, ids=[row["name"] for row in _HARD_ROWS])
+def test_hard_rows_hold_their_reference_within_their_evaluations(row):
+    """The rows the search has found hard (tests/data/hard_rows.json, from the
+    FOUND lines of CHANGES.md): each engine takes at most the recorded
+    evaluations (batch steps where lockstep takes the row), so a change that
+    lowers a count lowers its ceiling, and each value holds its reference:
+    the mpmath oracle within 1e-11; on a ball that is not monotone, which
+    the oracle does not take, generated_norm_on_grid bounds it; with Phi
+    flat up to the largest double, the span ends first, at k max|x| =
+    1e300, so the value is 1/k there (the oracle, with no span, reads
+    5.6e-309)."""
+    phi, p = orlicz_from_descriptor(row["phi"]), planar_from_descriptor(row["p"])
+    space = measure_space(row["weights"])
+    x = simple_function(space, row["values"])
+    r = generated_norm(phi, p, x)
+    assert r.evaluations <= row["evaluations"]
+    got = [r.value]
+    if "batch_steps" in row:
+        batch = generated_norm_batch(phi, p, space, np.array([row["values"]]))
+        assert batch.steps <= row["batch_steps"]
+        got.append(float(batch.value[0]))
+    if row["reference"] == "grid":
+        assert max(got) <= generated_norm_on_grid(phi, p, x)
+        return
+    want = (oracle_norm(phi, p, row["weights"], row["values"]) if row["reference"] == "oracle"
+            else max(map(abs, row["values"])) / 1e300)
+    for value in got:
+        assert value == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [linf(), l1(), lq(2)])
+def test_flat_zone_up_to_the_largest_double(p):
+    # with a within 2^-52 of DBL_MAX, (q - 1) u + a rounds to +inf on the flat
+    # zone, and J's term there is 0, not 0 * inf: the scalar kernel on 3
+    # atoms, the wide kernel on 64 and the lockstep sampler agree, the whole
+    # span flat, in one evaluation
+    phi = flat_then_power(math.nextafter(math.inf, 0.0), 1.0001)
+    assert phi.finite_bound == 0.0  # a is past _TERM_CAP
+    values = []
+    for n in (3, ARRAY_ATOMS):
+        space = unit_weights(n)
+        r = generated_norm(phi, p, simple_function(space, np.linspace(0.5, 1.0, n)))
+        batch = generated_norm_batch(phi, p, space, np.linspace(0.5, 1.0, n)[None, :])
+        assert r.evaluations == batch.steps == 1, n
+        values += [r.value, float(batch.value[0])]
+    assert len(set(values)) == 1 and values[0] == pytest.approx(1e-300, rel=1e-11)
+    f, jt = phi.pair_array(np.array([0.5, 1.0]))
+    lf, lj = phi.log_pair_array(np.array([0.5, 1.0]))
+    assert not (f.any() or jt.any()) and np.all(lf == -np.inf) and np.all(lj == -np.inf)
 
 
 @pytest.mark.parametrize("values, evaluations", [([1.0, 0.0], (4, 6, 6)),

@@ -12,7 +12,7 @@ from orlnorm import (ContractError, DomainError, SimpleFunction, catalog_orlicz_
 from orlnorm.engine import (_batch_sampler, _jump, generated_norm, generated_norm_batch,
                             scale_to_modular_batch)
 from orlnorm.orlicz import SERIES_CUT, OrliczFunction
-from orlnorm.spaces import ARRAY_ATOMS, dominated_pair_values, modular_of
+from orlnorm.spaces import ARRAY_ATOMS, dominated_pairs, modular_of
 
 from mp_oracle import oracle_norm
 
@@ -434,12 +434,29 @@ def test_cross_space_plus_contract_error():
 def test_dominated_pair_sample_postconditions():
     sp = measure_space([1.0, 0.5, math.inf])
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        x, y = dominated_pair_values(sp, rng)
-        assert all(0.0 <= a <= b for a, b in zip(x, y))
-        assert y[2] == 0.0  # infinite atom left empty
+    x, y = dominated_pairs(sp, rng, 50)
+    assert x.shape == y.shape == (50, 3)
+    assert np.all((0.0 <= x) & (x <= y))
+    assert not y[:, 2].any()  # infinite atom left empty
     with pytest.raises(DomainError):
-        dominated_pair_values(measure_space([math.inf]), rng)
+        dominated_pairs(measure_space([math.inf]), rng, 1)
+
+
+@pytest.mark.parametrize("weights", [[1.0] * 6, [1.0, math.inf, 0.5, math.inf]])
+def test_dominated_pairs_are_the_pairs_drawn_one_at_a_time(weights):
+    """The block draw reproduces pairs drawn one at a time (y on the finite
+    atoms, then x's fractions of y on every atom) bit for bit, and leaves
+    the rng where they leave it."""
+    sp = measure_space(weights)
+    fi = list(sp.finite_indices)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    x, y = dominated_pairs(sp, ours, 25)
+    for xr, yr in zip(x, y):
+        y_one = np.zeros(sp.n_atoms)
+        y_one[fi] = theirs.uniform(0.0, 1.0, len(fi))
+        x_one = theirs.uniform(0.0, 1.0, sp.n_atoms) * y_one
+        assert np.array_equal(xr, x_one) and np.array_equal(yr, y_one)
+    assert ours.random() == theirs.random()
 
 
 def test_descriptor_roundtrip():

@@ -8,12 +8,13 @@ import pytest
 
 from orlnorm import (REGIME_GLOBAL, REGIME_INFINITY, REGIME_ZERO, DomainError,
                      LinfEmbeddingWitness, boundary_sampled, build_linf_witness,
-                     build_modulus_table, exp_minus, flat_then_power, generated_norm,
+                     exp_minus, flat_then_power, generated_norm,
                      generated_norm_batch, l1,
                      linf, lower_local_um_estimate, lq, measure_space, modular,
                      piecewise_linear, power, replay_violation, run_suites, simple_function,
                      strictly_monotone_planar_norms, suitable_delta2_regime, unit_weights)
-from orlnorm import verify
+from orlnorm import planar, verify
+from orlnorm.planar import modulus_diagnostics_many
 from orlnorm.verify import (SUITE_IDS, STATUS_EMPTY, STATUS_FAILED, STATUS_HNM,
                             STATUS_PASSED, suite_attainment, suite_decomposition_estimate,
                             suite_lower_local_um, suite_modular_norm_equivalence,
@@ -294,10 +295,10 @@ def test_t8_rejects_a_y_it_cannot_scale_to_the_sphere(monkeypatch):
     # a zero y has norm 0, and a y on an infinite atom under a generator
     # vanishing only at 0 has norm +inf: neither reaches the unit sphere
     def untouched(*args, **kwargs):
-        raise AssertionError("no rng or table before y is checked")
+        raise AssertionError("no rng or modulus before y is checked")
 
     monkeypatch.setattr(verify, "_rng", untouched)
-    monkeypatch.setattr(verify, "_modulus_table", untouched)
+    monkeypatch.setattr(verify, "modulus_diagnostics_many", untouched)
     for y in (simple_function(SP6, [0.0] * 6),
               simple_function(measure_space([1.0, math.inf]), [0.5, 0.5])):
         with pytest.raises(DomainError, match="y must have a finite positive norm"):
@@ -475,8 +476,10 @@ def _stand_in_engine(transform):
 _SQUARED = _stand_in_engine(lambda v: v * v)
 _ZERO = _stand_in_engine(lambda v: 0.0 * v)
 _FLAT = flat_then_power(1, 2)
-_DIFF_TRUE = {"x": [0.0, 0.0], "y": [0.2, 0.1], "delta_floor": 1.0}
-_DIFF_FALSE = {**_DIFF_TRUE, "delta_floor": 0.0}
+# ||y - x|| = 0.3 under l1, against 1 - delta(0.9) = 0.1 (violated) and
+# 1 - delta(1) = 1, delta taken as 0 from a level of 1 on (clean)
+_DIFF_TRUE = {"x": [0.0, 0.0], "y": [0.2, 0.1], "modular_level": 0.9}
+_DIFF_FALSE = {**_DIFF_TRUE, "modular_level": 1.0}
 
 # kind -> (record that replays True, record that replays False[, stand-in engine
 # used for the True record])
@@ -580,8 +583,7 @@ def test_emitted_records_replay_as_emitted():
 def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
     """Every record the batched suites take replays, as a batch of one, to the
     fields they measured in their batches: the batch's rows are independent.
-    On the non-convex ball BAD that includes T1's sandwich records, which
-    verify_sandwich evaluates with p.evaluate_many."""
+    On the non-convex ball BAD that includes T1's sandwich records."""
     flag_all = {kind: dataclasses.replace(check, violated=lambda r: True)
                 for kind, check in verify.CHECKS.items()}
     monkeypatch.setattr(verify, "CHECKS", flag_all)
@@ -598,22 +600,22 @@ def test_batched_records_replay_bit_for_bit(monkeypatch, phi, p, space):
         assert measured == {key: rec[key] for key in measured}, rec["kind"]
 
 
-@pytest.mark.parametrize("phi, p, builds", [(exp_minus(), l1(), 1), (power(2), linf(), 0)])
-def test_run_suites_builds_at_most_one_table(monkeypatch, phi, p, builds):
-    """One table per planar norm per process: a second run with the same p
-    builds none, and a run whose suites stop at their gates builds none."""
-    calls = []
+@pytest.mark.parametrize("phi, p, passes", [(exp_minus(), l1(), 5), (power(2), linf(), 0)])
+def test_run_suites_builds_no_table(monkeypatch, phi, p, passes):
+    """A run builds no modulus table: T7-T9 read the modulus exactly, one
+    modulus_diagnostics_many pass per difference batch (T7's, T8's three,
+    T9's), and a run whose suites stop at their gates reads none."""
+    builds, calls = [], []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build_modulus_table(*args, **kwargs)
+        return modulus_diagnostics_many(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "build_modulus_table", counting)
-    verify._modulus_table.cache_clear()
-    run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5)
-    assert len(calls) == builds
-    run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5, seed=1)
-    assert len(calls) == builds
+    monkeypatch.setattr(planar, "build_modulus_table", lambda *args, **kwargs: builds.append(args))
+    monkeypatch.setattr(verify, "modulus_diagnostics_many", counting)
+    for seed in (0, 1):
+        run_suites(SUITE_IDS, phi, p, unit_weights(6), budget=5, seed=seed)
+        assert not builds and len(calls) == passes * (seed + 1)
 
 
 def test_sign_draws_are_rng_choice_bit_for_bit():
@@ -769,3 +771,19 @@ def test_t6_scan_shrinks_only_finite_atoms(monkeypatch):
     assert len(recs) == 40 and all(r["x"] != r["y"] for r in recs)
     assert suite_strict_monotonicity(power(2), l1(), measure_space([math.inf]),
                                      budget=5).details["reason"] == verify.NO_FINITE_ATOM
+
+
+def test_difference_records_read_the_modulus_exactly(monkeypatch):
+    """T7-T9's records hold the modular level, and their delta is the q-mean's
+    modulus 1 - (1 - eps^2)^(1/2) there, exactly: no grid floors it."""
+    flag_all = {kind: dataclasses.replace(check, violated=lambda r: True)
+                for kind, check in verify.CHECKS.items()}
+    monkeypatch.setattr(verify, "CHECKS", flag_all)
+    kinds = ("decomposition", "lower_local_um", "uniform_monotonicity")
+    records = [v for rep in run_suites(["T7", "T8", "T9"], power(2), lq(2), SP6, budget=6)
+               for v in rep.violations if v["kind"] in kinds]
+    assert {r["kind"] for r in records} == set(kinds)
+    for rec in records:
+        assert 0.0 < rec["modular_level"] < 1.0
+        want = 1.0 - math.sqrt(1.0 - rec["modular_level"] ** 2)
+        assert rec["delta"] == pytest.approx(want, rel=1e-12, abs=1e-15), rec["kind"]
