@@ -19,15 +19,17 @@ holds (1, I).
 Where Phi has a finite slope limit, F may stay <= 0 for every k: then g
 falls to its infimum S = slope_limit sum w |x| only as k -> inf.  That is
 decided before any search, in closed form (_limit), from the limit of J,
-J_inf = Psi(slope_limit) mu(supp x), Psi the Young conjugate.  Otherwise
-one loop in s = log k (_first_order_root) solves F = 0 from k = 1/max|x|
-(from twice Phi's flat edge where that k is not past it), below the
-finite/+inf jump, taken in closed form from the zero bound of Phi, and
-with k and k max|x| in [1e-300, 1e300], so the search is homogeneous in x:
-Newton steps with the slope q'(1 + J/I) of log I (exact for a power
-generator, which takes 3 evaluations), scaled by the secant of the two
-latest samples, each landing 0.45 tol past the predicted root.  Where a
-step overshoots into overflow (I = +inf: a steep atom of tiny weight), the
+J_inf = Psi(slope_limit) mu(supp x), Psi the Young conjugate.  Nor does
+|u|^q, q > 1: I(kx) = k^q I(x), and the norm is C(p, q) I(x)^(1/q)
+(_power_norm).  Otherwise one loop in s = log k (_first_order_root)
+solves F = 0 from k = 1/max|x| (from twice Phi's flat edge where that k
+is not past it), below the finite/+inf jump, taken in closed form from
+the zero bound of Phi, and with k and k max|x| in [1e-300, 1e300] (or up
+to twice a flat edge past that, where that is a double), so the search
+is homogeneous in x: Newton steps with the slope q'(1 + J/I) of log I
+(exact for a power generator), scaled by the secant of the two latest
+samples, each landing 0.45 tol past the predicted root.  Where a step
+overshoots into overflow (I = +inf: a steep atom of tiny weight), the
 next is Newton in k from the lower end, where log Phi is linear (exp_minus)
 or concave (powers), so it lands at or just below the root.  F jumps up at
 k = b/|x_i| for a kink b of Phi, and at I(kx) = v/u for a corner (u, v) of
@@ -46,7 +48,8 @@ so F stays finite below its root and the value is the true minimum.
 generated_norm_batch solves the same equation for the rows of an (N, n)
 value array in lockstep, each row independent of the others, by the same
 step rule (_lockstep), which also solves log I(kx) = log t for
-scale_to_modular_batch (R3's scales to a modular level); verify norms its
+scale_to_modular_batch (R3's scales to a modular level), and takes a
+power generator's rows in closed form, one array sum; verify norms its
 samples and its constructions on finite atoms with them.
 """
 from __future__ import annotations
@@ -72,6 +75,7 @@ LEMMA_TOL = 1e-9  # slack of lemma_bounds_check's two inequalities
 _EPS = 2.0 ** -52
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(1e-300)
+_TINY = 2.0 ** -1022  # the least normal float
 _HALF_TOL = 0.45  # a step lands this many tol past the predicted root: two close a bracket
 # _lockstep's state rows: lo, hi, last, prev (s, k, G, I, q'(1 + J/I) each), the
 # bracket's width 1, 2 and 3 steps back, the row's constants, and the k of
@@ -104,11 +108,12 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
     Attainment is decided before any search (_limit): where the infimum is
     approached only as k -> inf, the result is its value S = slope_limit
     sum w |x|, with ``attained`` false, ``k_star`` and ``bracket`` None and
-    0 evaluations.  Every other x of finite norm has ``attained`` true, and
-    ``bracket`` holds the minimiser: F <= 0 at its lower end and F > 0 at
-    its upper end, or both ends at the top when F <= 0 up to there (the
-    finite/+inf jump, or the end of the span where the root lies past
-    double range).
+    0 evaluations.  Phi = |u|^q, q > 1, takes its closed form
+    (_power_norm): 1 evaluation, ``bracket`` (k*, k*).  Every other x of
+    finite norm has ``attained`` true, and ``bracket`` holds the minimiser:
+    F <= 0 at its lower end and F > 0 at its upper end, or both ends at the
+    top when F <= 0 up to there (the finite/+inf jump, or the end of the
+    span where the root lies past double range).
     """
     if not log_tol > 0.0:
         raise DomainError(f"log_tol must be positive, got {log_tol!r}")
@@ -119,12 +124,66 @@ def generated_norm(phi: OrliczFunction, p: PlanarNorm, x: SimpleFunction, *,
         limit = float(_limit(phi, p, modular_at.finite_atoms))
         if limit == limit:
             return NormResult(limit, None, False, None, 0)
+    if phi.kind == "power" and phi.q > 1.0 and modular_at.top_inf == 0.0:
+        return _power_norm(phi, p, modular_at)
     value, k, lo, hi, evaluations = _first_order_root(phi, p, modular_at, log_tol)
     if value == math.inf:
         return NormResult(math.inf, None, False, None, evaluations)
     # k is lo's or hi's; where F's sign is rounding, lo may lie above hi
     return NormResult(value, k, True, (lo[1] if lo[1] < k else k, hi[1] if hi[1] > k else k),
                       evaluations)
+
+
+def _power_norm(phi: OrliczFunction, p: PlanarNorm, modular_at) -> NormResult:
+    """generated_norm for |u|^q, q > 1, on finite atoms: I(kx) = k^q I(x), so
+    g = h(t) I(x)^(1/q) with t = I(kx), and the norm is C I(x)^(1/q) at k* =
+    (t*/I(x))^(1/q), (C, t*) = PlanarNorm.power_constant.  I(x) = 2^(eq)
+    I(u), u = |x| 2^-e in (0, 1) exactly: one kernel sum, as I(u) = m 2^b
+    with b = n q + rho (fmod, exact), whose root m^(1/q) 2^(rho/q) 2^n keeps
+    ln I(u) out of the rounding of 1/q (i ** (1/q) is off by (ln i / q)
+    2^-53 relative); _power_roots' log sum where I(u) is not a normal float."""
+    (c, t), q = p.power_constant(phi.q), phi.q
+    e = math.frexp(modular_at.top_finite)[1]
+    i = modular_at.kernel(math.ldexp(1.0, -e))[0] if e > -1024 else 0.0  # 2^-e a double
+    if _TINY <= i < math.inf:
+        m, b = math.frexp(i)
+        rho = math.fmod(b, q)
+        r, e = m ** (1.0 / q) * 2.0 ** (rho / q), e + round((b - rho) / q)
+    else:
+        w, ax = modular_at.finite_atoms()
+        r, e = (a.item() for a in _power_roots(phi, w, ax[None, :]))
+    try:
+        value = math.ldexp(c * r, e)
+    except OverflowError:  # the norm is past double range
+        return NormResult(math.inf, None, False, None, 1)
+    try:
+        k = math.ldexp(t ** (1.0 / q) / r, -e)
+    except OverflowError:  # so is k*, as the batch reads it
+        k = math.inf
+    return NormResult(value, k, True, (k, k), 1)
+
+
+def _power_roots(phi: OrliczFunction, w: np.ndarray, ax: np.ndarray):
+    """(r, e) with I(x)^(1/q) = r 2^e for the nonzero rows ax (N, n) of
+    |values| on finite atoms of weights w, Phi = |u|^q: _power_norm's
+    arithmetic, its sums one array sum; where a sum is not a normal float,
+    from the log sum of log w + q log u, within about 1e-13 relative."""
+    q = phi.q
+    e = np.frexp(ax.max(axis=1))[1]
+    u = np.ldexp(ax, -e[:, None])
+    with np.errstate(over="ignore"):  # a sum past double range is +inf
+        i = np.vecdot(phi.pair_terms(u)[0], w)
+    m, b = np.frexp(i)
+    rho = np.fmod(b, q)
+    r, n = m ** (1.0 / q) * np.exp2(rho / q), np.rint((b - rho) / q)
+    if (odd := ~((i >= _TINY) & (i < math.inf))).any():
+        with np.errstate(divide="ignore"):
+            lt = np.log(w) + phi.log_pair_array(u[odd])[0]
+        top = lt.max(axis=1)
+        l2 = (top + np.log(np.exp(lt - top[:, None]).sum(axis=1))) / (_LN2 * q)
+        n[odd] = np.floor(l2)
+        r[odd] = np.exp2(l2 - n[odd])
+    return r, e + n.astype(np.int32)
 
 
 def _limit(phi: OrliczFunction, p: PlanarNorm, atoms) -> np.ndarray | float:
@@ -214,19 +273,24 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     I_a), at most once per lower end (log Phi is linear in k for exp_minus
     and concave for powers, so it lands at or just below the root, where
     Newton in log k overshoots by hundreds); from a in the flat zone (I =
-    0), the first float past k_edge, which closes the bracket when the root
-    lies within a float of the edge.  With no sample above, F = -inf steps
-    to k twice Phi's flat edge (I = 0), or else (J = 0) to the end of the
-    span, where J is largest; with none below, F = +inf steps past the
-    corner below, or halves k (an overflow).  F's jumps go first: a binary
-    search over the kinks b/|x_i| inside the bracket (F at an upper end
-    there is its left limit), then Newton on log I toward a corner between
-    the ends' facets, from the end nearer to it, in log(k - k_edge) too.
-    The loop stops at width tol + 4 eps |s|, at F = 0, or with F <= 0 up to
-    the end (F > 0 down to the floor)."""
+    0), k_edge itself where a lies below it, then the first float past it,
+    which close the bracket when the root lies within a float of the edge.
+    With no sample above, F = -inf steps to k twice Phi's flat edge (I =
+    0), or else (J = 0) to the end of the span, where J is largest; with
+    none below, F = +inf steps past the corner below, or halves k (an
+    overflow).  F's jumps go first: a binary search over the kinks b/|x_i|
+    inside the bracket (F at an upper end there is its left limit), then
+    Newton on log I toward a corner between the ends' facets, from the end
+    nearer to it, in log(k - k_edge) too.  The loop stops at width tol + 4
+    eps |s|, at F = 0, or with F <= 0 up to the end (F > 0 down to the
+    floor)."""
     log, exp, inf = math.log, math.exp, math.inf
     s_start = -log(modular_at.top)  # homogeneous: from k = 1/max|x|, k and k max|x|
     s_top = (0.0 if 0.0 < s_start else s_start) - _LOG_TINY  # within [1e-300, 1e300]
+    zb, tf = phi.zero_bound, modular_at.top_finite
+    k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
+    if exp(s_top) < 2.0 * k_edge < inf:  # or up to twice a flat edge past that, a double
+        s_top = log(2.0 * k_edge)
     k_top, m_inf = exp(s_top), modular_at.top_inf
     if m_inf > 0.0:  # I(k x) = +inf exactly when Phi(k m_inf) > 0, m_inf = max|x| there
         k_jump = _jump(phi, m_inf)
@@ -241,8 +305,6 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
     cands = _kink_candidates(phi, modular_at, k_top) if phi.kinks else None
     drops = dict(cands) if cands else None  # a sample at a kink takes F's left limit
     s_floor = (0.0 if 0.0 > s_start else s_start) + _LOG_TINY  # k and k max|x| above 1e-300
-    zb, tf = phi.zero_bound, modular_at.top_finite
-    k_edge = zb / tf if zb > 0.0 < tf else 0.0  # I = 0 up to here (every k when tf = 0)
     s_edge = -inf if zb == 0.0 else log(k_edge) if tf > 0.0 else inf
     if zb > 0.0 and tf / modular_at.top <= zb:  # k = 1/max|x| not past the edge: from twice it
         s_start = s_edge + _LN2
@@ -292,9 +354,9 @@ def _first_order_root(phi: OrliczFunction, p: PlanarNorm, modular_at, log_tol: f
                 s = a[0] + h if s < a[0] + h else b[0] - h if s > b[0] - h else s
                 w1, w2, w3 = width, w1, w2
             elif (over and a[3] == 0.0 < k_edge and a[1] <= k_edge
-                  and (k_past := math.nextafter(k_edge, inf)) < b[1]):
-                # I = 0 at a: the first float past the flat edge
-                k, w1, w2, w3 = k_past, width, w1, w2
+                  and (k_next := k_edge if a[1] < k_edge else math.nextafter(k_edge, inf)) < b[1]):
+                # I = 0 at a: the flat edge, then the first float past it
+                k, w1, w2, w3 = k_next, width, w1, w2
                 s = log(k)
             elif -inf < g1 < inf and (not two or width <= 0.5 * w3
                                       or prev is not None and abs(g1) <= 0.5 * abs(prev[2])):
@@ -421,8 +483,10 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     for bit).
 
     Rows whose infimum is approached only as k -> inf (_limit) are not
-    searched: their value is its limit S, with nan and False.  Each other
-    row runs the scalar engine's loop (_first_order_root) on its
+    searched: their value is its limit S, with nan and False; nor are
+    |u|^q's, q > 1, under any p: _power_norm's closed form with 0 steps, one
+    array sum (numpy's sums and powers may round an ulp from the kernel's).
+    Each other row runs the scalar engine's loop (_first_order_root) on its
     first-order equation F = 0 (log I under the max norm, log J under the
     sum norm, log J + (q - 1) log I under the q-mean; -inf where I or J is
     0, +inf where I overflows): the same span, Newton steps and one-sided
@@ -439,10 +503,11 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     nan and False.
 
     These rows go through the scalar generated_norm instead, and equal it
-    exactly: every row when p is a boundary ball or Phi' has a kink (a
-    polyline, flat_then_power(a, 1)), and rows with a nonzero value on an
-    infinite atom (the finite/+inf jump).  With a smooth generator and a
-    max, sum or q-mean norm, rows on finite atoms never take this route.
+    exactly: every row when p is a boundary ball (but for |u|^q) or Phi'
+    has a kink (a polyline, flat_then_power(a, 1)), and rows with a nonzero
+    value on an infinite atom (the finite/+inf jump).  With a smooth
+    generator and a max, sum or q-mean norm, rows on finite atoms never
+    take this route.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[1] != space.n_atoms:
@@ -453,7 +518,9 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
     value, k_star = np.zeros(n_rows), np.full(n_rows, math.nan)
     weights, finite = space.atom_arrays
     nonzero = (x != 0.0).any(axis=1)
-    scalar = nonzero if p.kind == "boundary" or phi.kinks else (x[:, ~finite] != 0.0).any(axis=1)
+    power = phi.kind == "power" and phi.q > 1.0
+    scalar = (nonzero if p.kind == "boundary" and not power or phi.kinks
+              else (x[:, ~finite] != 0.0).any(axis=1))
     rows = np.flatnonzero(nonzero & ~scalar)
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -463,7 +530,11 @@ def generated_norm_batch(phi: OrliczFunction, p: PlanarNorm, space: MeasureSpace
             limit = np.broadcast_to(_limit(phi, p, lambda: (weights, ax)), rows.shape)
             far = limit == limit
             value[rows[far]], rows, ax = limit[far], rows[~far], ax[~far]
-        if rows.size:
+        if rows.size and power:  # _power_norm's closed form
+            (c, t), (r, e) = p.power_constant(phi.q), _power_roots(phi, weights, ax)
+            v = value[rows] = np.ldexp(c * r, e)
+            k_star[rows] = np.where(v < math.inf, np.ldexp(t ** (1.0 / phi.q) / r, -e), math.nan)
+        elif rows.size:
             lo, hi, steps = _lockstep(_batch_sampler(phi, p, weights), ax,
                                       np.zeros(len(rows)), LOG_TOL, p.q if p.kind == "lq" else 1.0,
                                       phi.zero_bound)
@@ -487,7 +558,8 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     ``targets``: c <= the root of modular(c x) = t, within SCALE_LOG_TOL in log c
     (c at the top of the span where the modular stays below t up to there).
     The rows must be nonzero and vanish on the infinite atoms.  The roots
-    are solved in lockstep by generated_norm_batch's loop, on log I - log t."""
+    are solved in lockstep by generated_norm_batch's loop, on log I - log t;
+    a power generator's (q > 1) is c = (t / I(x))^(1/q), to rounding."""
     x = np.asarray(values, dtype=float)
     weights, finite = space.atom_arrays
     if x.ndim != 2 or x.shape[1] != space.n_atoms:
@@ -495,9 +567,13 @@ def scale_to_modular_batch(phi: OrliczFunction, space: MeasureSpace, values,
     ax = np.ascontiguousarray(np.abs(x[:, finite]))
     if (x[:, ~finite] != 0.0).any() or not (ax.max(axis=1, initial=0.0) > 0.0).all():
         raise DomainError("rows must be nonzero and supported on the finite atoms")
+    targets = np.asarray(targets, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if phi.kind == "power" and phi.q > 1.0:  # I(cx) = c^q I(x): c = (t / I(x))^(1/q)
+            r, e = _power_roots(phi, weights, ax)
+            return np.ldexp(targets ** (1.0 / phi.q) / r, -e)
         lo, hi, _ = _lockstep(_batch_sampler(phi, _MAX_NORM, weights), ax,
-                              np.log(np.asarray(targets, dtype=float)), SCALE_LOG_TOL, 1.0,
+                              np.log(targets), SCALE_LOG_TOL, 1.0,
                               phi.zero_bound)
     return np.where(lo[0] == lo[0], lo[1], hi[1])  # hi: above t down to the floor
 
@@ -540,16 +616,17 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
     sign); ``steps`` counts the calls of ``sample``.
 
     Each row takes the scalar loop's steps: from k = 1/max|x| (twice the
-    flat edge where zero_bound >= 1, as that k is then not past it),
-    Newton in log k or log(k - k_edge), and, while its upper end's I
-    overflowed, Newton in k from the lower end once per lower end, or the
-    first float past the flat edge from a lower end where I = 0.  lo and hi
-    are a row's bracket ends, last and prev its two latest samples, w its
-    bracket's width 1, 2 and 3 steps back, k_from the lower end its last
-    Newton step in k started from; qm is q', and Phi vanishes on [0,
-    zero_bound].  These and the row's constants are rows of one stacked
-    array, updated in place, so that dropping the rows that stopped takes
-    one index.  A row stops at the scalar loop's stopping rule and is
+    flat edge where zero_bound >= 1, as that k is then not past it), Newton
+    in log k or log(k - k_edge), and, while its upper end's I overflowed,
+    Newton in k from the lower end once per lower end, or the flat edge,
+    then the first float past it, from a lower end where I = 0, in a span
+    up to twice a flat edge past k max|x| = 1e300 where that is a double.
+    lo and hi are a row's bracket ends, last and prev its two latest
+    samples, w its bracket's width 1, 2 and 3 steps back, k_from the lower
+    end its last Newton step in k started from; qm is q', and Phi vanishes
+    on [0, zero_bound].  These and the row's constants are rows of one
+    stacked array, updated in place, so that dropping the rows that stopped
+    takes one index.  A row stops at the scalar loop's stopping rule and is
     sampled no more.  Numpy's cost here is per call, not per row, so the
     branches that few passes need (one end, a step outside the bracket,
     bisection, an overflowed upper end, the flat edge) run only on those
@@ -560,6 +637,8 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
     s_start = -log(top)  # homogeneous: from k = 1/max|x|
     s_end = np.minimum(s_start, 0.0) - _LOG_TINY  # k and k max|x| within [1e-300, 1e300]
     k_edge = zero_bound / top  # I = 0 up to here
+    if zero_bound:  # or up to twice a flat edge past that, a double
+        s_end = where((exp(s_end) < 2.0 * k_edge) & (2.0 * k_edge < inf), log(2.0 * k_edge), s_end)
     state = np.full((_STATE_ROWS, len(ax)), nan)
     lo, hi, last, prev, w, span, k_from = (state[r] for r in _STATE)
     w[:] = inf
@@ -655,10 +734,10 @@ def _lockstep(sample, ax: np.ndarray, target: np.ndarray, tol: float, qm: float,
             k = where(step >= s_end, k_end, fmin(exp(step), k_end))
         else:
             k = fmin(exp(step), k_end)
-        if zero_bound and n_over:  # I = 0 at lo: the first float past the flat edge
-            k_past = np.nextafter(k_edge, inf)
-            if count(probe := over & (lo[3] == 0.0) & (lo[1] <= k_edge) & (k_past < hi[1])):
-                k, step = where(probe, k_past, k), where(probe, log(k_past), step)
+        if zero_bound and n_over:  # I = 0 at lo: the flat edge, then the first float past it
+            k_next = where(lo[1] < k_edge, k_edge, np.nextafter(k_edge, inf))
+            if count(probe := over & (lo[3] == 0.0) & (lo[1] <= k_edge) & (k_next < hi[1])):
+                k, step = where(probe, k_next, k), where(probe, log(k_next), step)
         w[1:], w[0], s = w[:2], fmin(width, inf), step
 
 

@@ -92,6 +92,28 @@ class PlanarNorm:
         """Inner vertices' slopes v/u: (1, I) lies on facet bisect_right(corners, I)."""
         return tuple(v / u for u, v in self.vertices[1:-1])
 
+    def power_constant(self, q: float) -> tuple[float, float]:
+        """(C, t*) for q > 1: t* minimises h(t) = p((1, t)) t^(-1/q), C = h(t*), and
+        the norm generated by |u|^q is C I(x)^(1/q).  t* is 1, 1/(q - 1) and (q -
+        1)^(-1/r) under the max, sum and r-mean norms; on a boundary ball, where
+        h -> +inf at 0 and at +inf and is smooth on each facet a u + b v = 1, a
+        corner's v/u or a facet's a/((q - 1) b) inside its range.  Cached per q."""
+        got = self._power_constants.get(q)
+        if got is None:
+            if self.kind == "boundary":
+                ends = (0.0, *self.corners, math.inf)
+                ts = [*self.corners, *(t for (a, b), lo, hi in zip(self.facets, ends, ends[1:])
+                                       if b != 0.0 and lo < (t := a / ((q - 1.0) * b)) < hi)]
+            else:
+                ts = [(q - 1.0) ** (-1.0 / {"l1": 1.0, "lq": self.q}.get(self.kind, math.inf))]
+            got = min((self._eval_abs(1.0, t) * t ** (-1.0 / q), t) for t in ts)
+            self._power_constants[q] = got
+        return got
+
+    @cached_property
+    def _power_constants(self) -> dict[float, tuple[float, float]]:
+        return {}
+
     def evaluate(self, point: tuple[float, float]) -> float:
         u, v = point
         if not (math.isfinite(u) and math.isfinite(v)):

@@ -5,8 +5,12 @@ term overflows, and minimised by golden section in s = log k: g is convex
 in 1/k, so it is unimodal in s.  The bracket comes from steps that double
 in s from k = 1/max|x|, walking downhill until g rises.  g is smooth at its
 minimiser, so the value's error is second order in the bracket's width,
-except under the max norm: there the minimiser is the kink of g at the
-Luxemburg point, and the final bracket is narrowed to LOG_TOL_KINK.
+except under the max norm, where the minimiser is the kink of g at the
+Luxemburg point, and on a flat generator, where it may sit on the flat
+zone's edge k_e, past which I rises so steeply that g is kinked there at
+double scale (with LOG_TOL, flat_then_power(1e305, 2) under the sum norm
+read 1e-305 (1 + 2.8e-10) on x = 1, where the norm is 1e-305): there the
+final bracket is narrowed to LOG_TOL_KINK.
 """
 from __future__ import annotations
 
@@ -90,7 +94,7 @@ def oracle_norm(phi, p, weights, values) -> float:
         gold = (mpmath.sqrt(5) - 1) / 2
         x1, x2 = hi - gold * (hi - lo), lo + gold * (hi - lo)
         g1, g2 = g(x1), g(x2)
-        tol = LOG_TOL_KINK if p.kind == "linf" else LOG_TOL
+        tol = LOG_TOL_KINK if p.kind == "linf" or phi.zero_bound > 0.0 else LOG_TOL
         while hi - lo > tol:
             if g1 <= g2:
                 hi, x2, g2 = x2, x1, g1

@@ -1,11 +1,12 @@
 import collections
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlnorm import engine, verify
@@ -16,7 +17,7 @@ from orlnorm import (DomainError, OrliczFunction, PreconditionError,
                      linf, lq, luxemburg_norm, measure_space, modular, modular_on_grid,
                      orlicz_dual_norm, orlicz_from_descriptor, piecewise_linear,
                      planar_from_descriptor, power, simple_function, unit_weights)
-from orlnorm.spaces import ARRAY_ATOMS
+from orlnorm.spaces import ARRAY_ATOMS, modular_of
 
 from mp_oracle import oracle_norm
 
@@ -272,27 +273,123 @@ def test_search_stays_under_grid_oracle_and_jump(orlicz_catalog, planar_catalog)
         assert max(counts) <= 10, p_label
 
 
+def _loop_counts(phi, p, space, row):
+    """The evaluations of the scalar search loop (_first_order_root) and the
+    steps of the lockstep loop (_lockstep) on one nonzero row supported on
+    finite atoms, called directly, as a power generator's rows skip both."""
+    x = simple_function(space, row)
+    evaluations = engine._first_order_root(phi, p, modular_of(phi, x), engine.LOG_TOL)[4]
+    weights, finite = space.atom_arrays
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        steps = engine._lockstep(engine._batch_sampler(phi, p, weights),
+                                 np.abs(np.asarray(row, dtype=float)[None, finite]), np.zeros(1),
+                                 engine.LOG_TOL, p.q if p.kind == "lq" else 1.0, phi.zero_bound)[2]
+    return evaluations, steps
+
+
 @pytest.mark.parametrize("n", [6, 256])
-def test_power_rows_take_three_evaluations(n):
-    # for |u|^q, log I, log J and log J + (q' - 1) log I are linear in log k
-    # with slope q'(1 + J/I) = q' q: one Newton step lands on the root, and
-    # two samples 0.45 tol either side of it close the bracket
+def test_power_rows_take_one_evaluation_and_no_batch_step(n):
+    # |u|^q is answered in closed form, C(p, q) I(x)^(1/q): one kernel sum,
+    # and no lockstep pass in the batch.  The search loops still solve such
+    # rows exactly: log I, log J and log J + (q' - 1) log I are linear in
+    # log k with slope q'(1 + J/I) = q' q, so one Newton step lands on the
+    # root, and two samples 0.45 tol either side of it close the bracket
     rng = np.random.default_rng(53)
     for q in (1.5, 2.0, 3.0, 6.0):
+        phi = power(q)
         for p in (linf(), l1(), lq(1.5), lq(2), lq(3)):
+            c, t = p.power_constant(q)
             for _ in range(4):
                 sp = measure_space(10.0 ** rng.uniform(-1.0, 1.0, n))
                 x = simple_function(sp, rng.uniform(-1.0, 1.0, n))
-                r = generated_norm(power(q), p, x)
-                assert r.evaluations == 3 and r.attained, (q, p.label)
-                # the batch takes the same steps
-                batch = generated_norm_batch(power(q), p, sp, np.array([x.values]))
-                assert batch.steps <= 3 and batch.attained[0], (q, p.label)
-                assert batch.value[0] == pytest.approx(r.value, rel=1e-11, abs=0.0), (q, p.label)
+                r = generated_norm(phi, p, x)
+                assert r.evaluations == 1 and r.attained and r.bracket == (r.k_star, r.k_star)
+                batch = generated_norm_batch(phi, p, sp, np.array([x.values]))
+                assert batch.steps == 0 and batch.attained[0], (q, p.label)
+                assert batch.value[0] == pytest.approx(r.value, rel=1e-15, abs=0.0), (q, p.label)
+                assert batch.k_star[0] == pytest.approx(r.k_star, rel=1e-15, abs=0.0), (q, p.label)
+                # k* puts the modular at t*, and the search loop's minimum is the same
+                assert modular(phi, x, scale=r.k_star) == pytest.approx(t, rel=1e-14, abs=0.0)
+                evaluations, steps = _loop_counts(phi, p, sp, np.array(x.values))
+                assert evaluations == 3 and steps <= 3, (q, p.label)
+                searched = engine._first_order_root(phi, p, modular_of(phi, x), engine.LOG_TOL)[0]
+                assert searched == pytest.approx(r.value, rel=1e-11, abs=0.0), (q, p.label)
                 m = math.fsum(w * abs(v) ** q for w, v in zip(sp.weights, x.values))
                 want = {"linf": m ** (1.0 / q), "l1": q / (q - 1.0) * ((q - 1.0) * m) ** (1.0 / q)}
                 if p.kind in want:
-                    assert r.value == pytest.approx(want[p.kind], rel=1e-11, abs=0.0), (q, p.label)
+                    assert r.value == pytest.approx(want[p.kind], rel=1e-14, abs=0.0), (q, p.label)
+                assert r.value == pytest.approx(c * m ** (1.0 / q), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from((1.5, 2.0, 3.0, 7.5)), st.sampled_from((linf(), l1(), lq(1.5), lq(2), lq(3))),
+       st.lists(st.tuples(st.floats(-700.0, 700.0), st.floats(-3.0, 3.0), st.booleans()),
+                min_size=1, max_size=11))
+def test_power_closed_form_holds_the_mp_oracle(q, p, atoms):
+    # weights e^U(-700, 700) and |values| 10^U(-3, 3): the closed form within
+    # 1e-14 of the 40-digit oracle (the search loop held 1e-11); the batch
+    # within 1e-15 of it (its sums and powers are numpy's, which round
+    # apart from the scalar kernel's by an ulp), each batch row bit for bit
+    # its batch of one; and the Luxemburg norm is the max norm's closed form
+    weights = [math.exp(e) for e, _, _ in atoms]
+    values = [(-1.0 if neg else 1.0) * 10.0 ** d for _, d, neg in atoms]
+    phi, space = power(q), measure_space(weights)
+    x = simple_function(space, values)
+    r = generated_norm(phi, p, x)
+    assert r.evaluations == 1 and r.attained
+    assert r.value == pytest.approx(oracle_norm(phi, p, weights, values), rel=1e-14, abs=0.0)
+    if p.kind == "linf":
+        assert luxemburg_norm(phi, x) == r.value
+    rows = np.array([values, values[::-1]])
+    batch = generated_norm_batch(phi, p, space, rows)
+    assert batch.steps == 0 and batch.attained.all()
+    assert batch.value[0] == pytest.approx(r.value, rel=1e-15, abs=0.0)
+    assert batch.k_star[0] == pytest.approx(r.k_star, rel=1e-15, abs=0.0)
+    for j in range(2):
+        one = generated_norm_batch(phi, p, space, rows[j:j + 1])
+        assert one.value[0] == batch.value[j] and one.k_star[0] == batch.k_star[j]
+
+
+@pytest.mark.parametrize("weights, values", [([1.5e308] * 3, [0.9, -0.7, 0.5]),
+                                             ([1e-310, 1e-312, 1e-314], [0.9, -0.7, 0.5]),
+                                             ([5e-324], [0.9]), ([1.0, 2.0], [3e-309, -1e-310])])
+def test_power_closed_form_sums_in_logs_past_double_range(weights, values):
+    # I(u) over- or underflows on weights near the ends of double range, or
+    # 2^-e is past it (max|x| below 2^-1024): its log sum holds the oracle
+    # within 1e-13 in both engines, the scales too
+    space = measure_space(weights)
+    x = simple_function(space, values)
+    for q in (1.5, 2.0, 7.5):
+        phi = power(q)
+        for p in (linf(), l1(), lq(2)):
+            want = oracle_norm(phi, p, weights, values)
+            r = generated_norm(phi, p, x)
+            batch = generated_norm_batch(phi, p, space, np.array([values]))
+            assert r.evaluations == 1 and batch.steps == 0, (q, p.label)
+            for got in (r.value, batch.value[0]):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (q, p.label)
+        # the Luxemburg norm is 1/k where I(kx) = 1: the scale to modular level
+        # 1, +inf where it is past double range (max|x| of 3e-309)
+        c = engine.scale_to_modular_batch(phi, space, np.array([values]), [1.0])[0]
+        lux = luxemburg_norm(phi, x)
+        if c < math.inf:
+            assert c * lux == pytest.approx(1.0, rel=1e-13, abs=0.0), q
+        else:
+            assert lux * sys.float_info.max < 1.0, q
+
+
+def test_power_scales_to_a_modular_level_in_closed_form():
+    # I(cx) = c^q I(x): c = (t / I(x))^(1/q), to rounding
+    rng = np.random.default_rng(97)
+    space = measure_space(np.exp(rng.uniform(-3.0, 3.0, 7)))
+    rows = rng.uniform(-2.0, 2.0, (6, 7))
+    targets = 2.0 ** -np.arange(1.0, 7.0)
+    for q in (1.5, 2.0, 3.0, 7.5):
+        phi = power(q)
+        c = engine.scale_to_modular_batch(phi, space, rows, targets)
+        for row, t, scale in zip(rows, targets, c):
+            got = modular(phi, simple_function(space, row), scale=scale)
+            assert got == pytest.approx(t, rel=1e-14, abs=0.0), q
 
 
 @pytest.mark.parametrize("phi, p, weights, values, want, evaluations", [
@@ -300,7 +397,8 @@ def test_power_rows_take_three_evaluations(n):
     # k = 2, then Newton in log(k - 2), exact for (u - 2)^2: the Luxemburg
     # point k = 3
     (flat_then_power(2, 2), linf(), [1.0], [1.0], 1.0 / 3.0, 3),
-    # I overflows at k = 1/max|x|: k halves, then one Newton step
+    # I overflows at k = 1/max|x|: the closed form sums at u = |x|/2, in one
+    # evaluation (the loop halved k, then took one Newton step: 4)
     (power(2), linf(), [1.5e308, 1.5e308], [1.0, 1.0], math.sqrt(1.5e308) * math.sqrt(2.0), 4),
     # J = 0 for every k: the limit S = 3 as k -> inf, in closed form
     (power(1), l1(), [1.0, 1.0], [1.0, 2.0], 3.0, 0),
@@ -309,6 +407,10 @@ def test_power_rows_take_three_evaluations(n):
     # Newton in log k from w Phi(u) = 7e-301 overshoots into overflow: then
     # Newton in k from below, where log Phi is about linear in k
     (exp_minus(), linf(), [1e-300], [700.0], 1.0133537911075876, 5),
+    # the power(2) row's shape for the loop: I overflows at k = 1/max|x|, k
+    # halves, then Newton steps on log I, about linear in log k where Phi(u)
+    # is about u^2 / 2
+    (exp_minus(), linf(), [1.5e308, 1.5e308], [1.0, 1.0], math.sqrt(1.5e308), 6),
 ])
 def test_search_paths(phi, p, weights, values, want, evaluations):
     x = simple_function(measure_space(weights), values)
@@ -353,7 +455,8 @@ def test_hard_rows_hold_their_reference_within_their_evaluations(row):
     the oracle does not take, generated_norm_on_grid bounds it; with Phi
     flat up to the largest double, the span ends first, at k max|x| =
     1e300, so the value is 1/k there (the oracle, with no span, reads
-    5.6e-309)."""
+    5.6e-309): the span reaches twice a flat edge past that only where
+    twice it is a double."""
     phi, p = orlicz_from_descriptor(row["phi"]), planar_from_descriptor(row["p"])
     space = measure_space(row["weights"])
     x = simple_function(space, row["values"])
@@ -479,6 +582,33 @@ def test_kinked_generators_and_boundary_balls_stay_under_grid():
     for kind, bound in (("kinked l1", 6), ("mean", 11), ("boundary", 4),
                         ("kinked boundary", 13)):
         assert max(evaluations[kind]) <= bound, kind
+
+
+def test_power_closed_form_on_boundary_balls_holds_the_grid_and_the_search():
+    # a boundary ball's C(p, q) is the least h(t) = p((1, t)) t^(-1/q) over its
+    # corners and its facets' stationary points: below a dense record of h,
+    # and the norm it gives lies under generated_norm_on_grid and on the
+    # search loop's minimum, in both engines
+    rng = np.random.default_rng(2032)
+    ts = np.geomspace(1e-4, 1e4, 20001)
+    for _ in range(20):
+        p, q = _convex_ball(rng), float(rng.choice([1.5, 2.0, 3.0, 7.5]))
+        phi, (c, t) = power(q), p.power_constant(q)
+        assert p.power_constant(q) is p.power_constant(q)  # cached per q
+        h = p.evaluate_many(1.0, ts) * ts ** (-1.0 / q)
+        assert c <= h.min() * (1.0 + 1e-15) and c == pytest.approx(h.min(), rel=1e-3)
+        space = measure_space(np.exp(rng.uniform(-2.0, 2.0, 6)))
+        rows = rng.uniform(-2.0, 2.0, (5, 6))
+        batch = generated_norm_batch(phi, p, space, rows)
+        assert batch.steps == 0
+        for row, value in zip(rows, batch.value):
+            x = simple_function(space, row)
+            r = generated_norm(phi, p, x)
+            assert r.evaluations == 1 and value == pytest.approx(r.value, rel=1e-15, abs=0.0)
+            grid = generated_norm_on_grid(phi, p, x)
+            assert grid * (1.0 - 1e-2) <= r.value <= grid * (1.0 + 1e-12), (p.descriptor(), q)
+            searched = engine._first_order_root(phi, p, modular_of(phi, x), engine.LOG_TOL)[0]
+            assert r.value == pytest.approx(searched, rel=1e-11, abs=0.0), (p.descriptor(), q)
 
 
 def test_polygons_through_catalog_vertices_give_the_catalog_norms(orlicz_catalog):
@@ -908,14 +1038,12 @@ _SMOOTH_PHIS = (power(1.5), power(2), power(3), exp_minus(), flat_then_power(1, 
        st.lists(st.tuples(st.floats(-3.0, 3.0), _VALUE), min_size=1, max_size=8)
        .filter(lambda atoms: any(v for _, v in atoms)))
 def test_both_engines_take_the_same_steps(phi, p, atoms):
-    # one step rule: a batch of one row takes as many lockstep steps as the
-    # scalar engine takes evaluations on that row, flat edges and overflow
-    # included, not only the same value
+    # one step rule: the lockstep loop takes as many steps on one row as the
+    # scalar loop takes evaluations, flat edges and overflow included, not
+    # only the same value (called directly: the power rows take neither)
     space = measure_space([math.exp(e) for e, _ in atoms])
-    row = np.array([v for _, v in atoms])
-    r = generated_norm(phi, p, simple_function(space, row))
-    assert generated_norm_batch(phi, p, space, row[None, :]).steps == r.evaluations, (
-        phi.label, p.label)
+    evaluations, steps = _loop_counts(phi, p, space, np.array([v for _, v in atoms]))
+    assert steps == evaluations, (phi.label, p.label)
 
 
 @given(_batches())

@@ -201,6 +201,26 @@ def _values(p, epsilons):
 MODULUS_EPS = [0.001, 0.025, 0.1, 0.3, 0.5, 0.7, 0.9, 0.975, 0.999]
 
 
+@pytest.mark.parametrize("q", [1.001, 1.5, 2.0, 3.0, 7.5, 40.0])
+def test_power_constant_closed_forms(q):
+    # the sum norm's C(p, q) = q (q - 1)^(1/q - 1) (Hudzik and Maligranda); the
+    # max norm's 1, at t* = 1; the r-mean's t* = (q - 1)^(-1/r); a polygon
+    # through a catalog ball's vertices gives that ball's constant
+    assert l1().power_constant(q) == pytest.approx(
+        (q * (q - 1.0) ** (1.0 / q - 1.0), 1.0 / (q - 1.0)), rel=1e-15)
+    assert linf().power_constant(q) == (1.0, 1.0)
+    for r in (1.0, 1.5, 2.0, 3.0):
+        t = (q - 1.0) ** (-1.0 / r)
+        c, got = lq(r).power_constant(q)
+        assert got == t and c == pytest.approx((1.0 + t ** r) ** (1.0 / r) * t ** (-1.0 / q),
+                                               rel=1e-15)
+    square = boundary_sampled([(0.0, 1.0), (math.pi / 4, math.sqrt(2.0)), (HALF_PI, 1.0)])
+    diamond = boundary_sampled([(0.0, 1.0), (HALF_PI, 1.0)])
+    assert square.power_constant(q) == pytest.approx(linf().power_constant(q), rel=1e-15)
+    assert diamond.power_constant(q) == pytest.approx(l1().power_constant(q), rel=1e-15)
+    assert diamond.power_constant(q) is diamond.power_constant(q)  # cached per q
+
+
 def test_modulus_l1_is_identity():
     for p in (l1(), L1_POLYGON):
         assert np.max(np.abs(np.subtract(_values(p, MODULUS_EPS), MODULUS_EPS))) <= 1e-15, p.label
